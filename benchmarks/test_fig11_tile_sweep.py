@@ -8,7 +8,7 @@ the paper plots them.
 
 import pytest
 
-from repro.core.api import NeuraChip
+from repro.core import GCNLayerSpec, Session
 from repro.gnn.gcn import GCNWorkload
 
 from _harness import emit
@@ -17,21 +17,25 @@ _CONFIG_NAMES = ("Tile-4", "Tile-16", "Tile-64")
 _METRICS = ("stall_cycles", "cpi", "ipc", "in_flight_instx", "power", "busy_cycles")
 
 
+def _layer_spec(cora_sim) -> GCNLayerSpec:
+    return GCNLayerSpec(dataset=cora_sim, feature_dim=16, hidden_dim=8,
+                        verify=False)
+
+
 @pytest.fixture(scope="module")
 def tile_sweep_results(cora_sim):
     workload = GCNWorkload.build(cora_sim, feature_dim=16, hidden_dim=8)
     raw = {}
     for name in _CONFIG_NAMES:
-        chip = NeuraChip(name)
-        result = chip.run_gcn_layer(cora_sim, feature_dim=16, hidden_dim=8,
-                                    verify=False)
-        report = result.aggregation.report
+        with Session(name) as session:
+            result = session.run(_layer_spec(cora_sim))
+        report = result.report
         raw[name] = {
             "stall_cycles": report.stall_cycles,
             "cpi": report.cpi,
             "ipc": report.ipc,
             "in_flight_instx": report.avg_inflight_mem,
-            "power": result.aggregation.power_w,
+            "power": result.power_w,
             "busy_cycles": report.busy_cycles,
             "cycles": report.cycles,
         }
@@ -41,10 +45,9 @@ def tile_sweep_results(cora_sim):
 
 def test_fig11_tile_configuration_sweep(benchmark, cora_sim, tile_sweep_results):
     """Time one Tile-4 aggregation run and regenerate the Figure 11 series."""
-    chip = NeuraChip("Tile-4")
-    benchmark.pedantic(chip.run_gcn_layer, args=(cora_sim,),
-                       kwargs={"feature_dim": 16, "hidden_dim": 8, "verify": False},
-                       rounds=1, iterations=1)
+    with Session("Tile-4") as session:
+        benchmark.pedantic(session.run, args=(_layer_spec(cora_sim),),
+                           rounds=1, iterations=1)
 
     base = tile_sweep_results["Tile-4"]
     rows = []

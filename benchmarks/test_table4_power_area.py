@@ -9,7 +9,7 @@ represent).
 import pytest
 
 from repro.arch.config import all_spgemm_configs
-from repro.core.api import NeuraChip
+from repro.core import Session, SpGEMMSpec
 from repro.power.model import TABLE4_REFERENCE, area_breakdown, power_breakdown
 
 from _harness import emit
@@ -20,9 +20,9 @@ def activity_power(cora_sim):
     """Power of each configuration while running the Cora SpGEMM workload."""
     results = {}
     for config in all_spgemm_configs():
-        chip = NeuraChip(config)
-        run = chip.run_spgemm(cora_sim.adjacency_csr(), verify=False,
-                              source="cora")
+        with Session(config) as session:
+            run = session.run(SpGEMMSpec(a=cora_sim.adjacency_csr(),
+                                         verify=False, source="cora"))
         results[config.name] = {
             "workload_power_w": run.power_w,
             "energy_j": run.energy_j,

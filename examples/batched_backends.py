@@ -11,7 +11,7 @@ Run with:  python examples/batched_backends.py
 """
 
 from repro import BatchSpec, Session, SpGEMMSpec, load_dataset
-from repro.viz.export import format_table
+from repro.viz.export import format_table, results_to_rows
 
 
 def main() -> None:
@@ -26,11 +26,11 @@ def main() -> None:
 
     # 2. Serve the whole batch through the analytic backend.
     with Session("Tile-16", backend="analytic", impl="numpy") as session:
-        batch = session.run(BatchSpec(specs=specs)).legacy
-        print(format_table(batch.as_rows()))
-        print(format_table([batch.summary()]))
-        print(f"compile cache: {batch.cache_hits}/{batch.n_jobs} jobs reused "
-              "a cached program\n")
+        batch = session.run(BatchSpec(specs=specs))
+        print(format_table(results_to_rows(batch.parts)))
+        print(format_table([batch.metrics]))
+        print(f"compile cache: {batch.metrics['cache_hits']}/"
+              f"{batch.metrics['jobs']} jobs reused a cached program\n")
 
         # 3. Spot-check the prediction against the cycle-level model.
         dataset = load_dataset("wiki-Vote", max_nodes=96)

@@ -21,7 +21,7 @@ def tile_size_sweep(dataset) -> None:
     with Session("Tile-4") as session:
         sweep = session.run(SweepSpec(
             a=dataset.adjacency_csr(),
-            configs=("Tile-4", "Tile-16", "Tile-64"))).legacy
+            configs=("Tile-4", "Tile-16", "Tile-64"))).output
     rows = [{"config": name, **{metric: round(value, 3)
                                 for metric, value in metrics.items()}}
             for name, metrics in sweep.items()]

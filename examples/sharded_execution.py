@@ -3,9 +3,10 @@
 Three demonstrations of the scale-out substrate:
 
 1. **Sharding** — one large SpGEMM is split by the planner into balanced
-   row-group jobs (rows of A partition the partial products of A @ B
-   exactly), fanned out over the executor, and reduced into one result
-   identical to the unsharded product.
+   row shards (rows of A partition the partial products of A @ B
+   exactly), run through the multichip machinery with its per-shard work
+   fanned out over the executor, and reduced into one result identical to
+   the unsharded product.
 2. **Executor fan-out** — the same 12-job batch served serially and over a
    thread pool, with identical per-job results.
 3. **Persistent program cache** — a second session pointed at the same
@@ -26,7 +27,7 @@ def main() -> None:
     dataset = load_dataset("facebook", max_nodes=256)
     adjacency = dataset.adjacency_csr()
 
-    # --- 1. Sharded SpGEMM: identical output, per-shard provenance -----
+    # --- 1. Sharded SpGEMM: identical output, shard count in provenance
     with Session("Tile-16", backend="analytic") as session:
         whole = session.run(SpGEMMSpec(a=adjacency, label="unsharded"))
         sharded = session.run(SpGEMMSpec(a=adjacency, shards=4,
@@ -42,14 +43,14 @@ def main() -> None:
     specs = [SpGEMMSpec(a=adjacency, label=f"req{i}", verify=False)
              for i in range(12)]
     with Session("Tile-16", backend="analytic", executor="serial") as serial:
-        serial_report = serial.run(BatchSpec(specs=specs)).legacy
+        serial_batch = serial.run(BatchSpec(specs=specs))
     with Session("Tile-16", backend="analytic", executor="thread",
                  workers=4) as threaded:
-        thread_report = threaded.run(BatchSpec(specs=specs)).legacy
+        thread_batch = threaded.run(BatchSpec(specs=specs))
     print("--- 12-job batch: serial vs thread executor ---")
-    print(format_table([serial_report.summary(), thread_report.summary()]))
-    same = (serial_report.total_partial_products
-            == thread_report.total_partial_products)
+    print(format_table([serial_batch.metrics, thread_batch.metrics]))
+    same = (serial_batch.metrics["total_partial_products"]
+            == thread_batch.metrics["total_partial_products"])
     print(f"identical totals across executors: {same}\n")
 
     # --- 3. Persistent program cache across sessions -------------------

@@ -25,22 +25,16 @@ from repro.backends import (
     register_backend,
 )
 from repro.core import (
-    BatchReport,
     BatchSpec,
     GCNLayerSpec,
-    GCNRunResult,
     GNNModelSpec,
     NeuraChip,
     Provenance,
     RunResult,
     Session,
-    SpGEMMRunResult,
     SpGEMMSpec,
     SweepSpec,
-    WorkloadJob,
-    WorkloadQueue,
     available_executors,
-    design_space_sweep,
     get_executor,
     register_executor,
 )
@@ -70,12 +64,6 @@ __all__ = [
     "get_executor",
     "available_executors",
     "NeuraChip",
-    "SpGEMMRunResult",
-    "GCNRunResult",
-    "design_space_sweep",
-    "WorkloadJob",
-    "WorkloadQueue",
-    "BatchReport",
     "register_backend",
     "get_backend",
     "available_backends",

@@ -1,7 +1,7 @@
 """Pluggable execution backends for the NeuraChip reproduction.
 
-Every entry point (the :class:`~repro.core.api.NeuraChip` facade, the CLI
-and the batch runner) executes compiled programs through a backend looked
+Every entry point (the :class:`~repro.core.session.Session` API, the CLI
+and the serving layer) executes compiled programs through a backend looked
 up by name in this package's registry:
 
 * ``functional`` — untimed hash-accumulate dataflow;
@@ -9,7 +9,10 @@ up by name in this package's registry:
 * ``analytic``   — roofline cycle prediction + vectorized kernel output,
   for graphs too large for event simulation;
 * ``multichip``  — N chip instances, one row shard each, reduced on the
-  host into the single-chip product (see :class:`ChipTopology`).
+  host into the single-chip product (see :class:`ChipTopology`); a
+  session's ``SpGEMMSpec(shards=N)`` host sharding runs through it too.
+
+The functional and cycle backends live in :mod:`repro.backends.simulators`.
 
 Third-party backends register with :func:`register_backend`.
 """
@@ -26,7 +29,7 @@ from repro.backends.registry import (
 )
 
 # Importing the implementation modules populates the registry.
-from repro.backends.executors import CycleBackend, FunctionalBackend
+from repro.backends.simulators import CycleBackend, FunctionalBackend
 from repro.backends.analytic import (
     CALIBRATED_TOLERANCE,
     AnalyticBackend,

@@ -56,8 +56,8 @@ class ExecutionContext:
 
 @dataclass
 class ExecutionResult:
-    """What a backend hands back to the :class:`~repro.core.api.NeuraChip`
-    facade.
+    """What a backend hands back to the
+    :class:`~repro.core.session.Session` that ran it.
 
     Attributes:
         backend: name of the backend that produced this result.

@@ -31,7 +31,10 @@ The ``multichip`` backend models exactly that:
 Per-shard compiled programs are cached by operand fingerprint through the
 session's :class:`~repro.core.runner.ProgramCache` (each shard slice has
 its own content fingerprint), so repeated multi-chip runs of the same graph
-skip every per-chip compile.
+skip every per-chip compile; under ``Session(verify=...)`` each distinct
+shard program is IR-verified once.  A session's host sharding
+(``SpGEMMSpec(shards=N)``) runs through this backend too, on a fleet of N
+chips of the session backend.
 
 B is replicated on every chip (rows of A shard; all of B is potentially
 touched by any shard), so a *cold* multi-chip run additionally charges a
@@ -45,10 +48,12 @@ already resident on the fleet and the term is zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from repro.analysis.structure import require_valid_csr
+from repro.analysis.verifier import assert_program_valid
 from repro.backends.base import ExecutionBackend, ExecutionContext, ExecutionResult
 from repro.backends.registry import get_backend, register_backend
 from repro.compiler.program import Program
@@ -148,6 +153,8 @@ class ChipRun:
     mmh: int
     partial_products: int
     cache_hit: bool = False
+    #: Unit programs this chip compiled fresh (0 when all were cached).
+    fresh_compiles: int = 0
 
     @property
     def cycles(self) -> float:
@@ -193,25 +200,6 @@ class MultiChipExecutionResult(ExecutionResult):
                                             for run in self.chip_runs)
 
 
-def _compile_shard(shard: CSRMatrix, b_csr: CSRMatrix, tile_size: int,
-                   source: str, cache) -> tuple[Program, bool]:
-    """Compile one shard program, going through ``cache`` (a
-    :class:`~repro.core.runner.ProgramCache`, duck-typed) when given.
-    Shard slices fingerprint by content, so each shard caches separately."""
-    from repro.compiler.lowering import compile_spgemm
-
-    if cache is not None:
-        key = cache.key(shard, b_csr, tile_size)
-        program = cache.get(key)
-        if program is not None:
-            return program, True
-    program = compile_spgemm(csr_to_csc(shard), b_csr, tile_size=tile_size,
-                             source=source)
-    if cache is not None:
-        cache.put(key, program)
-    return program, False
-
-
 @dataclass
 class ResidentGraph:
     """Per-chip shard state kept resident across the layers of a GNN stack.
@@ -233,18 +221,13 @@ class ResidentGraph:
     width: int
 
 
-def _resident_unit_b(unit: ShardUnit, b_csr: CSRMatrix) -> CSRMatrix:
-    """This layer's B operand for one resident unit: the full matrix for
-    rows units, the global-column-id range slice for fragment units."""
-    if unit.fragment is None:
-        return b_csr
-    return b_csr.col_range(unit.fragment.col_lo, unit.fragment.col_hi)
-
-
-def _resident_unit_program(unit: ShardUnit, unit_b: CSRMatrix,
-                           tile_size: int, source: str,
-                           cache) -> tuple[Program, bool]:
-    """Structural compile-once for a resident unit.
+def _resident_unit_program(unit: ShardUnit, source: str, b_csr: CSRMatrix,
+                           tile_size: int, cache
+                           ) -> tuple[Program, CSRMatrix, bool]:
+    """Structural compile-once for a resident unit against this layer's
+    ``b_csr``; returns ``(program, unit_b, cache_hit)``, where ``unit_b``
+    is the full matrix for rows units and the global-column-id range
+    slice for fragment units.
 
     The cache key hashes the A shard by *content* but B only by
     *structure*: the compiled instruction stream depends on B's sparsity
@@ -259,6 +242,8 @@ def _resident_unit_program(unit: ShardUnit, unit_b: CSRMatrix,
         matrix_structure_fingerprint,
     )
 
+    unit_b = b_csr if unit.fragment is None else \
+        b_csr.col_range(unit.fragment.col_lo, unit.fragment.col_hi)
     key = None
     if cache is not None:
         key = (CACHE_SCHEMA_VERSION, "gnn-stack-unit",
@@ -266,58 +251,24 @@ def _resident_unit_program(unit: ShardUnit, unit_b: CSRMatrix,
                matrix_structure_fingerprint(unit_b), tile_size)
         program = cache.get(key)
         if program is not None:
-            return rebind_b_values(program, unit_b), True
+            return rebind_b_values(program, unit_b), unit_b, True
     program = compile_spgemm(csr_to_csc(unit.a), unit_b, tile_size=tile_size,
                              source=source)
     if cache is not None:
         cache.put(key, program)
-    return program, False
+    return program, unit_b, False
 
 
-def _run_chip_resident(chip: int, assignment: ShardAssignment,
-                       units: list[ShardUnit], b_csr: CSRMatrix,
-                       tile_size: int, source: str, chip_backend: str,
-                       ctx: ExecutionContext, verify: bool,
-                       cache) -> tuple[ChipRun, int]:
-    """One chip's layer over its resident units; returns the run plus the
-    number of unit programs compiled fresh (0 on a warm layer)."""
-    backend = get_backend(chip_backend)
-    rows_output: CSRMatrix | None = None
-    fragment_outputs: list[CSRMatrix] = []
-    reports: list[SimulationReport | None] = []
-    hits: list[bool] = []
-    mmh = partial_products = 0
-    fresh = 0
-    for unit in units:
-        if unit.fragment is None:
-            unit_source = f"{source}@chip{chip}"
-        else:
-            unit_source = (f"{source}@chip{chip}"
-                           f"[r{unit.fragment.row}:c{unit.fragment.col_lo}"
-                           f"-{unit.fragment.col_hi}]")
-        unit_b = _resident_unit_b(unit, b_csr)
-        program, cache_hit = _resident_unit_program(unit, unit_b, tile_size,
-                                                    unit_source, cache)
-        if not cache_hit:
-            fresh += 1
-        execution = backend.execute(program, ctx, a_csr=unit.a, b_csr=unit_b,
-                                    verify=verify)
-        if unit.fragment is None:
-            rows_output = execution.output
-        else:
-            fragment_outputs.append(execution.output)
-        reports.append(execution.report)
-        hits.append(cache_hit)
-        mmh += program.n_instructions
-        partial_products += program.total_partial_products
-    report = None
-    if reports and all(r is not None for r in reports):
-        report = _combine_unit_reports(reports, ctx.config, source)
-    run = ChipRun(chip=chip, assignment=assignment, output=rows_output,
-                  fragment_outputs=fragment_outputs, report=report,
-                  mmh=mmh, partial_products=partial_products,
-                  cache_hit=bool(hits) and all(hits))
-    return run, fresh
+def _cached_unit_program(unit: ShardUnit, source: str, tile_size: int,
+                         cache, check) -> tuple[Program, CSRMatrix, bool]:
+    """A unit's program through the shared fetch-or-compile step (content
+    key, each program passing ``check``); returns
+    ``(program, unit.b, cache_hit)``."""
+    from repro.core.runner import fetch_or_compile
+
+    program, cache_hit = fetch_or_compile(cache, unit.a, unit.b, tile_size,
+                                          source, check=check)
+    return program, unit.b, cache_hit
 
 
 def _combine_unit_reports(reports: list[SimulationReport],
@@ -381,10 +332,11 @@ def _combine_unit_reports(reports: list[SimulationReport],
 
 
 def _run_chip(chip: int, assignment: ShardAssignment,
-              units: list[ShardUnit], tile_size: int, source: str,
-              chip_backend: str, ctx: ExecutionContext, verify: bool,
-              cache) -> ChipRun:
-    """Compile and execute one chip's units on a fresh per-chip context."""
+              units: list[ShardUnit], source: str, chip_backend: str,
+              ctx: ExecutionContext, verify: bool, unit_program) -> ChipRun:
+    """Execute one chip's units back to back on a fresh per-chip context;
+    ``unit_program(unit, unit_source)`` supplies each unit's
+    ``(program, b operand, cache_hit)``."""
     backend = get_backend(chip_backend)
     rows_output: CSRMatrix | None = None
     fragment_outputs: list[CSRMatrix] = []
@@ -398,11 +350,10 @@ def _run_chip(chip: int, assignment: ShardAssignment,
             unit_source = (f"{source}@chip{chip}"
                            f"[r{unit.fragment.row}:c{unit.fragment.col_lo}"
                            f"-{unit.fragment.col_hi}]")
-        program, cache_hit = _compile_shard(unit.a, unit.b, tile_size,
-                                            unit_source, cache)
+        program, unit_b, cache_hit = unit_program(unit, unit_source)
         # The context is immutable chip *configuration*; per-chip isolation
         # comes from the backend building fresh simulator state per execute.
-        execution = backend.execute(program, ctx, a_csr=unit.a, b_csr=unit.b,
+        execution = backend.execute(program, ctx, a_csr=unit.a, b_csr=unit_b,
                                     verify=verify)
         if unit.fragment is None:
             rows_output = execution.output
@@ -418,7 +369,8 @@ def _run_chip(chip: int, assignment: ShardAssignment,
     return ChipRun(chip=chip, assignment=assignment, output=rows_output,
                    fragment_outputs=fragment_outputs, report=report,
                    mmh=mmh, partial_products=partial_products,
-                   cache_hit=bool(hits) and all(hits))
+                   cache_hit=bool(hits) and all(hits),
+                   fresh_compiles=hits.count(False))
 
 
 def _chip_worker(payload: dict) -> ChipRun:
@@ -437,10 +389,15 @@ def _chip_worker(payload: dict) -> ChipRun:
                            mapping_seed=payload["mapping_seed"],
                            eviction_mode=payload["eviction_mode"],
                            kernel_impl=payload["kernel_impl"])
+    level = payload["verify_level"]
+    check = None if level is None else \
+        (lambda key, program: assert_program_valid(program, level))
     return _run_chip(payload["chip"], payload["assignment"],
-                     payload["units"], payload["tile_size"],
-                     payload["source"], payload["chip_backend"], ctx,
-                     payload["verify"], cache)
+                     payload["units"], payload["source"],
+                     payload["chip_backend"], ctx, payload["verify"],
+                     partial(_cached_unit_program,
+                             tile_size=payload["tile_size"], cache=cache,
+                             check=check))
 
 
 @register_backend("multichip")
@@ -450,14 +407,19 @@ class MultiChipBackend(ExecutionBackend):
     The backend is configured through attributes after construction (the
     registry instantiates backends without arguments): ``topology`` selects
     the fleet, ``cache`` an optional program cache for the per-shard
-    compiles, and ``executor`` an optional
-    :class:`~repro.core.executors.Executor` the per-chip work fans out on
-    (chips run serially inline when unset).
+    compiles, ``check`` an optional ``check(key, program) -> program``
+    every fetched or compiled shard program passes (the session's memoized
+    IR verification), ``verify_level`` the IR-verification level process
+    workers apply in its place (``check`` stays in this process), and
+    ``executor`` an optional :class:`~repro.core.executors.Executor` the
+    per-chip work fans out on (chips run serially inline when unset).
     """
 
     def __init__(self) -> None:
         self.topology = ChipTopology()
         self.cache = None
+        self.check = None
+        self.verify_level: str | None = None
         self.executor = None
 
     # ------------------------------------------------------------------
@@ -507,7 +469,8 @@ class MultiChipBackend(ExecutionBackend):
         return MultiChipExecutionResult(
             backend=self.name, output=output, report=report, functional=None,
             chip_runs=runs, topology=topology, plan=plan,
-            reduce_cycles=reduce_cycles, broadcast_cycles=broadcast_cycles)
+            reduce_cycles=reduce_cycles, broadcast_cycles=broadcast_cycles,
+            fresh_compiles=sum(run.fresh_compiles for run in runs))
 
     # ------------------------------------------------------------------
     def prepare_resident(self, a_csr: CSRMatrix, b_csr: CSRMatrix,
@@ -545,24 +508,23 @@ class MultiChipBackend(ExecutionBackend):
         plan = resident.plan
         executor = self.executor
 
-        def chip_job(item) -> tuple[ChipRun, int]:
+        unit_program = partial(_resident_unit_program, b_csr=b_csr,
+                               tile_size=resident.tile_size, cache=self.cache)
+
+        def chip_job(item) -> ChipRun:
             index, (assignment, chip_units) = item
-            return _run_chip_resident(index, assignment, chip_units, b_csr,
-                                      resident.tile_size, resident.source,
-                                      topology.chip_backend, ctx, verify,
-                                      self.cache)
+            return _run_chip(index, assignment, chip_units, resident.source,
+                             topology.chip_backend, ctx, verify, unit_program)
 
         items = list(enumerate(zip(plan.shards, resident.units)))
         if executor is not None and executor.name == "thread":
-            pairs = executor.map(chip_job, items)
+            runs = executor.map(chip_job, items)
         else:
             # Residency lives in this process: shipping every resident unit
             # to a process pool per layer would re-pay exactly the operand
             # movement the resident graph exists to avoid, so chips run
             # inline for serial / process executors.
-            pairs = [chip_job(item) for item in items]
-        runs = [run for run, _ in pairs]
-        fresh_compiles = sum(fresh for _, fresh in pairs)
+            runs = [chip_job(item) for item in items]
         output = require_valid_csr(
             stitch_shard_outputs(
                 plan, [(run.output, run.fragment_outputs) for run in runs],
@@ -583,7 +545,7 @@ class MultiChipBackend(ExecutionBackend):
             backend=self.name, output=output, report=report, functional=None,
             chip_runs=runs, topology=topology, plan=plan,
             reduce_cycles=reduce_cycles, broadcast_cycles=broadcast_cycles,
-            fresh_compiles=fresh_compiles)
+            fresh_compiles=sum(run.fresh_compiles for run in runs))
 
     # ------------------------------------------------------------------
     def _run_chips(self, plan: ShardPlan, units: list[list[ShardUnit]],
@@ -612,15 +574,18 @@ class MultiChipBackend(ExecutionBackend):
                 "cache_capacity": getattr(self.cache, "capacity", 0),
                 "cache_max_disk_bytes": getattr(self.cache,
                                                 "max_disk_bytes", None),
+                "verify_level": self.verify_level,
             } for index, (assignment, chip_units)
                 in enumerate(zip(plan.shards, units))]
             return executor.map(_chip_worker, payloads)
 
+        unit_program = partial(_cached_unit_program, tile_size=tile_size,
+                               cache=self.cache, check=self.check)
+
         def chip_job(item) -> ChipRun:
             index, (assignment, chip_units) = item
-            return _run_chip(index, assignment, chip_units, tile_size,
-                             source, topology.chip_backend, ctx, verify,
-                             self.cache)
+            return _run_chip(index, assignment, chip_units, source,
+                             topology.chip_backend, ctx, verify, unit_program)
 
         items = list(enumerate(zip(plan.shards, units)))
         if executor is None:

@@ -3,8 +3,8 @@
 Both wrap the pre-existing simulators — the untimed hash-accumulate model
 and the event-driven NeuraSim — behind the
 :class:`~repro.backends.base.ExecutionBackend` protocol, so every entry
-point (facade, CLI, batch runner) selects them by name instead of wiring
-the simulators by hand.
+point (session, CLI, serving layer) selects them by name instead of
+wiring the simulators by hand.
 """
 
 from __future__ import annotations

@@ -176,25 +176,23 @@ def cmd_gcn(args: argparse.Namespace) -> int:
         result = session.run(GCNLayerSpec(
             dataset=dataset, feature_dim=args.feature_dim,
             hidden_dim=args.hidden_dim, label=dataset.name))
-    legacy = result.legacy
-    aggregation = legacy.aggregation
+    metrics = result.metrics
     rows = [{
         "dataset": dataset.name,
         "config": result.provenance.config,
-        "backend": aggregation.backend,
-        "aggregation_cycles": (aggregation.report.cycles
-                               if aggregation.report is not None else 0.0),
-        "combination_cycles": round(legacy.combination_cycles, 1),
-        "total_cycles": round(legacy.total_cycles, 1),
-        "aggregation_verified": aggregation.correct,
-        "output_shape": str(legacy.output.shape),
+        "backend": result.provenance.backend,
+        "aggregation_cycles": metrics["aggregation_cycles"],
+        "combination_cycles": metrics["combination_cycles"],
+        "total_cycles": metrics["total_cycles"],
+        "aggregation_verified": metrics["verified"],
+        "output_shape": metrics["output_shape"],
         "cache_hit": result.provenance.cache_hit,
         "wall_time_s": round(result.provenance.wall_time_s, 4),
     }]
     print(format_table(rows))
     _maybe_save(rows, args.output_dir,
                 f"gcn_{dataset.name}_{result.provenance.config}")
-    return 0 if aggregation.correct in (True, None) else 1
+    return 0 if metrics["verified"] in (True, None) else 1
 
 
 def cmd_gnn(args: argparse.Namespace) -> int:
@@ -241,7 +239,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             normalize_to=None if args.raw else "Tile-4",
             label=dataset.name))
     rows = [{"config": name, **{k: round(v, 3) for k, v in metrics.items()}}
-            for name, metrics in result.legacy.items()]
+            for name, metrics in result.output.items()]
     print(format_table(rows))
     _maybe_save(rows, args.output_dir, f"sweep_{dataset.name}")
     return 0
@@ -261,10 +259,21 @@ def cmd_batch(args: argparse.Namespace) -> int:
                                     source=name, verify=False))
     with _session(args, default_backend="analytic") as session:
         result = session.run(BatchSpec(specs=specs))
-    report = result.legacy
-    rows = report.as_rows()
+    rows = [{
+        "job": part.label,
+        "backend": part.provenance.backend,
+        "cycles": part.metrics["cycles"],
+        "gops": part.metrics["gops"],
+        "mmh": part.metrics["mmh"],
+        "partial_products": part.metrics["partial_products"],
+        "output_nnz": part.metrics["output_nnz"],
+        "power_w": round(part.power_w, 2),
+        "cache_hit": part.cache_hit,
+        "wall_time_s": round(part.wall_time_s, 6),
+        "compile_cached": part.cache_hit,  # older column name
+    } for part in result.parts]
     print(format_table(rows))
-    print(format_table([report.summary()]))
+    print(format_table([result.metrics]))
     _maybe_save(rows, args.output_dir, f"batch_{result.provenance.config}")
     return 0
 

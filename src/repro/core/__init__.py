@@ -1,22 +1,16 @@
 """High-level NeuraChip API (the paper's primary contribution, packaged).
 
-``repro.core`` is the entry point a downstream user works with.  The
-supported surface is the session API: declarative workload specs
-(:class:`SpGEMMSpec`, :class:`GCNLayerSpec`, :class:`SweepSpec`,
-:class:`BatchSpec`) submitted to a :class:`Session` — which owns backend
-resolution, a pluggable executor layer (serial / thread / process), and a
-persistent LRU program cache — and returning unified :class:`RunResult`
-envelopes.  :class:`NeuraChip` remains the chip primitive (configuration,
-compile, run_program, power); the legacy one-shot helpers on it forward to
-sessions and emit :class:`DeprecationWarning`.
+``repro.core`` is the entry point a downstream user works with: declarative
+workload specs (:class:`SpGEMMSpec`, :class:`GCNLayerSpec`,
+:class:`GNNModelSpec`, :class:`SweepSpec`, :class:`BatchSpec`) submitted to
+a :class:`Session` — which owns backend resolution, a pluggable executor
+layer (serial / thread / process), and a persistent LRU program cache —
+and returning unified :class:`RunResult` envelopes.  :class:`NeuraChip` is
+the chip primitive a session binds to (configuration, compile, execution
+context, power).
 """
 
-from repro.core.api import (
-    GCNRunResult,
-    NeuraChip,
-    SpGEMMRunResult,
-    design_space_sweep,
-)
+from repro.core.api import NeuraChip
 from repro.core.executors import (
     Executor,
     available_executors,
@@ -24,11 +18,7 @@ from repro.core.executors import (
     register_executor,
 )
 from repro.core.runner import (
-    BatchReport,
-    JobOutcome,
     ProgramCache,
-    WorkloadJob,
-    WorkloadQueue,
     default_cache_dir,
     matrix_fingerprint,
 )
@@ -71,13 +61,6 @@ __all__ = [
     "get_executor",
     "available_executors",
     "NeuraChip",
-    "SpGEMMRunResult",
-    "GCNRunResult",
-    "design_space_sweep",
-    "WorkloadJob",
-    "WorkloadQueue",
-    "BatchReport",
-    "JobOutcome",
     "ProgramCache",
     "matrix_fingerprint",
     "default_cache_dir",

@@ -1,6 +1,6 @@
-"""NeuraChip facade: chip primitives plus deprecated single-call wrappers.
+"""The NeuraChip chip object: configuration, compile and power primitives.
 
-The supported entry point is the :class:`~repro.core.session.Session` API::
+Workloads run through the :class:`~repro.core.session.Session` API::
 
     from repro.core import Session, SpGEMMSpec
     from repro.datasets import load_dataset
@@ -10,33 +10,22 @@ The supported entry point is the :class:`~repro.core.session.Session` API::
         result = session.run(SpGEMMSpec(a=dataset.adjacency_csr()))
     print(result.metrics["cycles"], result.provenance.wall_time_s)
 
-:class:`NeuraChip` remains the *chip* object — configuration, compilation,
-single-program execution, and the power model — and sessions build on those
-primitives.  The legacy one-shot helpers (:meth:`NeuraChip.run_spgemm`,
-:meth:`NeuraChip.run_gcn_layer`, :meth:`NeuraChip.run_batch`,
-:func:`design_space_sweep`) are kept as thin deprecation shims that forward
-to a session and return exactly what they always returned.
+:class:`NeuraChip` is the *chip* a session binds to: one configuration plus
+the compile step, the execution context handed to backends, and the
+activity-driven power model.
 """
 
 from __future__ import annotations
 
-import os
-import sys
-import warnings
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.arch.config import NeuraChipConfig, get_config
-from repro.backends import ExecutionContext, get_backend
+from repro.backends import ExecutionContext
 from repro.compiler import compile_spgemm
 from repro.compiler.program import Program
-from repro.core.runner import BatchReport, WorkloadJob, WorkloadQueue
-from repro.datasets.suite import GraphDataset
 from repro.gnn.gcn import GCNWorkload
 from repro.power.model import PowerModel
 from repro.sim.accelerator import SimulationReport
-from repro.sim.functional import FunctionalReport
 from repro.sim.params import SimulationParams
 from repro.sparse.convert import coo_to_csr, csr_to_csc, dense_to_coo
 from repro.sparse.coo import COOMatrix
@@ -57,82 +46,8 @@ def _as_csr(matrix) -> CSRMatrix:
     raise TypeError(f"unsupported matrix type {type(matrix)!r}")
 
 
-#: Root of the installed ``repro`` package, for frame classification below.
-_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__))) \
-    + os.sep
-
-
-def _deprecated(old: str, new: str) -> None:
-    """Emit a :class:`DeprecationWarning` attributed to the *caller* of the
-    deprecated entry point.
-
-    A fixed ``stacklevel`` points the warning at shim internals whenever an
-    entry point is reached through another layer of this package (e.g. a
-    facade method forwarding to a queue), so the level is computed by
-    walking outward to the first frame that lives outside ``repro``.
-    """
-    level = 2  # warn() attributes level 2 to _deprecated's caller
-    frame = sys._getframe(1)
-    while frame is not None and \
-            os.path.abspath(frame.f_code.co_filename).startswith(_PACKAGE_ROOT):
-        frame = frame.f_back
-        level += 1
-    warnings.warn(f"{old} is deprecated; use {new} instead",
-                  DeprecationWarning, stacklevel=level)
-
-
-@dataclass
-class SpGEMMRunResult:
-    """Result of running one SpGEMM on NeuraChip.
-
-    Attributes:
-        program: the compiled program that was executed.
-        report: timing report — measured (cycle backend) or predicted
-            (analytic backend); None for the functional backend.
-        functional: functional-model report (None for the analytic backend,
-            which computes its output through the kernel layer instead).
-        output: the product matrix C in CSR.
-        power_w: modelled average power during the run.
-        energy_j: modelled energy of the run.
-        backend: name of the execution backend that produced this result.
-    """
-
-    program: Program
-    report: SimulationReport | None
-    functional: FunctionalReport | None
-    output: CSRMatrix
-    power_w: float = 0.0
-    energy_j: float = 0.0
-    backend: str = "cycle"
-
-    @property
-    def correct(self) -> bool | None:
-        """Whether the cycle simulator's output matched the reference."""
-        return self.report.correct if self.report is not None else None
-
-
-@dataclass
-class GCNRunResult:
-    """Result of one GCN layer (aggregation on chip, combination modelled).
-
-    Attributes:
-        aggregation: the SpGEMM run result of the aggregation phase.
-        combination_cycles: modelled cycles of the dense combination phase.
-        total_cycles: aggregation + combination cycles.
-        output: dense layer output (after activation).
-        workload: the GCN workload that was executed.
-    """
-
-    aggregation: SpGEMMRunResult
-    combination_cycles: float
-    total_cycles: float
-    output: np.ndarray
-    workload: GCNWorkload | None = None
-    metadata: dict = field(default_factory=dict)
-
-
 class NeuraChip:
-    """The chip object: one configuration plus compile / execute / power
+    """The chip object: one configuration plus compile / context / power
     primitives.  Workload orchestration lives in
     :class:`~repro.core.session.Session`."""
 
@@ -147,14 +62,6 @@ class NeuraChip:
         self.params = params or SimulationParams()
         self.mapping_seed = mapping_seed
         self._power_model = PowerModel()
-
-    # ------------------------------------------------------------------
-    def session(self, **kwargs) -> "Session":
-        """A :class:`~repro.core.session.Session` bound to this chip;
-        keyword arguments are forwarded to the Session constructor."""
-        from repro.core.session import Session
-
-        return Session(self, **kwargs)
 
     # ------------------------------------------------------------------
     def compile(self, a_matrix, b_matrix=None,
@@ -175,125 +82,6 @@ class NeuraChip:
                                 mapping_seed=self.mapping_seed,
                                 eviction_mode=self.eviction_mode,
                                 kernel_impl=impl)
-
-    def run_program(self, program: Program, a=None, b=None,
-                    backend: str = "cycle", impl: str = "numpy",
-                    verify: bool = True) -> SpGEMMRunResult:
-        """Execute an already-compiled program through a named backend.
-
-        Args:
-            program: compiled MMH stream (see :meth:`compile`).
-            a / b: the operands the program was compiled from (CSR/CSC/COO
-                or dense); fast backends use them to compute the numeric
-                output through the kernel layer.  ``b`` defaults to ``a``.
-            backend: registered backend name ('functional', 'cycle',
-                'analytic', or any backend added via ``register_backend``).
-            impl: kernel implementation for backends that use the kernel
-                layer ('python' or 'numpy').
-            verify: verify the accelerator output against the reference
-                (cycle backend only).
-        """
-        executor = get_backend(backend)
-        a_csr = _as_csr(a) if a is not None else None
-        b_csr = _as_csr(b) if b is not None else a_csr
-        execution = executor.execute(program, self._context(impl),
-                                     a_csr=a_csr, b_csr=b_csr, verify=verify)
-        power_w, energy_j = self._estimate_power(execution.report)
-        return SpGEMMRunResult(program=program, report=execution.report,
-                               functional=execution.functional,
-                               output=execution.output,
-                               power_w=power_w, energy_j=energy_j,
-                               backend=execution.backend)
-
-    # ------------------------------------------------------------------
-    # Deprecated single-call wrappers (thin shims over Session)
-    # ------------------------------------------------------------------
-    def run_spgemm(self, a_matrix, b_matrix=None, tile_size: int | None = None,
-                   mode: str = "cycle", verify: bool = True,
-                   source: str = "spgemm", backend: str | None = None,
-                   impl: str = "numpy") -> SpGEMMRunResult:
-        """Execute C = A @ B on the accelerator.
-
-        .. deprecated:: use ``Session.run(SpGEMMSpec(...))``.
-
-        Args:
-            a_matrix: left operand (CSR/CSC/COO or dense numpy array).
-            b_matrix: right operand; defaults to ``a_matrix`` (the A @ A
-                workload of Table 1 / Figure 16).
-            tile_size: MMH tile size override.
-            mode: legacy backend selector ('cycle' or 'functional'); kept
-                for backward compatibility.
-            verify: verify the accelerator output against the reference.
-            source: workload label.
-            backend: backend name; overrides ``mode`` when given.  Unknown
-                names raise ValueError listing the registered backends.
-            impl: kernel implementation used by the analytic backend.
-
-        Returns:
-            A :class:`SpGEMMRunResult`.
-        """
-        from repro.core.session import Session
-        from repro.core.specs import SpGEMMSpec
-
-        _deprecated("NeuraChip.run_spgemm", "Session.run(SpGEMMSpec(...))")
-        with Session(self, backend=backend or mode, impl=impl) as session:
-            return session.run(SpGEMMSpec(a=a_matrix, b=b_matrix,
-                                          tile_size=tile_size, verify=verify,
-                                          source=source)).legacy
-
-    # ------------------------------------------------------------------
-    def run_gcn_layer(self, dataset: GraphDataset | COOMatrix,
-                      feature_dim: int = 32, hidden_dim: int = 16,
-                      feature_density: float = 0.3, mode: str = "cycle",
-                      verify: bool = True, seed: int = 7,
-                      backend: str | None = None,
-                      impl: str = "numpy") -> GCNRunResult:
-        """Execute one GCN layer: aggregation on the accelerator, combination
-        as a modelled dense phase (Section 2.2's combination stage).
-
-        .. deprecated:: use ``Session.run(GCNLayerSpec(...))``.
-        """
-        from repro.core.session import Session
-        from repro.core.specs import GCNLayerSpec
-
-        _deprecated("NeuraChip.run_gcn_layer",
-                    "Session.run(GCNLayerSpec(...))")
-        with Session(self, backend=backend or mode, impl=impl) as session:
-            return session.run(GCNLayerSpec(
-                dataset=dataset, feature_dim=feature_dim,
-                hidden_dim=hidden_dim, feature_density=feature_density,
-                verify=verify, seed=seed)).legacy
-
-    # ------------------------------------------------------------------
-    def run_batch(self, jobs, backend: str = "analytic", impl: str = "numpy",
-                  verify: bool = False) -> BatchReport:
-        """Execute many SpGEMM jobs over this chip with program caching.
-
-        .. deprecated:: use ``Session.run(BatchSpec(...))`` or
-           ``Session.map([...])``.
-
-        Args:
-            jobs: a :class:`~repro.core.runner.WorkloadQueue`, or an
-                iterable of :class:`~repro.core.runner.WorkloadJob` /
-                bare matrices (each becomes an A @ A job).
-            backend: backend name every job runs through.
-            impl: kernel implementation for kernel-layer backends.
-            verify: verify each job's output (cycle backend only).
-
-        Returns:
-            A :class:`~repro.core.runner.BatchReport` with per-job rows and
-            aggregate totals.
-        """
-        _deprecated("NeuraChip.run_batch", "Session.run(BatchSpec(...))")
-        if isinstance(jobs, WorkloadQueue):
-            queue = jobs
-        else:
-            queue = WorkloadQueue()
-            for index, job in enumerate(jobs):
-                if not isinstance(job, WorkloadJob):
-                    job = WorkloadJob.spgemm(_as_csr(job), label=f"job-{index}")
-                queue.add(job)
-        return queue.run(self, backend=backend, impl=impl, verify=verify)
 
     # ------------------------------------------------------------------
     def _combination_cycles(self, workload: GCNWorkload) -> float:
@@ -330,39 +118,3 @@ class NeuraChip:
         """Table 4 style area/power breakdown for this configuration."""
         activity = self._activity_from_report(report) if report is not None else None
         return self._power_model.combined(self.config, activity)
-
-
-def design_space_sweep(a_matrix, b_matrix=None,
-                       configs: list[str | NeuraChipConfig] = ("Tile-4", "Tile-16",
-                                                               "Tile-64"),
-                       eviction_mode: str = "rolling",
-                       normalize_to: str | None = "Tile-4",
-                       params: SimulationParams | None = None,
-                       backend: str = "cycle",
-                       on_missing_base: str = "skip",
-                       ) -> dict[str, dict[str, float]]:
-    """Run the same workload across tile configurations (Figure 11).
-
-    .. deprecated:: use ``Session.run(SweepSpec(...))``.
-
-    Returns, per configuration, the six Figure 11 metrics (stall cycles, CPI,
-    IPC, in-flight memory instructions, power, busy cycles), optionally
-    normalised to one of the configurations.
-
-    Args:
-        backend: execution backend for every configuration ('cycle' or
-            'analytic'; 'functional' produces no timing report).
-        on_missing_base: what to do when the normalisation baseline lacks a
-            metric or reports it as zero — ``"skip"`` omits that metric from
-            the normalised output, ``"raise"`` raises ValueError.
-    """
-    from repro.core.session import Session
-    from repro.core.specs import SweepSpec
-
-    _deprecated("design_space_sweep", "Session.run(SweepSpec(...))")
-    spec = SweepSpec(a=a_matrix, b=b_matrix, configs=list(configs),
-                     normalize_to=normalize_to, eviction_mode=eviction_mode,
-                     on_missing_base=on_missing_base)
-    with Session(configs[0] if configs else "Tile-16", backend=backend,
-                 params=params) as session:
-        return session.run(spec).legacy

@@ -97,7 +97,7 @@ class Executor(ABC):
 
 @register_executor("serial")
 class SerialExecutor(Executor):
-    """Run every job inline in the calling thread (the legacy behaviour)."""
+    """Run every job inline in the calling thread (the default)."""
 
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list:
         return [fn(item) for item in items]

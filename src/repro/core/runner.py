@@ -1,16 +1,13 @@
-"""Batched workload execution: many SpGEMM / GCN jobs over one chip.
+"""Compiled-program caching: operand fingerprints and a bounded LRU.
 
-Serving traffic means running *queues* of jobs, not single matrices.  The
-:class:`WorkloadQueue` collects :class:`WorkloadJob` descriptions, executes
-them through any registered backend, and returns a :class:`BatchReport`
-with per-job rows and aggregate totals.  Compilation — the symbolic pass
-plus MMH lowering, the expensive front half of every run — is cached by
-operand fingerprint in a :class:`ProgramCache`: an LRU bound in memory that
-can also spill fingerprinted programs to disk, so repeated CLI / batch
-invocations against the same graphs skip compilation entirely.
-
-Queues now execute through a :class:`~repro.core.session.Session`; the
-``run`` method here is a thin forwarding layer kept for compatibility.
+Compilation — the symbolic pass plus MMH lowering, the expensive front half
+of every run — is cached by operand fingerprint in a :class:`ProgramCache`:
+an LRU bound in memory that can also spill fingerprinted programs to disk,
+so repeated CLI / batch invocations against the same graphs skip
+compilation entirely.  :func:`fetch_or_compile` is the one fetch-or-compile
+step every execution path goes through: a
+:class:`~repro.core.session.Session` run and each shard unit of a
+multichip or host-sharded run.
 """
 
 from __future__ import annotations
@@ -20,16 +17,14 @@ import os
 import pickle
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import Callable
 
 from repro.analysis.verifier import verify_program
+from repro.compiler.lowering import compile_spgemm
 from repro.compiler.program import Program
+from repro.sparse.convert import csr_to_csc
 from repro.sparse.csr import CSRMatrix
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.api import NeuraChip, SpGEMMRunResult
 
 #: Default bound on cached compiled programs (LRU eviction).
 DEFAULT_CACHE_CAPACITY = 128
@@ -93,119 +88,6 @@ def default_cache_dir() -> Path:
     base = os.environ.get("XDG_CACHE_HOME")
     root = Path(base) if base else Path.home() / ".cache"
     return root / "neurachip-repro" / f"programs-v{CACHE_SCHEMA_VERSION}"
-
-
-@dataclass
-class WorkloadJob:
-    """One unit of batched work.
-
-    Attributes:
-        a: left operand in CSR (adjacency matrix).
-        b: right operand in CSR; ``None`` means the A @ A workload.
-        label: human-readable name used in the batch report.
-        tile_size: MMH tile-size override for this job.
-        source: workload label recorded in the compiled program.
-    """
-
-    a: CSRMatrix
-    b: CSRMatrix | None = None
-    label: str = "job"
-    tile_size: int | None = None
-    source: str = "batch"
-
-    @classmethod
-    def spgemm(cls, a: CSRMatrix, b: CSRMatrix | None = None,
-               label: str = "spgemm", tile_size: int | None = None
-               ) -> "WorkloadJob":
-        """An SpGEMM job C = A @ B (B defaults to A)."""
-        return cls(a=a, b=b, label=label, tile_size=tile_size, source=label)
-
-
-@dataclass
-class JobOutcome:
-    """Result of one job within a batch."""
-
-    label: str
-    result: "SpGEMMRunResult"
-    cache_hit: bool
-    wall_time_s: float = 0.0
-
-    def as_row(self) -> dict:
-        """Flat row for table / CSV export; ``None``-valued fields dropped
-        so multi-row CSV exports stay rectangular."""
-        report = self.result.report
-        program = self.result.program
-        row = {
-            "job": self.label,
-            "backend": self.result.backend,
-            "cycles": report.cycles if report is not None else 0.0,
-            "gops": round(report.gops, 3) if report is not None else 0.0,
-            "mmh": program.n_instructions,
-            "partial_products": program.total_partial_products,
-            "output_nnz": self.result.output.nnz,
-            "power_w": round(self.result.power_w, 2),
-            "cache_hit": self.cache_hit,
-            "wall_time_s": round(self.wall_time_s, 6),
-            "compile_cached": self.cache_hit,  # legacy column name
-        }
-        return {key: value for key, value in row.items() if value is not None}
-
-
-@dataclass
-class BatchReport:
-    """Aggregate outcome of a batch execution.
-
-    Attributes:
-        outcomes: per-job outcomes, in submission order.
-        backend: backend name the batch ran on.
-        executor: executor name the batch fanned out on.
-        cache_hits: jobs whose compiled program came from the cache.
-        wall_time_s: host wall-clock seconds for the whole batch.
-    """
-
-    outcomes: list[JobOutcome] = field(default_factory=list)
-    backend: str = ""
-    executor: str = "serial"
-    cache_hits: int = 0
-    wall_time_s: float = 0.0
-
-    @property
-    def n_jobs(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def total_cycles(self) -> float:
-        """Summed cycles across jobs (sequential-execution estimate)."""
-        return sum(o.result.report.cycles for o in self.outcomes
-                   if o.result.report is not None)
-
-    @property
-    def total_partial_products(self) -> int:
-        return sum(o.result.program.total_partial_products
-                   for o in self.outcomes)
-
-    @property
-    def total_energy_j(self) -> float:
-        return sum(o.result.energy_j for o in self.outcomes)
-
-    def as_rows(self) -> list[dict]:
-        """Per-job rows for table / CSV export."""
-        return [o.as_row() for o in self.outcomes]
-
-    def summary(self) -> dict:
-        """One aggregate row; ``None``-valued fields dropped."""
-        row = {
-            "jobs": self.n_jobs,
-            "backend": self.backend,
-            "executor": self.executor,
-            "total_cycles": self.total_cycles,
-            "total_partial_products": self.total_partial_products,
-            "total_energy_j": round(self.total_energy_j, 9),
-            "cache_hits": self.cache_hits,
-            "wall_time_s": round(self.wall_time_s, 6),
-            "compile_cache_hits": self.cache_hits,  # legacy column name
-        }
-        return {key: value for key, value in row.items() if value is not None}
 
 
 class ProgramCache:
@@ -430,51 +312,31 @@ class ProgramCache:
         return len(self._entries)
 
 
-class WorkloadQueue:
-    """An ordered queue of jobs executed over one chip with program caching."""
+def fetch_or_compile(cache: ProgramCache | None, a_csr: CSRMatrix,
+                     b_csr: CSRMatrix | None, tile_size: int, source: str,
+                     kind: str = "spgemm",
+                     check: Callable[[tuple | None, Program], Program]
+                     | None = None) -> tuple[Program, bool]:
+    """The program for C = A @ B (``b_csr=None`` means A @ A), from
+    ``cache`` or freshly compiled and stored; returns
+    ``(program, cache_hit)``.
 
-    def __init__(self, jobs: Iterable[WorkloadJob] | None = None,
-                 cache_capacity: int = DEFAULT_CACHE_CAPACITY,
-                 cache_dir: str | Path | None = None) -> None:
-        self.jobs: list[WorkloadJob] = list(jobs or [])
-        self.cache = ProgramCache(cache_capacity, cache_dir=cache_dir)
-
-    def add(self, job: WorkloadJob) -> "WorkloadQueue":
-        """Append a job; returns self for chaining."""
-        self.jobs.append(job)
-        return self
-
-    def add_spgemm(self, a: CSRMatrix, b: CSRMatrix | None = None,
-                   label: str = "spgemm",
-                   tile_size: int | None = None) -> "WorkloadQueue":
-        """Append an SpGEMM job; returns self for chaining."""
-        return self.add(WorkloadJob.spgemm(a, b, label=label,
-                                           tile_size=tile_size))
-
-    # ------------------------------------------------------------------
-    def run(self, chip: "NeuraChip", backend: str = "analytic",
-            impl: str = "numpy", verify: bool = False,
-            executor: str = "serial", workers: int | None = None
-            ) -> BatchReport:
-        """Execute every queued job on ``chip`` through ``backend``.
-
-        Compiled programs are reused across jobs with identical operands and
-        tile size, so a queue that replays the same graph many times (e.g.
-        repeated inference requests) pays the symbolic pass once.  This now
-        routes through a :class:`~repro.core.session.Session` bound to the
-        queue's cache; pass ``executor`` / ``workers`` to fan the jobs out.
-        """
-        from repro.core.session import Session
-        from repro.core.specs import BatchSpec, SpGEMMSpec
-
-        session = Session(chip, backend=backend, impl=impl,
-                          executor=executor, workers=workers,
-                          cache=self.cache)
-        try:
-            specs = [SpGEMMSpec(a=job.a, b=job.b, label=job.label,
-                                tile_size=job.tile_size, source=job.source,
-                                verify=verify)
-                     for job in self.jobs]
-            return session.run(BatchSpec(specs=specs)).legacy
-        finally:
-            session.close()
+    ``cache=None`` always compiles.  ``check(key, program)`` sees every
+    fetched or compiled program and returns it; the session passes its
+    memoized IR verification, which raises on an ill-formed program.
+    """
+    key = None
+    program = None
+    if cache is not None:
+        key = cache.key(a_csr, b_csr, tile_size, kind)
+        program = cache.get(key)
+    cache_hit = program is not None
+    if program is None:
+        program = compile_spgemm(csr_to_csc(a_csr),
+                                 b_csr if b_csr is not None else a_csr,
+                                 tile_size=tile_size, source=source)
+        if cache is not None:
+            cache.put(key, program)
+    if check is not None:
+        program = check(key, program)
+    return program, cache_hit

@@ -1,11 +1,10 @@
 """The unified Session API: declarative specs in, RunResult envelopes out.
 
-A :class:`Session` owns everything the four legacy entry points used to
-wire up ad hoc: backend resolution, kernel-implementation selection, a
-pluggable executor (``serial`` / ``thread`` / ``process``, registered like
-backends), and a persistent LRU :class:`~repro.core.runner.ProgramCache`.
-Workloads are described declaratively (:mod:`repro.core.specs`) and
-submitted through three verbs::
+A :class:`Session` owns backend resolution, kernel-implementation
+selection, a pluggable executor (``serial`` / ``thread`` / ``process``,
+registered like backends), and a persistent LRU
+:class:`~repro.core.runner.ProgramCache`.  Workloads are described
+declaratively (:mod:`repro.core.specs`) and submitted through three verbs::
 
     from repro.core import Session, SpGEMMSpec
 
@@ -19,19 +18,24 @@ Every execution returns a :class:`~repro.core.specs.RunResult` carrying
 metrics, activity factors, power/energy, and provenance (backend, impl,
 executor, cache hit, wall time, shard count).
 
-Sharding: an :class:`~repro.core.specs.SpGEMMSpec` with ``shards > 1`` is
-split by the planner into balanced row-group jobs — rows of A partition the
-partial products of A @ B exactly — which fan out over the executor and
-reduce into a single result whose output matrix is identical to the
-unsharded product.
+Every SpGEMM-shaped run — a plain SpGEMM, a GCN layer's aggregation, a
+multichip run and a host-sharded run — goes through one helper,
+:meth:`Session._execute`.
 
 Scale-out: ``Session(backend="multichip", chips=N)`` (or a full
-:class:`~repro.backends.multichip.ChipTopology`) assigns those row shards
-to N distinct chip instances — one
+:class:`~repro.backends.multichip.ChipTopology`) assigns balanced row
+shards to N distinct chip instances — one
 :class:`~repro.backends.base.ExecutionContext` per chip, each with its own
-compiled shard program and stats — and reduces per-chip products into the
-same byte-identical output, with cycles modelled as the slowest chip plus
-a host reduce term and power summed across the fleet.
+compiled shard program and stats — and reduces per-chip products into an
+output byte-identical to the single-chip product, with cycles modelled as
+the slowest chip plus a host reduce term and power summed across the fleet.
+
+Sharding: an :class:`~repro.core.specs.SpGEMMSpec` with ``shards > 1`` runs
+through the same multichip machinery on a fleet of ``shards`` chips of the
+session backend, whose per-chip work fans out over the session executor.
+The shards stand for pieces run one after another on this chip, so cycles
+and energy sum over them (a sequential estimate) and power is the peak
+shard's.
 """
 
 from __future__ import annotations
@@ -49,15 +53,14 @@ from repro.analysis.findings import VerificationError
 from repro.analysis.verifier import VERIFY_LEVELS, verify_program
 from repro.arch.config import NeuraChipConfig, get_config
 from repro.backends import ChipTopology, get_backend
-from repro.compiler import compile_gcn_aggregation
+from repro.backends.base import ExecutionResult
 from repro.compiler.program import ProgramDigest
 from repro.core.executors import Executor, get_executor
 from repro.core.runner import (
     DEFAULT_CACHE_CAPACITY,
     DEFAULT_DISK_CAPACITY_BYTES,
-    BatchReport,
-    JobOutcome,
     ProgramCache,
+    fetch_or_compile,
 )
 from repro.core.specs import (
     BatchSpec,
@@ -70,7 +73,7 @@ from repro.core.specs import (
     WorkloadSpec,
 )
 from repro.sim.params import SimulationParams
-from repro.sparse.convert import csc_to_csr, csr_vstack
+from repro.sparse.convert import csc_to_csr
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.kernels import IMPLS
 
@@ -79,11 +82,9 @@ from repro.sparse.kernels import IMPLS
 from repro.sparse.partition import (  # noqa: F401  (re-exported API)
     PARTITION_STRATEGIES,
     ShardPlan,
-    build_shard_units,
     estimate_row_partial_products,
     plan_row_shards,
     plan_shards,
-    stitch_shard_outputs,
 )
 
 
@@ -104,35 +105,19 @@ def _process_spec_worker(state: dict, spec: WorkloadSpec) -> RunResult:
 
 
 def _sweep_config_worker(payload: dict) -> tuple[str, dict[str, float]]:
-    """Run one configuration of a design-space sweep and return its raw
-    Figure-11 metrics row.
-
-    Deliberately routes through ``NeuraChip.run_spgemm`` so callers that
-    patch or subclass the facade see the sweep's per-config runs.  The
-    multichip backend carries a topology the facade cannot express, so it
-    runs through a per-config session instead.
-    """
-    import warnings
-
-    from repro.core.api import NeuraChip
-
-    chip = NeuraChip(payload["config"], eviction_mode=payload["eviction_mode"],
-                     params=payload["params"])
-    if payload.get("topology") is not None:
-        with Session(chip, backend=payload["backend"],
-                     topology=payload["topology"]) as session:
-            result = session.run(SpGEMMSpec(a=payload["a"], b=payload["b"],
-                                            verify=False)).legacy
-    else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            result = chip.run_spgemm(payload["a"], payload["b"], verify=False,
-                                     backend=payload["backend"])
+    """Run one configuration of a design-space sweep through its own
+    session and return its raw Figure-11 metrics row."""
+    with Session(payload["config"], backend=payload["backend"],
+                 topology=payload["topology"],
+                 eviction_mode=payload["eviction_mode"],
+                 params=payload["params"]) as session:
+        result = session.run(SpGEMMSpec(a=payload["a"], b=payload["b"],
+                                        verify=False))
     report = result.report
     if report is None:
         raise ValueError(f"backend {payload['backend']!r} produces no timing "
                          "report; use 'cycle' or 'analytic'")
-    return chip.config.name, {
+    return session.chip.config.name, {
         "stall_cycles": report.stall_cycles,
         "cpi": report.cpi,
         "ipc": report.ipc,
@@ -400,238 +385,135 @@ class Session:
     # ------------------------------------------------------------------
     # SpGEMM
     # ------------------------------------------------------------------
-    def _compile_cached(self, a_csr: CSRMatrix, b_csr: CSRMatrix | None,
-                        tile_size: int, source: str) -> tuple:
-        """Compile (or fetch) the program for (a, b); returns
-        ``(program, cache_hit)``."""
-        key = self.cache.key(a_csr, b_csr, tile_size)
-        program = self.cache.get(key)
-        if program is not None:
-            return self._maybe_verify(key, program), True
-        program = self.chip.compile(a_csr, b_csr, tile_size=tile_size,
-                                    source=source)
-        self.cache.put(key, program)
-        return self._maybe_verify(key, program), False
-
     def _run_spgemm(self, spec: SpGEMMSpec) -> RunResult:
-        from repro.core.api import SpGEMMRunResult, _as_csr
+        from repro.core.api import _as_csr
 
         start = time.perf_counter()
+        if self.backend == "multichip" and spec.shards > 1:
+            raise ValueError(
+                "the multichip backend assigns row shards to chips itself; "
+                "set Session(chips=N) instead of SpGEMMSpec(shards=N)")
         a_csr = _as_csr(spec.a)
         b_csr = _as_csr(spec.b) if spec.b is not None else None
-        if self.backend == "multichip":
-            return self._run_multichip_spgemm(spec, a_csr, b_csr, start)
-        if spec.shards > 1:
-            return self._run_sharded_spgemm(spec, a_csr, b_csr, start)
-        tile = spec.tile_size or self.chip.config.mmh_tile_size
-        program, cache_hit = self._compile_cached(a_csr, b_csr, tile,
-                                                  spec.source)
-        legacy: SpGEMMRunResult = self.chip.run_program(
-            program, a=a_csr, b=b_csr if b_csr is not None else a_csr,
-            backend=self.backend, impl=self.impl, verify=spec.verify)
-        wall = time.perf_counter() - start
-        report = legacy.report
+        result, _ = self._execute(
+            a_csr, b_csr, spec.tile_size or self.chip.config.mmh_tile_size,
+            spec.source, spec.verify, shards=spec.shards)
+        result.label = spec.label
+        result.provenance.wall_time_s = time.perf_counter() - start
+        return result
+
+    def _execute(self, a_csr: CSRMatrix, b_csr: CSRMatrix | None,
+                 tile: int, source: str, verify: bool, kind: str = "spgemm",
+                 shards: int = 1) -> tuple[RunResult, ExecutionResult]:
+        """Run C = A @ B (``b_csr=None`` means A @ A) on the session
+        backend; returns the ``spgemm`` result and the backend's raw
+        execution.
+
+        This is the one SpGEMM execution path.  A single-chip backend with
+        ``shards == 1`` runs one cached, verified program.  Otherwise the
+        multichip backend plans, compiles and executes per chip: over the
+        session topology, or — for ``shards > 1`` — over ``shards`` chips
+        of the session backend that stand for host shards run one after
+        another on this chip, so their cycles and energy sum and power is
+        the peak chip's.  Every path yields an output byte-identical to
+        the unsharded product.
+        """
+        ctx = self.chip._context(self.impl)
+        if self.backend != "multichip" and shards == 1:
+            program, cache_hit = fetch_or_compile(
+                self.cache, a_csr, b_csr, tile, source, kind,
+                check=self._maybe_verify)
+            execution = get_backend(self.backend).execute(
+                program, ctx, a_csr=a_csr,
+                b_csr=b_csr if b_csr is not None else a_csr, verify=verify)
+            report = execution.report
+            reports = [report]
+            power_w, energy_j = self.chip._estimate_power(report)
+            provenance = self._provenance(cache_hit=cache_hit)
+        else:
+            execution = self._multichip_backend(shards).execute_operands(
+                a_csr, b_csr, ctx, tile_size=tile, source=source,
+                verify=verify)
+            runs = execution.chip_runs
+            program = ProgramDigest(
+                n_instructions=sum(run.mmh for run in runs),
+                total_partial_products=sum(run.partial_products
+                                           for run in runs),
+                output_nnz=execution.output.nnz,
+                shape=execution.output.shape, tile_size=tile,
+                a_nnz=a_csr.nnz,
+                b_nnz=(b_csr if b_csr is not None else a_csr).nnz,
+                source=source)
+            provenance = self._provenance(cache_hit=execution.cache_hit)
+            if shards > 1:
+                # The chips stand for shards run back to back: time them
+                # all; no single report backs more than one shard.
+                reports = [run.report for run in runs]
+                report = reports[0] if len(runs) == 1 else None
+                power_w, energy_j = self._fleet_power(execution, combine=max)
+                provenance.shards = len(runs)
+            else:
+                report = execution.report
+                reports = [report]
+                power_w, energy_j = self._fleet_power(execution)
+                provenance.chips = execution.n_chips
+        cycles = float(sum(r.cycles for r in reports if r is not None))
+        seconds = cycles / (self.chip.config.frequency_ghz * 1e9)
+        verdicts = [r.correct if r is not None else None for r in reports]
         metrics = {
-            "cycles": report.cycles if report is not None else 0.0,
-            "gops": round(report.gops, 3) if report is not None else 0.0,
+            "cycles": cycles,
+            # Partial products per modelled second: a timing report's own
+            # gops, and the correct rate for shards run back to back.
+            "gops": round(program.total_partial_products / seconds / 1e9, 3)
+            if seconds > 0 else 0.0,
             "mmh": program.n_instructions,
             "partial_products": program.total_partial_products,
-            "output_nnz": legacy.output.nnz,
-            "verified": report.correct if report is not None else None,
+            "output_nnz": execution.output.nnz,
         }
+        if self.backend == "multichip":
+            counters = report.counters if report is not None else {}
+            metrics.update({
+                "chips": execution.n_chips,
+                "shard_skew": counters.get("multichip.shard_skew"),
+                "efficiency": counters.get("multichip.efficiency"),
+                "partition": execution.plan.strategy,
+                "split_rows": len(execution.plan.split_rows),
+            })
+        metrics["verified"] = None if None in verdicts else all(verdicts)
         activity = (self.chip._activity_from_report(report)
                     if report is not None else {})
         return RunResult(
-            kind="spgemm", label=spec.label, metrics=metrics,
-            activity=activity,
-            provenance=self._provenance(cache_hit=cache_hit, wall=wall),
-            output=legacy.output, report=report, program=program,
-            power_w=legacy.power_w, energy_j=legacy.energy_j, legacy=legacy)
+            kind="spgemm", metrics=metrics, activity=activity,
+            provenance=provenance, output=execution.output, report=report,
+            program=program, power_w=power_w, energy_j=energy_j), execution
 
-    def _run_sharded_spgemm(self, spec: SpGEMMSpec, a_csr: CSRMatrix,
-                            b_csr: CSRMatrix | None,
-                            start: float) -> RunResult:
-        """Split C = A @ B into row-group shards, fan them out over the
-        executor, and reduce into one result.
+    def _multichip_backend(self, shards: int = 1):
+        """A configured :class:`~repro.backends.multichip.MultiChipBackend`.
 
-        Rows of A partition the partial products of A @ B exactly, so the
-        merged output matrix, output nnz, and total partial-product count
-        are identical to the unsharded run; per-shard timing reports are
-        aggregated (cycles summed — a sequential estimate).
-
-        The session's ``partition`` strategy applies: contiguous plans
-        reduce with :func:`~repro.sparse.convert.csr_vstack`, degree-aware
-        plans (index-set shards plus monster-row column fragments) with
-        the fragment-aware :func:`~repro.sparse.partition.stitch_shard_outputs`
-        — both byte-identical to the unsharded product."""
-        from repro.core.api import SpGEMMRunResult
-
-        effective_b = b_csr if b_csr is not None else a_csr
-        plan = plan_shards(a_csr, spec.shards, effective_b,
-                           strategy=self.partition)
-        if plan.n_shards == 1:
-            # Degenerate plan (single row, empty matrix, one unit of work):
-            # run unsharded instead of compiling a one-shard copy.
-            return self._run_spgemm(_replace_spec(spec, shards=1))
-        if plan.ranges is not None:
-            shard_specs = [
-                SpGEMMSpec(a=a_csr.row_slice(lo, hi), b=effective_b,
-                           tile_size=spec.tile_size, verify=spec.verify,
-                           source=f"{spec.source}[{lo}:{hi}]",
-                           label=f"{spec.label}/shard{index}")
-                for index, (lo, hi) in enumerate(plan.ranges)
-            ]
-            shard_results = self._map_specs(shard_specs)
-            output = csr_vstack([result.output for result in shard_results])
-        else:
-            unit_specs, regroup = [], []
-            for index, units in enumerate(
-                    build_shard_units(a_csr, effective_b, plan)):
-                for unit in units:
-                    if unit.fragment is None:
-                        source = f"{spec.source}[shard{index}]"
-                        label = f"{spec.label}/shard{index}"
-                    else:
-                        fragment = unit.fragment
-                        source = (f"{spec.source}[shard{index}:"
-                                  f"r{fragment.row}@c{fragment.col_lo}"
-                                  f":{fragment.col_hi}]")
-                        label = (f"{spec.label}/shard{index}"
-                                 f".r{fragment.row}")
-                    unit_specs.append(SpGEMMSpec(
-                        a=unit.a, b=unit.b, tile_size=spec.tile_size,
-                        verify=spec.verify, source=source, label=label))
-                    regroup.append((index, unit.fragment is None))
-            shard_results = self._map_specs(unit_specs)
-            grouped: list[tuple] = [(None, []) for _ in plan.shards]
-            for (index, is_rows), result in zip(regroup, shard_results):
-                rows_out, frag_outs = grouped[index]
-                if is_rows:
-                    grouped[index] = (result.output, frag_outs)
-                else:
-                    frag_outs.append(result.output)
-            output = stitch_shard_outputs(plan, grouped,
-                                          effective_b.shape[1])
-        wall = time.perf_counter() - start
-        verified = [result.metrics.get("verified") for result in shard_results]
-        powers = [result.power_w for result in shard_results
-                  if result.power_w > 0]
-        metrics = {
-            "cycles": sum(r.metrics["cycles"] for r in shard_results),
-            "gops": round(sum(r.metrics["gops"] for r in shard_results), 3),
-            "mmh": sum(r.metrics["mmh"] for r in shard_results),
-            "partial_products": sum(r.metrics["partial_products"]
-                                    for r in shard_results),
-            "output_nnz": output.nnz,
-            "verified": (None if any(v is None for v in verified)
-                         else all(verified)),
-        }
-        provenance = self._provenance(
-            cache_hit=all(r.cache_hit for r in shard_results), wall=wall)
-        provenance.shards = plan.n_shards
-        power_w = max(powers) if powers else 0.0
-        energy_j = sum(r.energy_j for r in shard_results)
-        # No single compiled program backs a sharded run; a count digest
-        # stands in so report rows and legacy consumers keep working.
-        digest = ProgramDigest(
-            n_instructions=metrics["mmh"],
-            total_partial_products=metrics["partial_products"],
-            output_nnz=output.nnz, shape=output.shape,
-            tile_size=spec.tile_size or self.chip.config.mmh_tile_size,
-            a_nnz=a_csr.nnz, b_nnz=effective_b.nnz, source=spec.source)
-        legacy = SpGEMMRunResult(program=digest, report=None, functional=None,
-                                 output=output, power_w=power_w,
-                                 energy_j=energy_j, backend=self.backend)
-        return RunResult(
-            kind="spgemm", label=spec.label, metrics=metrics,
-            provenance=provenance, output=output, program=digest,
-            power_w=power_w, energy_j=energy_j, legacy=legacy,
-            shard_results=shard_results)
-
-    def _multichip_backend(self):
-        """A configured :class:`~repro.backends.multichip.MultiChipBackend`:
-        session topology + program cache, fanning per-chip work out over the
-        session executor (inline when already inside a pool worker, so a
+        Its fleet is the session topology, or for ``shards > 1`` that many
+        chips of the session backend under the session's partition
+        strategy.  It shares the session's program cache and IR
+        verification, and fans per-chip work out over the session executor
+        (inline when already inside a pool worker, so a sharded or
         multichip spec inside a batch cannot deadlock the pool)."""
         backend = get_backend("multichip")
-        backend.topology = self.topology
+        backend.topology = self.topology if shards == 1 else ChipTopology(
+            n_chips=shards, chip_backend=self.backend,
+            partition=self.partition)
         backend.cache = self.cache
+        backend.check = self._maybe_verify
+        backend.verify_level = self.verify_mode
         if not getattr(self._local, "in_worker", False):
             backend.executor = self.executor
         return backend
 
-    def _multichip_power_and_digest(self, execution, tile: int, a_nnz: int,
-                                    b_nnz: int, source: str):
-        """Fleet power/energy (summed per chip) and the count digest that
-        stands in for a compiled program on multichip runs."""
-        power_w = energy_j = 0.0
-        for run in execution.chip_runs:
-            chip_power, chip_energy = self.chip._estimate_power(run.report)
-            power_w += chip_power
-            energy_j += chip_energy
-        digest = ProgramDigest(
-            n_instructions=sum(run.mmh for run in execution.chip_runs),
-            total_partial_products=sum(run.partial_products
-                                       for run in execution.chip_runs),
-            output_nnz=execution.output.nnz, shape=execution.output.shape,
-            tile_size=tile, a_nnz=a_nnz, b_nnz=b_nnz, source=source)
-        return power_w, energy_j, digest
-
-    def _run_multichip_spgemm(self, spec: SpGEMMSpec, a_csr: CSRMatrix,
-                              b_csr: CSRMatrix | None,
-                              start: float) -> RunResult:
-        """Assign row shards to N chip instances and reduce (tentpole path).
-
-        Each chip compiles and executes its own shard program on its own
-        :class:`~repro.backends.base.ExecutionContext`; the reduced output
-        is identical to the single-chip unsharded product.  Aggregate
-        cycles are ``max over chips + host reduce term``; power and energy
-        are summed across chips."""
-        from repro.core.api import SpGEMMRunResult
-
-        if spec.shards > 1:
-            raise ValueError(
-                "the multichip backend assigns row shards to chips itself; "
-                "set Session(chips=N) instead of SpGEMMSpec(shards=N)")
-        tile = spec.tile_size or self.chip.config.mmh_tile_size
-        execution = self._multichip_backend().execute_operands(
-            a_csr, b_csr, self.chip._context(self.impl), tile_size=tile,
-            source=spec.source, verify=spec.verify)
-        wall = time.perf_counter() - start
-        report = execution.report
-        effective_b = b_csr if b_csr is not None else a_csr
-        power_w, energy_j, digest = self._multichip_power_and_digest(
-            execution, tile, a_csr.nnz, effective_b.nnz, spec.source)
-        counters = report.counters if report is not None else {}
-        metrics = {
-            "cycles": report.cycles if report is not None else 0.0,
-            "gops": round(report.gops, 3) if report is not None else 0.0,
-            "mmh": digest.n_instructions,
-            "partial_products": digest.total_partial_products,
-            "output_nnz": execution.output.nnz,
-            "chips": execution.n_chips,
-            "shard_skew": counters.get("multichip.shard_skew"),
-            "efficiency": counters.get("multichip.efficiency"),
-            "partition": (execution.plan.strategy
-                          if execution.plan is not None else None),
-            "split_rows": (len(execution.plan.split_rows)
-                           if execution.plan is not None else 0),
-            "verified": report.correct if report is not None else None,
-        }
-        provenance = self._provenance(cache_hit=execution.cache_hit,
-                                      wall=wall)
-        provenance.chips = execution.n_chips
-        legacy = SpGEMMRunResult(program=digest, report=report,
-                                 functional=None, output=execution.output,
-                                 power_w=power_w, energy_j=energy_j,
-                                 backend=self.backend)
-        activity = (self.chip._activity_from_report(report)
-                    if report is not None else {})
-        return RunResult(
-            kind="spgemm", label=spec.label, metrics=metrics,
-            activity=activity, provenance=provenance,
-            output=execution.output, report=report, program=digest,
-            power_w=power_w, energy_j=energy_j, legacy=legacy)
+    def _fleet_power(self, execution, combine=sum) -> tuple[float, float]:
+        """Power and energy of a multichip execution: ``combine`` of the
+        per-chip powers (summed for chips running side by side, the peak
+        for host shards running one after another) and summed energy."""
+        powers, energies = zip(*(self.chip._estimate_power(run.report)
+                                 for run in execution.chip_runs))
+        return combine(powers), sum(energies)
 
     # ------------------------------------------------------------------
     # GCN layer
@@ -639,7 +521,7 @@ class Session:
     def _gcn_workload(self, spec: GCNLayerSpec, dataset):
         """Build the layer workload for a :class:`GCNLayerSpec`.
 
-        Without explicit ``features`` this is the legacy synthetic-feature
+        Without explicit ``features`` this is the synthetic-feature
         workload.  With ``features`` (a chained layer fed its predecessor's
         output) the input flows through the same dense full-structure CSR
         encoding the :class:`GNNModelSpec` pipeline uses, so a
@@ -673,7 +555,8 @@ class Session:
                            features=full_structure_csr(dense), layer=layer)
 
     def _run_gcn_layer(self, spec: GCNLayerSpec) -> RunResult:
-        from repro.core.api import GCNRunResult, SpGEMMRunResult
+        """Aggregation (A_hat @ X) through :meth:`_execute`, combination
+        modelled as a dense phase at the chip's peak throughput."""
         from repro.datasets.suite import DatasetSpec, GraphDataset
 
         start = time.perf_counter()
@@ -684,67 +567,26 @@ class Session:
                                        feature_dim=spec.feature_dim)
             dataset = GraphDataset(dataset_spec, dataset, 1.0)
         workload = self._gcn_workload(spec, dataset)
-        a_csc = workload.adjacency_csc
-        tile = self.chip.config.mmh_tile_size
-        if self.backend == "multichip":
-            # Each chip compiles its own shard of A @ X, so the
-            # whole-matrix aggregation program would be discarded: skip it
-            # and report a count digest, with power summed over the fleet
-            # exactly like the SpGEMM multichip path.
-            label = f"gcn-aggregation:{workload.dataset.name}"
-            execution = self._multichip_backend().execute_operands(
-                csc_to_csr(a_csc), workload.features,
-                self.chip._context(self.impl), tile_size=tile,
-                source=label, verify=spec.verify)
-            cache_hit = execution.cache_hit
-            power_w, energy_j, program = self._multichip_power_and_digest(
-                execution, tile, a_csc.nnz, workload.features.nnz, label)
-        else:
-            key = self.cache.key(a_csc, workload.features, tile, kind="gcn")
-            program = self.cache.get(key)
-            cache_hit = program is not None
-            if program is None:
-                program = compile_gcn_aggregation(
-                    a_csc, workload.features, tile_size=tile,
-                    dataset=workload.dataset.name)
-                self.cache.put(key, program)
-            program = self._maybe_verify(key, program)
-            execution = get_backend(self.backend).execute(
-                program, self.chip._context(self.impl),
-                a_csr=csc_to_csr(a_csc), b_csr=workload.features,
-                verify=spec.verify)
-            power_w, energy_j = self.chip._estimate_power(execution.report)
-        report = execution.report
+        result, execution = self._execute(
+            csc_to_csr(workload.adjacency_csc), workload.features,
+            self.chip.config.mmh_tile_size,
+            f"gcn-aggregation:{workload.dataset.name}", spec.verify,
+            kind="gcn")
         combined = workload.layer.combination(execution.to_dense())
+        aggregation_cycles = result.metrics["cycles"]
         combination_cycles = self.chip._combination_cycles(workload)
-        aggregation_cycles = report.cycles if report is not None else 0.0
-        aggregation = SpGEMMRunResult(
-            program=program, report=report, functional=execution.functional,
-            output=execution.output, power_w=power_w, energy_j=energy_j,
-            backend=execution.backend)
-        legacy = GCNRunResult(
-            aggregation=aggregation, combination_cycles=combination_cycles,
-            total_cycles=aggregation_cycles + combination_cycles,
-            output=combined, workload=workload,
-            metadata={"feature_dim": workload.layer.in_dim,
-                      "hidden_dim": spec.hidden_dim})
-        wall = time.perf_counter() - start
-        metrics = {
+        result.kind = "gcn_layer"
+        result.label = spec.label
+        result.output = combined
+        result.metrics = {
             "aggregation_cycles": aggregation_cycles,
             "combination_cycles": round(combination_cycles, 1),
-            "total_cycles": round(legacy.total_cycles, 1),
+            "total_cycles": round(aggregation_cycles + combination_cycles, 1),
             "output_shape": str(combined.shape),
-            "verified": report.correct if report is not None else None,
+            "verified": result.metrics["verified"],
         }
-        activity = (self.chip._activity_from_report(report)
-                    if report is not None else {})
-        provenance = self._provenance(cache_hit=cache_hit, wall=wall)
-        provenance.chips = getattr(execution, "n_chips", 1)
-        return RunResult(
-            kind="gcn_layer", label=spec.label, metrics=metrics,
-            activity=activity, provenance=provenance,
-            output=combined, report=report, program=program,
-            power_w=power_w, energy_j=energy_j, legacy=legacy)
+        result.provenance.wall_time_s = time.perf_counter() - start
+        return result
 
     # ------------------------------------------------------------------
     # GNN model stack
@@ -763,7 +605,6 @@ class Session:
     # ------------------------------------------------------------------
     def _run_sweep(self, spec: SweepSpec) -> RunResult:
         start = time.perf_counter()
-        get_backend(self.backend)
         if self.backend == "functional":
             raise ValueError("backend 'functional' produces no timing report; "
                              "use 'cycle' or 'analytic'")
@@ -777,10 +618,9 @@ class Session:
             self._normalize_sweep(raw, spec)
         wall = time.perf_counter() - start
         return RunResult(
-            kind="sweep", label=spec.label,
-            metrics={"configs": len(table)},
+            kind="sweep", label=spec.label, metrics={"configs": len(table)},
             provenance=self._provenance(cache_hit=False, wall=wall),
-            legacy=table)
+            output=table)
 
     @staticmethod
     def _normalize_sweep(raw: dict, spec: SweepSpec) -> dict:
@@ -804,28 +644,36 @@ class Session:
     # Batch
     # ------------------------------------------------------------------
     def _run_batch(self, spec: BatchSpec) -> RunResult:
+        """Run the member specs over the executor; ``parts`` holds the
+        per-job results, ``metrics`` the batch summary row."""
         start = time.perf_counter()
-        results = self._map_specs(spec.specs)
-        outcomes = [JobOutcome(label=result.label, result=result.legacy,
-                               cache_hit=result.cache_hit,
-                               wall_time_s=result.wall_time_s)
-                    for result in results]
+        parts = self._map_specs(spec.specs)
         wall = time.perf_counter() - start
-        legacy = BatchReport(outcomes=outcomes, backend=self.backend,
-                             executor=self.executor.name,
-                             cache_hits=sum(o.cache_hit for o in outcomes),
-                             wall_time_s=wall)
-        provenance = self._provenance(
-            cache_hit=bool(outcomes) and all(o.cache_hit for o in outcomes),
-            wall=wall)
+        cache_hits = sum(part.cache_hit for part in parts)
+        energy_j = sum(part.energy_j for part in parts)
+        metrics = {
+            "jobs": len(parts),
+            "backend": self.backend,
+            "executor": self.executor.name,
+            "total_cycles": sum(part.metrics["cycles"] for part in parts),
+            "total_partial_products": sum(part.metrics["partial_products"]
+                                          for part in parts),
+            "total_energy_j": round(energy_j, 9),
+            "cache_hits": cache_hits,
+            "wall_time_s": round(wall, 6),
+            "compile_cache_hits": cache_hits,  # older column name
+        }
         return RunResult(
-            kind="batch", label=spec.label, metrics=legacy.summary(),
-            provenance=provenance, legacy=legacy,
-            power_w=max((o.result.power_w for o in outcomes), default=0.0),
-            energy_j=legacy.total_energy_j)
+            kind="batch", label=spec.label, metrics=metrics,
+            provenance=self._provenance(
+                cache_hit=bool(parts) and cache_hits == len(parts),
+                wall=wall),
+            parts=parts,
+            power_w=max((part.power_w for part in parts), default=0.0),
+            energy_j=energy_j)
 
     # ------------------------------------------------------------------
-    def _provenance(self, cache_hit: bool, wall: float) -> Provenance:
+    def _provenance(self, cache_hit: bool, wall: float = 0.0) -> Provenance:
         return Provenance(backend=self.backend, impl=self.impl,
                           executor=self.executor.name,
                           config=self.chip.config.name,

@@ -111,7 +111,7 @@ class GCNLayerSpec(WorkloadSpec):
             is executed through the same dense full-structure operand
             encoding :class:`GNNModelSpec` uses, so a chained run is
             byte-identical to the stacked pipeline.
-        weight_seed: explicit weight seed; ``None`` keeps the legacy
+        weight_seed: explicit weight seed; ``None`` keeps the default
             ``seed + 1``.
         activation: activation applied by the modelled combination stage
             ('relu', 'identity'/'none'/None).
@@ -279,14 +279,13 @@ class RunResult:
             exists) — the input to the power model.
         provenance: backend / impl / executor / cache / wall-time record.
         output: the numeric result — CSR product matrix for SpGEMM, dense
-            layer output for GCN, ``None`` for sweeps and batches.
+            layer output for GCN, the per-configuration metrics table for
+            sweeps, ``None`` for batches.
         report: timing report when a single timing run backs this result.
-        program: the compiled program for single SpGEMM runs.
+        program: the compiled program for single SpGEMM runs (a count
+            digest for sharded and multichip runs).
         power_w / energy_j: modelled power and energy.
-        legacy: the pre-Session result object (``SpGEMMRunResult``,
-            ``GCNRunResult``, ``BatchReport``, or the sweep dict) so the
-            deprecation shims can return exactly what they always did.
-        shard_results: per-shard results for sharded executions.
+        parts: per-job results of a batch, in submission order.
     """
 
     kind: str = ""
@@ -294,13 +293,12 @@ class RunResult:
     metrics: dict[str, Any] = field(default_factory=dict)
     activity: dict[str, float] = field(default_factory=dict)
     provenance: Provenance = field(default_factory=Provenance)
-    output: CSRMatrix | np.ndarray | None = None
+    output: CSRMatrix | np.ndarray | dict | None = None
     report: SimulationReport | None = None
     program: Program | None = None
     power_w: float = 0.0
     energy_j: float = 0.0
-    legacy: Any = None
-    shard_results: list["RunResult"] | None = None
+    parts: list["RunResult"] | None = None
 
     @property
     def cache_hit(self) -> bool:
@@ -321,15 +319,8 @@ class RunResult:
         """
         if self.program is not None:
             self.program = self.program.digest()
-        legacy = self.legacy
-        if legacy is not None and getattr(legacy, "program", None) is not None:
-            legacy.program = legacy.program.digest()
-        aggregation = getattr(legacy, "aggregation", None)
-        if aggregation is not None and aggregation.program is not None:
-            aggregation.program = aggregation.program.digest()
-        if self.shard_results:
-            for shard in self.shard_results:
-                shard.slim()
+        for part in self.parts or ():
+            part.slim()
         return self
 
     def as_row(self) -> dict:

@@ -173,8 +173,7 @@ def run_gnn_model(session, spec: GNNModelSpec) -> RunResult:
             compiles += execution.fresh_compiles
             hit = execution.fresh_compiles == 0
             chips = max(chips, execution.n_chips)
-            layer_power, layer_energy, _ = session._multichip_power_and_digest(
-                execution, tile, a_csr.nnz, b_full.nnz, label)
+            layer_power, layer_energy = session._fleet_power(execution)
         else:
             program, hit = resident_stack_program(
                 session.cache, a_csc, a_fingerprint, b_full, tile,

@@ -12,8 +12,9 @@ from repro.backends import (
     register_backend,
 )
 from repro.backends.registry import _BACKENDS
-from repro.core.api import NeuraChip
+from repro.core import GCNLayerSpec, NeuraChip, Session, SpGEMMSpec
 from repro.datasets import load_dataset
+from repro.gnn.gcn import GCNWorkload
 
 
 @pytest.fixture(scope="module")
@@ -54,36 +55,33 @@ class TestRegistry:
             _BACKENDS.pop("null-test", None)
 
 
+def run_spgemm(chip, a, backend, impl="numpy", **spec_kwargs):
+    with Session(chip, backend=backend, impl=impl) as session:
+        return session.run(SpGEMMSpec(a=a, **spec_kwargs))
+
+
 class TestBackendSelection:
     def test_run_spgemm_backend_param(self, chip, wiki):
         a = wiki.adjacency_csr()
         dense = a.to_dense() @ a.to_dense()
         for backend in ("functional", "cycle", "analytic"):
-            result = chip.run_spgemm(a, backend=backend, verify=False)
-            assert result.backend == backend
+            result = run_spgemm(chip, a, backend, verify=False)
+            assert result.provenance.backend == backend
             assert np.allclose(result.output.to_dense(), dense)
-
-    def test_legacy_mode_still_selects_backend(self, chip, wiki):
-        result = chip.run_spgemm(wiki.adjacency_csr(), mode="functional")
-        assert result.backend == "functional"
-        assert result.report is None
-
-    def test_backend_overrides_mode(self, chip, wiki):
-        result = chip.run_spgemm(wiki.adjacency_csr(), mode="functional",
-                                 backend="analytic")
-        assert result.backend == "analytic"
-        assert result.report is not None
 
     def test_unknown_backend_raises_before_compile(self, chip):
         with pytest.raises(ValueError, match="registered backends"):
-            chip.run_spgemm("not even a matrix", backend="quantum")
+            Session(chip, backend="quantum")
 
     def test_gcn_layer_on_analytic_backend(self, chip, wiki):
-        result = chip.run_gcn_layer(wiki, feature_dim=8, hidden_dim=4,
-                                    backend="analytic")
-        reference = result.workload.reference_output()
+        with Session(chip, backend="analytic") as session:
+            result = session.run(GCNLayerSpec(dataset=wiki, feature_dim=8,
+                                              hidden_dim=4))
+        reference = GCNWorkload.build(wiki, feature_dim=8,
+                                      hidden_dim=4).reference_output()
         assert np.allclose(result.output, reference)
-        assert result.total_cycles > result.combination_cycles > 0
+        metrics = result.metrics
+        assert metrics["total_cycles"] > metrics["combination_cycles"] > 0
 
 
 class TestAnalyticBackend:
@@ -97,16 +95,17 @@ class TestAnalyticBackend:
                                                           nodes):
         dataset = load_dataset(name, max_nodes=nodes, seed=3)
         adjacency = dataset.adjacency_csr()
-        predicted = chip.run_spgemm(adjacency, backend="analytic")
-        measured = chip.run_spgemm(adjacency, backend="cycle", verify=False)
+        predicted = run_spgemm(chip, adjacency, "analytic")
+        measured = run_spgemm(chip, adjacency, "cycle", verify=False)
         relative_error = abs(predicted.report.cycles
                              - measured.report.cycles) / measured.report.cycles
         assert relative_error <= CALIBRATED_TOLERANCE
 
     def test_exact_counts_and_kernel_output(self, chip, wiki):
         a = wiki.adjacency_csr()
-        result = chip.run_spgemm(a, backend="analytic")
-        program = result.program
+        program = chip.compile(a)
+        result = get_backend("analytic").execute(
+            program, chip._context("numpy"), a_csr=a, b_csr=a)
         report = result.report
         # Instruction and op counts are exact, not estimated.
         assert report.mmh_instructions == program.n_instructions
@@ -119,26 +118,26 @@ class TestAnalyticBackend:
 
     def test_python_impl_produces_same_output(self, chip, wiki):
         a = wiki.adjacency_csr()
-        fast = chip.run_spgemm(a, backend="analytic", impl="numpy")
-        slow = chip.run_spgemm(a, backend="analytic", impl="python")
+        fast = run_spgemm(chip, a, "analytic", impl="numpy")
+        slow = run_spgemm(chip, a, "analytic", impl="python")
         assert np.allclose(fast.output.to_dense(), slow.output.to_dense())
         assert fast.report.cycles == slow.report.cycles
 
     def test_power_model_consumes_analytic_report(self, chip, wiki):
-        result = chip.run_spgemm(wiki.adjacency_csr(), backend="analytic")
+        result = run_spgemm(chip, wiki.adjacency_csr(), "analytic")
         assert result.power_w > 0
         assert result.energy_j > 0
 
     def test_scales_with_workload_size(self, chip):
         small = load_dataset("wiki-Vote", max_nodes=64, seed=3)
         large = load_dataset("wiki-Vote", max_nodes=192, seed=3)
-        cycles = [chip.run_spgemm(d.adjacency_csr(),
-                                  backend="analytic").report.cycles
+        cycles = [run_spgemm(chip, d.adjacency_csr(),
+                             "analytic").report.cycles
                   for d in (small, large)]
         assert cycles[1] > cycles[0]
 
     def test_context_defaults_recorded(self, chip, wiki):
-        result = chip.run_spgemm(wiki.adjacency_csr(), backend="analytic")
+        result = run_spgemm(chip, wiki.adjacency_csr(), "analytic")
         assert result.report.mapping_scheme == chip.mapping_scheme
         assert result.report.eviction_mode == chip.eviction_mode
         assert result.report.counters["analytic.binding_bound"] in (

@@ -1,15 +1,10 @@
-"""Batch runner: WorkloadQueue, program caching, and aggregate reporting."""
+"""Batches: program caching, fingerprints, and aggregate reporting."""
 
 import numpy as np
 import pytest
 
-from repro.core.api import NeuraChip
-from repro.core.runner import (
-    ProgramCache,
-    WorkloadJob,
-    WorkloadQueue,
-    matrix_fingerprint,
-)
+from repro.core import BatchSpec, NeuraChip, Session, SpGEMMSpec
+from repro.core.runner import ProgramCache, matrix_fingerprint
 from repro.datasets import load_dataset
 from repro.sparse.csr import CSRMatrix
 
@@ -164,76 +159,79 @@ class TestDiskEviction:
         assert ProgramCache(capacity=2).clear_disk() == 0
 
 
+def run_batch(chip, specs, backend="analytic", session=None):
+    if session is not None:
+        return session.run(BatchSpec(specs=specs))
+    with Session(chip, backend=backend) as session:
+        return session.run(BatchSpec(specs=specs))
+
+
 class TestRunBatch:
     def test_repeated_jobs_hit_the_compile_cache(self, chip, graphs):
-        queue = WorkloadQueue()
-        for i in range(3):
-            queue.add_spgemm(graphs["wiki-Vote"], label=f"req-{i}")
-        report = chip.run_batch(queue, backend="analytic")
-        assert report.n_jobs == 3
-        assert report.cache_hits == 2
-        assert [o.cache_hit for o in report.outcomes] == [False, True, True]
+        specs = [SpGEMMSpec(a=graphs["wiki-Vote"], label=f"req-{i}")
+                 for i in range(3)]
+        result = run_batch(chip, specs)
+        assert result.metrics["jobs"] == 3
+        assert result.metrics["cache_hits"] == 2
+        assert [part.cache_hit for part in result.parts] == \
+            [False, True, True]
         # Cached programs are shared objects, not recompiles.
-        programs = {id(o.result.program) for o in report.outcomes}
+        programs = {id(part.program) for part in result.parts}
         assert len(programs) == 1
 
     def test_distinct_operands_compile_separately(self, chip, graphs):
-        report = chip.run_batch(list(graphs.values()), backend="analytic")
-        assert report.cache_hits == 0
-        assert report.n_jobs == 2
+        result = run_batch(chip, [SpGEMMSpec(a=a) for a in graphs.values()])
+        assert result.metrics["cache_hits"] == 0
+        assert result.metrics["jobs"] == 2
 
     def test_accepts_bare_matrices_and_jobs(self, chip, graphs):
         a = graphs["facebook"]
-        jobs = [a, WorkloadJob.spgemm(a, label="explicit")]
-        report = chip.run_batch(jobs, backend="functional")
-        assert report.n_jobs == 2
-        assert report.cache_hits == 1
-        assert report.outcomes[1].label == "explicit"
+        specs = [SpGEMMSpec(a=a), SpGEMMSpec(a=a, label="explicit")]
+        result = run_batch(chip, specs, backend="functional")
+        assert result.metrics["jobs"] == 2
+        assert result.metrics["cache_hits"] == 1
+        assert result.parts[1].label == "explicit"
 
     def test_outputs_are_correct_per_job(self, chip, graphs):
-        queue = WorkloadQueue()
-        for name, a in graphs.items():
-            queue.add_spgemm(a, label=name)
-        report = chip.run_batch(queue, backend="analytic")
-        for outcome, (name, a) in zip(report.outcomes, graphs.items()):
+        result = run_batch(chip, [SpGEMMSpec(a=a, label=name)
+                                  for name, a in graphs.items()])
+        for part, (name, a) in zip(result.parts, graphs.items()):
             dense = a.to_dense()
-            assert np.allclose(outcome.result.output.to_dense(),
-                               dense @ dense), name
+            assert np.allclose(part.output.to_dense(), dense @ dense), name
 
     def test_aggregates_and_rows(self, chip, graphs):
-        queue = WorkloadQueue()
-        queue.add_spgemm(graphs["wiki-Vote"], label="w0")
-        queue.add_spgemm(graphs["wiki-Vote"], label="w1")
-        report = chip.run_batch(queue, backend="analytic")
-        summary = report.summary()
+        specs = [SpGEMMSpec(a=graphs["wiki-Vote"], label=label)
+                 for label in ("w0", "w1")]
+        result = run_batch(chip, specs)
+        summary = result.metrics
         assert summary["jobs"] == 2
         assert summary["backend"] == "analytic"
         assert summary["total_cycles"] == pytest.approx(
-            sum(o.result.report.cycles for o in report.outcomes))
-        assert report.total_partial_products == 2 * \
-            report.outcomes[0].result.program.total_partial_products
-        rows = report.as_rows()
-        assert rows[0]["job"] == "w0"
-        assert rows[1]["compile_cached"] is True
+            sum(part.report.cycles for part in result.parts))
+        assert summary["total_partial_products"] == 2 * \
+            result.parts[0].program.total_partial_products
+        assert summary["compile_cache_hits"] == 1
+        assert [part.label for part in result.parts] == ["w0", "w1"]
+        assert result.parts[1].cache_hit is True
 
     def test_functional_backend_reports_zero_cycles(self, chip, graphs):
-        report = chip.run_batch([graphs["facebook"]], backend="functional")
-        assert report.total_cycles == 0
-        assert report.outcomes[0].result.report is None
+        result = run_batch(chip, [SpGEMMSpec(a=graphs["facebook"])],
+                           backend="functional")
+        assert result.metrics["total_cycles"] == 0
+        assert result.parts[0].report is None
 
     def test_tile_size_is_part_of_the_cache_key(self, chip, graphs):
-        queue = WorkloadQueue()
-        queue.add_spgemm(graphs["wiki-Vote"], label="t4", tile_size=4)
-        queue.add_spgemm(graphs["wiki-Vote"], label="t2", tile_size=2)
-        report = chip.run_batch(queue, backend="analytic")
-        assert report.cache_hits == 0
-        tiles = [o.result.program.tile_size for o in report.outcomes]
+        specs = [SpGEMMSpec(a=graphs["wiki-Vote"], label="t4", tile_size=4),
+                 SpGEMMSpec(a=graphs["wiki-Vote"], label="t2", tile_size=2)]
+        result = run_batch(chip, specs)
+        assert result.metrics["cache_hits"] == 0
+        tiles = [part.program.tile_size for part in result.parts]
         assert tiles == [4, 2]
 
     def test_queue_survives_across_batches(self, chip, graphs):
-        queue = WorkloadQueue()
-        queue.add_spgemm(graphs["wiki-Vote"])
-        first = chip.run_batch(queue, backend="analytic")
-        second = chip.run_batch(queue, backend="analytic")
-        assert first.cache_hits == 0
-        assert second.cache_hits == 1  # cache persists on the queue
+        specs = [SpGEMMSpec(a=graphs["wiki-Vote"])]
+        with Session(chip, backend="analytic") as session:
+            first = run_batch(chip, specs, session=session)
+            second = run_batch(chip, specs, session=session)
+        assert first.metrics["cache_hits"] == 0
+        assert second.metrics["cache_hits"] == 1  # cache lives on the session

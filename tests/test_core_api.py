@@ -1,11 +1,12 @@
-"""Unit and integration tests for the high-level NeuraChip facade."""
+"""The NeuraChip chip object and single-workload runs through Session."""
 
 import numpy as np
 import pytest
 
 from repro.arch.config import TILE4
-from repro.core.api import NeuraChip, design_space_sweep
+from repro.core import GCNLayerSpec, NeuraChip, Session, SpGEMMSpec, SweepSpec
 from repro.datasets import load_dataset
+from repro.gnn.gcn import GCNWorkload
 from repro.sim.params import SimulationParams
 
 
@@ -34,43 +35,60 @@ class TestConstruction:
         assert isinstance(chip.params, SimulationParams)
 
 
+def run_spgemm(chip, a, b=None, backend="cycle", **spec_kwargs):
+    with Session(chip, backend=backend) as session:
+        return session.run(SpGEMMSpec(a=a, b=b, **spec_kwargs))
+
+
+def run_gcn_layer(chip, dataset, backend="cycle", **spec_kwargs):
+    with Session(chip, backend=backend) as session:
+        return session.run(GCNLayerSpec(dataset=dataset, **spec_kwargs))
+
+
+def sweep(a, configs, backend="cycle", **spec_kwargs):
+    with Session(configs[0], backend=backend) as session:
+        return session.run(SweepSpec(a=a, configs=configs,
+                                     **spec_kwargs)).output
+
+
 class TestRunSpGEMM:
     def test_cycle_mode_end_to_end(self, chip, tiny_graph):
-        result = chip.run_spgemm(tiny_graph.adjacency_csr())
+        result = run_spgemm(chip, tiny_graph.adjacency_csr())
         dense = tiny_graph.adjacency_csr().to_dense()
-        assert result.correct is True
+        assert result.metrics["verified"] is True
         assert np.allclose(result.output.to_dense(), dense @ dense)
         assert result.report.cycles > 0
         assert result.power_w > 0
         assert result.energy_j > 0
 
     def test_functional_mode_skips_cycle_report(self, chip, tiny_graph):
-        result = chip.run_spgemm(tiny_graph.adjacency_csr(), mode="functional")
+        result = run_spgemm(chip, tiny_graph.adjacency_csr(),
+                            backend="functional")
         assert result.report is None
-        assert result.correct is None
+        assert result.metrics["verified"] is None
         assert result.power_w == 0.0
         dense = tiny_graph.adjacency_csr().to_dense()
         assert np.allclose(result.output.to_dense(), dense @ dense)
 
     def test_invalid_mode(self, chip, tiny_graph):
         with pytest.raises(ValueError):
-            chip.run_spgemm(tiny_graph.adjacency_csr(), mode="magic")
+            run_spgemm(chip, tiny_graph.adjacency_csr(), backend="magic")
 
     def test_accepts_dense_and_coo_operands(self, chip):
         rng = np.random.default_rng(0)
         a = (rng.random((20, 20)) < 0.2) * rng.random((20, 20))
         b = (rng.random((20, 20)) < 0.2) * rng.random((20, 20))
-        result = chip.run_spgemm(a, b, mode="functional")
+        result = run_spgemm(chip, a, b, backend="functional")
         assert np.allclose(result.output.to_dense(), a @ b)
 
     def test_rejects_unsupported_operand_type(self, chip):
         with pytest.raises(TypeError):
-            chip.run_spgemm("not a matrix", mode="functional")
+            run_spgemm(chip, "not a matrix", backend="functional")
 
     def test_distinct_b_operand(self, chip, tiny_graph):
         a = tiny_graph.adjacency_csr()
         features = tiny_graph.features(dim=8, density=0.5)
-        result = chip.run_spgemm(a, features, mode="functional")
+        result = run_spgemm(chip, a, features, backend="functional")
         assert np.allclose(result.output.to_dense(),
                            a.to_dense() @ features.to_dense())
 
@@ -82,21 +100,25 @@ class TestRunSpGEMM:
 
 class TestRunGCNLayer:
     def test_layer_output_matches_reference(self, chip, tiny_graph):
-        result = chip.run_gcn_layer(tiny_graph, feature_dim=12, hidden_dim=6)
-        reference = result.workload.reference_output()
+        result = run_gcn_layer(chip, tiny_graph, feature_dim=12,
+                               hidden_dim=6)
+        reference = GCNWorkload.build(tiny_graph, feature_dim=12,
+                                      hidden_dim=6).reference_output()
         assert np.allclose(result.output, reference)
-        assert result.aggregation.correct is True
-        assert result.total_cycles > result.combination_cycles > 0
+        assert result.metrics["verified"] is True
+        metrics = result.metrics
+        assert metrics["total_cycles"] > metrics["combination_cycles"] > 0
 
     def test_layer_on_raw_adjacency(self, chip, tiny_graph):
-        result = chip.run_gcn_layer(tiny_graph.adjacency, feature_dim=8,
-                                    hidden_dim=4, mode="functional")
+        result = run_gcn_layer(chip, tiny_graph.adjacency, feature_dim=8,
+                               hidden_dim=4, backend="functional")
         assert result.output.shape == (tiny_graph.n_nodes, 4)
 
     def test_metadata_records_dimensions(self, chip, tiny_graph):
-        result = chip.run_gcn_layer(tiny_graph, feature_dim=10, hidden_dim=5,
-                                    mode="functional")
-        assert result.metadata == {"feature_dim": 10, "hidden_dim": 5}
+        result = run_gcn_layer(chip, tiny_graph, feature_dim=10,
+                               hidden_dim=5, backend="functional")
+        assert result.metrics["output_shape"] == \
+            str((tiny_graph.n_nodes, 5))
 
 
 class TestPowerIntegration:
@@ -105,7 +127,7 @@ class TestPowerIntegration:
         assert breakdown.total_area_mm2 == pytest.approx(2.37, abs=0.01)
 
     def test_power_breakdown_with_report_activity(self, chip, tiny_graph):
-        result = chip.run_spgemm(tiny_graph.adjacency_csr(), verify=False)
+        result = run_spgemm(chip, tiny_graph.adjacency_csr(), verify=False)
         breakdown = chip.power_breakdown(result.report)
         full = chip.power_breakdown()
         assert breakdown.total_power_w <= full.total_power_w + 1e-9
@@ -113,71 +135,62 @@ class TestPowerIntegration:
 
 class TestDesignSpaceSweep:
     def test_sweep_normalised_to_tile4(self, tiny_graph):
-        sweep = design_space_sweep(tiny_graph.adjacency_csr(),
-                                   configs=("Tile-4", "Tile-16"))
-        assert set(sweep) == {"Tile-4", "Tile-16"}
-        for metric, value in sweep["Tile-4"].items():
+        table = sweep(tiny_graph.adjacency_csr(), ("Tile-4", "Tile-16"))
+        assert set(table) == {"Tile-4", "Tile-16"}
+        for metric, value in table["Tile-4"].items():
             assert value == pytest.approx(1.0), metric
-        assert sweep["Tile-16"]["cycles"] < 1.0  # bigger chip finishes sooner
+        assert table["Tile-16"]["cycles"] < 1.0  # bigger chip finishes sooner
 
     def test_sweep_raw_values(self, tiny_graph):
-        sweep = design_space_sweep(tiny_graph.adjacency_csr(),
-                                   configs=("Tile-4",), normalize_to=None)
-        metrics = sweep["Tile-4"]
+        table = sweep(tiny_graph.adjacency_csr(), ("Tile-4",),
+                      normalize_to=None)
+        metrics = table["Tile-4"]
         assert {"stall_cycles", "cpi", "ipc", "in_flight_instx", "power",
                 "busy_cycles", "cycles", "gops"} <= set(metrics)
         assert metrics["cycles"] > 0
 
     def test_sweep_on_analytic_backend(self, tiny_graph):
-        sweep = design_space_sweep(tiny_graph.adjacency_csr(),
-                                   configs=("Tile-4", "Tile-16"),
-                                   backend="analytic")
-        assert set(sweep) == {"Tile-4", "Tile-16"}
-        assert sweep["Tile-4"]["cycles"] == pytest.approx(1.0)
+        table = sweep(tiny_graph.adjacency_csr(), ("Tile-4", "Tile-16"),
+                      backend="analytic")
+        assert set(table) == {"Tile-4", "Tile-16"}
+        assert table["Tile-4"]["cycles"] == pytest.approx(1.0)
 
     def test_sweep_functional_backend_rejected(self, tiny_graph):
         with pytest.raises(ValueError, match="no timing report"):
-            design_space_sweep(tiny_graph.adjacency_csr(),
-                               configs=("Tile-4",), backend="functional")
+            sweep(tiny_graph.adjacency_csr(), ("Tile-4",),
+                  backend="functional")
+
+    @staticmethod
+    def zero_gops(monkeypatch):
+        # Every per-configuration run goes through Session.run; zero the
+        # gops of each timed run (the sweep's own result has no report).
+        original = Session.run
+
+        def run(self, spec):
+            result = original(self, spec)
+            if result.report is not None:
+                result.report.gops = 0.0
+            return result
+
+        monkeypatch.setattr(Session, "run", run)
 
     def test_sweep_skips_metrics_with_zero_baseline(self, tiny_graph,
                                                     monkeypatch):
         # Force a zero baseline metric and check it is omitted, not mapped
         # to a silent 0.0 (the pre-refactor behaviour).
-        import repro.core.api as api
-
-        original = api.NeuraChip.run_spgemm
-
-        def zero_gops(self, *args, **kwargs):
-            result = original(self, *args, **kwargs)
-            result.report.gops = 0.0
-            return result
-
-        monkeypatch.setattr(api.NeuraChip, "run_spgemm", zero_gops)
-        sweep = design_space_sweep(tiny_graph.adjacency_csr(),
-                                   configs=("Tile-4", "Tile-16"))
-        assert "gops" not in sweep["Tile-16"]
-        assert "cycles" in sweep["Tile-16"]
+        self.zero_gops(monkeypatch)
+        table = sweep(tiny_graph.adjacency_csr(), ("Tile-4", "Tile-16"))
+        assert "gops" not in table["Tile-16"]
+        assert "cycles" in table["Tile-16"]
 
     def test_sweep_raises_on_zero_baseline_when_asked(self, tiny_graph,
                                                       monkeypatch):
-        import repro.core.api as api
-
-        original = api.NeuraChip.run_spgemm
-
-        def zero_gops(self, *args, **kwargs):
-            result = original(self, *args, **kwargs)
-            result.report.gops = 0.0
-            return result
-
-        monkeypatch.setattr(api.NeuraChip, "run_spgemm", zero_gops)
+        self.zero_gops(monkeypatch)
         with pytest.raises(ValueError, match="gops"):
-            design_space_sweep(tiny_graph.adjacency_csr(),
-                               configs=("Tile-4", "Tile-16"),
-                               on_missing_base="raise")
+            sweep(tiny_graph.adjacency_csr(), ("Tile-4", "Tile-16"),
+                  on_missing_base="raise")
 
     def test_sweep_invalid_policy_rejected(self, tiny_graph):
         with pytest.raises(ValueError, match="on_missing_base"):
-            design_space_sweep(tiny_graph.adjacency_csr(),
-                               configs=("Tile-4",),
-                               on_missing_base="ignore")
+            sweep(tiny_graph.adjacency_csr(), ("Tile-4",),
+                  on_missing_base="ignore")

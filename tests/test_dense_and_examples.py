@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.arch.config import TILE4
-from repro.core.api import NeuraChip
+from repro.core import NeuraChip, Session, SpGEMMSpec
 from repro.sim.accelerator import NeuraChipAccelerator
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
@@ -24,9 +24,9 @@ class TestDenseWorkloads:
         rng = np.random.default_rng(0)
         a = rng.random((24, 24))
         b = rng.random((24, 24))
-        chip = NeuraChip(TILE4)
-        result = chip.run_spgemm(a, b)
-        assert result.correct is True
+        with Session(TILE4) as session:
+            result = session.run(SpGEMMSpec(a=a, b=b))
+        assert result.metrics["verified"] is True
         assert np.allclose(result.output.to_dense(), a @ b)
         # Dense x dense: every output element receives the full inner-dimension
         # worth of partial products.
@@ -36,8 +36,8 @@ class TestDenseWorkloads:
         rng = np.random.default_rng(1)
         adjacency = (rng.random((32, 32)) < 0.1) * 1.0
         features = rng.random((32, 8))
-        chip = NeuraChip(TILE4)
-        result = chip.run_spgemm(adjacency, features, mode="functional")
+        with Session(TILE4, backend="functional") as session:
+            result = session.run(SpGEMMSpec(a=adjacency, b=features))
         assert np.allclose(result.output.to_dense(), adjacency @ features)
 
     def test_simulation_kcps_reported(self):

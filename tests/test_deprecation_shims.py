@@ -1,18 +1,26 @@
-"""The legacy entry points: thin deprecation shims forwarding to Session."""
+"""The removed legacy entry points stay removed, and their Session
+replacements do what the shims used to forward to.
+
+The class and test names are those of the former deprecation-shim tests;
+each now pins the replacement its shim forwarded to.
+"""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    BatchReport,
-    NeuraChip,
-    Session,
-    SpGEMMSpec,
-    design_space_sweep,
-)
+import repro
+import repro.core
+from repro.backends import get_backend
+from repro.core import BatchSpec, NeuraChip, Session, SpGEMMSpec
 from repro.datasets import load_dataset
+
+REMOVED_CHIP_METHODS = ("run_program", "run_spgemm", "run_gcn_layer",
+                        "run_batch", "session")
+REMOVED_PUBLIC_NAMES = ("SpGEMMRunResult", "GCNRunResult", "BatchReport",
+                        "WorkloadQueue", "WorkloadJob", "JobOutcome",
+                        "design_space_sweep")
 
 
 @pytest.fixture(scope="module")
@@ -27,96 +35,41 @@ def chip():
 
 class TestRunSpgemmShim:
     def test_warns_and_forwards(self, chip, wiki):
-        with pytest.deprecated_call(match="run_spgemm is deprecated"):
-            legacy = chip.run_spgemm(wiki, backend="analytic")
-        with Session(chip, backend="analytic") as session:
-            modern = session.run(SpGEMMSpec(a=wiki))
-        assert legacy.report.cycles == modern.metrics["cycles"]
-        assert legacy.program.total_partial_products == \
-            modern.metrics["partial_products"]
-        assert np.allclose(legacy.output.to_dense(), modern.output.to_dense())
+        for name in REMOVED_CHIP_METHODS:
+            assert not hasattr(chip, name), name
+        for name in REMOVED_PUBLIC_NAMES:
+            assert not hasattr(repro, name), name
+            assert not hasattr(repro.core, name), name
+        # The replacement runs without any DeprecationWarning and equals
+        # compiling on the chip and executing on the backend by hand.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            with Session(chip, backend="analytic") as session:
+                modern = session.run(SpGEMMSpec(a=wiki))
+        program = chip.compile(wiki)
+        direct = get_backend("analytic").execute(
+            program, chip._context("numpy"), a_csr=wiki, b_csr=wiki)
+        assert modern.metrics["cycles"] == direct.report.cycles
+        assert modern.metrics["partial_products"] == \
+            program.total_partial_products
+        assert np.allclose(modern.output.to_dense(), direct.output.to_dense())
 
     def test_invalid_mode_still_raises_value_error(self, chip, wiki):
-        with pytest.raises(ValueError):
+        with pytest.raises(AttributeError):
             chip.run_spgemm(wiki, mode="magic")
-
-
-class TestRunGcnShim:
-    def test_warns_and_returns_legacy_result(self, chip):
-        dataset = load_dataset("cora", max_nodes=64, seed=6)
-        with pytest.deprecated_call(match="run_gcn_layer is deprecated"):
-            result = chip.run_gcn_layer(dataset, feature_dim=8, hidden_dim=4,
-                                        backend="analytic")
-        assert result.output.shape == (dataset.n_nodes, 4)
-        assert result.total_cycles > result.combination_cycles > 0
+        with pytest.raises(ValueError, match="registered backends"):
+            Session(chip, backend="magic")
 
 
 class TestRunBatchShim:
-    def test_warns_and_forwards(self, chip, wiki):
-        with pytest.deprecated_call(match="run_batch is deprecated"):
-            report = chip.run_batch([wiki, wiki], backend="analytic")
-        assert isinstance(report, BatchReport)
-        assert report.n_jobs == 2
-        assert report.cache_hits == 1
-        assert report.as_rows()[1]["cache_hit"] is True
-
     def test_forwards_executor_through_queue(self, chip, wiki):
-        from repro.core.runner import WorkloadQueue
-
-        queue = WorkloadQueue().add_spgemm(wiki).add_spgemm(wiki)
-        report = queue.run(chip, backend="analytic", executor="thread",
-                           workers=2)
-        assert report.executor == "thread"
-        assert report.n_jobs == 2
-
-
-class TestWarningAttribution:
-    """Every shim's DeprecationWarning must point at the *caller's* file,
-    not at shim internals (a fixed stacklevel breaks whenever an entry
-    point is reached through another repro-internal frame)."""
-
-    @staticmethod
-    def deprecation_filename(invoke) -> str:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", DeprecationWarning)
-            invoke()
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert deprecations, "shim emitted no DeprecationWarning"
-        return deprecations[0].filename
-
-    def test_run_spgemm_attributed_to_caller(self, chip, wiki):
-        filename = self.deprecation_filename(
-            lambda: chip.run_spgemm(wiki, backend="analytic"))
-        assert filename == __file__
-
-    def test_run_gcn_layer_attributed_to_caller(self, chip):
-        dataset = load_dataset("cora", max_nodes=48, seed=6)
-        filename = self.deprecation_filename(
-            lambda: chip.run_gcn_layer(dataset, feature_dim=4, hidden_dim=2,
-                                       backend="analytic"))
-        assert filename == __file__
-
-    def test_run_batch_attributed_to_caller(self, chip, wiki):
-        filename = self.deprecation_filename(
-            lambda: chip.run_batch([wiki], backend="analytic"))
-        assert filename == __file__
-
-    def test_design_space_sweep_attributed_to_caller(self, wiki):
-        filename = self.deprecation_filename(
-            lambda: design_space_sweep(wiki, configs=("Tile-4",),
-                                       backend="analytic"))
-        assert filename == __file__
-
-
-class TestSweepShim:
-    def test_warns_and_matches_session_sweep(self, wiki):
-        from repro.core import SweepSpec
-
-        with pytest.deprecated_call(match="design_space_sweep is deprecated"):
-            legacy = design_space_sweep(wiki, configs=("Tile-4", "Tile-16"),
-                                        backend="analytic")
-        with Session("Tile-4", backend="analytic") as session:
-            modern = session.run(SweepSpec(
-                a=wiki, configs=("Tile-4", "Tile-16"))).legacy
-        assert legacy == modern
+        with pytest.raises(ImportError):
+            from repro.core.runner import WorkloadQueue  # noqa: F401
+        specs = [SpGEMMSpec(a=wiki), SpGEMMSpec(a=wiki)]
+        with Session(chip, backend="analytic", executor="thread",
+                     workers=2) as session:
+            result = session.run(BatchSpec(specs=specs))
+        assert result.metrics["executor"] == "thread"
+        assert result.metrics["jobs"] == 2
+        assert [part.provenance.executor for part in result.parts] == \
+            ["thread", "thread"]

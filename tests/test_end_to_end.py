@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro import (
-    NeuraChip,
     TILE4,
     TILE16,
+    GCNLayerSpec,
+    Session,
+    SpGEMMSpec,
+    SweepSpec,
     compile_spgemm,
-    design_space_sweep,
     load_dataset,
 )
 from repro.baselines.accelerators import speedup_table
@@ -30,9 +32,9 @@ class TestSpGEMMPipeline:
         a_csr = dataset.adjacency_csr()
         program = compile_spgemm(csr_to_csc(a_csr), a_csr, tile_size=4,
                                  source=dataset.name)
-        chip = NeuraChip(TILE16)
-        result = chip.run_spgemm(a_csr, source=dataset.name)
-        assert result.correct is True
+        with Session(TILE16) as session:
+            result = session.run(SpGEMMSpec(a=a_csr, source=dataset.name))
+        assert result.metrics["verified"] is True
         assert result.report.mmh_instructions == program.n_instructions
 
         stats = SpGEMMWorkloadStats.from_matrices(dataset.name, a_csr)
@@ -53,19 +55,23 @@ class TestSpGEMMPipeline:
 class TestGCNPipeline:
     def test_gcn_layer_on_two_configs(self):
         dataset = load_dataset("cora", max_nodes=96, seed=3)
-        small = NeuraChip(TILE4).run_gcn_layer(dataset, feature_dim=12, hidden_dim=6)
-        large = NeuraChip(TILE16).run_gcn_layer(dataset, feature_dim=12, hidden_dim=6)
-        assert small.aggregation.correct and large.aggregation.correct
-        assert large.aggregation.report.cycles < small.aggregation.report.cycles
+        spec = GCNLayerSpec(dataset=dataset, feature_dim=12, hidden_dim=6)
+        with Session(TILE4) as session:
+            small = session.run(spec)
+        with Session(TILE16) as session:
+            large = session.run(spec)
+        assert small.metrics["verified"] and large.metrics["verified"]
+        assert large.report.cycles < small.report.cycles
         assert np.allclose(small.output, large.output)
 
 
 class TestDesignSpaceAndPower:
     def test_sweep_and_power_are_consistent(self):
         dataset = load_dataset("p2p-Gnutella31", max_nodes=96, seed=2)
-        sweep = design_space_sweep(dataset.adjacency_csr(),
-                                   configs=("Tile-4", "Tile-16"),
-                                   normalize_to=None)
+        with Session("Tile-4") as session:
+            sweep = session.run(SweepSpec(a=dataset.adjacency_csr(),
+                                          configs=("Tile-4", "Tile-16"),
+                                          normalize_to=None)).output
         assert sweep["Tile-16"]["cycles"] < sweep["Tile-4"]["cycles"]
         assert sweep["Tile-16"]["power"] > sweep["Tile-4"]["power"]
         assert power_breakdown(TILE16).total_power_w > \

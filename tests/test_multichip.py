@@ -236,8 +236,8 @@ class TestFacadeAndSubmit:
     def test_run_program_route(self, wiki, single_chip):
         chip = NeuraChip("Tile-4")
         program = chip.compile(wiki)
-        result = chip.run_program(program, a=wiki, backend="multichip",
-                                  verify=False)
+        result = get_backend("multichip").execute(
+            program, chip._context("numpy"), a_csr=wiki, verify=False)
         assert result.backend == "multichip"
         assert np.array_equal(result.output.to_dense(),
                               single_chip.output.to_dense())
@@ -279,8 +279,8 @@ class TestFacadeAndSubmit:
                                           normalize_to=None))
         # A one-chip fleet reports exactly the analytic cycles (no reduce
         # term), so equality here would mean the topology was dropped.
-        assert multi.legacy["Tile-4"]["cycles"] != \
-            single.legacy["Tile-4"]["cycles"]
+        assert multi.output["Tile-4"]["cycles"] != \
+            single.output["Tile-4"]["cycles"]
 
 
 class TestPredictScaleout:

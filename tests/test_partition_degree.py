@@ -9,11 +9,17 @@ indptr, same indices, bitwise-equal float data — for any strategy, shard
 count, and executor.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core import Session, SpGEMMSpec
-from repro.datasets import barabasi_albert_graph, kronecker_power_law_graph
+from repro.datasets import (
+    barabasi_albert_graph,
+    kronecker_power_law_graph,
+    load_dataset,
+)
 from repro.sparse import coo_to_csr, spgemm_kernel
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.partition import (
@@ -265,6 +271,63 @@ class TestMonsterRow:
         degree = plan_shards(a, 4, a, strategy="degree")
         assert degree.skew < contiguous.skew
         assert degree.efficiency > contiguous.efficiency
+
+
+#: Host-sharded results recorded from the per-shard session fork that
+#: ``SpGEMMSpec(shards=N)`` used before it ran through the multichip
+#: backend: (graph, partition, backend, shards, cycles, mmh,
+#: partial_products, output_nnz, verified, power_w, energy_j, sha1 of the
+#: output's indptr/indices/data).  Everything must still match exactly,
+#: except energy on the split-row plan: a chip's power now comes from its
+#: combined unit report (analytic 9.857234640625e-06 before).
+SHARDED_PINS = [
+    ("wiki", "contiguous", "analytic", 4, 3916.0, 2894, 13748, 6752, None,
+     11.28841384300208, 4.411744218749999e-05,
+     "5a2943625936e59a358e2d4bd74c78098102a16d"),
+    ("wiki", "contiguous", "cycle", 4, 5444.0, 2894, 13748, 6752, True,
+     11.164047291666666, 5.917825093750001e-05,
+     "5a2943625936e59a358e2d4bd74c78098102a16d"),
+    ("wiki", "degree", "analytic", 4, 3912.0, 2871, 13748, 6752, None,
+     11.275315381659835, 4.40639503125e-05,
+     "5a2943625936e59a358e2d4bd74c78098102a16d"),
+    ("wiki", "degree", "cycle", 4, 5279.0, 2871, 13748, 6752, True,
+     11.1317113241359, 5.8107524687499995e-05,
+     "5a2943625936e59a358e2d4bd74c78098102a16d"),
+    ("monster", "degree", "analytic", 8, 1189.0, 437, 963, 752, None,
+     9.398567961165048, 9.860336640625e-06,
+     "613baea2d9d472791a028c49e34a4160f603c8d9"),
+    ("monster", "degree", "cycle", 8, 1753.0, 437, 963, 752, True,
+     8.767668585526316, 1.3258606015625e-05,
+     "613baea2d9d472791a028c49e34a4160f603c8d9"),
+]
+
+
+class TestShardedResultsPinned:
+    @pytest.mark.parametrize("pin", SHARDED_PINS,
+                             ids=lambda pin: "-".join(map(str, pin[:3])))
+    def test_matches_recorded_values(self, pin):
+        (graph, partition, backend, shards, cycles, mmh, pp, nnz, verified,
+         power_w, energy_j, output_sha1) = pin
+        a = (load_dataset("wiki-Vote", max_nodes=96, seed=5).adjacency_csr()
+             if graph == "wiki" else _monster())
+        with Session("Tile-4", backend=backend,
+                     partition=partition) as session:
+            result = session.run(SpGEMMSpec(a=a, shards=shards,
+                                            verify=backend == "cycle"))
+        if graph == "monster":
+            assert plan_shards(a, shards, a, strategy=partition).split_rows
+        metrics = result.metrics
+        assert result.provenance.shards == shards
+        assert (metrics["cycles"], metrics["mmh"],
+                metrics["partial_products"], metrics["output_nnz"],
+                metrics["verified"]) == (cycles, mmh, pp, nnz, verified)
+        assert (result.power_w, result.energy_j) == (power_w, energy_j)
+        digest = hashlib.sha1()
+        for array in (result.output.indptr, result.output.indices,
+                      result.output.data):
+            digest.update(str(array.dtype).encode())
+            digest.update(array.tobytes())
+        assert digest.hexdigest() == output_sha1
 
 
 class TestUnitOverheadProbe:

@@ -1,5 +1,6 @@
 """Tests for ``Session(verify=...)`` and the disk-cache verify path:
-memoized once-per-digest verification, byte-identical results, and the
+memoized once-per-digest verification (of whole programs and of the unit
+programs of sharded and multichip runs), byte-identical results, and the
 drop-and-recompile handling of ill-formed disk cache entries."""
 
 import dataclasses
@@ -15,11 +16,26 @@ from repro.core.runner import CACHE_SCHEMA_VERSION, ProgramCache
 from repro.core.session import Session
 from repro.core.specs import GCNLayerSpec, SpGEMMSpec
 from repro.datasets.suite import load_dataset
+from repro.sparse.convert import csr_to_csc
+from repro.sparse.partition import build_shard_units, plan_shards
 
 
 @pytest.fixture(scope="module")
 def dataset():
     return load_dataset("wiki-Vote", max_nodes=96, seed=0)
+
+
+def _broken(program: Program) -> Program:
+    """``program`` with one output-row count off by one: ill-formed IR."""
+    counts = program.arrays.out_counts.copy()
+    counts[0] += 1
+    return Program(
+        arrays=dataclasses.replace(program.arrays, out_counts=counts),
+        address_map=program.address_map, shape=program.shape,
+        tile_size=program.tile_size, a_nnz=program.a_nnz,
+        b_nnz=program.b_nnz,
+        total_partial_products=program.total_partial_products,
+        source=program.source)
 
 
 class TestVerifyMode:
@@ -88,23 +104,76 @@ class TestVerifyMode:
                      verify="full") as session:
             key = session.cache.key(a_csr, None, 4)
             program = session.chip.compile(a_csr, None, tile_size=4)
-            counts = program.arrays.out_counts.copy()
-            counts[0] += 1
-            broken = Program(
-                arrays=dataclasses.replace(program.arrays,
-                                           out_counts=counts),
-                address_map=program.address_map, shape=program.shape,
-                tile_size=program.tile_size, a_nnz=program.a_nnz,
-                b_nnz=program.b_nnz,
-                total_partial_products=program.total_partial_products,
-                source=program.source)
-            session.cache.put(key, broken)
+            session.cache.put(key, _broken(program))
             with pytest.raises(VerificationError):
                 session.run(SpGEMMSpec(a=a_csr, tile_size=4))
             # The key was un-reserved, so a repaired entry re-verifies.
             session.cache.put(key, program)
             session.run(SpGEMMSpec(a=a_csr, tile_size=4))
             assert session.verify_stats()["verify_runs"] == 1
+
+
+class TestShardUnitVerification:
+    """Every unit program of a sharded or multichip run passes the
+    session's verification once per cache key."""
+
+    @staticmethod
+    def units(a_csr, n_shards):
+        plan = plan_shards(a_csr, n_shards, a_csr, strategy="contiguous")
+        return [unit for chip in build_shard_units(a_csr, a_csr, plan)
+                for unit in chip]
+
+    def test_corrupt_cached_shard_program_raises(self, dataset):
+        a_csr = dataset.adjacency_csr()
+        units = self.units(a_csr, 2)
+        with Session("Tile-4", backend="analytic", verify="full",
+                     partition="contiguous") as session:
+            key = session.cache.key(units[1].a, units[1].b, 4)
+            program = compile_spgemm(csr_to_csc(units[1].a), units[1].b,
+                                     tile_size=4)
+            session.cache.put(key, _broken(program))
+            with pytest.raises(VerificationError):
+                session.run(SpGEMMSpec(a=a_csr, shards=2))
+            session.cache.put(key, program)
+            result = session.run(SpGEMMSpec(a=a_csr, shards=2))
+            stats = session.verify_stats()
+        assert result.provenance.shards == 2
+        # One verification per unit program; unit 0 passed before unit 1
+        # failed, so the repaired run re-checks only unit 1.
+        assert stats["verify_runs"] == len(units) == 2
+        assert stats["verify_skips"] == 1
+
+    def test_multichip_units_verified_once(self, dataset):
+        a_csr = dataset.adjacency_csr()
+        with Session("Tile-4", backend="multichip", chips=3,
+                     partition="contiguous", verify="quick") as session:
+            session.run(SpGEMMSpec(a=a_csr))
+            session.run(SpGEMMSpec(a=a_csr))
+            stats = session.verify_stats()
+        assert stats["verify_runs"] == len(self.units(a_csr, 3)) == 3
+        assert stats["verify_skips"] == 3
+
+    def test_process_chip_workers_verify_at_session_level(
+            self, dataset, monkeypatch):
+        from repro.core import runner
+
+        compile_ok = runner.compile_spgemm
+        monkeypatch.setattr(runner, "compile_spgemm",
+                            lambda *args, **kwargs:
+                            _broken(compile_ok(*args, **kwargs)))
+        levels = []
+
+        def inline_map(fn, payloads):
+            # Run the chip workers here so they see the patched compiler.
+            levels.extend(payload["verify_level"] for payload in payloads)
+            return [fn(payload) for payload in payloads]
+
+        with Session("Tile-4", backend="analytic", verify="full",
+                     executor="process", workers=2) as session:
+            monkeypatch.setattr(session.executor, "map", inline_map)
+            with pytest.raises(VerificationError):
+                session.run(SpGEMMSpec(a=dataset.adjacency_csr(), shards=2))
+        assert levels == ["full", "full"]
 
 
 class TestDiskCacheVerification:
@@ -125,16 +194,7 @@ class TestDiskCacheVerification:
     def test_illformed_disk_entry_dropped_and_counted(self, dataset,
                                                       tmp_path):
         cache = ProgramCache(4, cache_dir=tmp_path)
-        program = self.make_program(dataset)
-        counts = program.arrays.out_counts.copy()
-        counts[0] += 1
-        broken = Program(
-            arrays=dataclasses.replace(program.arrays, out_counts=counts),
-            address_map=program.address_map, shape=program.shape,
-            tile_size=program.tile_size, a_nnz=program.a_nnz,
-            b_nnz=program.b_nnz,
-            total_partial_products=program.total_partial_products,
-            source=program.source)
+        broken = _broken(self.make_program(dataset))
         key = ("unit", "spgemm", "a", "b", 4)
         path = cache._disk_path(key)
         with path.open("wb") as handle:
