@@ -25,7 +25,7 @@ def main() -> None:
                                     source=name, verify=False))
 
     # 2. Serve the whole batch through the analytic backend.
-    with Session("Tile-16", backend="analytic", impl="numpy") as session:
+    with Session("Tile-16", backend="analytic") as session:
         batch = session.run(BatchSpec(specs=specs))
         print(format_table(results_to_rows(batch.parts)))
         print(format_table([batch.metrics]))

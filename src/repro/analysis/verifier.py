@@ -37,7 +37,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.findings import Finding, VerificationError
-from repro.compiler.program import ELEMENT_BYTES, AddressMap, Program, ProgramArrays
+from repro.compiler.program import (
+    DENSE_KEY_SPACE,
+    ELEMENT_BYTES,
+    AddressMap,
+    Program,
+    ProgramArrays,
+)
 
 #: 22-bit register fields of the MMH instruction limit the per-instruction
 #: operand offsets (Figure 7).  Shared by the compiler's lowering and the
@@ -52,8 +58,9 @@ VERIFY_CHUNK_PARTIAL_PRODUCTS = 1 << 24
 #: Output shapes with ``rows * cols`` at or below this take the dense
 #: histogram path in the full-level scatter (one ``bincount`` over the
 #: flattened key space, ~64 MiB of int64 at the cap); larger shapes use
-#: a searchsorted scatter against the sorted output keys instead.
-_DENSE_SCATTER_KEYS = 1 << 23
+#: a searchsorted scatter against the sorted output keys instead.  The
+#: same cut-over as the program's numeric replay.
+_DENSE_SCATTER_KEYS = DENSE_KEY_SPACE
 
 #: The two verification depths: ``"quick"`` is O(n_ops + nnz) and skips
 #: the partial-product expansion; ``"full"`` additionally scatters every
@@ -284,8 +291,10 @@ def _check_row_groups(arrays: ProgramArrays, source: str) -> list[Finding]:
     return findings
 
 
-def _check_output_structure(arrays: ProgramArrays,
-                            source: str) -> list[Finding]:
+def _check_output_structure(arrays: ProgramArrays, source: str
+                            ) -> tuple[list[Finding], np.ndarray | None]:
+    """Findings plus the flat output keys, which later stages reuse
+    (``None`` when the structure is too broken to compute them)."""
     findings: list[Finding] = []
     indptr = arrays.out_indptr
     nnz = arrays.out_indices.size
@@ -294,19 +303,19 @@ def _check_output_structure(arrays: ProgramArrays,
             "output-structure", source,
             f"out_indptr spans [{int(indptr[0])}, {int(indptr[-1])}] for "
             f"{nnz} output slots (must span [0, nnz])"))
-        return findings
+        return findings, None
     if np.any(np.diff(indptr) < 0):
         findings.append(_finding(
             "output-structure", source, "out_indptr is not non-decreasing"))
-        return findings
+        return findings, None
     indices = arrays.out_indices.astype(np.int64)
     n_cols = arrays.shape[1]
     if nnz and (int(indices.min()) < 0 or int(indices.max()) >= n_cols):
         findings.append(_finding(
             "output-structure", source,
             f"out_indices outside [0, {n_cols}) for shape {arrays.shape}"))
-        return findings
-    flat = arrays._flat_keys()
+        return findings, None
+    flat = arrays.flat_keys()
     if nnz > 1 and np.any(np.diff(flat) <= 0):
         index = _first_bad(np.diff(flat) <= 0)
         findings.append(_finding(
@@ -321,7 +330,7 @@ def _check_output_structure(arrays: ProgramArrays,
             f"slot {index}: rolling counter "
             f"{int(arrays.out_counts[index])} < 1 (every stored output "
             "element accumulates at least one partial product)"))
-    return findings
+    return findings, flat
 
 
 def _op_chunks(pp_per_op: np.ndarray) -> list[tuple[int, int]]:
@@ -341,38 +350,19 @@ def _op_chunks(pp_per_op: np.ndarray) -> list[tuple[int, int]]:
 def _expanded_flat_keys(arrays: ProgramArrays, op_lo: int,
                         op_hi: int) -> np.ndarray:
     """Flattened output coordinates of every partial product dispatched by
-    ops ``[op_lo, op_hi)`` — the same cumulative-offset expansion the
-    SpGEMM kernels and the symbolic pass use.  Index/key arithmetic stays
-    in int32 when the flattened key space provably fits (the common case),
-    halving the memory traffic of the repeats below."""
-    n_cols = arrays.shape[1]
-    key_space = int(arrays.shape[0]) * int(n_cols)
-    dtype = np.int32 if key_space < np.iinfo(np.int32).max else np.int64
-    a_lo = arrays.op_a_lo[op_lo:op_hi]
-    n_a = arrays.op_a_hi[op_lo:op_hi] - a_lo
-    b_lo = arrays.op_b_lo[op_lo:op_hi]
-    n_b = arrays.op_b_hi[op_lo:op_hi] - b_lo
-    total_a = int(n_a.sum(dtype=np.int64))
-    ends_a = np.cumsum(n_a, dtype=dtype)
-    a_index = (np.arange(total_a, dtype=dtype)
-               + np.repeat(a_lo - ends_a + n_a, n_a))
-    rows = arrays.a_rows[a_index].astype(dtype, copy=False)
-    rep = np.repeat(n_b, n_a)
-    total = int(rep.sum(dtype=np.int64))
-    ends = np.cumsum(rep, dtype=dtype)
-    b_index = (np.arange(total, dtype=dtype)
-               + np.repeat(np.repeat(b_lo, n_a) - ends + rep, rep))
-    return (np.repeat(rows * dtype(n_cols), rep)
-            + arrays.b_cols[b_index].astype(dtype, copy=False))
+    ops ``[op_lo, op_hi)`` — the program's own replay expansion.  A chunk
+    holds at most about :data:`VERIFY_CHUNK_PARTIAL_PRODUCTS` partial
+    products, so its index arithmetic stays in int32."""
+    return arrays.pair_keys(*arrays.expand_partial_products(op_lo, op_hi))
 
 
 def _check_counters_and_exclusivity(arrays: ProgramArrays,
                                     address_map: AddressMap, source: str,
                                     total_partial_products: int | None,
-                                    level: str) -> list[Finding]:
+                                    level: str,
+                                    flat: np.ndarray) -> list[Finding]:
     findings: list[Finding] = []
     nnz = arrays.output_nnz
-    flat = arrays._flat_keys()
     # Stage A bounded tile widths to (0, tile_size], so the per-op product
     # fits int32; the sums still reduce in int64.
     pp_per_op = ((arrays.op_a_hi - arrays.op_a_lo)
@@ -514,13 +504,14 @@ def verify_arrays(arrays: ProgramArrays, address_map: AddressMap,
     if findings:
         return findings  # later stages index through the columns
     findings = _check_slices(arrays, source)
-    findings += _check_output_structure(arrays, source)
+    structure_findings, flat = _check_output_structure(arrays, source)
+    findings += structure_findings
     if findings:
         return findings  # slot lookups below need sane slices/structure
     findings += _check_offsets(arrays, address_map, source)
     findings += _check_row_groups(arrays, source)
     findings += _check_counters_and_exclusivity(
-        arrays, address_map, source, total_partial_products, level)
+        arrays, address_map, source, total_partial_products, level, flat)
     return findings
 
 

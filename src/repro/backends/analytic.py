@@ -3,9 +3,11 @@
 The cycle backend replays every HACC through an event queue, which costs
 minutes of host time per thousand simulated cycles; the analytic backend
 instead *predicts* the cycle count from the compiled program's op counts and
-the chip's throughput ceilings, and computes the numeric output through the
-vectorized kernel layer.  Large graphs that would take hours under NeuraSim
-finish in milliseconds.
+the chip's throughput ceilings, and computes the numeric output by replaying
+the compiled program itself: one vectorized gather-multiply-scatter over the
+program's structure-only partial-product index
+(:meth:`~repro.compiler.program.ProgramArrays.replay`).  Large graphs that
+would take hours under NeuraSim finish in milliseconds.
 
 Model
 -----
@@ -66,33 +68,21 @@ CALIBRATED_TOLERANCE = 0.25
 
 @register_backend("analytic")
 class AnalyticBackend(ExecutionBackend):
-    """Roofline-style cycle prediction; output via the kernel layer."""
+    """Roofline-style cycle prediction; output by replaying the program."""
 
     def execute(self, program: Program, ctx: ExecutionContext,
                 a_csr: CSRMatrix | None = None,
                 b_csr: CSRMatrix | None = None,
                 verify: bool = True) -> ExecutionResult:
         start = _time.perf_counter()
-        output = self._compute_output(program, ctx, a_csr, b_csr)
+        if program.arrays is not None:
+            output = program.arrays.replay(program.source or "program")
+        else:  # legacy loop-compiled program: per-HACC reference loop
+            output = coo_to_csr(dense_to_coo(program.reference_result()))
         report = self.predict(program, ctx,
                               wall=_time.perf_counter() - start)
         return ExecutionResult(backend=self.name, output=output,
                                report=report, functional=None)
-
-    # ------------------------------------------------------------------
-    def _compute_output(self, program: Program, ctx: ExecutionContext,
-                        a_csr: CSRMatrix | None,
-                        b_csr: CSRMatrix | None) -> CSRMatrix:
-        """Numeric product via the kernel layer (or macro-op replay)."""
-        if a_csr is not None and b_csr is not None:
-            from repro.sparse import kernels
-
-            result = kernels.spgemm(a_csr, b_csr,
-                                    dataflow="tiled_gustavson",
-                                    impl=ctx.kernel_impl,
-                                    tile_rows=program.tile_size)
-            return result.matrix
-        return coo_to_csr(dense_to_coo(program.reference_result()))
 
     # ------------------------------------------------------------------
     def predict(self, program: Program, ctx: ExecutionContext,

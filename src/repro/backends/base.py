@@ -13,8 +13,8 @@ analytic   roofline cycle prediction, no events   O(MMH instructions)
 ========== ====================================== =========================
 
 Backends receive the compiled program plus (optionally) the CSR/CSC
-operands, so fast backends can compute the numeric output through the
-vectorized kernel layer instead of replaying the macro-op stream.
+operands; the analytic backend replays the program's columnar arrays in
+one vectorized pass instead of materializing the macro-op stream.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ class ExecutionContext:
         mapping_scheme: accumulation mapping scheme name.
         mapping_seed: seed for the randomised mapping schemes.
         eviction_mode: 'rolling' or 'barrier'.
-        kernel_impl: kernel implementation ('python' or 'numpy') used by
-            backends that compute their output through the kernel layer.
     """
 
     config: NeuraChipConfig
@@ -51,7 +49,6 @@ class ExecutionContext:
     mapping_scheme: str
     mapping_seed: int = 0
     eviction_mode: str = "rolling"
-    kernel_impl: str = "numpy"
 
 
 @dataclass

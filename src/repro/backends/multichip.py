@@ -387,8 +387,7 @@ def _chip_worker(payload: dict) -> ChipRun:
     ctx = ExecutionContext(config=payload["config"], params=payload["params"],
                            mapping_scheme=payload["mapping_scheme"],
                            mapping_seed=payload["mapping_seed"],
-                           eviction_mode=payload["eviction_mode"],
-                           kernel_impl=payload["kernel_impl"])
+                           eviction_mode=payload["eviction_mode"])
     level = payload["verify_level"]
     check = None if level is None else \
         (lambda key, program: assert_program_valid(program, level))
@@ -569,7 +568,6 @@ class MultiChipBackend(ExecutionBackend):
                 "mapping_scheme": ctx.mapping_scheme,
                 "mapping_seed": ctx.mapping_seed,
                 "eviction_mode": ctx.eviction_mode,
-                "kernel_impl": ctx.kernel_impl,
                 "cache_dir": cache_dir,
                 "cache_capacity": getattr(self.cache, "capacity", 0),
                 "cache_max_disk_bytes": getattr(self.cache,

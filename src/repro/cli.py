@@ -21,7 +21,7 @@ The subcommands cover the workflows the paper's WebGUI exposes::
 
 Every workload subcommand routes through one
 :class:`~repro.core.session.Session`, so they all share the same knobs:
-``--backend`` / ``--impl`` select the execution backend, ``--executor`` /
+``--backend`` selects the execution backend, ``--executor`` /
 ``--workers`` fan jobs out on the host, and ``--cache-dir`` persists
 compiled programs to disk — a second invocation against the same graph
 reports ``cache_hit=True`` and skips compilation.  Every command prints
@@ -48,7 +48,6 @@ from repro.core.specs import (
 )
 from repro.datasets.suite import GNN_SUITE, TABLE1_SUITE, load_dataset
 from repro.sparse.bloat import bloat_report
-from repro.sparse.kernels import IMPLS
 from repro.viz.export import format_table, save_csv
 
 
@@ -80,7 +79,6 @@ def _session(args: argparse.Namespace, default_backend: str = "cycle") -> Sessio
                    backend=backend,
                    topology=topology,
                    partition=partition,
-                   impl=getattr(args, "impl", "numpy"),
                    executor=getattr(args, "executor", "serial"),
                    workers=getattr(args, "workers", None),
                    cache_dir=getattr(args, "cache_dir", None),
@@ -453,9 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--backend", choices=available_backends(),
                          default=default,
                          help="execution backend (default: %(default)s)")
-        sub.add_argument("--impl", choices=IMPLS, default="numpy",
-                         help="kernel implementation used by the analytic "
-                              "backend (default: %(default)s)")
         sub.add_argument("--executor", choices=available_executors(),
                          default="serial",
                          help="host-side executor jobs fan out on "

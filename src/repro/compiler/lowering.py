@@ -125,9 +125,9 @@ def _lower_columnar(a_csc: CSCMatrix, b_csr: CSRMatrix,
         op_reseed[-1] = True
 
     # --- 3. rolling-counter slots and operand addresses ----------------
-    flat_keys = symbolic.flat_keys()
     first_flat = a_csc.indices[op_a_lo] * n_cols + b_csr.indices[op_b_lo]
-    op_slot = np.searchsorted(flat_keys, first_flat).astype(int_like)
+    op_slot = np.searchsorted(symbolic.flat_keys(),
+                              first_flat).astype(int_like)
     op_a_addr = address_map.a_data_base + op_a_lo * ELEMENT_BYTES
     op_b_col_addr = address_map.b_col_ind_base + op_b_lo * ELEMENT_BYTES
     op_b_data_addr = address_map.b_data_base + op_b_lo * ELEMENT_BYTES
@@ -139,7 +139,7 @@ def _lower_columnar(a_csc: CSCMatrix, b_csr: CSRMatrix,
     # (indices are matrix dimensions, addresses passed the 22-bit check),
     # so the persisted payload is downcast to halve spill/ship size.
     narrow = np.int32
-    arrays = ProgramArrays(
+    return ProgramArrays(
         opcode=opcode, tile_size=tile_size, shape=symbolic.shape,
         out_indptr=symbolic.indptr,
         out_indices=symbolic.indices.astype(narrow),
@@ -154,10 +154,6 @@ def _lower_columnar(a_csc: CSCMatrix, b_csr: CSRMatrix,
         op_b_col_addr=op_b_col_addr.astype(narrow),
         op_b_data_addr=op_b_data_addr.astype(narrow),
         op_counter_addr=op_counter_addr.astype(narrow))
-    # The symbolic pass already built the ascending slot-key index; hand it
-    # to the arrays so the first HACC expansion doesn't rebuild it.
-    arrays.__dict__["_flat_cache"] = flat_keys
-    return arrays
 
 
 def compile_spgemm(a_csc: CSCMatrix, b_csr: CSRMatrix, tile_size: int = 4,

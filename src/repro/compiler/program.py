@@ -15,6 +15,12 @@ Count-only consumers (the analytic backend, report rows, cache
 fingerprints) read the arrays directly and never pay for materialization;
 pickling a columnar program (disk cache spill, cross-process shipping)
 serialises only the arrays.
+
+The numeric output of a columnar program is a *replay* of its own op
+stream: a structure-only :class:`ReplayIndex` (built once per program and
+shared by every :func:`rebind_b_values` copy) maps each partial product to
+its operands and output slot, and one gather-multiply-scatter accumulates
+every slot in program order — MMH multiplies, HACC accumulates.
 """
 
 from __future__ import annotations
@@ -32,10 +38,20 @@ from repro.arch.isa import (
     encode_hacc,
     encode_mmh,
 )
+from repro.sparse.csr import CSRMatrix
 from repro.sparse.symbolic import row_per_slot
 
 #: Bytes per matrix element in the virtual HBM layout (fp32 value or int32 index).
 ELEMENT_BYTES = 4
+
+#: Output shapes with ``rows * cols`` at or below this resolve output keys
+#: to slots through a dense key -> slot table (one gather, ~32 MiB of int32
+#: at the cap); larger shapes binary-search the sorted output keys instead,
+#: so transient memory stays bounded.  The IR verifier's full-level scatter
+#: uses the same cut-over.
+DENSE_KEY_SPACE = 1 << 23
+
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 @dataclass(frozen=True)
@@ -200,6 +216,30 @@ class MMHMacroOp:
         return encode_mmh(self.instruction)
 
 
+@dataclass(frozen=True)
+class ReplayIndex:
+    """Structure-only partial-product index of a columnar program.
+
+    Lists every partial product in program (MMH dispatch) order, so each
+    output slot accumulates its partial products in ascending inner index
+    ``k`` — the order of the vectorized kernels and the reference loops.
+    It holds no operand values, so one index serves every
+    :func:`rebind_b_values` copy of the program.
+
+    Attributes:
+        a_index: ``a_values`` position of every A-tile element, op by op.
+        a_rep: partial products each A-tile element takes part in (its
+            op's B-tile width).
+        pp_b: ``b_values`` position of every partial product.
+        pp_slot: output slot every partial product accumulates into.
+    """
+
+    a_index: np.ndarray
+    a_rep: np.ndarray
+    pp_b: np.ndarray
+    pp_slot: np.ndarray
+
+
 @dataclass
 class ProgramArrays:
     """Columnar (structure-of-arrays) payload of a compiled program.
@@ -303,17 +343,163 @@ class ProgramArrays:
         return np.diff(self.out_indptr)
 
     # ------------------------------------------------------------------
-    # Slot lookup
+    # Structure-derived caches
     # ------------------------------------------------------------------
+    def _derived(self) -> dict:
+        """Cache of structure-only arrays derived from this payload,
+        shared by reference with every :func:`rebind_b_values` copy and
+        dropped on pickling."""
+        derived = self.__dict__.get("_derived_cache")
+        if derived is None:
+            derived = self.__dict__["_derived_cache"] = {}
+        return derived
+
+    def flat_keys(self) -> np.ndarray:
+        """Ascending flattened output coordinates ``row * n_cols + col``,
+        one per slot.  Computed afresh unless a simulator cached them."""
+        cached = self.__dict__.get("_derived_cache", {}).get("flat")
+        if cached is not None:
+            return cached
+        return (row_per_slot(self.out_indptr, self.shape[0])
+                * self.shape[1] + self.out_indices)
+
     def _flat_keys(self) -> np.ndarray:
-        """Ascending flattened output coordinates, cached per instance
-        (the lowering seeds this cache with the symbolic pass's array)."""
-        cached = self.__dict__.get("_flat_cache")
-        if cached is None:
-            cached = (row_per_slot(self.out_indptr, self.shape[0])
-                      * self.shape[1] + self.out_indices)
-            self.__dict__["_flat_cache"] = cached
-        return cached
+        """:meth:`flat_keys`, retained for the per-MMH slot lookups of
+        :meth:`expand_haccs`."""
+        derived = self._derived()
+        if "flat" not in derived:
+            derived["flat"] = self.flat_keys()
+        return derived["flat"]
+
+    # ------------------------------------------------------------------
+    # Partial-product expansion and numeric replay
+    # ------------------------------------------------------------------
+    def expand_partial_products(self, op_lo: int = 0,
+                                op_hi: int | None = None,
+                                dtype=np.int32
+                                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Expand ops ``[op_lo, op_hi)`` into their partial products, in
+        program order.
+
+        Returns ``(a_index, a_rep, b_index)``: the ``a_rows`` / ``a_values``
+        position of every A-tile element, the partial products each takes
+        part in, and the ``b_cols`` / ``b_values`` position of every
+        partial product — the cumulative-offset expansion the SpGEMM
+        kernels and the symbolic pass use.  ``dtype`` is the index
+        arithmetic type; int32 needs fewer than 2**31 partial products.
+        """
+        a_lo = self.op_a_lo[op_lo:op_hi]
+        n_a = self.op_a_hi[op_lo:op_hi] - a_lo
+        b_lo = self.op_b_lo[op_lo:op_hi]
+        n_b = self.op_b_hi[op_lo:op_hi] - b_lo
+        ends_a = np.cumsum(n_a, dtype=dtype)
+        total_a = int(ends_a[-1]) if ends_a.size else 0
+        a_index = (np.arange(total_a, dtype=dtype)
+                   + np.repeat(a_lo - ends_a + n_a, n_a))
+        a_rep = np.repeat(n_b, n_a)
+        ends = np.cumsum(a_rep, dtype=dtype)
+        total = int(ends[-1]) if ends.size else 0
+        b_index = (np.arange(total, dtype=dtype)
+                   + np.repeat(np.repeat(b_lo, n_a) - ends + a_rep, a_rep))
+        return a_index, a_rep, b_index
+
+    def pair_keys(self, a_index: np.ndarray, a_rep: np.ndarray,
+                  b_index: np.ndarray) -> np.ndarray:
+        """Flattened output coordinate of every partial product of an
+        :meth:`expand_partial_products` expansion (int32 when the key
+        space fits)."""
+        n_cols = self.shape[1]
+        dtype = (np.int32 if self.shape[0] * n_cols < _INT32_MAX
+                 else np.int64)
+        keys = np.repeat(self.a_rows[a_index].astype(dtype, copy=False)
+                         * dtype(n_cols), a_rep)
+        keys += self.b_cols[b_index]
+        return keys
+
+    def _check_replayable(self, source: str) -> None:
+        """Bounds that keep every replay gather inside its operand (the
+        IR verifier proves more; this holds even without it)."""
+        for name, lo, hi, size in (
+                ("A", self.op_a_lo, self.op_a_hi, self.a_rows.size),
+                ("B", self.op_b_lo, self.op_b_hi, self.b_cols.size)):
+            if lo.size and (int(lo.min()) < 0 or int(hi.max()) > size
+                            or bool(np.any(hi < lo))):
+                raise ValueError(
+                    f"program {source!r}: an op's {name}-tile slice lies "
+                    f"outside the {size}-element {name} operand")
+        for name, index, bound in (("a_rows", self.a_rows, self.shape[0]),
+                                   ("b_cols", self.b_cols, self.shape[1])):
+            if index.size and (int(index.min()) < 0
+                               or int(index.max()) >= bound):
+                raise ValueError(f"program {source!r}: {name} holds an "
+                                 f"index outside [0, {bound})")
+
+    def replay_index(self, source: str = "program") -> ReplayIndex:
+        """The program's :class:`ReplayIndex`, built on first use and
+        cached (shared with rebound copies, never pickled).
+
+        Raises:
+            ValueError: naming ``source`` when an op slice is out of
+                bounds or a partial product has no output slot.
+        """
+        derived = self._derived()
+        index = derived.get("replay")
+        if index is None:
+            index = derived["replay"] = self._build_replay_index(source)
+        return index
+
+    def _build_replay_index(self, source: str) -> ReplayIndex:
+        self._check_replayable(source)
+        total = int(self.partial_products_per_op.sum(dtype=np.int64))
+        dtype = np.int32 if total < _INT32_MAX else np.int64
+        a_index, a_rep, pp_b = self.expand_partial_products(dtype=dtype)
+        keys = self.pair_keys(a_index, a_rep, pp_b)
+        flat = self.flat_keys()
+        nnz = int(flat.size)
+        key_space = self.shape[0] * self.shape[1]
+        if key_space <= DENSE_KEY_SPACE:
+            slot_of_key = np.full(key_space, -1, dtype=np.int32)
+            slot_of_key[flat] = np.arange(nnz, dtype=np.int32)
+            pp_slot = slot_of_key[keys]
+            missing = pp_slot < 0
+        else:
+            pp_slot = np.searchsorted(flat, keys)
+            missing = pp_slot >= nnz
+            if nnz:
+                missing |= flat[np.minimum(pp_slot, nnz - 1)] != keys
+            pp_slot = pp_slot.astype(np.int32)
+        if keys.size and bool(missing.any()):
+            key = int(keys[int(np.argmax(missing))])
+            raise ValueError(
+                f"program {source!r}: a partial product targets output "
+                f"(row {key // self.shape[1]}, col {key % self.shape[1]}), "
+                "which has no slot in the symbolic output structure")
+        narrow = np.int32
+        return ReplayIndex(a_index=a_index.astype(narrow, copy=False),
+                           a_rep=a_rep.astype(narrow, copy=False),
+                           pp_b=pp_b.astype(narrow, copy=False),
+                           pp_slot=pp_slot)
+
+    def replay(self, source: str = "program") -> CSRMatrix:
+        """Numeric output C = A @ B from this payload's operand values.
+
+        One gather-multiply-scatter over the :class:`ReplayIndex`; every
+        slot accumulates in ascending ``k``, so the result is
+        byte-identical to the dense-merge vectorized kernel.  The returned
+        CSR owns fresh int64 ``indptr`` / ``indices`` and float64 ``data``
+        (it never aliases the program's arrays).
+        """
+        index = self.replay_index(source)
+        if index.pp_slot.size:
+            products = np.repeat(self.a_values[index.a_index], index.a_rep)
+            products *= self.b_values[index.pp_b]
+            data = np.bincount(index.pp_slot, weights=products,
+                               minlength=self.output_nnz)
+        else:
+            data = np.zeros(self.output_nnz, dtype=np.float64)
+        return CSRMatrix(self.out_indptr.astype(np.int64, copy=True),
+                         self.out_indices.astype(np.int64, copy=True),
+                         data, self.shape)
 
     # ------------------------------------------------------------------
     # Lazy materialization
@@ -377,7 +563,7 @@ class ProgramArrays:
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        state.pop("_flat_cache", None)
+        state.pop("_derived_cache", None)
         return state
 
 
@@ -650,10 +836,9 @@ def rebind_b_values(program: Program, b_csr) -> Program:
             f"operand structure mismatch: program was compiled for "
             f"{arrays.b_values.size} B non-zeros, got {values.size}")
     new_arrays = dataclasses.replace(arrays, b_values=values)
-    flat_cache = arrays.__dict__.get("_flat_cache")
-    if flat_cache is not None:
-        # Structure-only: safe to share with the rebound copy.
-        new_arrays.__dict__["_flat_cache"] = flat_cache
+    # Structure-only caches (replay index, flat keys) are shared by
+    # reference, so whichever copy replays first builds them for all.
+    new_arrays.__dict__["_derived_cache"] = arrays._derived()
     return Program(arrays=new_arrays,
                    address_map=program.address_map,
                    shape=program.shape,

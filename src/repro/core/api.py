@@ -75,13 +75,12 @@ class NeuraChip:
                               source=source)
 
     # ------------------------------------------------------------------
-    def _context(self, impl: str) -> ExecutionContext:
+    def _context(self) -> ExecutionContext:
         """Execution context describing this chip for a backend."""
         return ExecutionContext(config=self.config, params=self.params,
                                 mapping_scheme=self.mapping_scheme,
                                 mapping_seed=self.mapping_seed,
-                                eviction_mode=self.eviction_mode,
-                                kernel_impl=impl)
+                                eviction_mode=self.eviction_mode)
 
     # ------------------------------------------------------------------
     def _combination_cycles(self, workload: GCNWorkload) -> float:

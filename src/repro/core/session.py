@@ -1,8 +1,8 @@
 """The unified Session API: declarative specs in, RunResult envelopes out.
 
-A :class:`Session` owns backend resolution, kernel-implementation
-selection, a pluggable executor (``serial`` / ``thread`` / ``process``,
-registered like backends), and a persistent LRU
+A :class:`Session` owns backend resolution, a pluggable executor
+(``serial`` / ``thread`` / ``process``, registered like backends), and a
+persistent LRU
 :class:`~repro.core.runner.ProgramCache`.  Workloads are described
 declaratively (:mod:`repro.core.specs`) and submitted through three verbs::
 
@@ -15,7 +15,7 @@ declaratively (:mod:`repro.core.specs`) and submitted through three verbs::
         future = session.submit(SpGEMMSpec(a=adjacency))       # async
 
 Every execution returns a :class:`~repro.core.specs.RunResult` carrying
-metrics, activity factors, power/energy, and provenance (backend, impl,
+metrics, activity factors, power/energy, and provenance (backend,
 executor, cache hit, wall time, shard count).
 
 Every SpGEMM-shaped run — a plain SpGEMM, a GCN layer's aggregation, a
@@ -75,7 +75,6 @@ from repro.core.specs import (
 from repro.sim.params import SimulationParams
 from repro.sparse.convert import csc_to_csr
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.kernels import IMPLS
 
 # The planner lives in the sparse layer now (it is shared with the
 # multichip backend); these re-exports keep the historical import path.
@@ -139,7 +138,6 @@ class Session:
         chip_config: configuration name, :class:`NeuraChipConfig`, or an
             existing :class:`~repro.core.api.NeuraChip` to bind to.
         backend: registered execution backend name for every run.
-        impl: kernel implementation for kernel-layer backends.
         executor: registered executor name ('serial', 'thread', 'process').
         workers: worker count for the pooled executors.
         cache: an existing :class:`ProgramCache` to share; overrides
@@ -162,12 +160,12 @@ class Session:
         mapping_scheme / eviction_mode / params / mapping_seed: forwarded
             to the chip when one is constructed here.
 
-    All names (backend, executor, impl) are resolved eagerly so a typo
+    All names (backend, executor) are resolved eagerly so a typo
     fails at construction, not mid-batch.
     """
 
     def __init__(self, chip_config="Tile-16", *,
-                 backend: str = "cycle", impl: str = "numpy",
+                 backend: str = "cycle",
                  executor: str = "serial", workers: int | None = None,
                  cache: ProgramCache | None = None,
                  cache_dir: str | Path | None = None,
@@ -190,9 +188,6 @@ class Session:
                                   eviction_mode=eviction_mode, params=params,
                                   mapping_seed=mapping_seed)
         get_backend(backend)  # fail fast on unknown names
-        if impl not in IMPLS:
-            raise ValueError(f"unknown kernel impl {impl!r}; "
-                             f"available impls: {list(IMPLS)}")
         if chips is not None and topology is not None \
                 and topology.n_chips != chips:
             raise ValueError(f"chips={chips} contradicts "
@@ -219,7 +214,6 @@ class Session:
         self.backend = backend
         self.topology = topology
         self.partition = partition
-        self.impl = impl
         self.executor: Executor = get_executor(executor, workers=workers)
         self.cache = cache if cache is not None else \
             ProgramCache(cache_capacity, cache_dir=cache_dir,
@@ -370,7 +364,6 @@ class Session:
             "backend": self.backend,
             "topology": self.topology,
             "partition": self.partition,
-            "impl": self.impl,
             "executor": "serial",
             "cache_dir": self.cache.cache_dir,
             "cache_capacity": self.cache.capacity,
@@ -418,7 +411,7 @@ class Session:
         the peak chip's.  Every path yields an output byte-identical to
         the unsharded product.
         """
-        ctx = self.chip._context(self.impl)
+        ctx = self.chip._context()
         if self.backend != "multichip" and shards == 1:
             program, cache_hit = fetch_or_compile(
                 self.cache, a_csr, b_csr, tile, source, kind,
@@ -674,7 +667,7 @@ class Session:
 
     # ------------------------------------------------------------------
     def _provenance(self, cache_hit: bool, wall: float = 0.0) -> Provenance:
-        return Provenance(backend=self.backend, impl=self.impl,
+        return Provenance(backend=self.backend,
                           executor=self.executor.name,
                           config=self.chip.config.name,
                           cache_hit=cache_hit, wall_time_s=wall)

@@ -7,7 +7,7 @@ immutable-ish *spec* dataclass — :class:`SpGEMMSpec`, :class:`GCNLayerSpec`,
 ``session.map(specs)`` / ``session.submit(spec)``.  Each execution returns a
 :class:`RunResult`: one envelope carrying the flat metrics row, per-component
 activity factors, power/energy, and a :class:`Provenance` record (backend,
-kernel impl, executor, cache hit, wall time, shard count).
+executor, cache hit, wall time, shard count).
 
 Specs are plain data: they carry operands and knobs, never behaviour, so
 they can be pickled across process boundaries, fingerprinted for caching,
@@ -246,7 +246,6 @@ class Provenance:
 
     Attributes:
         backend: execution backend name.
-        impl: kernel implementation used by kernel-layer backends.
         executor: executor the work ran on ('serial', 'thread', 'process').
         config: chip configuration name.
         cache_hit: True when the compiled program came from the program
@@ -257,7 +256,6 @@ class Provenance:
     """
 
     backend: str = ""
-    impl: str = ""
     executor: str = "serial"
     config: str = ""
     cache_hit: bool = False
@@ -277,7 +275,7 @@ class RunResult:
             for table / CSV export after dropping ``None`` values.
         activity: per-component activity factors (when a timing report
             exists) — the input to the power model.
-        provenance: backend / impl / executor / cache / wall-time record.
+        provenance: backend / executor / cache / wall-time record.
         output: the numeric result — CSR product matrix for SpGEMM, dense
             layer output for GCN, the per-configuration metrics table for
             sweeps, ``None`` for batches.

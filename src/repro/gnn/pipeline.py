@@ -136,7 +136,7 @@ def run_gnn_model(session, spec: GNNModelSpec) -> RunResult:
     a_csr = csc_to_csr(a_csc)  # canonical CSR, same object chain as a layer run
     a_fingerprint = matrix_fingerprint(a_csr)
     tile = session.chip.config.mmh_tile_size
-    ctx = session.chip._context(session.impl)
+    ctx = session.chip._context()
     label = f"gnn-stack:{dataset.name}"
     multichip = session.backend == "multichip"
     backend = (session._multichip_backend() if multichip

@@ -635,7 +635,6 @@ class MicroBatcher:
             self._scale_out_session = Session(
                 self.session.chip,
                 backend=topology.chip_backend,
-                impl=self.session.impl,
                 executor="thread",
                 workers=topology.n_chips,
                 cache=self.session.cache)

@@ -1,5 +1,7 @@
 """Backend registry and execution backend tests."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,15 @@ from repro.backends import (
     register_backend,
 )
 from repro.backends.registry import _BACKENDS
+from repro.compiler import program as program_module
+from repro.compiler.lowering import compile_spgemm
+from repro.compiler.program import rebind_b_values
 from repro.core import GCNLayerSpec, NeuraChip, Session, SpGEMMSpec
 from repro.datasets import load_dataset
 from repro.gnn.gcn import GCNWorkload
+from repro.sparse import kernels
+from repro.sparse.convert import csr_to_csc
+from repro.sparse.csr import CSRMatrix
 
 
 @pytest.fixture(scope="module")
@@ -55,8 +63,8 @@ class TestRegistry:
             _BACKENDS.pop("null-test", None)
 
 
-def run_spgemm(chip, a, backend, impl="numpy", **spec_kwargs):
-    with Session(chip, backend=backend, impl=impl) as session:
+def run_spgemm(chip, a, backend, **spec_kwargs):
+    with Session(chip, backend=backend) as session:
         return session.run(SpGEMMSpec(a=a, **spec_kwargs))
 
 
@@ -105,7 +113,7 @@ class TestAnalyticBackend:
         a = wiki.adjacency_csr()
         program = chip.compile(a)
         result = get_backend("analytic").execute(
-            program, chip._context("numpy"), a_csr=a, b_csr=a)
+            program, chip._context(), a_csr=a, b_csr=a)
         report = result.report
         # Instruction and op counts are exact, not estimated.
         assert report.mmh_instructions == program.n_instructions
@@ -117,11 +125,13 @@ class TestAnalyticBackend:
                            a.to_dense() @ a.to_dense())
 
     def test_python_impl_produces_same_output(self, chip, wiki):
+        # The reference-loop kernel is the oracle for the program replay.
         a = wiki.adjacency_csr()
-        fast = run_spgemm(chip, a, "analytic", impl="numpy")
-        slow = run_spgemm(chip, a, "analytic", impl="python")
-        assert np.allclose(fast.output.to_dense(), slow.output.to_dense())
-        assert fast.report.cycles == slow.report.cycles
+        replayed = run_spgemm(chip, a, "analytic").output
+        oracle = kernels.spgemm(a, a, "tiled_gustavson", impl="python").matrix
+        assert np.array_equal(replayed.indptr, oracle.indptr)
+        assert np.array_equal(replayed.indices, oracle.indices)
+        assert np.allclose(replayed.data, oracle.data)
 
     def test_power_model_consumes_analytic_report(self, chip, wiki):
         result = run_spgemm(chip, wiki.adjacency_csr(), "analytic")
@@ -149,4 +159,122 @@ class TestExecutionContext:
         ctx = ExecutionContext(config=chip.config, params=chip.params,
                                mapping_scheme="drhm")
         with pytest.raises(AttributeError):
-            ctx.kernel_impl = "python"
+            ctx.eviction_mode = "barrier"
+
+
+def random_csr(shape, density, rng, dense_row=None, dense_col=None):
+    mask = rng.random(shape) < density
+    if dense_row is not None:
+        mask[dense_row, :] = True
+    if dense_col is not None:
+        mask[:, dense_col] = True
+    return CSRMatrix.from_dense(np.where(mask, rng.normal(size=shape), 0.0))
+
+
+def assert_same_csr(got, expected):
+    assert got.shape == expected.shape
+    for name in ("indptr", "indices", "data"):
+        got_array, expected_array = getattr(got, name), getattr(expected, name)
+        assert got_array.dtype == expected_array.dtype, name
+        assert np.array_equal(got_array, expected_array), name
+
+
+def replay_cases():
+    rng = np.random.default_rng(11)
+    return {
+        "empty": (CSRMatrix.empty((6, 6)), random_csr((6, 6), 0.5, rng)),
+        "single-node": (CSRMatrix.from_dense(np.array([[2.5]])),
+                        CSRMatrix.from_dense(np.array([[-1.25]]))),
+        "rectangular": (random_csr((7, 5), 0.4, rng),
+                        random_csr((5, 9), 0.4, rng)),
+        "monster-row": (random_csr((40, 40), 0.05, rng, dense_row=3,
+                                   dense_col=3),
+                        random_csr((40, 40), 0.05, rng, dense_row=3,
+                                   dense_col=3)),
+    }
+
+
+class TestProgramReplay:
+    """The analytic backend's numeric output replays the compiled program
+    through its structure-only partial-product index."""
+
+    @pytest.mark.parametrize("tile", [1, 2, 4, 8])
+    @pytest.mark.parametrize("case", ["empty", "single-node", "rectangular",
+                                      "monster-row"])
+    def test_byte_identical_to_vectorized_kernel(self, case, tile):
+        a, b = replay_cases()[case]
+        program = compile_spgemm(csr_to_csc(a), b, tile_size=tile)
+        expected = kernels.spgemm(a, b, "tiled_gustavson", "numpy",
+                                  tile_rows=tile).matrix
+        assert_same_csr(program.arrays.replay(), expected)
+
+    def test_rebind_replays_new_values_on_the_same_index(self):
+        a, b = replay_cases()["monster-row"]
+        program = compile_spgemm(csr_to_csc(a), b, tile_size=4)
+        index = program.arrays.replay_index()
+        b_new = CSRMatrix(b.indptr, b.indices, b.data * -3.5 + 1.0, b.shape)
+        rebound = rebind_b_values(program, b_new)
+        assert_same_csr(rebound.arrays.replay(),
+                        kernels.spgemm(a, b_new, tile_rows=4).matrix)
+        assert rebound.arrays.replay_index() is index
+        # The cached program still replays its own values.
+        assert_same_csr(program.arrays.replay(),
+                        kernels.spgemm(a, b, tile_rows=4).matrix)
+
+    def test_pickle_drops_and_rebuilds_the_index(self):
+        a, b = replay_cases()["rectangular"]
+        program = compile_spgemm(csr_to_csc(a), b, tile_size=2)
+        index = program.arrays.replay_index()
+        restored = pickle.loads(pickle.dumps(program))
+        assert "_derived_cache" not in restored.arrays.__dict__
+        rebuilt = restored.arrays.replay_index()
+        assert rebuilt is not index
+        for name in ("a_index", "a_rep", "pp_b", "pp_slot"):
+            assert np.array_equal(getattr(rebuilt, name), getattr(index, name))
+            assert getattr(rebuilt, name).dtype == np.int32
+        assert_same_csr(restored.arrays.replay(), program.arrays.replay())
+
+    def test_large_key_space_binary_search_path(self, monkeypatch):
+        a, b = replay_cases()["monster-row"]
+        program = compile_spgemm(csr_to_csc(a), b, tile_size=4)
+        dense = program.arrays.replay_index()
+        fresh = compile_spgemm(csr_to_csc(a), b, tile_size=4)
+        monkeypatch.setattr(program_module, "DENSE_KEY_SPACE", 0)
+        searched = fresh.arrays.replay_index()
+        assert np.array_equal(searched.pp_slot, dense.pp_slot)
+        assert searched.pp_slot.dtype == np.int32
+        assert_same_csr(fresh.arrays.replay(), program.arrays.replay())
+
+    @pytest.mark.parametrize("dense_keys", [True, False])
+    def test_partial_product_without_slot_raises(self, chip, monkeypatch,
+                                                 dense_keys):
+        a = CSRMatrix.from_dense(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        b = CSRMatrix.from_dense(np.array([[2.0, 0.0], [0.0, 3.0]]))
+        program = compile_spgemm(csr_to_csc(a), b, tile_size=1,
+                                 source="corrupted")
+        # Point op 0 (A[0, 0]) at B's row-1 entry: output (0, 1) has no slot.
+        program.arrays.op_b_lo[0] = 1
+        program.arrays.op_b_hi[0] = 2
+        if not dense_keys:
+            monkeypatch.setattr(program_module, "DENSE_KEY_SPACE", 0)
+        with pytest.raises(ValueError, match="corrupted.*no slot"):
+            get_backend("analytic").execute(program, chip._context())
+
+    def test_out_of_bounds_slice_raises(self, chip):
+        a, b = replay_cases()["rectangular"]
+        program = compile_spgemm(csr_to_csc(a), b, tile_size=2, source="oob")
+        program.arrays.op_b_lo[0] = -1
+        with pytest.raises(ValueError, match="oob.*B-tile slice"):
+            get_backend("analytic").execute(program, chip._context())
+
+    def test_output_never_aliases_the_cached_program(self, chip, wiki):
+        a = wiki.adjacency_csr()
+        with Session(chip, backend="analytic") as session:
+            first = session.run(SpGEMMSpec(a=a)).output
+            expected = first.copy()
+            first.indptr[:] = 0
+            first.indices[:] = 0
+            first.data[:] = np.nan
+            second = session.run(SpGEMMSpec(a=a))
+        assert second.provenance.cache_hit
+        assert_same_csr(second.output, expected)

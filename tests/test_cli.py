@@ -27,7 +27,7 @@ class TestParser:
     def test_backend_and_impl_defaults(self):
         args = build_parser().parse_args(["run"])
         assert args.backend == "cycle"
-        assert args.impl == "numpy"
+        assert not hasattr(args, "impl")  # one numeric path, no selector
         args = build_parser().parse_args(["batch"])
         assert args.backend == "analytic"
 
@@ -37,7 +37,7 @@ class TestParser:
 
     def test_invalid_impl_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--impl", "fortran"])
+            build_parser().parse_args(["run", "--impl", "numpy"])
 
     def test_session_flag_defaults(self):
         for command in ("run", "gcn", "sweep", "batch"):

@@ -48,7 +48,7 @@ class TestRunSpgemmShim:
                 modern = session.run(SpGEMMSpec(a=wiki))
         program = chip.compile(wiki)
         direct = get_backend("analytic").execute(
-            program, chip._context("numpy"), a_csr=wiki, b_csr=wiki)
+            program, chip._context(), a_csr=wiki, b_csr=wiki)
         assert modern.metrics["cycles"] == direct.report.cycles
         assert modern.metrics["partial_products"] == \
             program.total_partial_products

@@ -206,7 +206,7 @@ class TestValidation:
         program = chip.compile(wiki)
         backend = get_backend("multichip")
         with pytest.raises(ValueError, match="a_csr"):
-            backend.execute(program, chip._context("numpy"))
+            backend.execute(program, chip._context())
 
     def test_degenerate_chip_count_clamps(self, wiki):
         # More chips than rows of work: the contiguous plan (and the
@@ -237,7 +237,7 @@ class TestFacadeAndSubmit:
         chip = NeuraChip("Tile-4")
         program = chip.compile(wiki)
         result = get_backend("multichip").execute(
-            program, chip._context("numpy"), a_csr=wiki, verify=False)
+            program, chip._context(), a_csr=wiki, verify=False)
         assert result.backend == "multichip"
         assert np.array_equal(result.output.to_dense(),
                               single_chip.output.to_dense())
@@ -316,7 +316,7 @@ class TestPredictScaleout:
         backend = get_backend("multichip")
         backend.topology = ChipTopology(n_chips=2, partition="contiguous")
         execution = backend.execute_operands(wiki, None,
-                                             chip._context("numpy"),
+                                             chip._context(),
                                              tile_size=4, verify=False)
         assert isinstance(execution, MultiChipExecutionResult)
         assert execution.n_chips == 2
