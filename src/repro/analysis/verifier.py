@@ -30,6 +30,11 @@ ever materialized and nothing executes.  The invariants:
   eviction-counter dataflow: two lanes can only collide on an
   accumulation address if they accumulate into the same output element,
   which is precisely what the rolling-eviction counter arbitrates.
+
+At ``level="full"`` the partial products expand once, into the program's
+:class:`~repro.compiler.program.ReplayIndex` built afresh from the op
+columns (never a cached one); a clean result publishes that index for the
+program's first replay.
 """
 
 from __future__ import annotations
@@ -38,11 +43,11 @@ import numpy as np
 
 from repro.analysis.findings import Finding, VerificationError
 from repro.compiler.program import (
-    DENSE_KEY_SPACE,
     ELEMENT_BYTES,
     AddressMap,
     Program,
     ProgramArrays,
+    ReplayIndex,
 )
 
 #: 22-bit register fields of the MMH instruction limit the per-instruction
@@ -50,22 +55,10 @@ from repro.compiler.program import (
 #: verifier so the two checks can never disagree.
 OFFSET_LIMIT = (1 << 22) - 1
 
-#: Cap on partial products expanded per verification chunk at
-#: ``level="full"`` (~128 MiB of int64 keys), mirroring the symbolic
-#: pass's chunked reduction so verification never doubles peak memory.
-VERIFY_CHUNK_PARTIAL_PRODUCTS = 1 << 24
-
-#: Output shapes with ``rows * cols`` at or below this take the dense
-#: histogram path in the full-level scatter (one ``bincount`` over the
-#: flattened key space, ~64 MiB of int64 at the cap); larger shapes use
-#: a searchsorted scatter against the sorted output keys instead.  The
-#: same cut-over as the program's numeric replay.
-_DENSE_SCATTER_KEYS = DENSE_KEY_SPACE
-
 #: The two verification depths: ``"quick"`` is O(n_ops + nnz) and skips
-#: the partial-product expansion; ``"full"`` additionally scatters every
-#: partial product onto its output slot and proves the per-slot counters
-#: exact.
+#: the partial-product expansion; ``"full"`` additionally builds the
+#: program's replay index (every partial product's output slot) and proves
+#: the per-slot counters exact.
 VERIFY_LEVELS = ("quick", "full")
 
 
@@ -333,41 +326,19 @@ def _check_output_structure(arrays: ProgramArrays, source: str
     return findings, flat
 
 
-def _op_chunks(pp_per_op: np.ndarray) -> list[tuple[int, int]]:
-    """Cut ``[0, n_ops)`` into ranges of at most roughly
-    :data:`VERIFY_CHUNK_PARTIAL_PRODUCTS` expanded partial products."""
-    total = int(pp_per_op.sum())
-    n_ops = int(pp_per_op.size)
-    if total <= VERIFY_CHUNK_PARTIAL_PRODUCTS or n_ops == 0:
-        return [(0, n_ops)] if n_ops else []
-    ends = np.cumsum(pp_per_op)
-    targets = np.arange(VERIFY_CHUNK_PARTIAL_PRODUCTS, total,
-                        VERIFY_CHUNK_PARTIAL_PRODUCTS, dtype=np.int64)
-    cuts = [0, *(np.searchsorted(ends, targets, side="left") + 1), n_ops]
-    return [(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo]
-
-
-def _expanded_flat_keys(arrays: ProgramArrays, op_lo: int,
-                        op_hi: int) -> np.ndarray:
-    """Flattened output coordinates of every partial product dispatched by
-    ops ``[op_lo, op_hi)`` — the program's own replay expansion.  A chunk
-    holds at most about :data:`VERIFY_CHUNK_PARTIAL_PRODUCTS` partial
-    products, so its index arithmetic stays in int32."""
-    return arrays.pair_keys(*arrays.expand_partial_products(op_lo, op_hi))
-
-
 def _check_counters_and_exclusivity(arrays: ProgramArrays,
                                     address_map: AddressMap, source: str,
                                     total_partial_products: int | None,
-                                    level: str,
-                                    flat: np.ndarray) -> list[Finding]:
+                                    level: str, flat: np.ndarray
+                                    ) -> tuple[list[Finding],
+                                               ReplayIndex | None]:
+    """Findings plus, at ``level="full"`` on a clean program, the replay
+    index the per-slot proof built (``None`` otherwise)."""
     findings: list[Finding] = []
     nnz = arrays.output_nnz
     # Stage A bounded tile widths to (0, tile_size], so the per-op product
     # fits int32; the sums still reduce in int64.
-    pp_per_op = ((arrays.op_a_hi - arrays.op_a_lo)
-                 * (arrays.op_b_hi - arrays.op_b_lo))
-    dispatched = int(pp_per_op.sum(dtype=np.int64))
+    dispatched = int(arrays.partial_products_per_op.sum(dtype=np.int64))
     counted = int(arrays.out_counts.sum(dtype=np.int64))
     if dispatched != counted:
         findings.append(_finding(
@@ -391,16 +362,11 @@ def _check_counters_and_exclusivity(arrays: ProgramArrays,
             "address-exclusivity", source,
             f"op {index}: op_slot={int(slot[index])} outside the "
             f"{nnz}-slot output structure"))
-        return findings
+        return findings, None
     if arrays.n_ops:
-        key_space = int(arrays.shape[0]) * int(arrays.shape[1])
-        key_dtype = (np.int32 if key_space < np.iinfo(np.int32).max
-                     else np.int64)
-        first_key = (arrays.a_rows[arrays.op_a_lo].astype(key_dtype,
-                                                          copy=False)
-                     * key_dtype(arrays.shape[1])
-                     + arrays.b_cols[arrays.op_b_lo].astype(key_dtype,
-                                                            copy=False))
+        # Each op's first pair: its A-tile's first element once, against
+        # its B-tile's first element.
+        first_key = arrays.pair_keys(arrays.op_a_lo, 1, arrays.op_b_lo)
         mismatch = flat[slot] != first_key
         if np.any(mismatch):
             index = _first_bad(mismatch)
@@ -423,60 +389,16 @@ def _check_counters_and_exclusivity(arrays: ProgramArrays,
                 "two ops could accumulate at one address without sharing "
                 "an output key"))
     if level != "full" or findings:
-        return findings
+        return findings, None
 
-    # Full level: scatter every partial product onto its slot and prove
-    # the per-slot counters exact (and every pair's address resolvable).
-    # Small key spaces take the dense-histogram path (one bincount over
-    # row*n_cols+col, no per-key binary search); larger shapes fall back
-    # to searchsorted against the sorted output keys so the verifier
-    # never allocates more than _DENSE_SCATTER_KEYS histogram entries.
-    key_space = int(arrays.shape[0]) * int(arrays.shape[1])
-    if key_space <= _DENSE_SCATTER_KEYS:
-        chunks = _op_chunks(pp_per_op)
-        if len(chunks) == 1:
-            keys = _expanded_flat_keys(arrays, *chunks[0])
-            histogram = np.bincount(keys, minlength=key_space)
-        else:
-            histogram = np.zeros(key_space, dtype=np.int64)
-            for op_lo, op_hi in chunks:
-                keys = _expanded_flat_keys(arrays, op_lo, op_hi)
-                histogram += np.bincount(keys, minlength=key_space)
-        accumulated = histogram[flat]
-        # Every expanded key landed in the histogram, so mass missing
-        # from the owned slots is mass on unowned keys.
-        stray = dispatched - int(accumulated.sum())
-        if stray:
-            owned = np.zeros(key_space, dtype=bool)
-            owned[flat] = True
-            key = int(np.argmax((histogram > 0) & ~owned))
-            findings.append(_finding(
-                "address-exclusivity", source,
-                f"a partial product targets output key {key} "
-                f"(row {key // arrays.shape[1]}, "
-                f"col {key % arrays.shape[1]}) which has no slot in the "
-                "symbolic output structure — its accumulation address is "
-                "unowned"))
-            return findings
-    else:
-        accumulated = np.zeros(max(nnz, 1), dtype=np.int64)
-        for op_lo, op_hi in _op_chunks(pp_per_op):
-            keys = _expanded_flat_keys(arrays, op_lo, op_hi)
-            slots = np.searchsorted(flat, keys)
-            valid = (slots < nnz)
-            valid &= flat[np.minimum(slots, max(nnz - 1, 0))] == keys
-            if not np.all(valid):
-                key = int(keys[_first_bad(~valid)])
-                findings.append(_finding(
-                    "address-exclusivity", source,
-                    f"a partial product targets output key {key} "
-                    f"(row {key // arrays.shape[1]}, "
-                    f"col {key % arrays.shape[1]}) which has no slot in "
-                    "the symbolic output structure — its accumulation "
-                    "address is unowned"))
-                return findings
-            np.add.at(accumulated, slots, 1)
-        accumulated = accumulated[:nnz]
+    # Full level: build the replay index afresh from the op columns (never
+    # a cached one), so every partial product resolves to its slot, then
+    # prove the per-slot counters exact.
+    replay, problem = arrays.build_replay_index()
+    if replay is None:
+        findings.append(_finding("address-exclusivity", source, problem))
+        return findings, None
+    accumulated = np.bincount(replay.pp_slot, minlength=nnz)
     mismatch = accumulated != arrays.out_counts
     if np.any(mismatch):
         index = _first_bad(mismatch)
@@ -486,7 +408,8 @@ def _check_counters_and_exclusivity(arrays: ProgramArrays,
             f"{int(accumulated[index])} partial products but the rolling "
             f"counter says {int(arrays.out_counts[index])} — the eviction "
             "countdown would fire early or never"))
-    return findings
+        return findings, None
+    return findings, replay
 
 
 # ----------------------------------------------------------------------
@@ -496,7 +419,12 @@ def verify_arrays(arrays: ProgramArrays, address_map: AddressMap,
                   source: str = "program",
                   total_partial_products: int | None = None,
                   level: str = "full") -> list[Finding]:
-    """Verify one columnar payload; returns findings (empty == proven)."""
+    """Verify one columnar payload; returns findings (empty == proven).
+
+    A clean full-level pass publishes the replay index it built into the
+    payload's derived cache (unless one is already there), so the
+    program's first replay reuses it instead of expanding again.
+    """
     if level not in VERIFY_LEVELS:
         raise ValueError(f"unknown verify level {level!r}; expected one of "
                          f"{VERIFY_LEVELS}")
@@ -510,8 +438,11 @@ def verify_arrays(arrays: ProgramArrays, address_map: AddressMap,
         return findings  # slot lookups below need sane slices/structure
     findings += _check_offsets(arrays, address_map, source)
     findings += _check_row_groups(arrays, source)
-    findings += _check_counters_and_exclusivity(
+    counter_findings, replay = _check_counters_and_exclusivity(
         arrays, address_map, source, total_partial_products, level, flat)
+    findings += counter_findings
+    if not findings and replay is not None:
+        arrays._derived().setdefault("replay", replay)
     return findings
 
 

@@ -1,14 +1,15 @@
 """NeuraCompiler: lowers SpGEMM / GCN aggregation onto the NeuraChip ISA.
 
 The compiler mirrors the paper's NeuraCompiler module: it takes the adjacency
-matrix (CSC) and the feature matrix (CSR), runs a symbolic pass to obtain the
-rolling-eviction counters, lays the operands out in a virtual HBM address
-space, and emits a stream of MMH macro-operations, each of which expands to up
-to ``tile_size**2`` HACC operations at execution time.
+matrix (CSC) and the feature matrix (CSR), emits a stream of MMH
+macro-operations, each of which expands to up to ``tile_size**2`` HACC
+operations at execution time, counts the rolling-eviction counters from that
+stream, and lays the operands out in a virtual HBM address space.
 
-The production pipeline is columnar end to end: the symbolic pass yields
-CSR-shaped counter arrays, the lowering computes every tile expansion and
-operand address with vectorized index arithmetic, and the resulting
+The production pipeline is columnar end to end: the lowering computes every
+tile expansion with vectorized index arithmetic, one expansion of the op
+stream's partial products yields the CSR-shaped counter arrays and output
+slots, the operand addresses follow, and the resulting
 :class:`~repro.compiler.program.ProgramArrays` payload materializes
 :class:`~repro.compiler.program.MMHMacroOp` objects lazily.  The original
 loop lowering survives as :func:`~repro.compiler.lowering.compile_spgemm_loop`,

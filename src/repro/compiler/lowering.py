@@ -11,24 +11,29 @@ per pairing, dispatching up to ``tile_size**2`` HACC instructions.
 Processing whole row groups before moving on is what keeps hash lines short
 lived: every contribution to an output element arrives while its row group is
 being processed, so the rolling-eviction counter reaches zero quickly and the
-HashPad stays small.  A symbolic pass provides the rolling counters placed in
-memory for the NeuraCores to read (Algorithm 1, line 6).
+HashPad stays small.  The rolling counters placed in memory for the
+NeuraCores to read (Algorithm 1, line 6) are counted from the program's own
+op stream: an output element's counter is the number of HACCs the MMH
+stream sends to it.
 
 Two compilers share this lowering contract:
 
-* :func:`compile_spgemm` — the production path.  Row-group/tile expansion,
-  operand offsets, output-slot assignment and rolling-counter addresses are
-  all computed with ``np.repeat`` / ``cumsum`` / ``searchsorted`` over the
-  CSR/CSC index arrays (no per-nonzero Python loop), emitting a columnar
-  :class:`~repro.compiler.program.ProgramArrays` payload whose macro-ops
-  materialize lazily.
-* :func:`compile_spgemm_loop` — the original per-row-group Python loops,
+* :func:`compile_spgemm` — the production path.  Row-group/tile expansion
+  and operand offsets use ``np.repeat`` / ``cumsum`` over the CSR/CSC index
+  arrays (no per-nonzero Python loop), and one expansion of the op stream
+  yields the output structure, rolling counters and op slots, emitting a
+  columnar :class:`~repro.compiler.program.ProgramArrays` payload whose
+  macro-ops materialize lazily.
+* :func:`compile_spgemm_loop` — the original per-row-group Python loops
+  over the symbolic pass (:func:`~repro.sparse.symbolic.symbolic_spgemm_from_csc`),
   kept as the executable specification: the columnar compiler must produce
   byte-identical instruction encodings and identical macro-op streams
   (asserted by the equivalence test suite and the compiler benchmark).
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -40,6 +45,7 @@ from repro.analysis.verifier import (
 from repro.arch.isa import MMHInstruction, Opcode
 from repro.compiler.program import (
     AddressMap,
+    DENSE_KEY_SPACE,
     ELEMENT_BYTES,
     MMHMacroOp,
     Program,
@@ -48,7 +54,11 @@ from repro.compiler.program import (
 from repro.sparse.convert import csc_to_csr
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.symbolic import SymbolicProduct, symbolic_spgemm_from_csc
+from repro.sparse.symbolic import (
+    count_keys_chunked,
+    output_structure,
+    symbolic_spgemm_from_csc,
+)
 
 # The 22-bit MMH offset limit and its compile-time checks live in
 # repro.analysis.verifier so the compiler and the static IR verifier can
@@ -56,9 +66,46 @@ from repro.sparse.symbolic import SymbolicProduct, symbolic_spgemm_from_csc
 # and its historical import surface stable.
 
 
-def _lower_columnar(a_csc: CSCMatrix, b_csr: CSRMatrix,
-                    symbolic: SymbolicProduct, address_map: AddressMap,
-                    tile_size: int, opcode: Opcode) -> ProgramArrays:
+def _rolling_counters(ops: ProgramArrays
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                 np.ndarray, int]:
+    """Count the rolling counters from the op stream of ``ops``: expand
+    its partial products once, in program order, and reduce their output
+    keys; each op's slot is that of its first partial product's key.
+    Returns ``(out_indptr, out_indices, out_counts, op_slot,
+    total_partial_products)``."""
+    if ops.n_ops == 0:  # every op dispatches at least one partial product
+        return (np.zeros(ops.shape[0] + 1, dtype=np.int64),
+                np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                np.zeros(0, dtype=np.int64), 0)
+    pp_per_op = ops.partial_products_per_op
+    ends = np.cumsum(pp_per_op, dtype=np.int64)
+    first_keys = []
+
+    def op_keys(lo: int, hi: int) -> np.ndarray:
+        keys = ops.pair_keys(*ops.expand_partial_products(lo, hi))
+        base = int(ends[lo - 1]) if lo else 0
+        first_keys.append(keys[ends[lo:hi] - pp_per_op[lo:hi] - base])
+        return keys
+
+    unique, counts = count_keys_chunked(ends, op_keys)
+    first = np.concatenate(first_keys)
+    key_space = ops.shape[0] * ops.shape[1]
+    if key_space <= DENSE_KEY_SPACE:
+        # Only the slots of keys that occur are ever read back, so the
+        # table needs no fill; it is freed before the arrays are packed.
+        slot_of_key = np.empty(key_space, dtype=np.int32)
+        slot_of_key[unique] = np.arange(unique.size, dtype=np.int32)
+        op_slot = slot_of_key[first]
+        del slot_of_key
+    else:
+        op_slot = np.searchsorted(unique, first)
+    indptr, indices = output_structure(unique, ops.shape)
+    return indptr, indices, counts, op_slot, int(ends[-1])
+
+
+def _lower_columnar(a_csc: CSCMatrix, b_csr: CSRMatrix, tile_size: int,
+                    opcode: Opcode) -> tuple[ProgramArrays, AddressMap, int]:
     """Vectorized row-group/tile expansion onto the columnar program IR.
 
     Works entirely on the operand index arrays:
@@ -70,11 +117,14 @@ def _lower_columnar(a_csc: CSCMatrix, b_csr: CSRMatrix,
     2. Each segment fans out into ``ceil(nb[k] / tile_size)`` ops via
        ``np.repeat`` with a cumulative-offset tile index (the same
        expansion the SpGEMM kernels use for partial products).
-    3. Rolling-counter addresses resolve through one ``searchsorted`` of
-       each op's first (row, col) pair against the symbolic slot order.
+    3. The rolling counters and every op's output slot are counted from
+       that op stream (:func:`_rolling_counters`).
+    4. The address map follows from the output size, and the operand
+       addresses are checked against the 22-bit MMH fields.
+
+    Returns the payload, its address map and the total partial products.
     """
     n_inner = a_csc.shape[1]
-    n_cols = b_csr.shape[1]
     a_nnz = a_csc.nnz
     int_like = np.int64
 
@@ -124,36 +174,48 @@ def _lower_columnar(a_csc: CSCMatrix, b_csr: CSRMatrix,
         np.not_equal(op_group[1:], op_group[:-1], out=op_reseed[:-1])
         op_reseed[-1] = True
 
-    # --- 3. rolling-counter slots and operand addresses ----------------
-    first_flat = a_csc.indices[op_a_lo] * n_cols + b_csr.indices[op_b_lo]
-    op_slot = np.searchsorted(symbolic.flat_keys(),
-                              first_flat).astype(int_like)
-    op_a_addr = address_map.a_data_base + op_a_lo * ELEMENT_BYTES
-    op_b_col_addr = address_map.b_col_ind_base + op_b_lo * ELEMENT_BYTES
-    op_b_data_addr = address_map.b_data_base + op_b_lo * ELEMENT_BYTES
-    op_counter_addr = address_map.roll_counter_base + op_slot * ELEMENT_BYTES
-    _check_offset_arrays(a_data=op_a_addr, b_col_ind=op_b_col_addr,
-                         b_data=op_b_data_addr, roll_counter=op_counter_addr)
-
     # Everything stored per-op or per-nonzero fits comfortably in 32 bits
     # (indices are matrix dimensions, addresses passed the 22-bit check),
     # so the persisted payload is downcast to halve spill/ship size.
     narrow = np.int32
-    return ProgramArrays(
-        opcode=opcode, tile_size=tile_size, shape=symbolic.shape,
-        out_indptr=symbolic.indptr,
-        out_indices=symbolic.indices.astype(narrow),
-        out_counts=symbolic.counts.astype(narrow),
+    # The op columns alone drive the partial-product expansion, so the
+    # payload starts without its output structure, slots and addresses.
+    unset = np.zeros(0, dtype=narrow)
+    ops = ProgramArrays(
+        opcode=opcode, tile_size=tile_size,
+        shape=(a_csc.shape[0], b_csr.shape[1]),
+        out_indptr=unset, out_indices=unset, out_counts=unset,
         a_rows=a_csc.indices.astype(narrow), a_values=a_csc.data.copy(),
         b_cols=b_csr.indices.astype(narrow), b_values=b_csr.data.copy(),
         op_k=op_k.astype(narrow), op_group=op_group.astype(narrow),
         op_a_lo=op_a_lo.astype(narrow), op_a_hi=op_a_hi.astype(narrow),
         op_b_lo=op_b_lo.astype(narrow), op_b_hi=op_b_hi.astype(narrow),
-        op_slot=op_slot.astype(narrow), op_reseed=op_reseed,
+        op_slot=unset, op_reseed=op_reseed, op_a_addr=unset,
+        op_b_col_addr=unset, op_b_data_addr=unset, op_counter_addr=unset)
+
+    # --- 3. rolling counters from the op stream -----------------------
+    out_indptr, out_indices, out_counts, op_slot, total = \
+        _rolling_counters(ops)
+
+    # --- 4. operand addresses ------------------------------------------
+    address_map = AddressMap.layout(a_nnz, b_csr.nnz, out_indices.size)
+    op_a_addr = address_map.a_data_base + op_a_lo * ELEMENT_BYTES
+    op_b_col_addr = address_map.b_col_ind_base + op_b_lo * ELEMENT_BYTES
+    op_b_data_addr = address_map.b_data_base + op_b_lo * ELEMENT_BYTES
+    op_counter_addr = (address_map.roll_counter_base
+                       + op_slot.astype(int_like) * ELEMENT_BYTES)
+    _check_offset_arrays(a_data=op_a_addr, b_col_ind=op_b_col_addr,
+                         b_data=op_b_data_addr, roll_counter=op_counter_addr)
+    arrays = dataclasses.replace(
+        ops, out_indptr=out_indptr,
+        out_indices=out_indices.astype(narrow),
+        out_counts=out_counts.astype(narrow),
+        op_slot=op_slot.astype(narrow),
         op_a_addr=op_a_addr.astype(narrow),
         op_b_col_addr=op_b_col_addr.astype(narrow),
         op_b_data_addr=op_b_data_addr.astype(narrow),
         op_counter_addr=op_counter_addr.astype(narrow))
+    return arrays, address_map, total
 
 
 def compile_spgemm(a_csc: CSCMatrix, b_csr: CSRMatrix, tile_size: int = 4,
@@ -179,19 +241,16 @@ def compile_spgemm(a_csc: CSCMatrix, b_csr: CSRMatrix, tile_size: int = 4,
         raise ValueError(f"dimension mismatch: A is {a_csc.shape}, B is {b_csr.shape}")
     opcode = Opcode.mmh_for_tile(tile_size)
 
-    symbolic = symbolic_spgemm_from_csc(a_csc, b_csr)
-    address_map = AddressMap.layout(a_csc.nnz, b_csr.nnz, symbolic.nnz)
-    arrays = _lower_columnar(a_csc, b_csr, symbolic, address_map,
-                             tile_size, opcode)
-
+    arrays, address_map, total = _lower_columnar(a_csc, b_csr, tile_size,
+                                                 opcode)
     return Program(
         arrays=arrays,
         address_map=address_map,
-        shape=symbolic.shape,
+        shape=arrays.shape,
         tile_size=tile_size,
         a_nnz=a_csc.nnz,
         b_nnz=b_csr.nnz,
-        total_partial_products=symbolic.total_partial_products,
+        total_partial_products=total,
         source=source,
         metadata={"n_row_groups": arrays.n_row_groups},
     )

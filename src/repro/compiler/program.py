@@ -47,8 +47,8 @@ ELEMENT_BYTES = 4
 #: Output shapes with ``rows * cols`` at or below this resolve output keys
 #: to slots through a dense key -> slot table (one gather, ~32 MiB of int32
 #: at the cap); larger shapes binary-search the sorted output keys instead,
-#: so transient memory stays bounded.  The IR verifier's full-level scatter
-#: uses the same cut-over.
+#: so transient memory stays bounded.  The compiler's rolling-counter
+#: reduction uses the same cut-over.
 DENSE_KEY_SPACE = 1 << 23
 
 _INT32_MAX = np.iinfo(np.int32).max
@@ -385,7 +385,8 @@ class ProgramArrays:
         position of every A-tile element, the partial products each takes
         part in, and the ``b_cols`` / ``b_values`` position of every
         partial product — the cumulative-offset expansion the SpGEMM
-        kernels and the symbolic pass use.  ``dtype`` is the index
+        kernels use, and the one the compiler's rolling-counter count and
+        :meth:`build_replay_index` share.  ``dtype`` is the index
         arithmetic type; int32 needs fewer than 2**31 partial products.
         """
         a_lo = self.op_a_lo[op_lo:op_hi]
@@ -403,7 +404,7 @@ class ProgramArrays:
                    + np.repeat(np.repeat(b_lo, n_a) - ends + a_rep, a_rep))
         return a_index, a_rep, b_index
 
-    def pair_keys(self, a_index: np.ndarray, a_rep: np.ndarray,
+    def pair_keys(self, a_index: np.ndarray, a_rep: np.ndarray | int,
                   b_index: np.ndarray) -> np.ndarray:
         """Flattened output coordinate of every partial product of an
         :meth:`expand_partial_products` expansion (int32 when the key
@@ -416,27 +417,27 @@ class ProgramArrays:
         keys += self.b_cols[b_index]
         return keys
 
-    def _check_replayable(self, source: str) -> None:
-        """Bounds that keep every replay gather inside its operand (the
+    def _replay_bounds_error(self) -> str | None:
+        """Why a replay gather would leave its operand, or ``None`` (the
         IR verifier proves more; this holds even without it)."""
         for name, lo, hi, size in (
                 ("A", self.op_a_lo, self.op_a_hi, self.a_rows.size),
                 ("B", self.op_b_lo, self.op_b_hi, self.b_cols.size)):
             if lo.size and (int(lo.min()) < 0 or int(hi.max()) > size
                             or bool(np.any(hi < lo))):
-                raise ValueError(
-                    f"program {source!r}: an op's {name}-tile slice lies "
-                    f"outside the {size}-element {name} operand")
+                return (f"an op's {name}-tile slice lies outside the "
+                        f"{size}-element {name} operand")
         for name, index, bound in (("a_rows", self.a_rows, self.shape[0]),
                                    ("b_cols", self.b_cols, self.shape[1])):
             if index.size and (int(index.min()) < 0
                                or int(index.max()) >= bound):
-                raise ValueError(f"program {source!r}: {name} holds an "
-                                 f"index outside [0, {bound})")
+                return f"{name} holds an index outside [0, {bound})"
+        return None
 
     def replay_index(self, source: str = "program") -> ReplayIndex:
-        """The program's :class:`ReplayIndex`, built on first use and
-        cached (shared with rebound copies, never pickled).
+        """The program's :class:`ReplayIndex`, built on first use (or
+        published by a clean full-level IR verification) and cached
+        (shared with rebound copies, never pickled).
 
         Raises:
             ValueError: naming ``source`` when an op slice is out of
@@ -445,11 +446,21 @@ class ProgramArrays:
         derived = self._derived()
         index = derived.get("replay")
         if index is None:
-            index = derived["replay"] = self._build_replay_index(source)
+            index, problem = self.build_replay_index()
+            if index is None:
+                raise ValueError(f"program {source!r}: {problem}")
+            index = derived.setdefault("replay", index)
         return index
 
-    def _build_replay_index(self, source: str) -> ReplayIndex:
-        self._check_replayable(source)
+    def build_replay_index(self) -> tuple[ReplayIndex | None, str | None]:
+        """Build a fresh :class:`ReplayIndex` from the current op columns,
+        never from the cache — the one builder behind :meth:`replay_index`
+        and the full-level IR verifier.  Returns ``(index, None)``, or
+        ``(None, problem)`` when an operand bound is broken or a partial
+        product has no output slot."""
+        problem = self._replay_bounds_error()
+        if problem is not None:
+            return None, problem
         total = int(self.partial_products_per_op.sum(dtype=np.int64))
         dtype = np.int32 if total < _INT32_MAX else np.int64
         a_index, a_rep, pp_b = self.expand_partial_products(dtype=dtype)
@@ -470,15 +481,15 @@ class ProgramArrays:
             pp_slot = pp_slot.astype(np.int32)
         if keys.size and bool(missing.any()):
             key = int(keys[int(np.argmax(missing))])
-            raise ValueError(
-                f"program {source!r}: a partial product targets output "
-                f"(row {key // self.shape[1]}, col {key % self.shape[1]}), "
-                "which has no slot in the symbolic output structure")
+            return None, (
+                f"a partial product targets output (row "
+                f"{key // self.shape[1]}, col {key % self.shape[1]}), which "
+                "has no slot in the symbolic output structure")
         narrow = np.int32
         return ReplayIndex(a_index=a_index.astype(narrow, copy=False),
                            a_rep=a_rep.astype(narrow, copy=False),
                            pp_b=pp_b.astype(narrow, copy=False),
-                           pp_slot=pp_slot)
+                           pp_slot=pp_slot), None
 
     def replay(self, source: str = "program") -> CSRMatrix:
         """Numeric output C = A @ B from this payload's operand values.

@@ -63,7 +63,10 @@ backlog makespan; bounded-queue overflow maps to ``503`` (same
 bodies (JSON or binary frames) to ``400``; unsupported ``Content-Type``
 to ``415``; dangling operand refs to ``404``; and oversized bodies to
 ``413`` — rejected from the ``Content-Length`` header alone, before any
-body bytes are buffered.
+body bytes are buffered.  A request line over :data:`LINE_LIMIT` bytes
+gets ``414``; a longer header line or more than :data:`MAX_HEADERS`
+header lines gets ``431``.  Each of these head rejections closes the
+connection.
 
 Failure semantics worth knowing when writing a client: results are
 byte-identical to a direct ``Session.run`` of the same spec, verification
@@ -150,10 +153,25 @@ MAX_CACHED_DATASETS = 32
 #: Request content types the front-end accepts; anything else is 415.
 _ACCEPTED_CONTENT_TYPES = ("", "application/json", WIRE_CONTENT_TYPE)
 
+#: Longest request or header line: the ``asyncio`` stream limit, past
+#: which ``readline`` raises instead of returning the line.
+LINE_LIMIT = 64 * 1024
+
+#: Most header lines one request may carry; more is answered with 431.
+MAX_HEADERS = 100
+
+#: After refusing an unreadable request head, the server discards what the
+#: client is still sending for at most this long and this many bytes
+#: before it closes the connection.
+LINGER_S = 1.0
+LINGER_BYTES = 1024 * 1024
+
 _STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found",
                 405: "Method Not Allowed", 406: "Not Acceptable",
                 409: "Conflict", 413: "Payload Too Large",
-                415: "Unsupported Media Type", 429: "Too Many Requests",
+                414: "URI Too Long", 415: "Unsupported Media Type",
+                429: "Too Many Requests",
+                431: "Request Header Fields Too Large",
                 500: "Internal Server Error", 503: "Service Unavailable",
                 504: "Gateway Timeout"}
 
@@ -162,6 +180,23 @@ TENANT_HEADER = "x-repro-tenant"
 
 #: Accepted tenant names: short, filesystem/log-safe identifiers.
 _TENANT_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
+
+
+async def _read_headers(reader: asyncio.StreamReader
+                        ) -> tuple[dict[str, str], str | None]:
+    """Header fields up to the blank line, plus the reason to refuse the
+    request with 431 (``None`` when the headers are acceptable)."""
+    headers: dict[str, str] = {}
+    for _ in range(MAX_HEADERS + 1):
+        try:
+            line = await reader.readline()
+        except ValueError:  # over the stream's line limit
+            return headers, f"header line longer than {LINE_LIMIT} bytes"
+        if line in (b"\r\n", b"\n", b""):
+            return headers, None
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return headers, f"more than {MAX_HEADERS} header lines"
 
 
 def _jsonable(value: Any) -> Any:
@@ -289,7 +324,8 @@ class ReproServer:
         """Start the batcher thread and bind the listening socket."""
         self.batcher.start()
         self._server = await asyncio.start_server(self._handle_connection,
-                                                  self.host, self.port)
+                                                  self.host, self.port,
+                                                  limit=LINE_LIMIT)
         self.port = self._server.sockets[0].getsockname()[1]
         return self
 
@@ -338,7 +374,13 @@ class ReproServer:
                                  writer: asyncio.StreamWriter) -> None:
         try:
             while True:
-                request_line = await reader.readline()
+                try:
+                    request_line = await reader.readline()
+                except ValueError:  # over the stream's line limit
+                    await self._refuse_head(
+                        reader, writer, 414,
+                        f"request line longer than {LINE_LIMIT} bytes")
+                    break
                 if not request_line:
                     break
                 try:
@@ -349,13 +391,10 @@ class ReproServer:
                                         {"error": "malformed request line"},
                                         keep_alive=False)
                     break
-                headers: dict[str, str] = {}
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    name, _, value = line.decode("latin-1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
+                headers, refused = await _read_headers(reader)
+                if refused:
+                    await self._refuse_head(reader, writer, 431, refused)
+                    break
                 try:
                     length = int(headers.get("content-length") or 0)
                 except ValueError:
@@ -400,6 +439,31 @@ class ReproServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+
+    async def _refuse_head(self, reader: asyncio.StreamReader,
+                           writer: asyncio.StreamWriter, status: int,
+                           error: str) -> None:
+        """Answer a request whose head cannot be read, then half-close and
+        discard what the client is still sending, for at most
+        :data:`LINGER_S` and :data:`LINGER_BYTES`: closing a socket with
+        unread input resets the connection, which can destroy the
+        response before the client reads it."""
+        await self._respond(writer, status, {"error": error},
+                            keep_alive=False)
+        writer.write_eof()
+
+        async def discard() -> None:
+            remaining = LINGER_BYTES
+            while remaining > 0:
+                chunk = await reader.read(min(remaining, LINE_LIMIT))
+                if not chunk:
+                    return
+                remaining -= len(chunk)
+
+        try:
+            await asyncio.wait_for(discard(), LINGER_S)
+        except asyncio.TimeoutError:
+            pass
 
     async def _respond(self, writer: asyncio.StreamWriter, status: int,
                        payload: "dict | _BinaryPayload",

@@ -2,9 +2,11 @@
 
 The rolling-eviction mechanism of NeuraChip (Section 3.4) relies on a
 per-output-element counter: the number of partial products that will be
-accumulated into each non-zero of C = A @ B.  The NeuraCompiler obtains
-these counters with a symbolic pass over the operand structures, which is
-exactly what this module implements.
+accumulated into each non-zero of C = A @ B.  This module computes them
+with a symbolic pass over the operand structures; the production compiler
+counts the same counters from its own op stream, through the chunked
+reduction (:func:`count_keys_chunked`, :func:`output_structure`) shared
+here.
 
 The pass is *columnar*: its result is a CSR-shaped structure-of-arrays
 (``indptr`` / ``indices`` / ``counts``) rather than a ``(row, col) -> count``
@@ -17,6 +19,7 @@ lazy views for compatibility with existing callers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -24,9 +27,10 @@ from repro.sparse.csc import CSCMatrix
 from repro.sparse.csr import CSRMatrix
 
 #: Cap on partial products expanded per reduction chunk (~256 MiB of int64
-#: keys); above this the pass reduces chunk-by-chunk so peak memory stays
-#: bounded by the chunk size plus the accumulated per-chunk unique sets,
-#: instead of the full O(total_partial_products) expansion.
+#: keys), here and in the compiler's rolling-counter count; above this the
+#: reduction goes chunk by chunk so peak memory stays bounded by the chunk
+#: size plus the accumulated per-chunk unique sets, instead of the full
+#: O(total_partial_products) expansion.
 SYMBOLIC_CHUNK_PARTIAL_PRODUCTS = 1 << 25
 
 
@@ -113,35 +117,32 @@ class SymbolicProduct:
 
     def flat_keys(self) -> np.ndarray:
         """Flattened output coordinates ``row * n_cols + col`` per slot,
-        ascending — the compiler's slot-lookup index."""
+        ascending — the canonical slot order."""
         return self._row_per_slot() * self.shape[1] + self.indices
 
 
-def _expand_and_count(row_of_a: np.ndarray, k_of_a: np.ndarray,
-                      rep: np.ndarray, ends: np.ndarray, b_csr: CSRMatrix,
-                      n_cols: int, lo: int, hi: int
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Expand A entries ``[lo, hi)`` into flattened output coordinates and
-    reduce them to (sorted unique keys, per-key counts).
+def count_keys_chunked(ends: np.ndarray,
+                       expand: Callable[[int, int], np.ndarray]
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce the flattened output keys of items ``[0, ends.size)`` to
+    (sorted unique keys, per-key counts).
 
-    The gather rebases each B slice by the cumulative repeat counts plus a
-    running position (the kernel layer's cumulative-offset expansion).
+    ``ends`` holds the items' cumulative partial-product counts and
+    ``expand(lo, hi)`` returns the keys of items ``[lo, hi)``.  The items
+    expand in ranges of about :data:`SYMBOLIC_CHUNK_PARTIAL_PRODUCTS`
+    partial products (a single item may exceed the cap), and only each
+    range's unique set stays resident.
     """
-    rep_c = rep[lo:hi]
-    base = int(ends[lo - 1]) if lo else 0
-    total_c = int(ends[hi - 1]) - base
-    b_index = np.arange(total_c, dtype=np.int64) + base
-    b_index += np.repeat(b_csr.indptr[k_of_a[lo:hi]] - ends[lo:hi] + rep_c,
-                         rep_c)
-    keys = np.repeat(row_of_a[lo:hi] * n_cols, rep_c)
-    keys += b_csr.indices[b_index]
-    return np.unique(keys, return_counts=True)
-
-
-def _merge_unique_counts(parts: list[tuple[np.ndarray, np.ndarray]]
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Merge per-chunk (unique keys, counts) pairs, summing counts of keys
-    that appear in several chunks."""
+    if not ends.size:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    targets = np.arange(SYMBOLIC_CHUNK_PARTIAL_PRODUCTS, int(ends[-1]),
+                        SYMBOLIC_CHUNK_PARTIAL_PRODUCTS, dtype=np.int64)
+    cuts = np.unique([0, *np.searchsorted(ends, targets) + 1, ends.size])
+    parts = [np.unique(expand(lo, hi), return_counts=True)
+             for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist())]
+    if len(parts) == 1:
+        return parts[0]
+    # Merge the ranges' sets, summing the counts of keys in several.
     keys = np.concatenate([part[0] for part in parts])
     counts = np.concatenate([part[1] for part in parts])
     order = np.argsort(keys, kind="stable")
@@ -151,6 +152,16 @@ def _merge_unique_counts(parts: list[tuple[np.ndarray, np.ndarray]]
     np.not_equal(keys[1:], keys[:-1], out=boundaries[1:])
     starts = np.flatnonzero(boundaries)
     return keys[starts], np.add.reduceat(counts, starts)
+
+
+def output_structure(unique: np.ndarray, shape: tuple[int, int]
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices)`` of ascending flattened output keys; keys
+    ascend row-major, so each row's first slot is one binary search."""
+    n_rows, n_cols = shape
+    row_starts = np.arange(n_rows + 1, dtype=unique.dtype) * n_cols
+    indptr = np.searchsorted(unique, row_starts)
+    return indptr, unique - np.repeat(row_starts[:-1], np.diff(indptr))
 
 
 def _symbolic_from_pairs(row_of_a: np.ndarray, k_of_a: np.ndarray,
@@ -166,38 +177,28 @@ def _symbolic_from_pairs(row_of_a: np.ndarray, k_of_a: np.ndarray,
     the transient expansion never materialises all partial products at
     once.
     """
-    n_rows, n_cols = shape
+    n_cols = shape[1]
     nb = b_csr.row_nnz_counts()
     rep = nb[k_of_a] if k_of_a.size else np.zeros(0, dtype=np.int64)
-    total = int(rep.sum())
-    if total == 0:
-        return SymbolicProduct(shape=shape,
-                               indptr=np.zeros(n_rows + 1, dtype=np.int64),
-                               indices=np.zeros(0, dtype=np.int64),
-                               counts=np.zeros(0, dtype=np.int64),
-                               total_partial_products=0)
     ends = np.cumsum(rep)
-    if total <= SYMBOLIC_CHUNK_PARTIAL_PRODUCTS:
-        unique, counts = _expand_and_count(row_of_a, k_of_a, rep, ends,
-                                           b_csr, n_cols, 0, rep.size)
-    else:
-        # Split on A-entry boundaries so each chunk expands at most about
-        # one chunk's worth of partial products (single entries may exceed
-        # the cap; a chunk always advances by at least one entry).
-        targets = np.arange(SYMBOLIC_CHUNK_PARTIAL_PRODUCTS, total,
-                            SYMBOLIC_CHUNK_PARTIAL_PRODUCTS, dtype=np.int64)
-        cuts = [0, *np.searchsorted(ends, targets, side="left") + 1, rep.size]
-        parts = [_expand_and_count(row_of_a, k_of_a, rep, ends, b_csr,
-                                   n_cols, lo, hi)
-                 for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo]
-        unique, counts = _merge_unique_counts(parts)
-    major = unique // n_cols
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(major, minlength=n_rows), out=indptr[1:])
-    return SymbolicProduct(shape=shape, indptr=indptr,
-                           indices=unique - major * n_cols,
+
+    def expand(lo: int, hi: int) -> np.ndarray:
+        # Rebase each B slice by the cumulative repeat counts plus a
+        # running position (the kernels' cumulative-offset expansion).
+        rep_c = rep[lo:hi]
+        base = int(ends[lo - 1]) if lo else 0
+        b_index = np.arange(int(ends[hi - 1]) - base, dtype=np.int64) + base
+        b_index += np.repeat(b_csr.indptr[k_of_a[lo:hi]] - ends[lo:hi]
+                             + rep_c, rep_c)
+        keys = np.repeat(row_of_a[lo:hi] * n_cols, rep_c)
+        keys += b_csr.indices[b_index]
+        return keys
+
+    unique, counts = count_keys_chunked(ends, expand)
+    indptr, indices = output_structure(unique, shape)
+    return SymbolicProduct(shape=shape, indptr=indptr, indices=indices,
                            counts=counts.astype(np.int64),
-                           total_partial_products=total)
+                           total_partial_products=int(rep.sum()))
 
 
 def symbolic_spgemm(a_csr: CSRMatrix, b_csr: CSRMatrix) -> SymbolicProduct:

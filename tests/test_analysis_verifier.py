@@ -19,8 +19,10 @@ from repro.analysis.verifier import (
     verify_program,
 )
 from repro.compiler.lowering import compile_spgemm, compile_spgemm_loop
-from repro.compiler.program import Program
+from repro.compiler.program import ELEMENT_BYTES, Program
 from repro.datasets.suite import load_dataset
+from repro.sparse.convert import csr_to_csc
+from repro.sparse.csr import CSRMatrix
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +145,15 @@ class TestStructuralFaults:
         his[0] = program.arrays.op_a_lo[0]
         assert fired(mutate(program, op_a_hi=his)) == {"operand-slices"}
 
+    def test_operand_index_outside_output_shape(self, program):
+        rows = program.arrays.a_rows.copy()
+        rows[0] = program.shape[0]
+        bad = mutate(program, a_rows=rows)
+        assert fired(bad) == {"address-exclusivity"}
+        index, problem = bad.arrays.build_replay_index()
+        assert index is None
+        assert "a_rows holds an index outside" in problem
+
     def test_unsorted_output_keys(self, program):
         indices = program.arrays.out_indices.copy()
         indices[0], indices[1] = indices[1], indices[0]
@@ -159,3 +170,55 @@ class TestErrorSurface:
         assert excinfo.value.findings
         assert excinfo.value.findings[0].pass_name == "ir"
         assert excinfo.value.findings[0].check == "counter-histogram"
+
+
+def two_op_program():
+    """A = I (2x2), B rows {1, 2} and {1, 3}, tile 2: op 0 pairs A[0, 0]
+    with B row 0, op 1 pairs A[1, 1] with B row 1."""
+    a = CSRMatrix.from_dense(np.eye(2))
+    b = CSRMatrix.from_dense(np.array([[0.0, 2.0, 3.0, 0.0],
+                                       [0.0, 4.0, 0.0, 5.0]]))
+    return compile_spgemm(csr_to_csc(a), b, tile_size=2, source="stale")
+
+
+def retarget_op0_to_b_row1(program):
+    """Point op 0 at B row 1's two entries, in place, with consistent
+    addresses: its first pair (0, 1) and every total stay the same, but
+    its second pair (0, 3) has no slot — only the full level sees it."""
+    arrays, layout = program.arrays, program.address_map
+    arrays.op_b_lo[0], arrays.op_b_hi[0] = 2, 4
+    arrays.op_b_col_addr[0] = layout.b_col_ind_base + 2 * ELEMENT_BYTES
+    arrays.op_b_data_addr[0] = layout.b_data_base + 2 * ELEMENT_BYTES
+
+
+class TestReplayIndexSharing:
+    """The full level builds the replay index afresh and publishes it only
+    when the program is clean."""
+
+    def test_verifier_ignores_a_cached_index(self):
+        program = two_op_program()
+        program.arrays.replay()  # caches the pre-corruption index
+        retarget_op0_to_b_row1(program)
+        assert fired(program, level="quick") == set()
+        findings = verify_program(program, level="full")
+        assert {f.check for f in findings} == {"address-exclusivity"}
+        assert "(row 0, col 3)" in findings[0].message
+
+    def test_clean_full_verify_publishes_its_index(self):
+        program = two_op_program()
+        assert verify_program(program, level="quick") == []
+        assert "replay" not in program.arrays._derived()
+        assert verify_program(program, level="full") == []
+        published = program.arrays._derived()["replay"]
+        assert program.arrays.replay_index() is published
+        # A later clean pass keeps the published index.
+        assert verify_program(program, level="full") == []
+        assert program.arrays._derived()["replay"] is published
+
+    def test_failing_verify_publishes_nothing(self):
+        program = two_op_program()
+        retarget_op0_to_b_row1(program)
+        assert fired(program, level="full") == {"address-exclusivity"}
+        assert "replay" not in program.arrays._derived()
+        with pytest.raises(ValueError, match="stale.*no slot"):
+            program.arrays.replay("stale")

@@ -16,7 +16,7 @@ from repro.backends import (
 from repro.backends.registry import _BACKENDS
 from repro.compiler import program as program_module
 from repro.compiler.lowering import compile_spgemm
-from repro.compiler.program import rebind_b_values
+from repro.compiler.program import ProgramArrays, rebind_b_values
 from repro.core import GCNLayerSpec, NeuraChip, Session, SpGEMMSpec
 from repro.datasets import load_dataset
 from repro.gnn.gcn import GCNWorkload
@@ -278,3 +278,52 @@ class TestProgramReplay:
             second = session.run(SpGEMMSpec(a=a))
         assert second.provenance.cache_hit
         assert_same_csr(second.output, expected)
+
+
+class TestColdPathExpansions:
+    """A verified cold run expands the partial products once to compile
+    and once to verify; the replay reuses the verifier's index."""
+
+    def test_cold_run_expands_twice_and_warm_run_never(self, chip, wiki,
+                                                       monkeypatch):
+        expansions, built, replayed = [], [], []
+        expand = ProgramArrays.expand_partial_products
+        build = ProgramArrays.build_replay_index
+        replay_index = ProgramArrays.replay_index
+
+        def counting_expand(self, *args, **kwargs):
+            expansions.append(args)
+            return expand(self, *args, **kwargs)
+
+        def recording_build(self):
+            index, unslotted = build(self)
+            built.append(index)
+            return index, unslotted
+
+        def recording_replay_index(self, *args, **kwargs):
+            index = replay_index(self, *args, **kwargs)
+            replayed.append(index)
+            return index
+
+        monkeypatch.setattr(ProgramArrays, "expand_partial_products",
+                            counting_expand)
+        monkeypatch.setattr(ProgramArrays, "build_replay_index",
+                            recording_build)
+        monkeypatch.setattr(ProgramArrays, "replay_index",
+                            recording_replay_index)
+        a = wiki.adjacency_csr()
+        with Session(chip, backend="analytic", verify="full") as session:
+            cold = session.run(SpGEMMSpec(a=a))
+            assert not cold.provenance.cache_hit
+            assert len(expansions) == 2  # compile + verify
+            assert len(built) == 1 and len(replayed) == 1
+            assert replayed[0] is built[0]
+            del expansions[:]
+            warm = session.run(SpGEMMSpec(a=a))
+        assert warm.provenance.cache_hit
+        assert expansions == []
+        assert replayed[1] is built[0]
+        assert_same_csr(warm.output, cold.output)
+        assert_same_csr(cold.output,
+                        kernels.spgemm(a, a, "tiled_gustavson", "numpy",
+                                       tile_rows=4).matrix)

@@ -1,25 +1,30 @@
 """Columnar compiler pipeline: equivalence with the loop reference,
 lazy materialization, offset-overflow detection, and array serialization."""
 
+import dataclasses
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.arch.config import TILE4
 from repro.backends import get_backend
 from repro.backends.base import ExecutionContext
+from repro.compiler import lowering as lowering_module
 from repro.compiler.lowering import (
     _OFFSET_LIMIT,
     _require_offset,
     compile_spgemm,
     compile_spgemm_loop,
 )
+from repro.compiler.program import ProgramArrays
 from repro.sim.functional import FunctionalAccelerator
 from repro.sim.params import SimulationParams
 from repro.sparse.convert import coo_to_csr, csr_to_csc
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
+from repro.sparse import symbolic as symbolic_module
 from repro.sparse.symbolic import symbolic_spgemm, symbolic_spgemm_from_csc
 
 
@@ -177,6 +182,96 @@ class TestColumnarSymbolic:
         assert np.array_equal(chunked.indices, whole.indices)
         assert np.array_equal(chunked.counts, whole.counts)
         assert chunked.total_partial_products == whole.total_partial_products
+
+
+@st.composite
+def operand_pairs(draw):
+    """(A, B, tile) with rectangular shapes, empty operands and an
+    optional monster row of A meeting a dense row of B."""
+    n_rows, inner, n_cols = (draw(st.integers(1, 24)) for _ in range(3))
+    density = draw(st.sampled_from([0.0, 0.05, 0.2, 0.6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a_mask = rng.random((n_rows, inner)) < density
+    b_mask = rng.random((inner, n_cols)) < density
+    if draw(st.booleans()):
+        a_mask[rng.integers(n_rows), :] = True
+        b_mask[rng.integers(inner), :] = True
+    a = CSRMatrix.from_dense(np.where(a_mask, rng.random(a_mask.shape), 0.0))
+    b = CSRMatrix.from_dense(np.where(b_mask, rng.random(b_mask.shape), 0.0))
+    return a, b, draw(st.sampled_from([1, 2, 4, 8]))
+
+
+def assert_programs_identical(got, expected):
+    for spec in dataclasses.fields(ProgramArrays):
+        got_value = getattr(got.arrays, spec.name)
+        expected_value = getattr(expected.arrays, spec.name)
+        if isinstance(expected_value, np.ndarray):
+            assert got_value.dtype == expected_value.dtype, spec.name
+            assert np.array_equal(got_value, expected_value), spec.name
+        else:
+            assert got_value == expected_value, spec.name
+    assert got.total_partial_products == expected.total_partial_products
+    assert got.metadata == expected.metadata
+    assert got.address_map == expected.address_map
+
+
+class TestRollingCountersFromOpStream:
+    """compile_spgemm counts the rolling counters from its own op stream;
+    they must equal the symbolic pass over the operands."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(operand_pairs())
+    def test_structure_and_counters_match_symbolic_pass(self, pair):
+        a, b, tile = pair
+        a_csc = csr_to_csc(a)
+        arrays = compile_spgemm(a_csc, b, tile_size=tile).arrays
+        symbolic = symbolic_spgemm_from_csc(a_csc, b)
+        assert arrays.out_indptr.dtype == np.int64
+        assert np.array_equal(arrays.out_indptr, symbolic.indptr)
+        assert arrays.out_indices.dtype == arrays.out_counts.dtype == np.int32
+        assert np.array_equal(arrays.out_indices, symbolic.indices)
+        assert np.array_equal(arrays.out_counts, symbolic.counts)
+        assert int(arrays.partial_products_per_op.sum()) \
+            == symbolic.total_partial_products
+        first_pair = (arrays.a_rows[arrays.op_a_lo].astype(np.int64)
+                      * arrays.shape[1] + arrays.b_cols[arrays.op_b_lo])
+        assert np.array_equal(symbolic.flat_keys()[arrays.op_slot],
+                              first_pair)
+
+    @pytest.mark.parametrize("dense_keys", [True, False])
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_chunked_reduction_byte_identical(self, monkeypatch, chunk,
+                                              dense_keys):
+        a = random_csr(30, 24, 0.2, seed=12)
+        b = random_csr(24, 18, 0.25, seed=13)
+        a_csc = csr_to_csc(a)
+        whole = compile_spgemm(a_csc, b, tile_size=4)
+        expansions = []
+        expand = ProgramArrays.expand_partial_products
+
+        def counting(self, *args, **kwargs):
+            expansions.append(args)
+            return expand(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProgramArrays, "expand_partial_products",
+                            counting)
+        monkeypatch.setattr(symbolic_module,
+                            "SYMBOLIC_CHUNK_PARTIAL_PRODUCTS", chunk)
+        if not dense_keys:
+            monkeypatch.setattr(lowering_module, "DENSE_KEY_SPACE", 0)
+        chunked = compile_spgemm(a_csc, b, tile_size=4)
+        assert len(expansions) > 1  # the merge path ran
+        assert_programs_identical(chunked, whole)
+
+    def test_compile_skips_the_symbolic_pass(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("compile_spgemm ran the symbolic pass")
+
+        monkeypatch.setattr(lowering_module, "symbolic_spgemm_from_csc",
+                            forbidden)
+        a = random_csr(20, 20, 0.2, seed=4)
+        program = compile_spgemm(csr_to_csc(a), a, tile_size=2)
+        assert program.total_partial_products > 0
 
 
 class TestLazyMaterialization:

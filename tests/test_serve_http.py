@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import socket
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from repro.core import Session, SpGEMMSpec
 from repro.datasets import load_dataset
 from repro.serve import BackgroundServer, QueueOverflow, ReproServer
+from repro.serve.http import LINE_LIMIT, MAX_HEADERS
 
 
 @pytest.fixture(scope="module")
@@ -204,3 +206,59 @@ class TestLifecycle:
                 response.read()
         finally:
             connection.close()
+
+
+def raw_exchange(server, request: bytes) -> tuple[int, dict]:
+    """Send raw request bytes and read until the server closes; returns
+    the status and the JSON body.  A server that kept the connection
+    open would time the read out."""
+    with socket.create_connection(("127.0.0.1", server.port),
+                                  timeout=10) as sock:
+        sock.sendall(request)
+        received = b""
+        while chunk := sock.recv(65536):
+            received += chunk
+    head, _, body = received.partition(b"\r\n\r\n")
+    return int(head.split(b" ", 2)[1]), json.loads(body)
+
+
+def headers_block(count: int) -> bytes:
+    return b"".join(b"X-Filler-%d: v\r\n" % i for i in range(count))
+
+
+class TestRequestHeadLimits:
+    """Request heads past asyncio's line limit or the header-count cap get
+    a structured 4xx and a closed connection, never silence."""
+
+    def test_oversized_request_line_414(self, server):
+        target = b"/" + b"a" * (LINE_LIMIT + 1024)
+        status, payload = raw_exchange(
+            server, b"GET " + target + b" HTTP/1.1\r\nHost: x\r\n\r\n")
+        assert status == 414
+        assert "request line" in payload["error"]
+
+    def test_oversized_header_line_431(self, server):
+        status, payload = raw_exchange(
+            server, b"GET /healthz HTTP/1.1\r\nX-Big: "
+            + b"a" * (LINE_LIMIT + 1024) + b"\r\n\r\n")
+        assert status == 431
+        assert "header line" in payload["error"]
+
+    def test_too_many_headers_431(self, server):
+        status, payload = raw_exchange(
+            server, b"GET /healthz HTTP/1.1\r\n"
+            + headers_block(MAX_HEADERS + 1) + b"\r\n")
+        assert status == 431
+        assert str(MAX_HEADERS) in payload["error"]
+
+    def test_header_cap_is_inclusive(self, server):
+        status, payload = raw_exchange(
+            server, b"GET /healthz HTTP/1.1\r\nConnection: close\r\n"
+            + headers_block(MAX_HEADERS - 1) + b"\r\n")
+        assert status == 200
+        assert payload["status"] == "ok"
+
+    def test_server_keeps_serving_after_rejections(self, server):
+        raw_exchange(server, b"GET /" + b"a" * (2 * LINE_LIMIT)
+                     + b" HTTP/1.1\r\n\r\n")
+        assert request(server, "GET", "/healthz")[0] == 200
