@@ -28,27 +28,32 @@ The ``multichip`` backend models exactly that:
   scale-out efficiency from the per-shard partial-product histogram alone,
   without compiling or simulating anything.
 
-Per-shard compiled programs are cached by operand fingerprint through the
-session's :class:`~repro.core.runner.ProgramCache` (each shard slice has
-its own content fingerprint), so repeated multi-chip runs of the same graph
-skip every per-chip compile; under ``Session(verify=...)`` each distinct
-shard program is IR-verified once.  A session's host sharding
-(``SpGEMMSpec(shards=N)``) runs through this backend too, on a fleet of N
-chips of the session backend.
+Every unit program comes from :func:`~repro.core.runner.fetch_or_compile`
+through the session's :class:`~repro.core.runner.ProgramCache` (A's shard
+slice keyed by content, B's slice by structure), so repeated multi-chip
+runs of the same graph — and every layer of a resident GNN stack — skip
+every per-chip compile; under ``Session(verify=...)`` each distinct unit
+program is IR-verified once.  A one-shot run (:meth:`MultiChipBackend.
+execute_operands`) is a resident graph used once.  A session's host
+sharding (``SpGEMMSpec(shards=N)``) runs through this backend too, on a
+fleet of N chips of the session backend.
 
 B is replicated on every chip (rows of A shard; all of B is potentially
-touched by any shard), so a *cold* multi-chip run additionally charges a
-one-time B-broadcast term — ``b_nnz`` bytes pushed over the host
-interconnect at ``reduce_bytes_per_cycle`` — that makes the small-graph
-break-even point visible.  The broadcast amortizes across a batch through
-the program cache: when every chip's shard program is a cache hit, B is
-already resident on the fleet and the term is zero.
+touched by any shard), so a multi-chip run whose B is not yet on the
+fleet additionally charges a one-time B-broadcast term — ``b_nnz`` bytes
+pushed over the host interconnect at ``reduce_bytes_per_cycle`` — that
+makes the small-graph break-even point visible.  The broadcast amortizes
+across a batch through the program cache: a one-shot run skips it when
+every chip's unit programs are cache hits that already hold these B
+*values* (a hit re-bound to new values means the host sent a new B); a
+resident stack charges it on its first layer only, and only when some
+unit program was compiled fresh (later layers' features are made on
+chip).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -61,7 +66,6 @@ from repro.sim.accelerator import SimulationReport
 from repro.sim.neuracore import MMH_HIST_BINS, MMH_HIST_BIN_WIDTH
 from repro.sim.neuramem import HACC_HIST_BINS, HACC_HIST_BIN_WIDTH
 from repro.sim.stats import Histogram
-from repro.sparse.convert import csr_to_csc
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.partition import (
     PARTITION_STRATEGIES,
@@ -133,9 +137,10 @@ class ChipTopology:
         """One-time B-broadcast term: push ``b_nnz`` bytes of the
         replicated operand over the host interconnect to every chip.
 
-        Charged only on *cold* runs — a program-cache hit on every chip
-        means B is already resident on the fleet — so the cost amortizes
-        across a batch of requests touching the same graph."""
+        Charged only when B is not already on the fleet — every chip's
+        unit programs cached with these B values (one-shot runs) or at all
+        (a resident stack's first layer) means it is — so the cost
+        amortizes across a batch of requests touching the same operands."""
         if self.n_chips == 1:
             return 0.0
         return b_nnz / self.reduce_bytes_per_cycle
@@ -153,6 +158,9 @@ class ChipRun:
     mmh: int
     partial_products: int
     cache_hit: bool = False
+    #: True when every unit program was cached holding this call's B
+    #: values (no compile, no re-bind): the chip already holds this B.
+    b_resident: bool = False
     #: Unit programs this chip compiled fresh (0 when all were cached).
     fresh_compiles: int = 0
 
@@ -206,11 +214,10 @@ class ResidentGraph:
 
     Built once per (graph, feature width) by
     :meth:`MultiChipBackend.prepare_resident`: the shard plan and the
-    pre-sliced per-chip units stay in host memory, and each unit's compiled
-    program is cached under a *structural* key (A-shard content + B
-    structure), so every subsequent layer only re-binds feature values into
-    the resident programs instead of re-planning, re-slicing and
-    re-compiling.
+    pre-sliced per-chip units of A stay in host memory, and the program
+    cache keys each unit's B slice by structure, so every subsequent layer
+    only re-binds feature values into the cached unit programs instead of
+    re-planning, re-slicing and re-compiling.
     """
 
     plan: ShardPlan
@@ -221,97 +228,35 @@ class ResidentGraph:
     width: int
 
 
-def _resident_unit_program(unit: ShardUnit, source: str, b_csr: CSRMatrix,
-                           tile_size: int, cache
-                           ) -> tuple[Program, CSRMatrix, bool]:
-    """Structural compile-once for a resident unit against this layer's
-    ``b_csr``; returns ``(program, unit_b, cache_hit)``, where ``unit_b``
-    is the full matrix for rows units and the global-column-id range
-    slice for fragment units.
+def _merge_reports(reports: list[SimulationReport], config, source: str,
+                   cycles: float, side_by_side: int,
+                   **overrides) -> SimulationReport:
+    """One report over ``reports`` taking ``cycles``: activity totals
+    summed, rates recomputed from the sums.
 
-    The cache key hashes the A shard by *content* but B only by
-    *structure*: the compiled instruction stream depends on B's sparsity
-    pattern alone, so a hit is re-bound to this layer's values via
-    :func:`~repro.compiler.program.rebind_b_values` — exactly one compile
-    per (graph shard, feature structure) no matter how deep the stack."""
-    from repro.compiler.lowering import compile_spgemm
-    from repro.compiler.program import rebind_b_values
-    from repro.core.runner import (
-        CACHE_SCHEMA_VERSION,
-        matrix_fingerprint,
-        matrix_structure_fingerprint,
-    )
-
-    unit_b = b_csr if unit.fragment is None else \
-        b_csr.col_range(unit.fragment.col_lo, unit.fragment.col_hi)
-    key = None
-    if cache is not None:
-        key = (CACHE_SCHEMA_VERSION, "gnn-stack-unit",
-               matrix_fingerprint(unit.a),
-               matrix_structure_fingerprint(unit_b), tile_size)
-        program = cache.get(key)
-        if program is not None:
-            return rebind_b_values(program, unit_b), unit_b, True
-    program = compile_spgemm(csr_to_csc(unit.a), unit_b, tile_size=tile_size,
-                             source=source)
-    if cache is not None:
-        cache.put(key, program)
-    return program, unit_b, False
-
-
-def _cached_unit_program(unit: ShardUnit, source: str, tile_size: int,
-                         cache, check) -> tuple[Program, CSRMatrix, bool]:
-    """A unit's program through the shared fetch-or-compile step (content
-    key, each program passing ``check``); returns
-    ``(program, unit.b, cache_hit)``."""
-    from repro.core.runner import fetch_or_compile
-
-    program, cache_hit = fetch_or_compile(cache, unit.a, unit.b, tile_size,
-                                          source, check=check)
-    return program, unit.b, cache_hit
-
-
-def _combine_unit_reports(reports: list[SimulationReport],
-                          config, source: str) -> SimulationReport:
-    """One chip's report over its units, run back to back: cycles and
-    activity totals summed (sequential semantics on one chip), rates
-    recomputed from the sums."""
-    if len(reports) == 1:
-        return reports[0]
-    cycles = float(sum(r.cycles for r in reports))
-    n_mmh = sum(r.mmh_instructions for r in reports)
-    pp = sum(r.hacc_instructions for r in reports)
-    seconds = cycles / (config.frequency_ghz * 1e9)
-    useful_flops = sum(r.useful_flops for r in reports)
-    busy = sum(r.busy_cycles for r in reports)
-    pipelines = max(1, config.total_pipelines)
-    verdicts = [r.correct for r in reports]
-    return SimulationReport(
+    ``side_by_side`` is how many of the reports ran at once: the chips of
+    a fleet run side by side (utilisations are over that many chips and
+    in-flight memory requests add up), a chip's units back to back (one
+    report at a time; in-flight requests average).  ``overrides`` replace
+    fields before the rates are derived from the instruction counts."""
+    fields = dict(
         config_name=config.name,
         workload=source,
         cycles=cycles,
-        mmh_instructions=n_mmh,
-        hacc_instructions=pp,
-        useful_flops=useful_flops,
-        gflops=useful_flops / seconds / 1e9 if seconds > 0 else 0.0,
-        gops=pp / seconds / 1e9 if seconds > 0 else 0.0,
+        mmh_instructions=sum(r.mmh_instructions for r in reports),
+        hacc_instructions=sum(r.hacc_instructions for r in reports),
+        useful_flops=sum(r.useful_flops for r in reports),
         mmh_cpi_mean=float(np.mean([r.mmh_cpi_mean for r in reports])),
         hacc_cpi_mean=float(np.mean([r.hacc_cpi_mean for r in reports])),
         mmh_cpi_histogram=Histogram(bin_width=MMH_HIST_BIN_WIDTH,
                                     n_bins=MMH_HIST_BINS),
         hacc_cpi_histogram=Histogram(bin_width=HACC_HIST_BIN_WIDTH,
                                      n_bins=HACC_HIST_BINS),
-        ipc=n_mmh / cycles if cycles else 0.0,
-        cpi=cycles / n_mmh if n_mmh else 0.0,
         stall_cycles=sum(r.stall_cycles for r in reports),
-        busy_cycles=busy,
-        core_utilization=min(1.0, busy / (cycles * pipelines))
-        if cycles else 0.0,
-        mem_utilization=min(1.0, sum(r.mem_utilization * r.cycles
-                                     for r in reports) / cycles)
-        if cycles else 0.0,
-        avg_inflight_mem=float(np.mean([r.avg_inflight_mem
-                                        for r in reports])),
+        busy_cycles=sum(r.busy_cycles for r in reports),
+        avg_inflight_mem=sum(r.avg_inflight_mem for r in reports)
+        if side_by_side > 1
+        else float(np.mean([r.avg_inflight_mem for r in reports])),
         memory_traffic_bytes=sum(r.memory_traffic_bytes for r in reports),
         evictions=sum(r.evictions for r in reports),
         spills=sum(r.spills for r in reports),
@@ -322,40 +267,69 @@ def _combine_unit_reports(reports: list[SimulationReport],
         noc_flits=sum(r.noc_flits for r in reports),
         noc_avg_hops=float(np.mean([r.noc_avg_hops for r in reports])),
         output_nnz=sum(r.output_nnz for r in reports),
-        correct=None if any(v is None for v in verdicts) else all(verdicts),
+        correct=None if any(r.correct is None for r in reports)
+        else all(r.correct for r in reports),
         max_abs_error=max(r.max_abs_error for r in reports),
         wall_clock_seconds=sum(r.wall_clock_seconds for r in reports),
         events=sum(r.events for r in reports),
         eviction_mode=reports[0].eviction_mode,
         mapping_scheme=reports[0].mapping_scheme,
     )
+    fields.update(overrides)
+    n_mmh = fields["mmh_instructions"]
+    seconds = cycles / (config.frequency_ghz * 1e9)
+    pipelines = max(1, config.total_pipelines)
+    fields.update(
+        gflops=fields["useful_flops"] / seconds / 1e9 if seconds > 0
+        else 0.0,
+        gops=fields["hacc_instructions"] / seconds / 1e9 if seconds > 0
+        else 0.0,
+        ipc=n_mmh / cycles if cycles else 0.0,
+        cpi=cycles / n_mmh if n_mmh else 0.0,
+        core_utilization=min(1.0, fields["busy_cycles"]
+                             / (cycles * pipelines * side_by_side))
+        if cycles else 0.0,
+        mem_utilization=min(1.0, sum(r.mem_utilization * r.cycles
+                                     for r in reports)
+                            / (cycles * side_by_side)) if cycles else 0.0,
+    )
+    return SimulationReport(**fields)
 
 
 def _run_chip(chip: int, assignment: ShardAssignment,
-              units: list[ShardUnit], source: str, chip_backend: str,
-              ctx: ExecutionContext, verify: bool, unit_program) -> ChipRun:
-    """Execute one chip's units back to back on a fresh per-chip context;
-    ``unit_program(unit, unit_source)`` supplies each unit's
-    ``(program, b operand, cache_hit)``."""
+              units: list[ShardUnit], b_csr: CSRMatrix, source: str,
+              chip_backend: str, ctx: ExecutionContext, verify: bool,
+              tile_size: int, kind: str, cache=None, check=None) -> ChipRun:
+    """Execute one chip's units back to back on a fresh per-chip context.
+
+    Each unit's program comes from
+    :func:`~repro.core.runner.fetch_or_compile` (program family ``kind``)
+    against its slice of ``b_csr`` (:meth:`ShardUnit.slice_b`), so a unit
+    compiled for an earlier call's B is re-bound to this one's values, and
+    every program passes ``check``."""
+    from repro.core.runner import fetch_or_compile
+
     backend = get_backend(chip_backend)
     rows_output: CSRMatrix | None = None
     fragment_outputs: list[CSRMatrix] = []
     reports: list[SimulationReport | None] = []
     hits: list[bool] = []
+    b_resident = True
     mmh = partial_products = 0
     for unit in units:
-        if unit.fragment is None:
-            unit_source = f"{source}@chip{chip}"
-        else:
-            unit_source = (f"{source}@chip{chip}"
-                           f"[r{unit.fragment.row}:c{unit.fragment.col_lo}"
-                           f"-{unit.fragment.col_hi}]")
-        program, unit_b, cache_hit = unit_program(unit, unit_source)
+        fragment = unit.fragment
+        unit_source = f"{source}@chip{chip}" if fragment is None else (
+            f"{source}@chip{chip}[r{fragment.row}:"
+            f"c{fragment.col_lo}-{fragment.col_hi}]")
+        unit_b = unit.slice_b(b_csr)
+        program, cache_hit, rebound = fetch_or_compile(
+            cache, unit.a, unit_b, tile_size, unit_source, kind, check=check)
+        b_resident = b_resident and cache_hit and not rebound
         # The context is immutable chip *configuration*; per-chip isolation
         # comes from the backend building fresh simulator state per execute.
         execution = backend.execute(program, ctx, a_csr=unit.a, b_csr=unit_b,
                                     verify=verify)
-        if unit.fragment is None:
+        if fragment is None:
             rows_output = execution.output
         else:
             fragment_outputs.append(execution.output)
@@ -365,38 +339,32 @@ def _run_chip(chip: int, assignment: ShardAssignment,
         partial_products += program.total_partial_products
     report = None
     if reports and all(r is not None for r in reports):
-        report = _combine_unit_reports(reports, ctx.config, source)
+        report = reports[0] if len(reports) == 1 else _merge_reports(
+            reports, ctx.config, source,
+            cycles=float(sum(r.cycles for r in reports)), side_by_side=1)
     return ChipRun(chip=chip, assignment=assignment, output=rows_output,
                    fragment_outputs=fragment_outputs, report=report,
                    mmh=mmh, partial_products=partial_products,
                    cache_hit=bool(hits) and all(hits),
+                   b_resident=bool(hits) and b_resident,
                    fresh_compiles=hits.count(False))
 
 
 def _chip_worker(payload: dict) -> ChipRun:
-    """Process-executor entry point: rebuild the per-chip state from a
-    picklable payload (the disk program cache, when configured, is shared
-    through the filesystem; in-memory caches stay per-worker)."""
+    """Process-executor entry point: one chip's :func:`_run_chip`
+    arguments, its cache rebuilt from the session's disk tier when one is
+    configured (shared through the filesystem; in-memory caches stay
+    per-worker) and its programs checked at ``verify_level``."""
     from repro.core.runner import ProgramCache
 
-    cache = None
-    if payload["cache_dir"] is not None:
-        cache = ProgramCache(payload["cache_capacity"],
-                             cache_dir=payload["cache_dir"],
-                             max_disk_bytes=payload["cache_max_disk_bytes"])
-    ctx = ExecutionContext(config=payload["config"], params=payload["params"],
-                           mapping_scheme=payload["mapping_scheme"],
-                           mapping_seed=payload["mapping_seed"],
-                           eviction_mode=payload["eviction_mode"])
+    disk = payload["disk_cache"]
+    cache = None if disk is None else ProgramCache(
+        disk["capacity"], cache_dir=disk["cache_dir"],
+        max_disk_bytes=disk["max_disk_bytes"])
     level = payload["verify_level"]
     check = None if level is None else \
         (lambda key, program: assert_program_valid(program, level))
-    return _run_chip(payload["chip"], payload["assignment"],
-                     payload["units"], payload["source"],
-                     payload["chip_backend"], ctx, payload["verify"],
-                     partial(_cached_unit_program,
-                             tile_size=payload["tile_size"], cache=cache,
-                             check=check))
+    return _run_chip(**payload["chip"], cache=cache, check=check)
 
 
 @register_backend("multichip")
@@ -440,36 +408,13 @@ class MultiChipBackend(ExecutionBackend):
                          ctx: ExecutionContext, tile_size: int,
                          source: str = "spgemm",
                          verify: bool = True) -> MultiChipExecutionResult:
-        """Plan, compile per chip, execute per chip, reduce."""
-        topology = self.topology
-        effective_b = b_csr if b_csr is not None else a_csr
-        plan = plan_shards(a_csr, topology.n_chips, effective_b,
-                           strategy=topology.partition)
-        units = build_shard_units(a_csr, effective_b, plan)
-        runs = self._run_chips(plan, units, ctx, tile_size, source, verify)
-        output = require_valid_csr(
-            stitch_shard_outputs(
-                plan, [(run.output, run.fragment_outputs) for run in runs],
-                effective_b.shape[1]),
-            context=f"stitch:{source}")
-        reduce_cycles = (topology.reduce_cycles(output.shape[0])
-                         if len(runs) > 1 else 0.0)
-        # B is replicated on every chip: a cold run (any shard compiled
-        # fresh) pays for broadcasting it once; cache hits mean the fleet
-        # already holds B, so batches amortize the term away.
-        broadcast_cycles = 0.0
-        if len(runs) > 1 and not all(run.cache_hit for run in runs):
-            broadcast_cycles = topology.broadcast_cycles(effective_b.nnz)
-        report = None
-        if all(run.report is not None for run in runs):
-            report = self._aggregate_report(runs, plan, output, reduce_cycles,
-                                            broadcast_cycles,
-                                            effective_b.nnz, ctx, source)
-        return MultiChipExecutionResult(
-            backend=self.name, output=output, report=report, functional=None,
-            chip_runs=runs, topology=topology, plan=plan,
-            reduce_cycles=reduce_cycles, broadcast_cycles=broadcast_cycles,
-            fresh_compiles=sum(run.fresh_compiles for run in runs))
+        """Plan, compile per chip, execute per chip, reduce: a one-shot
+        run is a resident graph used once, whose chips a process executor
+        ships to its workers."""
+        b_csr = b_csr if b_csr is not None else a_csr
+        resident = self.prepare_resident(a_csr, b_csr, tile_size, source)
+        return self._execute(resident, b_csr, ctx, verify,
+                             charge_broadcast=True, one_shot=True)
 
     # ------------------------------------------------------------------
     def prepare_resident(self, a_csr: CSRMatrix, b_csr: CSRMatrix,
@@ -480,10 +425,10 @@ class MultiChipBackend(ExecutionBackend):
         The plan and the per-chip unit slices of A are computed from the
         stack's first feature matrix and stay resident; every layer then
         executes through :meth:`execute_resident`, which only swaps feature
-        values into the resident unit programs."""
+        values into the unit programs."""
         plan = plan_shards(a_csr, self.topology.n_chips, b_csr,
                            strategy=self.topology.partition)
-        units = build_shard_units(a_csr, b_csr, plan)
+        units = build_shard_units(a_csr, plan)
         return ResidentGraph(plan=plan, units=units, tile_size=tile_size,
                              source=source, b_rows=b_csr.shape[0],
                              width=b_csr.shape[1])
@@ -495,35 +440,35 @@ class MultiChipBackend(ExecutionBackend):
         """Execute one layer of a stack over the resident shard state.
 
         Unlike :meth:`execute_operands`, nothing is re-planned or re-sliced
-        and shard programs hit the structural resident cache after the first
-        layer.  ``charge_broadcast`` is set by the pipeline on layer 0 only:
+        and unit programs (their own ``gnn-stack-unit`` cache family) are
+        cache hits re-bound to this layer's values after the first layer.
+        ``charge_broadcast`` is set by the pipeline on layer 0 only:
         resident-operand reuse means B ships to the fleet once per *stack*,
-        not once per layer (and not at all when the fleet is already warm)."""
+        not once per layer (and not at all when the fleet is already warm,
+        i.e. no unit program compiles fresh).  Residency lives in this
+        process, so chips never ship to a process pool: that would re-pay
+        per layer exactly the operand movement the resident graph exists
+        to avoid."""
         if b_csr.shape[0] != resident.b_rows:
             raise ValueError(
                 f"resident graph expects {resident.b_rows} feature rows, "
                 f"got {b_csr.shape[0]}")
+        return self._execute(resident, b_csr, ctx, verify,
+                             charge_broadcast=charge_broadcast,
+                             one_shot=False)
+
+    # ------------------------------------------------------------------
+    def _execute(self, resident: ResidentGraph, b_csr: CSRMatrix,
+                 ctx: ExecutionContext, verify: bool, charge_broadcast: bool,
+                 one_shot: bool) -> MultiChipExecutionResult:
+        """Run every chip's units against ``b_csr``, stitch, reduce.
+
+        A one-shot run fetches ``spgemm`` unit programs and may ship its
+        chips to a process pool; a resident stack layer fetches
+        ``gnn-stack-unit`` programs inline."""
         topology = self.topology
         plan = resident.plan
-        executor = self.executor
-
-        unit_program = partial(_resident_unit_program, b_csr=b_csr,
-                               tile_size=resident.tile_size, cache=self.cache)
-
-        def chip_job(item) -> ChipRun:
-            index, (assignment, chip_units) = item
-            return _run_chip(index, assignment, chip_units, resident.source,
-                             topology.chip_backend, ctx, verify, unit_program)
-
-        items = list(enumerate(zip(plan.shards, resident.units)))
-        if executor is not None and executor.name == "thread":
-            runs = executor.map(chip_job, items)
-        else:
-            # Residency lives in this process: shipping every resident unit
-            # to a process pool per layer would re-pay exactly the operand
-            # movement the resident graph exists to avoid, so chips run
-            # inline for serial / process executors.
-            runs = [chip_job(item) for item in items]
+        runs = self._run_chips(resident, b_csr, ctx, verify, one_shot)
         output = require_valid_csr(
             stitch_shard_outputs(
                 plan, [(run.output, run.fragment_outputs) for run in runs],
@@ -531,150 +476,99 @@ class MultiChipBackend(ExecutionBackend):
             context=f"stitch:{resident.source}")
         reduce_cycles = (topology.reduce_cycles(output.shape[0])
                          if len(runs) > 1 else 0.0)
+        # B is replicated on every chip: the run pays for broadcasting it
+        # once unless the fleet already holds it.  A one-shot B comes from
+        # the host, so the fleet holds it only if every unit program was
+        # cached with these values (the ones last sent); a stack's layer-0
+        # features count as held on a warm fleet (no fresh compile).
+        warm = all(run.b_resident if one_shot else run.cache_hit
+                   for run in runs)
         broadcast_cycles = 0.0
-        if (charge_broadcast and len(runs) > 1
-                and not all(run.cache_hit for run in runs)):
+        if charge_broadcast and len(runs) > 1 and not warm:
             broadcast_cycles = topology.broadcast_cycles(b_csr.nnz)
         report = None
         if all(run.report is not None for run in runs):
-            report = self._aggregate_report(runs, plan, output, reduce_cycles,
-                                            broadcast_cycles, b_csr.nnz, ctx,
-                                            resident.source)
+            report = _aggregate_report(runs, plan, output, reduce_cycles,
+                                       broadcast_cycles, b_csr.nnz, ctx,
+                                       resident.source)
         return MultiChipExecutionResult(
             backend=self.name, output=output, report=report, functional=None,
             chip_runs=runs, topology=topology, plan=plan,
             reduce_cycles=reduce_cycles, broadcast_cycles=broadcast_cycles,
             fresh_compiles=sum(run.fresh_compiles for run in runs))
 
-    # ------------------------------------------------------------------
-    def _run_chips(self, plan: ShardPlan, units: list[list[ShardUnit]],
-                   ctx: ExecutionContext, tile_size: int, source: str,
-                   verify: bool) -> list[ChipRun]:
-        topology = self.topology
+    def _run_chips(self, resident: ResidentGraph, b_csr: CSRMatrix,
+                   ctx: ExecutionContext, verify: bool,
+                   one_shot: bool) -> list[ChipRun]:
+        kind = "spgemm" if one_shot else "gnn-stack-unit"
+        jobs = [dict(chip=index, assignment=assignment, units=units,
+                     b_csr=b_csr, source=resident.source,
+                     chip_backend=self.topology.chip_backend, ctx=ctx,
+                     verify=verify, tile_size=resident.tile_size, kind=kind)
+                for index, (assignment, units)
+                in enumerate(zip(resident.plan.shards, resident.units))]
         executor = self.executor
-        if executor is not None and executor.name == "process":
-            # Each payload ships its chip's pre-sliced units, including a
-            # full copy of B for rows units (the executor abstraction has
-            # no pool-initializer hook to broadcast B once per worker);
-            # chip counts are small, so the duplicated serialization is
-            # bounded at n_chips * nnz(B).
+        process_pool = executor is not None and executor.name == "process"
+        if process_pool and one_shot:
+            # Each payload ships its chip's units and a full copy of B (the
+            # executor abstraction has no pool-initializer hook to
+            # broadcast B once per worker); chip counts are small, so the
+            # duplicated serialization is bounded at n_chips * nnz(B).
             cache_dir = getattr(self.cache, "cache_dir", None)
-            payloads = [{
-                "chip": index, "assignment": assignment,
-                "units": chip_units,
-                "tile_size": tile_size, "source": source,
-                "chip_backend": topology.chip_backend, "verify": verify,
-                "config": ctx.config, "params": ctx.params,
-                "mapping_scheme": ctx.mapping_scheme,
-                "mapping_seed": ctx.mapping_seed,
-                "eviction_mode": ctx.eviction_mode,
-                "cache_dir": cache_dir,
-                "cache_capacity": getattr(self.cache, "capacity", 0),
-                "cache_max_disk_bytes": getattr(self.cache,
-                                                "max_disk_bytes", None),
-                "verify_level": self.verify_level,
-            } for index, (assignment, chip_units)
-                in enumerate(zip(plan.shards, units))]
-            return executor.map(_chip_worker, payloads)
+            disk = None if cache_dir is None else {
+                "capacity": self.cache.capacity, "cache_dir": cache_dir,
+                "max_disk_bytes": self.cache.max_disk_bytes}
+            return executor.map(_chip_worker, [
+                {"chip": job, "disk_cache": disk,
+                 "verify_level": self.verify_level} for job in jobs])
 
-        unit_program = partial(_cached_unit_program, tile_size=tile_size,
-                               cache=self.cache, check=self.check)
+        def chip_job(job: dict) -> ChipRun:
+            return _run_chip(**job, cache=self.cache, check=self.check)
 
-        def chip_job(item) -> ChipRun:
-            index, (assignment, chip_units) = item
-            return _run_chip(index, assignment, chip_units, source,
-                             topology.chip_backend, ctx, verify, unit_program)
+        if executor is None or process_pool:  # resident chips stay here
+            return [chip_job(job) for job in jobs]
+        return executor.map(chip_job, jobs)
 
-        items = list(enumerate(zip(plan.shards, units)))
-        if executor is None:
-            return [chip_job(item) for item in items]
-        return executor.map(chip_job, items)
 
-    # ------------------------------------------------------------------
-    def _aggregate_report(self, runs: list[ChipRun], plan: ShardPlan,
-                          output: CSRMatrix, reduce_cycles: float,
-                          broadcast_cycles: float, b_nnz: int,
-                          ctx: ExecutionContext,
-                          source: str) -> SimulationReport:
-        """Fleet-level report: cycles = max over chips + host reduce +
-        cold-run B broadcast, activity totals summed, shard-skew counters
-        recorded."""
-        config = ctx.config
-        reports = [run.report for run in runs]
-        chip_cycles = [report.cycles for report in reports]
-        cycles = float(max(chip_cycles) + reduce_cycles + broadcast_cycles)
-        n_mmh = sum(run.mmh for run in runs)
-        pp = sum(run.partial_products for run in runs)
-        pp_per_chip = [run.partial_products for run in runs]
-        mean_pp = pp / len(runs) if runs else 0.0
-        skew = max(pp_per_chip) / mean_pp if mean_pp else 1.0
-        seconds = cycles / (config.frequency_ghz * 1e9)
-        useful_flops = sum(report.useful_flops for report in reports)
-        busy = sum(report.busy_cycles for report in reports)
-        pipelines = max(1, config.total_pipelines)
-        verdicts = [report.correct for report in reports]
-        counters = {
-            "multichip.n_chips": len(runs),
-            "multichip.reduce_cycles": round(reduce_cycles, 1),
-            "multichip.broadcast_cycles": round(broadcast_cycles, 1),
-            "multichip.broadcast_bytes": 0 if broadcast_cycles == 0.0
-            else b_nnz,
-            "multichip.shard_skew": round(skew, 4),
-            "multichip.efficiency": round(
-                pp / (len(runs) * max(pp_per_chip)), 4) if pp else 1.0,
-            "multichip.split_rows": len(plan.split_rows),
-        }
-        for run in runs:
-            counters[f"multichip.chip{run.chip}.cycles"] = run.cycles
-            counters[f"multichip.chip{run.chip}.rows"] = run.n_rows
-            counters[f"multichip.chip{run.chip}.fragments"] = \
-                len(run.assignment.fragments)
-            counters[f"multichip.chip{run.chip}.partial_products"] = \
-                run.partial_products
-        return SimulationReport(
-            config_name=f"{config.name}x{len(runs)}",
-            workload=source,
-            cycles=cycles,
-            mmh_instructions=n_mmh,
-            hacc_instructions=pp,
-            useful_flops=useful_flops,
-            gflops=useful_flops / seconds / 1e9 if seconds > 0 else 0.0,
-            gops=pp / seconds / 1e9 if seconds > 0 else 0.0,
-            mmh_cpi_mean=float(np.mean([r.mmh_cpi_mean for r in reports])),
-            hacc_cpi_mean=float(np.mean([r.hacc_cpi_mean for r in reports])),
-            mmh_cpi_histogram=Histogram(bin_width=MMH_HIST_BIN_WIDTH,
-                                        n_bins=MMH_HIST_BINS),
-            hacc_cpi_histogram=Histogram(bin_width=HACC_HIST_BIN_WIDTH,
-                                         n_bins=HACC_HIST_BINS),
-            ipc=n_mmh / cycles if cycles else 0.0,
-            cpi=cycles / n_mmh if n_mmh else 0.0,
-            stall_cycles=sum(r.stall_cycles for r in reports),
-            busy_cycles=busy,
-            core_utilization=min(1.0, busy / (cycles * pipelines * len(runs)))
-            if cycles else 0.0,
-            mem_utilization=min(1.0, sum(
-                r.mem_utilization * r.cycles for r in reports)
-                / (cycles * len(runs))) if cycles else 0.0,
-            avg_inflight_mem=sum(r.avg_inflight_mem for r in reports),
-            memory_traffic_bytes=sum(r.memory_traffic_bytes for r in reports),
-            evictions=sum(r.evictions for r in reports),
-            spills=sum(r.spills for r in reports),
-            peak_hashpad_occupancy=max(r.peak_hashpad_occupancy
-                                       for r in reports),
-            hashpad_occupancy_fraction=max(r.hashpad_occupancy_fraction
-                                           for r in reports),
-            noc_flits=sum(r.noc_flits for r in reports),
-            noc_avg_hops=float(np.mean([r.noc_avg_hops for r in reports])),
-            output_nnz=output.nnz,
-            correct=None if any(v is None for v in verdicts)
-            else all(verdicts),
-            max_abs_error=max(r.max_abs_error for r in reports),
-            wall_clock_seconds=sum(r.wall_clock_seconds for r in reports),
-            events=sum(r.events for r in reports),
-            eviction_mode=ctx.eviction_mode,
-            mapping_scheme=ctx.mapping_scheme,
-            counters=counters,
-        )
+def _aggregate_report(runs: list[ChipRun], plan: ShardPlan,
+                      output: CSRMatrix, reduce_cycles: float,
+                      broadcast_cycles: float, b_nnz: int,
+                      ctx: ExecutionContext, source: str) -> SimulationReport:
+    """Fleet-level report: cycles = max over chips + host reduce +
+    cold-run B broadcast, activity totals summed over chips running side by
+    side, shard-skew counters recorded."""
+    config = ctx.config
+    reports = [run.report for run in runs]
+    pp = sum(run.partial_products for run in runs)
+    pp_per_chip = [run.partial_products for run in runs]
+    mean_pp = pp / len(runs) if runs else 0.0
+    skew = max(pp_per_chip) / mean_pp if mean_pp else 1.0
+    counters = {
+        "multichip.n_chips": len(runs),
+        "multichip.reduce_cycles": round(reduce_cycles, 1),
+        "multichip.broadcast_cycles": round(broadcast_cycles, 1),
+        "multichip.broadcast_bytes": 0 if broadcast_cycles == 0.0
+        else b_nnz,
+        "multichip.shard_skew": round(skew, 4),
+        "multichip.efficiency": round(
+            pp / (len(runs) * max(pp_per_chip)), 4) if pp else 1.0,
+        "multichip.split_rows": len(plan.split_rows),
+    }
+    for run in runs:
+        counters[f"multichip.chip{run.chip}.cycles"] = run.cycles
+        counters[f"multichip.chip{run.chip}.rows"] = run.n_rows
+        counters[f"multichip.chip{run.chip}.fragments"] = \
+            len(run.assignment.fragments)
+        counters[f"multichip.chip{run.chip}.partial_products"] = \
+            run.partial_products
+    cycles = float(max(report.cycles for report in reports)
+                   + reduce_cycles + broadcast_cycles)
+    return _merge_reports(
+        reports, config, source, cycles, side_by_side=len(runs),
+        config_name=f"{config.name}x{len(runs)}",
+        mmh_instructions=sum(run.mmh for run in runs), hacc_instructions=pp,
+        output_nnz=output.nnz, eviction_mode=ctx.eviction_mode,
+        mapping_scheme=ctx.mapping_scheme, counters=counters)
 
 #: Trust band for :func:`predict_scaleout`: on the recorded scaling curve
 #: (``benchmarks/results/bench_multichip.json``) the predicted speedup must

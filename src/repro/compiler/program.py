@@ -832,7 +832,8 @@ def rebind_b_values(program: Program, b_csr) -> Program:
     matrices share a structure.  The cached program is never mutated — the
     caller gets a fresh :class:`Program` wrapping a shallow
     :class:`ProgramArrays` copy whose ``b_values`` (the only value-bearing
-    B array) point at the new data.
+    B array) are a float64 copy of the new data, owned by the program as
+    a fresh compile's are.
 
     Raises:
         ValueError: for legacy (non-columnar) programs or when ``b_csr``'s
@@ -841,7 +842,7 @@ def rebind_b_values(program: Program, b_csr) -> Program:
     arrays = program.arrays
     if arrays is None:
         raise ValueError("rebind_b_values needs a columnar program")
-    values = np.ascontiguousarray(b_csr.data, dtype=np.float64)
+    values = np.array(b_csr.data, dtype=np.float64)
     if values.size != arrays.b_values.size:
         raise ValueError(
             f"operand structure mismatch: program was compiled for "

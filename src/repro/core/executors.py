@@ -24,8 +24,14 @@ with a snapshot of its constructor state for exactly this purpose.
 from __future__ import annotations
 
 import os
+import threading
 from abc import ABC, abstractmethod
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import (
+    BrokenExecutor,
+    Future,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+)
 from typing import Any, Callable, Iterable
 
 _EXECUTORS: dict[str, type["Executor"]] = {}
@@ -118,25 +124,47 @@ class _PooledExecutor(Executor):
 
     def __init__(self, workers: int | None = None) -> None:
         super().__init__(workers)
-        self._pool = None
+        self._lock = threading.Lock()
+        self._pool = None  # guarded-by: _lock
 
     def _ensure_pool(self):
-        if self._pool is None:
-            self._pool = self._pool_cls(max_workers=self.workers)
-        return self._pool
+        with self._lock:
+            if self._pool is None:
+                self._pool = self._pool_cls(max_workers=self.workers)
+            return self._pool
+
+    def _drop_pool(self, pool) -> None:
+        """Shut ``pool`` down and forget it if it is still the current one:
+        another caller may already have replaced it with a healthy pool."""
+        with self._lock:
+            if self._pool is pool:
+                self._pool = None
+        pool.shutdown(wait=False, cancel_futures=True)
+
+    def _submit_all(self, fn: Callable[[Any], Any],
+                    items: Iterable[Any]) -> list[Future]:
+        items = list(items)
+        pool = self._ensure_pool()
+        try:
+            return [pool.submit(fn, item) for item in items]
+        except BrokenExecutor:
+            # A worker died under an earlier call, which already failed
+            # with BrokenExecutor; this call gets a fresh pool.
+            self._drop_pool(pool)
+            pool = self._ensure_pool()
+            return [pool.submit(fn, item) for item in items]
 
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list:
-        pool = self._ensure_pool()
-        futures = [pool.submit(fn, item) for item in items]
-        return [future.result() for future in futures]
+        return [future.result() for future in self._submit_all(fn, items)]
 
     def submit(self, fn: Callable[[Any], Any], item: Any) -> Future:
-        return self._ensure_pool().submit(fn, item)
+        return self._submit_all(fn, [item])[0]
 
     def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        with self._lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
 
 
 @register_executor("thread")

@@ -1,13 +1,14 @@
 """Compiled-program caching: operand fingerprints and a bounded LRU.
 
 Compilation — the symbolic pass plus MMH lowering, the expensive front half
-of every run — is cached by operand fingerprint in a :class:`ProgramCache`:
-an LRU bound in memory that can also spill fingerprinted programs to disk,
-so repeated CLI / batch invocations against the same graphs skip
-compilation entirely.  :func:`fetch_or_compile` is the one fetch-or-compile
-step every execution path goes through: a
-:class:`~repro.core.session.Session` run and each shard unit of a
-multichip or host-sharded run.
+of every run — is cached in a :class:`ProgramCache`: an LRU bound in memory
+that can also spill programs to disk, so repeated CLI / batch invocations
+against the same graphs skip compilation entirely.  Programs are keyed by
+A's content and B's structure: NeuraChip decouples multiply (MMH) from
+accumulate (HACC), so a program depends on B only through its sparsity.
+:func:`fetch_or_compile`, the one fetch-or-compile step of every execution
+path (session runs, GNN stack layers, multichip and host-shard units),
+re-binds a hit to the caller's B values.
 """
 
 from __future__ import annotations
@@ -20,9 +21,11 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from repro.analysis.verifier import verify_program
 from repro.compiler.lowering import compile_spgemm
-from repro.compiler.program import Program
+from repro.compiler.program import Program, rebind_b_values
 from repro.sparse.convert import csr_to_csc
 from repro.sparse.csr import CSRMatrix
 
@@ -68,10 +71,10 @@ def matrix_structure_fingerprint(matrix) -> str:
     values excluded).
 
     Two matrices with identical sparsity patterns but different values map
-    to the same digest.  This is the cache key ingredient for resident-graph
-    GNN stacks: the compiled aggregation program's instruction stream
-    depends only on the operand structure, so layer ``i``'s program can be
-    re-bound to layer ``i+1``'s values when the structure digest matches.
+    to the same digest.  :meth:`ProgramCache.key` keys B this way: the
+    compiled program depends only on B's structure, so a program compiled
+    for one B serves any B of the same structure after a value re-bind
+    (every layer of a fixed-width GNN stack, for one).
     """
     digest = hashlib.sha1()
     digest.update(f"schema={CACHE_SCHEMA_VERSION}:structure".encode())
@@ -91,7 +94,8 @@ def default_cache_dir() -> Path:
 
 
 class ProgramCache:
-    """Bounded LRU cache of compiled programs keyed by operand content.
+    """Bounded LRU cache of compiled programs, keyed by A's content and
+    B's structure (see :meth:`key`).
 
     Entries are touched on :meth:`get`, so hot programs survive pressure
     that would have evicted them under the old FIFO policy.  When
@@ -129,14 +133,19 @@ class ProgramCache:
 
     # ------------------------------------------------------------------
     def key(self, a, b, tile_size: int, kind: str = "spgemm") -> tuple:
-        """Cache key for operands ``(a, b)`` at ``tile_size``.
+        """Cache key for operands ``(a, b)`` at ``tile_size``: A by
+        content, a given ``b`` by structure only, since the compiled
+        program never depends on B's values (:func:`fetch_or_compile`
+        re-binds them on a hit).
 
-        ``b=None`` means the A @ A workload, so it keys identically to
-        ``b=a``.  ``kind`` separates program families (spgemm vs gcn
-        aggregation) that would otherwise share operand fingerprints.
+        ``b=None`` means the A @ A workload, whose one operand is keyed by
+        content.  ``kind`` separates program families (spgemm, gcn
+        aggregation, gnn stacks) that would otherwise share operand
+        fingerprints.
         """
         fingerprint_a = matrix_fingerprint(a)
-        fingerprint_b = matrix_fingerprint(b) if b is not None else fingerprint_a
+        fingerprint_b = (matrix_structure_fingerprint(b) if b is not None
+                         else fingerprint_a)
         return (CACHE_SCHEMA_VERSION, kind, fingerprint_a, fingerprint_b,
                 tile_size)
 
@@ -166,6 +175,13 @@ class ProgramCache:
         with self._lock:
             self._store(key, program)
         self._spill_to_disk(key, program)
+
+    def rebound(self, key: tuple, program: Program) -> None:
+        """Swap the in-memory entry at ``key`` for ``program``, its copy
+        re-bound to other B values; the disk tier is left as it is."""
+        with self._lock:
+            if key in self._entries:
+                self._entries[key] = program
 
     def _store(self, key: tuple, program: Program) -> None:  # lockcheck: holds _lock
         if self.capacity <= 0:
@@ -316,14 +332,20 @@ def fetch_or_compile(cache: ProgramCache | None, a_csr: CSRMatrix,
                      b_csr: CSRMatrix | None, tile_size: int, source: str,
                      kind: str = "spgemm",
                      check: Callable[[tuple | None, Program], Program]
-                     | None = None) -> tuple[Program, bool]:
+                     | None = None) -> tuple[Program, bool, bool]:
     """The program for C = A @ B (``b_csr=None`` means A @ A), from
     ``cache`` or freshly compiled and stored; returns
-    ``(program, cache_hit)``.
+    ``(program, cache_hit, rebound)``.
 
-    ``cache=None`` always compiles.  ``check(key, program)`` sees every
-    fetched or compiled program and returns it; the session passes its
-    memoized IR verification, which raises on an ill-formed program.
+    The cache keys ``b_csr`` by structure, so a hit may hold other B
+    values: it then comes back re-bound to a copy of ``b_csr``'s values,
+    byte-identical to a fresh compile, replaces the cached entry (which
+    thus holds the B values last served) and ``rebound`` is true.  A hit
+    already holding these values is returned as cached.  ``cache=None``
+    always compiles.
+    ``check(key, program)`` sees every fetched or compiled program and
+    returns it; the session passes its memoized IR verification, which
+    raises on an ill-formed program.
     """
     key = None
     program = None
@@ -331,7 +353,12 @@ def fetch_or_compile(cache: ProgramCache | None, a_csr: CSRMatrix,
         key = cache.key(a_csr, b_csr, tile_size, kind)
         program = cache.get(key)
     cache_hit = program is not None
-    if program is None:
+    rebound = (cache_hit and b_csr is not None
+               and not np.array_equal(program.arrays.b_values, b_csr.data))
+    if rebound:
+        program = rebind_b_values(program, b_csr)
+        cache.rebound(key, program)
+    elif program is None:
         program = compile_spgemm(csr_to_csc(a_csr),
                                  b_csr if b_csr is not None else a_csr,
                                  tile_size=tile_size, source=source)
@@ -339,4 +366,4 @@ def fetch_or_compile(cache: ProgramCache | None, a_csr: CSRMatrix,
             cache.put(key, program)
     if check is not None:
         program = check(key, program)
-    return program, cache_hit
+    return program, cache_hit, rebound

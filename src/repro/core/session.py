@@ -413,7 +413,7 @@ class Session:
         """
         ctx = self.chip._context()
         if self.backend != "multichip" and shards == 1:
-            program, cache_hit = fetch_or_compile(
+            program, cache_hit, _ = fetch_or_compile(
                 self.cache, a_csr, b_csr, tile, source, kind,
                 check=self._maybe_verify)
             execution = get_backend(self.backend).execute(

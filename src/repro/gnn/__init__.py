@@ -11,11 +11,7 @@ from repro.gnn.gcn import (
     normalize_adjacency_cached,
     relu,
 )
-from repro.gnn.pipeline import (
-    full_structure_csr,
-    run_gnn_model,
-    stack_program_key,
-)
+from repro.gnn.pipeline import full_structure_csr, run_gnn_model
 
 __all__ = [
     "GCNLayer",
@@ -28,5 +24,4 @@ __all__ = [
     "normalize_adjacency_cached",
     "relu",
     "run_gnn_model",
-    "stack_program_key",
 ]

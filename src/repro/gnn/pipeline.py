@@ -13,19 +13,22 @@ compiled program's symbolic structure — is identical across every layer.
   :func:`~repro.gnn.gcn.normalize_adjacency_cached` memo, so repeated
   stacks over a resident graph skip even that);
 * the aggregation program is compiled **once** per resident graph and
-  feature width, cached under a *structural* key (A content + B structure
-  + tile), and re-bound to each layer's feature values with
-  :func:`~repro.compiler.program.rebind_b_values` — the symbolic pass and
-  lowering depend only on operand sparsity, never on the dense values, so
-  the re-bound program is byte-identical to a fresh compile;
+  feature width: every layer fetches it through
+  :func:`~repro.core.runner.fetch_or_compile`, whose cache keys B by
+  structure and re-binds a hit to the layer's feature values — the
+  symbolic pass and lowering depend only on operand sparsity, never on
+  the dense values, so the re-bound program is byte-identical to a fresh
+  compile — and under ``Session(verify=...)`` is verified once;
 * dense features flow through the **full-structure operand encoding**
   (:func:`full_structure_csr`): every (row, column) slot is an explicit
   CSR entry, so the operand structure is fully determined by its shape and
   every layer of a fixed-width stack shares one compiled program;
-* on the multichip backend the per-chip shard programs stay **resident**
-  across layers (:meth:`~repro.backends.multichip.MultiChipBackend.
-  prepare_resident` / ``execute_resident``) and the one-time B broadcast
-  is charged once per *stack* instead of once per layer;
+* on the multichip backend the shard plan and the per-chip slices of A
+  stay **resident** across layers
+  (:meth:`~repro.backends.multichip.MultiChipBackend.prepare_resident` /
+  ``execute_resident``), each unit program is fetched the same way, and
+  the one-time B broadcast is charged once per *stack* instead of once
+  per layer;
 * ``batches > 1`` models cross-chip layer pipelining: once the stack is
   resident, layer i of batch j runs while layer i+1 processes batch j-1,
   so the makespan is ``sum(layer_cycles) + (batches-1) * max(layer_cycles)``
@@ -45,13 +48,7 @@ import time
 import numpy as np
 
 from repro.backends.registry import get_backend
-from repro.compiler.lowering import compile_spgemm
-from repro.compiler.program import Program, rebind_b_values
-from repro.core.runner import (
-    CACHE_SCHEMA_VERSION,
-    matrix_fingerprint,
-    matrix_structure_fingerprint,
-)
+from repro.core.runner import fetch_or_compile
 from repro.core.specs import GNNModelSpec, RunResult
 from repro.datasets.features import feature_matrix
 from repro.datasets.suite import DatasetSpec, GraphDataset
@@ -77,32 +74,6 @@ def full_structure_csr(x: np.ndarray) -> CSRMatrix:
     indptr = np.arange(n + 1, dtype=np.int64) * width
     indices = np.tile(np.arange(width, dtype=np.int64), max(n, 0))
     return CSRMatrix(indptr, indices, dense.reshape(-1), (n, width))
-
-
-def stack_program_key(a_fingerprint: str, b_structure: str,
-                      tile_size: int) -> tuple:
-    """Structural cache key for a resident stack's aggregation program:
-    A by content, B by structure only — the program IR never reads B's
-    values, they are re-bound per layer."""
-    return (CACHE_SCHEMA_VERSION, "gnn-stack", a_fingerprint, b_structure,
-            tile_size)
-
-
-def resident_stack_program(cache, a_csc, a_fingerprint: str,
-                           b_full: CSRMatrix, tile_size: int,
-                           source: str) -> tuple[Program, bool]:
-    """Fetch-or-compile the single-chip stack program; returns
-    ``(program, cache_hit)``.  A hit is re-bound to this layer's values —
-    byte-identical to recompiling, at none of the cost."""
-    key = stack_program_key(a_fingerprint,
-                            matrix_structure_fingerprint(b_full), tile_size)
-    program = cache.get(key)
-    if program is not None:
-        return rebind_b_values(program, b_full), True
-    program = compile_spgemm(a_csc, b_full, tile_size=tile_size,
-                             source=source)
-    cache.put(key, program)
-    return program, False
 
 
 def _resolve_activations(spec: GNNModelSpec, depth: int) -> list:
@@ -132,9 +103,8 @@ def run_gnn_model(session, spec: GNNModelSpec) -> RunResult:
 
     # --- resident graph state: built exactly once for the whole stack ---
     a_hat = normalize_adjacency_cached(dataset.adjacency)
-    a_csc = csr_to_csc(a_hat)
-    a_csr = csc_to_csr(a_csc)  # canonical CSR, same object chain as a layer run
-    a_fingerprint = matrix_fingerprint(a_csr)
+    # Canonical CSR, the same object chain as a layer run.
+    a_csr = csc_to_csr(csr_to_csc(a_hat))
     tile = session.chip.config.mmh_tile_size
     ctx = session.chip._context()
     label = f"gnn-stack:{dataset.name}"
@@ -175,9 +145,10 @@ def run_gnn_model(session, spec: GNNModelSpec) -> RunResult:
             chips = max(chips, execution.n_chips)
             layer_power, layer_energy = session._fleet_power(execution)
         else:
-            program, hit = resident_stack_program(
-                session.cache, a_csc, a_fingerprint, b_full, tile,
-                source=f"{label}[layer{index}]")
+            program, hit, _ = fetch_or_compile(
+                session.cache, a_csr, b_full, tile,
+                f"{label}[layer{index}]", kind="gnn-stack",
+                check=session._maybe_verify)
             if not hit:
                 compiles += 1
             execution = backend.execute(program, ctx, a_csr=a_csr,

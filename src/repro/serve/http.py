@@ -65,8 +65,11 @@ to ``415``; dangling operand refs to ``404``; and oversized bodies to
 ``413`` — rejected from the ``Content-Length`` header alone, before any
 body bytes are buffered.  A request line over :data:`LINE_LIMIT` bytes
 gets ``414``; a longer header line or more than :data:`MAX_HEADERS`
-header lines gets ``431``.  Each of these head rejections closes the
-connection.
+header lines gets ``431``; headers that do not arrive within
+:data:`HEAD_TIMEOUT_S` of the request line, or a body that stalls for
+that long, get ``408`` (a body has no overall deadline, and the wait for
+the next request on a keep-alive connection is not timed).  Each of these
+rejections closes the connection.
 
 Failure semantics worth knowing when writing a client: results are
 byte-identical to a direct ``Session.run`` of the same spec, verification
@@ -166,11 +169,18 @@ MAX_HEADERS = 100
 LINGER_S = 1.0
 LINGER_BYTES = 1024 * 1024
 
+#: Once a request line has arrived, its headers must follow within this
+#: many seconds, and no read of its body may wait longer for more bytes;
+#: otherwise the request is answered with 408.  A client that stalls
+#: mid-request cannot hold its connection forever, while a large body
+#: sent slowly but steadily still arrives.
+HEAD_TIMEOUT_S = 10.0
+
 _STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found",
                 405: "Method Not Allowed", 406: "Not Acceptable",
-                409: "Conflict", 413: "Payload Too Large",
-                414: "URI Too Long", 415: "Unsupported Media Type",
-                429: "Too Many Requests",
+                408: "Request Timeout", 409: "Conflict",
+                413: "Payload Too Large", 414: "URI Too Long",
+                415: "Unsupported Media Type", 429: "Too Many Requests",
                 431: "Request Header Fields Too Large",
                 500: "Internal Server Error", 503: "Service Unavailable",
                 504: "Gateway Timeout"}
@@ -197,6 +207,22 @@ async def _read_headers(reader: asyncio.StreamReader
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
     return headers, f"more than {MAX_HEADERS} header lines"
+
+
+async def _read_body(reader: asyncio.StreamReader, length: int) -> bytes:
+    """The ``length``-byte request body, read as it arrives: each read
+    that waits more than :data:`HEAD_TIMEOUT_S` for bytes raises
+    ``TimeoutError``, an early end of stream ``IncompleteReadError``."""
+    chunks: list[bytes] = []
+    received = 0
+    while received < length:
+        async with asyncio.timeout(HEAD_TIMEOUT_S):
+            chunk = await reader.read(length - received)
+        if not chunk:
+            raise asyncio.IncompleteReadError(b"".join(chunks), length)
+        chunks.append(chunk)
+        received += len(chunk)
+    return b"".join(chunks)
 
 
 def _jsonable(value: Any) -> Any:
@@ -391,7 +417,14 @@ class ReproServer:
                                         {"error": "malformed request line"},
                                         keep_alive=False)
                     break
-                headers, refused = await _read_headers(reader)
+                try:
+                    async with asyncio.timeout(HEAD_TIMEOUT_S):
+                        headers, refused = await _read_headers(reader)
+                except TimeoutError:
+                    await self._refuse_head(
+                        reader, writer, 408,
+                        "request headers not received in time")
+                    break
                 if refused:
                     await self._refuse_head(reader, writer, 431, refused)
                     break
@@ -424,7 +457,14 @@ class ReproServer:
                                   f"{WIRE_CONTENT_TYPE}"},
                         keep_alive=False)
                     break
-                body = await reader.readexactly(length) if length else b""
+                try:
+                    body = await _read_body(reader, length)
+                except TimeoutError:
+                    await self._refuse_head(
+                        reader, writer, 408,
+                        "request body stalled for longer than "
+                        f"{HEAD_TIMEOUT_S:g} s")
+                    break
                 keep_alive = headers.get("connection", "").lower() != "close"
                 status, payload = await self._route(method.upper(),
                                                     target, body, headers)

@@ -512,18 +512,25 @@ def shard_partial_products(a_csr: CSRMatrix,
 class ShardUnit:
     """One independently compilable product a shard executes: either the
     shard's whole-row index set (``fragment is None``; ``rows`` holds the
-    global row ids, ``b`` the full replicated operand) or one monster-row
-    fragment (``a`` is the 1-row slice, ``b`` the column-range slice)."""
+    global row ids, ``a`` their rows of A) or one monster-row fragment
+    (``a`` is the 1-row slice).  The B operand is not stored: a unit runs
+    against :meth:`slice_b` of whichever B a call brings."""
 
     a: CSRMatrix
-    b: CSRMatrix
     rows: np.ndarray | None = None
     fragment: RowFragment | None = None
 
+    def slice_b(self, b_csr: CSRMatrix) -> CSRMatrix:
+        """This unit's B operand: all of ``b_csr`` for a rows unit (B is
+        replicated), the fragment's column range for a fragment."""
+        if self.fragment is None:
+            return b_csr
+        return b_csr.col_range(self.fragment.col_lo, self.fragment.col_hi)
 
-def build_shard_units(a_csr: CSRMatrix, b_csr: CSRMatrix,
+
+def build_shard_units(a_csr: CSRMatrix,
                       plan: ShardPlan) -> list[list[ShardUnit]]:
-    """Slice the operands into per-shard execution units.
+    """Slice A into per-shard execution units.
 
     Contiguous plans slice with ``row_slice`` (pure range copy); degree
     plans gather with ``row_select``.  A shard that owns only fragments
@@ -539,12 +546,10 @@ def build_shard_units(a_csr: CSRMatrix, b_csr: CSRMatrix,
                 rows_a = a_csr.row_slice(lo, hi)
             else:
                 rows_a = a_csr.row_select(assignment.rows)
-            shard_units.append(ShardUnit(a=rows_a, b=b_csr,
-                                         rows=assignment.rows))
+            shard_units.append(ShardUnit(a=rows_a, rows=assignment.rows))
         for fragment in assignment.fragments:
             shard_units.append(ShardUnit(
                 a=a_csr.row_slice(fragment.row, fragment.row + 1),
-                b=b_csr.col_range(fragment.col_lo, fragment.col_hi),
                 fragment=fragment))
         units.append(shard_units)
     return units

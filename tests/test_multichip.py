@@ -163,6 +163,27 @@ class TestProgramCaching:
             cold.metrics["cycles"]
             - cold_counters["multichip.broadcast_cycles"], abs=0.12)
 
+    def test_new_b_values_are_broadcast(self, wiki):
+        # B is keyed by structure, so a B with new values reuses every unit
+        # program, but the host still has to send those values to the
+        # fleet; once it has, a repeat of the same B is warm.
+        b2 = type(wiki)(wiki.indptr, wiki.indices, wiki.data * 2.0 + 1.0,
+                        wiki.shape)
+        with Session("Tile-4", backend="multichip", chips=3) as session:
+            session.run(SpGEMMSpec(a=wiki, b=wiki, verify=False))
+            second = session.run(SpGEMMSpec(a=wiki, b=b2, verify=False))
+            third = session.run(SpGEMMSpec(a=wiki, b=b2, verify=False))
+        with Session("Tile-4", backend="multichip", chips=3,
+                     cache_capacity=0) as uncached:
+            reference = uncached.run(SpGEMMSpec(a=wiki, b=b2, verify=False))
+        counters = second.report.counters
+        assert second.cache_hit is True
+        assert counters["multichip.broadcast_cycles"] > 0
+        assert counters["multichip.broadcast_bytes"] == b2.nnz
+        assert second.metrics["cycles"] == reference.metrics["cycles"]
+        assert_byte_identical(second, reference)
+        assert third.report.counters["multichip.broadcast_cycles"] == 0.0
+
     def test_disk_cache_shared_across_sessions(self, tmp_path, wiki):
         with Session("Tile-4", backend="multichip", chips=2,
                      cache_dir=tmp_path) as cold:

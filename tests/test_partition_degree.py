@@ -183,10 +183,10 @@ class TestDegreePlanProperties:
         want = spgemm_kernel(a, b).matrix
         plan = plan_shards(a, 4, b, strategy="degree")
         outputs = []
-        for units in build_shard_units(a, b, plan):
+        for units in build_shard_units(a, plan):
             rows_out, frag_outs = None, []
             for unit in units:
-                product = spgemm_kernel(unit.a, unit.b).matrix
+                product = spgemm_kernel(unit.a, unit.slice_b(b)).matrix
                 if unit.fragment is None:
                     rows_out = product
                 else:

@@ -3,6 +3,7 @@
 import http.client
 import json
 import socket
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from repro.core import Session, SpGEMMSpec
 from repro.datasets import load_dataset
 from repro.serve import BackgroundServer, QueueOverflow, ReproServer
+from repro.serve import http as serve_http
 from repro.serve.http import LINE_LIMIT, MAX_HEADERS
 
 
@@ -262,3 +264,69 @@ class TestRequestHeadLimits:
         raw_exchange(server, b"GET /" + b"a" * (2 * LINE_LIMIT)
                      + b" HTTP/1.1\r\n\r\n")
         assert request(server, "GET", "/healthz")[0] == 200
+
+
+class TestRequestReadTimeout:
+    """After the request line, a client that stalls before its headers are
+    complete, or mid-body, gets a structured 408 and a closed connection;
+    a body sent slowly but steadily is served, and the idle wait between
+    keep-alive requests is not timed."""
+
+    TIMEOUT_S = 0.3
+
+    @pytest.fixture(autouse=True)
+    def short_timeouts(self, monkeypatch):
+        monkeypatch.setattr(serve_http, "HEAD_TIMEOUT_S", self.TIMEOUT_S)
+        monkeypatch.setattr(serve_http, "LINGER_S", 0.1)
+
+    def test_stall_mid_headers_408(self, server):
+        start = time.monotonic()
+        status, payload = raw_exchange(
+            server, b"GET /healthz HTTP/1.1\r\nHost: x\r\n")
+        assert status == 408
+        assert "not received in time" in payload["error"]
+        assert time.monotonic() - start >= self.TIMEOUT_S
+
+    def test_stall_mid_body_408(self, server):
+        status, payload = raw_exchange(
+            server, b"POST /v1/spgemm HTTP/1.1\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: 100\r\n\r\n{\"dataset\"")
+        assert status == 408
+        assert "body stalled" in payload["error"]
+
+    def test_slow_steady_body_served(self, server):
+        body = json.dumps({"dataset": "wiki-Vote", "max_nodes": 96,
+                           "seed": 5, "label": "slow"}).encode()
+        head = (b"POST /v1/spgemm HTTP/1.1\r\n"
+                b"Content-Type: application/json\r\nConnection: close\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body))
+        pieces = [body[i:i + 8] for i in range(0, len(body), 8)]
+        start = time.monotonic()
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=60) as sock:
+            sock.sendall(head)
+            for piece in pieces:
+                time.sleep(self.TIMEOUT_S / 3)
+                sock.sendall(piece)
+            received = b""
+            while chunk := sock.recv(65536):
+                received += chunk
+        # The whole body took far longer than the stall bound.
+        assert time.monotonic() - start > 2 * self.TIMEOUT_S
+        status_line, _, payload = received.partition(b"\r\n\r\n")
+        assert status_line.split(b" ", 2)[1] == b"200"
+        assert json.loads(payload)["label"] == "slow"
+
+    def test_keep_alive_idle_is_not_timed(self, server):
+        connection = http.client.HTTPConnection("127.0.0.1", server.port,
+                                                timeout=10)
+        try:
+            for pause in (3 * self.TIMEOUT_S, 0.0):
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+                time.sleep(pause)
+        finally:
+            connection.close()

@@ -342,6 +342,75 @@ def _spec_pid(state, spec):
     return os.getpid()
 
 
+def _die(_):
+    """A process-executor job whose worker dies without a reply."""
+    os._exit(3)
+
+
+class TestProcessPoolDeath:
+    """A dead worker breaks only the call that was using it: the next map
+    or submit on the same executor gets a fresh pool."""
+
+    def test_map_after_worker_death(self):
+        from concurrent.futures.process import BrokenProcessPool
+
+        with get_executor("process", workers=2) as executor:
+            with pytest.raises(BrokenProcessPool):
+                executor.map(_die, [0, 1])
+            assert executor.map(abs, [-1, -2, -3]) == [1, 2, 3]
+            assert executor.submit(abs, -4).result() == 4
+
+    def test_submit_after_worker_death(self):
+        from concurrent.futures.process import BrokenProcessPool
+
+        with get_executor("process", workers=1) as executor:
+            with pytest.raises(BrokenProcessPool):
+                executor.submit(_die, 0).result()
+            assert executor.submit(abs, -5).result() == 5
+            assert executor.map(abs, [-6]) == [6]
+
+
+class TestPoolCreationRace:
+    def test_concurrent_first_calls_share_one_pool(self, monkeypatch):
+        import sys
+        import threading
+        import time
+        from concurrent.futures import ThreadPoolExecutor
+
+        created = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                created.append(self)
+                time.sleep(0.01)  # widen the check-then-create window
+                super().__init__(*args, **kwargs)
+
+        executor = get_executor("thread", workers=2)
+        monkeypatch.setattr(executor, "_pool_cls", CountingPool)
+        results = [None] * 16
+        start = threading.Barrier(len(results))
+
+        def caller(index):
+            start.wait(timeout=10)
+            results[index] = executor.map(abs, [-index, index])
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(index,))
+                       for index in range(len(results))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+            executor.shutdown()
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[index, index] for index in range(len(results))]
+        assert len(created) == 1
+
+
 class TestGCNAndSweepSpecs:
     def test_gcn_layer_matches_reference(self):
         dataset = load_dataset("cora", max_nodes=80, seed=6)
@@ -468,3 +537,74 @@ class TestFingerprint:
         key = cache.key(wiki, None, 4)
         assert key[0] == CACHE_SCHEMA_VERSION
         assert cache.key(wiki, None, 4, kind="gcn") != key
+
+
+def _revalued(matrix, seed: int):
+    """``matrix``'s structure with fresh random values."""
+    rng = np.random.default_rng(seed)
+    return type(matrix)(matrix.indptr.copy(), matrix.indices.copy(),
+                        rng.standard_normal(matrix.nnz), matrix.shape)
+
+
+class TestStructuralBKey:
+    """A is keyed by content and B by structure: a B with new values but
+    the same sparsity reuses the compiled program, re-bound to its
+    values."""
+
+    @pytest.mark.parametrize("backend", ["analytic", "functional"])
+    def test_same_structure_new_values_hits_byte_identical(self, wiki,
+                                                           backend):
+        b, b2 = _revalued(wiki, 1), _revalued(wiki, 2)
+        with Session("Tile-4", backend=backend) as session:
+            first = session.run(SpGEMMSpec(a=wiki, b=b))
+            second = session.run(SpGEMMSpec(a=wiki, b=b2))
+            assert session.cache_stats()["misses"] == 1
+        with Session("Tile-4", backend=backend,
+                     cache_capacity=0) as uncached:
+            reference = uncached.run(SpGEMMSpec(a=wiki, b=b2))
+        assert first.cache_hit is False
+        assert second.cache_hit is True
+        assert reference.cache_hit is False
+        for name in ("indptr", "indices", "data"):
+            assert getattr(second.output, name).tobytes() == \
+                getattr(reference.output, name).tobytes()
+        assert second.program.arrays.b_values.tobytes() == \
+            reference.program.arrays.b_values.tobytes()
+        assert second.metrics == reference.metrics
+
+    def test_rebound_program_owns_its_values(self, wiki):
+        # Like a fresh compile, a re-bound hit copies B's values: changing
+        # the caller's B afterwards leaves the program untouched.
+        b, b2 = _revalued(wiki, 1), _revalued(wiki, 2)
+        with Session("Tile-4", backend="analytic") as session:
+            session.run(SpGEMMSpec(a=wiki, b=b))
+            result = session.run(SpGEMMSpec(a=wiki, b=b2))
+        assert result.cache_hit is True
+        before = result.program.arrays.b_values.copy()
+        b2.data[:] = 0.0
+        assert np.array_equal(result.program.arrays.b_values, before)
+
+    def test_other_structure_misses(self, wiki, facebook):
+        with Session("Tile-4", backend="analytic") as session:
+            session.run(SpGEMMSpec(a=wiki, b=wiki))
+            result = session.run(SpGEMMSpec(a=wiki, b=facebook))
+        assert result.cache_hit is False
+
+    def test_key_fingerprints_b_by_structure(self, wiki):
+        from repro.core.runner import (
+            CACHE_SCHEMA_VERSION,
+            matrix_structure_fingerprint,
+        )
+
+        cache = ProgramCache()
+        assert cache.key(wiki, _revalued(wiki, 1), 4) == \
+            cache.key(wiki, _revalued(wiki, 2), 4)
+        assert cache.key(wiki, wiki, 4) == (
+            CACHE_SCHEMA_VERSION, "spgemm", matrix_fingerprint(wiki),
+            matrix_structure_fingerprint(wiki), 4)
+        # A @ A (b=None) still keys its one operand by content.
+        assert cache.key(wiki, None, 4) == (
+            CACHE_SCHEMA_VERSION, "spgemm", matrix_fingerprint(wiki),
+            matrix_fingerprint(wiki), 4)
+        assert cache.key(_revalued(wiki, 1), None, 4) != \
+            cache.key(wiki, None, 4)

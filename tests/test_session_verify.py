@@ -1,7 +1,8 @@
 """Tests for ``Session(verify=...)`` and the disk-cache verify path:
-memoized once-per-digest verification (of whole programs and of the unit
-programs of sharded and multichip runs), byte-identical results, and the
-drop-and-recompile handling of ill-formed disk cache entries."""
+memoized once-per-digest verification (of whole programs, of the unit
+programs of sharded and multichip runs, and of the programs of GNN
+stacks), byte-identical results, and the drop-and-recompile handling of
+ill-formed disk cache entries."""
 
 import dataclasses
 import pickle
@@ -14,9 +15,10 @@ from repro.compiler.lowering import compile_spgemm
 from repro.compiler.program import Program
 from repro.core.runner import CACHE_SCHEMA_VERSION, ProgramCache
 from repro.core.session import Session
-from repro.core.specs import GCNLayerSpec, SpGEMMSpec
+from repro.core.specs import GCNLayerSpec, GNNModelSpec, SpGEMMSpec
 from repro.datasets.suite import load_dataset
-from repro.sparse.convert import csr_to_csc
+from repro.gnn import full_structure_csr, normalize_adjacency_cached
+from repro.sparse.convert import csc_to_csr, csr_to_csc
 from repro.sparse.partition import build_shard_units, plan_shards
 
 
@@ -120,7 +122,7 @@ class TestShardUnitVerification:
     @staticmethod
     def units(a_csr, n_shards):
         plan = plan_shards(a_csr, n_shards, a_csr, strategy="contiguous")
-        return [unit for chip in build_shard_units(a_csr, a_csr, plan)
+        return [unit for chip in build_shard_units(a_csr, plan)
                 for unit in chip]
 
     def test_corrupt_cached_shard_program_raises(self, dataset):
@@ -128,8 +130,9 @@ class TestShardUnitVerification:
         units = self.units(a_csr, 2)
         with Session("Tile-4", backend="analytic", verify="full",
                      partition="contiguous") as session:
-            key = session.cache.key(units[1].a, units[1].b, 4)
-            program = compile_spgemm(csr_to_csc(units[1].a), units[1].b,
+            b_unit = units[1].slice_b(a_csr)
+            key = session.cache.key(units[1].a, b_unit, 4)
+            program = compile_spgemm(csr_to_csc(units[1].a), b_unit,
                                      tile_size=4)
             session.cache.put(key, _broken(program))
             with pytest.raises(VerificationError):
@@ -174,6 +177,75 @@ class TestShardUnitVerification:
             with pytest.raises(VerificationError):
                 session.run(SpGEMMSpec(a=dataset.adjacency_csr(), shards=2))
         assert levels == ["full", "full"]
+
+
+class TestGNNStackVerification:
+    """Every program a GNN stack fetches — the single-chip aggregation
+    program, or each resident unit program of a multichip stack — passes
+    the session's verification once per cache key; later layers and
+    repeat runs are memo hits."""
+
+    DIMS = (8, 8, 8)
+
+    @staticmethod
+    def session(chips):
+        if chips == 1:
+            return Session("Tile-4", backend="analytic", verify="full")
+        return Session("Tile-4", backend="multichip", chips=chips,
+                       partition="contiguous", verify="full")
+
+    @staticmethod
+    def programs(session, dataset, chips):
+        """``(cache key, a, b)`` of every program one stack layer fetches,
+        in fetch order."""
+        a_hat = csc_to_csr(csr_to_csc(
+            normalize_adjacency_cached(dataset.adjacency)))
+        b_full = full_structure_csr(np.zeros((dataset.n_nodes, 8)))
+        tile = session.chip.config.mmh_tile_size
+        if chips == 1:
+            return [(session.cache.key(a_hat, b_full, tile, kind="gnn-stack"),
+                     a_hat, b_full)]
+        plan = plan_shards(a_hat, chips, b_full, strategy="contiguous")
+        units = [unit for chip in build_shard_units(a_hat, plan)
+                 for unit in chip]
+        return [(session.cache.key(unit.a, unit.slice_b(b_full), tile,
+                                   kind="gnn-stack-unit"),
+                 unit.a, unit.slice_b(b_full)) for unit in units]
+
+    def spec(self, dataset):
+        return GNNModelSpec(dataset=dataset, layer_dims=self.DIMS,
+                            feature_dim=8)
+
+    @pytest.mark.parametrize("chips", [1, 3])
+    def test_each_program_verified_once(self, dataset, chips):
+        with self.session(chips) as session:
+            keys = [key for key, _, _ in
+                    self.programs(session, dataset, chips)]
+            fetched, distinct = len(keys), len(set(keys))
+            session.run(self.spec(dataset))
+            first = session.verify_stats()
+            session.run(self.spec(dataset))
+            second = session.verify_stats()
+        assert first["verify_runs"] == distinct >= chips
+        assert first["verify_skips"] == len(self.DIMS) * fetched - distinct
+        assert second["verify_runs"] == distinct
+        assert second["verify_skips"] == \
+            first["verify_skips"] + len(self.DIMS) * fetched
+
+    @pytest.mark.parametrize("chips", [1, 3])
+    def test_corrupt_cached_program_raises(self, dataset, chips):
+        with self.session(chips) as session:
+            programs = self.programs(session, dataset, chips)
+            key, a, b = programs[-1]
+            program = compile_spgemm(csr_to_csc(a), b, tile_size=4)
+            session.cache.put(key, _broken(program))
+            with pytest.raises(VerificationError):
+                session.run(self.spec(dataset))
+            session.cache.put(key, program)
+            result = session.run(self.spec(dataset))
+            stats = session.verify_stats()
+        assert result.output.shape == (dataset.n_nodes, self.DIMS[-1])
+        assert stats["verify_runs"] == len({k for k, _, _ in programs})
 
 
 class TestDiskCacheVerification:
