@@ -447,24 +447,11 @@ def verify_arrays(arrays: ProgramArrays, address_map: AddressMap,
 
 
 def verify_program(program: Program, level: str = "full") -> list[Finding]:
-    """Verify a compiled :class:`Program` without executing it.
-
-    Columnar programs get the vectorized pass; legacy (materialized)
-    programs fall back to :meth:`Program.validate`, reported through the
-    same finding model.
-    """
-    if program.arrays is not None:
-        return verify_arrays(program.arrays, program.address_map,
-                             source=program.source or "program",
-                             total_partial_products=(
-                                 program.total_partial_products),
-                             level=level)
-    try:
-        program.validate()
-    except AssertionError as error:
-        return [_finding("legacy-program", program.source or "program",
-                         str(error))]
-    return []
+    """Verify a compiled :class:`Program` without executing it."""
+    return verify_arrays(program.arrays, program.address_map,
+                         source=program.source or "program",
+                         total_partial_products=program.total_partial_products,
+                         level=level)
 
 
 def assert_program_valid(program: Program, level: str = "full") -> Program:

@@ -6,12 +6,13 @@ up by name in this package's registry:
 
 * ``functional`` — untimed hash-accumulate dataflow;
 * ``cycle``      — event-driven cycle-level NeuraSim model;
-* ``analytic``   — roofline cycle prediction + vectorized kernel output,
-  for graphs too large for event simulation;
+* ``analytic``   — roofline cycle prediction, for graphs too large for
+  event simulation;
 * ``multichip``  — N chip instances, one row shard each, reduced on the
   host into the single-chip product (see :class:`ChipTopology`); a
   session's ``SpGEMMSpec(shards=N)`` host sharding runs through it too.
 
+All of them return the compiled program's replay as the numeric output.
 The functional and cycle backends live in :mod:`repro.backends.simulators`.
 
 Third-party backends register with :func:`register_backend`.

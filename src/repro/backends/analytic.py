@@ -50,7 +50,6 @@ from repro.sim.accelerator import SimulationReport
 from repro.sim.neuracore import MMH_HIST_BINS, MMH_HIST_BIN_WIDTH
 from repro.sim.neuramem import HACC_HIST_BINS, HACC_HIST_BIN_WIDTH
 from repro.sim.stats import Histogram
-from repro.sparse.convert import coo_to_csr, dense_to_coo
 from repro.sparse.csr import CSRMatrix
 
 #: Sustained fraction of aggregate hash-engine throughput (load imbalance
@@ -75,10 +74,7 @@ class AnalyticBackend(ExecutionBackend):
                 b_csr: CSRMatrix | None = None,
                 verify: bool = True) -> ExecutionResult:
         start = _time.perf_counter()
-        if program.arrays is not None:
-            output = program.arrays.replay(program.source or "program")
-        else:  # legacy loop-compiled program: per-HACC reference loop
-            output = coo_to_csr(dense_to_coo(program.reference_result()))
+        output = program.replay()
         report = self.predict(program, ctx,
                               wall=_time.perf_counter() - start)
         return ExecutionResult(backend=self.name, output=output,
@@ -96,22 +92,13 @@ class AnalyticBackend(ExecutionBackend):
 
         # Operand-size totals and the rolling-counter (tag) histogram come
         # straight from the columnar program arrays — one vectorized
-        # reduction each, no macro-op materialization.  Legacy loop-built
-        # programs fall back to a cheap pass over the macro-ops.
-        arrays = getattr(program, "arrays", None)
-        if arrays is not None:
-            sum_na = arrays.sum_na
-            sum_nb = arrays.sum_nb
-            counts = arrays.out_counts
-            counter_mean = float(counts.mean()) if counts.size else 0.0
-            counter_max = int(counts.max()) if counts.size else 0
-        else:
-            sum_na = sum(len(op.a_rows) for op in program.mmh_ops)
-            sum_nb = sum(len(op.b_cols) for op in program.mmh_ops)
-            counter_values = list(program.counters.values())
-            counter_mean = (sum(counter_values) / len(counter_values)
-                            if counter_values else 0.0)
-            counter_max = max(counter_values, default=0)
+        # reduction each, no macro-op materialization.
+        arrays = program.arrays
+        sum_na = arrays.sum_na
+        sum_nb = arrays.sum_nb
+        counts = arrays.out_counts
+        counter_mean = float(counts.mean()) if counts.size else 0.0
+        counter_max = int(counts.max()) if counts.size else 0
 
         cores = max(1, config.total_cores)
         mems = max(1, config.total_mems)

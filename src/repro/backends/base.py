@@ -13,8 +13,9 @@ analytic   roofline cycle prediction, no events   O(MMH instructions)
 ========== ====================================== =========================
 
 Backends receive the compiled program plus (optionally) the CSR/CSC
-operands; the analytic backend replays the program's columnar arrays in
-one vectorized pass instead of materializing the macro-op stream.
+operands.  All three share one numeric path: the output is the program's
+replay, one vectorized gather-multiply-scatter over its columnar arrays;
+what sets them apart is the report each adds.
 """
 
 from __future__ import annotations
@@ -58,26 +59,22 @@ class ExecutionResult:
 
     Attributes:
         backend: name of the backend that produced this result.
-        output: the product matrix C in CSR.
+        output: the product matrix C in CSR — the program's replay, with
+            the compiled output structure (a slot whose partial products
+            cancel stays an explicit zero).
         report: timing report; populated by the cycle backend (measured) and
             the analytic backend (predicted), ``None`` for functional.
-        functional: functional-model report; ``None`` for the analytic
-            backend, which bypasses the hash-accumulate replay entirely.
-        output_dense: dense form of the output when the backend already
-            materialised one (the functional model's accumulator); saves
-            callers that need a dense result a CSR round trip.
+        functional: the functional backend's per-NeuraMem HACC, eviction
+            and spill report; ``None`` for the other backends.
     """
 
     backend: str
     output: CSRMatrix
     report: SimulationReport | None = None
     functional: FunctionalReport | None = None
-    output_dense: np.ndarray | None = None
 
     def to_dense(self) -> np.ndarray:
-        """Dense output, reusing the backend's own dense array when present."""
-        if self.output_dense is not None:
-            return self.output_dense
+        """Dense form of the output."""
         return self.output.to_dense()
 
 

@@ -1,10 +1,18 @@
 """The functional and cycle execution backends.
 
-Both wrap the pre-existing simulators — the untimed hash-accumulate model
-and the event-driven NeuraSim — behind the
+Both wrap a simulator — the untimed hash-accumulate model and the
+event-driven NeuraSim — behind the
 :class:`~repro.backends.base.ExecutionBackend` protocol, so every entry
 point (session, CLI, serving layer) selects them by name instead of
 wiring the simulators by hand.
+
+They share one numeric path with the analytic backend: the ``output`` is
+the compiled program's replay
+(:meth:`~repro.compiler.program.Program.replay`), byte-identical
+across all three.  The simulators walk the program's HACC stream for what
+only they model — NeuraSim's timing report (whose verify step checks the
+hash-accumulated output against that same replay) and the functional
+model's per-NeuraMem HACC, eviction and spill statistics.
 """
 
 from __future__ import annotations
@@ -13,14 +21,8 @@ from repro.backends.base import ExecutionBackend, ExecutionContext, ExecutionRes
 from repro.backends.registry import register_backend
 from repro.compiler.program import Program
 from repro.sim.accelerator import NeuraChipAccelerator
-from repro.sim.functional import FunctionalAccelerator, FunctionalReport
-from repro.sparse.convert import coo_to_csr, dense_to_coo
+from repro.sim.functional import FunctionalAccelerator
 from repro.sparse.csr import CSRMatrix
-
-
-def _run_functional(program: Program, ctx: ExecutionContext) -> FunctionalReport:
-    return FunctionalAccelerator(ctx.config, ctx.mapping_scheme,
-                                 ctx.mapping_seed).run(program)
 
 
 @register_backend("functional")
@@ -31,11 +33,10 @@ class FunctionalBackend(ExecutionBackend):
                 a_csr: CSRMatrix | None = None,
                 b_csr: CSRMatrix | None = None,
                 verify: bool = True) -> ExecutionResult:
-        functional = _run_functional(program, ctx)
-        output = coo_to_csr(dense_to_coo(functional.output))
-        return ExecutionResult(backend=self.name, output=output,
-                               report=None, functional=functional,
-                               output_dense=functional.output)
+        functional = FunctionalAccelerator(ctx.config, ctx.mapping_scheme,
+                                           ctx.mapping_seed).run(program)
+        return ExecutionResult(backend=self.name, output=program.replay(),
+                               report=None, functional=functional)
 
 
 @register_backend("cycle")
@@ -46,13 +47,10 @@ class CycleBackend(ExecutionBackend):
                 a_csr: CSRMatrix | None = None,
                 b_csr: CSRMatrix | None = None,
                 verify: bool = True) -> ExecutionResult:
-        functional = _run_functional(program, ctx)
         accelerator = NeuraChipAccelerator(ctx.config, ctx.params,
                                            eviction_mode=ctx.eviction_mode,
                                            mapping_scheme=ctx.mapping_scheme,
                                            mapping_seed=ctx.mapping_seed)
         report = accelerator.run(program, verify=verify)
-        output = coo_to_csr(dense_to_coo(functional.output))
-        return ExecutionResult(backend=self.name, output=output,
-                               report=report, functional=functional,
-                               output_dense=functional.output)
+        return ExecutionResult(backend=self.name, output=program.replay(),
+                               report=report)

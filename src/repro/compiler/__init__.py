@@ -20,6 +20,7 @@ against.
 from repro.compiler.program import (
     AddressMap,
     HACCMacroOp,
+    HACCStream,
     MMHMacroOp,
     Program,
     ProgramArrays,
@@ -35,6 +36,7 @@ __all__ = [
     "AddressMap",
     "MMHMacroOp",
     "HACCMacroOp",
+    "HACCStream",
     "Program",
     "ProgramArrays",
     "ProgramDigest",

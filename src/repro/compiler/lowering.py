@@ -26,7 +26,8 @@ Two compilers share this lowering contract:
   macro-ops materialize lazily.
 * :func:`compile_spgemm_loop` — the original per-row-group Python loops
   over the symbolic pass (:func:`~repro.sparse.symbolic.symbolic_spgemm_from_csc`),
-  kept as the executable specification: the columnar compiler must produce
+  kept as the executable specification: it packs the op list it builds
+  into the same payload, and the columnar compiler must produce
   byte-identical instruction encodings and identical macro-op streams
   (asserted by the equivalence test suite and the compiler benchmark).
 """
@@ -42,12 +43,11 @@ from repro.analysis.verifier import (
     check_offset_arrays as _check_offset_arrays,
     require_offset as _require_offset,
 )
-from repro.arch.isa import MMHInstruction, Opcode
+from repro.arch.isa import Opcode
 from repro.compiler.program import (
     AddressMap,
     DENSE_KEY_SPACE,
     ELEMENT_BYTES,
-    MMHMacroOp,
     Program,
     ProgramArrays,
 )
@@ -260,10 +260,12 @@ def compile_spgemm_loop(a_csc: CSCMatrix, b_csr: CSRMatrix, tile_size: int = 4,
                         source: str = "spgemm") -> Program:
     """Reference loop compiler (the original per-row-group Python loops).
 
-    Produces a fully materialized program that must match
-    :func:`compile_spgemm` macro-op for macro-op and byte for byte; kept as
-    the executable specification of the lowering and as the baseline of
-    ``benchmarks/bench_compiler.py``.
+    Walks the row groups op by op, takes the output structure and rolling
+    counters from the symbolic pass, and packs the op list it builds into
+    the same :class:`~repro.compiler.program.ProgramArrays` form
+    :func:`compile_spgemm` emits, which must match it macro-op for macro-op
+    and byte for byte; kept as the executable specification of the
+    lowering and as the baseline of ``benchmarks/bench_compiler.py``.
     """
     if a_csc.shape[1] != b_csr.shape[0]:
         raise ValueError(f"dimension mismatch: A is {a_csc.shape}, B is {b_csr.shape}")
@@ -273,79 +275,69 @@ def compile_spgemm_loop(a_csc: CSCMatrix, b_csr: CSRMatrix, tile_size: int = 4,
     address_map = AddressMap.layout(a_csc.nnz, b_csr.nnz, symbolic.nnz)
 
     # Output elements are laid out in deterministic (row, col) order.
-    output_addrs: dict[tuple[int, int], int] = {}
-    for slot, key in enumerate(sorted(symbolic.entries)):
-        output_addrs[key] = address_map.output_base + slot * ELEMENT_BYTES
-    counter_addrs = {key: address_map.roll_counter_base + slot * ELEMENT_BYTES
-                     for slot, key in enumerate(sorted(symbolic.entries))}
+    slot_of = {key: slot for slot, key in enumerate(sorted(symbolic.entries))}
 
     a_csr = csc_to_csr(a_csc)
-    mmh_ops: list[MMHMacroOp] = []
-    sequence = 0
+    op_rows: list[tuple[int, ...]] = []  # one row of op columns per op
+    op_reseed: list[bool] = []
     n_rows = a_csc.shape[0]
-    n_row_groups = 0
     for group_start in range(0, n_rows, tile_size):
         group_rows = range(group_start, min(group_start + tile_size, n_rows))
-        # Column index k -> list of (row, value) elements of A within the group.
-        column_segments: dict[int, list[tuple[int, float]]] = {}
+        # Column index k -> output rows of A's elements within the group.
+        column_segments: dict[int, list[int]] = {}
         for i in group_rows:
-            cols, vals = a_csr.row(i)
-            for k, v in zip(cols.tolist(), vals.tolist()):
-                column_segments.setdefault(k, []).append((i, float(v)))
-        group_ops: list[MMHMacroOp] = []
+            cols, _vals = a_csr.row(i)
+            for k in cols.tolist():
+                column_segments.setdefault(k, []).append(i)
+        n_group_ops = 0
         for k in sorted(column_segments):
-            b_cols, b_vals = b_csr.row(k)
+            b_cols, _vals = b_csr.row(k)
             if b_cols.size == 0:
                 continue
-            segment = column_segments[k]
-            a_tile_rows = tuple(row for row, _val in segment)
-            a_tile_vals = tuple(val for _row, val in segment)
+            a_tile_rows = column_segments[k]
             # The group's A elements occupy a contiguous run of column k in CSC.
             col_rows, _ = a_csc.col(k)
-            a_offset_in_col = int(np.searchsorted(col_rows, a_tile_rows[0]))
-            a_base_offset = (int(a_csc.indptr[k]) + a_offset_in_col) * ELEMENT_BYTES
-            b_base_offset = int(b_csr.indptr[k]) * ELEMENT_BYTES
+            a_lo = int(a_csc.indptr[k]) + int(np.searchsorted(col_rows,
+                                                              a_tile_rows[0]))
             for b_start in range(0, b_cols.size, tile_size):
-                b_tile_cols = tuple(int(c) for c in b_cols[b_start:b_start + tile_size])
-                b_tile_vals = tuple(float(v) for v in b_vals[b_start:b_start + tile_size])
-                first_key = (a_tile_rows[0], b_tile_cols[0])
-                instruction = MMHInstruction(
-                    opcode=opcode,
-                    base_addr=0,
-                    a_data_addr=_require_offset(
-                        address_map.a_data_base + a_base_offset, "a_data"),
-                    b_col_ind_addr=_require_offset(
-                        address_map.b_col_ind_base + b_base_offset
-                        + b_start * ELEMENT_BYTES, "b_col_ind"),
-                    b_data_addr=_require_offset(
-                        address_map.b_data_base + b_base_offset
-                        + b_start * ELEMENT_BYTES, "b_data"),
-                    roll_counter_addr=_require_offset(
-                        counter_addrs[first_key], "roll_counter"),
-                )
-                group_ops.append(MMHMacroOp(
-                    opcode=opcode, k=k,
-                    a_rows=a_tile_rows, a_values=a_tile_vals,
-                    b_cols=b_tile_cols, b_values=b_tile_vals,
-                    instruction=instruction, sequence=sequence,
-                ))
-                sequence += 1
-        if group_ops:
-            n_row_groups += 1
+                b_lo = int(b_csr.indptr[k]) + b_start
+                b_hi = b_lo + min(tile_size, b_cols.size - b_start)
+                slot = slot_of[(a_tile_rows[0], int(b_cols[b_start]))]
+                op_rows.append((
+                    k, group_start // tile_size,
+                    a_lo, a_lo + len(a_tile_rows), b_lo, b_hi, slot,
+                    _require_offset(address_map.a_data_base
+                                    + a_lo * ELEMENT_BYTES, "a_data"),
+                    _require_offset(address_map.b_col_ind_base
+                                    + b_lo * ELEMENT_BYTES, "b_col_ind"),
+                    _require_offset(address_map.b_data_base
+                                    + b_lo * ELEMENT_BYTES, "b_data"),
+                    _require_offset(address_map.roll_counter_base
+                                    + slot * ELEMENT_BYTES, "roll_counter")))
+                op_reseed.append(False)
+                n_group_ops += 1
+        if n_group_ops:
             # Mark the DRHM reseed boundary on the last op of the row group.
-            last = group_ops[-1]
-            group_ops[-1] = MMHMacroOp(
-                opcode=last.opcode, k=last.k, a_rows=last.a_rows,
-                a_values=last.a_values, b_cols=last.b_cols,
-                b_values=last.b_values, instruction=last.instruction,
-                reseed_after=True, sequence=last.sequence,
-            )
-            mmh_ops.extend(group_ops)
+            op_reseed[-1] = True
 
+    narrow = np.int32
+    (op_k, op_group, op_a_lo, op_a_hi, op_b_lo, op_b_hi, op_slot, op_a_addr,
+     op_b_col_addr, op_b_data_addr, op_counter_addr) = np.array(
+        op_rows, dtype=np.int64).reshape(-1, 11).T.astype(narrow)
+    arrays = ProgramArrays(
+        opcode=opcode, tile_size=tile_size, shape=symbolic.shape,
+        out_indptr=symbolic.indptr.astype(np.int64),
+        out_indices=symbolic.indices.astype(narrow),
+        out_counts=symbolic.counts.astype(narrow),
+        a_rows=a_csc.indices.astype(narrow), a_values=a_csc.data.copy(),
+        b_cols=b_csr.indices.astype(narrow), b_values=b_csr.data.copy(),
+        op_k=op_k, op_group=op_group, op_a_lo=op_a_lo, op_a_hi=op_a_hi,
+        op_b_lo=op_b_lo, op_b_hi=op_b_hi, op_slot=op_slot,
+        op_reseed=np.array(op_reseed, dtype=bool), op_a_addr=op_a_addr,
+        op_b_col_addr=op_b_col_addr, op_b_data_addr=op_b_data_addr,
+        op_counter_addr=op_counter_addr)
     return Program(
-        mmh_ops=mmh_ops,
-        counters=dict(symbolic.entries),
-        output_addrs=output_addrs,
+        arrays=arrays,
         address_map=address_map,
         shape=symbolic.shape,
         tile_size=tile_size,
@@ -353,7 +345,7 @@ def compile_spgemm_loop(a_csc: CSCMatrix, b_csr: CSRMatrix, tile_size: int = 4,
         b_nnz=b_csr.nnz,
         total_partial_products=symbolic.total_partial_products,
         source=source,
-        metadata={"n_row_groups": n_row_groups},
+        metadata={"n_row_groups": arrays.n_row_groups},
     )
 
 

@@ -4,29 +4,30 @@ The cycle simulator consumes *macro-ops*: decoded instructions that carry both
 the architectural fields (operand addresses, as encoded by
 :mod:`repro.arch.isa`) and the semantic payload (the actual operand values)
 so that the simulation can verify numerical correctness of the accelerator
-output against a software reference.
+output against the program's replay.
 
-Programs are stored *columnar*: the compiler emits a
+Programs are stored *columnar*: both compilers emit a
 :class:`ProgramArrays` structure-of-arrays payload (per-op operand slices,
 addresses and output-slot indices, plus the CSR-shaped symbolic output
 structure), and the familiar :class:`MMHMacroOp` objects are materialized
-lazily — only when the cycle/functional simulators actually iterate them.
-Count-only consumers (the analytic backend, report rows, cache
-fingerprints) read the arrays directly and never pay for materialization;
-pickling a columnar program (disk cache spill, cross-process shipping)
-serialises only the arrays.
+lazily — only when the cycle simulator actually issues them.  Count-only
+consumers (the analytic backend, report rows, cache fingerprints) read the
+arrays directly and never pay for materialization; pickling a program
+(disk cache spill, cross-process shipping) serialises only the arrays.
 
-The numeric output of a columnar program is a *replay* of its own op
-stream: a structure-only :class:`ReplayIndex` (built once per program and
-shared by every :func:`rebind_b_values` copy) maps each partial product to
-its operands and output slot, and one gather-multiply-scatter accumulates
-every slot in program order — MMH multiplies, HACC accumulates.
+The numeric output of a program is a *replay* of its own op stream: a
+structure-only :class:`ReplayIndex` (built once per program and shared by
+every :func:`rebind_b_values` copy) maps each partial product to its
+operands and output slot, and one gather-multiply-scatter accumulates every
+slot in program order — MMH multiplies, HACC accumulates.  The same index
+yields the simulators' :class:`HACCStream`: every HACC the program
+dispatches, in program order, built in one vectorized pass.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -110,7 +111,7 @@ class AddressMap:
                 for (name, base), end in zip(bases, ends)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HACCMacroOp:
     """A hash_accumulate operation with its semantic payload.
 
@@ -194,23 +195,6 @@ class MMHMacroOp:
                              n_a * n_b * ELEMENT_BYTES),
         }
 
-    def expand(self, counters: dict[tuple[int, int], int], n_out_cols: int,
-               output_addrs: dict[tuple[int, int], int]) -> list[HACCMacroOp]:
-        """Expand into HACC macro-ops (Algorithm 1's dispatch loop)."""
-        haccs = []
-        for i, av in zip(self.a_rows, self.a_values):
-            for j, bv in zip(self.b_cols, self.b_values):
-                tag = (i * n_out_cols + j) & 0xFFFFFFFF
-                haccs.append(HACCMacroOp(
-                    tag=tag,
-                    value=av * bv,
-                    counter=counters[(i, j)],
-                    out_row=i,
-                    out_col=j,
-                    writeback_addr=output_addrs[(i, j)],
-                ))
-        return haccs
-
     def encode(self) -> int:
         """Architectural 128-bit encoding (Figure 7)."""
         return encode_mmh(self.instruction)
@@ -238,6 +222,35 @@ class ReplayIndex:
     a_rep: np.ndarray
     pp_b: np.ndarray
     pp_slot: np.ndarray
+
+
+@dataclass(frozen=True)
+class HACCStream:
+    """Every HACC a program dispatches, in program order, as columns.
+
+    Op ``s`` dispatches HACCs ``op_start[s]:op_start[s + 1]``, in the
+    order its A-tile rows (outer) and B-tile columns (inner) pair up.
+
+    Attributes:
+        op_start: HACC offset of every op, plus the total at the end.
+        tag / value / counter / out_row / out_col / writeback_addr: the
+            :class:`HACCMacroOp` fields, one entry per HACC.
+    """
+
+    op_start: np.ndarray
+    tag: np.ndarray
+    value: np.ndarray
+    counter: np.ndarray
+    out_row: np.ndarray
+    out_col: np.ndarray
+    writeback_addr: np.ndarray
+
+    def macro_ops(self) -> list[HACCMacroOp]:
+        """The stream as :class:`HACCMacroOp` objects, in program order."""
+        return list(map(HACCMacroOp, self.tag.tolist(), self.value.tolist(),
+                        self.counter.tolist(), self.out_row.tolist(),
+                        self.out_col.tolist(),
+                        self.writeback_addr.tolist()))
 
 
 @dataclass
@@ -356,20 +369,9 @@ class ProgramArrays:
 
     def flat_keys(self) -> np.ndarray:
         """Ascending flattened output coordinates ``row * n_cols + col``,
-        one per slot.  Computed afresh unless a simulator cached them."""
-        cached = self.__dict__.get("_derived_cache", {}).get("flat")
-        if cached is not None:
-            return cached
+        one per slot."""
         return (row_per_slot(self.out_indptr, self.shape[0])
                 * self.shape[1] + self.out_indices)
-
-    def _flat_keys(self) -> np.ndarray:
-        """:meth:`flat_keys`, retained for the per-MMH slot lookups of
-        :meth:`expand_haccs`."""
-        derived = self._derived()
-        if "flat" not in derived:
-            derived["flat"] = self.flat_keys()
-        return derived["flat"]
 
     # ------------------------------------------------------------------
     # Partial-product expansion and numeric replay
@@ -491,6 +493,12 @@ class ProgramArrays:
                            pp_b=pp_b.astype(narrow, copy=False),
                            pp_slot=pp_slot), None
 
+    def _products(self, index: ReplayIndex) -> np.ndarray:
+        """Value of every partial product of ``index``, in program order."""
+        products = np.repeat(self.a_values[index.a_index], index.a_rep)
+        products *= self.b_values[index.pp_b]
+        return products
+
     def replay(self, source: str = "program") -> CSRMatrix:
         """Numeric output C = A @ B from this payload's operand values.
 
@@ -502,15 +510,34 @@ class ProgramArrays:
         """
         index = self.replay_index(source)
         if index.pp_slot.size:
-            products = np.repeat(self.a_values[index.a_index], index.a_rep)
-            products *= self.b_values[index.pp_b]
-            data = np.bincount(index.pp_slot, weights=products,
+            data = np.bincount(index.pp_slot, weights=self._products(index),
                                minlength=self.output_nnz)
         else:
             data = np.zeros(self.output_nnz, dtype=np.float64)
         return CSRMatrix(self.out_indptr.astype(np.int64, copy=True),
                          self.out_indices.astype(np.int64, copy=True),
                          data, self.shape)
+
+    def hacc_stream(self, output_base: int,
+                    source: str = "program") -> HACCStream:
+        """Every HACC this payload dispatches (Algorithm 1's dispatch loop),
+        built from the :class:`ReplayIndex` in one vectorized pass: the
+        value is the partial product, the tag the 32-bit flattened output
+        coordinate, the counter and write-back address those of the
+        partial product's output slot."""
+        index = self.replay_index(source)
+        rows = np.repeat(self.a_rows[index.a_index], index.a_rep)
+        cols = self.b_cols[index.pp_b]
+        op_start = np.zeros(self.n_ops + 1, dtype=np.int64)
+        np.cumsum(self.partial_products_per_op, out=op_start[1:])
+        return HACCStream(
+            op_start=op_start,
+            tag=(rows.astype(np.int64) * self.shape[1] + cols) & 0xFFFFFFFF,
+            value=self._products(index),
+            counter=self.out_counts[index.pp_slot],
+            out_row=rows, out_col=cols,
+            writeback_addr=(output_base + index.pp_slot.astype(np.int64)
+                            * ELEMENT_BYTES))
 
     # ------------------------------------------------------------------
     # Lazy materialization
@@ -543,33 +570,6 @@ class ProgramArrays:
         """Generate macro-ops in program order without retaining them."""
         for index in range(self.n_ops):
             yield self.materialize(index)
-
-    def expand_haccs(self, mmh: MMHMacroOp,
-                     address_map: AddressMap) -> list[HACCMacroOp]:
-        """Expand one MMH into HACC macro-ops, resolving counters and
-        write-back addresses through the symbolic arrays (no dict views)."""
-        n_cols = self.shape[1]
-        a_rows = np.asarray(mmh.a_rows, dtype=np.int64)
-        b_cols = np.asarray(mmh.b_cols, dtype=np.int64)
-        flat = (a_rows[:, None] * n_cols + b_cols[None, :]).ravel()
-        slots = np.searchsorted(self._flat_keys(), flat)
-        counters = self.out_counts[slots].tolist()
-        writebacks = (address_map.output_base
-                      + slots * ELEMENT_BYTES).tolist()
-        haccs = []
-        position = 0
-        for i, av in zip(mmh.a_rows, mmh.a_values):
-            for j, bv in zip(mmh.b_cols, mmh.b_values):
-                haccs.append(HACCMacroOp(
-                    tag=(i * n_cols + j) & 0xFFFFFFFF,
-                    value=av * bv,
-                    counter=counters[position],
-                    out_row=i,
-                    out_col=j,
-                    writeback_addr=writebacks[position],
-                ))
-                position += 1
-        return haccs
 
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
@@ -613,16 +613,12 @@ class ProgramDigest:
 
 
 class Program:
-    """A compiled NeuraChip program.
-
-    Holds either a columnar :class:`ProgramArrays` payload (the compiler's
-    native output — macro-ops, counter dicts and address dicts are
-    materialized lazily, and only on demand) or the fully materialized
-    legacy representation (macro-op list plus counter / address dicts, as
-    the reference loop compiler produces).
+    """A compiled NeuraChip program: a columnar :class:`ProgramArrays`
+    payload plus its address map; macro-ops materialize lazily, and only
+    on demand.
 
     Attributes:
-        arrays: columnar payload, or ``None`` for legacy programs.
+        arrays: columnar payload.
         address_map: operand layout in HBM.
         shape: shape of the output matrix C.
         tile_size: MMH tile size the program was compiled for.
@@ -631,27 +627,14 @@ class Program:
         source: human-readable description of the workload.
     """
 
-    def __init__(self, mmh_ops: list[MMHMacroOp] | None = None,
-                 counters: dict[tuple[int, int], int] | None = None,
-                 output_addrs: dict[tuple[int, int], int] | None = None,
-                 address_map: AddressMap | None = None,
+    def __init__(self, arrays: ProgramArrays, address_map: AddressMap,
                  shape: tuple[int, int] = (0, 0),
                  tile_size: int = 4,
                  a_nnz: int = 0,
                  b_nnz: int = 0,
                  total_partial_products: int = 0,
                  source: str = "",
-                 metadata: dict | None = None,
-                 arrays: ProgramArrays | None = None) -> None:
-        if arrays is None and (mmh_ops is None or counters is None
-                               or output_addrs is None):
-            raise ValueError("Program needs either a columnar `arrays` "
-                             "payload or the fully materialized legacy "
-                             "triple (`mmh_ops` + `counters` + "
-                             "`output_addrs`)")
-        if arrays is not None and address_map is None:
-            raise ValueError("a columnar Program needs its `address_map` "
-                             "to resolve write-back addresses")
+                 metadata: dict | None = None) -> None:
         self.arrays = arrays
         self.address_map = address_map
         self.shape = (int(shape[0]), int(shape[1]))
@@ -661,12 +644,7 @@ class Program:
         self.total_partial_products = total_partial_products
         self.source = source
         self.metadata = dict(metadata) if metadata else {}
-        self._mmh_ops: list[MMHMacroOp] | None = \
-            list(mmh_ops) if mmh_ops is not None else None
-        self._counters: dict[tuple[int, int], int] | None = \
-            dict(counters) if counters is not None else None
-        self._output_addrs: dict[tuple[int, int], int] | None = \
-            dict(output_addrs) if output_addrs is not None else None
+        self._mmh_ops: list[MMHMacroOp] | None = None
 
     # ------------------------------------------------------------------
     # Lazy views over the columnar payload
@@ -674,43 +652,27 @@ class Program:
     @property
     def mmh_ops(self) -> list[MMHMacroOp]:
         """The MMH macro-op stream in program order (materialized on first
-        access for columnar programs, then cached)."""
+        access, then cached)."""
         if self._mmh_ops is None:
             self._mmh_ops = list(self.arrays.iter_ops())
         return self._mmh_ops
 
     def iter_mmh_ops(self) -> Iterator[MMHMacroOp]:
         """Iterate macro-ops in program order without caching the list —
-        the view the simulators consume."""
+        the view the cycle simulator consumes."""
         if self._mmh_ops is not None:
-            yield from self._mmh_ops
-        elif self.arrays is not None:
-            yield from self.arrays.iter_ops()
+            return iter(self._mmh_ops)
+        return self.arrays.iter_ops()
 
-    @property
-    def counters(self) -> dict[tuple[int, int], int]:
-        """Rolling counter per output coordinate (lazy dict view)."""
-        if self._counters is None:
-            arrays = self.arrays
-            rows = row_per_slot(arrays.out_indptr, arrays.shape[0])
-            self._counters = dict(zip(
-                zip(rows.tolist(), arrays.out_indices.tolist()),
-                arrays.out_counts.tolist()))
-        return self._counters
+    def replay(self) -> CSRMatrix:
+        """Numeric output C = A @ B, replayed from the op stream — the
+        output of every backend."""
+        return self.arrays.replay(self.source or "program")
 
-    @property
-    def output_addrs(self) -> dict[tuple[int, int], int]:
-        """HBM write-back address per output coordinate (lazy dict view)."""
-        if self._output_addrs is None:
-            arrays = self.arrays
-            rows = row_per_slot(arrays.out_indptr, arrays.shape[0])
-            base = self.address_map.output_base
-            addrs = base + np.arange(arrays.output_nnz,
-                                     dtype=np.int64) * ELEMENT_BYTES
-            self._output_addrs = dict(zip(
-                zip(rows.tolist(), arrays.out_indices.tolist()),
-                addrs.tolist()))
-        return self._output_addrs
+    def hacc_stream(self) -> HACCStream:
+        """Every HACC this program dispatches, in program order."""
+        return self.arrays.hacc_stream(self.address_map.output_base,
+                                       self.source or "program")
 
     # ------------------------------------------------------------------
     # Aggregates
@@ -718,16 +680,12 @@ class Program:
     @property
     def n_instructions(self) -> int:
         """Number of MMH instructions."""
-        if self.arrays is not None:
-            return self.arrays.n_ops
-        return len(self._mmh_ops)
+        return self.arrays.n_ops
 
     @property
     def output_nnz(self) -> int:
         """Number of non-zeros in the output matrix."""
-        if self.arrays is not None:
-            return self.arrays.output_nnz
-        return len(self._counters)
+        return self.arrays.output_nnz
 
     @property
     def bloat_percent(self) -> float:
@@ -753,23 +711,6 @@ class Program:
             b_nnz=self.b_nnz,
             source=self.source)
 
-    # ------------------------------------------------------------------
-    # Expansion and reference semantics
-    # ------------------------------------------------------------------
-    def expand_haccs(self, mmh: MMHMacroOp) -> list[HACCMacroOp]:
-        """Expand one MMH of this program into its HACC macro-ops."""
-        if self.arrays is not None:
-            return self.arrays.expand_haccs(mmh, self.address_map)
-        return mmh.expand(self._counters, self.shape[1], self._output_addrs)
-
-    def reference_result(self) -> np.ndarray:
-        """Dense reference of the output computed from the macro-op stream."""
-        dense = np.zeros(self.shape, dtype=np.float64)
-        for mmh in self.iter_mmh_ops():
-            for hacc in self.expand_haccs(mmh):
-                dense[hacc.out_row, hacc.out_col] += hacc.value
-        return dense
-
     def encode_binary(self) -> bytes:
         """Serialise the MMH stream to the 128-bit binary format."""
         blob = bytearray()
@@ -777,52 +718,24 @@ class Program:
             blob.extend(op.encode().to_bytes(16, "little"))
         return bytes(blob)
 
-    def validate(self) -> None:
-        """Check program invariants; raise AssertionError when violated.
-
-        * every expanded HACC's counter matches the symbolic counter;
-        * the per-tag number of HACCs equals that counter;
-        * bloat accounting is consistent.
-        """
-        per_tag_counts: dict[tuple[int, int], int] = {}
-        total = 0
-        for mmh in self.iter_mmh_ops():
-            for hacc in self.expand_haccs(mmh):
-                key = (hacc.out_row, hacc.out_col)
-                per_tag_counts[key] = per_tag_counts.get(key, 0) + 1
-                total += 1
-        if total != self.total_partial_products:
-            raise AssertionError("partial product count mismatch")
-        if set(per_tag_counts) != set(self.counters):
-            raise AssertionError("output structure mismatch")
-        for key, count in per_tag_counts.items():
-            if count != self.counters[key]:
-                raise AssertionError(f"counter mismatch at {key}: "
-                                     f"{count} != {self.counters[key]}")
-
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        """Pickle columnar programs as arrays only: the materialized
-        macro-op / dict caches are dropped (they rebuild lazily), so disk
-        spills and cross-process shipments stay operand-sized."""
+        """Pickle as arrays only: the materialized macro-op cache is
+        dropped (it rebuilds lazily), so disk spills and cross-process
+        shipments stay operand-sized."""
         state = self.__dict__.copy()
-        if state.get("arrays") is not None:
-            state["_mmh_ops"] = None
-            state["_counters"] = None
-            state["_output_addrs"] = None
+        state["_mmh_ops"] = None
         return state
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        layout = "columnar" if self.arrays is not None else "materialized"
         return (f"Program(source={self.source!r}, shape={self.shape}, "
                 f"tile_size={self.tile_size}, "
                 f"n_instructions={self.n_instructions}, "
-                f"partial_products={self.total_partial_products}, "
-                f"layout={layout})")
+                f"partial_products={self.total_partial_products})")
 
 
 def rebind_b_values(program: Program, b_csr) -> Program:
-    """A copy of a columnar ``program`` with the B operand's *values*
+    """A copy of ``program`` with the B operand's *values*
     swapped for ``b_csr.data`` — structure, instruction stream and
     addressing untouched.
 
@@ -836,20 +749,18 @@ def rebind_b_values(program: Program, b_csr) -> Program:
     a fresh compile's are.
 
     Raises:
-        ValueError: for legacy (non-columnar) programs or when ``b_csr``'s
-            nnz does not match the structure the program was compiled for.
+        ValueError: when ``b_csr``'s nnz does not match the structure the
+            program was compiled for.
     """
     arrays = program.arrays
-    if arrays is None:
-        raise ValueError("rebind_b_values needs a columnar program")
     values = np.array(b_csr.data, dtype=np.float64)
     if values.size != arrays.b_values.size:
         raise ValueError(
             f"operand structure mismatch: program was compiled for "
             f"{arrays.b_values.size} B non-zeros, got {values.size}")
     new_arrays = dataclasses.replace(arrays, b_values=values)
-    # Structure-only caches (replay index, flat keys) are shared by
-    # reference, so whichever copy replays first builds them for all.
+    # The structure-only replay index is shared by reference, so whichever
+    # copy replays first builds it for all.
     new_arrays.__dict__["_derived_cache"] = arrays._derived()
     return Program(arrays=new_arrays,
                    address_map=program.address_map,

@@ -340,6 +340,11 @@ class ReproServer:
                                     max_delay_ms=max_delay_ms,
                                     coalesce=coalesce, stats=self.stats)
         self._server: asyncio.base_events.Server | None = None
+        # Live connection handlers and the ones waiting for a request
+        # line; touched on the event-loop thread only.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
+        self._idle: set[asyncio.Task] = set()
+        self._closing = False
         self._datasets: OrderedDict = OrderedDict()  # guarded-by: _dataset_lock
         self._dataset_lock = threading.Lock()
 
@@ -358,9 +363,21 @@ class ReproServer:
     async def stop(self) -> None:
         """Stop accepting connections, drain the batcher, release the
         session's serving resources (the session itself stays open —
-        the caller owns it)."""
+        the caller owns it).
+
+        Idle keep-alive connections are closed at once; a connection
+        mid-request finishes its response first (bounded by the request
+        timeout).  Every handler returns on its own, so none is left for
+        the loop to cancel at exit."""
         if self._server is not None:
             self._server.close()
+            self._closing = True
+            for task, writer in list(self._connections.items()):
+                if task in self._idle:
+                    writer.close()
+            if self._connections:
+                await asyncio.wait(list(self._connections),
+                                   timeout=self.request_timeout_s)
             await self._server.wait_closed()
             self._server = None
         await asyncio.to_thread(self.batcher.stop)
@@ -398,8 +415,12 @@ class ReproServer:
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        assert task is not None  # each connection runs in its own task
+        self._connections[task] = writer
         try:
-            while True:
+            while not self._closing:
+                self._idle.add(task)
                 try:
                     request_line = await reader.readline()
                 except ValueError:  # over the stream's line limit
@@ -407,6 +428,8 @@ class ReproServer:
                         reader, writer, 414,
                         f"request line longer than {LINE_LIMIT} bytes")
                     break
+                finally:
+                    self._idle.discard(task)
                 if not request_line:
                     break
                 try:
@@ -474,6 +497,7 @@ class ReproServer:
         except (asyncio.IncompleteReadError, ConnectionResetError):
             pass  # client went away mid-request
         finally:
+            del self._connections[task]
             writer.close()
             try:
                 await writer.wait_closed()

@@ -181,9 +181,9 @@ class NeuraChipAccelerator:
         ]
         self.dispatcher = Dispatcher(self.sim, params, self.cores, self.stats)
 
-        # Per-run program state.
-        self._program: Program | None = None
-        self._hacc_cache: dict[int, list[HACCMacroOp]] = {}
+        # Per-run program state: the program's HACC stream, op by op.
+        self._haccs: list[HACCMacroOp] = []
+        self._op_start: list[int] = []
         self._output: dict[tuple[int, int], float] = {}
         self._spilled_value: dict[int, float] = {}
         self._spilled_applied: dict[int, int] = {}
@@ -210,11 +210,7 @@ class NeuraChipAccelerator:
     def _dispatch_hacc(self, core: NeuraCore, op: MMHMacroOp, index: int,
                        arrival_callback) -> None:
         """Send one HACC of an MMH to its NeuraMem over the torus."""
-        haccs = self._hacc_cache.get(op.sequence)
-        if haccs is None:
-            haccs = self._program.expand_haccs(op)
-            self._hacc_cache[op.sequence] = haccs
-        hacc = haccs[index]
+        hacc = self._haccs[self._op_start[op.sequence] + index]
         mem_index = self.mapping.map(hacc.tag, group=hacc.out_row)
         mem = self.mems[mem_index]
         dispatch_time = self.sim.now
@@ -270,8 +266,9 @@ class NeuraChipAccelerator:
 
         Args:
             program: compiled MMH stream (see :mod:`repro.compiler`).
-            verify: when True, the accumulated output matrix is compared
-                against the program's software reference.
+            verify: when True, the accumulated output is compared against
+                the program's replay (the plain accumulation of the same
+                HACC stream).
             max_events: optional safety cap on simulation events.
 
         Returns:
@@ -279,7 +276,10 @@ class NeuraChipAccelerator:
         """
         start_wall = _time.perf_counter()
         self._build()
-        self._program = program
+        stream = program.hacc_stream()
+        self._op_start = stream.op_start.tolist()
+        self._haccs = stream.macro_ops()
+        del stream
         self._haccs_expected = program.total_partial_products
         self.dispatcher.load(program.iter_mmh_ops())
         self.dispatcher.start()
@@ -289,10 +289,37 @@ class NeuraChipAccelerator:
             # applied-count finalizer.
             self._finalize()
             self.sim.run(max_events=max_events)
+        self._haccs, self._op_start = [], []
         wall = _time.perf_counter() - start_wall
         return self._build_report(program, verify, wall)
 
     # ------------------------------------------------------------------
+    def _check_output(self, program: Program) -> tuple[bool, float]:
+        """Compare the accumulated output with the program's replay, slot
+        by slot: ``(correct, max_abs_error)``.  Correct needs exactly the
+        symbolic output keys and every value within 1e-9; the error is
+        the largest deviation over all produced and expected elements (a
+        produced key outside the structure counts its whole value)."""
+        arrays = program.arrays
+        expected = arrays.flat_keys()
+        reference = program.replay().data
+        n_cols = program.shape[1]
+        keys = np.fromiter((row * n_cols + col for row, col in self._output),
+                           dtype=np.int64, count=len(self._output))
+        values = np.fromiter(self._output.values(), dtype=np.float64,
+                             count=len(self._output))
+        slots = np.searchsorted(expected, keys)
+        known = slots < expected.size
+        known[known] = expected[slots[known]] == keys[known]
+        produced = np.zeros(expected.size, dtype=np.float64)
+        produced[slots[known]] = values[known]
+        max_err = float(max(np.abs(produced - reference).max(initial=0.0),
+                            np.abs(values[~known]).max(initial=0.0)))
+        correct = (bool(known.all()) and keys.size == expected.size
+                   and bool(np.allclose(produced, reference,
+                                        rtol=1e-9, atol=1e-9)))
+        return correct, max_err
+
     def _build_report(self, program: Program, verify: bool,
                       wall: float) -> SimulationReport:
         config = self.config
@@ -314,12 +341,7 @@ class NeuraChipAccelerator:
         correct: bool | None = None
         max_err = 0.0
         if verify:
-            reference = program.reference_result()
-            produced = np.zeros(program.shape, dtype=np.float64)
-            for (row, col), value in self._output.items():
-                produced[row, col] = value
-            max_err = float(np.max(np.abs(produced - reference))) if reference.size else 0.0
-            correct = bool(np.allclose(produced, reference, rtol=1e-9, atol=1e-9))
+            correct, max_err = self._check_output(program)
 
         mmh_hist = self.stats.histograms.get(
             "mmh_cpi", Histogram(bin_width=25, n_bins=20))

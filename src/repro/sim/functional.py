@@ -2,9 +2,11 @@
 
 The functional accelerator executes a compiled program with the same
 hash-accumulate semantics as the cycle simulator — per-NeuraMem HashPads,
-rolling counters, capacity-induced spills — but without any timing.  It is
-used by the test suite to validate dataflow correctness quickly, and by the
-benchmark harness for workloads too large for the cycle simulator.
+rolling counters, capacity-induced spills — but without any timing.  It
+walks the program's HACC stream (the one the cycle simulator dispatches)
+for its per-NeuraMem HACC, eviction and spill statistics; the test suite
+uses it to validate dataflow correctness quickly, and the benchmark
+harness for workloads too large for the cycle simulator.
 """
 
 from __future__ import annotations
@@ -71,23 +73,32 @@ class FunctionalAccelerator:
         spilled_applied: dict[int, int] = {}
         per_mem_haccs = np.zeros(n_mems, dtype=np.int64)
         per_mem_evictions = np.zeros(n_mems, dtype=np.int64)
-        per_core_mmhs = np.zeros(max(1, n_cores), dtype=np.int64)
+        arrays = program.arrays
+        per_core_mmhs = np.bincount(np.arange(arrays.n_ops) % max(1, n_cores),
+                                    minlength=max(1, n_cores))
         peak_occupancy = 0
         spills = 0
-        total = 0
         capacity = config.mem.hashlines
 
-        # The lazy columnar view: ops materialize one at a time and are
-        # dropped after processing, so the functional pass never holds the
-        # full macro-op list.
-        for op_index, op in enumerate(program.iter_mmh_ops()):
-            per_core_mmhs[op_index % max(1, n_cores)] += 1
-            for hacc in program.expand_haccs(op):
-                total += 1
-                mem_index = mapping.map(hacc.tag, group=hacc.out_row)
+        # Walk the program's HACC stream one reseed segment (a row group)
+        # at a time: the mapping only changes between segments, and each
+        # segment's columns convert to Python scalars just before use.
+        stream = program.hacc_stream()
+        cuts = np.flatnonzero(arrays.op_reseed).tolist()
+        if arrays.n_ops and (not cuts or cuts[-1] != arrays.n_ops - 1):
+            cuts.append(arrays.n_ops - 1)  # trailing ops with no reseed
+        lo = 0
+        for cut in cuts:
+            hi = int(stream.op_start[cut + 1])
+            for tag, value, counter, row, col in zip(
+                    stream.tag[lo:hi].tolist(), stream.value[lo:hi].tolist(),
+                    stream.counter[lo:hi].tolist(),
+                    stream.out_row[lo:hi].tolist(),
+                    stream.out_col[lo:hi].tolist()):
+                mem_index = mapping.map(tag, group=row)
                 per_mem_haccs[mem_index] += 1
                 pad = pads[mem_index]
-                line = pad.get(hacc.tag)
+                line = pad.get(tag)
                 if line is None:
                     if len(pad) >= capacity:
                         victim_tag, victim = next(iter(pad.items()))
@@ -96,23 +107,23 @@ class FunctionalAccelerator:
                         spilled_applied[victim_tag] = (
                             spilled_applied.get(victim_tag, 0) + victim[2])
                         spills += 1
-                    already = spilled_applied.get(hacc.tag, 0)
-                    pad[hacc.tag] = [hacc.value, hacc.counter - 1 - already, 1,
-                                     hacc.out_row, hacc.out_col]
+                    already = spilled_applied.get(tag, 0)
+                    line = pad[tag] = [value, counter - 1 - already, 1,
+                                       row, col]
                 else:
-                    line[0] += hacc.value
+                    line[0] += value
                     line[1] -= 1
                     line[2] += 1
-                line = pad[hacc.tag]
                 peak_occupancy = max(peak_occupancy, len(pad))
                 if line[1] <= 0:
-                    value = line[0] + spilled.pop(hacc.tag, 0.0)
-                    spilled_applied.pop(hacc.tag, None)
-                    output[line[3], line[4]] += value
-                    del pad[hacc.tag]
+                    value = line[0] + spilled.pop(tag, 0.0)
+                    spilled_applied.pop(tag, None)
+                    output[row, col] += value
+                    del pad[tag]
                     per_mem_evictions[mem_index] += 1
-            if op.reseed_after:
-                mapping.reseed(op.k)
+            if arrays.op_reseed[cut]:
+                mapping.reseed(int(arrays.op_k[cut]))
+            lo = hi
 
         # Flush anything left resident (counter anomalies or spilled resumes).
         for mem_index, pad in enumerate(pads):
@@ -131,7 +142,7 @@ class FunctionalAccelerator:
             per_core_mmhs=per_core_mmhs,
             peak_occupancy=peak_occupancy,
             spills=spills,
-            total_partial_products=total,
+            total_partial_products=int(stream.tag.size),
             load_imbalance=imbalance,
             metadata={"mapping_scheme": self.mapping_scheme_name},
         )

@@ -23,6 +23,24 @@ def random_sparse_coo(n_rows: int, n_cols: int, density: float,
     return COOMatrix(rows, cols, data, (n_rows, n_cols)).sum_duplicates()
 
 
+def program_reference(program) -> np.ndarray:
+    """Dense output of a program's macro-op stream, one partial product at
+    a time in program order: the executable spec the vectorized replay and
+    the simulators' outputs are checked against."""
+    dense = np.zeros(program.shape, dtype=np.float64)
+    for op in program.iter_mmh_ops():
+        for i, av in zip(op.a_rows, op.a_values):
+            for j, bv in zip(op.b_cols, op.b_values):
+                dense[i, j] += av * bv
+    return dense
+
+
+@pytest.fixture
+def reference_result():
+    """:func:`program_reference`, for tests that check a program's output."""
+    return program_reference
+
+
 @pytest.fixture
 def small_coo() -> COOMatrix:
     """A fixed small sparse matrix used across format tests."""

@@ -139,22 +139,25 @@ class TestArchitecturalTrends:
 
 
 class TestFunctionalModel:
-    def test_functional_matches_reference(self, small_program):
+    def test_functional_matches_reference(self, small_program,
+                                          reference_result):
         report = FunctionalAccelerator(TILE16).run(small_program)
-        assert np.allclose(report.output, small_program.reference_result())
+        assert np.allclose(report.output, reference_result(small_program))
         assert report.total_partial_products == small_program.total_partial_products
 
     @pytest.mark.parametrize("scheme", ["ring", "modular", "random", "drhm"])
-    def test_functional_correct_for_every_mapping(self, small_program, scheme):
+    def test_functional_correct_for_every_mapping(self, small_program, scheme,
+                                                  reference_result):
         report = FunctionalAccelerator(TILE16, mapping_scheme=scheme).run(small_program)
-        assert np.allclose(report.output, small_program.reference_result())
+        assert np.allclose(report.output, reference_result(small_program))
 
     def test_functional_tracks_load_balance(self, small_program):
         report = FunctionalAccelerator(TILE16).run(small_program)
         assert report.per_mem_haccs.sum() == small_program.total_partial_products
         assert report.load_imbalance >= 1.0
 
-    def test_functional_spills_with_tiny_pad(self, small_program):
+    def test_functional_spills_with_tiny_pad(self, small_program,
+                                             reference_result):
         from dataclasses import replace
 
         from repro.arch.config import NeuraMemConfig
@@ -164,10 +167,11 @@ class TestFunctionalModel:
         config = replace(TILE4, mem=tiny_mem, name="Tile-4-tinypad")
         report = FunctionalAccelerator(config).run(small_program)
         assert report.spills > 0
-        assert np.allclose(report.output, small_program.reference_result())
+        assert np.allclose(report.output, reference_result(small_program))
 
-    def test_functional_agrees_with_cycle_simulator(self, small_program):
+    def test_functional_agrees_with_cycle_simulator(self, small_program,
+                                                    reference_result):
         functional = FunctionalAccelerator(TILE4).run(small_program)
         cycle = NeuraChipAccelerator(TILE4).run(small_program)
         assert cycle.correct is True
-        assert np.allclose(functional.output, small_program.reference_result())
+        assert np.allclose(functional.output, reference_result(small_program))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.verifier import verify_program
 from repro.arch.isa import Opcode, decode_mmh
 from repro.compiler import compile_gcn_aggregation, compile_spgemm
 from repro.compiler.program import AddressMap, ELEMENT_BYTES
@@ -31,14 +32,21 @@ class TestCompileSpGEMM:
         symbolic = symbolic_spgemm(a, a)
         assert tiny_program.total_partial_products == symbolic.total_partial_products
         assert tiny_program.output_nnz == symbolic.nnz
-        assert tiny_program.counters == symbolic.entries
+        arrays = tiny_program.arrays
+        np.testing.assert_array_equal(arrays.out_indptr, symbolic.indptr)
+        np.testing.assert_array_equal(arrays.out_indices, symbolic.indices)
+        np.testing.assert_array_equal(arrays.out_counts, symbolic.counts)
 
     def test_program_validate_passes(self, tiny_program):
-        tiny_program.validate()
+        assert verify_program(tiny_program) == []
 
-    def test_reference_result_matches_numpy(self, tiny_dataset, tiny_program):
+    def test_reference_result_matches_numpy(self, tiny_dataset, tiny_program,
+                                            reference_result):
         dense = tiny_dataset.adjacency_csr().to_dense()
-        assert np.allclose(tiny_program.reference_result(), dense @ dense)
+        assert np.allclose(reference_result(tiny_program), dense @ dense)
+        np.testing.assert_array_equal(
+            tiny_program.arrays.replay().to_dense(),
+            reference_result(tiny_program))
 
     def test_tile_size_respected(self, tiny_dataset):
         a_csc = tiny_dataset.adjacency_csc()
@@ -87,10 +95,25 @@ class TestCompileSpGEMM:
             assert addresses["roll_counter"][0] >= layout.roll_counter_base
 
     def test_expand_haccs_counters_match_program(self, tiny_program):
-        op = tiny_program.mmh_ops[0]
-        for hacc in tiny_program.expand_haccs(op):
-            assert hacc.counter == tiny_program.counters[(hacc.out_row, hacc.out_col)]
-            assert hacc.tag == (hacc.out_row * tiny_program.shape[1] + hacc.out_col)
+        stream = tiny_program.hacc_stream()
+        arrays = tiny_program.arrays
+        layout = tiny_program.address_map
+        haccs = stream.macro_ops()
+        assert len(haccs) == tiny_program.total_partial_products
+        for sequence in (0, tiny_program.n_instructions - 1):
+            op = tiny_program.mmh_ops[sequence]
+            op_haccs = haccs[stream.op_start[sequence]:
+                             stream.op_start[sequence + 1]]
+            assert [(h.out_row, h.out_col) for h in op_haccs] == [
+                (i, j) for i in op.a_rows for j in op.b_cols]
+            for hacc in op_haccs:
+                row, col = hacc.out_row, hacc.out_col
+                lo, hi = arrays.out_indptr[row], arrays.out_indptr[row + 1]
+                slot = lo + int(np.searchsorted(arrays.out_indices[lo:hi], col))
+                assert hacc.counter == arrays.out_counts[slot]
+                assert hacc.writeback_addr == (layout.output_base
+                                               + slot * ELEMENT_BYTES)
+                assert hacc.tag == row * tiny_program.shape[1] + col
 
     def test_bloat_property(self, tiny_program):
         expected = (tiny_program.total_partial_products - tiny_program.output_nnz) \
@@ -110,10 +133,11 @@ class TestCompileSpGEMM:
 
 
 class TestCompileGCN:
-    def test_gcn_aggregation_label_and_correctness(self, tiny_dataset):
+    def test_gcn_aggregation_label_and_correctness(self, tiny_dataset,
+                                                   reference_result):
         features = feature_matrix(tiny_dataset.n_nodes, 12, density=0.4, seed=3)
         program = compile_gcn_aggregation(tiny_dataset.adjacency_csc(), features,
                                           dataset="probe")
         assert program.source == "gcn-aggregation:probe"
         reference = tiny_dataset.adjacency_csr().to_dense() @ features.to_dense()
-        assert np.allclose(program.reference_result(), reference)
+        assert np.allclose(reference_result(program), reference)

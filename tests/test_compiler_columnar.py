@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.verifier import verify_program
 from repro.arch.config import TILE4
 from repro.backends import get_backend
 from repro.backends.base import ExecutionContext
@@ -18,7 +19,7 @@ from repro.compiler.lowering import (
     compile_spgemm,
     compile_spgemm_loop,
 )
-from repro.compiler.program import ProgramArrays
+from repro.compiler.program import ELEMENT_BYTES, ProgramArrays
 from repro.sim.functional import FunctionalAccelerator
 from repro.sim.params import SimulationParams
 from repro.sparse.convert import coo_to_csr, csr_to_csc
@@ -82,24 +83,30 @@ class TestColumnarEquivalence:
     @pytest.mark.parametrize("tile_size", [1, 2, 4, 8])
     def test_counter_and_address_views_identical(self, tile_size):
         _a, _b, loop, columnar = compiled_pair(CASES[0], tile_size)
-        assert columnar.counters == loop.counters
-        assert columnar.output_addrs == loop.output_addrs
+        for name in ("out_indptr", "out_indices", "out_counts", "op_slot"):
+            np.testing.assert_array_equal(getattr(columnar.arrays, name),
+                                          getattr(loop.arrays, name))
+        assert columnar.address_map == loop.address_map
 
     @pytest.mark.parametrize("tile_size", [1, 2, 4, 8])
     def test_hacc_expansion_identical(self, tile_size):
         _a, _b, loop, columnar = compiled_pair(CASES[1], tile_size)
-        for op_c, op_l in zip(columnar.mmh_ops, loop.mmh_ops):
-            assert columnar.expand_haccs(op_c) == loop.expand_haccs(op_l)
+        stream_c, stream_l = columnar.hacc_stream(), loop.hacc_stream()
+        np.testing.assert_array_equal(stream_c.op_start, stream_l.op_start)
+        assert stream_c.macro_ops() == stream_l.macro_ops()
 
     def test_validate_passes_on_columnar_program(self):
-        _a, _b, _loop, columnar = compiled_pair(CASES[0], 4)
-        columnar.validate()
+        _a, _b, loop, columnar = compiled_pair(CASES[0], 4)
+        assert verify_program(columnar) == []
+        assert verify_program(loop) == []
 
-    def test_reference_results_bitwise_equal(self):
+    def test_reference_results_bitwise_equal(self, reference_result):
         a, b, loop, columnar = compiled_pair(CASES[2], 4)
-        np.testing.assert_array_equal(columnar.reference_result(),
-                                      loop.reference_result())
-        assert np.allclose(columnar.reference_result(),
+        np.testing.assert_array_equal(reference_result(columnar),
+                                      reference_result(loop))
+        np.testing.assert_array_equal(columnar.arrays.replay().to_dense(),
+                                      reference_result(loop))
+        assert np.allclose(reference_result(columnar),
                            a.to_dense() @ b.to_dense())
 
     @pytest.mark.parametrize("tile_size", [1, 4])
@@ -285,16 +292,14 @@ class TestLazyMaterialization:
         assert result.report.cycles > 0
         assert program._mmh_ops is None, \
             "analytic backend materialized the macro-op stream"
-        assert program._counters is None
-        assert program._output_addrs is None
         assert result.report.counters["analytic.counter_max"] >= 1
 
     def test_program_rejects_partial_legacy_payload(self):
         from repro.compiler.program import Program
 
-        with pytest.raises(ValueError, match="arrays"):
-            Program(mmh_ops=[])  # counters / output_addrs missing
-        with pytest.raises(ValueError, match="arrays"):
+        with pytest.raises(TypeError, match="mmh_ops"):
+            Program(mmh_ops=[], counters={}, output_addrs={})
+        with pytest.raises(TypeError, match="arrays"):
             Program()
 
     def test_iter_does_not_cache(self):
@@ -307,23 +312,32 @@ class TestLazyMaterialization:
         assert program.mmh_ops == ops
         assert program._mmh_ops is not None
 
-    def test_pickle_roundtrip_drops_caches_and_shrinks(self):
+    def test_pickle_roundtrip_drops_caches_and_shrinks(self, reference_result):
         a = random_csr(200, 200, 0.05, seed=11)
         a_csc = csr_to_csc(a)
         columnar = compile_spgemm(a_csc, a)
         loop = compile_spgemm_loop(a_csc, a)
-        _ = columnar.mmh_ops  # populate caches; pickling must drop them
-        _ = columnar.counters
+        _ = columnar.mmh_ops  # populate the cache; pickling must drop it
         payload = pickle.dumps(columnar, protocol=pickle.HIGHEST_PROTOCOL)
-        legacy_payload = pickle.dumps(loop, protocol=pickle.HIGHEST_PROTOCOL)
-        assert len(payload) < len(legacy_payload) / 2, \
+        # The materialized form: macro-ops plus per-output counter and
+        # write-back address dicts.
+        arrays = columnar.arrays
+        keys = list(zip(np.repeat(np.arange(arrays.shape[0]),
+                                  np.diff(arrays.out_indptr)).tolist(),
+                        arrays.out_indices.tolist()))
+        addrs = (columnar.address_map.output_base
+                 + np.arange(len(keys)) * ELEMENT_BYTES).tolist()
+        materialized = pickle.dumps(
+            (columnar.mmh_ops, dict(zip(keys, arrays.out_counts.tolist())),
+             dict(zip(keys, addrs))), protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(payload) < len(materialized) / 2, \
             "columnar pickle should be several times smaller than macro-ops"
         restored = pickle.loads(payload)
         assert restored._mmh_ops is None
         assert restored.n_instructions == columnar.n_instructions
         assert restored.encode_binary() == loop.encode_binary()
-        np.testing.assert_array_equal(restored.reference_result(),
-                                      loop.reference_result())
+        np.testing.assert_array_equal(reference_result(restored),
+                                      reference_result(loop))
 
 
 class TestOffsetOverflow:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.verifier import verify_program
 from repro.arch.config import TILE4
 from repro.core import GCNLayerSpec, NeuraChip, Session, SpGEMMSpec, SweepSpec
 from repro.datasets import load_dataset
@@ -95,7 +96,7 @@ class TestRunSpGEMM:
     def test_compile_only(self, chip, tiny_graph):
         program = chip.compile(tiny_graph.adjacency_csr(), tile_size=2)
         assert program.tile_size == 2
-        program.validate()
+        assert verify_program(program) == []
 
 
 class TestRunGCNLayer:

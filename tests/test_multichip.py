@@ -59,6 +59,23 @@ class TestCrossBackendEquivalence:
             multi = session.run(SpGEMMSpec(a=wiki, b=facebook, verify=False))
         assert_byte_identical(multi, whole)
 
+    @pytest.mark.parametrize("fleet", ["multichip", "shards"])
+    def test_cycle_chips_byte_identical_to_single_chip(self, wiki,
+                                                        single_chip, fleet):
+        with Session("Tile-4", backend="cycle") as session:
+            whole = session.run(SpGEMMSpec(a=wiki, verify=True))
+            if fleet == "shards":
+                split = session.run(SpGEMMSpec(a=wiki, shards=2, verify=True))
+        if fleet == "multichip":
+            topology = ChipTopology(n_chips=2, chip_backend="cycle")
+            with Session("Tile-4", backend="multichip",
+                         topology=topology) as session:
+                split = session.run(SpGEMMSpec(a=wiki, verify=True))
+        assert whole.metrics["verified"] is True
+        assert split.metrics["verified"] is True
+        assert_byte_identical(whole, single_chip)
+        assert_byte_identical(split, whole)
+
     def test_cycle_chip_backend_verifies(self, wiki):
         topology = ChipTopology(n_chips=2, chip_backend="cycle")
         with Session("Tile-4", backend="multichip",

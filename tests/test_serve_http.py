@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import logging
 import socket
 import time
 
@@ -196,6 +197,26 @@ class TestLifecycle:
                     connection.getresponse()
                 finally:
                     connection.close()
+
+    def test_stop_closes_idle_keep_alive_connection_cleanly(self, capfd,
+                                                            caplog):
+        caplog.set_level(logging.DEBUG, logger="asyncio")
+        with Session("Tile-4", backend="analytic") as session:
+            background = BackgroundServer(ReproServer(session, port=0))
+            background.start()
+            client = socket.create_connection(("127.0.0.1", background.port),
+                                              timeout=10)
+            try:
+                client.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+                assert client.recv(65536).startswith(b"HTTP/1.1 200")
+                background.stop()  # the client idles on its keep-alive
+                assert client.recv(65536) == b""  # the server hung up
+            finally:
+                client.close()
+        assert capfd.readouterr().err == ""
+        assert [record for record in caplog.records
+                if record.name == "asyncio"
+                and record.levelno >= logging.WARNING] == []
 
     def test_keep_alive_serves_multiple_requests(self, server):
         connection = http.client.HTTPConnection("127.0.0.1", server.port,
