@@ -34,6 +34,9 @@ _REG22_MASK = (1 << 22) - 1
 _REG32_MASK = (1 << 32) - 1
 _REG16_MASK = (1 << 16) - 1
 
+#: MMH tile sizes the ISA encodes (one opcode variant each).
+MMH_TILE_SIZES = (1, 2, 4, 8)
+
 
 class Opcode(enum.IntEnum):
     """Instruction opcodes of the extended ISA."""
@@ -47,12 +50,13 @@ class Opcode(enum.IntEnum):
 
     @classmethod
     def mmh_for_tile(cls, tile_size: int) -> "Opcode":
-        """MMH opcode variant for a given tile size (1, 2, 4 or 8)."""
-        table = {1: cls.MMH1, 2: cls.MMH2, 4: cls.MMH4, 8: cls.MMH8}
-        if tile_size not in table:
+        """MMH opcode variant for a given tile size (one of
+        :data:`MMH_TILE_SIZES`)."""
+        if tile_size not in MMH_TILE_SIZES:
             raise ValueError(f"unsupported MMH tile size {tile_size}; "
-                             "must be one of 1, 2, 4, 8")
-        return table[tile_size]
+                             f"must be one of {MMH_TILE_SIZES}")
+        variants = (cls.MMH1, cls.MMH2, cls.MMH4, cls.MMH8)
+        return variants[MMH_TILE_SIZES.index(tile_size)]
 
     @property
     def mmh_tile_size(self) -> int:

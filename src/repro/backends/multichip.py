@@ -299,12 +299,12 @@ def _merge_reports(reports: list[SimulationReport], config, source: str,
 def _run_chip(chip: int, assignment: ShardAssignment,
               units: list[ShardUnit], b_csr: CSRMatrix, source: str,
               chip_backend: str, ctx: ExecutionContext, verify: bool,
-              tile_size: int, kind: str, cache=None, check=None) -> ChipRun:
+              tile_size: int, cache=None, check=None) -> ChipRun:
     """Execute one chip's units back to back on a fresh per-chip context.
 
     Each unit's program comes from
-    :func:`~repro.core.runner.fetch_or_compile` (program family ``kind``)
-    against its slice of ``b_csr`` (:meth:`ShardUnit.slice_b`), so a unit
+    :func:`~repro.core.runner.fetch_or_compile` against its slice of
+    ``b_csr`` (:meth:`ShardUnit.slice_b`), so a unit
     compiled for an earlier call's B is re-bound to this one's values, and
     every program passes ``check``."""
     from repro.core.runner import fetch_or_compile
@@ -323,7 +323,7 @@ def _run_chip(chip: int, assignment: ShardAssignment,
             f"c{fragment.col_lo}-{fragment.col_hi}]")
         unit_b = unit.slice_b(b_csr)
         program, cache_hit, rebound = fetch_or_compile(
-            cache, unit.a, unit_b, tile_size, unit_source, kind, check=check)
+            cache, unit.a, unit_b, tile_size, unit_source, check=check)
         b_resident = b_resident and cache_hit and not rebound
         # The context is immutable chip *configuration*; per-chip isolation
         # comes from the backend building fresh simulator state per execute.
@@ -440,9 +440,10 @@ class MultiChipBackend(ExecutionBackend):
         """Execute one layer of a stack over the resident shard state.
 
         Unlike :meth:`execute_operands`, nothing is re-planned or re-sliced
-        and unit programs (their own ``gnn-stack-unit`` cache family) are
-        cache hits re-bound to this layer's values after the first layer.
-        ``charge_broadcast`` is set by the pipeline on layer 0 only:
+        and unit programs are cache hits re-bound to this layer's values
+        after the first layer (the same programs a one-shot run of these
+        operands fetches).  ``charge_broadcast`` is set by the pipeline on
+        layer 0 only:
         resident-operand reuse means B ships to the fleet once per *stack*,
         not once per layer (and not at all when the fleet is already warm,
         i.e. no unit program compiles fresh).  Residency lives in this
@@ -463,9 +464,9 @@ class MultiChipBackend(ExecutionBackend):
                  one_shot: bool) -> MultiChipExecutionResult:
         """Run every chip's units against ``b_csr``, stitch, reduce.
 
-        A one-shot run fetches ``spgemm`` unit programs and may ship its
-        chips to a process pool; a resident stack layer fetches
-        ``gnn-stack-unit`` programs inline."""
+        A one-shot run may ship its chips to a process pool; a resident
+        stack layer runs them in this process.  Both fetch their unit
+        programs through the same cache keys."""
         topology = self.topology
         plan = resident.plan
         runs = self._run_chips(resident, b_csr, ctx, verify, one_shot)
@@ -500,11 +501,10 @@ class MultiChipBackend(ExecutionBackend):
     def _run_chips(self, resident: ResidentGraph, b_csr: CSRMatrix,
                    ctx: ExecutionContext, verify: bool,
                    one_shot: bool) -> list[ChipRun]:
-        kind = "spgemm" if one_shot else "gnn-stack-unit"
         jobs = [dict(chip=index, assignment=assignment, units=units,
                      b_csr=b_csr, source=resident.source,
                      chip_backend=self.topology.chip_backend, ctx=ctx,
-                     verify=verify, tile_size=resident.tile_size, kind=kind)
+                     verify=verify, tile_size=resident.tile_size)
                 for index, (assignment, units)
                 in enumerate(zip(resident.plan.shards, resident.units))]
         executor = self.executor

@@ -23,7 +23,7 @@ from repro.arch.config import NeuraChipConfig, get_config
 from repro.backends import ExecutionContext
 from repro.compiler import compile_spgemm
 from repro.compiler.program import Program
-from repro.gnn.gcn import GCNWorkload
+from repro.gnn.gcn import GCNLayer
 from repro.power.model import PowerModel
 from repro.sim.accelerator import SimulationReport
 from repro.sim.params import SimulationParams
@@ -83,13 +83,13 @@ class NeuraChip:
                                 eviction_mode=self.eviction_mode)
 
     # ------------------------------------------------------------------
-    def _combination_cycles(self, workload: GCNWorkload) -> float:
-        """Dense combination phase modelled at the chip's peak throughput,
-        bounded by HBM streaming of the aggregated features."""
-        flops = workload.combination_flops()
+    def _combination_cycles(self, n_nodes: int, layer: GCNLayer) -> float:
+        """Dense combination phase (``n_nodes`` rows times ``layer``'s
+        weights) modelled at the chip's peak throughput, bounded by HBM
+        streaming of the aggregated features."""
+        flops = 2 * n_nodes * layer.in_dim * layer.out_dim
         compute_cycles = flops / max(self.config.peak_gflops, 1e-9)
-        traffic = 4.0 * (workload.dataset.n_nodes
-                         * (workload.layer.in_dim + workload.layer.out_dim))
+        traffic = 4.0 * (n_nodes * (layer.in_dim + layer.out_dim))
         memory_cycles = traffic / max(self.config.peak_bandwidth_bytes_per_cycle, 1e-9)
         return max(compute_cycles, memory_cycles)
 

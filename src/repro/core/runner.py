@@ -45,7 +45,9 @@ DEFAULT_DISK_CAPACITY_BYTES = 256 * 1024 * 1024
 #: v3: programs pickle as the columnar ``ProgramArrays`` payload (numpy
 #: buffers) instead of a materialized macro-op list — far smaller spills,
 #: and incompatible with the v2 object graph.
-CACHE_SCHEMA_VERSION = 3
+#: v4: keys drop the program-family ``kind`` element; a program depends
+#: only on A's content, B's structure and the tile size.
+CACHE_SCHEMA_VERSION = 4
 
 
 def matrix_fingerprint(matrix) -> str:
@@ -132,21 +134,21 @@ class ProgramCache:
             self.cache_dir = path
 
     # ------------------------------------------------------------------
-    def key(self, a, b, tile_size: int, kind: str = "spgemm") -> tuple:
+    def key(self, a, b, tile_size: int) -> tuple:
         """Cache key for operands ``(a, b)`` at ``tile_size``: A by
         content, a given ``b`` by structure only, since the compiled
         program never depends on B's values (:func:`fetch_or_compile`
         re-binds them on a hit).
 
         ``b=None`` means the A @ A workload, whose one operand is keyed by
-        content.  ``kind`` separates program families (spgemm, gcn
-        aggregation, gnn stacks) that would otherwise share operand
-        fingerprints.
+        content.  Nothing else enters the key: a plain SpGEMM, a GCN
+        layer's aggregation, a GNN stack layer and a multichip unit with
+        the same operands share one program.
         """
         fingerprint_a = matrix_fingerprint(a)
         fingerprint_b = (matrix_structure_fingerprint(b) if b is not None
                          else fingerprint_a)
-        return (CACHE_SCHEMA_VERSION, kind, fingerprint_a, fingerprint_b,
+        return (CACHE_SCHEMA_VERSION, fingerprint_a, fingerprint_b,
                 tile_size)
 
     def _disk_path(self, key: tuple) -> Path:
@@ -330,7 +332,6 @@ class ProgramCache:
 
 def fetch_or_compile(cache: ProgramCache | None, a_csr: CSRMatrix,
                      b_csr: CSRMatrix | None, tile_size: int, source: str,
-                     kind: str = "spgemm",
                      check: Callable[[tuple | None, Program], Program]
                      | None = None) -> tuple[Program, bool, bool]:
     """The program for C = A @ B (``b_csr=None`` means A @ A), from
@@ -350,7 +351,7 @@ def fetch_or_compile(cache: ProgramCache | None, a_csr: CSRMatrix,
     key = None
     program = None
     if cache is not None:
-        key = cache.key(a_csr, b_csr, tile_size, kind)
+        key = cache.key(a_csr, b_csr, tile_size)
         program = cache.get(key)
     cache_hit = program is not None
     rebound = (cache_hit and b_csr is not None

@@ -18,9 +18,12 @@ Every execution returns a :class:`~repro.core.specs.RunResult` carrying
 metrics, activity factors, power/energy, and provenance (backend,
 executor, cache hit, wall time, shard count).
 
-Every SpGEMM-shaped run — a plain SpGEMM, a GCN layer's aggregation, a
-multichip run and a host-sharded run — goes through one helper,
-:meth:`Session._execute`.
+Every SpGEMM-shaped run — a plain SpGEMM, a multichip run, a host-sharded
+run and the aggregation of every GCN layer — goes through one helper,
+:meth:`Session._execute`.  A :class:`~repro.core.specs.GCNLayerSpec` and a
+:class:`~repro.core.specs.GNNModelSpec` share one executor,
+:func:`repro.gnn.pipeline.run_gnn_model`: a GCN layer is a one-layer
+stack fed its own input.
 
 Scale-out: ``Session(backend="multichip", chips=N)`` (or a full
 :class:`~repro.backends.multichip.ChipTopology`) assigns balanced row
@@ -47,13 +50,12 @@ from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from repro.analysis.findings import VerificationError
 from repro.analysis.verifier import VERIFY_LEVELS, verify_program
 from repro.arch.config import NeuraChipConfig, get_config
 from repro.backends import ChipTopology, get_backend
 from repro.backends.base import ExecutionResult
+from repro.backends.multichip import ResidentGraph
 from repro.compiler.program import ProgramDigest
 from repro.core.executors import Executor, get_executor
 from repro.core.runner import (
@@ -73,7 +75,6 @@ from repro.core.specs import (
     WorkloadSpec,
 )
 from repro.sim.params import SimulationParams
-from repro.sparse.convert import csc_to_csr
 from repro.sparse.csr import CSRMatrix
 
 # The planner lives in the sparse layer now (it is shared with the
@@ -324,10 +325,10 @@ class Session:
     def _run_one(self, spec: WorkloadSpec) -> RunResult:
         if isinstance(spec, SpGEMMSpec):
             return self._run_spgemm(spec)
-        if isinstance(spec, GCNLayerSpec):
-            return self._run_gcn_layer(spec)
-        if isinstance(spec, GNNModelSpec):
-            return self._run_gnn_model(spec)
+        if isinstance(spec, (GCNLayerSpec, GNNModelSpec)):
+            from repro.gnn.pipeline import run_gnn_model
+
+            return run_gnn_model(self, spec)
         if isinstance(spec, SweepSpec):
             return self._run_sweep(spec)
         if isinstance(spec, BatchSpec):
@@ -389,32 +390,39 @@ class Session:
         a_csr = _as_csr(spec.a)
         b_csr = _as_csr(spec.b) if spec.b is not None else None
         result, _ = self._execute(
-            a_csr, b_csr, spec.tile_size or self.chip.config.mmh_tile_size,
+            a_csr, b_csr, self.chip.config.mmh_tile_size
+            if spec.tile_size is None else spec.tile_size,
             spec.source, spec.verify, shards=spec.shards)
         result.label = spec.label
         result.provenance.wall_time_s = time.perf_counter() - start
         return result
 
     def _execute(self, a_csr: CSRMatrix, b_csr: CSRMatrix | None,
-                 tile: int, source: str, verify: bool, kind: str = "spgemm",
-                 shards: int = 1) -> tuple[RunResult, ExecutionResult]:
+                 tile: int, source: str, verify: bool, shards: int = 1,
+                 resident: ResidentGraph | None = None,
+                 charge_broadcast: bool = True
+                 ) -> tuple[RunResult, ExecutionResult]:
         """Run C = A @ B (``b_csr=None`` means A @ A) on the session
         backend; returns the ``spgemm`` result and the backend's raw
         execution.
 
-        This is the one SpGEMM execution path.  A single-chip backend with
-        ``shards == 1`` runs one cached, verified program.  Otherwise the
-        multichip backend plans, compiles and executes per chip: over the
-        session topology, or — for ``shards > 1`` — over ``shards`` chips
-        of the session backend that stand for host shards run one after
-        another on this chip, so their cycles and energy sum and power is
-        the peak chip's.  Every path yields an output byte-identical to
-        the unsharded product.
+        This is the one SpGEMM execution path; a GCN layer and every layer
+        of a GNN stack aggregate through it too.  A single-chip backend
+        with ``shards == 1`` runs one cached, verified program.  Otherwise
+        the multichip backend plans, compiles and executes per chip: over
+        the session topology, or — for ``shards > 1`` — over ``shards``
+        chips of the session backend that stand for host shards run one
+        after another on this chip, so their cycles and energy sum and
+        power is the peak chip's.  Given ``resident`` shard state (a GNN
+        stack layer on the fleet), the fleet runs over it without
+        re-planning and charges the B broadcast only when
+        ``charge_broadcast``; without it, the run is one-shot.  Every path
+        yields an output byte-identical to the unsharded product.
         """
         ctx = self.chip._context()
         if self.backend != "multichip" and shards == 1:
             program, cache_hit, _ = fetch_or_compile(
-                self.cache, a_csr, b_csr, tile, source, kind,
+                self.cache, a_csr, b_csr, tile, source,
                 check=self._maybe_verify)
             execution = get_backend(self.backend).execute(
                 program, ctx, a_csr=a_csr,
@@ -424,9 +432,15 @@ class Session:
             power_w, energy_j = self.chip._estimate_power(report)
             provenance = self._provenance(cache_hit=cache_hit)
         else:
-            execution = self._multichip_backend(shards).execute_operands(
-                a_csr, b_csr, ctx, tile_size=tile, source=source,
-                verify=verify)
+            backend = self._multichip_backend(shards)
+            if resident is None:
+                execution = backend.execute_operands(
+                    a_csr, b_csr, ctx, tile_size=tile, source=source,
+                    verify=verify)
+            else:
+                execution = backend.execute_resident(
+                    resident, b_csr, ctx, verify=verify,
+                    charge_broadcast=charge_broadcast)
             runs = execution.chip_runs
             program = ProgramDigest(
                 n_instructions=sum(run.mmh for run in runs),
@@ -507,91 +521,6 @@ class Session:
         powers, energies = zip(*(self.chip._estimate_power(run.report)
                                  for run in execution.chip_runs))
         return combine(powers), sum(energies)
-
-    # ------------------------------------------------------------------
-    # GCN layer
-    # ------------------------------------------------------------------
-    def _gcn_workload(self, spec: GCNLayerSpec, dataset):
-        """Build the layer workload for a :class:`GCNLayerSpec`.
-
-        Without explicit ``features`` this is the synthetic-feature
-        workload.  With ``features`` (a chained layer fed its predecessor's
-        output) the input flows through the same dense full-structure CSR
-        encoding the :class:`GNNModelSpec` pipeline uses, so a
-        layer-by-layer chain stays byte-identical to the stacked run."""
-        from repro.gnn.gcn import GCNLayer, GCNWorkload, \
-            normalize_adjacency_cached
-        from repro.gnn.pipeline import full_structure_csr
-
-        if spec.features is None:
-            return GCNWorkload.build(dataset, feature_dim=spec.feature_dim,
-                                     hidden_dim=spec.hidden_dim,
-                                     feature_density=spec.feature_density,
-                                     seed=spec.seed,
-                                     weight_seed=spec.weight_seed,
-                                     activation=spec.activation)
-        features = spec.features
-        dense = features if isinstance(features, np.ndarray) \
-            else features.to_dense()
-        dense = np.asarray(dense, dtype=np.float64)
-        if dense.ndim != 2 or dense.shape[0] != dataset.n_nodes:
-            raise ValueError(
-                f"features shape {dense.shape} does not match the "
-                f"{dataset.n_nodes}-node dataset")
-        layer = GCNLayer.create(
-            dense.shape[1], spec.hidden_dim,
-            seed=spec.seed + 1 if spec.weight_seed is None
-            else spec.weight_seed,
-            activation=spec.activation)
-        return GCNWorkload(dataset=dataset,
-                           a_hat=normalize_adjacency_cached(dataset.adjacency),
-                           features=full_structure_csr(dense), layer=layer)
-
-    def _run_gcn_layer(self, spec: GCNLayerSpec) -> RunResult:
-        """Aggregation (A_hat @ X) through :meth:`_execute`, combination
-        modelled as a dense phase at the chip's peak throughput."""
-        from repro.datasets.suite import DatasetSpec, GraphDataset
-
-        start = time.perf_counter()
-        dataset = spec.dataset
-        if not isinstance(dataset, GraphDataset):
-            dataset_spec = DatasetSpec("custom", "custom", dataset.shape[0],
-                                       dataset.nnz, 0.0, None,
-                                       feature_dim=spec.feature_dim)
-            dataset = GraphDataset(dataset_spec, dataset, 1.0)
-        workload = self._gcn_workload(spec, dataset)
-        result, execution = self._execute(
-            csc_to_csr(workload.adjacency_csc), workload.features,
-            self.chip.config.mmh_tile_size,
-            f"gcn-aggregation:{workload.dataset.name}", spec.verify,
-            kind="gcn")
-        combined = workload.layer.combination(execution.to_dense())
-        aggregation_cycles = result.metrics["cycles"]
-        combination_cycles = self.chip._combination_cycles(workload)
-        result.kind = "gcn_layer"
-        result.label = spec.label
-        result.output = combined
-        result.metrics = {
-            "aggregation_cycles": aggregation_cycles,
-            "combination_cycles": round(combination_cycles, 1),
-            "total_cycles": round(aggregation_cycles + combination_cycles, 1),
-            "output_shape": str(combined.shape),
-            "verified": result.metrics["verified"],
-        }
-        result.provenance.wall_time_s = time.perf_counter() - start
-        return result
-
-    # ------------------------------------------------------------------
-    # GNN model stack
-    # ------------------------------------------------------------------
-    def _run_gnn_model(self, spec: GNNModelSpec) -> RunResult:
-        """Execute a whole layer stack over one resident graph: normalise
-        once, compile the aggregation program once, re-bind feature values
-        per layer, pipeline batches across the fleet.  The heavy lifting
-        lives in :func:`repro.gnn.pipeline.run_gnn_model`."""
-        from repro.gnn.pipeline import run_gnn_model
-
-        return run_gnn_model(self, spec)
 
     # ------------------------------------------------------------------
     # Design-space sweep

@@ -22,12 +22,43 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro.arch.isa import MMH_TILE_SIZES
+
 # Re-exported here so workload plumbing can be described with one import:
 # a ChipTopology is plain data exactly like the specs below.
 from repro.backends.multichip import ChipTopology  # noqa: F401
 from repro.compiler.program import Program
 from repro.sim.accelerator import SimulationReport
 from repro.sparse.csr import CSRMatrix
+
+
+def _check_operand_shapes(a, b) -> None:
+    """Refuse A @ B whose inner dimensions differ (A @ A: a non-square A),
+    whenever both operands carry a shape (a ref does not until resolved)."""
+    a_shape = getattr(a, "shape", None)
+    b_shape = a_shape if b is None else getattr(b, "shape", None)
+    if a_shape is None or b_shape is None \
+            or len(a_shape) != 2 or len(b_shape) != 2:
+        return
+    if a_shape[1] != b_shape[0]:
+        raise ValueError(
+            f"A @ A needs a square A, got shape {tuple(a_shape)}" if b is None
+            else f"A's {a_shape[1]} columns do not match B's {b_shape[0]} "
+                 f"rows (shapes {tuple(a_shape)} and {tuple(b_shape)})")
+
+
+def _check_dims(**dims: int) -> None:
+    for name, dim in dims.items():
+        if dim < 1:
+            raise ValueError(f"{name} must be >= 1, got {dim}")
+
+
+def _check_activations(*names) -> None:
+    # Deferred: repro.gnn imports this module.
+    from repro.gnn.gcn import check_activation
+
+    for name in names:
+        check_activation(name)
 
 
 @dataclass
@@ -64,7 +95,9 @@ class SpGEMMSpec(WorkloadSpec):
             refs must be resolved by the serving registry before the
             spec reaches a session).
         b: right operand; ``None`` means the A @ A workload.
-        tile_size: MMH tile-size override; ``None`` uses the chip default.
+        tile_size: MMH tile-size override, one of
+            :data:`~repro.arch.isa.MMH_TILE_SIZES`; ``None`` uses the chip
+            default.
         verify: verify the output against a reference (cycle backend only).
         source: workload label recorded in the compiled program.
         shards: split the workload into this many row-group shards that fan
@@ -91,6 +124,10 @@ class SpGEMMSpec(WorkloadSpec):
             raise ValueError("SpGEMMSpec requires operand 'a'")
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
+        if self.tile_size is not None and self.tile_size not in MMH_TILE_SIZES:
+            raise ValueError(f"tile_size must be None or one of "
+                             f"{MMH_TILE_SIZES}, got {self.tile_size!r}")
+        _check_operand_shapes(self.a, self.b)
 
 
 @dataclass
@@ -114,7 +151,7 @@ class GCNLayerSpec(WorkloadSpec):
         weight_seed: explicit weight seed; ``None`` keeps the default
             ``seed + 1``.
         activation: activation applied by the modelled combination stage
-            ('relu', 'identity'/'none'/None).
+            (a name in :data:`~repro.gnn.gcn.ACTIVATIONS`, or None).
     """
 
     dataset: Any = None
@@ -131,6 +168,8 @@ class GCNLayerSpec(WorkloadSpec):
     def __post_init__(self) -> None:
         if self.dataset is None:
             raise ValueError("GCNLayerSpec requires a dataset")
+        _check_dims(feature_dim=self.feature_dim, hidden_dim=self.hidden_dim)
+        _check_activations(self.activation)
 
 
 @dataclass
@@ -176,6 +215,7 @@ class GNNModelSpec(WorkloadSpec):
     def __post_init__(self) -> None:
         if self.dataset is None:
             raise ValueError("GNNModelSpec requires a dataset")
+        _check_dims(feature_dim=self.feature_dim)
         self.layer_dims = tuple(int(dim) for dim in self.layer_dims)
         if not self.layer_dims:
             raise ValueError("GNNModelSpec requires at least one layer")
@@ -190,6 +230,9 @@ class GNNModelSpec(WorkloadSpec):
                 raise ValueError(
                     f"activations length {len(self.activations)} does not "
                     f"match stack depth {len(self.layer_dims)}")
+            _check_activations(*self.activations)
+        else:
+            _check_activations(self.activations)
 
 
 @dataclass
@@ -217,6 +260,7 @@ class SweepSpec(WorkloadSpec):
     def __post_init__(self) -> None:
         if self.a is None:
             raise ValueError("SweepSpec requires operand 'a'")
+        _check_operand_shapes(self.a, self.b)
         if self.on_missing_base not in ("skip", "raise"):
             raise ValueError("on_missing_base must be 'skip' or 'raise'")
 

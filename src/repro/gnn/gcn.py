@@ -25,6 +25,18 @@ from repro.sparse.csc import CSCMatrix
 from repro.sparse.csr import CSRMatrix
 
 
+#: Activation names a GCN layer applies; ``None`` is the identity too.
+ACTIVATIONS = ("relu", "identity", "none")
+
+
+def check_activation(activation: str | None) -> None:
+    """Refuse an activation name outside :data:`ACTIVATIONS`; specs call
+    this too, so a bad name fails before any work runs."""
+    if activation is not None and activation not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {activation!r}; expected one "
+                         f"of {ACTIVATIONS} or None")
+
+
 def relu(x: np.ndarray) -> np.ndarray:
     """Rectified linear unit."""
     return np.maximum(x, 0.0)
@@ -62,21 +74,28 @@ def normalize_adjacency(adjacency: COOMatrix, add_self_loops: bool = True) -> CS
 #: comfortably covers a serving host's hot set without unbounded growth.
 ADJACENCY_CACHE_CAPACITY = 32
 
-_adjacency_cache: OrderedDict[str, CSRMatrix] = OrderedDict()  # guarded-by: _adjacency_cache_lock
+_adjacency_cache: OrderedDict[tuple[str, bool], CSRMatrix] = OrderedDict()  # guarded-by: _adjacency_cache_lock
 _adjacency_cache_lock = threading.Lock()
 _adjacency_cache_hits = 0  # guarded-by: _adjacency_cache_lock
 _adjacency_cache_misses = 0  # guarded-by: _adjacency_cache_lock
 
 
-def _adjacency_digest(adjacency: COOMatrix, add_self_loops: bool) -> str:
-    """Content digest of a raw adjacency, keyed for the normalisation memo."""
-    digest = hashlib.sha1()
-    digest.update(f"self-loops={bool(add_self_loops)}".encode())
-    digest.update(str(adjacency.shape).encode())
-    for array in (adjacency.rows, adjacency.cols, adjacency.data):
-        digest.update(str(array.dtype).encode())
-        digest.update(array.tobytes())
-    return digest.hexdigest()
+def adjacency_digest(adjacency: COOMatrix) -> str:
+    """Content digest of a raw adjacency (shape plus COO entries).
+
+    The one graph identity: the normalisation memo keys on it, and so does
+    the serving coalescer for GNN requests.  It is memoized on the matrix,
+    so a graph is hashed once however many requests touch it; like the
+    memo's normalised CSR, an adjacency is read-only once built.
+    """
+    if adjacency.content_digest is None:
+        digest = hashlib.sha1()
+        digest.update(str(adjacency.shape).encode())
+        for array in (adjacency.rows, adjacency.cols, adjacency.data):
+            digest.update(str(array.dtype).encode())
+            digest.update(array.tobytes())
+        adjacency.content_digest = digest.hexdigest()
+    return adjacency.content_digest
 
 
 def normalize_adjacency_cached(adjacency: COOMatrix,
@@ -90,7 +109,7 @@ def normalize_adjacency_cached(adjacency: COOMatrix,
     consumer in the repository only reads it.
     """
     global _adjacency_cache_hits, _adjacency_cache_misses
-    key = _adjacency_digest(adjacency, add_self_loops)
+    key = (adjacency_digest(adjacency), bool(add_self_loops))
     with _adjacency_cache_lock:
         cached = _adjacency_cache.get(key)
         if cached is not None:
@@ -149,11 +168,8 @@ class GCNLayer:
         return self.weight.shape[1]
 
     def _activate(self, x: np.ndarray) -> np.ndarray:
-        if self.activation == "relu":
-            return relu(x)
-        if self.activation in (None, "none", "identity"):
-            return x
-        raise ValueError(f"unknown activation {self.activation!r}")
+        check_activation(self.activation)
+        return relu(x) if self.activation == "relu" else x
 
     def forward(self, a_hat: CSRMatrix, features: np.ndarray) -> np.ndarray:
         """Full layer forward pass on dense features."""

@@ -47,7 +47,6 @@ the ``Retry-After`` hint admission control hands rejected clients.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from collections import deque
@@ -62,6 +61,7 @@ from repro.core.specs import (
     SpGEMMSpec,
     WorkloadSpec,
 )
+from repro.gnn.gcn import adjacency_digest
 from repro.serve.policy import (
     ALL_CHIPS_PER_JOB,
     ScheduleDecision,
@@ -75,6 +75,7 @@ from repro.serve.queue import (
     ServeTimeout,
 )
 from repro.serve.sched.edf import deadline_key
+from repro.sparse.coo import COOMatrix
 
 #: Default micro-batch bounds: dispatch as soon as 8 requests are waiting,
 #: or after 5 ms, whichever comes first.
@@ -322,27 +323,14 @@ def _operand_key(operand, digest: str | None) -> str | None:
 
 
 def _dataset_key(dataset) -> str | None:
-    """Coalescing identity of a GNN spec's graph: a content digest of the
-    raw adjacency (COO entries + shape), memoized on the dataset object so
-    a burst of requests against one resident graph hashes it once."""
-    cached = getattr(dataset, "_coalesce_digest", None)
-    if cached is not None:
-        return cached
+    """Coalescing identity of a GNN spec's graph: its
+    :func:`~repro.gnn.gcn.adjacency_digest`, the key the normalisation
+    memo uses too (memoized on the matrix, so a burst of requests against
+    one resident graph hashes it once)."""
     adjacency = getattr(dataset, "adjacency", dataset)
-    rows = getattr(adjacency, "rows", None)
-    if rows is None:
-        return None  # not a COO-shaped adjacency
-    digest = hashlib.sha1()
-    digest.update(str(adjacency.shape).encode())
-    for array in (adjacency.rows, adjacency.cols, adjacency.data):
-        digest.update(str(array.dtype).encode())
-        digest.update(array.tobytes())
-    key = digest.hexdigest()
-    try:
-        dataset._coalesce_digest = key
-    except (AttributeError, TypeError):
-        pass  # frozen / slotted objects just re-hash next time
-    return key
+    if not isinstance(adjacency, COOMatrix):
+        return None
+    return adjacency_digest(adjacency)
 
 
 def _coalesce_key(spec: WorkloadSpec):
@@ -617,9 +605,11 @@ class MicroBatcher:
             if not is_primary and value.label != request.spec.label:
                 # A coalesced duplicate: same execution, its own label.
                 value = _replace_result(value, label=request.spec.label)
-            request.future.set_result(value)
+            # Counted before the future resolves: a client that reads
+            # /stats right after its reply must see its own response.
             self.stats.record_response(request.tenant,
                                        done - request.enqueued_at)
+            request.future.set_result(value)
 
     # ------------------------------------------------------------------
     # Whole-jobs-per-chip twin session

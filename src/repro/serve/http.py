@@ -87,7 +87,7 @@ import re
 import signal
 import threading
 from collections import OrderedDict
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -98,7 +98,7 @@ from repro.core.specs import (
     OperandRef,
     SpGEMMSpec,
 )
-from repro.datasets.suite import load_dataset
+from repro.datasets.suite import DEFAULT_MAX_NODES, load_dataset
 from repro.serve.batcher import (
     DEFAULT_MAX_BATCH,
     DEFAULT_MAX_DELAY_MS,
@@ -152,6 +152,12 @@ CHUNKED_MIN_BYTES = 64 * 1024
 #: seed) is client-controlled, so the cache is LRU-swept — like every
 #: other buffer in the serving layer, it must not grow with traffic.
 MAX_CACHED_DATASETS = 32
+
+#: Largest ``max_nodes`` a request may ask the server to synthesise; above
+#: it the answer is 400.  Synthesis runs off the event loop, but its cost
+#: grows with the client's choice, so the choice is capped at the
+#: generators' own default size.
+MAX_DATASET_NODES = DEFAULT_MAX_NODES
 
 #: Request content types the front-end accepts; anything else is 415.
 _ACCEPTED_CONTENT_TYPES = ("", "application/json", WIRE_CONTENT_TYPE)
@@ -618,7 +624,7 @@ class ReproServer:
                                             registry=self.registry.stats())
         if path == "/v1/operands":
             if method in ("PUT", "POST"):
-                return self._operand_put(body, headers)
+                return await self._operand_put(body, headers)
             if method == "GET":
                 return 200, {"operands": self.registry.entries(),
                              **self.registry.stats()}
@@ -642,8 +648,10 @@ class ReproServer:
             if path == "/v1/spgemm":
                 return await self._serve_spgemm(body, headers, tenant)
             if path == "/v1/gcn":
-                return await self._serve_gcn(body, headers, tenant)
-            return await self._serve_gnn(body, headers, tenant)
+                return await self._serve_graph(body, headers, tenant,
+                                               "GCN layer", _gcn_spec)
+            return await self._serve_graph(body, headers, tenant,
+                                           "GNN stack", _gnn_spec)
         return 404, {"error": f"unknown path {path!r}; endpoints: "
                               "/healthz /stats /v1/operands /v1/tenants "
                               "/v1/spgemm /v1/gcn /v1/gnn"}
@@ -667,8 +675,8 @@ class ReproServer:
     # ------------------------------------------------------------------
     # Operand registry endpoints
     # ------------------------------------------------------------------
-    def _operand_put(self, body: bytes, headers: dict[str, str]
-                     ) -> tuple[int, dict]:
+    async def _operand_put(self, body: bytes, headers: dict[str, str]
+                           ) -> tuple[int, dict]:
         """Register one operand: a binary x-repro-csr frame, inline JSON
         CSR arrays, or a named generator dataset synthesised server-side."""
         dataset = None
@@ -679,10 +687,7 @@ class ReproServer:
             else:
                 payload = self._json(body)
                 if "dataset" in payload:
-                    dataset = self._dataset(str(payload["dataset"]),
-                                            int(payload.get("max_nodes",
-                                                            256)),
-                                            int(payload.get("seed", 0)))
+                    dataset = await self._dataset(payload, default_nodes=256)
                     csr, source = dataset.adjacency_csr(), dataset.name
                 else:
                     csr, source = _parse_csr(payload, "operand"), "upload"
@@ -732,16 +737,28 @@ class ReproServer:
             raise ValueError("request body must be a JSON object")
         return payload
 
-    def _dataset(self, name: str, max_nodes: int, seed: int):
+    async def _dataset(self, payload: dict, default_nodes: int):
+        """The generator dataset a body names (``dataset``, ``max_nodes``
+        defaulting to ``default_nodes``, ``seed``), from the LRU or
+        synthesised on a worker thread so the event loop keeps serving."""
+        name = str(payload["dataset"])
+        max_nodes = int(payload.get("max_nodes", default_nodes))
+        seed = int(payload.get("seed", 0))
+        if max_nodes > MAX_DATASET_NODES:
+            raise ValueError(f"max_nodes {max_nodes} is above the server's "
+                             f"limit of {MAX_DATASET_NODES}")
         key = (name, max_nodes, seed)
         with self._dataset_lock:
             dataset = self._datasets.get(key)
             if dataset is not None:
                 self._datasets.move_to_end(key)
                 return dataset
-        dataset = load_dataset(name, max_nodes=max_nodes, seed=seed)
+        dataset = await asyncio.to_thread(load_dataset, name,
+                                          max_nodes=max_nodes, seed=seed)
         with self._dataset_lock:
-            self._datasets[key] = dataset
+            # A concurrent request may have cached the same dataset while
+            # this one was synthesising; share its object.
+            dataset = self._datasets.setdefault(key, dataset)
             self._datasets.move_to_end(key)
             while len(self._datasets) > MAX_CACHED_DATASETS:
                 self._datasets.popitem(last=False)
@@ -759,9 +776,7 @@ class ReproServer:
                      if "b" in payload else None)
                 source = str(payload.get("label", "serve"))
             elif "dataset" in payload:
-                dataset = self._dataset(str(payload["dataset"]),
-                                        int(payload.get("max_nodes", 256)),
-                                        int(payload.get("seed", 0)))
+                dataset = await self._dataset(payload, default_nodes=256)
                 a, b = dataset.adjacency_csr(), None
                 source = dataset.name
             else:
@@ -782,6 +797,8 @@ class ReproServer:
             spec, pins = self.registry.resolve(spec)
         except UnknownOperand as err:
             return 404, {"error": str(err)}
+        except ValueError as err:  # resolved operands that do not multiply
+            return 400, {"error": str(err)}
         status, row = await self._submit(spec, timeout, pins, tenant)
         if status != 200:
             return status, row
@@ -804,110 +821,47 @@ class ReproServer:
             row.pop("_result", None)
         return status, row
 
-    async def _serve_gcn(self, body: bytes, headers: dict[str, str],
-                         tenant: str = DEFAULT_TENANT) -> tuple[int, dict]:
+    async def _serve_graph(self, body: bytes, headers: dict[str, str],
+                           tenant: str, what: str,
+                           build_spec: Callable[[dict, Any, str], Any]
+                           ) -> tuple[int, dict]:
+        """``/v1/gcn`` and ``/v1/gnn``: a workload over one graph.
+
+        The body's ``dataset`` is a generator name (synthesised server-side
+        and cached) or ``{"ref": <digest>}``: a dataset-backed registry
+        entry replays its generator dataset, byte-identical to the inline
+        name, while a bare CSR upload aggregates over the matrix itself.
+        ``build_spec(payload, dataset, label)`` turns the rest of the body
+        into the spec.  Both outputs are dense, so a binary ``Accept`` is
+        refused."""
         if _accepts_wire(headers):
-            return 406, {"error": "GCN layer output is dense; "
+            return 406, {"error": f"{what} output is dense; "
                                   f"{WIRE_CONTENT_TYPE} responses are "
                                   "SpGEMM-only"}
         pins: tuple = ()
         try:
             payload = self._json(body)
-            spec_dataset = payload.get("dataset")
-            if isinstance(spec_dataset, dict) and "ref" in spec_dataset:
-                digest = str(spec_dataset["ref"])
+            graph = payload.get("dataset")
+            if isinstance(graph, dict) and "ref" in graph:
+                digest = str(graph["ref"])
                 try:
                     entry = self.registry.get(digest)
                     pins = (self.registry.acquire(digest),)
                 except UnknownOperand as err:
                     return 404, {"error": str(err)}
-                # Dataset-backed entries replay the generator dataset —
-                # byte-identical to the inline {"dataset": name} path;
-                # bare CSR uploads aggregate over the matrix itself.
-                dataset = (entry.dataset if entry.dataset is not None
-                           else csr_to_coo(entry.csr))
-                default_label = (entry.source if entry.dataset is not None
-                                 else f"ref:{digest[:12]}")
-            elif spec_dataset is not None:
-                dataset = self._dataset(str(spec_dataset),
-                                        int(payload.get("max_nodes", 128)),
-                                        int(payload.get("seed", 0)))
+                if entry.dataset is not None:
+                    dataset, default_label = entry.dataset, entry.source
+                else:
+                    dataset = csr_to_coo(entry.csr)
+                    default_label = f"ref:{digest[:12]}"
+            elif graph is not None:
+                dataset = await self._dataset(payload, default_nodes=128)
                 default_label = dataset.name
             else:
                 raise ValueError("body needs a 'dataset' name or "
                                  "{'ref': <digest>}")
-            spec = GCNLayerSpec(
-                dataset=dataset,
-                feature_dim=int(payload.get("feature_dim", 16)),
-                hidden_dim=int(payload.get("hidden_dim", 8)),
-                feature_density=float(payload.get("feature_density", 0.3)),
-                verify=bool(payload.get("verify", False)),
-                seed=int(payload.get("feature_seed", 7)),
-                label=str(payload.get("label", default_label)))
-            timeout = float(payload.get("timeout_s",
-                                        self.request_timeout_s))
-        except (ValueError, TypeError, KeyError, json.JSONDecodeError) as err:
-            for pin in pins:
-                pin.release()
-            return 400, {"error": str(err)}
-        status, row = await self._submit(spec, timeout, pins, tenant)
-        row.pop("_result", None)
-        return status, row
-
-    async def _serve_gnn(self, body: bytes, headers: dict[str, str],
-                         tenant: str = DEFAULT_TENANT) -> tuple[int, dict]:
-        """One multi-layer GNN stack over a resident graph.
-
-        Body: ``{"dataset": "cora" | {"ref": <digest>}, "layer_dims":
-        [16, 16], ...}`` — or ``"layers": L`` + ``"hidden_dim": H`` as
-        shorthand for a uniform ``[H] * L`` stack.  ``batches`` > 1
-        pipelines feature batches layer-by-layer across the fleet."""
-        if _accepts_wire(headers):
-            return 406, {"error": "GNN stack output is dense; "
-                                  f"{WIRE_CONTENT_TYPE} responses are "
-                                  "SpGEMM-only"}
-        pins: tuple = ()
-        try:
-            payload = self._json(body)
-            spec_dataset = payload.get("dataset")
-            if isinstance(spec_dataset, dict) and "ref" in spec_dataset:
-                digest = str(spec_dataset["ref"])
-                try:
-                    entry = self.registry.get(digest)
-                    pins = (self.registry.acquire(digest),)
-                except UnknownOperand as err:
-                    return 404, {"error": str(err)}
-                dataset = (entry.dataset if entry.dataset is not None
-                           else csr_to_coo(entry.csr))
-                default_label = (entry.source if entry.dataset is not None
-                                 else f"ref:{digest[:12]}")
-            elif spec_dataset is not None:
-                dataset = self._dataset(str(spec_dataset),
-                                        int(payload.get("max_nodes", 128)),
-                                        int(payload.get("seed", 0)))
-                default_label = dataset.name
-            else:
-                raise ValueError("body needs a 'dataset' name or "
-                                 "{'ref': <digest>}")
-            if "layer_dims" in payload:
-                layer_dims = tuple(int(dim)
-                                   for dim in payload["layer_dims"])
-            else:
-                layer_dims = (int(payload.get("hidden_dim", 8)),) \
-                    * int(payload.get("layers", 1))
-            activations = payload.get("activations")
-            if activations is not None and not isinstance(activations, str):
-                activations = tuple(str(act) for act in activations)
-            spec = GNNModelSpec(
-                dataset=dataset,
-                layer_dims=layer_dims,
-                feature_dim=int(payload.get("feature_dim", 16)),
-                feature_density=float(payload.get("feature_density", 0.3)),
-                activations=activations,
-                seed=int(payload.get("feature_seed", 7)),
-                batches=int(payload.get("batches", 1)),
-                verify=bool(payload.get("verify", False)),
-                label=str(payload.get("label", default_label)))
+            spec = build_spec(payload, dataset,
+                              str(payload.get("label", default_label)))
             timeout = float(payload.get("timeout_s",
                                         self.request_timeout_s))
         except (ValueError, TypeError, KeyError, json.JSONDecodeError) as err:
@@ -974,6 +928,43 @@ class ReproServer:
         row["request_id"] = request.request_id
         row["_result"] = result  # stripped (or expanded) by the endpoint
         return 200, row
+
+
+def _gcn_spec(payload: dict, dataset, label: str) -> GCNLayerSpec:
+    """``/v1/gcn`` body -> one GCN layer over ``dataset``."""
+    return GCNLayerSpec(
+        dataset=dataset,
+        feature_dim=int(payload.get("feature_dim", 16)),
+        hidden_dim=int(payload.get("hidden_dim", 8)),
+        feature_density=float(payload.get("feature_density", 0.3)),
+        verify=bool(payload.get("verify", False)),
+        seed=int(payload.get("feature_seed", 7)),
+        label=label)
+
+
+def _gnn_spec(payload: dict, dataset, label: str) -> GNNModelSpec:
+    """``/v1/gnn`` body -> a GNN stack over ``dataset``: ``layer_dims``,
+    or ``"layers": L`` + ``"hidden_dim": H`` as shorthand for a uniform
+    ``[H] * L`` stack; ``batches`` > 1 pipelines feature batches
+    layer-by-layer across the fleet."""
+    if "layer_dims" in payload:
+        layer_dims = tuple(int(dim) for dim in payload["layer_dims"])
+    else:
+        layer_dims = (int(payload.get("hidden_dim", 8)),) \
+            * int(payload.get("layers", 1))
+    activations = payload.get("activations")
+    if activations is not None and not isinstance(activations, str):
+        activations = tuple(str(act) for act in activations)
+    return GNNModelSpec(
+        dataset=dataset,
+        layer_dims=layer_dims,
+        feature_dim=int(payload.get("feature_dim", 16)),
+        feature_density=float(payload.get("feature_density", 0.3)),
+        activations=activations,
+        seed=int(payload.get("feature_seed", 7)),
+        batches=int(payload.get("batches", 1)),
+        verify=bool(payload.get("verify", False)),
+        label=label)
 
 
 class BackgroundServer:

@@ -244,8 +244,12 @@ class OperandRegistry:
         future resolves.
 
         Raises:
-            UnknownOperand: a ref does not resolve (any pins already
-                taken for this spec are released first).
+            UnknownOperand: a ref does not resolve.
+            ValueError: the resolved operands fail the spec's validation
+                (their shapes do not multiply).
+
+            Either way, any pins already taken for this spec are released
+            first.
         """
         if not isinstance(spec, SpGEMMSpec):
             return spec, ()
@@ -260,12 +264,13 @@ class OperandRegistry:
                 pins.append(self.acquire(operand.ref))
                 updates[name] = entry.csr
                 updates[f"{name}_digest"] = entry.digest
-        except UnknownOperand:
+            if updates:
+                # Rebuilding the spec re-runs its validation.
+                spec = _replace(spec, **updates)
+        except (UnknownOperand, ValueError):
             for pin in pins:
                 pin.release()
             raise
-        if updates:
-            spec = _replace(spec, **updates)
         return spec, tuple(pins)
 
     # ------------------------------------------------------------------

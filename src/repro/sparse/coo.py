@@ -28,6 +28,9 @@ class COOMatrix:
     data: np.ndarray
     shape: tuple[int, int]
     _validated: bool = field(default=False, repr=False, compare=False)
+    #: Memoized content digest (:func:`repro.gnn.gcn.adjacency_digest`).
+    content_digest: str | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self) -> None:
         self.rows = np.asarray(self.rows, dtype=np.int64)

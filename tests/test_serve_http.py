@@ -4,6 +4,7 @@ import http.client
 import json
 import logging
 import socket
+import threading
 import time
 
 import numpy as np
@@ -178,6 +179,107 @@ class TestGCNEndpoint:
                                   {"feature_dim": 8})
         assert status == 400
         assert "dataset" in payload["error"]
+
+
+#: A 2x3 CSR operand: A @ A (no ``b``) does not multiply.
+NON_SQUARE = {"indptr": [0, 1, 2], "indices": [0, 2], "data": [1.0, 2.0],
+              "shape": [2, 3]}
+
+
+class TestInvalidWorkloads:
+    """Workload parameters that cannot run are refused with 400 while the
+    spec is built, before anything executes."""
+
+    @pytest.mark.parametrize("path, body", [
+        ("/v1/gcn", {"dataset": "cora", "max_nodes": 64, "hidden_dim": 0}),
+        ("/v1/gcn", {"dataset": "cora", "max_nodes": 64, "feature_dim": -3}),
+        ("/v1/gnn", {"dataset": "cora", "max_nodes": 64, "feature_dim": 0}),
+        ("/v1/gnn", {"dataset": "cora", "max_nodes": 64,
+                     "activations": "bogus"}),
+        ("/v1/gnn", {"dataset": "cora", "max_nodes": 64,
+                     "layer_dims": [4, 4], "activations": ["relu", "tanh"]}),
+        ("/v1/spgemm", {"dataset": "wiki-Vote", "max_nodes": 64,
+                        "tile_size": -2}),
+        ("/v1/spgemm", {"dataset": "wiki-Vote", "max_nodes": 64,
+                        "tile_size": 0}),
+        ("/v1/spgemm", {"dataset": "wiki-Vote", "max_nodes": 64,
+                        "tile_size": 3}),
+        ("/v1/spgemm", {"a": NON_SQUARE}),
+        ("/v1/spgemm", {"a": NON_SQUARE, "b": NON_SQUARE}),
+        ("/v1/spgemm", {"dataset": "pubmed", "max_nodes": 100000}),
+        ("/v1/gcn", {"dataset": "cora",
+                     "max_nodes": serve_http.MAX_DATASET_NODES + 1}),
+    ])
+    def test_refused_with_400(self, server, path, body):
+        status, payload = request(server, "POST", path, body)
+        assert status == 400, payload
+        assert payload["error"]
+
+    def test_dataset_operand_above_node_limit_400(self, server):
+        status, payload = request(server, "PUT", "/v1/operands",
+                                  {"dataset": "cora", "max_nodes": 100000})
+        assert status == 400
+        assert str(serve_http.MAX_DATASET_NODES) in payload["error"]
+
+    def test_ref_pair_whose_shapes_mismatch_400(self, server):
+        refs = []
+        for shape in ([2, 3], [2, 2]):
+            status, row = request(server, "PUT", "/v1/operands",
+                                  {"indptr": [0, 1, 2], "indices": [0, 1],
+                                   "data": [1.0, 5.0], "shape": shape})
+            assert status == 200
+            refs.append(row["ref"])
+        status, payload = request(server, "POST", "/v1/spgemm",
+                                  {"a": {"ref": refs[0]},
+                                   "b": {"ref": refs[1]}})
+        assert status == 400
+        assert "columns" in payload["error"]
+        # The refused request released its pins: both operands evict.
+        for ref in refs:
+            assert request(server, "DELETE", f"/v1/operands/{ref}")[0] == 200
+
+
+class TestDatasetSynthesis:
+    """Server-side dataset synthesis runs off the event loop."""
+
+    # Each case asks for a seed no other test uses, so the dataset is not
+    # cached yet and the request has to synthesise it.
+    @pytest.mark.parametrize("method, path, seed", [
+        ("POST", "/v1/spgemm", 9001), ("POST", "/v1/gcn", 9002),
+        ("POST", "/v1/gnn", 9003), ("PUT", "/v1/operands", 9004),
+    ])
+    def test_healthz_answers_while_synthesis_blocks(self, server,
+                                                    monkeypatch, method,
+                                                    path, seed):
+        started, release = threading.Event(), threading.Event()
+        real = serve_http.load_dataset
+
+        def blocking(*args, **kwargs):
+            started.set()
+            release.wait(timeout=60)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(serve_http, "load_dataset", blocking)
+        body = {"dataset": "cora", "max_nodes": 48, "seed": seed}
+        replies = []
+        client = threading.Thread(
+            target=lambda: replies.append(request(server, method, path,
+                                                  body)))
+        client.start()
+        try:
+            assert started.wait(timeout=60)
+            probe = http.client.HTTPConnection("127.0.0.1", server.port,
+                                               timeout=10)
+            try:
+                probe.request("GET", "/healthz")
+                assert probe.getresponse().status == 200
+            finally:
+                probe.close()
+        finally:
+            release.set()
+            client.join(timeout=60)
+        assert not client.is_alive()
+        assert replies and replies[0][0] == 200, replies
 
 
 class TestLifecycle:

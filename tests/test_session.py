@@ -536,7 +536,6 @@ class TestFingerprint:
         cache = ProgramCache()
         key = cache.key(wiki, None, 4)
         assert key[0] == CACHE_SCHEMA_VERSION
-        assert cache.key(wiki, None, 4, kind="gcn") != key
 
 
 def _revalued(matrix, seed: int):
@@ -600,11 +599,57 @@ class TestStructuralBKey:
         assert cache.key(wiki, _revalued(wiki, 1), 4) == \
             cache.key(wiki, _revalued(wiki, 2), 4)
         assert cache.key(wiki, wiki, 4) == (
-            CACHE_SCHEMA_VERSION, "spgemm", matrix_fingerprint(wiki),
+            CACHE_SCHEMA_VERSION, matrix_fingerprint(wiki),
             matrix_structure_fingerprint(wiki), 4)
         # A @ A (b=None) still keys its one operand by content.
         assert cache.key(wiki, None, 4) == (
-            CACHE_SCHEMA_VERSION, "spgemm", matrix_fingerprint(wiki),
+            CACHE_SCHEMA_VERSION, matrix_fingerprint(wiki),
             matrix_fingerprint(wiki), 4)
         assert cache.key(_revalued(wiki, 1), None, 4) != \
             cache.key(wiki, None, 4)
+
+
+class TestSpecValidation:
+    """Parameters that cannot run fail when the spec is built."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"hidden_dim": 0}, {"feature_dim": -3}, {"activation": "bogus"},
+    ])
+    def test_gcn_layer_spec(self, wiki, kwargs):
+        with pytest.raises(ValueError):
+            GCNLayerSpec(dataset=wiki, **kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"feature_dim": 0}, {"activations": "bogus"},
+        {"layer_dims": (4, 4), "activations": ("relu", "tanh")},
+    ])
+    def test_gnn_model_spec(self, wiki, kwargs):
+        from repro.core.specs import GNNModelSpec
+
+        with pytest.raises(ValueError):
+            GNNModelSpec(dataset=wiki, **kwargs)
+
+    @pytest.mark.parametrize("tile_size", [-2, 0, 3, 16])
+    def test_tile_size_outside_the_isa(self, wiki, tile_size):
+        with pytest.raises(ValueError, match="tile_size"):
+            SpGEMMSpec(a=wiki, tile_size=tile_size)
+
+    def test_operand_shapes(self, wiki):
+        tall = wiki.row_slice(0, 10)
+        with pytest.raises(ValueError, match="square"):
+            SpGEMMSpec(a=tall)
+        with pytest.raises(ValueError, match="columns"):
+            SpGEMMSpec(a=wiki, b=tall)
+        with pytest.raises(ValueError, match="columns"):
+            SweepSpec(a=np.ones((2, 3)), b=np.ones((2, 3)))
+        SpGEMMSpec(a=tall, b=wiki)  # (10, 96) @ (96, 96) multiplies
+
+    def test_valid_specs_still_build(self, wiki):
+        from repro.core.specs import GNNModelSpec, OperandRef
+
+        for tile_size in (None, 1, 2, 4, 8):
+            SpGEMMSpec(a=wiki, tile_size=tile_size)
+        SpGEMMSpec(a=OperandRef("x"), b=wiki)  # shapes known only later
+        GCNLayerSpec(dataset=wiki, activation=None)
+        GNNModelSpec(dataset=wiki, layer_dims=(3, 2),
+                     activations=("identity", None))

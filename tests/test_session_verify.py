@@ -203,13 +203,11 @@ class TestGNNStackVerification:
         b_full = full_structure_csr(np.zeros((dataset.n_nodes, 8)))
         tile = session.chip.config.mmh_tile_size
         if chips == 1:
-            return [(session.cache.key(a_hat, b_full, tile, kind="gnn-stack"),
-                     a_hat, b_full)]
+            return [(session.cache.key(a_hat, b_full, tile), a_hat, b_full)]
         plan = plan_shards(a_hat, chips, b_full, strategy="contiguous")
         units = [unit for chip in build_shard_units(a_hat, plan)
                  for unit in chip]
-        return [(session.cache.key(unit.a, unit.slice_b(b_full), tile,
-                                   kind="gnn-stack-unit"),
+        return [(session.cache.key(unit.a, unit.slice_b(b_full), tile),
                  unit.a, unit.slice_b(b_full)) for unit in units]
 
     def spec(self, dataset):
