@@ -21,7 +21,11 @@ every :func:`rebind_b_values` copy) maps each partial product to its
 operands and output slot, and one gather-multiply-scatter accumulates every
 slot in program order — MMH multiplies, HACC accumulates.  The same index
 yields the simulators' :class:`HACCStream`: every HACC the program
-dispatches, in program order, built in one vectorized pass.
+dispatches, in program order, built in one vectorized pass.  When B is a
+full-structure (dense) operand, the replay factorises: every A element
+meets a whole W-wide row of B, so a :class:`DenseReplayIndex` over the A
+elements alone (checked against the op stream) replays the same sums, in
+the same order, without expanding the partial products.
 """
 
 from __future__ import annotations
@@ -208,7 +212,10 @@ class ReplayIndex:
     output slot accumulates its partial products in ascending inner index
     ``k`` — the order of the vectorized kernels and the reference loops.
     It holds no operand values, so one index serves every
-    :func:`rebind_b_values` copy of the program.
+    :func:`rebind_b_values` copy of the program.  The HACC stream and the
+    full-level IR verifier always use it; the replay of a full-structure
+    B uses the far smaller A-level :class:`DenseReplayIndex` and never
+    builds this one.
 
     Attributes:
         a_index: ``a_values`` position of every A-tile element, op by op.
@@ -222,6 +229,46 @@ class ReplayIndex:
     a_rep: np.ndarray
     pp_b: np.ndarray
     pp_slot: np.ndarray
+
+
+@dataclass(frozen=True)
+class DenseReplayIndex:
+    """A-level replay index of a program whose B is full-structure.
+
+    Every A element of such a program meets one whole W-wide row of B, so
+    output row ``i`` is ``sum_k A[i, k] * B[k, :]`` over its A elements in
+    program order (ascending ``k``) — one entry per A element instead of
+    W per partial product.  :meth:`ProgramArrays.build_dense_replay_index`
+    derives it from the op stream and checks it against that stream.
+
+    The work buffer holds one row per touched output row, ordered by
+    descending A-row degree.  The first ``len(heavy_ptr) - 1`` rows are
+    *heavy*: row ``h`` owns entries ``heavy_ptr[h]:heavy_ptr[h + 1]``, and
+    all heavy rows sum in one ``bincount`` over their products.  The rest
+    advance one degree *step* at a time: step ``d`` holds the ``d``-th
+    entry of every light row that has one, a prefix of the light rows,
+    added in place.  Either way every output element accumulates ``0.0 +
+    p_0 + p_1 + ...`` left to right, the order of the per-partial-product
+    replay, so the output bytes are the same (IEEE 754 leaves open which
+    NaN a sum of two NaNs returns, so only a NaN's sign bit may differ).
+
+    Attributes:
+        width: W, the columns of B and of the output.
+        a_index: ``a_values`` position of every entry, heavy rows first,
+            then the light steps.
+        b_row: the W-wide ``b_values`` row every entry multiplies.
+        heavy_ptr: entry offsets of the heavy rows.
+        step_ptr: entry offsets of the light steps.
+        rank: work-buffer row of every touched output row, in output
+            order.
+    """
+
+    width: int
+    a_index: np.ndarray
+    b_row: np.ndarray
+    heavy_ptr: np.ndarray
+    step_ptr: np.ndarray
+    rank: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -391,20 +438,27 @@ class ProgramArrays:
         :meth:`build_replay_index` share.  ``dtype`` is the index
         arithmetic type; int32 needs fewer than 2**31 partial products.
         """
-        a_lo = self.op_a_lo[op_lo:op_hi]
-        n_a = self.op_a_hi[op_lo:op_hi] - a_lo
+        a_index, n_a = self.expand_a_tiles(op_lo, op_hi, dtype)
         b_lo = self.op_b_lo[op_lo:op_hi]
         n_b = self.op_b_hi[op_lo:op_hi] - b_lo
-        ends_a = np.cumsum(n_a, dtype=dtype)
-        total_a = int(ends_a[-1]) if ends_a.size else 0
-        a_index = (np.arange(total_a, dtype=dtype)
-                   + np.repeat(a_lo - ends_a + n_a, n_a))
         a_rep = np.repeat(n_b, n_a)
         ends = np.cumsum(a_rep, dtype=dtype)
         total = int(ends[-1]) if ends.size else 0
         b_index = (np.arange(total, dtype=dtype)
                    + np.repeat(np.repeat(b_lo, n_a) - ends + a_rep, a_rep))
         return a_index, a_rep, b_index
+
+    def expand_a_tiles(self, op_lo: int = 0, op_hi: int | None = None,
+                       dtype=np.int32) -> tuple[np.ndarray, np.ndarray]:
+        """The ``a_rows`` / ``a_values`` position of every A-tile element
+        of ops ``[op_lo, op_hi)``, op by op in program order, and each
+        op's A-tile width."""
+        a_lo = self.op_a_lo[op_lo:op_hi]
+        n_a = self.op_a_hi[op_lo:op_hi] - a_lo
+        ends_a = np.cumsum(n_a, dtype=dtype)
+        total_a = int(ends_a[-1]) if ends_a.size else 0
+        return (np.arange(total_a, dtype=dtype)
+                + np.repeat(a_lo - ends_a + n_a, n_a)), n_a
 
     def pair_keys(self, a_index: np.ndarray, a_rep: np.ndarray | int,
                   b_index: np.ndarray) -> np.ndarray:
@@ -493,6 +547,130 @@ class ProgramArrays:
                            pp_b=pp_b.astype(narrow, copy=False),
                            pp_slot=pp_slot), None
 
+    def dense_replay_index(self) -> DenseReplayIndex | None:
+        """The program's :class:`DenseReplayIndex`, or ``None`` when its
+        op stream does not replay as one; built on first use and cached
+        like :meth:`replay_index`."""
+        derived = self._derived()
+        if "replay_dense" not in derived:
+            derived.setdefault("replay_dense",
+                               self.build_dense_replay_index())
+        return derived["replay_dense"]
+
+    def build_dense_replay_index(self) -> DenseReplayIndex | None:
+        """Build a :class:`DenseReplayIndex` from the current op columns,
+        or return ``None`` unless the op stream provably replays as one:
+
+        * every operand slice is in bounds and ``b_cols`` repeats
+          ``0 .. W-1``, so B is a stack of full W-wide rows;
+        * every A element sits in some op, and its ops' B tiles cover one
+          such row exactly, in order, with no gap or overlap;
+        * the ops of two A elements of one output row do not interleave,
+          so every output element of the row sums in the same order;
+        * every touched output row holds all W slots, and no other row
+          holds any.
+
+        Anything else — A @ A, a monster-row fragment's column range, an
+        op stream corrupted in place — replays through the
+        per-partial-product :class:`ReplayIndex`, whose checks raise.
+        """
+        width = self.shape[1]
+        columns = np.arange(width)
+        if (width == 0 or self.b_cols.size % width
+                or self._replay_bounds_error() is not None
+                or not (self.b_cols.reshape(-1, width) == columns).all()):
+            return None
+        # Every A-tile element, grouped per A element in program order.
+        e_pos, n_a = self.expand_a_tiles(dtype=np.int64)
+        e_op = np.repeat(np.arange(self.n_ops), n_a)
+        order = np.argsort(e_pos, kind="stable")
+        e_pos, e_op = e_pos[order], e_op[order]
+        lo, hi = self.op_b_lo[e_op], self.op_b_hi[e_op]
+        first = np.ones(e_pos.size, dtype=bool)
+        np.not_equal(e_pos[1:], e_pos[:-1], out=first[1:])
+        last = np.ones(e_pos.size, dtype=bool)
+        last[:-1] = first[1:]
+        starts, lasts = np.flatnonzero(first), np.flatnonzero(last)
+        if starts.size != self.a_rows.size:
+            return None
+        row_lo = lo[starts]
+        if not (np.all(row_lo % width == 0)
+                and np.all(first[1:] | (lo[1:] == hi[:-1]))
+                and np.array_equal(hi[lasts], row_lo + width)):
+            return None
+        # A elements per output row, in program order.
+        entries = np.lexsort((e_op[starts], self.a_rows))
+        rows = self.a_rows[entries]
+        if np.any((rows[1:] == rows[:-1])
+                  & (e_op[lasts][entries[:-1]] >= e_op[starts][entries[1:]])):
+            return None
+        degree = np.bincount(rows, minlength=self.shape[0])
+        touched = degree > 0
+        n_touched = int(np.count_nonzero(touched))
+        if not (self.out_indptr[0] == 0
+                and np.array_equal(np.diff(self.out_indptr), width * touched)
+                and self.out_indices.size == n_touched * width
+                and (self.out_indices.reshape(-1, width) == columns).all()):
+            return None
+        # Work-buffer layout: rows by descending degree.  The step count
+        # minimises n_steps + (rows with degree > n_steps), which keeps
+        # the kernel's Python-level loop short on a power-law graph (about
+        # 2 * sqrt(nnz) at worst) while the light rows, most of them,
+        # take the cheaper in-place adds.
+        row_degree = degree[touched]
+        by_degree = np.argsort(-row_degree, kind="stable")
+        rank = np.empty(n_touched, dtype=np.int64)
+        rank[by_degree] = np.arange(n_touched)
+        sorted_degree = row_degree[by_degree]
+        steps = np.arange(int(sorted_degree[0]) + 1 if n_touched else 1)
+        heavier = np.searchsorted(-sorted_degree, -steps, side="left")
+        n_steps = int(np.argmin(steps + heavier))
+        n_heavy = int(heavier[n_steps])
+        compact = (np.cumsum(touched) - 1)[rows]
+        row_start = np.cumsum(row_degree) - row_degree
+        within = np.arange(entries.size) - row_start[compact]
+        slot = rank[compact]
+        heavy = np.flatnonzero(slot < n_heavy)
+        heavy = heavy[np.lexsort((within[heavy], slot[heavy]))]
+        light = np.flatnonzero(slot >= n_heavy)
+        light = light[np.lexsort((slot[light], within[light]))]
+        layout = entries[np.concatenate([heavy, light])]
+        heavy_ptr = np.zeros(n_heavy + 1, dtype=np.int64)
+        np.cumsum(sorted_degree[:n_heavy], out=heavy_ptr[1:])
+        step_ptr = np.full(n_steps + 1, heavy_ptr[-1], dtype=np.int64)
+        step_ptr[1:] += np.cumsum(np.bincount(within[light],
+                                              minlength=n_steps))
+        narrow = np.int32
+        return DenseReplayIndex(
+            width=width, a_index=layout.astype(narrow),
+            b_row=(row_lo // width)[layout].astype(narrow),
+            heavy_ptr=heavy_ptr, step_ptr=step_ptr,
+            rank=rank.astype(narrow))
+
+    def _replay_dense(self, index: DenseReplayIndex) -> np.ndarray:
+        """Output values of a :class:`DenseReplayIndex` replay, slot by
+        slot."""
+        width = index.width
+        a = self.a_values
+        b = self.b_values.reshape(-1, width)
+        out = np.zeros((index.rank.size, width), dtype=np.float64)
+        n_heavy = index.heavy_ptr.size - 1
+        if n_heavy:
+            end = int(index.heavy_ptr[-1])
+            keys = (np.repeat(np.arange(n_heavy) * width,
+                              np.diff(index.heavy_ptr))[:, None]
+                    + np.arange(width)).reshape(-1)
+            products = (a[index.a_index[:end]][:, None]
+                        * b[index.b_row[:end]]).reshape(-1)
+            out[:n_heavy] = np.bincount(
+                keys, weights=products,
+                minlength=n_heavy * width).reshape(n_heavy, width)
+        step_ptr = index.step_ptr.tolist()
+        for lo, hi in zip(step_ptr, step_ptr[1:]):
+            out[n_heavy:n_heavy + hi - lo] += (
+                a[index.a_index[lo:hi]][:, None] * b[index.b_row[lo:hi]])
+        return out[index.rank].reshape(-1)
+
     def _products(self, index: ReplayIndex) -> np.ndarray:
         """Value of every partial product of ``index``, in program order."""
         products = np.repeat(self.a_values[index.a_index], index.a_rep)
@@ -502,18 +680,25 @@ class ProgramArrays:
     def replay(self, source: str = "program") -> CSRMatrix:
         """Numeric output C = A @ B from this payload's operand values.
 
-        One gather-multiply-scatter over the :class:`ReplayIndex`; every
-        slot accumulates in ascending ``k``, so the result is
-        byte-identical to the dense-merge vectorized kernel.  The returned
-        CSR owns fresh int64 ``indptr`` / ``indices`` and float64 ``data``
-        (it never aliases the program's arrays).
+        A full-structure B replays over the A-level
+        :class:`DenseReplayIndex`; any other program is one
+        gather-multiply-scatter over the per-partial-product
+        :class:`ReplayIndex`.  Either way every slot accumulates in
+        ascending ``k``, so the result is byte-identical to the
+        dense-merge vectorized kernel.  The returned CSR owns fresh int64
+        ``indptr`` / ``indices`` and float64 ``data`` (it never aliases
+        the program's arrays).
         """
-        index = self.replay_index(source)
-        if index.pp_slot.size:
-            data = np.bincount(index.pp_slot, weights=self._products(index),
-                               minlength=self.output_nnz)
+        dense = self.dense_replay_index()
+        if dense is not None:
+            data = self._replay_dense(dense)
         else:
-            data = np.zeros(self.output_nnz, dtype=np.float64)
+            index = self.replay_index(source)
+            data = (np.bincount(index.pp_slot,
+                                weights=self._products(index),
+                                minlength=self.output_nnz)
+                    if index.pp_slot.size
+                    else np.zeros(self.output_nnz, dtype=np.float64))
         return CSRMatrix(self.out_indptr.astype(np.int64, copy=True),
                          self.out_indices.astype(np.int64, copy=True),
                          data, self.shape)

@@ -5,7 +5,8 @@ of every run — is cached in a :class:`ProgramCache`: an LRU bound in memory
 that can also spill programs to disk, so repeated CLI / batch invocations
 against the same graphs skip compilation entirely.  Programs are keyed by
 A's content and B's structure: NeuraChip decouples multiply (MMH) from
-accumulate (HACC), so a program depends on B only through its sparsity.
+accumulate (HACC), so a program depends on B only through its sparsity
+(for a full-structure B, through its shape alone).
 :func:`fetch_or_compile`, the one fetch-or-compile step of every execution
 path (session runs, GNN stack layers, multichip and host-shard units),
 re-binds a hit to the caller's B values.
@@ -47,7 +48,8 @@ DEFAULT_DISK_CAPACITY_BYTES = 256 * 1024 * 1024
 #: and incompatible with the v2 object graph.
 #: v4: keys drop the program-family ``kind`` element; a program depends
 #: only on A's content, B's structure and the tile size.
-CACHE_SCHEMA_VERSION = 4
+#: v5: a full-structure B's structure fingerprint digests its shape alone.
+CACHE_SCHEMA_VERSION = 5
 
 
 def matrix_fingerprint(matrix) -> str:
@@ -77,10 +79,20 @@ def matrix_structure_fingerprint(matrix) -> str:
     compiled program depends only on B's structure, so a program compiled
     for one B serves any B of the same structure after a value re-bind
     (every layer of a fixed-width GNN stack, for one).
+
+    A :class:`~repro.sparse.csr.CSRMatrix` is canonical (it validates on
+    construction), so one whose nnz is ``rows * cols`` can only hold every
+    slot: its structure is its shape, and only the shape is digested —
+    the dense feature operand of every GNN layer skips hashing its index
+    arrays.
     """
     digest = hashlib.sha1()
     digest.update(f"schema={CACHE_SCHEMA_VERSION}:structure".encode())
     digest.update(str(matrix.shape).encode())
+    if (isinstance(matrix, CSRMatrix)
+            and matrix.nnz == matrix.shape[0] * matrix.shape[1]):
+        digest.update(b"full")
+        return digest.hexdigest()
     for array in (matrix.indptr, matrix.indices):
         digest.update(str(array.dtype).encode())
         digest.update(array.tobytes())
@@ -138,7 +150,9 @@ class ProgramCache:
         """Cache key for operands ``(a, b)`` at ``tile_size``: A by
         content, a given ``b`` by structure only, since the compiled
         program never depends on B's values (:func:`fetch_or_compile`
-        re-binds them on a hit).
+        re-binds them on a hit).  A full-structure ``b`` is keyed by its
+        shape, with no hashing of its index arrays
+        (:func:`matrix_structure_fingerprint`).
 
         ``b=None`` means the A @ A workload, whose one operand is keyed by
         content.  Nothing else enters the key: a plain SpGEMM, a GCN
@@ -330,6 +344,15 @@ class ProgramCache:
         return len(self._entries)
 
 
+def _same_bits(held: np.ndarray, values: np.ndarray) -> bool:
+    """Bitwise equality of two value arrays: a NaN matches itself, and
+    ``-0.0`` does not match ``0.0``."""
+    if held.dtype != values.dtype or held.shape != values.shape:
+        return False
+    bits = np.dtype(f"u{held.dtype.itemsize}")
+    return np.array_equal(held.view(bits), values.view(bits))
+
+
 def fetch_or_compile(cache: ProgramCache | None, a_csr: CSRMatrix,
                      b_csr: CSRMatrix | None, tile_size: int, source: str,
                      check: Callable[[tuple | None, Program], Program]
@@ -342,8 +365,8 @@ def fetch_or_compile(cache: ProgramCache | None, a_csr: CSRMatrix,
     values: it then comes back re-bound to a copy of ``b_csr``'s values,
     byte-identical to a fresh compile, replaces the cached entry (which
     thus holds the B values last served) and ``rebound`` is true.  A hit
-    already holding these values is returned as cached.  ``cache=None``
-    always compiles.
+    already holding these values, bit for bit, is returned as cached.
+    ``cache=None`` always compiles.
     ``check(key, program)`` sees every fetched or compiled program and
     returns it; the session passes its memoized IR verification, which
     raises on an ill-formed program.
@@ -355,7 +378,7 @@ def fetch_or_compile(cache: ProgramCache | None, a_csr: CSRMatrix,
         program = cache.get(key)
     cache_hit = program is not None
     rebound = (cache_hit and b_csr is not None
-               and not np.array_equal(program.arrays.b_values, b_csr.data))
+               and not _same_bits(program.arrays.b_values, b_csr.data))
     if rebound:
         program = rebind_b_values(program, b_csr)
         cache.rebound(key, program)

@@ -19,8 +19,11 @@ A stack amortises the work around its layers:
   layer's feature values (byte-identical to a fresh compile), and under
   ``Session(verify=...)`` the program is verified once;
 * dense features flow through the **full-structure operand encoding**
-  (:func:`full_structure_csr`), whose structure is fully determined by
-  its shape, so every layer of a fixed-width stack shares one program;
+  (:func:`full_structure_csr`), whose structure is its shape: the program
+  cache keys it by shape without hashing it, every layer of a
+  fixed-width stack shares one program, and the program replays over its
+  A elements (:class:`~repro.compiler.program.DenseReplayIndex`) instead
+  of over every partial product;
 * on the multichip backend the shard plan and the per-chip slices of A
   stay **resident** across layers
   (:meth:`~repro.backends.multichip.MultiChipBackend.prepare_resident`),
@@ -55,11 +58,12 @@ from repro.sparse.csr import CSRMatrix
 def full_structure_csr(x: np.ndarray) -> CSRMatrix:
     """Encode a dense matrix as a CSR with *every* slot explicit.
 
-    The encoding is the stack's keystone: its sparsity pattern is fully
-    determined by the shape, so two feature matrices of the same shape are
-    structurally identical and one compiled aggregation program serves both
-    after a value re-bind.  Explicit zeros are kept deliberately — dropping
-    them would make the structure value-dependent again.
+    The structure is the shape: two feature matrices of the same shape
+    are structurally identical, so the program cache keys the operand by
+    its shape alone and one compiled aggregation program serves both
+    after a value re-bind.  Explicit zeros are kept deliberately —
+    dropping one would make the structure value-dependent again (and the
+    operand would be keyed by hashing its index arrays).
     """
     dense = np.ascontiguousarray(x, dtype=np.float64)
     if dense.ndim != 2:

@@ -20,6 +20,7 @@ from repro.compiler.program import ProgramArrays, rebind_b_values
 from repro.core import GCNLayerSpec, NeuraChip, Session, SpGEMMSpec
 from repro.datasets import load_dataset
 from repro.gnn.gcn import GCNWorkload
+from repro.gnn.pipeline import full_structure_csr
 from repro.sparse import kernels
 from repro.sparse.convert import csr_to_csc
 from repro.sparse.csr import CSRMatrix
@@ -262,6 +263,15 @@ class TestProgramReplay:
 
     def test_out_of_bounds_slice_raises(self, chip):
         a, b = replay_cases()["rectangular"]
+        program = compile_spgemm(csr_to_csc(a), b, tile_size=2, source="oob")
+        program.arrays.op_b_lo[0] = -1
+        with pytest.raises(ValueError, match="oob.*B-tile slice"):
+            get_backend("analytic").execute(program, chip._context())
+
+    def test_out_of_bounds_slice_raises_on_a_full_structure_b(self, chip):
+        a, _ = replay_cases()["rectangular"]
+        b = full_structure_csr(np.arange(5 * 3, dtype=np.float64)
+                               .reshape(5, 3))
         program = compile_spgemm(csr_to_csc(a), b, tile_size=2, source="oob")
         program.arrays.op_b_lo[0] = -1
         with pytest.raises(ValueError, match="oob.*B-tile slice"):

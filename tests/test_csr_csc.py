@@ -148,3 +148,45 @@ class TestEquality:
 
     def test_csc_equality(self, small_coo):
         assert coo_to_csc(small_coo) == coo_to_csc(small_coo)
+
+
+def _reference_dense(fmt, shape, indptr, indices, data):
+    """Entry-by-entry scatter of a compressed matrix (the loop the
+    vectorized ``to_dense`` replaced)."""
+    dense = np.zeros(shape, dtype=np.float64)
+    for outer in range(indptr.size - 1):
+        for pos in range(indptr[outer], indptr[outer + 1]):
+            if fmt is CSRMatrix:
+                dense[outer, indices[pos]] = data[pos]
+            else:
+                dense[indices[pos], outer] = data[pos]
+    return dense
+
+
+class TestToDense:
+    """``to_dense`` is one scatter, exact against an entry-by-entry one."""
+
+    @pytest.mark.parametrize("fmt", [CSRMatrix, CSCMatrix])
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0), (1, 1),
+                                       (5, 7), (9, 3)])
+    def test_matches_reference_scatter(self, fmt, shape):
+        rng = np.random.default_rng(sum(shape))
+        dense = np.where(rng.random(shape) < 0.4,
+                         rng.standard_normal(shape), 0.0)
+        if dense.size:
+            dense[0] = 0.0  # an empty row
+            dense[:, -1] = 0.0  # an empty column
+        outer = shape[0] if fmt is CSRMatrix else shape[1]
+        counts = (np.count_nonzero(dense, axis=1) if fmt is CSRMatrix
+                  else np.count_nonzero(dense, axis=0))
+        indptr = np.zeros(outer + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        major = dense if fmt is CSRMatrix else dense.T
+        rows, cols = np.nonzero(major)
+        data = major[rows, cols].copy()
+        data[::3] = -0.0  # explicit signed zeros survive the scatter
+        matrix = fmt(indptr, cols, data, shape)
+        expected = _reference_dense(fmt, shape, indptr, cols, data)
+        got = matrix.to_dense()
+        assert got.shape == shape and got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()

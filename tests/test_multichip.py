@@ -201,6 +201,23 @@ class TestProgramCaching:
         assert_byte_identical(second, reference)
         assert third.report.counters["multichip.broadcast_cycles"] == 0.0
 
+    def test_nan_b_repeat_is_warm(self):
+        # B's values compare bit for bit: a B holding a NaN matches itself,
+        # so its repeat re-binds nothing and charges no broadcast.
+        a = load_dataset("wiki-Vote", max_nodes=128, seed=5).adjacency_csr()
+        cycles = []
+        for value in (np.nan, 0.5):
+            data = a.data.copy()
+            data[0] = value
+            b = type(a)(a.indptr, a.indices, data, a.shape)
+            with Session("Tile-4", backend="multichip", chips=2) as session:
+                session.run(SpGEMMSpec(a=a, b=b, verify=False))
+                repeat = session.run(SpGEMMSpec(a=a, b=b, verify=False))
+            assert repeat.cache_hit is True
+            assert repeat.report.counters["multichip.broadcast_cycles"] == 0.0
+            cycles.append(repeat.metrics["cycles"])
+        assert cycles[0] == cycles[1]
+
     def test_disk_cache_shared_across_sessions(self, tmp_path, wiki):
         with Session("Tile-4", backend="multichip", chips=2,
                      cache_dir=tmp_path) as cold:

@@ -531,11 +531,12 @@ class TestFingerprint:
         assert matrix_fingerprint(base) != matrix_fingerprint(twin)
 
     def test_schema_version_in_key(self, wiki):
-        from repro.core.runner import CACHE_SCHEMA_VERSION
+        from repro.core.runner import CACHE_SCHEMA_VERSION, default_cache_dir
 
         cache = ProgramCache()
         key = cache.key(wiki, None, 4)
-        assert key[0] == CACHE_SCHEMA_VERSION
+        assert key[0] == CACHE_SCHEMA_VERSION == 5
+        assert default_cache_dir().name == "programs-v5"
 
 
 def _revalued(matrix, seed: int):
@@ -607,6 +608,86 @@ class TestStructuralBKey:
             matrix_fingerprint(wiki), 4)
         assert cache.key(_revalued(wiki, 1), None, 4) != \
             cache.key(wiki, None, 4)
+
+
+def _dense_b(seed: int, shape=(96, 8)):
+    """A full-structure B of ``shape`` with seeded values."""
+    from repro.gnn.pipeline import full_structure_csr
+
+    return full_structure_csr(
+        np.random.default_rng(seed).standard_normal(shape))
+
+
+def _with_first_value(matrix, value: float):
+    data = matrix.data.copy()
+    data[0] = value
+    return type(matrix)(matrix.indptr, matrix.indices, data, matrix.shape)
+
+
+class TestFullStructureBKey:
+    """A full-structure B's structure is its shape: it is keyed by its
+    shape alone, without hashing its index arrays."""
+
+    def test_same_shape_shares_a_key(self, wiki):
+        cache = ProgramCache()
+        assert cache.key(wiki, _dense_b(1), 4) == cache.key(wiki, _dense_b(2), 4)
+        assert cache.key(wiki, _dense_b(1), 4) != \
+            cache.key(wiki, _dense_b(1, (96, 9)), 4)
+
+    def test_dropped_explicit_zero_changes_the_key(self, wiki):
+        from repro.sparse.csr import CSRMatrix
+
+        full = _with_first_value(_dense_b(1), 0.0)
+        indptr = full.indptr.copy()
+        indptr[1:] -= 1  # entry 0 (row 0, col 0) dropped
+        dropped = CSRMatrix(indptr, full.indices[1:], full.data[1:],
+                            full.shape)
+        cache = ProgramCache()
+        assert np.array_equal(dropped.to_dense(), full.to_dense())
+        assert cache.key(wiki, dropped, 4) != cache.key(wiki, full, 4)
+
+    def test_only_a_non_full_b_hashes_its_index_arrays(self, wiki,
+                                                      monkeypatch):
+        from repro.core import runner
+
+        hashed = []
+        sha1 = runner.hashlib.sha1
+
+        class RecordingDigest:
+            def __init__(self):
+                self._digest = sha1()
+
+            def update(self, data):
+                hashed.append(len(data))
+                self._digest.update(data)
+
+            def hexdigest(self):
+                return self._digest.hexdigest()
+
+        monkeypatch.setattr(runner, "hashlib",
+                            types.SimpleNamespace(sha1=RecordingDigest))
+        full = _dense_b(1, (2000, 32))
+        runner.matrix_structure_fingerprint(full)
+        assert sum(hashed) < 100  # the schema, the shape and a marker
+        hashed.clear()
+        runner.matrix_structure_fingerprint(wiki)
+        assert sum(hashed) >= wiki.indptr.nbytes + wiki.indices.nbytes
+
+    @pytest.mark.parametrize("held, sent, rebound", [
+        (np.nan, np.nan, False), (1.5, 1.5, False),
+        (-0.0, 0.0, True), (0.0, -0.0, True),
+    ])
+    def test_b_values_compare_bit_for_bit(self, wiki, held, sent, rebound):
+        from repro.core.runner import fetch_or_compile
+
+        cache = ProgramCache()
+        fetch_or_compile(cache, wiki, _with_first_value(wiki, held), 4, "b")
+        program, hit, was_rebound = fetch_or_compile(
+            cache, wiki, _with_first_value(wiki, sent), 4, "b")
+        assert hit is True
+        assert was_rebound is rebound
+        assert program.arrays.b_values[:1].tobytes() == \
+            np.array([sent]).tobytes()
 
 
 class TestSpecValidation:
