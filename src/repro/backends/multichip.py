@@ -63,8 +63,6 @@ from repro.backends.base import ExecutionBackend, ExecutionContext, ExecutionRes
 from repro.backends.registry import get_backend, register_backend
 from repro.compiler.program import Program
 from repro.sim.accelerator import SimulationReport
-from repro.sim.neuracore import MMH_HIST_BINS, MMH_HIST_BIN_WIDTH
-from repro.sim.neuramem import HACC_HIST_BINS, HACC_HIST_BIN_WIDTH
 from repro.sim.stats import Histogram
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.partition import (
@@ -232,7 +230,7 @@ def _merge_reports(reports: list[SimulationReport], config, source: str,
                    cycles: float, side_by_side: int,
                    **overrides) -> SimulationReport:
     """One report over ``reports`` taking ``cycles``: activity totals
-    summed, rates recomputed from the sums.
+    and CPI histograms summed, rates recomputed from the sums.
 
     ``side_by_side`` is how many of the reports ran at once: the chips of
     a fleet run side by side (utilisations are over that many chips and
@@ -248,10 +246,10 @@ def _merge_reports(reports: list[SimulationReport], config, source: str,
         useful_flops=sum(r.useful_flops for r in reports),
         mmh_cpi_mean=float(np.mean([r.mmh_cpi_mean for r in reports])),
         hacc_cpi_mean=float(np.mean([r.hacc_cpi_mean for r in reports])),
-        mmh_cpi_histogram=Histogram(bin_width=MMH_HIST_BIN_WIDTH,
-                                    n_bins=MMH_HIST_BINS),
-        hacc_cpi_histogram=Histogram(bin_width=HACC_HIST_BIN_WIDTH,
-                                     n_bins=HACC_HIST_BINS),
+        mmh_cpi_histogram=Histogram.merged([r.mmh_cpi_histogram
+                                            for r in reports]),
+        hacc_cpi_histogram=Histogram.merged([r.hacc_cpi_histogram
+                                             for r in reports]),
         stall_cycles=sum(r.stall_cycles for r in reports),
         busy_cycles=sum(r.busy_cycles for r in reports),
         avg_inflight_mem=sum(r.avg_inflight_mem for r in reports)

@@ -219,3 +219,15 @@ def make_mapping(name: str, n_resources: int, **kwargs) -> MappingScheme:
         raise ValueError(f"unknown mapping scheme {name!r}; "
                          f"choose from {sorted(_SCHEMES)}")
     return _SCHEMES[name](n_resources, **kwargs)
+
+
+#: Schemes that draw random numbers and so take a ``seed``.
+_SEEDED_SCHEMES = frozenset({"random", "drhm"})
+
+
+def make_seeded_mapping(name: str, n_resources: int, seed: int) -> MappingScheme:
+    """:func:`make_mapping` for a simulator: ``seed`` goes to the schemes
+    that draw random numbers and is ignored by the deterministic ones."""
+    if name in _SEEDED_SCHEMES:
+        return make_mapping(name, n_resources, seed=seed)
+    return make_mapping(name, n_resources)

@@ -4,7 +4,9 @@ The simulator reproduces the component decomposition of the paper's NeuraSim
 (Appendix A.1): a Dispatcher, NeuraCores with quad multiply pipelines,
 NeuraMems with hash engines and a HashPad supporting rolling or barrier
 eviction, a 2-D torus on-chip network, and per-tile memory controllers backed
-by a simplified HBM channel/bank model.  The Python implementation is
+by a simplified HBM channel/bank model.  Each component counts its own
+events in plain attributes, and the accelerator reads them into the
+:class:`SimulationReport` when a run ends.  The Python implementation is
 event-driven rather than thread-parallel; absolute cycle counts therefore
 differ from the authors' C++ simulator, but the architectural mechanisms (and
 hence the relative effects the paper reports) are the same.
@@ -12,7 +14,7 @@ hence the relative effects the paper reports) are the same.
 
 from repro.sim.params import SimulationParams
 from repro.sim.engine import Simulator
-from repro.sim.stats import Histogram, StatsCollector
+from repro.sim.stats import Histogram
 from repro.sim.accelerator import NeuraChipAccelerator, SimulationReport
 from repro.sim.functional import FunctionalAccelerator, FunctionalReport
 
@@ -20,7 +22,6 @@ __all__ = [
     "SimulationParams",
     "Simulator",
     "Histogram",
-    "StatsCollector",
     "NeuraChipAccelerator",
     "SimulationReport",
     "FunctionalAccelerator",

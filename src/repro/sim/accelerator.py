@@ -17,15 +17,16 @@ import numpy as np
 
 from repro.arch.config import NeuraChipConfig
 from repro.compiler.program import HACCMacroOp, MMHMacroOp, Program
-from repro.hashing.mappings import MappingScheme, make_mapping
+from repro.hashing.mappings import make_seeded_mapping
 from repro.sim.dispatcher import Dispatcher
 from repro.sim.engine import Simulator
 from repro.sim.memory import MemorySystem
-from repro.sim.neuracore import NeuraCore
-from repro.sim.neuramem import HashLine, NeuraMem
+from repro.sim.neuracore import MMH_HIST_BIN_WIDTH, MMH_HIST_BINS, NeuraCore
+from repro.sim.neuramem import (HACC_HIST_BIN_WIDTH, HACC_HIST_BINS, HashLine,
+                                NeuraMem)
 from repro.sim.params import SimulationParams
 from repro.sim.router import TorusNetwork, interleaved_positions
-from repro.sim.stats import Histogram, StatsCollector
+from repro.sim.stats import Histogram
 
 #: Approximate NoC round-trip overhead charged on memory requests, in cycles.
 _MEMORY_NOC_OVERHEAD = 4
@@ -69,7 +70,11 @@ class SimulationReport:
         events: number of simulation events processed.
         eviction_mode: 'rolling' or 'barrier'.
         mapping_scheme: accumulation mapping scheme used.
-        counters: raw counter dump for debugging / extended analysis.
+        counters: the components' event counts by dotted name
+            (``"neuramem.evictions"``, ``"hbm.row_hits"``, ...) as floats,
+            read from the components when the run ends; zero counts are
+            omitted.  ``core.busy_cycles`` equals ``busy_cycles``, HACC
+            dispatch included.  Other backends put their own keys here.
     """
 
     config_name: str
@@ -142,24 +147,18 @@ class NeuraChipAccelerator:
     def _build(self) -> None:
         config, params = self.config, self.params
         self.sim = Simulator()
-        self.stats = StatsCollector()
-        self.memory = MemorySystem(self.sim, params, config.memory_controllers,
-                                   self.stats)
+        self.mmh_cpi = Histogram(MMH_HIST_BIN_WIDTH, MMH_HIST_BINS)
+        self.hacc_cpi = Histogram(HACC_HIST_BIN_WIDTH, HACC_HIST_BINS)
+        self.memory = MemorySystem(self.sim, params, config.memory_controllers)
         core_pos, mem_pos, width, height = interleaved_positions(
             config.total_cores, config.total_mems)
-        self.noc = TorusNetwork(self.sim, params, width, height, self.stats)
-        if self.mapping_scheme_name == "random":
-            self.mapping: MappingScheme = make_mapping("random", config.total_mems,
-                                                       seed=self.mapping_seed)
-        elif self.mapping_scheme_name == "drhm":
-            self.mapping = make_mapping("drhm", config.total_mems,
-                                        seed=self.mapping_seed)
-        else:
-            self.mapping = make_mapping(self.mapping_scheme_name, config.total_mems)
+        self.noc = TorusNetwork(self.sim, params, width, height)
+        self.mapping = make_seeded_mapping(self.mapping_scheme_name,
+                                           config.total_mems, self.mapping_seed)
 
         self.mems = [
             NeuraMem(mem_id=i, position=mem_pos[i], sim=self.sim, params=params,
-                     stats=self.stats, hashlines=config.mem.hashlines,
+                     cpi_histogram=self.hacc_cpi, hashlines=config.mem.hashlines,
                      hash_engines=config.mem.hash_engines,
                      eviction_mode=self.eviction_mode,
                      writeback=self._writeback,
@@ -171,7 +170,7 @@ class NeuraChipAccelerator:
         ]
         self.cores = [
             NeuraCore(core_id=i, position=core_pos[i], sim=self.sim, params=params,
-                      stats=self.stats, n_pipelines=config.core.pipelines,
+                      cpi_histogram=self.mmh_cpi, n_pipelines=config.core.pipelines,
                       pipeline_registers=config.core.pipeline_registers,
                       multipliers=config.core.multipliers,
                       read_fn=self._memory_read,
@@ -179,7 +178,7 @@ class NeuraChipAccelerator:
                       on_retire=self._on_mmh_retire)
             for i in range(config.total_cores)
         ]
-        self.dispatcher = Dispatcher(self.sim, params, self.cores, self.stats)
+        self.dispatcher = Dispatcher(self.sim, params, self.cores)
 
         # Per-run program state: the program's HACC stream, op by op.
         self._haccs: list[HACCMacroOp] = []
@@ -337,16 +336,37 @@ class NeuraChipAccelerator:
         evictions = sum(mem.evictions for mem in self.mems)
         spills = sum(mem.spills for mem in self.mems)
         peak_occ = max((mem.peak_occupancy for mem in self.mems), default=0)
+        channels = self.memory.channels
+        controllers = self.memory.controllers
+        counts = {
+            "dispatcher.issued": self.dispatcher.instructions_issued,
+            "core.stall_cycles": stall,
+            "core.busy_cycles": busy,
+            "core.haccs_dispatched": sum(c.haccs_dispatched for c in self.cores),
+            "core.instructions_retired": n_mmh,
+            "neuramem.accumulations": sum(m.accumulations for m in self.mems),
+            "neuramem.insertions": sum(m.insertions for m in self.mems),
+            "neuramem.evictions": evictions,
+            "neuramem.spills": spills,
+            "neuramem.incomplete_lines": sum(m.incomplete_lines
+                                             for m in self.mems),
+            "memctrl.reads": sum(c.reads_received for c in controllers),
+            "memctrl.buffer_hits": sum(c.reads_buffered for c in controllers),
+            "memctrl.coalesced": sum(c.reads_coalesced for c in controllers),
+            "memctrl.writes": sum(c.writes_received for c in controllers),
+            "hbm.row_hits": sum(c.row_hits for c in channels),
+            "hbm.row_misses": sum(c.row_misses for c in channels),
+            "hbm.bytes_read": self.memory.total_bytes_read,
+            "hbm.bytes_written": self.memory.total_bytes_written,
+            "noc.flits": self.noc.flits_sent,
+            "noc.hop_flits": self.noc.total_hops,
+        }
+        counters = {name: float(value) for name, value in counts.items() if value}
 
         correct: bool | None = None
         max_err = 0.0
         if verify:
             correct, max_err = self._check_output(program)
-
-        mmh_hist = self.stats.histograms.get(
-            "mmh_cpi", Histogram(bin_width=25, n_bins=20))
-        hacc_hist = self.stats.histograms.get(
-            "hacc_cpi", Histogram(bin_width=50, n_bins=20))
 
         return SimulationReport(
             config_name=config.name,
@@ -357,17 +377,17 @@ class NeuraChipAccelerator:
             useful_flops=useful_flops,
             gflops=gflops,
             gops=gops,
-            mmh_cpi_mean=mmh_hist.mean,
-            hacc_cpi_mean=hacc_hist.mean,
-            mmh_cpi_histogram=mmh_hist,
-            hacc_cpi_histogram=hacc_hist,
+            mmh_cpi_mean=self.mmh_cpi.mean,
+            hacc_cpi_mean=self.hacc_cpi.mean,
+            mmh_cpi_histogram=self.mmh_cpi,
+            hacc_cpi_histogram=self.hacc_cpi,
             ipc=n_mmh / cycles,
             cpi=cycles / n_mmh if n_mmh else 0.0,
             stall_cycles=stall,
             busy_cycles=busy,
             core_utilization=min(1.0, busy / (cycles * max(1, config.total_pipelines))),
             mem_utilization=min(1.0, mem_busy / (cycles * max(1, config.total_hash_engines))),
-            avg_inflight_mem=self.stats.level("memctrl.in_flight").average(cycles),
+            avg_inflight_mem=self.memory.in_flight.average(cycles),
             memory_traffic_bytes=self.memory.total_traffic_bytes,
             evictions=evictions,
             spills=spills,
@@ -382,5 +402,5 @@ class NeuraChipAccelerator:
             events=self.sim.events_processed,
             eviction_mode=self.eviction_mode,
             mapping_scheme=self.mapping_scheme_name,
-            counters=dict(self.stats.counters),
+            counters=counters,
         )

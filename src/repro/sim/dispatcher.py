@@ -8,30 +8,26 @@ buffer is full it sleeps until a core retires an instruction.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.compiler.program import MMHMacroOp
 from repro.sim.engine import Simulator
 from repro.sim.neuracore import NeuraCore
 from repro.sim.params import SimulationParams
-from repro.sim.stats import StatsCollector
 
 
 class Dispatcher:
     """Push-based task distribution onto the NeuraCores."""
 
     def __init__(self, sim: Simulator, params: SimulationParams,
-                 cores: Sequence[NeuraCore], stats: StatsCollector,
-                 on_all_issued: Callable[[], None] | None = None) -> None:
+                 cores: Sequence[NeuraCore]) -> None:
         self.sim = sim
         self.params = params
         self.cores = list(cores)
-        self.stats = stats
         self._ops: list[MMHMacroOp] = []
         self._next_index = 0
         self._issue_scheduled = False
         self._waiting_for_slot = False
-        self._on_all_issued = on_all_issued
         self.instructions_issued = 0
 
     # ------------------------------------------------------------------
@@ -79,11 +75,6 @@ class Dispatcher:
             core.issue(op)
             issued += 1
             self.instructions_issued += 1
-            self.stats.incr("dispatcher.issued")
-        if self.done:
-            if self._on_all_issued is not None:
-                self._on_all_issued()
-            return
         self._schedule_issue(1.0)
 
     def _least_loaded_core(self) -> NeuraCore | None:

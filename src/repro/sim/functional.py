@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.arch.config import NeuraChipConfig
 from repro.compiler.program import Program
-from repro.hashing.mappings import make_mapping
+from repro.hashing.mappings import make_seeded_mapping
 
 
 @dataclass
@@ -61,11 +61,8 @@ class FunctionalAccelerator:
         config = self.config
         n_mems = config.total_mems
         n_cores = config.total_cores
-        if self.mapping_scheme_name in ("random", "drhm"):
-            mapping = make_mapping(self.mapping_scheme_name, n_mems,
-                                   seed=self.mapping_seed)
-        else:
-            mapping = make_mapping(self.mapping_scheme_name, n_mems)
+        mapping = make_seeded_mapping(self.mapping_scheme_name, n_mems,
+                                      self.mapping_seed)
 
         output = np.zeros(program.shape, dtype=np.float64)
         pads: list[dict[int, list]] = [dict() for _ in range(n_mems)]

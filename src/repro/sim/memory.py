@@ -14,23 +14,24 @@ from typing import Callable
 
 from repro.sim.engine import Simulator
 from repro.sim.params import SimulationParams
-from repro.sim.stats import StatsCollector
+from repro.sim.stats import LevelTracker
 
 
 class HBMChannel:
     """A single HBM pseudo-channel with banked row buffers."""
 
     def __init__(self, sim: Simulator, params: SimulationParams,
-                 channel_id: int, stats: StatsCollector) -> None:
+                 channel_id: int) -> None:
         self.sim = sim
         self.params = params
         self.channel_id = channel_id
-        self.stats = stats
         self._bank_next_free = [0.0] * params.hbm_banks_per_channel
         self._bank_open_row = [-1] * params.hbm_banks_per_channel
         self._data_bus_next_free = 0.0
         self.bytes_read = 0
         self.bytes_written = 0
+        self.row_hits = 0
+        self.row_misses = 0
         self.busy_cycles = 0.0
 
     def access(self, addr: int, nbytes: int, is_write: bool,
@@ -51,7 +52,6 @@ class HBMChannel:
             self._data_bus_next_free = finish
             self.busy_cycles += transfer
             self.bytes_written += nbytes
-            self.stats.incr("hbm.bytes_written", nbytes)
             if callback is not None:
                 self.sim.schedule_at(finish, callback)
             return finish
@@ -59,11 +59,11 @@ class HBMChannel:
         bank = row % params.hbm_banks_per_channel
         if self._bank_open_row[bank] == row:
             access_latency = params.hbm_row_hit_cycles
-            self.stats.incr("hbm.row_hits")
+            self.row_hits += 1
         else:
             access_latency = params.hbm_row_miss_cycles
             self._bank_open_row[bank] = row
-            self.stats.incr("hbm.row_misses")
+            self.row_misses += 1
         # Banks overlap their access latencies; the shared data bus is only
         # occupied for the transfer itself, which sets the channel's peak rate.
         bank_ready = max(self.sim.now, self._bank_next_free[bank]) + access_latency
@@ -73,7 +73,6 @@ class HBMChannel:
         self._data_bus_next_free = bus_start + transfer
         self.busy_cycles += transfer
         self.bytes_read += nbytes
-        self.stats.incr("hbm.bytes_read", nbytes)
         if callback is not None:
             self.sim.schedule_at(finish, callback)
         return finish
@@ -87,15 +86,17 @@ class MemoryController:
     lines are kept in a small LRU read buffer (Step 3 of Figure 5: the
     controller coalesces requests and reorganises transactions to enhance
     spatial locality).  All waiters are notified when the line is available.
+    Outstanding reads are tracked in ``in_flight``, the level shared by all
+    controllers of a memory system.
     """
 
     def __init__(self, sim: Simulator, params: SimulationParams, tile_id: int,
-                 channel: HBMChannel, stats: StatsCollector) -> None:
+                 channel: HBMChannel, in_flight: LevelTracker) -> None:
         self.sim = sim
         self.params = params
         self.tile_id = tile_id
         self.channel = channel
-        self.stats = stats
+        self.in_flight = in_flight
         # line address -> list of callbacks waiting for that line.
         self._pending_lines: dict[int, list[Callable[[], None]]] = {}
         # LRU of recently fetched lines (insertion ordered dict).
@@ -108,8 +109,7 @@ class MemoryController:
     def read(self, addr: int, nbytes: int, callback: Callable[[], None]) -> None:
         """Issue a read; ``callback`` fires when the data is available."""
         self.reads_received += 1
-        self.stats.incr("memctrl.reads")
-        self.stats.level("memctrl.in_flight").change(self.sim.now, +1)
+        self.in_flight.change(self.sim.now, +1)
         line_bytes = self.params.coalesce_line_bytes
         first_line = addr // line_bytes
         last_line = (addr + max(nbytes, 1) - 1) // line_bytes
@@ -119,7 +119,7 @@ class MemoryController:
         def line_ready() -> None:
             remaining["count"] -= 1
             if remaining["count"] == 0:
-                self.stats.level("memctrl.in_flight").change(self.sim.now, -1)
+                self.in_flight.change(self.sim.now, -1)
                 callback()
 
         for line in lines:
@@ -128,14 +128,12 @@ class MemoryController:
                 self._line_buffer.pop(line)
                 self._line_buffer[line] = True  # refresh LRU position
                 self.reads_buffered += 1
-                self.stats.incr("memctrl.buffer_hits")
                 self.sim.schedule(self.params.memory_controller_cycles, line_ready)
                 continue
             if line in self._pending_lines:
                 # Coalesced with an outstanding request for the same line.
                 self._pending_lines[line].append(line_ready)
                 self.reads_coalesced += 1
-                self.stats.incr("memctrl.coalesced")
                 continue
             self._pending_lines[line] = [line_ready]
             self._issue_line_read(line)
@@ -165,7 +163,6 @@ class MemoryController:
               callback: Callable[[], None] | None = None) -> None:
         """Issue a write; the optional ``callback`` fires on completion."""
         self.writes_received += 1
-        self.stats.incr("memctrl.writes")
         self.sim.schedule(self.params.memory_controller_cycles,
                           self.channel.access, addr, nbytes, True, callback)
 
@@ -175,16 +172,18 @@ class MemorySystem:
 
     Addresses are interleaved across channels at ``coalesce_line_bytes``
     granularity so contiguous operand streams load-balance over the eight
-    HBM channels.
+    HBM channels.  ``in_flight`` tracks the reads outstanding at all
+    controllers together.
     """
 
     def __init__(self, sim: Simulator, params: SimulationParams,
-                 n_channels: int, stats: StatsCollector) -> None:
+                 n_channels: int) -> None:
         self.sim = sim
         self.params = params
-        self.stats = stats
-        self.channels = [HBMChannel(sim, params, i, stats) for i in range(n_channels)]
-        self.controllers = [MemoryController(sim, params, i, self.channels[i], stats)
+        self.in_flight = LevelTracker()
+        self.channels = [HBMChannel(sim, params, i) for i in range(n_channels)]
+        self.controllers = [MemoryController(sim, params, i, self.channels[i],
+                                             self.in_flight)
                             for i in range(n_channels)]
 
     def controller_for(self, addr: int) -> MemoryController:

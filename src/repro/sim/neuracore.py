@@ -7,7 +7,8 @@ controllers, computes its partial products, and dispatches HACC instructions
 over the NoC to the NeuraMems selected by the mapping function.
 
 The per-instruction latency (issue to the arrival of its last HACC at a
-NeuraMem) is the quantity the Figure 14 CPI histograms plot.
+NeuraMem) is the quantity the Figure 14 CPI histograms plot; every core of a
+chip records it into the one histogram the accelerator hands it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable
 from repro.compiler.program import MMHMacroOp
 from repro.sim.engine import Simulator
 from repro.sim.params import SimulationParams
-from repro.sim.stats import StatsCollector
+from repro.sim.stats import Histogram
 
 #: Histogram shape of Figure 14 (bins of 25 cycles, 0 to 500+).
 MMH_HIST_BIN_WIDTH = 25
@@ -54,7 +55,7 @@ class NeuraCore:
     """In-order multiplication core with a small number of pipelines."""
 
     def __init__(self, core_id: int, position: tuple[int, int], sim: Simulator,
-                 params: SimulationParams, stats: StatsCollector,
+                 params: SimulationParams, cpi_histogram: Histogram,
                  n_pipelines: int, pipeline_registers: int, multipliers: int,
                  read_fn: Callable[[int, int, Callable[[], None]], None],
                  dispatch_hacc_fn: Callable[["NeuraCore", MMHMacroOp, int,
@@ -64,7 +65,7 @@ class NeuraCore:
         self.position = position
         self.sim = sim
         self.params = params
-        self.stats = stats
+        self.cpi_histogram = cpi_histogram
         self.multipliers = max(1, multipliers)
         capacity = max(1, pipeline_registers // params.registers_per_mmh)
         self.pipelines = [_Pipeline(capacity=capacity) for _ in range(max(1, n_pipelines))]
@@ -113,25 +114,20 @@ class NeuraCore:
         state.frontend_done = self.sim.now
         requests = state.op.operand_addresses()
         state.outstanding_reads = len(requests)
-        self.stats.level("core.mem_inflight").change(self.sim.now, len(requests))
         for addr, nbytes in requests.values():
             self._read(addr, nbytes, lambda s=state: self._on_read_response(s))
 
     def _on_read_response(self, state: _InFlightMMH) -> None:
         """Step 6-7: a memory response arrived; execute once all are present."""
         state.outstanding_reads -= 1
-        self.stats.level("core.mem_inflight").change(self.sim.now, -1)
         if state.outstanding_reads > 0:
             return
         state.responses_done = self.sim.now
         self.stall_cycles += max(0.0, state.responses_done - state.frontend_done)
-        self.stats.incr("core.stall_cycles",
-                        max(0.0, state.responses_done - state.frontend_done))
         n_products = state.op.n_partial_products
         batches = -(-n_products // self.multipliers)
         compute_latency = max(1, batches * self.params.multiply_cycles)
         self.busy_cycles += compute_latency
-        self.stats.incr("core.busy_cycles", compute_latency)
         self.sim.schedule(compute_latency, self._dispatch_haccs, state)
 
     # ------------------------------------------------------------------
@@ -151,7 +147,6 @@ class NeuraCore:
 
     def _send_one_hacc(self, state: _InFlightMMH, index: int) -> None:
         self.haccs_dispatched += 1
-        self.stats.incr("core.haccs_dispatched")
         self._dispatch_hacc(self, state.op, index,
                             lambda s=state: self._on_hacc_arrival(s))
 
@@ -165,9 +160,7 @@ class NeuraCore:
     # ------------------------------------------------------------------
     def _retire(self, state: _InFlightMMH) -> None:
         latency = self.sim.now - state.issue_time
-        self.stats.histogram("mmh_cpi", MMH_HIST_BIN_WIDTH, MMH_HIST_BINS).add(latency)
-        self.stats.observe("mmh.latency", latency)
+        self.cpi_histogram.add(latency)
         self.pipelines[state.pipeline].in_flight -= 1
         self.instructions_retired += 1
-        self.stats.incr("core.instructions_retired")
         self._on_retire(self, state.op, latency)

@@ -12,7 +12,8 @@ are modelled:
 
 The latency of a HACC instruction is measured from its dispatch by a
 NeuraCore to the eviction of the hash line it contributed to, which is the
-quantity Figure 15 plots.
+quantity Figure 15 plots; every NeuraMem of a chip records it into the one
+histogram the accelerator hands it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable
 from repro.compiler.program import HACCMacroOp
 from repro.sim.engine import Simulator
 from repro.sim.params import SimulationParams
-from repro.sim.stats import StatsCollector
+from repro.sim.stats import Histogram
 
 #: Histogram shape of Figure 15 (bins of 50 cycles, 0 to 1000+).
 HACC_HIST_BIN_WIDTH = 50
@@ -40,7 +41,6 @@ class HashLine:
     out_row: int
     out_col: int
     writeback_addr: int
-    insert_time: float
     dispatch_times: list[float] = field(default_factory=list)
 
     @property
@@ -53,7 +53,7 @@ class NeuraMem:
     """Hash-based accumulation unit with a bounded HashPad."""
 
     def __init__(self, mem_id: int, position: tuple[int, int], sim: Simulator,
-                 params: SimulationParams, stats: StatsCollector,
+                 params: SimulationParams, cpi_histogram: Histogram,
                  hashlines: int, hash_engines: int,
                  eviction_mode: str = "rolling",
                  writeback: Callable[[int, int], None] | None = None,
@@ -67,7 +67,7 @@ class NeuraMem:
         self.position = position
         self.sim = sim
         self.params = params
-        self.stats = stats
+        self.cpi_histogram = cpi_histogram
         self.capacity = int(hashlines)
         self.eviction_mode = eviction_mode
         self._writeback = writeback
@@ -85,6 +85,7 @@ class NeuraMem:
         self.spills = 0
         self.peak_occupancy = 0
         self.haccs_received = 0
+        self.incomplete_lines = 0
 
     # ------------------------------------------------------------------
     @property
@@ -117,7 +118,6 @@ class NeuraMem:
             line.remaining -= 1
             line.dispatch_times.append(dispatch_time)
             self.accumulations += 1
-            self.stats.incr("neuramem.accumulations")
         else:
             if self.occupancy >= self.capacity:
                 self._spill_victim()
@@ -130,11 +130,9 @@ class NeuraMem:
                             remaining=hacc.counter - 1 - already_applied,
                             out_row=hacc.out_row, out_col=hacc.out_col,
                             writeback_addr=hacc.writeback_addr,
-                            insert_time=self.sim.now,
                             dispatch_times=[dispatch_time])
             self._pad[hacc.tag] = line
             self.insertions += 1
-            self.stats.incr("neuramem.insertions")
         self.peak_occupancy = max(self.peak_occupancy, self.occupancy)
         if self._on_applied is not None:
             self._on_applied()
@@ -165,7 +163,6 @@ class NeuraMem:
         tag, line = next(iter(self._pad.items()))
         del self._pad[tag]
         self.spills += 1
-        self.stats.incr("neuramem.spills")
         self.busy_cycles += self.params.hash_collision_penalty_cycles
         if self._writeback is not None:
             self._writeback(line.writeback_addr, self.params.writeback_bytes)
@@ -178,7 +175,6 @@ class NeuraMem:
         """Rolling/barrier eviction: write the accumulated value back to HBM."""
         evict_time = self.sim.now + self.params.hash_eviction_cycles
         self.evictions += 1
-        self.stats.incr("neuramem.evictions")
         self.busy_cycles += self.params.hash_eviction_cycles
         if self._writeback is not None:
             self._writeback(line.writeback_addr, self.params.writeback_bytes)
@@ -187,11 +183,8 @@ class NeuraMem:
         self._record_hacc_latencies(line, evict_time)
 
     def _record_hacc_latencies(self, line: HashLine, end_time: float) -> None:
-        histogram = self.stats.histogram("hacc_cpi", HACC_HIST_BIN_WIDTH,
-                                         HACC_HIST_BINS)
         for dispatch_time in line.dispatch_times:
-            histogram.add(end_time - dispatch_time)
-            self.stats.observe("hacc.latency", end_time - dispatch_time)
+            self.cpi_histogram.add(end_time - dispatch_time)
 
     # ------------------------------------------------------------------
     def barrier_flush(self) -> int:
@@ -209,7 +202,7 @@ class NeuraMem:
         if self._pad:
             # Remaining lines indicate a counter mismatch; evict them anyway so
             # the output is complete, and record the anomaly.
-            self.stats.incr("neuramem.incomplete_lines", len(self._pad))
+            self.incomplete_lines += len(self._pad)
             for tag in list(self._pad):
                 line = self._pad.pop(tag)
                 self._evict(line)

@@ -13,21 +13,19 @@ from typing import Callable
 
 from repro.sim.engine import Simulator
 from repro.sim.params import SimulationParams
-from repro.sim.stats import StatsCollector
 
 
 class TorusNetwork:
     """A width x height torus carrying HACC and control traffic."""
 
     def __init__(self, sim: Simulator, params: SimulationParams,
-                 width: int, height: int, stats: StatsCollector) -> None:
+                 width: int, height: int) -> None:
         if width <= 0 or height <= 0:
             raise ValueError("torus dimensions must be positive")
         self.sim = sim
         self.params = params
         self.width = width
         self.height = height
-        self.stats = stats
         # Per-destination ingress port availability (contention approximation).
         self._ingress_next_free: dict[tuple[int, int], float] = {}
         self.flits_sent = 0
@@ -61,8 +59,6 @@ class TorusNetwork:
         self._ingress_next_free[dst] = arrival
         self.flits_sent += flits
         self.total_hops += hops * flits
-        self.stats.incr("noc.flits", flits)
-        self.stats.incr("noc.hop_flits", hops * flits)
         if callback is not None:
             self.sim.schedule_at(arrival, callback)
         return arrival

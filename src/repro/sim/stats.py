@@ -1,13 +1,13 @@
-"""Statistics collection for NeuraSim.
+"""Statistics primitives for NeuraSim.
 
-Provides scalar counters, value observations (for CPI distributions), binned
-histograms matching the paper's Figures 14 and 15, and time-weighted level
+Every NeuraSim component counts its own events in plain attributes; this
+module holds the two shared instruments the accelerator hands to them: the
+binned histograms of the paper's Figures 14 and 15, and time-weighted level
 tracking (for the "in-flight memory instructions" metric of Figure 11).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +38,17 @@ class Histogram:
         self.counts[max(index, 0)] += 1
         self.total_observations += 1
         self.sum_values += value
+
+    @classmethod
+    def merged(cls, histograms: list["Histogram"]) -> "Histogram":
+        """One histogram holding every observation of ``histograms``, which
+        share one binning."""
+        merged = cls(histograms[0].bin_width, histograms[0].n_bins)
+        for histogram in histograms:
+            merged.counts += histogram.counts
+            merged.total_observations += histogram.total_observations
+            merged.sum_values += histogram.sum_values
+        return merged
 
     @property
     def mean(self) -> float:
@@ -93,53 +104,3 @@ class LevelTracker:
     @property
     def current(self) -> int:
         return self._level
-
-
-class StatsCollector:
-    """Shared statistics sink for all NeuraSim components."""
-
-    def __init__(self) -> None:
-        self.counters: dict[str, float] = defaultdict(float)
-        self.observations: dict[str, list[float]] = defaultdict(list)
-        self.histograms: dict[str, Histogram] = {}
-        self.levels: dict[str, LevelTracker] = defaultdict(LevelTracker)
-
-    # ------------------------------------------------------------------
-    def incr(self, name: str, amount: float = 1.0) -> None:
-        """Increment a scalar counter."""
-        self.counters[name] += amount
-
-    def observe(self, name: str, value: float) -> None:
-        """Record a value observation (kept in full for percentile queries)."""
-        self.observations[name].append(float(value))
-
-    def histogram(self, name: str, bin_width: int, n_bins: int) -> Histogram:
-        """Get (or create) a named histogram."""
-        if name not in self.histograms:
-            self.histograms[name] = Histogram(bin_width=bin_width, n_bins=n_bins)
-        return self.histograms[name]
-
-    def level(self, name: str) -> LevelTracker:
-        """Get (or create) a named level tracker."""
-        return self.levels[name]
-
-    # ------------------------------------------------------------------
-    def mean(self, name: str) -> float:
-        """Mean of an observation series (0.0 if empty)."""
-        values = self.observations.get(name, [])
-        return float(np.mean(values)) if values else 0.0
-
-    def percentile(self, name: str, q: float) -> float:
-        """Percentile of an observation series (0.0 if empty)."""
-        values = self.observations.get(name, [])
-        return float(np.percentile(values, q)) if values else 0.0
-
-    def summary(self, end_time: float) -> dict[str, float]:
-        """Flatten counters, observation means and level averages."""
-        result = dict(self.counters)
-        for name in self.observations:
-            result[f"{name}.mean"] = self.mean(name)
-        for name, tracker in self.levels.items():
-            result[f"{name}.avg"] = tracker.average(end_time)
-            result[f"{name}.peak"] = tracker.peak
-        return result

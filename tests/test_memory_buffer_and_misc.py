@@ -9,16 +9,15 @@ from repro.datasets.suite import degree_statistics, load_dataset
 from repro.sim.engine import Simulator
 from repro.sim.memory import HBMChannel, MemoryController
 from repro.sim.params import SimulationParams
-from repro.sim.stats import StatsCollector
+from repro.sim.stats import LevelTracker
 
 
 @pytest.fixture
 def controller_env():
     sim = Simulator()
     params = SimulationParams().scaled(controller_buffer_lines=2)
-    stats = StatsCollector()
-    channel = HBMChannel(sim, params, 0, stats)
-    controller = MemoryController(sim, params, 0, channel, stats)
+    channel = HBMChannel(sim, params, 0)
+    controller = MemoryController(sim, params, 0, channel, LevelTracker())
     return sim, params, channel, controller
 
 
@@ -56,9 +55,8 @@ class TestControllerReadBuffer:
     def test_buffer_disabled_when_capacity_zero(self):
         sim = Simulator()
         params = SimulationParams().scaled(controller_buffer_lines=0)
-        stats = StatsCollector()
-        channel = HBMChannel(sim, params, 0, stats)
-        controller = MemoryController(sim, params, 0, channel, stats)
+        channel = HBMChannel(sim, params, 0)
+        controller = MemoryController(sim, params, 0, channel, LevelTracker())
         for _ in range(2):
             done = []
             controller.read(0x40, 8, lambda: done.append(True))

@@ -98,6 +98,20 @@ class TestCrossBackendEquivalence:
 
 
 class TestAggregateMetrics:
+    def test_cycle_fleet_keeps_every_cpi_observation(self, wiki):
+        """A merged report's Figure 14/15 histograms hold one observation
+        per instruction of every chip, as a single chip's do."""
+        topology = ChipTopology(n_chips=2, chip_backend="cycle")
+        with Session("Tile-4", backend="multichip",
+                     topology=topology) as session:
+            report = session.run(SpGEMMSpec(a=wiki, verify=False)).report
+        assert report.mmh_instructions > 0
+        assert (report.mmh_cpi_histogram.total_observations
+                == report.mmh_instructions)
+        assert (report.hacc_cpi_histogram.total_observations
+                == report.hacc_instructions)
+        assert report.mmh_cpi_histogram.counts.sum() == report.mmh_instructions
+
     def test_cycles_are_max_over_chips_plus_host_terms(self, wiki):
         with Session("Tile-4", backend="multichip", chips=4) as session:
             result = session.run(SpGEMMSpec(a=wiki, verify=False))

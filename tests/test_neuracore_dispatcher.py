@@ -6,9 +6,9 @@ from repro.arch.isa import MMHInstruction, Opcode
 from repro.compiler.program import MMHMacroOp
 from repro.sim.dispatcher import Dispatcher
 from repro.sim.engine import Simulator
-from repro.sim.neuracore import NeuraCore
+from repro.sim.neuracore import MMH_HIST_BIN_WIDTH, MMH_HIST_BINS, NeuraCore
 from repro.sim.params import SimulationParams
-from repro.sim.stats import StatsCollector
+from repro.sim.stats import Histogram
 
 
 def make_mmh(sequence=0, k=0, n_a=2, n_b=2, reseed=False):
@@ -27,7 +27,7 @@ class _Harness:
     def __init__(self, read_latency=10.0, hacc_latency=3.0):
         self.sim = Simulator()
         self.params = SimulationParams()
-        self.stats = StatsCollector()
+        self.mmh_cpi = Histogram(MMH_HIST_BIN_WIDTH, MMH_HIST_BINS)
         self.read_latency = read_latency
         self.hacc_latency = hacc_latency
         self.reads = []
@@ -47,7 +47,7 @@ class _Harness:
 
     def make_core(self, core_id=0, pipelines=2, registers=4, multipliers=2):
         return NeuraCore(core_id=core_id, position=(0, 0), sim=self.sim,
-                         params=self.params, stats=self.stats,
+                         params=self.params, cpi_histogram=self.mmh_cpi,
                          n_pipelines=pipelines, pipeline_registers=registers,
                          multipliers=multipliers, read_fn=self.read,
                          dispatch_hacc_fn=self.dispatch_hacc,
@@ -118,7 +118,7 @@ class TestNeuraCore:
         core = env.make_core()
         core.issue(make_mmh())
         env.sim.run()
-        assert env.stats.histograms["mmh_cpi"].total_observations == 1
+        assert env.mmh_cpi.total_observations == 1
 
 
 class TestDispatcher:
@@ -126,7 +126,7 @@ class TestDispatcher:
         env = _Harness()
         cores = [env.make_core(core_id=i) for i in range(n_cores)]
         params = env.params.scaled(dispatch_width=dispatch_width)
-        dispatcher = Dispatcher(env.sim, params, cores, env.stats)
+        dispatcher = Dispatcher(env.sim, params, cores)
         for core in cores:
             core._on_retire = lambda c, op, lat, d=dispatcher: (
                 env.on_retire(c, op, lat), d.notify_slot_free())
@@ -156,7 +156,7 @@ class TestDispatcher:
     def test_empty_program(self):
         env = _Harness()
         core = env.make_core()
-        dispatcher = Dispatcher(env.sim, env.params, [core], env.stats)
+        dispatcher = Dispatcher(env.sim, env.params, [core])
         dispatcher.load([])
         dispatcher.start()
         env.sim.run()

@@ -4,9 +4,13 @@ import pytest
 
 from repro.compiler.program import HACCMacroOp
 from repro.sim.engine import Simulator
-from repro.sim.neuramem import NeuraMem
+from repro.sim.neuramem import HACC_HIST_BIN_WIDTH, HACC_HIST_BINS, NeuraMem
 from repro.sim.params import SimulationParams
-from repro.sim.stats import StatsCollector
+from repro.sim.stats import Histogram
+
+
+def hacc_histogram():
+    return Histogram(HACC_HIST_BIN_WIDTH, HACC_HIST_BINS)
 
 
 def make_hacc(tag, value, counter, row=0, col=0, addr=0):
@@ -19,12 +23,13 @@ def mem_env():
     """A NeuraMem wired to record evictions, spills and writebacks."""
     sim = Simulator()
     params = SimulationParams()
-    stats = StatsCollector()
+    histogram = hacc_histogram()
     events = {"evicted": [], "spilled": [], "writes": [], "applied": 0}
 
     def build(hashlines=8, eviction_mode="rolling", resume=None):
         return NeuraMem(
-            mem_id=0, position=(0, 0), sim=sim, params=params, stats=stats,
+            mem_id=0, position=(0, 0), sim=sim, params=params,
+            cpi_histogram=histogram,
             hashlines=hashlines, hash_engines=2, eviction_mode=eviction_mode,
             writeback=lambda addr, nbytes: events["writes"].append((addr, nbytes)),
             on_evict=lambda line, t: events["evicted"].append((line.tag, line.value, t)),
@@ -82,13 +87,12 @@ class TestAccumulation:
         mem.receive_hacc(make_hacc(tag=3, value=1.0, counter=2), 0.0)
         mem.receive_hacc(make_hacc(tag=3, value=1.0, counter=2), 0.0)
         sim.run()
-        stats_hist = mem.stats.histograms["hacc_cpi"]
-        assert stats_hist.total_observations == 2
+        assert mem.cpi_histogram.total_observations == 2
 
     def test_invalid_eviction_mode(self, mem_env):
         _sim, build, _events = mem_env
         with pytest.raises(ValueError):
-            NeuraMem(0, (0, 0), Simulator(), SimulationParams(), StatsCollector(),
+            NeuraMem(0, (0, 0), Simulator(), SimulationParams(), hacc_histogram(),
                      hashlines=4, hash_engines=1, eviction_mode="sometimes")
 
 
@@ -112,7 +116,7 @@ class TestBarrierEviction:
         sim.run()
         flushed = mem.finalize()
         assert flushed == 1
-        assert mem.stats.counters["neuramem.incomplete_lines"] == 1
+        assert mem.incomplete_lines == 1
 
 
 class TestCapacityAndSpills:
@@ -151,8 +155,7 @@ class TestEngineTiming:
     def test_engines_limit_throughput(self):
         sim = Simulator()
         params = SimulationParams()
-        stats = StatsCollector()
-        single = NeuraMem(0, (0, 0), sim, params, stats, hashlines=64,
+        single = NeuraMem(0, (0, 0), sim, params, hacc_histogram(), hashlines=64,
                           hash_engines=1, eviction_mode="rolling")
         for i in range(8):
             single.receive_hacc(make_hacc(tag=i, value=1.0, counter=2), 0.0)
@@ -160,7 +163,7 @@ class TestEngineTiming:
         single_time = sim.now
 
         sim2 = Simulator()
-        quad = NeuraMem(0, (0, 0), sim2, params, StatsCollector(), hashlines=64,
+        quad = NeuraMem(0, (0, 0), sim2, params, hacc_histogram(), hashlines=64,
                         hash_engines=4, eviction_mode="rolling")
         for i in range(8):
             quad.receive_hacc(make_hacc(tag=i, value=1.0, counter=2), 0.0)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.stats import Histogram, LevelTracker, StatsCollector
+from repro.sim.stats import Histogram, LevelTracker
 
 
 class TestSimulator:
@@ -118,6 +118,18 @@ class TestHistogram:
         hist.add(10)
         assert hist.as_dict()["0-25"] == pytest.approx(100.0)
 
+    def test_merged_holds_every_observation(self):
+        first = Histogram(bin_width=10, n_bins=3)
+        second = Histogram(bin_width=10, n_bins=3)
+        first.add(5)
+        second.add(15)
+        second.add(45)
+        merged = Histogram.merged([first, second])
+        assert merged.counts.tolist() == [1, 1, 1]
+        assert merged.total_observations == 3
+        assert merged.mean == pytest.approx(65 / 3)
+        assert first.total_observations == 1  # the inputs are left alone
+
 
 class TestLevelTracker:
     def test_average_of_constant_level(self):
@@ -143,36 +155,3 @@ class TestLevelTracker:
         tracker = LevelTracker()
         assert tracker.average(0.0) == 0.0
 
-
-class TestStatsCollector:
-    def test_counters_and_observations(self):
-        stats = StatsCollector()
-        stats.incr("hits")
-        stats.incr("hits", 2)
-        stats.observe("latency", 10)
-        stats.observe("latency", 20)
-        assert stats.counters["hits"] == 3
-        assert stats.mean("latency") == pytest.approx(15.0)
-        assert stats.percentile("latency", 100) == pytest.approx(20.0)
-
-    def test_missing_series_default_to_zero(self):
-        stats = StatsCollector()
-        assert stats.mean("nothing") == 0.0
-        assert stats.percentile("nothing", 50) == 0.0
-
-    def test_histogram_is_cached_by_name(self):
-        stats = StatsCollector()
-        first = stats.histogram("cpi", 25, 20)
-        second = stats.histogram("cpi", 25, 20)
-        assert first is second
-
-    def test_summary_contains_levels_and_means(self):
-        stats = StatsCollector()
-        stats.incr("count", 5)
-        stats.observe("lat", 2.0)
-        stats.level("inflight").change(0.0, 3)
-        summary = stats.summary(end_time=10.0)
-        assert summary["count"] == 5
-        assert summary["lat.mean"] == pytest.approx(2.0)
-        assert summary["inflight.avg"] == pytest.approx(3.0)
-        assert summary["inflight.peak"] == 3

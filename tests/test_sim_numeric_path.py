@@ -23,13 +23,31 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("job", sorted(GOLDEN), ids=lambda job: "-".join(
-    map(str, job)))
-def test_calibration_jobs_pinned(job):
-    name, nodes, config = job
+#: The ``report.counters`` keys of every calibration job: each event kind
+#: that happens, none of the zero counts (spills, incomplete lines).
+CALIBRATION_COUNTERS = {
+    "dispatcher.issued", "core.busy_cycles", "core.stall_cycles",
+    "core.haccs_dispatched", "core.instructions_retired",
+    "neuramem.accumulations", "neuramem.insertions", "neuramem.evictions",
+    "memctrl.reads", "memctrl.buffer_hits", "memctrl.coalesced",
+    "memctrl.writes", "hbm.row_hits", "hbm.row_misses", "hbm.bytes_read",
+    "hbm.bytes_written", "noc.flits", "noc.hop_flits",
+}
+
+
+@pytest.fixture(scope="module", params=sorted(GOLDEN),
+                ids=lambda job: "-".join(map(str, job)))
+def calibration(request):
+    """``(job, result)`` of one calibration job on the cycle backend."""
+    name, nodes, config = request.param
     a = load_dataset(name, max_nodes=nodes, seed=3).adjacency_csr()
     with Session(config, backend="cycle") as session:
-        result = session.run(SpGEMMSpec(a=a, verify=True, source=name))
+        return request.param, session.run(SpGEMMSpec(a=a, verify=True,
+                                                     source=name))
+
+
+def test_calibration_jobs_pinned(calibration):
+    job, result = calibration
     report = result.report
     assert result.metrics["verified"] is True
     assert report.max_abs_error == 0.0
@@ -37,6 +55,29 @@ def test_calibration_jobs_pinned(job):
             report.evictions, report.spills, report.noc_flits,
             report.output_nnz) == GOLDEN[job]
     assert result.metrics["output_nnz"] == report.output_nnz
+
+
+def test_calibration_counters_agree_with_report(calibration):
+    """Each event is counted once, by its component: the counter dump and
+    the report fields read the same attributes, and the CPI histograms hold
+    one observation per instruction."""
+    _job, result = calibration
+    report = result.report
+    counters = report.counters
+    assert set(counters) == CALIBRATION_COUNTERS
+    for key, value in (("core.busy_cycles", report.busy_cycles),
+                       ("core.stall_cycles", report.stall_cycles),
+                       ("core.instructions_retired", report.mmh_instructions),
+                       ("neuramem.evictions", report.evictions),
+                       ("neuramem.spills", report.spills),
+                       ("noc.flits", report.noc_flits)):
+        assert counters.get(key, 0.0) == value, key
+    assert (counters["hbm.bytes_read"] + counters["hbm.bytes_written"]
+            == report.memory_traffic_bytes)
+    assert (report.mmh_cpi_histogram.total_observations
+            == report.mmh_instructions)
+    assert (report.hacc_cpi_histogram.total_observations
+            == report.hacc_instructions)
 
 
 # ----------------------------------------------------------------------
