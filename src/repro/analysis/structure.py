@@ -1,130 +1,45 @@
 """Pass 2 — the structural checker: hardened CSR/operand validation.
 
-:class:`~repro.sparse.csr.CSRMatrix` validates itself on construction,
-but data that crosses a trust boundary — binary wire frames from
-clients, registry uploads, programs unpickled from the disk cache,
-stitched shard outputs — deserves an explicit, reportable check rather
-than an ``AssertionError`` from deep inside a kernel.  ``check_csr``
-duck-types anything with ``indptr / indices / data / shape`` and proves
-the canonical-CSR invariants:
-
-* ``indptr`` has ``n_rows + 1`` entries, starts at 0, ends at nnz and is
-  non-decreasing;
-* ``indices`` and ``data`` agree on nnz;
-* column indices are in ``[0, n_cols)`` and, per row, strictly
-  increasing (sorted, duplicate-free);
-* dtypes are the canonical int64/int64/float64 triple.
-
-All checks are vectorized; the sorted/duplicate check is a single
-``diff`` with the row boundaries masked out.
+The canonical-CSR invariants live in one place,
+:func:`repro.sparse.csr.csr_problems`:
+:class:`~repro.sparse.csr.CSRMatrix` runs it on construction and raises
+:class:`~repro.analysis.findings.StructureError`, so data that crosses a
+trust boundary as a ``CSRMatrix`` — binary wire frames, stitched shard
+outputs — is checked once, when it is built.  ``check_csr`` reports the
+same invariants as findings for anything with ``indptr / indices / data
+/ shape``, and ``require_valid_csr`` enforces them on duck-typed
+payloads such as registry uploads.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-import numpy as np
-
 from repro.analysis.findings import Finding, StructureError
-
-
-def _finding(check: str, context: str, message: str) -> Finding:
-    return Finding(pass_name="structure", check=check, location=context,
-                   message=message)
+from repro.sparse.csr import csr_problems
 
 
 def check_csr(matrix: Any, context: str = "csr") -> list[Finding]:
     """Structural findings for one CSR-shaped object (empty == canonical)."""
-    findings: list[Finding] = []
-    indptr = np.asarray(matrix.indptr)
-    indices = np.asarray(matrix.indices)
-    data = np.asarray(matrix.data)
-    n_rows, n_cols = (int(matrix.shape[0]), int(matrix.shape[1]))
+    return [Finding(pass_name="structure", check=check, location=context,
+                    message=message)
+            for check, message in csr_problems(matrix)]
 
-    if indptr.ndim != 1 or indices.ndim != 1 or data.ndim != 1:
-        findings.append(_finding(
-            "shape-agreement", context,
-            f"indptr/indices/data must be 1-D (got {indptr.ndim}-D, "
-            f"{indices.ndim}-D, {data.ndim}-D)"))
-        return findings
-    if indptr.size != n_rows + 1:
-        findings.append(_finding(
-            "shape-agreement", context,
-            f"indptr has {indptr.size} entries for {n_rows} rows "
-            f"(expected {n_rows + 1})"))
-        return findings
-    if indices.size != data.size:
-        findings.append(_finding(
-            "shape-agreement", context,
-            f"indices ({indices.size}) and data ({data.size}) disagree "
-            "on nnz"))
-        return findings
-    for name, array, expected in (("indptr", indptr, np.int64),
-                                  ("indices", indices, np.int64),
-                                  ("data", data, np.float64)):
-        if array.dtype != expected:
-            findings.append(_finding(
-                "dtype-agreement", context,
-                f"{name} is {array.dtype}; canonical CSR uses "
-                f"{np.dtype(expected).name}"))
 
-    nnz = indices.size
-    if int(indptr[0]) != 0 or int(indptr[-1]) != nnz:
-        findings.append(_finding(
-            "indptr-monotone", context,
-            f"indptr spans [{int(indptr[0])}, {int(indptr[-1])}] for "
-            f"{nnz} stored entries (must span [0, nnz])"))
-        return findings
-    if np.any(np.diff(indptr) < 0):
-        row = int(np.flatnonzero(np.diff(indptr) < 0)[0])
-        findings.append(_finding(
-            "indptr-monotone", context,
-            f"indptr decreases at row {row} "
-            f"({int(indptr[row])} -> {int(indptr[row + 1])})"))
-        return findings
-
-    if nnz:
-        low, high = int(indices.min()), int(indices.max())
-        if low < 0 or high >= n_cols:
-            findings.append(_finding(
-                "column-bounds", context,
-                f"column indices span [{low}, {high}] outside "
-                f"[0, {n_cols}) for shape ({n_rows}, {n_cols})"))
-            return findings
-    if nnz > 1:
-        # Per-row sortedness: a negative diff inside a row is unsorted, a
-        # zero diff is a duplicate.  Positions where a row boundary falls
-        # between indices[i] and indices[i + 1] are exempt.
-        diffs = np.diff(indices)
-        same_row = np.ones(nnz - 1, dtype=bool)
-        boundaries = indptr[1:-1]
-        boundaries = boundaries[(boundaries > 0) & (boundaries < nnz)]
-        same_row[np.asarray(boundaries, dtype=np.int64) - 1] = False
-        unsorted = same_row & (diffs < 0)
-        duplicate = same_row & (diffs == 0)
-        if np.any(unsorted):
-            at = int(np.flatnonzero(unsorted)[0])
-            row = int(np.searchsorted(indptr, at, side="right")) - 1
-            findings.append(_finding(
-                "sorted-indices", context,
-                f"row {row}: column indices are unsorted "
-                f"({int(indices[at])} followed by {int(indices[at + 1])})"))
-        if np.any(duplicate):
-            at = int(np.flatnonzero(duplicate)[0])
-            row = int(np.searchsorted(indptr, at, side="right")) - 1
-            findings.append(_finding(
-                "duplicate-indices", context,
-                f"row {row}: column index {int(indices[at])} appears "
-                "more than once"))
-    return findings
+def structure_error(problems: list[tuple[str, str]],
+                    context: str) -> StructureError:
+    """The :class:`StructureError` reporting ``csr_problems`` output."""
+    findings = [Finding(pass_name="structure", check=check, location=context,
+                        message=message) for check, message in problems]
+    return StructureError(
+        f"{context}: CSR payload failed structural validation: "
+        + "; ".join(f.format() for f in findings[:3]),
+        findings)
 
 
 def require_valid_csr(matrix: Any, context: str = "csr") -> Any:
     """Raise :class:`StructureError` unless ``matrix`` is canonical CSR."""
-    findings = check_csr(matrix, context=context)
-    if findings:
-        raise StructureError(
-            f"{context}: CSR payload failed structural validation: "
-            + "; ".join(f.format() for f in findings[:3]),
-            findings)
+    problems = csr_problems(matrix)
+    if problems:
+        raise structure_error(problems, context)
     return matrix

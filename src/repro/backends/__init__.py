@@ -4,7 +4,7 @@ Every entry point (the :class:`~repro.core.session.Session` API, the CLI
 and the serving layer) executes compiled programs through a backend looked
 up by name in this package's registry:
 
-* ``functional`` — untimed hash-accumulate dataflow;
+* ``functional`` — the program's replay, untimed (no report);
 * ``cycle``      — event-driven cycle-level NeuraSim model;
 * ``analytic``   — roofline cycle prediction, for graphs too large for
   event simulation;

@@ -78,7 +78,7 @@ class AnalyticBackend(ExecutionBackend):
         report = self.predict(program, ctx,
                               wall=_time.perf_counter() - start)
         return ExecutionResult(backend=self.name, output=output,
-                               report=report, functional=None)
+                               report=report)
 
     # ------------------------------------------------------------------
     def predict(self, program: Program, ctx: ExecutionContext,

@@ -7,7 +7,7 @@ built-in backends trade fidelity for speed:
 ========== ====================================== =========================
 name       what runs                              cost
 ========== ====================================== =========================
-functional hash-accumulate dataflow, untimed      O(partial products)
+functional the program's replay, untimed          one vectorized replay
 cycle      event-driven NeuraSim timing model     O(events) — slowest
 analytic   roofline cycle prediction, no events   O(MMH instructions)
 ========== ====================================== =========================
@@ -28,7 +28,6 @@ import numpy as np
 from repro.arch.config import NeuraChipConfig
 from repro.compiler.program import Program
 from repro.sim.accelerator import SimulationReport
-from repro.sim.functional import FunctionalReport
 from repro.sim.params import SimulationParams
 from repro.sparse.csr import CSRMatrix
 
@@ -64,14 +63,11 @@ class ExecutionResult:
             cancel stays an explicit zero).
         report: timing report; populated by the cycle backend (measured) and
             the analytic backend (predicted), ``None`` for functional.
-        functional: the functional backend's per-NeuraMem HACC, eviction
-            and spill report; ``None`` for the other backends.
     """
 
     backend: str
     output: CSRMatrix
     report: SimulationReport | None = None
-    functional: FunctionalReport | None = None
 
     def to_dense(self) -> np.ndarray:
         """Dense form of the output."""

@@ -57,7 +57,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analysis.structure import require_valid_csr
 from repro.analysis.verifier import assert_program_valid
 from repro.backends.base import ExecutionBackend, ExecutionContext, ExecutionResult
 from repro.backends.registry import get_backend, register_backend
@@ -468,11 +467,9 @@ class MultiChipBackend(ExecutionBackend):
         topology = self.topology
         plan = resident.plan
         runs = self._run_chips(resident, b_csr, ctx, verify, one_shot)
-        output = require_valid_csr(
-            stitch_shard_outputs(
-                plan, [(run.output, run.fragment_outputs) for run in runs],
-                b_csr.shape[1]),
-            context=f"stitch:{resident.source}")
+        output = stitch_shard_outputs(  # a CSRMatrix: validated when built
+            plan, [(run.output, run.fragment_outputs) for run in runs],
+            b_csr.shape[1])
         reduce_cycles = (topology.reduce_cycles(output.shape[0])
                          if len(runs) > 1 else 0.0)
         # B is replicated on every chip: the run pays for broadcasting it
@@ -491,7 +488,7 @@ class MultiChipBackend(ExecutionBackend):
                                        broadcast_cycles, b_csr.nnz, ctx,
                                        resident.source)
         return MultiChipExecutionResult(
-            backend=self.name, output=output, report=report, functional=None,
+            backend=self.name, output=output, report=report,
             chip_runs=runs, topology=topology, plan=plan,
             reduce_cycles=reduce_cycles, broadcast_cycles=broadcast_cycles,
             fresh_compiles=sum(run.fresh_compiles for run in runs))

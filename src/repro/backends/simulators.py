@@ -1,18 +1,19 @@
 """The functional and cycle execution backends.
 
-Both wrap a simulator — the untimed hash-accumulate model and the
-event-driven NeuraSim — behind the
-:class:`~repro.backends.base.ExecutionBackend` protocol, so every entry
-point (session, CLI, serving layer) selects them by name instead of
-wiring the simulators by hand.
+Both sit behind the :class:`~repro.backends.base.ExecutionBackend`
+protocol, so every entry point (session, CLI, serving layer) selects them
+by name.  They share one numeric path with the analytic backend: the
+``output`` is the compiled program's replay
+(:meth:`~repro.compiler.program.Program.replay`), byte-identical across
+all three.
 
-They share one numeric path with the analytic backend: the ``output`` is
-the compiled program's replay
-(:meth:`~repro.compiler.program.Program.replay`), byte-identical
-across all three.  The simulators walk the program's HACC stream for what
-only they model — NeuraSim's timing report (whose verify step checks the
-hash-accumulated output against that same replay) and the functional
-model's per-NeuraMem HACC, eviction and spill statistics.
+The functional backend is that replay and nothing else: no timing report,
+no simulator run.  (The untimed
+:class:`~repro.sim.functional.FunctionalAccelerator`, with its
+per-NeuraMem HACC, eviction and spill statistics, is a library model the
+tests and ablations call directly.)  The cycle backend runs NeuraSim over
+the program's HACC stream for its timing report, whose verify step checks
+the hash-accumulated output against the same replay.
 """
 
 from __future__ import annotations
@@ -21,22 +22,18 @@ from repro.backends.base import ExecutionBackend, ExecutionContext, ExecutionRes
 from repro.backends.registry import register_backend
 from repro.compiler.program import Program
 from repro.sim.accelerator import NeuraChipAccelerator
-from repro.sim.functional import FunctionalAccelerator
 from repro.sparse.csr import CSRMatrix
 
 
 @register_backend("functional")
 class FunctionalBackend(ExecutionBackend):
-    """Untimed hash-accumulate dataflow; validates semantics quickly."""
+    """The program's replay, untimed: no report."""
 
     def execute(self, program: Program, ctx: ExecutionContext,
                 a_csr: CSRMatrix | None = None,
                 b_csr: CSRMatrix | None = None,
                 verify: bool = True) -> ExecutionResult:
-        functional = FunctionalAccelerator(ctx.config, ctx.mapping_scheme,
-                                           ctx.mapping_seed).run(program)
-        return ExecutionResult(backend=self.name, output=program.replay(),
-                               report=None, functional=functional)
+        return ExecutionResult(backend=self.name, output=program.replay())
 
 
 @register_backend("cycle")

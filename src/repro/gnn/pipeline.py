@@ -51,7 +51,6 @@ from repro.core.specs import GCNLayerSpec, GNNModelSpec, RunResult
 from repro.datasets.features import feature_matrix
 from repro.datasets.suite import DatasetSpec, GraphDataset
 from repro.gnn.gcn import GCNLayer, normalize_adjacency_cached
-from repro.sparse.convert import csc_to_csr, csr_to_csc
 from repro.sparse.csr import CSRMatrix
 
 
@@ -136,8 +135,7 @@ def run_gnn_model(session, spec: GNNModelSpec | GCNLayerSpec) -> RunResult:
             else spec.weight_seed,
             activation=spec.activation)]
         label = f"gcn-aggregation:{dataset.name}"
-    a_csr = csc_to_csr(csr_to_csc(
-        normalize_adjacency_cached(dataset.adjacency)))
+    a_csr = normalize_adjacency_cached(dataset.adjacency)  # shared: read only
     tile = session.chip.config.mmh_tile_size
     multichip = session.backend == "multichip"
 

@@ -46,7 +46,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.analysis.structure import require_valid_csr
 from repro.sparse.csr import CSRMatrix
 
 #: Content type negotiated on upload (``Content-Type``) and response
@@ -168,8 +167,7 @@ def decode_csr(body: bytes) -> tuple[CSRMatrix, dict[str, Any] | None]:
                          offset=offset).copy()
     try:
         matrix = CSRMatrix(indptr, indices, data, (n_rows, n_cols))
-        require_valid_csr(matrix, context="wire-decode")
-    except ValueError as err:  # structural invariants (incl. StructureError)
+    except ValueError as err:  # a StructureError from the constructor
         raise WireFormatError(f"frame payload is not a valid CSR: {err}") \
             from err
     return matrix, meta

@@ -22,8 +22,8 @@ from repro.sim.dispatcher import Dispatcher
 from repro.sim.engine import Simulator
 from repro.sim.memory import MemorySystem
 from repro.sim.neuracore import MMH_HIST_BIN_WIDTH, MMH_HIST_BINS, NeuraCore
-from repro.sim.neuramem import (HACC_HIST_BIN_WIDTH, HACC_HIST_BINS, HashLine,
-                                NeuraMem)
+from repro.sim.hashpad import HashPad, SpillStore
+from repro.sim.neuramem import HACC_HIST_BIN_WIDTH, HACC_HIST_BINS, NeuraMem
 from repro.sim.params import SimulationParams
 from repro.sim.router import TorusNetwork, interleaved_positions
 from repro.sim.stats import Histogram
@@ -156,16 +156,15 @@ class NeuraChipAccelerator:
         self.mapping = make_seeded_mapping(self.mapping_scheme_name,
                                            config.total_mems, self.mapping_seed)
 
+        self.store = SpillStore()
         self.mems = [
             NeuraMem(mem_id=i, position=mem_pos[i], sim=self.sim, params=params,
-                     cpi_histogram=self.hacc_cpi, hashlines=config.mem.hashlines,
+                     cpi_histogram=self.hacc_cpi,
+                     pad=HashPad(config.mem.hashlines, self.store,
+                                 self.eviction_mode),
                      hash_engines=config.mem.hash_engines,
-                     eviction_mode=self.eviction_mode,
                      writeback=self._writeback,
-                     on_evict=self._on_evict,
-                     on_spill=self._on_spill,
-                     on_applied=self._on_hacc_applied,
-                     resume_lookup=self._spilled_applied_count)
+                     on_applied=self._on_hacc_applied)
             for i in range(config.total_mems)
         ]
         self.cores = [
@@ -183,9 +182,6 @@ class NeuraChipAccelerator:
         # Per-run program state: the program's HACC stream, op by op.
         self._haccs: list[HACCMacroOp] = []
         self._op_start: list[int] = []
-        self._output: dict[tuple[int, int], float] = {}
-        self._spilled_value: dict[int, float] = {}
-        self._spilled_applied: dict[int, int] = {}
         self._haccs_applied = 0
         self._haccs_expected = 0
         self._columns_completed = 0
@@ -241,21 +237,6 @@ class NeuraChipAccelerator:
         for mem in self.mems:
             mem.finalize()
 
-    def _on_evict(self, line: HashLine, evict_time: float) -> None:
-        key = (line.out_row, line.out_col)
-        value = line.value + self._spilled_value.pop(line.tag, 0.0)
-        self._spilled_applied.pop(line.tag, None)
-        self._output[key] = self._output.get(key, 0.0) + value
-
-    def _on_spill(self, line: HashLine, spill_time: float) -> None:
-        self._spilled_value[line.tag] = (self._spilled_value.get(line.tag, 0.0)
-                                         + line.value)
-        self._spilled_applied[line.tag] = (self._spilled_applied.get(line.tag, 0)
-                                           + len(line.dispatch_times))
-
-    def _spilled_applied_count(self, tag: int) -> int:
-        return self._spilled_applied.get(tag, 0)
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -303,10 +284,11 @@ class NeuraChipAccelerator:
         expected = arrays.flat_keys()
         reference = program.replay().data
         n_cols = program.shape[1]
-        keys = np.fromiter((row * n_cols + col for row, col in self._output),
-                           dtype=np.int64, count=len(self._output))
-        values = np.fromiter(self._output.values(), dtype=np.float64,
-                             count=len(self._output))
+        output = self.store.output
+        keys = np.fromiter((row * n_cols + col for row, col in output),
+                           dtype=np.int64, count=len(output))
+        values = np.fromiter(output.values(), dtype=np.float64,
+                             count=len(output))
         slots = np.searchsorted(expected, keys)
         known = slots < expected.size
         known[known] = expected[slots[known]] == keys[known]
@@ -333,9 +315,10 @@ class NeuraChipAccelerator:
         stall = sum(core.stall_cycles for core in self.cores)
         busy = sum(core.busy_cycles for core in self.cores)
         mem_busy = sum(mem.busy_cycles for mem in self.mems)
-        evictions = sum(mem.evictions for mem in self.mems)
-        spills = sum(mem.spills for mem in self.mems)
-        peak_occ = max((mem.peak_occupancy for mem in self.mems), default=0)
+        pads = [mem.pad for mem in self.mems]
+        evictions = sum(pad.evictions for pad in pads)
+        spills = sum(pad.spills for pad in pads)
+        peak_occ = max((pad.peak_occupancy for pad in pads), default=0)
         channels = self.memory.channels
         controllers = self.memory.controllers
         counts = {
@@ -344,12 +327,11 @@ class NeuraChipAccelerator:
             "core.busy_cycles": busy,
             "core.haccs_dispatched": sum(c.haccs_dispatched for c in self.cores),
             "core.instructions_retired": n_mmh,
-            "neuramem.accumulations": sum(m.accumulations for m in self.mems),
-            "neuramem.insertions": sum(m.insertions for m in self.mems),
+            "neuramem.accumulations": sum(p.accumulations for p in pads),
+            "neuramem.insertions": sum(p.insertions for p in pads),
             "neuramem.evictions": evictions,
             "neuramem.spills": spills,
-            "neuramem.incomplete_lines": sum(m.incomplete_lines
-                                             for m in self.mems),
+            "neuramem.incomplete_lines": sum(p.incomplete_lines for p in pads),
             "memctrl.reads": sum(c.reads_received for c in controllers),
             "memctrl.buffer_hits": sum(c.reads_buffered for c in controllers),
             "memctrl.coalesced": sum(c.reads_coalesced for c in controllers),
@@ -395,7 +377,7 @@ class NeuraChipAccelerator:
             hashpad_occupancy_fraction=peak_occ / max(1, config.mem.hashlines),
             noc_flits=self.noc.flits_sent,
             noc_avg_hops=self.noc.average_hops_per_flit,
-            output_nnz=len(self._output),
+            output_nnz=len(self.store.output),
             correct=correct,
             max_abs_error=max_err,
             wall_clock_seconds=wall,

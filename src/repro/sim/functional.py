@@ -1,12 +1,12 @@
 """Functional (untimed) model of the NeuraChip dataflow.
 
-The functional accelerator executes a compiled program with the same
-hash-accumulate semantics as the cycle simulator — per-NeuraMem HashPads,
-rolling counters, capacity-induced spills — but without any timing.  It
-walks the program's HACC stream (the one the cycle simulator dispatches)
-for its per-NeuraMem HACC, eviction and spill statistics; the test suite
-uses it to validate dataflow correctness quickly, and the benchmark
-harness for workloads too large for the cycle simulator.
+The functional accelerator walks a compiled program's HACC stream (the
+one the cycle simulator dispatches) through one
+:class:`~repro.sim.hashpad.HashPad` per NeuraMem — the same pads, rolling
+counters and capacity-induced spills the cycle simulator runs — but
+without any timing, for its per-NeuraMem HACC, eviction and spill
+statistics.  The test suite and the design-space ablations use it to
+check the dataflow quickly; no execution backend runs it.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 from repro.arch.config import NeuraChipConfig
 from repro.compiler.program import Program
 from repro.hashing.mappings import make_seeded_mapping
+from repro.sim.hashpad import HashPad, SpillStore
 
 
 @dataclass
@@ -64,18 +65,11 @@ class FunctionalAccelerator:
         mapping = make_seeded_mapping(self.mapping_scheme_name, n_mems,
                                       self.mapping_seed)
 
-        output = np.zeros(program.shape, dtype=np.float64)
-        pads: list[dict[int, list]] = [dict() for _ in range(n_mems)]
-        spilled: dict[int, float] = {}
-        spilled_applied: dict[int, int] = {}
-        per_mem_haccs = np.zeros(n_mems, dtype=np.int64)
-        per_mem_evictions = np.zeros(n_mems, dtype=np.int64)
+        store = SpillStore()
+        pads = [HashPad(config.mem.hashlines, store) for _ in range(n_mems)]
         arrays = program.arrays
         per_core_mmhs = np.bincount(np.arange(arrays.n_ops) % max(1, n_cores),
                                     minlength=max(1, n_cores))
-        peak_occupancy = 0
-        spills = 0
-        capacity = config.mem.hashlines
 
         # Walk the program's HACC stream one reseed segment (a row group)
         # at a time: the mapping only changes between segments, and each
@@ -92,53 +86,26 @@ class FunctionalAccelerator:
                     stream.counter[lo:hi].tolist(),
                     stream.out_row[lo:hi].tolist(),
                     stream.out_col[lo:hi].tolist()):
-                mem_index = mapping.map(tag, group=row)
-                per_mem_haccs[mem_index] += 1
-                pad = pads[mem_index]
-                line = pad.get(tag)
-                if line is None:
-                    if len(pad) >= capacity:
-                        victim_tag, victim = next(iter(pad.items()))
-                        del pad[victim_tag]
-                        spilled[victim_tag] = spilled.get(victim_tag, 0.0) + victim[0]
-                        spilled_applied[victim_tag] = (
-                            spilled_applied.get(victim_tag, 0) + victim[2])
-                        spills += 1
-                    already = spilled_applied.get(tag, 0)
-                    line = pad[tag] = [value, counter - 1 - already, 1,
-                                       row, col]
-                else:
-                    line[0] += value
-                    line[1] -= 1
-                    line[2] += 1
-                peak_occupancy = max(peak_occupancy, len(pad))
-                if line[1] <= 0:
-                    value = line[0] + spilled.pop(tag, 0.0)
-                    spilled_applied.pop(tag, None)
-                    output[row, col] += value
-                    del pad[tag]
-                    per_mem_evictions[mem_index] += 1
+                pads[mapping.map(tag, group=row)].apply(tag, value, counter,
+                                                        row, col)
             if arrays.op_reseed[cut]:
                 mapping.reseed(int(arrays.op_k[cut]))
             lo = hi
+        for pad in pads:
+            pad.finalize()
 
-        # Flush anything left resident (counter anomalies or spilled resumes).
-        for mem_index, pad in enumerate(pads):
-            for tag, line in list(pad.items()):
-                value = line[0] + spilled.pop(tag, 0.0)
-                output[line[3], line[4]] += value
-                per_mem_evictions[mem_index] += 1
-            pad.clear()
-
+        per_mem_haccs = np.array([pad.accumulations + pad.insertions
+                                  for pad in pads], dtype=np.int64)
         mean = per_mem_haccs.mean() if n_mems else 0.0
         imbalance = float(per_mem_haccs.max() / mean) if mean > 0 else 0.0
         return FunctionalReport(
-            output=output,
+            output=store.to_dense(program.shape),
             per_mem_haccs=per_mem_haccs,
-            per_mem_evictions=per_mem_evictions,
+            per_mem_evictions=np.array([pad.evictions for pad in pads],
+                                       dtype=np.int64),
             per_core_mmhs=per_core_mmhs,
-            peak_occupancy=peak_occupancy,
-            spills=spills,
+            peak_occupancy=max((pad.peak_occupancy for pad in pads), default=0),
+            spills=sum(pad.spills for pad in pads),
             total_partial_products=int(stream.tag.size),
             load_imbalance=imbalance,
             metadata={"mapping_scheme": self.mapping_scheme_name},

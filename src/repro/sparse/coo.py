@@ -27,7 +27,6 @@ class COOMatrix:
     cols: np.ndarray
     data: np.ndarray
     shape: tuple[int, int]
-    _validated: bool = field(default=False, repr=False, compare=False)
     #: Memoized content digest (:func:`repro.gnn.gcn.adjacency_digest`).
     content_digest: str | None = field(default=None, init=False, repr=False,
                                        compare=False)
@@ -102,7 +101,6 @@ class COOMatrix:
                 raise ValueError("row index out of bounds")
             if self.cols.min() < 0 or self.cols.max() >= self.shape[1]:
                 raise ValueError("column index out of bounds")
-        self._validated = True
 
     def sum_duplicates(self) -> "COOMatrix":
         """Return a copy with duplicate (row, col) entries summed together."""

@@ -8,7 +8,7 @@ CSC gives O(1) access to that column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ class CSCMatrix:
     indices: np.ndarray
     data: np.ndarray
     shape: tuple[int, int]
-    _validated: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.indptr = np.asarray(self.indptr, dtype=np.int64)
@@ -130,7 +129,6 @@ class CSCMatrix:
         if self.indices.size and (self.indices.min() < 0
                                   or self.indices.max() >= self.shape[0]):
             raise ValueError("row index out of bounds")
-        self._validated = True
 
     def to_dense(self) -> np.ndarray:
         """Materialise the matrix as a dense numpy array, in one scatter

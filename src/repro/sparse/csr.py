@@ -7,7 +7,8 @@ A[i, k], streams the entire row k of B.  CSR gives O(1) access to that row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -28,7 +29,6 @@ class CSRMatrix:
     indices: np.ndarray
     data: np.ndarray
     shape: tuple[int, int]
-    _validated: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.indptr = np.asarray(self.indptr, dtype=np.int64)
@@ -174,34 +174,15 @@ class CSRMatrix:
     # Operations
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Check structural invariants; raise ValueError if violated."""
-        if self.indptr.size != self.shape[0] + 1:
-            raise ValueError("indptr length must be n_rows + 1")
-        if self.indptr[0] != 0 or self.indptr[-1] != self.indices.size:
-            raise ValueError("indptr must start at 0 and end at nnz")
-        if np.any(np.diff(self.indptr) < 0):
-            raise ValueError("indptr must be non-decreasing")
-        if self.indices.size != self.data.size:
-            raise ValueError("indices and data must have equal lengths")
-        if self.indices.size and (self.indices.min() < 0
-                                  or self.indices.max() >= self.shape[1]):
-            raise ValueError("column index out of bounds")
-        if self.indices.size > 1:
-            # Per-row canonical order: sorted, duplicate-free column
-            # indices.  One diff over the whole indices array with the
-            # positions that straddle a row boundary masked out.
-            diffs = np.diff(self.indices)
-            same_row = np.ones(self.indices.size - 1, dtype=bool)
-            boundaries = self.indptr[1:-1]
-            boundaries = boundaries[(boundaries > 0)
-                                    & (boundaries < self.indices.size)]
-            same_row[boundaries - 1] = False
-            if np.any(same_row & (diffs < 0)):
-                raise ValueError("column indices must be sorted within "
-                                 "each row")
-            if np.any(same_row & (diffs == 0)):
-                raise ValueError("duplicate column index within a row")
-        self._validated = True
+        """Check the canonical-CSR invariants (:func:`csr_problems`);
+        raise :class:`~repro.analysis.findings.StructureError`, a
+        ``ValueError``, if any is violated."""
+        problems = csr_problems(self)
+        if problems:
+            # Imported here: repro.analysis imports this module.
+            from repro.analysis.structure import structure_error
+
+            raise structure_error(problems, "CSRMatrix")
 
     def to_dense(self) -> np.ndarray:
         """Materialise the matrix as a dense numpy array, in one scatter
@@ -264,3 +245,93 @@ class CSRMatrix:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"CSRMatrix(shape={self.shape}, nnz={self.nnz}, "
                 f"sparsity={self.sparsity:.4f})")
+
+
+def csr_problems(matrix: Any) -> list[tuple[str, str]]:
+    """The canonical-CSR invariants ``matrix`` violates, as ``(check,
+    message)`` pairs (empty == canonical).
+
+    Duck-types anything with ``indptr / indices / data / shape``:
+
+    * ``indptr`` has ``n_rows + 1`` entries, starts at 0, ends at nnz and
+      is non-decreasing;
+    * ``indices`` and ``data`` agree on nnz;
+    * column indices are in ``[0, n_cols)`` and, per row, strictly
+      increasing (sorted, duplicate-free);
+    * dtypes are the canonical int64/int64/float64 triple.
+
+    All checks are vectorized; the sorted/duplicate check is a single
+    ``diff`` with the row boundaries masked out.
+    """
+    problems: list[tuple[str, str]] = []
+    indptr = np.asarray(matrix.indptr)
+    indices = np.asarray(matrix.indices)
+    data = np.asarray(matrix.data)
+    n_rows, n_cols = (int(matrix.shape[0]), int(matrix.shape[1]))
+
+    if indptr.ndim != 1 or indices.ndim != 1 or data.ndim != 1:
+        return [("shape-agreement",
+                 f"indptr/indices/data must be 1-D (got {indptr.ndim}-D, "
+                 f"{indices.ndim}-D, {data.ndim}-D)")]
+    if indptr.size != n_rows + 1:
+        return [("shape-agreement",
+                 f"indptr has {indptr.size} entries for {n_rows} rows "
+                 f"(expected {n_rows + 1})")]
+    if indices.size != data.size:
+        return [("shape-agreement",
+                 f"indices ({indices.size}) and data ({data.size}) disagree "
+                 "on nnz")]
+    for name, array, expected in (("indptr", indptr, np.int64),
+                                  ("indices", indices, np.int64),
+                                  ("data", data, np.float64)):
+        if array.dtype != expected:
+            problems.append(("dtype-agreement",
+                             f"{name} is {array.dtype}; canonical CSR uses "
+                             f"{np.dtype(expected).name}"))
+
+    nnz = indices.size
+    if int(indptr[0]) != 0 or int(indptr[-1]) != nnz:
+        problems.append(("indptr-monotone",
+                         f"indptr spans [{int(indptr[0])}, {int(indptr[-1])}] "
+                         f"for {nnz} stored entries (must span [0, nnz])"))
+        return problems
+    steps = np.diff(indptr)
+    if np.any(steps < 0):
+        row = int(np.flatnonzero(steps < 0)[0])
+        problems.append(("indptr-monotone",
+                         f"indptr decreases at row {row} "
+                         f"({int(indptr[row])} -> {int(indptr[row + 1])})"))
+        return problems
+
+    if nnz:
+        low, high = int(indices.min()), int(indices.max())
+        if low < 0 or high >= n_cols:
+            problems.append(("column-bounds",
+                             f"column indices span [{low}, {high}] outside "
+                             f"[0, {n_cols}) for shape ({n_rows}, {n_cols})"))
+            return problems
+    if nnz > 1:
+        # Per-row sortedness: a negative diff inside a row is unsorted, a
+        # zero diff is a duplicate.  Positions where a row boundary falls
+        # between indices[i] and indices[i + 1] are exempt.
+        diffs = np.diff(indices)
+        same_row = np.ones(nnz - 1, dtype=bool)
+        boundaries = indptr[1:-1]
+        boundaries = boundaries[(boundaries > 0) & (boundaries < nnz)]
+        same_row[np.asarray(boundaries, dtype=np.int64) - 1] = False
+        unsorted = same_row & (diffs < 0)
+        duplicate = same_row & (diffs == 0)
+        if np.any(unsorted):
+            at = int(np.flatnonzero(unsorted)[0])
+            row = int(np.searchsorted(indptr, at, side="right")) - 1
+            problems.append(("sorted-indices",
+                             f"row {row}: column indices are unsorted "
+                             f"({int(indices[at])} followed by "
+                             f"{int(indices[at + 1])})"))
+        if np.any(duplicate):
+            at = int(np.flatnonzero(duplicate)[0])
+            row = int(np.searchsorted(indptr, at, side="right")) - 1
+            problems.append(("duplicate-indices",
+                             f"row {row}: column index {int(indices[at])} "
+                             "appears more than once"))
+    return problems

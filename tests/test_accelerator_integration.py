@@ -1,5 +1,8 @@
 """Integration tests: full-chip cycle simulation of compiled programs."""
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -175,3 +178,98 @@ class TestFunctionalModel:
         cycle = NeuraChipAccelerator(TILE4).run(small_program)
         assert cycle.correct is True
         assert np.allclose(functional.output, reference_result(small_program))
+
+
+# ----------------------------------------------------------------------
+# Pinned runs: the spill and eviction traffic of tiny pads
+# ----------------------------------------------------------------------
+def with_hashlines(hashlines):
+    return replace(TILE4, mem=replace(TILE4.mem, hashlines=hashlines))
+
+
+#: Counters every tiny-pad run below shares.
+_COMMON_COUNTERS = {
+    "dispatcher.issued": 2085.0, "core.busy_cycles": 13428.5,
+    "core.haccs_dispatched": 10554.0, "core.instructions_retired": 2085.0,
+    "neuramem.evictions": 4728.0, "memctrl.reads": 8340.0,
+    "hbm.row_hits": 1227.0, "hbm.row_misses": 252.0,
+    "hbm.bytes_read": 47328.0, "noc.flits": 10554.0,
+}
+_COUNTER_KEYS = ("core.stall_cycles", "neuramem.accumulations",
+                 "neuramem.insertions", "neuramem.spills",
+                 "memctrl.buffer_hits", "memctrl.coalesced", "memctrl.writes",
+                 "hbm.bytes_written", "noc.hop_flits")
+
+#: (hashlines, eviction mode) -> ((cycles, spills, evictions,
+#: peak_hashpad_occupancy), the remaining counters in _COUNTER_KEYS order).
+TINY_PAD_RUNS = {
+    (2, "rolling"): ((2971.0, 4594, 4728, 2),
+                     (143579.5, 1232, 9322, 4594, 7390, 1866, 9322, 74576,
+                      21066)),
+    (2, "barrier"): ((2975.0, 4590, 4728, 2),
+                     (143848.0, 1236, 9318, 4590, 7383, 1873, 9318, 74544,
+                      21153)),
+    (4, "rolling"): ((2942.0, 3453, 4728, 4),
+                     (141931.0, 2373, 8181, 3453, 7389, 1867, 8181, 65448,
+                      21066)),
+    (4, "barrier"): ((2946.0, 3461, 4728, 4),
+                     (142111.5, 2365, 8189, 3461, 7392, 1864, 8189, 65512,
+                      21158)),
+}
+
+
+@pytest.mark.parametrize("job", sorted(TINY_PAD_RUNS),
+                         ids=lambda job: f"{job[0]}-{job[1]}")
+def test_tiny_pad_neurasim_runs_pinned(small_program, job):
+    hashlines, mode = job
+    report = NeuraChipAccelerator(with_hashlines(hashlines),
+                                  eviction_mode=mode).run(small_program)
+    fields, counters = TINY_PAD_RUNS[job]
+    assert report.correct is True
+    assert (report.cycles, report.spills, report.evictions,
+            report.peak_hashpad_occupancy) == fields
+    assert report.counters == {**_COMMON_COUNTERS,
+                               **dict(zip(_COUNTER_KEYS, map(float, counters)))}
+
+
+#: Per-mapping NeuraMem loads of small_program on Tile-4 (ring and modular
+#: coincide): (per_mem_haccs, per_mem_evictions, load_imbalance).
+_LOADS = {
+    "ring": ([1402, 1505, 1256, 1090, 1410, 1140, 1364, 1387],
+             [616, 613, 590, 542, 609, 559, 582, 617], 1.1407996967974228),
+    "random": ([1380, 1266, 1287, 1278, 1365, 1226, 1383, 1369],
+               [609, 576, 579, 589, 601, 564, 598, 612], 1.0483229107447414),
+    "drhm": ([1343, 1288, 1339, 1288, 1173, 1290, 1476, 1357],
+             [565, 578, 623, 582, 559, 589, 653, 579], 1.1188175099488347),
+}
+_LOADS["modular"] = _LOADS["ring"]
+
+#: (hashlines, scheme) -> (peak_occupancy, spills).
+FUNCTIONAL_PADS = {
+    (2, "ring"): (2, 5134), (2, "modular"): (2, 5134),
+    (2, "random"): (2, 5123), (2, "drhm"): (2, 5123),
+    (16, "ring"): (16, 608), (16, "modular"): (16, 608),
+    (16, "random"): (16, 613), (16, "drhm"): (16, 579),
+    (2048, "ring"): (32, 0), (2048, "modular"): (32, 0),
+    (2048, "random"): (38, 0), (2048, "drhm"): (30, 0),
+}
+
+
+@pytest.mark.parametrize("job", sorted(FUNCTIONAL_PADS),
+                         ids=lambda job: f"{job[0]}-{job[1]}")
+def test_functional_reports_pinned(small_program, job):
+    hashlines, scheme = job
+    report = FunctionalAccelerator(with_hashlines(hashlines),
+                                   mapping_scheme=scheme).run(small_program)
+    haccs, evictions, imbalance = _LOADS[scheme]
+    assert report.per_mem_haccs.tolist() == haccs
+    assert report.per_mem_evictions.tolist() == evictions
+    assert report.per_core_mmhs.tolist() == [261] * 5 + [260] * 3
+    assert (report.peak_occupancy, report.spills) == FUNCTIONAL_PADS[job]
+    assert report.total_partial_products == 10554
+    assert report.load_imbalance == imbalance
+    assert report.metadata == {"mapping_scheme": scheme}
+    assert report.output.shape == (80, 80)
+    assert report.output.dtype == "float64"
+    assert hashlib.sha256(report.output.tobytes()).hexdigest()[:16] \
+        == "bb6adf90b77f9736"

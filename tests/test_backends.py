@@ -92,6 +92,34 @@ class TestBackendSelection:
         metrics = result.metrics
         assert metrics["total_cycles"] > metrics["combination_cycles"] > 0
 
+    def test_functional_backend_runs_no_simulator(self, chip, wiki,
+                                                  monkeypatch):
+        """The functional backend is the replay alone: with the functional
+        model broken, SpGEMM, a GCN layer and a functional fleet still run
+        and match dense numpy."""
+        from repro.backends.multichip import ChipTopology
+        from repro.sim.functional import FunctionalAccelerator
+
+        def broken(self, program):
+            raise AssertionError("the functional backend ran the model")
+
+        monkeypatch.setattr(FunctionalAccelerator, "run", broken)
+        a = wiki.adjacency_csr()
+        dense = a.to_dense() @ a.to_dense()
+        with Session(chip, backend="functional") as session:
+            spgemm = session.run(SpGEMMSpec(a=a))
+            layer = session.run(GCNLayerSpec(dataset=wiki, feature_dim=8,
+                                             hidden_dim=4))
+        with Session(chip, backend="multichip", topology=ChipTopology(
+                n_chips=2, chip_backend="functional")) as session:
+            fleet = session.run(SpGEMMSpec(a=a))
+        assert spgemm.report is None
+        assert np.allclose(spgemm.output.to_dense(), dense)
+        assert np.allclose(layer.output, GCNWorkload.build(
+            wiki, feature_dim=8, hidden_dim=4).reference_output())
+        assert fleet.provenance.chips == 2
+        assert np.allclose(fleet.output.to_dense(), dense)
+
 
 class TestAnalyticBackend:
     """Prediction accuracy against the cycle backend (calibration datasets)."""
@@ -121,7 +149,6 @@ class TestAnalyticBackend:
         assert report.hacc_instructions == program.total_partial_products
         assert report.output_nnz == program.output_nnz
         assert report.correct is None
-        assert result.functional is None
         assert np.allclose(result.output.to_dense(),
                            a.to_dense() @ a.to_dense())
 

@@ -12,8 +12,10 @@ from repro.gnn import (
     adjacency_cache_stats,
     clear_adjacency_cache,
     full_structure_csr,
+    normalize_adjacency_cached,
 )
 from repro.serve.batcher import MicroBatcher, RequestQueue, _coalesce_key
+from repro.sparse.convert import csc_to_csr, csr_to_csc
 from repro.sparse.coo import COOMatrix
 
 BACKENDS = ("functional", "analytic", "multichip")
@@ -162,6 +164,34 @@ class TestAdjacencyMemo:
     def test_capacity_is_bounded(self):
         stats = adjacency_cache_stats()
         assert stats["entries"] <= stats["capacity"]
+
+    @pytest.mark.parametrize("name", ["cora", "wiki-Vote", "facebook"])
+    def test_memo_csr_is_canonical(self, name):
+        """The runner hands the memo's CSR straight to the backends: it is
+        bitwise what a CSR -> CSC -> CSR round trip rebuilds."""
+        a_hat = normalize_adjacency_cached(
+            load_dataset(name, max_nodes=200, seed=1).adjacency)
+        rebuilt = csc_to_csr(csr_to_csc(a_hat))
+        for field in ("indptr", "indices", "data"):
+            mine, theirs = getattr(a_hat, field), getattr(rebuilt, field)
+            assert mine.dtype == theirs.dtype
+            assert mine.tobytes() == theirs.tobytes(), field
+        assert a_hat.shape == rebuilt.shape
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_runs_leave_the_memo_csr_untouched(self, cora, backend):
+        a_hat = normalize_adjacency_cached(cora.adjacency)
+        before = [array.copy() for array in
+                  (a_hat.indptr, a_hat.indices, a_hat.data)]
+        with make_session(backend) as session:
+            session.run(GNNModelSpec(dataset=cora, layer_dims=(8, 4),
+                                     feature_dim=8))
+            session.run(GCNLayerSpec(dataset=cora, feature_dim=8,
+                                     hidden_dim=4))
+        assert normalize_adjacency_cached(cora.adjacency) is a_hat
+        for old, new in zip(before, (a_hat.indptr, a_hat.indices,
+                                     a_hat.data)):
+            assert old.tobytes() == new.tobytes()
 
 
 class TestPipelining:

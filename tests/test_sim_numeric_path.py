@@ -10,6 +10,7 @@ import pytest
 from repro.core import Session, SpGEMMSpec
 from repro.datasets import load_dataset
 from repro.sim.accelerator import NeuraChipAccelerator
+from repro.sim.hashpad import SpillStore
 from repro.sim.neuramem import NeuraMem
 from repro.sparse.csr import CSRMatrix
 
@@ -147,14 +148,13 @@ class TestVerifyCatchesFaults:
         taken = set(arrays.out_indices[arrays.out_indptr[0]:
                                        arrays.out_indptr[1]].tolist())
         stray = (0, min(set(range(program.shape[1])) - taken))
-        original = NeuraChipAccelerator._on_evict
+        original = SpillStore.evict
 
-        def evict_with_stray(self, line, evict_time):
-            original(self, line, evict_time)
-            self._output.setdefault(stray, 0.0)
+        def evict_with_stray(self, line):
+            original(self, line)
+            self.output.setdefault(stray, 0.0)
 
-        monkeypatch.setattr(NeuraChipAccelerator, "_on_evict",
-                            evict_with_stray)
+        monkeypatch.setattr(SpillStore, "evict", evict_with_stray)
         report = simulate(program)
         assert report.correct is False  # every value matches; a key does not
         assert report.max_abs_error == 0.0
