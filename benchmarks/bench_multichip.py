@@ -15,9 +15,9 @@ Runs one SpGEMM (A @ A) on a synthetic power-law graph through the
   product.
 
 Results land in ``benchmarks/results/bench_multichip.json`` — the same
-record-don't-assert contract ``bench_kernels.py`` and ``bench_compiler.py``
-keep.  The acceptance bar for the scale-out story is a >= 1.5x cycle-model
-speedup at 4 chips on the 2000-node graph.
+record-don't-assert contract ``bench_compiler.py`` keeps.  The acceptance
+bar for the scale-out story is a >= 1.5x cycle-model speedup at 4 chips on
+the 2000-node graph.
 
 Run with:  PYTHONPATH=src python benchmarks/bench_multichip.py [--nodes 2000]
            PYTHONPATH=src python benchmarks/bench_multichip.py --smoke

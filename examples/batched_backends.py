@@ -1,8 +1,8 @@
 """Batched execution through one session: specs in, RunResults out.
 
 Builds a batch of SpGEMM requests against two graphs, serves it through a
-session on the analytic backend (roofline prediction + vectorized numpy
-kernels), and cross-checks one job on the cycle-level simulator.  Repeated
+session on the analytic backend (roofline prediction + vectorized program
+replay), and cross-checks one job on the cycle-level simulator.  Repeated
 requests on the same graph share one compiled program via the session's
 LRU cache — the shape a serving deployment takes: compile once, answer
 many.

@@ -2,7 +2,7 @@
 
 A from-scratch Python implementation of the NeuraChip hash-based decoupled
 spatial GNN accelerator (Shivdikar et al., ISCA 2024) together with every
-substrate its evaluation depends on: sparse formats and SpGEMM dataflows,
+substrate its evaluation depends on: sparse formats and a SpGEMM oracle,
 synthetic dataset generators, mapping algorithms, the NeuraCompiler, the
 NeuraSim cycle-level simulator, analytic baseline models, and the power/area
 model.  See DESIGN.md for the system inventory and EXPERIMENTS.md for the

@@ -116,7 +116,7 @@ def _lower_columnar(a_csc: CSCMatrix, b_csr: CSRMatrix, tile_size: int,
        loop lowering builds row by row.
     2. Each segment fans out into ``ceil(nb[k] / tile_size)`` ops via
        ``np.repeat`` with a cumulative-offset tile index (the same
-       expansion the SpGEMM kernels use for partial products).
+       expansion the SpGEMM oracle uses for partial products).
     3. The rolling counters and every op's output slot are counted from
        that op stream (:func:`_rolling_counters`).
     4. The address map follows from the output size, and the operand

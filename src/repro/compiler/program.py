@@ -210,7 +210,7 @@ class ReplayIndex:
 
     Lists every partial product in program (MMH dispatch) order, so each
     output slot accumulates its partial products in ascending inner index
-    ``k`` — the order of the vectorized kernels and the reference loops.
+    ``k`` — the order of the SpGEMM oracle and a row-wise accumulator.
     It holds no operand values, so one index serves every
     :func:`rebind_b_values` copy of the program.  The HACC stream and the
     full-level IR verifier always use it; the replay of a full-structure
@@ -434,7 +434,7 @@ class ProgramArrays:
         position of every A-tile element, the partial products each takes
         part in, and the ``b_cols`` / ``b_values`` position of every
         partial product — the cumulative-offset expansion the SpGEMM
-        kernels use, and the one the compiler's rolling-counter count and
+        oracle uses, and the one the compiler's rolling-counter count and
         :meth:`build_replay_index` share.  ``dtype`` is the index
         arithmetic type; int32 needs fewer than 2**31 partial products.
         """

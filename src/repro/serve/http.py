@@ -693,7 +693,7 @@ class ReproServer:
                     csr, source = _parse_csr(payload, "operand"), "upload"
         except WireFormatError as err:
             return 400, {"error": f"bad x-repro-csr frame: {err}"}
-        except (ValueError, TypeError, KeyError,
+        except (ValueError, TypeError, KeyError, OverflowError,
                 json.JSONDecodeError) as err:
             return 400, {"error": str(err)}
         try:
@@ -732,7 +732,10 @@ class ReproServer:
     # Workload endpoints
     # ------------------------------------------------------------------
     def _json(self, body: bytes) -> dict:
-        payload = json.loads(body.decode() or "{}")
+        try:
+            payload = json.loads(body.decode() or "{}")
+        except RecursionError as err:
+            raise ValueError("request body nests too deeply") from err
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
         return payload
@@ -791,7 +794,8 @@ class ReproServer:
                 label=str(payload.get("label", source)))
             timeout = float(payload.get("timeout_s",
                                         self.request_timeout_s))
-        except (ValueError, TypeError, KeyError, json.JSONDecodeError) as err:
+        except (ValueError, TypeError, KeyError, OverflowError,
+                json.JSONDecodeError) as err:
             return 400, {"error": str(err)}
         try:
             spec, pins = self.registry.resolve(spec)
@@ -864,7 +868,8 @@ class ReproServer:
                               str(payload.get("label", default_label)))
             timeout = float(payload.get("timeout_s",
                                         self.request_timeout_s))
-        except (ValueError, TypeError, KeyError, json.JSONDecodeError) as err:
+        except (ValueError, TypeError, KeyError, OverflowError,
+                json.JSONDecodeError) as err:
             for pin in pins:
                 pin.release()
             return 400, {"error": str(err)}

@@ -151,7 +151,8 @@ def decode_csr(body: bytes) -> tuple[CSRMatrix, dict[str, Any] | None]:
     if flags & _FLAG_META:
         try:
             meta = json.loads(body[offset:offset + meta_len].decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        except (UnicodeDecodeError, json.JSONDecodeError,
+                RecursionError) as err:
             raise WireFormatError(f"undecodable frame metadata: {err}") \
                 from err
         if not isinstance(meta, dict):

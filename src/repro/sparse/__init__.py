@@ -1,11 +1,11 @@
 """Sparse matrix substrate used by the NeuraChip reproduction.
 
 This subpackage implements, from scratch, the three compressed storage
-formats the paper relies on (COO, CSR, CSC), the four SpGEMM dataflows of
-Figure 2 (inner product, outer product, row-wise/Gustavson and the tiled
-Gustavson variant used by NeuraChip), a symbolic (structure-only) SpGEMM
-pass used to derive the rolling-eviction counters, and the memory-bloat
-analysis of Table 1.
+formats the paper relies on (COO, CSR, CSC), a symbolic (structure-only)
+SpGEMM pass used to derive the rolling-eviction counters, the memory-bloat
+analysis of Table 1, and one vectorised row-wise SpGEMM oracle
+(:mod:`repro.sparse.kernels`) that the program replay is checked against.
+NeuraChip's own tiled Gustavson dataflow lives in the compiler.
 """
 
 from repro.sparse.coo import COOMatrix
@@ -20,20 +20,6 @@ from repro.sparse.convert import (
     csr_to_csc,
     dense_to_coo,
 )
-from repro.sparse.spgemm import (
-    SpGEMMResult,
-    spgemm_inner_product,
-    spgemm_outer_product,
-    spgemm_row_wise,
-    spgemm_tiled_gustavson,
-)
-from repro.sparse.kernels import (
-    available_impls,
-    available_kernels,
-    get_kernel,
-    register_kernel,
-)
-from repro.sparse.kernels import spgemm as spgemm_kernel
 from repro.sparse.symbolic import SymbolicProduct, symbolic_spgemm
 from repro.sparse.bloat import BloatReport, bloat_percent, bloat_report
 
@@ -48,16 +34,6 @@ __all__ = [
     "csr_to_csc",
     "csc_to_csr",
     "dense_to_coo",
-    "SpGEMMResult",
-    "spgemm_inner_product",
-    "spgemm_outer_product",
-    "spgemm_row_wise",
-    "spgemm_tiled_gustavson",
-    "spgemm_kernel",
-    "get_kernel",
-    "register_kernel",
-    "available_kernels",
-    "available_impls",
     "SymbolicProduct",
     "symbolic_spgemm",
     "BloatReport",

@@ -68,13 +68,7 @@ def partial_product_count(a_csr: CSRMatrix, b_csr: CSRMatrix) -> int:
 
 def bloat_percent(a_csr: CSRMatrix, b_csr: CSRMatrix | None = None) -> float:
     """Equation 1 bloat percentage for A @ B (defaults to A @ A)."""
-    if b_csr is None:
-        b_csr = a_csr
-    pp = partial_product_count(a_csr, b_csr)
-    nnz_out = symbolic_spgemm(a_csr, b_csr).nnz
-    if nnz_out == 0:
-        return 0.0
-    return (pp - nnz_out) / nnz_out * 100.0
+    return bloat_report("", a_csr, b_csr).bloat_percent
 
 
 def bloat_report(name: str, a_csr: CSRMatrix,

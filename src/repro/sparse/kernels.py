@@ -1,135 +1,64 @@
-"""SpGEMM kernel layer: one dispatch table, two implementations per dataflow.
+"""The SpGEMM oracle: C = A @ B by vectorised row-wise (Gustavson) expansion.
 
-The reference dataflows in :mod:`repro.sparse.spgemm` are written as
-triple-nested Python loops so they can be read next to Figure 2 of the paper.
-That makes them the ground truth — and makes them far too slow for graphs
-beyond a few hundred nodes.  This module adds a *kernel registry* that pairs
-every dataflow with two interchangeable implementations:
+NeuraChip runs one dataflow, the tiled Gustavson order that the compiler
+lowers to MMH instructions and every backend replays.  This module holds an
+independent implementation of the same product, used to check that replay:
+:func:`spgemm` expands every partial product of C = A @ B with numpy and
+merges them by output coordinate.  It shares no code with the compiler or
+the program replay.
 
-* ``impl="python"`` — thin wrappers around the reference loops (unchanged);
-* ``impl="numpy"`` — vectorized versions built on ``np.repeat`` /
-  cumulative-offset expansion (the same block-expansion idea the Accel-GCN
-  style SpMM kernels use on GPUs), producing **identical op counts**
-  (``partial_products``, ``accumulations``, ``output_nnz``,
-  ``mmh_instructions``) and numerically equivalent output matrices
-  (same structure; values may differ by a few ulp where the merge
-  associates additions differently than a reference accumulator).
-
-Every kernel has the canonical signature::
-
-    kernel(a_csr: CSRMatrix, b_csr: CSRMatrix, *, tile_rows: int = 4)
-        -> SpGEMMResult
-
-Format conversions (CSR -> CSC where a dataflow wants column access) happen
-inside the kernel, so callers only ever hold CSR operands.
-
-The vectorized expansion works per shared inner index ``k``:  every non-zero
-``A[i, k]`` pairs with every non-zero ``B[k, j]``.  With ``na[k]`` and
-``nb[k]`` the per-``k`` operand counts, each A entry is repeated ``nb[k]``
-times and the matching B slice is gathered through a cumulative-offset index
-— no Python-level loop touches a partial product.  Because all four
-dataflows enumerate exactly the set ``{(i, k, j)}`` and merge duplicates by
-output coordinate, their op counts collapse to closed forms over ``na`` and
-``nb``; the reference loops are retained to prove those closed forms right.
+The expansion works per A entry: every non-zero ``A[i, k]`` pairs with every
+non-zero ``B[k, j]``.  Each A entry is repeated ``nnz(B[k, :])`` times and
+the matching B slice is gathered through a cumulative-offset index (the same
+block-expansion idea the Accel-GCN style SpMM kernels use on GPUs), so no
+Python-level loop touches a partial product.  Within one output row the
+partial products of each output coordinate appear in ascending ``k``, the
+order in which a row-wise accumulator and the program replay both sum them.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sparse.convert import csr_to_csc
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.spgemm import (
-    SpGEMMResult,
-    _check_dims,
-    spgemm_inner_product,
-    spgemm_outer_product,
-    spgemm_row_wise,
-    spgemm_tiled_gustavson,
-)
-
-#: Canonical kernel signature: (A in CSR, B in CSR, tile_rows) -> SpGEMMResult.
-KernelFn = Callable[..., SpGEMMResult]
-
-#: Kernel registry keyed by (dataflow, impl).
-_KERNELS: dict[tuple[str, str], KernelFn] = {}
-
-DATAFLOWS = ("inner", "outer", "row_wise", "tiled_gustavson")
-IMPLS = ("python", "numpy")
 
 
-def register_kernel(dataflow: str, impl: str):
-    """Class of decorators that install a kernel into the dispatch table."""
+@dataclass(frozen=True)
+class SpGEMMProduct:
+    """Outcome of one oracle product.
 
-    def decorator(fn: KernelFn) -> KernelFn:
-        _KERNELS[(dataflow, impl)] = fn
-        return fn
+    Attributes:
+        matrix: the numeric product C = A @ B in CSR.  Coordinates whose
+            partial products cancel keep an explicit zero.
+        partial_products: scalar multiply results of the multiplication
+            phase (``pp_interim`` in Equation 1).
+    """
 
-    return decorator
-
-
-def available_kernels() -> list[tuple[str, str]]:
-    """Registered (dataflow, impl) pairs in registration order."""
-    return list(_KERNELS)
-
-
-def available_impls(dataflow: str) -> list[str]:
-    """Implementations registered for one dataflow."""
-    return [impl for (flow, impl) in _KERNELS if flow == dataflow]
-
-
-def get_kernel(dataflow: str, impl: str = "numpy") -> KernelFn:
-    """Look up a kernel; raise ValueError naming the registered options."""
-    key = (dataflow, impl)
-    if key not in _KERNELS:
-        flows = sorted({flow for flow, _ in _KERNELS})
-        impls = sorted({i for _, i in _KERNELS})
-        raise ValueError(
-            f"no kernel for dataflow={dataflow!r} impl={impl!r}; "
-            f"dataflows: {flows}; impls: {impls}")
-    return _KERNELS[key]
+    matrix: CSRMatrix
+    partial_products: int
 
 
 def spgemm(a_csr: CSRMatrix, b_csr: CSRMatrix,
-           dataflow: str = "tiled_gustavson", impl: str = "numpy",
-           tile_rows: int = 4) -> SpGEMMResult:
-    """Run C = A @ B through the selected dataflow/implementation kernel."""
-    return get_kernel(dataflow, impl)(a_csr, b_csr, tile_rows=tile_rows)
+           dataflow: str = "row_wise") -> SpGEMMProduct:
+    """C = A @ B through the vectorised row-wise oracle.
+
+    ``dataflow`` exists only for the benchmark harness, which passes
+    ``dataflow="row_wise"``; any other value raises ``ValueError``.
+    """
+    if dataflow != "row_wise":
+        raise ValueError(f"no SpGEMM dataflow {dataflow!r}; the oracle "
+                         "runs only 'row_wise'")
+    if a_csr.shape[1] != b_csr.shape[0]:
+        raise ValueError(f"dimension mismatch: A is {a_csr.shape}, "
+                         f"B is {b_csr.shape}")
+    keys, vals, row_ptr = _expand_partial_products(a_csr, b_csr)
+    matrix = _merge_partials(keys, vals, row_ptr,
+                             (a_csr.shape[0], b_csr.shape[1]))
+    return SpGEMMProduct(matrix=matrix, partial_products=int(keys.size))
 
 
-# ----------------------------------------------------------------------
-# python impls: wrappers around the reference loops (the ground truth).
-# ----------------------------------------------------------------------
-@register_kernel("inner", "python")
-def _inner_python(a_csr: CSRMatrix, b_csr: CSRMatrix, *,
-                  tile_rows: int = 4) -> SpGEMMResult:
-    return spgemm_inner_product(a_csr, csr_to_csc(b_csr))
-
-
-@register_kernel("outer", "python")
-def _outer_python(a_csr: CSRMatrix, b_csr: CSRMatrix, *,
-                  tile_rows: int = 4) -> SpGEMMResult:
-    return spgemm_outer_product(csr_to_csc(a_csr), b_csr)
-
-
-@register_kernel("row_wise", "python")
-def _row_wise_python(a_csr: CSRMatrix, b_csr: CSRMatrix, *,
-                     tile_rows: int = 4) -> SpGEMMResult:
-    return spgemm_row_wise(a_csr, b_csr)
-
-
-@register_kernel("tiled_gustavson", "python")
-def _tiled_python(a_csr: CSRMatrix, b_csr: CSRMatrix, *,
-                  tile_rows: int = 4) -> SpGEMMResult:
-    return spgemm_tiled_gustavson(csr_to_csc(a_csr), b_csr,
-                                  tile_rows=tile_rows)
-
-
-# ----------------------------------------------------------------------
-# numpy impls: vectorized partial-product expansion.
-# ----------------------------------------------------------------------
 def _expand_partial_products(a_csr: CSRMatrix, b_csr: CSRMatrix
                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Materialise every partial product of C = A @ B without Python loops.
@@ -138,9 +67,9 @@ def _expand_partial_products(a_csr: CSRMatrix, b_csr: CSRMatrix
     pairs with the whole row ``k`` of B, gathered through a cumulative-
     offset index.  Within one A row, entries are sorted by ``k``, so the
     partial products of each output coordinate appear in ascending-``k``
-    order — the same order in which every reference loop accumulates
-    them, which keeps the floating-point sums equivalent to within
-    association error (a few ulp).
+    order — the order in which a row-wise accumulator sums them, which
+    keeps the floating-point sums equivalent to within association error
+    (a few ulp).
 
     Returns ``(keys, vals, row_ptr)`` where ``keys[p] = i * n_cols + j`` is
     the flattened output coordinate of partial product ``p`` and
@@ -189,16 +118,16 @@ _DENSE_MERGE_BLOCK_BINS = 1 << 19
 
 def _merge_dense_blocked(keys: np.ndarray, vals: np.ndarray,
                          row_ptr: np.ndarray,
-                         shape: tuple[int, int]) -> tuple[CSRMatrix, int]:
+                         shape: tuple[int, int]) -> CSRMatrix:
     """Dense-bin merge: scatter partial products straight into row blocks.
 
     Processes blocks of output rows (whose partial products are contiguous
     in ``keys`` thanks to the row-major expansion) so each ``np.bincount``
     scatter stays within a cache-resident bin array.  ``np.bincount`` adds
     over its input in encounter (ascending-``k``) order per output element,
-    so the sums match the reference loops up to summation-association
-    error (a few ulp — the reference merge reduces with
-    ``np.add.reduceat``, which may associate additions differently).
+    so the sums match a row-wise accumulator up to summation-association
+    error (a few ulp — the sorted merge reduces with ``np.add.reduceat``,
+    which may associate additions differently).
     """
     n_rows, n_cols = shape
     block_rows = max(1, min(n_rows, _DENSE_MERGE_BLOCK_BINS // max(1, n_cols)))
@@ -226,18 +155,17 @@ def _merge_dense_blocked(keys: np.ndarray, vals: np.ndarray,
                else np.zeros(0, dtype=np.int64))
     data = (np.concatenate(data_parts) if data_parts
             else np.zeros(0, dtype=np.float64))
-    matrix = CSRMatrix(indptr, indices, data, shape)
-    return matrix, int(keys.size - indices.size)
+    return CSRMatrix(indptr, indices, data, shape)
 
 
 def _merge_sorted(keys: np.ndarray, vals: np.ndarray,
-                  shape: tuple[int, int]) -> tuple[CSRMatrix, int]:
+                  shape: tuple[int, int]) -> CSRMatrix:
     """Sort-based merge: stable sort by coordinate + ``np.add.reduceat``.
 
     Memory scales with the partial products only, so this is the fallback
     when the flattened output space is too large for dense bins.  The
     stable sort preserves encounter (ascending-``k``) order per output
-    coordinate, keeping the sums equivalent to the reference loops
+    coordinate, keeping the sums equivalent to a row-wise accumulator
     (within a few ulp of association error).
     """
     order = np.argsort(keys, kind="stable")
@@ -254,104 +182,25 @@ def _merge_sorted(keys: np.ndarray, vals: np.ndarray,
     counts_per_row = np.bincount(major, minlength=shape[0])
     indptr = np.zeros(shape[0] + 1, dtype=np.int64)
     np.cumsum(counts_per_row, out=indptr[1:])
-    matrix = CSRMatrix(indptr, minor, summed, shape)
-    return matrix, int(keys.size - unique_keys.size)
+    return CSRMatrix(indptr, minor, summed, shape)
 
 
 def _merge_partials(keys: np.ndarray, vals: np.ndarray,
                     row_ptr: np.ndarray,
-                    shape: tuple[int, int]) -> tuple[CSRMatrix, int]:
+                    shape: tuple[int, int]) -> CSRMatrix:
     """Merge flattened-coordinate partial products into CSR.
 
     Picks the dense-bin strategy when the flattened output space is small
     relative to the partial-product count, the sort strategy otherwise.
     Both accumulate each output element's partial products in expansion
-    (ascending-``k``) order, so the floating-point sums agree with the
-    reference loops to within a few ulp (the reduction primitives may
-    associate additions differently).  Returns ``(matrix, accumulations)``
-    with the
-    accumulation count defined as in the reference loops: every partial
-    product beyond the first per output coordinate is one scalar addition.
+    (ascending-``k``) order, so the floating-point sums agree with a
+    row-wise accumulator to within a few ulp (the reduction primitives may
+    associate additions differently).
     """
     if keys.size == 0:
-        return CSRMatrix.empty(shape), 0
+        return CSRMatrix.empty(shape)
     flat_space = shape[0] * shape[1]
     if (flat_space <= _DENSE_MERGE_EXPANSION_LIMIT * keys.size
             or flat_space <= _DENSE_MERGE_ABSOLUTE_LIMIT):
         return _merge_dense_blocked(keys, vals, row_ptr, shape)
     return _merge_sorted(keys, vals, shape)
-
-
-def _merged(a_csr: CSRMatrix, b_csr: CSRMatrix
-            ) -> tuple[CSRMatrix, int, int, np.ndarray, np.ndarray]:
-    """Shared numpy path: expand, merge, and count.
-
-    Returns ``(matrix, partial_products, accumulations, na, nb)`` where
-    ``na[k]`` / ``nb[k]`` are the per-inner-index operand counts the
-    closed-form op counts are derived from.  The accumulation count is
-    ``partial_products - output_nnz`` for every dataflow: the first partial
-    product landing on an output coordinate is an insert, every later one
-    is a scalar addition — exactly what the reference loops count with
-    their per-key accumulators.
-    """
-    _check_dims(a_csr.shape, b_csr.shape)
-    keys, vals, row_ptr = _expand_partial_products(a_csr, b_csr)
-    matrix, accumulations = _merge_partials(
-        keys, vals, row_ptr, (a_csr.shape[0], b_csr.shape[1]))
-    na = np.bincount(a_csr.indices, minlength=a_csr.shape[1])
-    nb = b_csr.row_nnz_counts()
-    return matrix, int(keys.size), accumulations, na, nb
-
-
-@register_kernel("inner", "numpy")
-def _inner_numpy(a_csr: CSRMatrix, b_csr: CSRMatrix, *,
-                 tile_rows: int = 4) -> SpGEMMResult:
-    matrix, pp, acc, _na, _nb = _merged(a_csr, b_csr)
-    return SpGEMMResult(matrix=matrix, dataflow="inner",
-                        partial_products=pp,
-                        accumulations=max(acc, 0),
-                        output_nnz=matrix.nnz,
-                        multiply_ops=pp)
-
-
-@register_kernel("outer", "numpy")
-def _outer_numpy(a_csr: CSRMatrix, b_csr: CSRMatrix, *,
-                 tile_rows: int = 4) -> SpGEMMResult:
-    matrix, pp, acc, na, nb = _merged(a_csr, b_csr)
-    batches = int(np.count_nonzero((na > 0) & (nb > 0)))
-    return SpGEMMResult(matrix=matrix, dataflow="outer",
-                        partial_products=pp,
-                        accumulations=acc,
-                        output_nnz=matrix.nnz,
-                        multiply_ops=pp,
-                        intermediate_batches=batches)
-
-
-@register_kernel("row_wise", "numpy")
-def _row_wise_numpy(a_csr: CSRMatrix, b_csr: CSRMatrix, *,
-                    tile_rows: int = 4) -> SpGEMMResult:
-    matrix, pp, acc, _na, _nb = _merged(a_csr, b_csr)
-    return SpGEMMResult(matrix=matrix, dataflow="row_wise",
-                        partial_products=pp,
-                        accumulations=acc,
-                        output_nnz=matrix.nnz,
-                        multiply_ops=pp)
-
-
-@register_kernel("tiled_gustavson", "numpy")
-def _tiled_numpy(a_csr: CSRMatrix, b_csr: CSRMatrix, *,
-                 tile_rows: int = 4) -> SpGEMMResult:
-    if tile_rows < 1:
-        raise ValueError("tile_rows must be >= 1")
-    matrix, pp, acc, na, nb = _merged(a_csr, b_csr)
-    # One MMH instruction per (A-tile, B-tile) pair of each inner index k.
-    a_tiles = -(-na // tile_rows)
-    b_tiles = -(-nb // tile_rows)
-    mmh_instructions = int((a_tiles * b_tiles)[(na > 0) & (nb > 0)].sum())
-    return SpGEMMResult(matrix=matrix, dataflow="tiled_gustavson",
-                        partial_products=pp,
-                        accumulations=acc,
-                        output_nnz=matrix.nnz,
-                        multiply_ops=pp,
-                        extra={"mmh_instructions": mmh_instructions,
-                               "tile_rows": tile_rows})

@@ -11,7 +11,7 @@ here.
 The pass is *columnar*: its result is a CSR-shaped structure-of-arrays
 (``indptr`` / ``indices`` / ``counts``) rather than a ``(row, col) -> count``
 dict, computed with the same ``np.repeat`` / cumulative-offset expansion the
-vectorized SpGEMM kernels use (:mod:`repro.sparse.kernels`), so no Python
+vectorized SpGEMM oracle uses (:mod:`repro.sparse.kernels`), so no Python
 loop ever touches a partial product.  Dict-style accessors are kept as thin
 lazy views for compatibility with existing callers.
 """
@@ -184,7 +184,7 @@ def _symbolic_from_pairs(row_of_a: np.ndarray, k_of_a: np.ndarray,
 
     def expand(lo: int, hi: int) -> np.ndarray:
         # Rebase each B slice by the cumulative repeat counts plus a
-        # running position (the kernels' cumulative-offset expansion).
+        # running position (the oracle's cumulative-offset expansion).
         rep_c = rep[lo:hi]
         base = int(ends[lo - 1]) if lo else 0
         b_index = np.arange(int(ends[hi - 1]) - base, dtype=np.int64) + base

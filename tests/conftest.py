@@ -10,6 +10,7 @@ from repro.compiler import compile_spgemm
 from repro.datasets import load_dataset
 from repro.sparse.convert import coo_to_csc, coo_to_csr
 from repro.sparse.coo import COOMatrix
+from repro.sparse.csr import CSRMatrix
 
 
 def random_sparse_coo(n_rows: int, n_cols: int, density: float,
@@ -39,6 +40,47 @@ def program_reference(program) -> np.ndarray:
 def reference_result():
     """:func:`program_reference`, for tests that check a program's output."""
     return program_reference
+
+
+def row_wise_reference(a: CSRMatrix, b: CSRMatrix) -> tuple[CSRMatrix, int]:
+    """C = A @ B by Gustavson's row-wise loop, one partial product at a
+    time, with a per-row accumulator that sums in ascending k: the ground
+    truth the vectorised oracle (``repro.sparse.kernels.spgemm``) is checked
+    against.  Returns C, explicit zeros kept where partial products cancel,
+    and the partial-product count."""
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"dimension mismatch: A is {a.shape}, "
+                         f"B is {b.shape}")
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    partial_products = 0
+    for i in range(a.shape[0]):
+        a_cols, a_vals = a.row(i)
+        accumulator: dict[int, float] = {}
+        for k, av in zip(a_cols.tolist(), a_vals.tolist()):
+            b_cols, b_vals = b.row(k)
+            for j, bv in zip(b_cols.tolist(), b_vals.tolist()):
+                partial_products += 1
+                if j in accumulator:
+                    accumulator[j] += av * bv
+                else:
+                    accumulator[j] = av * bv
+        for j in sorted(accumulator):
+            rows.append(i)
+            cols.append(j)
+            vals.append(accumulator[j])
+    product = coo_to_csr(COOMatrix(np.asarray(rows, dtype=np.int64),
+                                   np.asarray(cols, dtype=np.int64),
+                                   np.asarray(vals, dtype=np.float64),
+                                   (a.shape[0], b.shape[1])))
+    return product, partial_products
+
+
+@pytest.fixture(scope="session")
+def row_wise_result():
+    """:func:`row_wise_reference`, for tests that check a product."""
+    return row_wise_reference
 
 
 @pytest.fixture

@@ -152,11 +152,12 @@ class TestAnalyticBackend:
         assert np.allclose(result.output.to_dense(),
                            a.to_dense() @ a.to_dense())
 
-    def test_python_impl_produces_same_output(self, chip, wiki):
-        # The reference-loop kernel is the oracle for the program replay.
+    def test_python_impl_produces_same_output(self, chip, wiki,
+                                              row_wise_result):
+        # The row-wise Python loop is the ground truth for the replay.
         a = wiki.adjacency_csr()
         replayed = run_spgemm(chip, a, "analytic").output
-        oracle = kernels.spgemm(a, a, "tiled_gustavson", impl="python").matrix
+        oracle, _ = row_wise_result(a, a)
         assert np.array_equal(replayed.indptr, oracle.indptr)
         assert np.array_equal(replayed.indices, oracle.indices)
         assert np.allclose(replayed.data, oracle.data)
@@ -232,8 +233,7 @@ class TestProgramReplay:
     def test_byte_identical_to_vectorized_kernel(self, case, tile):
         a, b = replay_cases()[case]
         program = compile_spgemm(csr_to_csc(a), b, tile_size=tile)
-        expected = kernels.spgemm(a, b, "tiled_gustavson", "numpy",
-                                  tile_rows=tile).matrix
+        expected = kernels.spgemm(a, b).matrix
         assert_same_csr(program.arrays.replay(), expected)
 
     def test_rebind_replays_new_values_on_the_same_index(self):
@@ -243,11 +243,11 @@ class TestProgramReplay:
         b_new = CSRMatrix(b.indptr, b.indices, b.data * -3.5 + 1.0, b.shape)
         rebound = rebind_b_values(program, b_new)
         assert_same_csr(rebound.arrays.replay(),
-                        kernels.spgemm(a, b_new, tile_rows=4).matrix)
+                        kernels.spgemm(a, b_new).matrix)
         assert rebound.arrays.replay_index() is index
         # The cached program still replays its own values.
         assert_same_csr(program.arrays.replay(),
-                        kernels.spgemm(a, b, tile_rows=4).matrix)
+                        kernels.spgemm(a, b).matrix)
 
     def test_pickle_drops_and_rebuilds_the_index(self):
         a, b = replay_cases()["rectangular"]
@@ -362,5 +362,4 @@ class TestColdPathExpansions:
         assert replayed[1] is built[0]
         assert_same_csr(warm.output, cold.output)
         assert_same_csr(cold.output,
-                        kernels.spgemm(a, a, "tiled_gustavson", "numpy",
-                                       tile_rows=4).matrix)
+                        kernels.spgemm(a, a).matrix)

@@ -5,10 +5,14 @@ import pytest
 
 from repro.analysis.verifier import verify_program
 from repro.arch.isa import Opcode, decode_mmh
-from repro.compiler import compile_gcn_aggregation, compile_spgemm
+from repro.compiler import (
+    compile_gcn_aggregation,
+    compile_spgemm,
+    compile_spgemm_loop,
+)
 from repro.compiler.program import AddressMap, ELEMENT_BYTES
 from repro.datasets.features import feature_matrix
-from repro.sparse.convert import coo_to_csc, coo_to_csr
+from repro.sparse.convert import coo_to_csc, csr_to_csc
 from repro.sparse.csr import CSRMatrix
 
 
@@ -123,6 +127,28 @@ class TestCompileSpGEMM:
     def test_binary_encoding_size(self, tiny_program):
         blob = tiny_program.encode_binary()
         assert len(blob) == 16 * tiny_program.n_instructions
+
+    def test_mmh_count_varies_with_tile_rows(self):
+        # One MMH per (A tile, B tile) pair of each inner index k.  An A
+        # tile is column k's entries inside one group of ``tile`` rows; a
+        # B tile is up to ``tile`` entries of row k of B.
+        rng = np.random.default_rng(3)
+        dense = (rng.random((20, 20)) < 0.4) * rng.random((20, 20))
+        a = CSRMatrix.from_dense(dense)
+        a_csc = csr_to_csc(a)
+        counts = []
+        for tile in (1, 2, 4, 8):
+            a_tiles = np.array([
+                np.unique(a_csc.indices[lo:hi] // tile).size
+                for lo, hi in zip(a_csc.indptr[:-1], a_csc.indptr[1:])])
+            b_tiles = -(-a.row_nnz_counts() // tile)
+            program = compile_spgemm(a_csc, a, tile_size=tile)
+            assert program.n_instructions == int(a_tiles @ b_tiles)
+            assert program.n_instructions == compile_spgemm_loop(
+                a_csc, a, tile_size=tile).n_instructions
+            counts.append(program.n_instructions)
+        assert counts[0] == program.total_partial_products
+        assert counts[0] > counts[1] > counts[2] > counts[3]
 
     def test_empty_operands_give_empty_program(self):
         a = CSRMatrix.empty((8, 8))

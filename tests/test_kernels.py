@@ -1,16 +1,20 @@
-"""Kernel-layer equivalence: numpy impls must match the reference loops.
+"""The SpGEMM oracle against the row-wise Python loop and dense numpy.
 
-The numpy kernels are only trustworthy if they reproduce the Python
-reference dataflows *exactly* — same output structure, same values, and
-bit-identical op counts (``partial_products``, ``accumulations``,
-``output_nnz``, ``mmh_instructions``) — across matrix shapes, densities,
-and degenerate structures (empty rows/columns, empty operands).
+``repro.sparse.kernels.spgemm`` is the one oracle the program replay is
+checked against.  It is trustworthy only if it reproduces the row-wise
+Python loop (``row_wise_reference`` in conftest) — same output structure,
+explicit zeros included, the same partial-product count, and values equal
+to within summation-association error — across shapes, densities and
+degenerate structures (empty rows/columns, empty operands, cancelling
+values).
 """
 
 import numpy as np
 import pytest
 
 from repro.sparse import kernels
+from repro.sparse.convert import coo_to_csr
+from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 
 
@@ -19,79 +23,53 @@ def _random_sparse(rng, shape, density):
     return CSRMatrix.from_dense(dense), dense
 
 
-def _assert_equivalent(reference, result):
+def _assert_matches_loop(a, b, row_wise_result):
     __tracebackhide__ = True
-    assert result.partial_products == reference.partial_products
-    assert result.accumulations == reference.accumulations
-    assert result.output_nnz == reference.output_nnz
-    assert result.multiply_ops == reference.multiply_ops
-    assert result.intermediate_batches == reference.intermediate_batches
-    assert (result.extra.get("mmh_instructions")
-            == reference.extra.get("mmh_instructions"))
-    assert result.bloat_percent == pytest.approx(reference.bloat_percent)
-    assert np.array_equal(result.matrix.indptr, reference.matrix.indptr)
-    assert np.array_equal(result.matrix.indices, reference.matrix.indices)
-    assert np.allclose(result.matrix.data, reference.matrix.data,
+    reference, partial_products = row_wise_result(a, b)
+    result = kernels.spgemm(a, b)
+    assert result.partial_products == partial_products
+    assert result.matrix.shape == reference.shape
+    assert np.array_equal(result.matrix.indptr, reference.indptr)
+    assert np.array_equal(result.matrix.indices, reference.indices)
+    assert np.allclose(result.matrix.data, reference.data,
                        rtol=1e-12, atol=1e-12)
+    return result
 
 
 class TestDispatch:
-    def test_all_eight_kernels_registered(self):
-        registered = set(kernels.available_kernels())
-        expected = {(flow, impl) for flow in kernels.DATAFLOWS
-                    for impl in kernels.IMPLS}
-        assert expected <= registered
-
     def test_unknown_dataflow_lists_options(self):
-        with pytest.raises(ValueError, match="tiled_gustavson"):
-            kernels.get_kernel("diagonal", "numpy")
-
-    def test_unknown_impl_lists_options(self):
-        with pytest.raises(ValueError, match="numpy"):
-            kernels.get_kernel("inner", "fortran")
-
-    def test_available_impls_per_dataflow(self):
-        assert set(kernels.available_impls("row_wise")) == {"python", "numpy"}
-
-    def test_tiled_numpy_rejects_bad_tile(self):
         a = CSRMatrix.from_dense(np.eye(3))
-        with pytest.raises(ValueError):
-            kernels.spgemm(a, a, "tiled_gustavson", "numpy", tile_rows=0)
+        with pytest.raises(ValueError, match="row_wise"):
+            kernels.spgemm(a, a, dataflow="tiled_gustavson")
+        assert kernels.spgemm(a, a, dataflow="row_wise").partial_products == 3
 
 
 class TestNumpyMatchesPython:
-    """Property-style sweep over random COO matrices."""
+    """Property-style sweep over random and degenerate operands."""
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_random_square_matrices(self, seed):
+    def test_random_square_matrices(self, seed, row_wise_result):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 36))
         density = float(rng.choice([0.02, 0.08, 0.25, 0.6]))
         a, da = _random_sparse(rng, (n, n), density)
         b, db = _random_sparse(rng, (n, n), density)
-        tile = int(rng.choice([1, 2, 4, 8]))
-        for flow in kernels.DATAFLOWS:
-            reference = kernels.spgemm(a, b, flow, "python", tile_rows=tile)
-            result = kernels.spgemm(a, b, flow, "numpy", tile_rows=tile)
-            _assert_equivalent(reference, result)
-            assert np.allclose(result.matrix.to_dense(), da @ db)
+        result = _assert_matches_loop(a, b, row_wise_result)
+        assert np.allclose(result.matrix.to_dense(), da @ db)
 
     @pytest.mark.parametrize("shape_a,shape_b", [
         ((3, 17), (17, 9)),
         ((24, 5), (5, 24)),
         ((1, 8), (8, 1)),
     ])
-    def test_rectangular_matrices(self, shape_a, shape_b):
+    def test_rectangular_matrices(self, shape_a, shape_b, row_wise_result):
         rng = np.random.default_rng(42)
         a, da = _random_sparse(rng, shape_a, 0.3)
         b, db = _random_sparse(rng, shape_b, 0.3)
-        for flow in kernels.DATAFLOWS:
-            reference = kernels.spgemm(a, b, flow, "python")
-            result = kernels.spgemm(a, b, flow, "numpy")
-            _assert_equivalent(reference, result)
-            assert np.allclose(result.matrix.to_dense(), da @ db)
+        result = _assert_matches_loop(a, b, row_wise_result)
+        assert np.allclose(result.matrix.to_dense(), da @ db)
 
-    def test_empty_rows_and_columns(self):
+    def test_empty_rows_and_columns(self, row_wise_result):
         rng = np.random.default_rng(7)
         dense_a = np.zeros((12, 12))
         dense_b = np.zeros((12, 12))
@@ -100,51 +78,53 @@ class TestNumpyMatchesPython:
         dense_b[:, [0, 9]] = rng.random((12, 2)) * (rng.random((12, 2)) < 0.5)
         a = CSRMatrix.from_dense(dense_a)
         b = CSRMatrix.from_dense(dense_b)
-        for flow in kernels.DATAFLOWS:
-            reference = kernels.spgemm(a, b, flow, "python")
-            result = kernels.spgemm(a, b, flow, "numpy")
-            _assert_equivalent(reference, result)
+        result = _assert_matches_loop(a, b, row_wise_result)
+        assert np.allclose(result.matrix.to_dense(), dense_a @ dense_b)
 
-    def test_empty_operands(self):
+    def test_empty_operands(self, row_wise_result):
         a = CSRMatrix.empty((6, 4))
         b = CSRMatrix.empty((4, 5))
-        for flow in kernels.DATAFLOWS:
-            result = kernels.spgemm(a, b, flow, "numpy")
-            assert result.partial_products == 0
-            assert result.output_nnz == 0
-            assert result.matrix.shape == (6, 5)
+        result = _assert_matches_loop(a, b, row_wise_result)
+        assert result.partial_products == 0
+        assert result.matrix.nnz == 0
+        assert result.matrix.shape == (6, 5)
 
-    def test_dimension_mismatch_raises(self):
+    def test_cancelling_values_keep_an_explicit_zero(self, row_wise_result):
+        # C[0, 0] = 1*2 + 1*(-2): structurally present, numerically zero.
+        a = CSRMatrix.from_dense(np.array([[1.0, 1.0], [0.0, 3.0]]))
+        b = CSRMatrix.from_dense(np.array([[2.0, 1.0], [-2.0, 0.0]]))
+        result = _assert_matches_loop(a, b, row_wise_result)
+        assert result.matrix.indptr.tolist() == [0, 2, 3]
+        assert result.matrix.indices.tolist() == [0, 1, 0]
+        assert result.matrix.data.tolist() == [0.0, 1.0, -6.0]
+        assert result.partial_products == 4
+
+    def test_dimension_mismatch_raises(self, row_wise_result):
         a = CSRMatrix.from_dense(np.eye(3))
         b = CSRMatrix.from_dense(np.eye(4))
-        for impl in kernels.IMPLS:
-            with pytest.raises(ValueError):
-                kernels.spgemm(a, b, "row_wise", impl)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            kernels.spgemm(a, b)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            row_wise_result(a, b)
 
-    def test_sort_merge_path_matches_dense_path(self):
-        # A shape large enough (25M flattened coordinates vs few hundred
-        # partial products) to route through the sort-based merge instead
-        # of the dense-bin merge.
+    def test_sort_merge_path_matches_dense_path(self, row_wise_result):
+        # A shape large enough (25M flattened coordinates vs a few
+        # thousand partial products) to route through the sort-based merge
+        # instead of the dense-bin merge.  The entries sit on 40 nodes
+        # spread over the index space, so A @ A has partial products.
         rng = np.random.default_rng(11)
         n = 5000
-        rows = rng.integers(0, n, size=60)
-        cols = rng.integers(0, n, size=60)
-        dense = np.zeros((n, n))
-        dense[rows, cols] = rng.random(60)
-        a = CSRMatrix.from_dense(dense)
-        for flow in ("row_wise", "tiled_gustavson"):
-            reference = kernels.spgemm(a, a, flow, "python")
-            result = kernels.spgemm(a, a, flow, "numpy")
-            _assert_equivalent(reference, result)
-
-    def test_mmh_count_varies_with_tile_rows(self):
-        rng = np.random.default_rng(3)
-        a, _ = _random_sparse(rng, (20, 20), 0.4)
-        counts = [kernels.spgemm(a, a, "tiled_gustavson", "numpy",
-                                 tile_rows=t).extra["mmh_instructions"]
-                  for t in (1, 2, 4)]
-        ref = [kernels.spgemm(a, a, "tiled_gustavson", "python",
-                              tile_rows=t).extra["mmh_instructions"]
-               for t in (1, 2, 4)]
-        assert counts == ref
-        assert counts[0] > counts[1] > counts[2]
+        nodes = rng.choice(n, size=40, replace=False)
+        a = coo_to_csr(COOMatrix(nodes[rng.integers(0, 40, size=300)],
+                                 nodes[rng.integers(0, 40, size=300)],
+                                 rng.random(300) - 0.5, (n, n)))
+        keys, vals, row_ptr = kernels._expand_partial_products(a, a)
+        assert keys.size > 0
+        assert n * n > kernels._DENSE_MERGE_EXPANSION_LIMIT * keys.size
+        assert n * n > kernels._DENSE_MERGE_ABSOLUTE_LIMIT
+        result = _assert_matches_loop(a, a, row_wise_result)
+        dense_path = kernels._merge_dense_blocked(keys, vals, row_ptr, (n, n))
+        assert np.array_equal(result.matrix.indptr, dense_path.indptr)
+        assert np.array_equal(result.matrix.indices, dense_path.indices)
+        assert np.allclose(result.matrix.data, dense_path.data,
+                           rtol=1e-12, atol=1e-12)

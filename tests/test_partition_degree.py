@@ -20,7 +20,7 @@ from repro.datasets import (
     kronecker_power_law_graph,
     load_dataset,
 )
-from repro.sparse import coo_to_csr, spgemm_kernel
+from repro.sparse import coo_to_csr, kernels
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.partition import (
     DEGREE_AUTO_SKEW_THRESHOLD,
@@ -180,13 +180,13 @@ class TestDegreePlanProperties:
     def test_stitch_roundtrip_without_backend(self):
         a = _monster()
         b = _with_random_data(a, 11)
-        want = spgemm_kernel(a, b).matrix
+        want = kernels.spgemm(a, b).matrix
         plan = plan_shards(a, 4, b, strategy="degree")
         outputs = []
         for units in build_shard_units(a, plan):
             rows_out, frag_outs = None, []
             for unit in units:
-                product = spgemm_kernel(unit.a, unit.slice_b(b)).matrix
+                product = kernels.spgemm(unit.a, unit.slice_b(b)).matrix
                 if unit.fragment is None:
                     rows_out = product
                 else:
@@ -201,7 +201,7 @@ class TestByteIdentity:
     @pytest.mark.parametrize("partition", ["contiguous", "degree"])
     def test_multichip_matches_unsharded(self, chips, partition):
         a = _kron(seed=7)
-        want = spgemm_kernel(a, a).matrix
+        want = kernels.spgemm(a, a).matrix
         with Session("Tile-16", backend="multichip", chips=chips,
                      partition=partition) as session:
             result = session.run(SpGEMMSpec(a=a, verify=False))
@@ -210,7 +210,7 @@ class TestByteIdentity:
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_multichip_pooled_executors(self, executor):
         a = _ba(160, 5, seed=2)
-        want = spgemm_kernel(a, a).matrix
+        want = kernels.spgemm(a, a).matrix
         with Session("Tile-16", backend="multichip", chips=4,
                      partition="degree", executor=executor,
                      workers=2) as session:
@@ -220,7 +220,7 @@ class TestByteIdentity:
     @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_session_sharded_host_path(self, executor):
         a = _monster(seed=9)
-        want = spgemm_kernel(a, a).matrix
+        want = kernels.spgemm(a, a).matrix
         with Session("Tile-16", backend="analytic", partition="degree",
                      executor=executor, workers=2) as session:
             result = session.run(SpGEMMSpec(a=a, shards=4, verify=False))
@@ -231,7 +231,7 @@ class TestByteIdentity:
                       np.arange(4, dtype=np.int64), np.ones(4), (4, 4))
         b = CSRMatrix(np.zeros(5, dtype=np.int64),
                       np.empty(0, dtype=np.int64), np.empty(0), (4, 3))
-        want = spgemm_kernel(a, b).matrix
+        want = kernels.spgemm(a, b).matrix
         for partition in ("auto", "contiguous", "degree"):
             with Session("Tile-16", backend="multichip", chips=2,
                          partition=partition) as session:
@@ -241,7 +241,7 @@ class TestByteIdentity:
     def test_all_zero_matrix(self):
         a = CSRMatrix(np.zeros(7, dtype=np.int64),
                       np.empty(0, dtype=np.int64), np.empty(0), (6, 6))
-        want = spgemm_kernel(a, a).matrix
+        want = kernels.spgemm(a, a).matrix
         with Session("Tile-16", backend="multichip", chips=3,
                      partition="degree") as session:
             result = session.run(SpGEMMSpec(a=a, verify=False))
@@ -257,7 +257,7 @@ class TestMonsterRow:
         n_frags = sum(1 for s in plan.shards for f in s.fragments
                       if f.row == 0)
         assert n_frags >= 2
-        want = spgemm_kernel(a, b).matrix
+        want = kernels.spgemm(a, b).matrix
         with Session("Tile-16", backend="multichip", chips=4,
                      partition="degree") as session:
             result = session.run(SpGEMMSpec(a=a, b=b, verify=False))
@@ -384,7 +384,7 @@ class TestAcceptance:
         degree = plan_shards(a, 4, a, strategy="degree")
         assert np.isfinite(contiguous.skew)  # baseline recorded alongside
         assert degree.skew <= 1.1
-        want = spgemm_kernel(a, a).matrix
+        want = kernels.spgemm(a, a).matrix
         with Session("Tile-16", backend="multichip", chips=4,
                      partition="degree") as session:
             result = session.run(SpGEMMSpec(a=a, verify=False))

@@ -3,6 +3,8 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.compiler import compile_spgemm
+from repro.sparse import kernels
 from repro.sparse.bloat import bloat_percent, partial_product_count
 from repro.sparse.convert import (
     coo_to_csc,
@@ -11,7 +13,6 @@ from repro.sparse.convert import (
     csr_to_csc,
 )
 from repro.sparse.coo import COOMatrix
-from repro.sparse.spgemm import run_all_dataflows, spgemm_row_wise
 from repro.sparse.symbolic import symbolic_spgemm
 
 
@@ -80,11 +81,23 @@ class TestFormatRoundTrips:
 class TestSpGEMMProperties:
     @given(spgemm_pairs())
     @settings(max_examples=40, deadline=None)
-    def test_every_dataflow_matches_numpy(self, pair):
+    def test_every_dataflow_matches_numpy(self, row_wise_result, pair):
+        # Row-wise: the oracle and its Python loop.  Tiled Gustavson: the
+        # compiled program's replay, byte-identical to the oracle.
         a, b = pair
-        reference = a.to_dense() @ b.to_dense()
-        for name, result in run_all_dataflows(a, b).items():
-            assert np.allclose(result.matrix.to_dense(), reference), name
+        result = kernels.spgemm(a, b)
+        loop, partial_products = row_wise_result(a, b)
+        assert result.partial_products == partial_products
+        assert np.array_equal(result.matrix.indptr, loop.indptr)
+        assert np.array_equal(result.matrix.indices, loop.indices)
+        assert np.allclose(result.matrix.data, loop.data,
+                           rtol=1e-12, atol=1e-12)
+        assert np.allclose(result.matrix.to_dense(),
+                           a.to_dense() @ b.to_dense())
+        replay = compile_spgemm(csr_to_csc(a), b, tile_size=4).replay()
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(replay, name),
+                                  getattr(result.matrix, name)), name
 
     @given(spgemm_pairs())
     @settings(max_examples=40, deadline=None)
@@ -105,7 +118,7 @@ class TestSpGEMMProperties:
     @settings(max_examples=40, deadline=None)
     def test_partial_product_count_matches_dataflow(self, pair):
         a, b = pair
-        assert partial_product_count(a, b) == spgemm_row_wise(a, b).partial_products
+        assert partial_product_count(a, b) == kernels.spgemm(a, b).partial_products
 
     @given(spgemm_pairs())
     @settings(max_examples=40, deadline=None)

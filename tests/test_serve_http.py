@@ -184,6 +184,8 @@ class TestGCNEndpoint:
 #: A 2x3 CSR operand: A @ A (no ``b``) does not multiply.
 NON_SQUARE = {"indptr": [0, 1, 2], "indices": [0, 2], "data": [1.0, 2.0],
               "shape": [2, 3]}
+#: Parses from JSON ``Infinity`` (or ``1e400``); ``int()`` of it overflows.
+INF = float("inf")
 
 
 class TestInvalidWorkloads:
@@ -209,6 +211,15 @@ class TestInvalidWorkloads:
         ("/v1/spgemm", {"dataset": "pubmed", "max_nodes": 100000}),
         ("/v1/gcn", {"dataset": "cora",
                      "max_nodes": serve_http.MAX_DATASET_NODES + 1}),
+        # Integer fields sent as JSON ``Infinity``.
+        ("/v1/spgemm", {"dataset": "wiki-Vote", "max_nodes": INF}),
+        ("/v1/spgemm", {"dataset": "wiki-Vote", "max_nodes": 64,
+                        "shards": INF}),
+        ("/v1/spgemm", {"a": {**NON_SQUARE, "shape": [INF, 3]}}),
+        ("/v1/gcn", {"dataset": "cora", "max_nodes": 64,
+                     "feature_dim": INF}),
+        ("/v1/gnn", {"dataset": "cora", "max_nodes": 64, "layers": INF}),
+        ("/v1/gnn", {"dataset": "cora", "max_nodes": 64, "batches": INF}),
     ])
     def test_refused_with_400(self, server, path, body):
         status, payload = request(server, "POST", path, body)
@@ -220,6 +231,15 @@ class TestInvalidWorkloads:
                                   {"dataset": "cora", "max_nodes": 100000})
         assert status == 400
         assert str(serve_http.MAX_DATASET_NODES) in payload["error"]
+
+    @pytest.mark.parametrize("body", [
+        {"dataset": "cora", "max_nodes": INF},
+        {**NON_SQUARE, "shape": [2, INF]},
+    ])
+    def test_operand_with_infinite_integer_400(self, server, body):
+        status, payload = request(server, "PUT", "/v1/operands", body)
+        assert status == 400, payload
+        assert payload["error"]
 
     def test_ref_pair_whose_shapes_mismatch_400(self, server):
         refs = []
@@ -237,6 +257,30 @@ class TestInvalidWorkloads:
         # The refused request released its pins: both operands evict.
         for ref in refs:
             assert request(server, "DELETE", f"/v1/operands/{ref}")[0] == 200
+
+
+class TestHostileBodies:
+    """A body too deeply nested for the JSON decoder gets 400, and the
+    server keeps serving."""
+
+    @pytest.mark.parametrize("method, path", [
+        ("POST", "/v1/spgemm"), ("POST", "/v1/gcn"), ("POST", "/v1/gnn"),
+        ("PUT", "/v1/operands"),
+    ])
+    def test_deeply_nested_body_400(self, server, method, path):
+        depth = 100_000
+        connection = http.client.HTTPConnection("127.0.0.1", server.port,
+                                                timeout=60)
+        try:
+            connection.request(method, path,
+                               body=b"[" * depth + b"]" * depth)
+            response = connection.getresponse()
+            status, payload = response.status, json.loads(response.read())
+        finally:
+            connection.close()
+        assert status == 400, payload
+        assert "nests too deeply" in payload["error"]
+        assert request(server, "GET", "/healthz")[0] == 200
 
 
 class TestDatasetSynthesis:

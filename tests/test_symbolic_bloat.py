@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.sparse import kernels
 from repro.sparse.bloat import (
     analytic_bloat_estimate,
     bloat_percent,
@@ -11,7 +12,6 @@ from repro.sparse.bloat import (
 )
 from repro.sparse.convert import csr_to_csc
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.spgemm import spgemm_row_wise
 from repro.sparse.symbolic import symbolic_spgemm, symbolic_spgemm_from_csc
 
 
@@ -19,16 +19,24 @@ class TestSymbolic:
     def test_structure_matches_numeric_product(self, random_pair):
         a, b = random_pair
         symbolic = symbolic_spgemm(a, b)
-        numeric = spgemm_row_wise(a, b)
-        dense = numeric.matrix.to_dense()
-        assert symbolic.nnz == numeric.output_nnz
-        for (row, col) in symbolic.entries:
-            assert dense[row, col] != 0.0 or True  # structural nnz may cancel numerically
+        numeric = kernels.spgemm(a, b).matrix
+        np.testing.assert_array_equal(symbolic.indptr, numeric.indptr)
+        np.testing.assert_array_equal(symbolic.indices, numeric.indices)
+
+    def test_structure_keeps_cancelled_entries(self):
+        # Both keep C[0, 0], whose partial products 2 and -2 cancel.
+        a = CSRMatrix.from_dense(np.array([[1.0, 1.0], [0.0, 3.0]]))
+        b = CSRMatrix.from_dense(np.array([[2.0, 1.0], [-2.0, 0.0]]))
+        symbolic = symbolic_spgemm(a, b)
+        numeric = kernels.spgemm(a, b).matrix
+        assert numeric.data.tolist() == [0.0, 1.0, -6.0]
+        np.testing.assert_array_equal(symbolic.indptr, numeric.indptr)
+        np.testing.assert_array_equal(symbolic.indices, numeric.indices)
 
     def test_total_partial_products_matches_numeric(self, random_pair):
         a, b = random_pair
         symbolic = symbolic_spgemm(a, b)
-        numeric = spgemm_row_wise(a, b)
+        numeric = kernels.spgemm(a, b)
         assert symbolic.total_partial_products == numeric.partial_products
 
     def test_counters_sum_to_partial_products(self, random_pair):
@@ -81,8 +89,10 @@ class TestBloat:
 
     def test_bloat_matches_dataflow_measurement(self, random_pair):
         a, b = random_pair
-        numeric = spgemm_row_wise(a, b)
-        assert bloat_percent(a, b) == pytest.approx(numeric.bloat_percent)
+        numeric = kernels.spgemm(a, b)
+        output_nnz = numeric.matrix.nnz
+        measured = (numeric.partial_products - output_nnz) / output_nnz * 100
+        assert bloat_percent(a, b) == pytest.approx(measured)
 
     def test_dense_square_has_positive_bloat(self):
         dense = CSRMatrix.from_dense(np.ones((6, 6)))

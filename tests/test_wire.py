@@ -132,6 +132,17 @@ class TestWireCodec:
         with pytest.raises(WireFormatError, match="metadata"):
             decode_csr(bytes(blob))
 
+    def test_deeply_nested_metadata_rejected(self):
+        csr = _csr()
+        deep = b'{"n": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+        # Encode a placeholder of the same length, then swap the blob.
+        body = bytearray(encode_csr(csr, meta={"n": "x" * len(deep)}))
+        meta_len = len(body) - len(encode_csr(csr))
+        assert meta_len >= len(deep)
+        body[HEADER_BYTES:HEADER_BYTES + meta_len] = deep.ljust(meta_len)
+        with pytest.raises(WireFormatError, match="metadata"):
+            decode_csr(bytes(body))
+
     def test_structurally_invalid_csr_rejected(self):
         csr = _csr()
         body = bytearray(encode_csr(csr))
