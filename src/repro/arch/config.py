@@ -127,11 +127,6 @@ class NeuraChipConfig:
         return self.total_hash_engines * self.mem.comparators
 
     @property
-    def total_hashlines(self) -> int:
-        """Total hash lines across all HashPads."""
-        return self.total_mems * self.mem.hashlines
-
-    @property
     def peak_bandwidth_bytes_per_cycle(self) -> float:
         """Aggregate HBM bandwidth expressed in bytes per clock cycle."""
         return self.hbm_bandwidth_gb_s * 1e9 / (self.frequency_ghz * 1e9)

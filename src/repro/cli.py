@@ -356,7 +356,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                          max_delay_ms=args.max_delay_ms,
                          queue_depth=args.queue_depth,
                          request_timeout_s=args.request_timeout,
-                         coalesce=not args.no_coalesce,
                          registry_max_bytes=args.registry_max_mib
                          * 1024 * 1024,
                          tenants=tenants,
@@ -592,9 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--request-timeout", type=float, default=60.0,
                          help="per-request deadline in seconds, queue wait "
                               "+ execution (default: %(default)s)")
-    p_serve.add_argument("--no-coalesce", action="store_true",
-                         help="disable serving operand-identical requests "
-                              "from a single execution")
     p_serve.add_argument("--registry-max-mib", type=int, default=256,
                          help="byte cap (MiB) on the content-addressed "
                               "operand registry; beyond it LRU operands "

@@ -181,11 +181,6 @@ class MMHMacroOp:
         """Actual number of HACC operations this MMH dispatches."""
         return len(self.a_rows) * len(self.b_cols)
 
-    @property
-    def memory_requests(self) -> int:
-        """Distinct operand fetches issued (A data, B col indices, B data, counters)."""
-        return 4
-
     def operand_addresses(self) -> dict[str, tuple[int, int]]:
         """(address, bytes) per operand fetch, for the memory model."""
         n_a = len(self.a_rows)
@@ -388,19 +383,6 @@ class ProgramArrays:
     def partial_products_per_op(self) -> np.ndarray:
         """HACCs each op dispatches (``n_a * n_b``), as an array."""
         return (self.op_a_hi - self.op_a_lo) * (self.op_b_hi - self.op_b_lo)
-
-    def counter_histogram(self) -> np.ndarray:
-        """Histogram of rolling-counter values across output tags
-        (``hist[c]`` = tags that accumulate exactly ``c`` partial
-        products) — the per-tag work distribution, straight from the
-        symbolic arrays."""
-        if self.out_counts.size == 0:
-            return np.zeros(1, dtype=np.int64)
-        return np.bincount(self.out_counts)
-
-    def row_tag_counts(self) -> np.ndarray:
-        """Output tags per output row (the tag histogram across rows)."""
-        return np.diff(self.out_indptr)
 
     # ------------------------------------------------------------------
     # Structure-derived caches

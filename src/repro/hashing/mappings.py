@@ -60,11 +60,6 @@ class MappingScheme(abc.ABC):
         """Memory footprint of any lookup state the scheme must keep."""
         return 0
 
-    def map_many(self, tags: np.ndarray) -> np.ndarray:
-        """Vector-map an array of TAGs (no reseeding in between)."""
-        return np.array([self.map(int(t)) for t in np.asarray(tags).ravel()],
-                        dtype=np.int64)
-
 
 class RingHashMapping(MappingScheme):
     """Round-robin / ring mapping: ``resource = TAG mod N``.

@@ -5,9 +5,8 @@ GCN-layer specs) enter a bounded :class:`RequestQueue`, the
 :class:`MicroBatcher` coalesces them into size/deadline-bounded
 micro-batches dispatched through one
 :class:`~repro.core.session.Session` (amortising the persistent program
-cache across requests), a scheduling policy picks between splitting each
-job across all chips and packing whole jobs onto individual chips on
-multi-chip fleets, and :class:`ReproServer` fronts the whole stack with a
+cache across requests; a multi-chip session runs every request on its
+whole fleet), and :class:`ReproServer` fronts the whole stack with a
 stdlib-only asyncio HTTP/1.1 + JSON server (``repro serve`` on the CLI).
 
 The queue is multi-tenant (see :mod:`repro.serve.sched`): per-tenant
@@ -15,9 +14,9 @@ EDF lanes under weighted fair queueing, token-bucket/quota admission
 control with computed ``Retry-After`` hints, and per-tenant accounting
 surfaced at ``GET /v1/tenants``.
 
-Serving results are byte-identical to a direct ``session.run`` of the
-same spec; micro-batching only changes *when* and *where* work runs,
-never what it computes.
+A served result — output and metrics row — is what a direct
+``session.run`` of the same spec returns; micro-batching only changes
+*when* work runs, never what it computes or reports.
 """
 
 from repro.serve.batcher import (
@@ -30,12 +29,6 @@ from repro.serve.http import (
     DEFAULT_REQUEST_TIMEOUT_S,
     BackgroundServer,
     ReproServer,
-)
-from repro.serve.policy import (
-    ALL_CHIPS_PER_JOB,
-    WHOLE_JOBS_PER_CHIP,
-    ScheduleDecision,
-    choose_schedule,
 )
 from repro.serve.queue import (
     DEFAULT_QUEUE_DEPTH,
@@ -70,10 +63,6 @@ __all__ = [
     "QueueOverflow",
     "QueueClosed",
     "ServeTimeout",
-    "ScheduleDecision",
-    "choose_schedule",
-    "ALL_CHIPS_PER_JOB",
-    "WHOLE_JOBS_PER_CHIP",
     "DEFAULT_MAX_BATCH",
     "DEFAULT_MAX_DELAY_MS",
     "DEFAULT_QUEUE_DEPTH",

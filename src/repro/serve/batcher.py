@@ -10,12 +10,11 @@ and dispatches it through the serving session:
   with the session's persistent program cache this is where micro-batching
   pays: a burst of requests against the same graph costs one compile and
   one execution.
-* **Scheduling**: on multi-chip sessions the
-  :mod:`~repro.serve.policy` layer chooses per batch between splitting
-  every job across all chips (the ``multichip`` backend) and running
-  whole jobs on individual chips (a single-chip twin session whose
-  thread executor is as wide as the fleet) — both produce byte-identical
-  outputs, so the choice is purely a throughput decision.
+* **One execution path**: every batch runs through the serving session's
+  own ``Session.map`` (on a multi-chip session, the ``multichip``
+  backend), so a served result — output and metrics row alike — is
+  what ``Session.run`` of the same spec returns, whatever its
+  batch-mates.
 * **Isolation**: a failing request fails *its* future; the batch falls
   back to per-spec execution so one poison request cannot take down its
   batch-mates.
@@ -34,9 +33,9 @@ and dispatches it through the serving session:
 
 :class:`ServingStats` aggregates the counters the ``/stats`` endpoint
 reports: queue depth, batch-size distribution, coalescing and shed
-counts, scheduling decisions, cache hit rate, p50/p95 latency, and the
-per-tenant accounting rows (admitted / rejected / deadline misses /
-p50/p95) that ``GET /v1/tenants`` serves.
+counts, cache hit rate, p50/p95 latency, and the per-tenant accounting
+rows (admitted / rejected / deadline misses / p50/p95) that
+``GET /v1/tenants`` serves.
 
 The batcher also keeps an EWMA of measured batch makespans (on the
 analytic backend these are the model's predicted batch costs, since the
@@ -47,6 +46,7 @@ the ``Retry-After`` hint admission control hands rejected clients.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
@@ -62,12 +62,6 @@ from repro.core.specs import (
     WorkloadSpec,
 )
 from repro.gnn.gcn import adjacency_digest
-from repro.serve.policy import (
-    ALL_CHIPS_PER_JOB,
-    ScheduleDecision,
-    choose_schedule,
-    predicted_backlog_makespan_s,
-)
 from repro.serve.queue import (
     QueueClosed,
     RequestQueue,
@@ -153,7 +147,6 @@ class ServingStats:
         self.batches = 0           # guarded-by: _lock — micro-batches dispatched
         self.bytes_in = 0          # guarded-by: _lock — request body bytes accepted
         self.bytes_out = 0         # guarded-by: _lock — response body bytes served
-        self.scale_out_batches = 0  # guarded-by: _lock — batches scheduled whole-jobs-per-chip
         self.degree_partition_runs = 0  # guarded-by: _lock — multichip runs on a degree plan
         self.gnn_stacks = 0        # guarded-by: _lock — GNNModelSpec stacks served
         self.gnn_layers = 0        # guarded-by: _lock — layers executed inside those stacks
@@ -175,16 +168,10 @@ class ServingStats:
         with self._lock:
             setattr(self, counter, getattr(self, counter) + n)
 
-    def record_batch(self, size: int, decision: ScheduleDecision) -> None:
+    def record_batch(self, size: int) -> None:
         with self._lock:
             self.batches += 1
             self._batch_sizes.append(size)
-            if decision.scale_out:
-                self.scale_out_batches += 1
-
-    def record_latency(self, seconds: float) -> None:
-        with self._lock:
-            self._latencies.append(seconds)
 
     # -- per-tenant accounting -----------------------------------------
     def _tenant(self, name: str) -> _TenantCounters:  # lockcheck: holds _lock
@@ -284,7 +271,6 @@ class ServingStats:
                 "batches": self.batches,
                 "bytes_in": self.bytes_in,
                 "bytes_out": self.bytes_out,
-                "scale_out_batches": self.scale_out_batches,
                 "degree_partition_runs": self.degree_partition_runs,
                 "gnn_stacks": self.gnn_stacks,
                 "gnn_layers": self.gnn_layers,
@@ -378,6 +364,22 @@ def _coalesce_key(spec: WorkloadSpec):
     return (a_key, b_key, spec.tile_size, spec.verify, spec.shards)
 
 
+def predicted_backlog_makespan_s(queue_depth: int, max_batch: int,
+                                 batch_seconds: float) -> float:
+    """Predicted seconds to drain ``queue_depth`` queued requests plus
+    one more (the request asking) through micro-batches of ``max_batch``,
+    each predicted to take ``batch_seconds``.
+
+    This is the serving layer's ``Retry-After`` arithmetic: the backlog
+    drains in ``ceil((depth + 1) / max_batch)`` waves, and each wave's
+    cost comes from the batcher's makespan EWMA (on the analytic backend,
+    the model's own predicted batch cost — see
+    :meth:`~repro.serve.batcher.MicroBatcher.predicted_batch_seconds`).
+    """
+    waves = max(1, math.ceil((max(0, queue_depth) + 1) / max(1, max_batch)))
+    return waves * max(0.0, batch_seconds)
+
+
 class MicroBatcher:
     """Background dispatcher turning queued requests into session batches.
 
@@ -388,17 +390,11 @@ class MicroBatcher:
         max_delay_ms: ... or once the oldest buffered request has waited
             this long (the latency the first request in a batch donates to
             fill the batch).
-        coalesce: serve operand-identical requests from one execution.
-        policy: per-batch scheduling decision function; defaults to
-            :func:`~repro.serve.policy.choose_schedule` (only consulted on
-            multi-chip sessions).
     """
 
     def __init__(self, session: Session, queue: RequestQueue, *,
                  max_batch: int = DEFAULT_MAX_BATCH,
                  max_delay_ms: float = DEFAULT_MAX_DELAY_MS,
-                 coalesce: bool = True,
-                 policy=choose_schedule,
                  stats: ServingStats | None = None) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
@@ -408,11 +404,8 @@ class MicroBatcher:
         self.queue = queue
         self.max_batch = max_batch
         self.max_delay_s = max_delay_ms / 1e3
-        self.coalesce = coalesce
-        self.policy = policy
         self.stats = stats if stats is not None else ServingStats()
         self._thread: threading.Thread | None = None
-        self._scale_out_session: Session | None = None
         # EWMA of measured batch makespans; written only by the dispatch
         # thread, read racily (a float hint) by admission control.
         self._batch_seconds_ewma: float | None = None
@@ -458,9 +451,6 @@ class MicroBatcher:
             if request.future.set_running_or_notify_cancel():
                 request.future.set_exception(
                     QueueClosed("server shut down before dispatch"))
-        if self._scale_out_session is not None:
-            self._scale_out_session.close()
-            self._scale_out_session = None
 
     def _loop(self) -> None:
         while True:
@@ -470,8 +460,8 @@ class MicroBatcher:
             try:
                 self._serve_batch(batch)
             except Exception as error:  # noqa: BLE001 - thread must survive
-                # Anything escaping the dispatch path (policy, coalescing,
-                # result resolution) fails this batch's futures — never the
+                # Anything escaping the dispatch path (coalescing, result
+                # resolution) fails this batch's futures — never the
                 # dispatch thread, or every later request would hang.
                 self._fail_batch(batch, error)
 
@@ -514,27 +504,16 @@ class MicroBatcher:
             return
         groups = self._group(live)
         self._bill_coalesced(groups)
+        specs = [group[0].spec for group in groups]
         try:
-            decision = self.policy([group[0][0].spec for group in groups],
-                                   self.session.topology)
-        except Exception:  # noqa: BLE001 - a policy bug must not fail a batch
-            decision = ScheduleDecision(
-                ALL_CHIPS_PER_JOB, len(groups),
-                self.session.topology.n_chips
-                if self.session.topology is not None else 1,
-                1.0, "policy raised; fell back to scale-up")
-        target = (self._whole_jobs_session() if decision.scale_out
-                  else self.session)
-        specs = [group[0][0].spec for group in groups]
-        try:
-            results = target.map(specs)
+            results = self.session.map(specs)
         except Exception:
             # One bad spec poisons Session.map for the whole batch; fall
             # back to per-spec execution so failures stay per-request.
-            results = [self._run_isolated(target, spec) for spec in specs]
+            results = [self._run_isolated(spec) for spec in specs]
         for group, result in zip(groups, results):
             self._resolve(group, result)
-        self.stats.record_batch(len(live), decision)
+        self.stats.record_batch(len(live))
         # Fold this batch's measured makespan into the EWMA feeding
         # admission control's Retry-After estimates.  Single writer (the
         # dispatch thread); readers treat it as a racy float hint.
@@ -546,8 +525,7 @@ class MicroBatcher:
             self._batch_seconds_ewma = (
                 (1.0 - _MAKESPAN_ALPHA) * previous + _MAKESPAN_ALPHA * wall)
 
-    def _bill_coalesced(
-            self, groups: list[list[tuple[ServeRequest, bool]]]) -> None:
+    def _bill_coalesced(self, groups: list[list[ServeRequest]]) -> None:
         """Refund WFQ charges for coalesced duplicates so each shared
         execution is billed exactly once — to the member with the
         earliest deadline (ties: arrival order).  Latency accounting is
@@ -555,39 +533,35 @@ class MicroBatcher:
         for group in groups:
             if len(group) < 2:
                 continue
-            owner, _ = min(group, key=lambda pair: deadline_key(pair[0]))
-            for request, _is_primary in group:
+            owner = min(group, key=deadline_key)
+            for request in group:
                 if request is not owner:
                     self.queue.refund(request.tenant)
 
-    def _group(self, live: list[ServeRequest]
-               ) -> list[list[tuple[ServeRequest, bool]]]:
+    def _group(self, live: list[ServeRequest]) -> list[list[ServeRequest]]:
         """Partition the batch into execution groups: each group is the
         requests served by one execution, first request first."""
-        if not self.coalesce:
-            return [[(request, True)] for request in live]
-        groups: list[list[tuple[ServeRequest, bool]]] = []
+        groups: list[list[ServeRequest]] = []
         by_key: dict = {}
         for request in live:
             key = _coalesce_key(request.spec)
             if key is not None and key in by_key:
-                groups[by_key[key]].append((request, False))
+                groups[by_key[key]].append(request)
                 self.stats.add("coalesced")
                 continue
             if key is not None:
                 by_key[key] = len(groups)
-            groups.append([(request, True)])
+            groups.append([request])
         return groups
 
-    def _run_isolated(self, target: Session, spec: WorkloadSpec):
+    def _run_isolated(self, spec: WorkloadSpec):
         """Run one spec, returning the result or the exception itself."""
         try:
-            return target.run(spec)
+            return self.session.run(spec)
         except Exception as error:  # noqa: BLE001 - mirrored into futures
             return error
 
-    def _resolve(self, group: list[tuple[ServeRequest, bool]],
-                 result) -> None:
+    def _resolve(self, group: list[ServeRequest], result) -> None:
         done = time.monotonic()
         if not isinstance(result, Exception):
             metrics = getattr(result, "metrics", None) or {}
@@ -596,13 +570,13 @@ class MicroBatcher:
                                         metrics.get("partition"))
             if getattr(result, "kind", None) == "gnn_model":
                 self.stats.record_gnn(metrics)
-        for request, is_primary in group:
+        for request in group:
             if isinstance(result, Exception):
                 self.stats.record_failure(request.tenant)
                 request.future.set_exception(result)
                 continue
             value: RunResult = result
-            if not is_primary and value.label != request.spec.label:
+            if value.label != request.spec.label:
                 # A coalesced duplicate: same execution, its own label.
                 value = _replace_result(value, label=request.spec.label)
             # Counted before the future resolves: a client that reads
@@ -610,22 +584,3 @@ class MicroBatcher:
             self.stats.record_response(request.tenant,
                                        done - request.enqueued_at)
             request.future.set_result(value)
-
-    # ------------------------------------------------------------------
-    # Whole-jobs-per-chip twin session
-    # ------------------------------------------------------------------
-    def _whole_jobs_session(self) -> Session:
-        """A single-chip twin of the multichip serving session: same chip
-        and program cache, the per-chip backend, and a thread executor as
-        wide as the fleet — so each chip runs complete jobs in parallel.
-        Outputs are byte-identical either way (the multichip reduce
-        reproduces the single-chip product exactly)."""
-        if self._scale_out_session is None:
-            topology = self.session.topology
-            self._scale_out_session = Session(
-                self.session.chip,
-                backend=topology.chip_backend,
-                executor="thread",
-                workers=topology.n_chips,
-                cache=self.session.cache)
-        return self._scale_out_session

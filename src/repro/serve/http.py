@@ -13,8 +13,8 @@ Endpoints::
     GET  /healthz             liveness: status, backend, config, chip
                               count, partition strategy
     GET  /stats               queue depth, batch sizes, coalescing, shed
-                              count, scheduling decisions, cache hit rate,
-                              p50/p95 latency, bytes in/out, registry
+                              count, cache hit rate, p50/p95 latency,
+                              bytes in/out, registry
                               hit/eviction counters, multichip telemetry,
                               per-tenant accounting rows
     GET  /v1/tenants          per-tenant policy (weight, rate, quota),
@@ -72,7 +72,8 @@ the next request on a keep-alive connection is not timed).  Each of these
 rejections closes the connection.
 
 Failure semantics worth knowing when writing a client: results are
-byte-identical to a direct ``Session.run`` of the same spec, verification
+byte-identical to a direct ``Session.run`` of the same spec — the
+product and the whole metrics row, bar ``wall_time_s`` — verification
 defaults to *off* for serving traffic (pass ``"verify": true`` with the
 ``cycle`` backend to re-enable it), and a ``Connection: close`` request
 header is honoured while anything else keeps the connection alive.
@@ -98,7 +99,7 @@ from repro.core.specs import (
     OperandRef,
     SpGEMMSpec,
 )
-from repro.datasets.suite import DEFAULT_MAX_NODES, load_dataset
+from repro.datasets.suite import DEFAULT_MAX_NODES, GNN_SUITE, load_dataset
 from repro.serve.batcher import (
     DEFAULT_MAX_BATCH,
     DEFAULT_MAX_DELAY_MS,
@@ -158,6 +159,12 @@ MAX_CACHED_DATASETS = 32
 #: grows with the client's choice, so the choice is capped at the
 #: generators' own default size.
 MAX_DATASET_NODES = DEFAULT_MAX_NODES
+
+#: Caps on a ``/v1/gcn`` or ``/v1/gnn`` body, past which the answer is 400:
+#: a width (``feature_dim``, ``hidden_dim``, a ``layer_dims`` entry) up to
+#: the GNN suite's widest feature width (citeseer's), a stack up to 16 deep.
+MAX_FEATURE_DIM = max(spec.feature_dim for spec in GNN_SUITE.values())
+MAX_GNN_LAYERS = 16
 
 #: Request content types the front-end accepts; anything else is 415.
 _ACCEPTED_CONTENT_TYPES = ("", "application/json", WIRE_CONTENT_TYPE)
@@ -307,7 +314,6 @@ class ReproServer:
         max_batch / max_delay_ms: micro-batch coalescing window.
         queue_depth: bounded-queue size; beyond it requests are shed (503).
         request_timeout_s: per-request deadline (queue wait + execution).
-        coalesce: serve operand-identical requests from one execution.
         registry_max_bytes: byte cap on the content-addressed operand
             registry (LRU-swept beyond it).
         tenants: multi-tenant policy table (weights, rate limits,
@@ -323,7 +329,6 @@ class ReproServer:
                  max_delay_ms: float = DEFAULT_MAX_DELAY_MS,
                  queue_depth: int = DEFAULT_QUEUE_DEPTH,
                  request_timeout_s: float = DEFAULT_REQUEST_TIMEOUT_S,
-                 coalesce: bool = True,
                  registry_max_bytes: int = DEFAULT_REGISTRY_BYTES,
                  tenants: TenantTable | None = None,
                  scheduling: str = FAIR_SCHEDULING) -> None:
@@ -344,7 +349,7 @@ class ReproServer:
         self.batcher = MicroBatcher(session, self.queue,
                                     max_batch=max_batch,
                                     max_delay_ms=max_delay_ms,
-                                    coalesce=coalesce, stats=self.stats)
+                                    stats=self.stats)
         self._server: asyncio.base_events.Server | None = None
         # Live connection handlers and the ones waiting for a request
         # line; touched on the event-loop thread only.
@@ -792,8 +797,7 @@ class ReproServer:
                 shards=int(payload.get("shards", 1)),
                 source=source,
                 label=str(payload.get("label", source)))
-            timeout = float(payload.get("timeout_s",
-                                        self.request_timeout_s))
+            timeout = _timeout_s(payload, self.request_timeout_s)
         except (ValueError, TypeError, KeyError, OverflowError,
                 json.JSONDecodeError) as err:
             return 400, {"error": str(err)}
@@ -866,8 +870,7 @@ class ReproServer:
                                  "{'ref': <digest>}")
             spec = build_spec(payload, dataset,
                               str(payload.get("label", default_label)))
-            timeout = float(payload.get("timeout_s",
-                                        self.request_timeout_s))
+            timeout = _timeout_s(payload, self.request_timeout_s)
         except (ValueError, TypeError, KeyError, OverflowError,
                 json.JSONDecodeError) as err:
             for pin in pins:
@@ -887,27 +890,23 @@ class ReproServer:
         try:
             request = self.queue.put(spec, timeout_s=timeout_s, pins=pins,
                                      tenant=tenant)
-        except AdmissionError as err:
-            for pin in pins:
+        except (AdmissionError, QueueOverflow, QueueClosed) as err:
+            for pin in pins:  # a refused request never adopted its pins
                 pin.release()
-            reason = "quota" if isinstance(err, QuotaExceeded) else "rate"
-            self.stats.record_rejected(err.tenant, reason)
-            return err.status, {"error": str(err), "tenant": err.tenant,
-                                "retry_after_s": round(err.retry_after_s, 3),
-                                "_retry_after": err.retry_after_s}
-        except QueueOverflow as err:
-            for pin in pins:
-                pin.release()
+            if isinstance(err, QueueClosed):
+                return 503, {"error": str(err)}
+            if isinstance(err, AdmissionError):
+                reason = "quota" if isinstance(err, QuotaExceeded) else "rate"
+                self.stats.record_rejected(err.tenant, reason)
+                return err.status, {"error": str(err), "tenant": err.tenant,
+                                    "retry_after_s": round(err.retry_after_s, 3),
+                                    "_retry_after": err.retry_after_s}
             self.stats.record_rejected(tenant, "queue")
             body = {"error": str(err), "tenant": tenant}
             if err.retry_after_s is not None:
                 body["retry_after_s"] = round(err.retry_after_s, 3)
                 body["_retry_after"] = err.retry_after_s
             return 503, body
-        except QueueClosed as err:
-            for pin in pins:
-                pin.release()
-            return 503, {"error": str(err)}
         self.stats.record_admitted(request.tenant)
         try:
             # Small grace over the queue deadline so batcher-side timeouts
@@ -935,12 +934,33 @@ class ReproServer:
         return 200, row
 
 
+def _timeout_s(payload: dict, default: float) -> float:
+    """The body's ``timeout_s`` (``default`` when absent): a finite
+    number of seconds above 0, else ``ValueError`` (answered 400)."""
+    timeout = float(payload.get("timeout_s", default))
+    if not math.isfinite(timeout) or timeout <= 0:
+        raise ValueError("timeout_s must be a finite number of seconds "
+                         f"above 0, got {timeout}")
+    return timeout
+
+
+def _capped(field: str, value, limit: int) -> int:
+    """``int(value)``, or ``ValueError`` (answered 400) above ``limit``."""
+    value = int(value)
+    if value > limit:
+        raise ValueError(f"{field} {value} is above the server's limit "
+                         f"of {limit}")
+    return value
+
+
 def _gcn_spec(payload: dict, dataset, label: str) -> GCNLayerSpec:
     """``/v1/gcn`` body -> one GCN layer over ``dataset``."""
     return GCNLayerSpec(
         dataset=dataset,
-        feature_dim=int(payload.get("feature_dim", 16)),
-        hidden_dim=int(payload.get("hidden_dim", 8)),
+        feature_dim=_capped("feature_dim", payload.get("feature_dim", 16),
+                            MAX_FEATURE_DIM),
+        hidden_dim=_capped("hidden_dim", payload.get("hidden_dim", 8),
+                           MAX_FEATURE_DIM),
         feature_density=float(payload.get("feature_density", 0.3)),
         verify=bool(payload.get("verify", False)),
         seed=int(payload.get("feature_seed", 7)),
@@ -953,17 +973,22 @@ def _gnn_spec(payload: dict, dataset, label: str) -> GNNModelSpec:
     ``[H] * L`` stack; ``batches`` > 1 pipelines feature batches
     layer-by-layer across the fleet."""
     if "layer_dims" in payload:
-        layer_dims = tuple(int(dim) for dim in payload["layer_dims"])
+        raw_dims = payload["layer_dims"]
+        _capped("len(layer_dims)", len(raw_dims), MAX_GNN_LAYERS)
+        layer_dims = tuple(_capped("layer_dims entry", dim, MAX_FEATURE_DIM)
+                           for dim in raw_dims)
     else:
-        layer_dims = (int(payload.get("hidden_dim", 8)),) \
-            * int(payload.get("layers", 1))
+        layer_dims = (_capped("hidden_dim", payload.get("hidden_dim", 8),
+                              MAX_FEATURE_DIM),) \
+            * _capped("layers", payload.get("layers", 1), MAX_GNN_LAYERS)
     activations = payload.get("activations")
     if activations is not None and not isinstance(activations, str):
         activations = tuple(str(act) for act in activations)
     return GNNModelSpec(
         dataset=dataset,
         layer_dims=layer_dims,
-        feature_dim=int(payload.get("feature_dim", 16)),
+        feature_dim=_capped("feature_dim", payload.get("feature_dim", 16),
+                            MAX_FEATURE_DIM),
         feature_density=float(payload.get("feature_density", 0.3)),
         activations=activations,
         seed=int(payload.get("feature_seed", 7)),

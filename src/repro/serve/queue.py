@@ -121,11 +121,9 @@ class ServeRequest:
     deadline: float | None = None
     pins: tuple = ()
 
-    def expired(self, now: float | None = None) -> bool:
-        """True once the deadline (when set) has passed."""
-        if self.deadline is None:
-            return False
-        return (time.monotonic() if now is None else now) >= self.deadline
+    def expired(self, now: float) -> bool:
+        """True once the deadline (when set) has passed as of ``now``."""
+        return self.deadline is not None and now >= self.deadline
 
     def queued_ms(self, now: float) -> float:
         """Milliseconds spent waiting in the queue as of ``now``."""
@@ -324,10 +322,6 @@ class RequestQueue:
         """Number of requests currently waiting."""
         with self._condition:
             return self._depth_locked()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     def close(self) -> None:
         """Stop accepting requests and wake every waiting consumer."""

@@ -60,10 +60,6 @@ class EDFQueue:
         """Remove and return the earliest-deadline request."""
         return heapq.heappop(self._heap)[2]
 
-    def peek(self) -> "ServeRequest":
-        """The earliest-deadline request, without removing it."""
-        return self._heap[0][2]
-
     def head_key(self) -> tuple[float, int]:
         """Sort key of the head (``(inf, inf)`` when empty, so an empty
         queue loses every tie-break)."""

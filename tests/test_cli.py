@@ -293,7 +293,6 @@ class TestServeCommand:
         assert args.max_delay_ms == 5.0
         assert args.queue_depth == 256
         assert args.request_timeout == 60.0
-        assert args.no_coalesce is False
 
     def test_serve_accepts_multichip_fleet(self):
         args = build_parser().parse_args(

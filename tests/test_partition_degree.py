@@ -409,13 +409,3 @@ class TestServingSurface:
         assert stats.snapshot()["multichip_shard_skew"] \
             == pytest.approx(1.07)
 
-    def test_schedule_decision_carries_partition(self):
-        from repro.backends.multichip import ChipTopology
-        from repro.serve.policy import choose_schedule
-        a = _monster()
-        specs = [SpGEMMSpec(a=a, verify=False)] * 2
-        decision = choose_schedule(
-            specs, ChipTopology(n_chips=4, partition="degree"))
-        assert decision.partition == "degree"
-        single = choose_schedule(specs, None)
-        assert single.partition == "contiguous"

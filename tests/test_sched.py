@@ -11,7 +11,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.serve.policy import predicted_backlog_makespan_s
+from repro.serve.batcher import predicted_backlog_makespan_s
 from repro.serve.queue import RequestQueue, ServeRequest
 from repro.serve.sched import (
     DEFAULT_TENANT,

@@ -1,4 +1,4 @@
-"""Serving subsystem: queue, micro-batcher, scheduling policy."""
+"""Serving subsystem: queue and micro-batcher."""
 
 import threading
 import time
@@ -6,18 +6,14 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import ChipTopology, Session, SpGEMMSpec, WorkloadSpec
+from repro.core import GNNModelSpec, Session, SpGEMMSpec, WorkloadSpec
 from repro.datasets import load_dataset
 from repro.serve import (
-    ALL_CHIPS_PER_JOB,
-    WHOLE_JOBS_PER_CHIP,
     MicroBatcher,
     QueueClosed,
     QueueOverflow,
     RequestQueue,
-    ScheduleDecision,
     ServeTimeout,
-    choose_schedule,
 )
 from repro.sparse.csr import CSRMatrix
 
@@ -147,35 +143,40 @@ class TestMicroBatcher:
         assert stats.coalesced == 2
         assert [r.label for r in results] == ["req-0", "req-1", "req-2"]
 
-    def test_dispatch_thread_survives_a_poison_batch(self, wiki):
-        # A bug anywhere in the dispatch path (here: a policy that raises
-        # on one batch) must fail that batch's futures, not kill the
-        # batcher thread — later requests still get served.
+    def test_dispatch_thread_survives_a_poison_batch(self, wiki,
+                                                     monkeypatch):
+        # A bug anywhere in the dispatch path (here: a coalescing key that
+        # raises on one batch) must fail that batch's futures, not kill
+        # the batcher thread — later requests still get served.
+        import repro.serve.batcher as batcher_module
+
+        real_key = batcher_module._coalesce_key
         calls = {"n": 0}
 
-        def flaky_policy(specs, topology):
+        def flaky_key(spec):
             calls["n"] += 1
             if calls["n"] == 1:
-                raise RuntimeError("policy exploded")
-            return choose_schedule(specs, topology)
+                raise RuntimeError("coalescing exploded")
+            return real_key(spec)
 
+        monkeypatch.setattr(batcher_module, "_coalesce_key", flaky_key)
         with Session("Tile-4", backend="analytic") as session:
             queue = RequestQueue()
-            batcher = MicroBatcher(session, queue, max_batch=1,
-                                   policy=flaky_policy)
+            batcher = MicroBatcher(session, queue, max_batch=1)
             first = queue.put(SpGEMMSpec(a=wiki, verify=False))
             batcher.start()
             try:
-                # The poisoned batch still resolves (policy fallback keeps
-                # the batch alive; a deeper failure would fail the future,
-                # not hang it) ...
-                assert first.future.result(timeout=60) is not None
+                # The poisoned batch fails its future instead of hanging
+                # it ...
+                with pytest.raises(RuntimeError, match="coalescing exploded"):
+                    first.future.result(timeout=60)
                 # ... and the dispatch thread is alive for the next one.
                 second = queue.put(SpGEMMSpec(a=wiki, verify=False))
                 assert second.future.result(timeout=60) \
                     .metrics["cycles"] > 0
             finally:
                 batcher.stop()
+            assert batcher.stats.failures == 1
 
     def test_coalescing_distinguishes_distinct_operands(self, wiki,
                                                         facebook):
@@ -255,92 +256,78 @@ class TestMicroBatcher:
                 MicroBatcher(session, queue, max_delay_ms=-1.0)
 
 
-def skewed_matrix(n: int = 64) -> CSRMatrix:
+def skewed_matrix(dense_row: int, n: int = 64) -> CSRMatrix:
     """One dense row, the rest diagonal: a shard histogram the planner
     cannot balance (the dense row's partial products are indivisible)."""
     dense = np.eye(n)
-    dense[0, :] = 1.0
+    dense[dense_row, :] = 1.0
     return CSRMatrix.from_dense(dense)
 
 
-def uniform_matrix(n: int = 64) -> CSRMatrix:
-    """Diagonal matrix: perfectly balanced row shards."""
-    return CSRMatrix.from_dense(np.eye(n))
+def mixed_batch() -> list:
+    """Four distinct skewed A@A jobs plus a depth-2 GNN stack: the batch
+    shape on which a multi-chip server once packed whole jobs per chip."""
+    specs: list = [SpGEMMSpec(a=skewed_matrix(row), verify=False,
+                              label=f"skew-{row}") for row in (0, 16, 32, 48)]
+    specs.append(GNNModelSpec(dataset=load_dataset("cora", max_nodes=128),
+                              layer_dims=(8, 8), label="gnn"))
+    return specs
 
 
-class TestSchedulePolicy:
-    def test_single_chip_always_scales_up(self, wiki):
-        specs = [SpGEMMSpec(a=wiki) for _ in range(8)]
-        decision = choose_schedule(specs, None)
-        assert decision.mode == ALL_CHIPS_PER_JOB
-        decision = choose_schedule(specs, ChipTopology(n_chips=1))
-        assert decision.mode == ALL_CHIPS_PER_JOB
+def row_without_wall_time(result) -> dict:
+    row = dict(result.as_row())
+    del row["wall_time_s"]
+    return row
 
-    def test_single_job_always_scales_up(self, wiki):
-        decision = choose_schedule([SpGEMMSpec(a=wiki)],
-                                   ChipTopology(n_chips=4))
-        assert decision.mode == ALL_CHIPS_PER_JOB
 
-    def test_skewed_shards_push_whole_jobs_per_chip(self):
-        specs = [SpGEMMSpec(a=skewed_matrix()) for _ in range(4)]
-        decision = choose_schedule(specs, ChipTopology(n_chips=4))
-        assert decision.mode == WHOLE_JOBS_PER_CHIP
-        assert decision.predicted_speedup < 4.0
+SERVING_CONFIGS = [
+    pytest.param({"backend": "multichip", "chips": 4}, id="multichip-4"),
+    pytest.param({"backend": "analytic"}, id="analytic"),
+]
 
-    def test_balanced_shards_with_few_jobs_scale_up(self):
-        # 5 jobs on 4 chips: scale-out needs 2 waves; a ~4x split drains
-        # the batch in ~1.25 job units, so splitting wins.
-        specs = [SpGEMMSpec(a=uniform_matrix()) for _ in range(5)]
-        decision = choose_schedule(specs, ChipTopology(n_chips=4))
-        assert decision.mode == ALL_CHIPS_PER_JOB
 
-    def test_full_waves_prefer_whole_jobs_per_chip(self):
-        # 8 jobs on 4 chips: 2 exact waves beat 8 / (<4x) split time (65
-        # rows cannot split 4 ways evenly, so the predicted speedup is
-        # strictly below the chip count).
-        specs = [SpGEMMSpec(a=uniform_matrix(65)) for _ in range(8)]
-        decision = choose_schedule(specs, ChipTopology(n_chips=4))
-        assert decision.predicted_speedup < 4.0
-        assert decision.mode == WHOLE_JOBS_PER_CHIP
+class TestServedEqualsRun:
+    @pytest.mark.parametrize("config", SERVING_CONFIGS)
+    def test_served_row_equals_session_run(self, config):
+        """A served request reports what Session.run of the same spec
+        reports — every metric, not just the output — whatever its
+        batch-mates."""
+        specs = mixed_batch()
+        with Session("Tile-4", **config) as session:
+            served, stats = serve_specs(session, specs, max_batch=len(specs),
+                                        max_delay_ms=200.0)
+        assert stats.batches == 1
+        for spec, result in zip(specs, served):
+            with Session("Tile-4", **config) as fresh:
+                direct = fresh.run(spec)
+            assert row_without_wall_time(result) == \
+                row_without_wall_time(direct)
+            if isinstance(spec, SpGEMMSpec):
+                for field in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(result.output, field),
+                                          getattr(direct.output, field))
+            else:
+                assert np.array_equal(result.output, direct.output)
 
-    def test_no_spgemm_operand_falls_back_to_scale_up(self):
-        specs = [WorkloadSpec(label=str(i)) for i in range(8)]
-        decision = choose_schedule(specs, ChipTopology(n_chips=4))
-        assert decision.mode == ALL_CHIPS_PER_JOB
+    def test_full_verify_multichip_serving_verifies_what_it_compiles(self):
+        specs = mixed_batch()
+        config = {"backend": "multichip", "chips": 4, "verify": "full"}
+        with Session("Tile-4", **config) as direct_session:
+            for spec in specs:
+                direct_session.run(spec)
+            direct_runs = direct_session.verify_stats()["verify_runs"]
+        with Session("Tile-4", **config) as session:
+            serve_specs(session, specs, max_batch=len(specs),
+                        max_delay_ms=200.0)
+            served_runs = session.verify_stats()["verify_runs"]
+        assert direct_runs > 0
+        assert served_runs == direct_runs
 
 
 class TestMultichipServing:
-    def test_scale_out_dispatch_stays_byte_identical(self, wiki, facebook):
-        """Forcing whole-jobs-per-chip must not change any output: the
-        single-chip twin produces the same product the multichip reduce
-        would."""
-        def force_scale_out(specs, topology):
-            return ScheduleDecision(WHOLE_JOBS_PER_CHIP, len(specs),
-                                    topology.n_chips, 1.0, "forced by test")
-
-        graphs = [wiki, facebook]
-        specs = [SpGEMMSpec(a=graph, verify=False, label=str(index))
-                 for index, graph in enumerate(graphs)]
-        with Session("Tile-4", backend="multichip", chips=2) as session:
-            direct = [session.run(spec) for spec in specs]
-            results, stats = serve_specs(session, specs, max_batch=2,
-                                         max_delay_ms=200.0,
-                                         policy=force_scale_out)
-        assert stats.scale_out_batches == 1
-        for served, reference in zip(results, direct):
-            assert np.array_equal(served.output.indptr,
-                                  reference.output.indptr)
-            assert np.array_equal(served.output.indices,
-                                  reference.output.indices)
-            assert np.array_equal(served.output.data, reference.output.data)
-            # Whole jobs ran on the per-chip backend, unsplit.
-            assert served.provenance.backend == "analytic"
-            assert reference.provenance.backend == "multichip"
-
     def test_scale_up_dispatch_uses_multichip_backend(self, wiki):
         specs = [SpGEMMSpec(a=wiki, verify=False)]
         with Session("Tile-4", backend="multichip", chips=2) as session:
             results, stats = serve_specs(session, specs)
         assert results[0].provenance.backend == "multichip"
         assert results[0].provenance.chips == 2
-        assert stats.scale_out_batches == 0

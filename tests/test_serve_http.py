@@ -30,9 +30,9 @@ def server(session):
         yield background.server
 
 
-def request(server, method, path, payload=None):
+def request(server, method, path, payload=None, timeout=60):
     connection = http.client.HTTPConnection("127.0.0.1", server.port,
-                                            timeout=60)
+                                            timeout=timeout)
     try:
         body = None if payload is None else json.dumps(payload)
         connection.request(method, path, body=body)
@@ -257,6 +257,56 @@ class TestInvalidWorkloads:
         # The refused request released its pins: both operands evict.
         for ref in refs:
             assert request(server, "DELETE", f"/v1/operands/{ref}")[0] == 200
+
+
+GIANT = 1_000_000_000
+#: The body fields a graph request's cost grows with, each one past its cap.
+OVERSIZED_GRAPH_BODIES = [
+    ("/v1/gcn", {"feature_dim": GIANT}),
+    ("/v1/gcn", {"hidden_dim": GIANT}),
+    ("/v1/gcn", {"feature_dim": serve_http.MAX_FEATURE_DIM + 1}),
+    ("/v1/gnn", {"feature_dim": GIANT}),
+    ("/v1/gnn", {"hidden_dim": GIANT}),
+    ("/v1/gnn", {"layers": 1_000_000}),
+    ("/v1/gnn", {"layers": serve_http.MAX_GNN_LAYERS + 1}),
+    ("/v1/gnn", {"layer_dims": [8, GIANT]}),
+    ("/v1/gnn", {"layer_dims": [8] * (serve_http.MAX_GNN_LAYERS + 1)}),
+]
+
+
+class TestGraphBodyCaps:
+    """Widths and depth of a /v1/gcn or /v1/gnn body are capped: past a
+    cap the answer is a prompt 400, not a request that holds the batcher."""
+
+    def test_caps(self):
+        assert serve_http.MAX_FEATURE_DIM == 3703  # citeseer's width
+        assert serve_http.MAX_GNN_LAYERS == 16
+
+    @pytest.mark.parametrize("path, fields", OVERSIZED_GRAPH_BODIES)
+    def test_oversized_field_400(self, server, path, fields):
+        status, payload = request(
+            server, "POST", path,
+            {"dataset": "cora", "max_nodes": 64, **fields}, timeout=5)
+        assert status == 400, payload
+        assert "limit" in payload["error"]
+        assert request(server, "GET", "/healthz", timeout=5)[0] == 200
+
+
+class TestRequestTimeoutField:
+    """``timeout_s`` must be a finite number of seconds above 0."""
+
+    @pytest.mark.parametrize("path, body", [
+        ("/v1/spgemm", {"dataset": "wiki-Vote", "max_nodes": 64}),
+        ("/v1/gcn", {"dataset": "cora", "max_nodes": 64}),
+        ("/v1/gnn", {"dataset": "cora", "max_nodes": 64}),
+    ])
+    @pytest.mark.parametrize("timeout_s", [float("nan"), INF, -INF, 0, -1],
+                             ids=["nan", "inf", "-inf", "zero", "negative"])
+    def test_refused_with_400(self, server, path, body, timeout_s):
+        status, payload = request(server, "POST", path,
+                                  {**body, "timeout_s": timeout_s})
+        assert status == 400, payload
+        assert "timeout_s" in payload["error"]
 
 
 class TestHostileBodies:

@@ -119,9 +119,11 @@ class TestAdmissionOverHTTP:
         assert serving["rejected"] >= 1
 
     def test_deadline_expiry_is_structured_504(self, server):
+        # timeout_s must be above 0; a nanosecond deadline still expires
+        # before the batcher can dispatch the request.
         status, payload, _ = request(
             server, "POST", "/v1/spgemm",
-            spgemm_body(5, timeout_s=0.0), tenant="bulk")
+            spgemm_body(5, timeout_s=1e-9), tenant="bulk")
         assert status == 504
         assert payload["error"] == "deadline"
         assert payload["tenant"] == "bulk"
