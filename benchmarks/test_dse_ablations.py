@@ -14,6 +14,7 @@ regenerates those observations as explicit ablations:
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.arch.config import TILE16
@@ -81,23 +82,40 @@ def test_dse_hashpad_size(benchmark, cora_program):
     assert reports[2048].peak_occupancy <= TILE16.mem.hashlines
 
 
-def test_dse_mapping_scheme(benchmark, cora_program):
-    """Mapping ablation: DRHM's NeuraMem load imbalance tracks random mapping
-    and beats ring/modular hashing."""
-    def run(scheme):
-        return FunctionalAccelerator(TILE16, mapping_scheme=scheme).run(cora_program)
+#: Feature seeds the mapping ablation averages over: one draw's imbalance
+#: moves by up to ~0.1 between seeds, more than the margins asserted.
+MAPPING_FEATURE_SEEDS = range(8)
 
-    reports = {scheme: run(scheme) for scheme in ("ring", "modular", "random", "drhm")}
-    benchmark.pedantic(run, args=("drhm",), rounds=1, iterations=1)
 
-    rows = [{"scheme": scheme, "load_imbalance": round(report.load_imbalance, 3)}
-            for scheme, report in reports.items()]
-    emit("dse_mapping_scheme", rows)
+def test_dse_mapping_scheme(benchmark, cora_sim):
+    """Mapping ablation: DRHM's NeuraMem load imbalance, averaged over the
+    feature draws, tracks random mapping and beats ring/modular hashing."""
+    schemes = ("ring", "modular", "random", "drhm")
+    programs = [compile_spgemm(cora_sim.adjacency_csc(),
+                               cora_sim.features(dim=16, density=0.4,
+                                                 seed=seed),
+                               tile_size=4, source=f"cora-dse-f{seed}")
+                for seed in MAPPING_FEATURE_SEEDS]
 
-    assert reports["drhm"].load_imbalance <= reports["ring"].load_imbalance + 0.05
-    assert reports["drhm"].load_imbalance <= reports["modular"].load_imbalance + 0.05
-    assert reports["drhm"].load_imbalance == pytest.approx(
-        reports["random"].load_imbalance, rel=0.25)
+    def run(scheme, program):
+        return FunctionalAccelerator(TILE16, mapping_scheme=scheme).run(program)
+
+    imbalance = {scheme: [run(scheme, program).load_imbalance
+                          for program in programs] for scheme in schemes}
+    benchmark.pedantic(run, args=("drhm", programs[0]), rounds=1,
+                       iterations=1)
+    mean = {scheme: float(np.mean(values))
+            for scheme, values in imbalance.items()}
+
+    emit("dse_mapping_scheme",
+         [{"scheme": scheme, "load_imbalance": round(mean[scheme], 3)}
+          for scheme in schemes],
+         extra_json={"feature_seeds": list(MAPPING_FEATURE_SEEDS),
+                     "load_imbalance": imbalance})
+
+    assert mean["drhm"] <= mean["ring"] + 0.05
+    assert mean["drhm"] <= mean["modular"] + 0.05
+    assert mean["drhm"] == pytest.approx(mean["random"], rel=0.25)
 
 
 def test_dse_noc_and_memory_sensitivity(benchmark, cora_program):

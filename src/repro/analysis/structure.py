@@ -2,10 +2,10 @@
 
 The canonical-CSR invariants live in one place,
 :func:`repro.sparse.csr.csr_problems`:
-:class:`~repro.sparse.csr.CSRMatrix` runs it on construction and raises
+:class:`~repro.sparse.csr.CSRMatrix` runs it on construction (unless a
+builder vouches for them: ``from_canonical``) and raises
 :class:`~repro.analysis.findings.StructureError`, so data that crosses a
-trust boundary as a ``CSRMatrix`` — binary wire frames, stitched shard
-outputs — is checked once, when it is built.  ``check_csr`` reports the
+trust boundary as a ``CSRMatrix`` is checked once.  ``check_csr`` reports the
 same invariants as findings for anything with ``indptr / indices / data
 / shape``, and ``require_valid_csr`` enforces them on duck-typed
 payloads such as registry uploads.

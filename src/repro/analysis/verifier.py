@@ -16,9 +16,8 @@ ever materialized and nothing executes.  The invariants:
 * **row-group order** — ``(op_group, op_k)`` is lexicographically
   non-decreasing (the paper's row-stationary issue order) and the DRHM
   reseed flags sit exactly on the group boundaries.
-* **output structure** — the symbolic CSR triple is canonical: monotone
-  ``out_indptr``, strictly increasing flat slot keys, in-range columns,
-  positive rolling counters.
+* **output structure** — the symbolic CSR pair is canonical
+  (:func:`~repro.sparse.csr.csr_problems`); rolling counters are positive.
 * **counter histogram** — the rolling counters account for exactly the
   partial products the ops dispatch (total at ``level="quick"``,
   per-slot exact at ``level="full"``).
@@ -39,6 +38,8 @@ program's first replay.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from repro.analysis.findings import Finding, VerificationError
@@ -49,6 +50,7 @@ from repro.compiler.program import (
     ProgramArrays,
     ReplayIndex,
 )
+from repro.sparse.csr import csr_problems
 
 #: 22-bit register fields of the MMH instruction limit the per-instruction
 #: operand offsets (Figure 7).  Shared by the compiler's lowering and the
@@ -287,35 +289,14 @@ def _check_row_groups(arrays: ProgramArrays, source: str) -> list[Finding]:
 def _check_output_structure(arrays: ProgramArrays, source: str
                             ) -> tuple[list[Finding], np.ndarray | None]:
     """Findings plus the flat output keys, which later stages reuse
-    (``None`` when the structure is too broken to compute them)."""
-    findings: list[Finding] = []
-    indptr = arrays.out_indptr
+    (``None`` when the structure is not canonical).  The structure check
+    is :func:`~repro.sparse.csr.csr_problems`, the one the replay runs."""
     nnz = arrays.out_indices.size
-    if int(indptr[0]) != 0 or int(indptr[-1]) != nnz:
-        findings.append(_finding(
-            "output-structure", source,
-            f"out_indptr spans [{int(indptr[0])}, {int(indptr[-1])}] for "
-            f"{nnz} output slots (must span [0, nnz])"))
-        return findings, None
-    if np.any(np.diff(indptr) < 0):
-        findings.append(_finding(
-            "output-structure", source, "out_indptr is not non-decreasing"))
-        return findings, None
-    indices = arrays.out_indices.astype(np.int64)
-    n_cols = arrays.shape[1]
-    if nnz and (int(indices.min()) < 0 or int(indices.max()) >= n_cols):
-        findings.append(_finding(
-            "output-structure", source,
-            f"out_indices outside [0, {n_cols}) for shape {arrays.shape}"))
-        return findings, None
-    flat = arrays.flat_keys()
-    if nnz > 1 and np.any(np.diff(flat) <= 0):
-        index = _first_bad(np.diff(flat) <= 0)
-        findings.append(_finding(
-            "output-structure", source,
-            f"slots {index}->{index + 1}: flat output keys "
-            f"{int(flat[index])} -> {int(flat[index + 1])} are not "
-            "strictly increasing (duplicate or unsorted output slot)"))
+    structure = SimpleNamespace(  # placeholder values: structure only
+        indptr=arrays.out_indptr, indices=arrays.out_indices.astype(np.int64),
+        data=np.empty(nnz), shape=arrays.shape)
+    findings = [_finding("output-structure", source, message)
+                for _, message in csr_problems(structure)]
     if nnz and int(arrays.out_counts.min()) < 1:
         index = _first_bad(arrays.out_counts < 1)
         findings.append(_finding(
@@ -323,7 +304,7 @@ def _check_output_structure(arrays: ProgramArrays, source: str
             f"slot {index}: rolling counter "
             f"{int(arrays.out_counts[index])} < 1 (every stored output "
             "element accumulates at least one partial product)"))
-    return findings, flat
+    return findings, None if findings else arrays.flat_keys()
 
 
 def _check_counters_and_exclusivity(arrays: ProgramArrays,
@@ -421,9 +402,9 @@ def verify_arrays(arrays: ProgramArrays, address_map: AddressMap,
                   level: str = "full") -> list[Finding]:
     """Verify one columnar payload; returns findings (empty == proven).
 
-    A clean full-level pass publishes the replay index it built into the
-    payload's derived cache (unless one is already there), so the
-    program's first replay reuses it instead of expanding again.
+    A clean pass publishes the output structure's verdict (and, at full
+    level, the replay index it built) into the payload's derived cache, so
+    the program's first replay neither re-checks nor expands again.
     """
     if level not in VERIFY_LEVELS:
         raise ValueError(f"unknown verify level {level!r}; expected one of "
@@ -441,8 +422,10 @@ def verify_arrays(arrays: ProgramArrays, address_map: AddressMap,
     counter_findings, replay = _check_counters_and_exclusivity(
         arrays, address_map, source, total_partial_products, level, flat)
     findings += counter_findings
-    if not findings and replay is not None:
-        arrays._derived().setdefault("replay", replay)
+    if not findings:
+        arrays._derived()["out_canonical"] = True
+        if replay is not None:
+            arrays._derived().setdefault("replay", replay)
     return findings
 
 

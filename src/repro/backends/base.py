@@ -70,7 +70,7 @@ class ExecutionResult:
     report: SimulationReport | None = None
 
     def to_dense(self) -> np.ndarray:
-        """Dense form of the output."""
+        """Dense form of the output (a dense replay's block, unscattered)."""
         return self.output.to_dense()
 
 

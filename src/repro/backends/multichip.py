@@ -467,7 +467,7 @@ class MultiChipBackend(ExecutionBackend):
         topology = self.topology
         plan = resident.plan
         runs = self._run_chips(resident, b_csr, ctx, verify, one_shot)
-        output = stitch_shard_outputs(  # a CSRMatrix: validated when built
+        output = stitch_shard_outputs(
             plan, [(run.output, run.fragment_outputs) for run in runs],
             b_csr.shape[1])
         reduce_cycles = (topology.reduce_cycles(output.shape[0])

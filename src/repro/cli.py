@@ -351,16 +351,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
     else:
         tenants = TenantTable(default_weight=args.default_weight)
     session = _session(args, default_backend="analytic")
-    server = ReproServer(session, host=args.host, port=args.port,
-                         max_batch=args.max_batch,
-                         max_delay_ms=args.max_delay_ms,
-                         queue_depth=args.queue_depth,
-                         request_timeout_s=args.request_timeout,
-                         registry_max_bytes=args.registry_max_mib
-                         * 1024 * 1024,
-                         tenants=tenants,
-                         scheduling=args.scheduling)
-    try:
+    try:  # a refused setting raises here, before anything binds
+        server = ReproServer(session, host=args.host, port=args.port,
+                             max_batch=args.max_batch,
+                             max_delay_ms=args.max_delay_ms,
+                             queue_depth=args.queue_depth,
+                             request_timeout_s=args.request_timeout,
+                             registry_max_bytes=args.registry_max_mib
+                             * 1024 * 1024,
+                             tenants=tenants,
+                             scheduling=args.scheduling)
         asyncio.run(server.run_forever())
     except KeyboardInterrupt:
         pass  # run_forever's signal handler normally wins; this is backup

@@ -669,7 +669,7 @@ class ProgramArrays:
         ascending ``k``, so the result is byte-identical to the
         dense-merge vectorized kernel.  The returned CSR owns fresh int64
         ``indptr`` / ``indices`` and float64 ``data`` (it never aliases
-        the program's arrays).
+        the program's arrays); its structure is checked once per program.
         """
         dense = self.dense_replay_index()
         if dense is not None:
@@ -681,9 +681,13 @@ class ProgramArrays:
                                 minlength=self.output_nnz)
                     if index.pp_slot.size
                     else np.zeros(self.output_nnz, dtype=np.float64))
-        return CSRMatrix(self.out_indptr.astype(np.int64, copy=True),
-                         self.out_indices.astype(np.int64, copy=True),
-                         data, self.shape)
+        build = (CSRMatrix.from_canonical
+                 if self._derived().get("out_canonical") else CSRMatrix)
+        output = build(self.out_indptr.astype(np.int64, copy=True),
+                       self.out_indices.astype(np.int64, copy=True),
+                       data, self.shape)  # CSRMatrix checks, or raises
+        self._derived()["out_canonical"] = True
+        return output
 
     def hacc_stream(self, output_base: int,
                     source: str = "program") -> HACCStream:

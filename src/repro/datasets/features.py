@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sparse.convert import coo_to_csr
-from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 
 
@@ -19,32 +17,30 @@ def feature_matrix(n_nodes: int, dim: int, density: float = 0.3,
                    seed: int = 7) -> CSRMatrix:
     """Generate a sparse node-feature matrix X of shape (n_nodes, dim).
 
+    Every row's ``max(1, round(dim * density))`` columns are the first of
+    an argsort of one ``(n_nodes, dim)`` uniform block, drawn at once.
+
     Args:
         n_nodes: number of graph nodes (rows).
         dim: feature width (columns).
-        density: fraction of non-zero entries per row, in (0, 1].
+        density: fraction of non-zero entries per row, clipped to
+            ``[1 / dim, 1]``.
         seed: RNG seed.
 
     Returns:
-        CSR feature matrix with values drawn uniformly from (0, 1].
+        CSR feature matrix with values drawn uniformly from [0.001, 1.001).
     """
     if n_nodes <= 0 or dim <= 0:
         raise ValueError("n_nodes and dim must be positive")
     density = float(np.clip(density, 1.0 / dim, 1.0))
     rng = np.random.default_rng(seed)
     nnz_per_row = max(1, int(round(dim * density)))
-    rows = np.repeat(np.arange(n_nodes, dtype=np.int64), nnz_per_row)
-    cols = np.concatenate([
-        rng.choice(dim, size=nnz_per_row, replace=False) for _ in range(n_nodes)
-    ]).astype(np.int64)
-    data = rng.random(rows.size) + 1e-3
-    return coo_to_csr(COOMatrix(rows, cols, data, (n_nodes, dim)))
-
-
-def dense_feature_matrix(n_nodes: int, dim: int, seed: int = 7) -> np.ndarray:
-    """Dense feature matrix used by the combination-phase reference."""
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((n_nodes, dim))
+    order = np.argsort(rng.random((n_nodes, dim)), axis=1)
+    cols = np.sort(order[:, :nnz_per_row], axis=1).astype(np.int64)
+    data = rng.random(cols.size) + 1e-3
+    indptr = np.arange(n_nodes + 1, dtype=np.int64) * nnz_per_row
+    return CSRMatrix.from_canonical(indptr, cols.reshape(-1), data,
+                                    (n_nodes, dim))
 
 
 def gcn_weight_matrix(in_dim: int, out_dim: int, seed: int = 11) -> np.ndarray:

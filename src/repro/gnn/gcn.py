@@ -173,8 +173,7 @@ class GCNLayer:
 
     def forward(self, a_hat: CSRMatrix, features: np.ndarray) -> np.ndarray:
         """Full layer forward pass on dense features."""
-        aggregated = a_hat.to_dense() @ features
-        return self._activate(aggregated @ self.weight)
+        return self.combination(self.aggregation(a_hat, features))
 
     def aggregation(self, a_hat: CSRMatrix, features: np.ndarray) -> np.ndarray:
         """Aggregation phase only (the part NeuraChip accelerates as SpGEMM)."""

@@ -24,6 +24,9 @@ A stack amortises the work around its layers:
   fixed-width stack shares one program, and the program replays over its
   A elements (:class:`~repro.compiler.program.DenseReplayIndex`) instead
   of over every partial product;
+* layers hand each other **dense blocks**: such a replay's ``to_dense()``
+  copies its (rows, W) block, and the next layer's full-structure CSR is
+  a view of the combination output, built for the program key;
 * on the multichip backend the shard plan and the per-chip slices of A
   stay **resident** across layers
   (:meth:`~repro.backends.multichip.MultiChipBackend.prepare_resident`),
@@ -51,27 +54,7 @@ from repro.core.specs import GCNLayerSpec, GNNModelSpec, RunResult
 from repro.datasets.features import feature_matrix
 from repro.datasets.suite import DatasetSpec, GraphDataset
 from repro.gnn.gcn import GCNLayer, normalize_adjacency_cached
-from repro.sparse.csr import CSRMatrix
-
-
-def full_structure_csr(x: np.ndarray) -> CSRMatrix:
-    """Encode a dense matrix as a CSR with *every* slot explicit.
-
-    The structure is the shape: two feature matrices of the same shape
-    are structurally identical, so the program cache keys the operand by
-    its shape alone and one compiled aggregation program serves both
-    after a value re-bind.  Explicit zeros are kept deliberately —
-    dropping one would make the structure value-dependent again (and the
-    operand would be keyed by hashing its index arrays).
-    """
-    dense = np.ascontiguousarray(x, dtype=np.float64)
-    if dense.ndim != 2:
-        raise ValueError(f"expected a 2-D feature matrix, got shape "
-                         f"{dense.shape}")
-    n, width = dense.shape
-    indptr = np.arange(n + 1, dtype=np.int64) * width
-    indices = np.tile(np.arange(width, dtype=np.int64), max(n, 0))
-    return CSRMatrix(indptr, indices, dense.reshape(-1), (n, width))
+from repro.sparse.csr import CSRMatrix, full_structure_csr
 
 
 def _as_dataset(dataset, feature_dim: int) -> GraphDataset:
@@ -105,14 +88,11 @@ def _stack_layers(spec: GNNModelSpec) -> list[GCNLayer]:
     activations = "relu" if spec.activations is None else spec.activations
     if isinstance(activations, str):
         activations = (activations,) * len(spec.layer_dims)
-    layers = []
-    in_dim = spec.feature_dim
-    for index, out_dim in enumerate(spec.layer_dims):
-        layers.append(GCNLayer.create(in_dim, out_dim,
-                                      seed=spec.seed + 1 + index,
-                                      activation=activations[index]))
-        in_dim = out_dim
-    return layers
+    in_dims = (spec.feature_dim, *spec.layer_dims[:-1])
+    return [GCNLayer.create(in_dim, out_dim, seed=spec.seed + 1 + index,
+                            activation=activations[index])
+            for index, (in_dim, out_dim)
+            in enumerate(zip(in_dims, spec.layer_dims))]
 
 
 def run_gnn_model(session, spec: GNNModelSpec | GCNLayerSpec) -> RunResult:

@@ -313,7 +313,8 @@ class ReproServer:
             (read :attr:`port` after :meth:`start` for the real one).
         max_batch / max_delay_ms: micro-batch coalescing window.
         queue_depth: bounded-queue size; beyond it requests are shed (503).
-        request_timeout_s: per-request deadline (queue wait + execution).
+        request_timeout_s: per-request deadline (queue wait + execution),
+            a finite number of seconds above 0.
         registry_max_bytes: byte cap on the content-addressed operand
             registry (LRU-swept beyond it).
         tenants: multi-tenant policy table (weights, rate limits,
@@ -332,10 +333,11 @@ class ReproServer:
                  registry_max_bytes: int = DEFAULT_REGISTRY_BYTES,
                  tenants: TenantTable | None = None,
                  scheduling: str = FAIR_SCHEDULING) -> None:
+        self.request_timeout_s = _seconds(request_timeout_s,
+                                          "request_timeout_s")
         self.session = session
         self.host = host
         self.port = port
-        self.request_timeout_s = request_timeout_s
         self.stats = ServingStats()
         self.registry = OperandRegistry(registry_max_bytes)
         self.tenants = tenants if tenants is not None else TenantTable()
@@ -797,7 +799,7 @@ class ReproServer:
                 shards=int(payload.get("shards", 1)),
                 source=source,
                 label=str(payload.get("label", source)))
-            timeout = _timeout_s(payload, self.request_timeout_s)
+            timeout = _seconds(payload.get("timeout_s", self.request_timeout_s))
         except (ValueError, TypeError, KeyError, OverflowError,
                 json.JSONDecodeError) as err:
             return 400, {"error": str(err)}
@@ -870,7 +872,7 @@ class ReproServer:
                                  "{'ref': <digest>}")
             spec = build_spec(payload, dataset,
                               str(payload.get("label", default_label)))
-            timeout = _timeout_s(payload, self.request_timeout_s)
+            timeout = _seconds(payload.get("timeout_s", self.request_timeout_s))
         except (ValueError, TypeError, KeyError, OverflowError,
                 json.JSONDecodeError) as err:
             for pin in pins:
@@ -934,14 +936,14 @@ class ReproServer:
         return 200, row
 
 
-def _timeout_s(payload: dict, default: float) -> float:
-    """The body's ``timeout_s`` (``default`` when absent): a finite
-    number of seconds above 0, else ``ValueError`` (answered 400)."""
-    timeout = float(payload.get("timeout_s", default))
-    if not math.isfinite(timeout) or timeout <= 0:
-        raise ValueError("timeout_s must be a finite number of seconds "
-                         f"above 0, got {timeout}")
-    return timeout
+def _seconds(value, name: str = "timeout_s") -> float:
+    """``value`` as a finite number of seconds above 0, else
+    ``ValueError`` (answered 400 for a body's ``timeout_s``)."""
+    seconds = float(value)
+    if not math.isfinite(seconds) or seconds <= 0:
+        raise ValueError(f"{name} must be a finite number of seconds "
+                         f"above 0, got {seconds}")
+    return seconds
 
 
 def _capped(field: str, value, limit: int) -> int:

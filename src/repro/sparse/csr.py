@@ -49,6 +49,16 @@ class CSRMatrix:
                    shape)
 
     @classmethod
+    def from_canonical(cls, indptr: np.ndarray, indices: np.ndarray,
+                       data: np.ndarray, shape) -> "CSRMatrix":
+        """Wrap int64 / int64 / float64 arrays known to pass
+        :func:`csr_problems` without converting or re-checking them."""
+        matrix = cls.__new__(cls)
+        matrix.__dict__.update(indptr=indptr, indices=indices, data=data,
+                               shape=(int(shape[0]), int(shape[1])))
+        return matrix
+
+    @classmethod
     def from_dense(cls, dense: np.ndarray) -> "CSRMatrix":
         """Build a CSR matrix from a dense 2-D numpy array."""
         from repro.sparse.convert import coo_to_csr
@@ -185,8 +195,11 @@ class CSRMatrix:
             raise structure_error(problems, "CSRMatrix")
 
     def to_dense(self) -> np.ndarray:
-        """Materialise the matrix as a dense numpy array, in one scatter
-        (a valid CSR holds no duplicate entries, so it is exact)."""
+        """Materialise the matrix as a dense numpy array: a copy of a
+        full CSR's row-major ``data``, else one scatter (a valid CSR holds
+        no duplicate entries, so it is exact)."""
+        if self.nnz == self.shape[0] * self.shape[1]:
+            return self.data.reshape(self.shape).copy()
         dense = np.zeros(self.shape, dtype=np.float64)
         rows = np.repeat(np.arange(self.shape[0]), self.row_nnz_counts())
         dense[rows, self.indices] = self.data
@@ -245,6 +258,22 @@ class CSRMatrix:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"CSRMatrix(shape={self.shape}, nnz={self.nnz}, "
                 f"sparsity={self.sparsity:.4f})")
+
+
+def full_structure_csr(x: np.ndarray) -> CSRMatrix:
+    """Encode a dense matrix as a CSR with *every* slot explicit, zeros
+    included: its structure is its shape, so the program cache keys it by
+    shape alone and one compiled aggregation program serves every matrix
+    of that shape after a value re-bind."""
+    dense = np.ascontiguousarray(x, dtype=np.float64)
+    if dense.ndim != 2:
+        raise ValueError(f"expected a 2-D feature matrix, got shape "
+                         f"{dense.shape}")
+    n, width = dense.shape
+    indptr = np.arange(n + 1, dtype=np.int64) * width
+    indices = np.tile(np.arange(width, dtype=np.int64), n)
+    return CSRMatrix.from_canonical(indptr, indices, dense.reshape(-1),
+                                    (n, width))
 
 
 def csr_problems(matrix: Any) -> list[tuple[str, str]]:

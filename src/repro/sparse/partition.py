@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sparse.csr import CSRMatrix
+from repro.sparse.csr import CSRMatrix, full_structure_csr
 
 #: Partition strategies accepted by :func:`plan_shards` (and the
 #: ``partition=`` knob on sessions / chip topologies).
@@ -565,8 +565,15 @@ def stitch_shard_outputs(plan: ShardPlan,
     products in ``assignment.fragments`` order.  Whole rows scatter by a
     vectorized gather; a split row concatenates its fragments in
     ascending column-range order — no additions anywhere, so the output
-    is byte-identical to the unsharded product.
+    is byte-identical to the unsharded product.  Full shard products (a
+    dense replay's) with no split row are placed as dense row blocks.
     """
+    if not plan.split_rows and all(
+            out.nnz == out.shape[0] * n_cols for out, _ in shard_outputs):
+        dense = np.empty((plan.n_rows, n_cols))
+        for assignment, (rows_out, _) in zip(plan.shards, shard_outputs):
+            dense[assignment.rows] = rows_out.data.reshape(rows_out.shape)
+        return full_structure_csr(dense)
     counts = np.zeros(plan.n_rows, dtype=np.int64)
     fragment_pieces: dict[int, list[tuple[int, CSRMatrix]]] = {}
     for assignment, (rows_out, frag_outs) in zip(plan.shards, shard_outputs):

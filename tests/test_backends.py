@@ -23,6 +23,7 @@ from repro.gnn.gcn import GCNWorkload
 from repro.gnn.pipeline import full_structure_csr
 from repro.sparse import kernels
 from repro.sparse.convert import csr_to_csc
+from repro.sparse import csr as csr_module
 from repro.sparse.csr import CSRMatrix
 
 
@@ -315,6 +316,45 @@ class TestProgramReplay:
             second = session.run(SpGEMMSpec(a=a))
         assert second.provenance.cache_hit
         assert_same_csr(second.output, expected)
+
+    @pytest.mark.parametrize("full_b", [False, True])
+    def test_warm_replay_checks_the_output_structure_never(self, monkeypatch,
+                                                           full_b):
+        a, b = replay_cases()["monster-row"]
+        if full_b:
+            b = full_structure_csr(b.to_dense())
+        program = compile_spgemm(csr_to_csc(a), b, tile_size=4)
+        calls = []
+        check = csr_module.csr_problems
+
+        def counting_check(matrix):
+            calls.append(matrix)
+            return check(matrix)
+
+        monkeypatch.setattr(csr_module, "csr_problems", counting_check)
+        first = program.arrays.replay()
+        assert len(calls) == 1
+        rebound = rebind_b_values(program, CSRMatrix(
+            b.indptr, b.indices, b.data * 2.0, b.shape))
+        calls.clear()
+        again, other = program.arrays.replay(), rebound.arrays.replay()
+        assert calls == []
+        assert_same_csr(again, first)
+        assert_same_csr(other, kernels.spgemm(a, CSRMatrix(
+            b.indptr, b.indices, b.data * 2.0, b.shape)).matrix)
+        assert again.indptr is not first.indptr
+        assert again.indices is not first.indices
+
+    def test_bad_output_structure_is_refused_on_every_replay(self):
+        a, b = replay_cases()["rectangular"]
+        program = compile_spgemm(csr_to_csc(a), b, tile_size=2)
+        arrays = program.arrays
+        row = int(np.flatnonzero(np.diff(arrays.out_indptr) >= 2)[0])
+        lo = int(arrays.out_indptr[row])
+        arrays.out_indices[[lo, lo + 1]] = arrays.out_indices[[lo + 1, lo]]
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unsorted"):
+                arrays.replay()
 
 
 class TestColdPathExpansions:

@@ -304,3 +304,17 @@ class TestServeCommand:
     def test_serve_chips_without_multichip_is_a_clean_error(self, capsys):
         assert main(["serve", "--chips", "4", "--port", "0"]) == 2
         assert "multichip" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf"])
+    def test_serve_bad_request_timeout_is_a_clean_error(self, capsys,
+                                                        monkeypatch, timeout):
+        from repro.serve import ReproServer
+
+        async def never_bind(self):
+            raise AssertionError("the server must not start")
+
+        monkeypatch.setattr(ReproServer, "start", never_bind)
+        assert main(["serve", "--port", "0", "--request-timeout",
+                     timeout]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "request_timeout_s" in err

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import generators
-from repro.datasets.features import (
-    dense_feature_matrix,
-    feature_matrix,
-    gcn_weight_matrix,
-)
+from repro.datasets.features import feature_matrix, gcn_weight_matrix
 from repro.datasets.suite import (
     GNN_SUITE,
     TABLE1_SUITE,
@@ -17,6 +13,7 @@ from repro.datasets.suite import (
     load_dataset,
     load_table1_suite,
 )
+from repro.sparse.csr import csr_problems
 
 
 class TestGenerators:
@@ -131,18 +128,36 @@ class TestFeatures:
         assert per_row[0] == pytest.approx(10, abs=1)
 
     def test_feature_matrix_invalid_args(self):
-        with pytest.raises(ValueError):
-            feature_matrix(0, 4)
-        with pytest.raises(ValueError):
-            feature_matrix(4, 0)
+        for n, dim in ((0, 4), (4, 0), (-3, 4), (4, -1)):
+            with pytest.raises(ValueError):
+                feature_matrix(n, dim)
 
     def test_feature_matrix_density_clamped(self):
-        features = feature_matrix(10, 8, density=5.0)
-        assert features.row_nnz(0) == 8
+        for density, per_row in ((5.0, 8), (1.0, 8), (0.0, 1), (-2.0, 1),
+                                 (0.01, 1), (0.5, 4)):
+            features = feature_matrix(10, 8, density=density)
+            assert np.all(features.row_nnz_counts() == per_row)
 
-    def test_dense_feature_matrix(self):
-        dense = dense_feature_matrix(12, 6, seed=0)
-        assert dense.shape == (12, 6)
+    @pytest.mark.parametrize("n, dim, density, seed", [
+        (1, 1, 0.3, 0), (7, 5, 0.6, 3), (50, 40, 0.25, 1), (300, 32, 0.3, 9),
+        (20, 1433, 0.01, 2)])
+    def test_feature_matrix_properties(self, n, dim, density, seed):
+        features = feature_matrix(n, dim, density=density, seed=seed)
+        per_row = max(1, int(round(dim * min(max(density, 1 / dim), 1.0))))
+        assert features.shape == (n, dim)
+        assert csr_problems(features) == []  # strictly increasing columns
+        assert np.all(features.row_nnz_counts() == per_row)
+        assert features.indices.min() >= 0 and features.indices.max() < dim
+        assert np.all(features.data >= 1e-3) and np.all(features.data < 1.001)
+
+    def test_feature_matrix_deterministic_per_seed(self):
+        first, again = (feature_matrix(60, 16, seed=5) for _ in range(2))
+        assert np.array_equal(first.indices, again.indices)
+        assert np.array_equal(first.data.view(np.uint64),
+                              again.data.view(np.uint64))
+        other = feature_matrix(60, 16, seed=6)
+        assert not np.array_equal(first.indices, other.indices)
+        assert not np.array_equal(first.data, other.data)
 
     def test_gcn_weight_matrix_glorot_range(self):
         weight = gcn_weight_matrix(64, 32, seed=0)

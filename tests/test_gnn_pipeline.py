@@ -17,6 +17,7 @@ from repro.gnn import (
 from repro.serve.batcher import MicroBatcher, RequestQueue, _coalesce_key
 from repro.sparse.convert import csc_to_csr, csr_to_csc
 from repro.sparse.coo import COOMatrix
+from repro.sparse.partition import plan_shards
 
 BACKENDS = ("functional", "analytic", "multichip")
 DIMS = {1: (8,), 2: (8, 4), 4: (8, 8, 4, 4), 10: (8,) * 10}
@@ -77,6 +78,33 @@ class TestByteIdentity:
         with make_session("analytic") as session:
             chained = chained_reference(session, cora, dims, 8)
         assert np.array_equal(stacked, chained)
+
+    def test_stack_matches_chain_on_a_fleet_that_splits_rows(self):
+        """A monster row split into column-range fragments makes each
+        layer stitch its output through the CSR path, not the dense-block
+        one; the stack still equals the chain and the single chip."""
+        n, dims = 80, (6, 5)
+        rows = np.concatenate([np.arange(n), np.full(n, 5)])
+        cols = np.concatenate([np.arange(n), np.arange(n)])
+        keep = np.ones(rows.size, dtype=bool)
+        keep[n + 5] = False  # (5, 5) is already on the diagonal
+        adjacency = COOMatrix(rows[keep], cols[keep],
+                              np.ones(int(keep.sum())), (n, n))
+        plan = plan_shards(normalize_adjacency_cached(adjacency), 3,
+                           full_structure_csr(np.zeros((n, 6))),
+                           strategy="degree")
+        assert plan.split_rows
+        topology = ChipTopology(n_chips=3, chip_backend="analytic",
+                                partition="degree")
+        with make_session("multichip", topology=topology) as session:
+            stacked = session.run(GNNModelSpec(
+                dataset=adjacency, layer_dims=dims, feature_dim=6)).output
+            chained = chained_reference(session, adjacency, dims, 6)
+        with make_session("analytic") as session:
+            single = session.run(GNNModelSpec(
+                dataset=adjacency, layer_dims=dims, feature_dim=6)).output
+        assert np.array_equal(stacked, chained)
+        assert np.array_equal(stacked, single)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_empty_graph(self, backend):

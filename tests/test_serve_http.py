@@ -308,6 +308,13 @@ class TestRequestTimeoutField:
         assert status == 400, payload
         assert "timeout_s" in payload["error"]
 
+    @pytest.mark.parametrize("timeout_s", [float("nan"), INF, -INF, 0, -1],
+                             ids=["nan", "inf", "-inf", "zero", "negative"])
+    def test_bad_server_default_refused_at_construction(self, session,
+                                                        timeout_s):
+        with pytest.raises(ValueError, match="request_timeout_s"):
+            ReproServer(session, port=0, request_timeout_s=timeout_s)
+
 
 class TestHostileBodies:
     """A body too deeply nested for the JSON decoder gets 400, and the
