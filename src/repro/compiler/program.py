@@ -287,13 +287,6 @@ class HACCStream:
     out_col: np.ndarray
     writeback_addr: np.ndarray
 
-    def macro_ops(self) -> list[HACCMacroOp]:
-        """The stream as :class:`HACCMacroOp` objects, in program order."""
-        return list(map(HACCMacroOp, self.tag.tolist(), self.value.tolist(),
-                        self.counter.tolist(), self.out_row.tolist(),
-                        self.out_col.tolist(),
-                        self.writeback_addr.tolist()))
-
 
 @dataclass
 class ProgramArrays:

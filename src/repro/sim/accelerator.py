@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.arch.config import NeuraChipConfig
-from repro.compiler.program import HACCMacroOp, MMHMacroOp, Program
+from repro.compiler.program import MMHMacroOp, Program
 from repro.hashing.mappings import make_seeded_mapping
 from repro.sim.dispatcher import Dispatcher
 from repro.sim.engine import Simulator
@@ -67,7 +67,8 @@ class SimulationReport:
             (only populated when ``verify=True``).
         max_abs_error: largest absolute deviation from the reference.
         wall_clock_seconds: host time spent simulating.
-        events: number of simulation events processed.
+        events: simulation events processed (a core's HACC sends of one
+            cycle are one event); compare only within one simulator version.
         eviction_mode: 'rolling' or 'barrier'.
         mapping_scheme: accumulation mapping scheme used.
         counters: the components' event counts by dotted name
@@ -144,7 +145,7 @@ class NeuraChipAccelerator:
     # ------------------------------------------------------------------
     # Chip construction (per run, so state never leaks between runs)
     # ------------------------------------------------------------------
-    def _build(self) -> None:
+    def _build(self, program: Program) -> None:
         config, params = self.config, self.params
         self.sim = Simulator()
         self.mmh_cpi = Histogram(MMH_HIST_BIN_WIDTH, MMH_HIST_BINS)
@@ -153,6 +154,8 @@ class NeuraChipAccelerator:
         core_pos, mem_pos, width, height = interleaved_positions(
             config.total_cores, config.total_mems)
         self.noc = TorusNetwork(self.sim, params, width, height)
+        self._hops = [[self.noc.hops(core, mem) for mem in mem_pos.values()]
+                      for core in core_pos.values()]
         self.mapping = make_seeded_mapping(self.mapping_scheme_name,
                                            config.total_mems, self.mapping_seed)
 
@@ -163,7 +166,7 @@ class NeuraChipAccelerator:
                      pad=HashPad(config.mem.hashlines, self.store,
                                  self.eviction_mode),
                      hash_engines=config.mem.hash_engines,
-                     writeback=self._writeback,
+                     writeback=self.memory.write,
                      on_applied=self._on_hacc_applied)
             for i in range(config.total_mems)
         ]
@@ -173,48 +176,54 @@ class NeuraChipAccelerator:
                       pipeline_registers=config.core.pipeline_registers,
                       multipliers=config.core.multipliers,
                       read_fn=self._memory_read,
-                      dispatch_hacc_fn=self._dispatch_hacc,
+                      dispatch_haccs_fn=self._dispatch_haccs,
                       on_retire=self._on_mmh_retire)
             for i in range(config.total_cores)
         ]
         self.dispatcher = Dispatcher(self.sim, params, self.cores)
 
-        # Per-run program state: the program's HACC stream, op by op.
-        self._haccs: list[HACCMacroOp] = []
-        self._op_start: list[int] = []
+        # Per-run program state: the HACC stream's columns as lists, in
+        # ``NeuraMem.receive_hacc`` order; op ``s`` sends HACCs
+        # ``op_start[s]:op_start[s + 1]``.
+        stream = program.hacc_stream()
+        self._op_start = stream.op_start.tolist()
+        self._haccs = (stream.tag.tolist(), stream.value.tolist(),
+                       stream.counter.tolist(), stream.out_row.tolist(),
+                       stream.out_col.tolist(), stream.writeback_addr.tolist())
         self._haccs_applied = 0
-        self._haccs_expected = 0
+        self._haccs_expected = program.total_partial_products
         self._columns_completed = 0
         self._finalized = False
 
     # ------------------------------------------------------------------
     # Component callbacks
     # ------------------------------------------------------------------
-    def _memory_read(self, addr: int, nbytes: int, callback) -> None:
-        """Route a NeuraCore operand fetch through the NoC to memory."""
-        def respond() -> None:
-            self.sim.schedule(_MEMORY_NOC_OVERHEAD / 2, callback)
+    def _memory_read(self, addr: int, nbytes: int, callback, *args) -> None:
+        """Route a NeuraCore operand fetch through the NoC to memory; the
+        response crosses the NoC back before ``callback(*args)`` runs."""
+        half = _MEMORY_NOC_OVERHEAD / 2
+        self.sim.schedule(half, self.memory.read, addr, nbytes,
+                          self.sim.schedule, half, callback, *args)
 
-        self.sim.schedule(_MEMORY_NOC_OVERHEAD / 2, self.memory.read, addr, nbytes,
-                          respond)
+    def _dispatch_haccs(self, core: NeuraCore, op: MMHMacroOp, first: int,
+                        stop: int, on_arrival, *args) -> None:
+        """Send HACCs ``first:stop`` of an MMH over the torus, in order."""
+        tag, _value, _counter, out_row, _out_col, _addr = self._haccs
+        hops, now = self._hops[core.core_id], self.sim.now
+        offset = self._op_start[op.sequence]
+        for hacc in range(offset + first, offset + stop):
+            mem_index = self.mapping.map(tag[hacc], group=out_row[hacc])
+            mem = self.mems[mem_index]
+            self.noc.deliver(mem.position, hops[mem_index], _HACC_BYTES,
+                             self._hacc_arrived, mem, hacc, now, on_arrival, args)
 
-    def _writeback(self, addr: int, nbytes: int) -> None:
-        """A NeuraMem wrote an evicted result back to HBM."""
-        self.memory.write(addr, nbytes)
-
-    def _dispatch_hacc(self, core: NeuraCore, op: MMHMacroOp, index: int,
-                       arrival_callback) -> None:
-        """Send one HACC of an MMH to its NeuraMem over the torus."""
-        hacc = self._haccs[self._op_start[op.sequence] + index]
-        mem_index = self.mapping.map(hacc.tag, group=hacc.out_row)
-        mem = self.mems[mem_index]
-        dispatch_time = self.sim.now
-
-        def on_arrival() -> None:
-            arrival_callback()
-            mem.receive_hacc(hacc, dispatch_time)
-
-        self.noc.send(core.position, mem.position, _HACC_BYTES, on_arrival)
+    def _hacc_arrived(self, mem: NeuraMem, hacc: int, dispatch_time: float,
+                      on_arrival, args: tuple) -> None:
+        """A HACC reached its NeuraMem: tell its core, then hand it over."""
+        on_arrival(*args)
+        tag, value, counter, out_row, out_col, writeback_addr = self._haccs
+        mem.receive_hacc(tag[hacc], value[hacc], counter[hacc], out_row[hacc],
+                         out_col[hacc], writeback_addr[hacc], dispatch_time)
 
     def _on_mmh_retire(self, core: NeuraCore, op: MMHMacroOp, latency: float) -> None:
         self.dispatcher.notify_slot_free()
@@ -255,12 +264,7 @@ class NeuraChipAccelerator:
             A :class:`SimulationReport`.
         """
         start_wall = _time.perf_counter()
-        self._build()
-        stream = program.hacc_stream()
-        self._op_start = stream.op_start.tolist()
-        self._haccs = stream.macro_ops()
-        del stream
-        self._haccs_expected = program.total_partial_products
+        self._build(program)
         self.dispatcher.load(program.iter_mmh_ops())
         self.dispatcher.start()
         self.sim.run(max_events=max_events)
@@ -269,9 +273,13 @@ class NeuraChipAccelerator:
             # applied-count finalizer.
             self._finalize()
             self.sim.run(max_events=max_events)
-        self._haccs, self._op_start = [], []
         wall = _time.perf_counter() - start_wall
-        return self._build_report(program, verify, wall)
+        report = self._build_report(program, verify, wall)
+        # Drop the run's state: the components call back into this
+        # accelerator, a cycle only the cyclic collector would free.
+        self.cores, self.mems, self.dispatcher = [], [], None
+        self._haccs, self._op_start = (), []
+        return report
 
     # ------------------------------------------------------------------
     def _check_output(self, program: Program) -> tuple[bool, float]:

@@ -8,6 +8,7 @@ buffer is full it sleeps until a core retires an instruction.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from repro.compiler.program import MMHMacroOp
@@ -78,16 +79,9 @@ class Dispatcher:
         self._schedule_issue(1.0)
 
     def _least_loaded_core(self) -> NeuraCore | None:
-        """The core with the fewest in-flight instructions that can accept."""
-        best = None
-        best_load = None
-        for core in self.cores:
-            if not core.can_accept():
-                continue
-            load = core.in_flight
-            if best_load is None or load < best_load:
-                best, best_load = core, load
-        return best
+        """The first least-loaded core among those that can accept, or None."""
+        return min((core for core in self.cores if core.in_flight < core.capacity),
+                   key=attrgetter("in_flight"), default=None)
 
     # ------------------------------------------------------------------
     def notify_slot_free(self) -> None:

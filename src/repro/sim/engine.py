@@ -1,8 +1,8 @@
 """Discrete-event simulation kernel.
 
-A minimal, fast event queue: callbacks are scheduled at absolute or relative
-cycle times and executed in time order (FIFO among equal timestamps).  All
-NeuraSim components share one :class:`Simulator` instance.
+A minimal, fast event queue: ``callback(*args)`` runs at an absolute or
+relative cycle time, in time order (FIFO among equal timestamps).  NeuraSim's
+components share one :class:`Simulator` and pass bound methods, not closures.
 """
 
 from __future__ import annotations

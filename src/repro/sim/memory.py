@@ -10,6 +10,7 @@ data rate.  Aggregate bandwidth across the eight channels matches the
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.sim.engine import Simulator
@@ -35,8 +36,9 @@ class HBMChannel:
         self.busy_cycles = 0.0
 
     def access(self, addr: int, nbytes: int, is_write: bool,
-               callback: Callable[[], None] | None) -> float:
-        """Issue one DRAM access; returns the completion time.
+               callback: Callable[..., None] | None, *args) -> float:
+        """Issue one DRAM access; returns the completion time, at which
+        ``callback(*args)`` runs.
 
         The access waits for its bank and for the channel data bus, pays a
         row-buffer hit or miss latency, then streams ``nbytes`` at the
@@ -53,7 +55,7 @@ class HBMChannel:
             self.busy_cycles += transfer
             self.bytes_written += nbytes
             if callback is not None:
-                self.sim.schedule_at(finish, callback)
+                self.sim.schedule_at(finish, callback, *args)
             return finish
         row = addr // params.hbm_row_bytes
         bank = row % params.hbm_banks_per_channel
@@ -74,8 +76,17 @@ class HBMChannel:
         self.busy_cycles += transfer
         self.bytes_read += nbytes
         if callback is not None:
-            self.sim.schedule_at(finish, callback)
+            self.sim.schedule_at(finish, callback, *args)
         return finish
+
+
+@dataclass(slots=True)
+class _Read:
+    """A read waiting for ``remaining`` lines, then ``callback(*args)``."""
+
+    remaining: int
+    callback: Callable[..., None]
+    args: tuple
 
 
 class MemoryController:
@@ -97,8 +108,8 @@ class MemoryController:
         self.tile_id = tile_id
         self.channel = channel
         self.in_flight = in_flight
-        # line address -> list of callbacks waiting for that line.
-        self._pending_lines: dict[int, list[Callable[[], None]]] = {}
+        # line address -> reads waiting for that line.
+        self._pending_lines: dict[int, list[_Read]] = {}
         # LRU of recently fetched lines (insertion ordered dict).
         self._line_buffer: dict[int, bool] = {}
         self.reads_received = 0
@@ -106,37 +117,40 @@ class MemoryController:
         self.reads_buffered = 0
         self.writes_received = 0
 
-    def read(self, addr: int, nbytes: int, callback: Callable[[], None]) -> None:
-        """Issue a read; ``callback`` fires when the data is available."""
+    def read(self, addr: int, nbytes: int, callback: Callable[..., None],
+             *args) -> None:
+        """Issue a read; ``callback(*args)`` runs when the data is available."""
         self.reads_received += 1
         self.in_flight.change(self.sim.now, +1)
         line_bytes = self.params.coalesce_line_bytes
         first_line = addr // line_bytes
         last_line = (addr + max(nbytes, 1) - 1) // line_bytes
-        lines = list(range(first_line, last_line + 1))
-        remaining = {"count": len(lines)}
-
-        def line_ready() -> None:
-            remaining["count"] -= 1
-            if remaining["count"] == 0:
-                self.in_flight.change(self.sim.now, -1)
-                callback()
-
-        for line in lines:
+        request = _Read(last_line - first_line + 1, callback, args)
+        for line in range(first_line, last_line + 1):
             if line in self._line_buffer:
                 # Read-buffer hit: serviced at controller latency, no DRAM trip.
                 self._line_buffer.pop(line)
                 self._line_buffer[line] = True  # refresh LRU position
                 self.reads_buffered += 1
-                self.sim.schedule(self.params.memory_controller_cycles, line_ready)
+                self.sim.schedule(self.params.memory_controller_cycles,
+                                  self._line_ready, request)
                 continue
             if line in self._pending_lines:
                 # Coalesced with an outstanding request for the same line.
-                self._pending_lines[line].append(line_ready)
+                self._pending_lines[line].append(request)
                 self.reads_coalesced += 1
                 continue
-            self._pending_lines[line] = [line_ready]
-            self._issue_line_read(line)
+            self._pending_lines[line] = [request]
+            self.sim.schedule(self.params.memory_controller_cycles,
+                              self.channel.access, line * line_bytes,
+                              line_bytes, False, self._line_filled, line)
+
+    def _line_ready(self, request: _Read) -> None:
+        """One line of ``request`` arrived; complete it after the last."""
+        request.remaining -= 1
+        if request.remaining == 0:
+            self.in_flight.change(self.sim.now, -1)
+            request.callback(*request.args)
 
     def _insert_buffer_line(self, line: int) -> None:
         capacity = self.params.controller_buffer_lines
@@ -146,25 +160,17 @@ class MemoryController:
         while len(self._line_buffer) > capacity:
             self._line_buffer.pop(next(iter(self._line_buffer)))
 
-    def _issue_line_read(self, line: int) -> None:
-        line_bytes = self.params.coalesce_line_bytes
-        addr = line * line_bytes
+    def _line_filled(self, line: int) -> None:
+        """A DRAM line read completed: buffer it and serve its waiters."""
+        self._insert_buffer_line(line)
+        for request in self._pending_lines.pop(line, []):
+            self._line_ready(request)
 
-        def on_complete() -> None:
-            self._insert_buffer_line(line)
-            waiters = self._pending_lines.pop(line, [])
-            for waiter in waiters:
-                waiter()
-
-        self.sim.schedule(self.params.memory_controller_cycles,
-                          self.channel.access, addr, line_bytes, False, on_complete)
-
-    def write(self, addr: int, nbytes: int,
-              callback: Callable[[], None] | None = None) -> None:
-        """Issue a write; the optional ``callback`` fires on completion."""
+    def write(self, addr: int, nbytes: int) -> None:
+        """Issue a posted write."""
         self.writes_received += 1
         self.sim.schedule(self.params.memory_controller_cycles,
-                          self.channel.access, addr, nbytes, True, callback)
+                          self.channel.access, addr, nbytes, True, None)
 
 
 class MemorySystem:
@@ -191,14 +197,14 @@ class MemorySystem:
         line = addr // self.params.coalesce_line_bytes
         return self.controllers[line % len(self.controllers)]
 
-    def read(self, addr: int, nbytes: int, callback: Callable[[], None]) -> None:
+    def read(self, addr: int, nbytes: int, callback: Callable[..., None],
+             *args) -> None:
         """Route a read request to the owning controller."""
-        self.controller_for(addr).read(addr, nbytes, callback)
+        self.controller_for(addr).read(addr, nbytes, callback, *args)
 
-    def write(self, addr: int, nbytes: int,
-              callback: Callable[[], None] | None = None) -> None:
+    def write(self, addr: int, nbytes: int) -> None:
         """Route a write request to the owning controller."""
-        self.controller_for(addr).write(addr, nbytes, callback)
+        self.controller_for(addr).write(addr, nbytes)
 
     @property
     def total_bytes_read(self) -> int:

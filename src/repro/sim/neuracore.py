@@ -27,18 +27,6 @@ MMH_HIST_BINS = 20
 
 
 @dataclass
-class _Pipeline:
-    """One multiply pipeline: a register file holding in-flight MMH ops."""
-
-    capacity: int
-    in_flight: int = 0
-
-    @property
-    def has_slot(self) -> bool:
-        return self.in_flight < self.capacity
-
-
-@dataclass
 class _InFlightMMH:
     """Book-keeping for one MMH instruction travelling through a pipeline."""
 
@@ -48,18 +36,24 @@ class _InFlightMMH:
     frontend_done: float = 0.0
     outstanding_reads: int = 0
     outstanding_haccs: int = 0
-    responses_done: float = 0.0
 
 
 class NeuraCore:
-    """In-order multiplication core with a small number of pipelines."""
+    """In-order multiplication core with a small number of pipelines.
+
+    ``pipelines`` holds each pipeline's in-flight MMH count, against
+    ``slots_per_pipeline`` register slots; ``in_flight`` and ``capacity``
+    are their totals.  ``read_fn(addr, nbytes, callback, *args)`` runs
+    ``callback(*args)`` when the operand arrives; ``dispatch_haccs_fn(core,
+    op, first, stop, on_arrival, *args)`` sends HACCs ``first:stop`` of
+    ``op`` and runs ``on_arrival(*args)`` as each one lands.
+    """
 
     def __init__(self, core_id: int, position: tuple[int, int], sim: Simulator,
                  params: SimulationParams, cpi_histogram: Histogram,
                  n_pipelines: int, pipeline_registers: int, multipliers: int,
-                 read_fn: Callable[[int, int, Callable[[], None]], None],
-                 dispatch_hacc_fn: Callable[["NeuraCore", MMHMacroOp, int,
-                                             Callable[[], None]], None],
+                 read_fn: Callable[..., None],
+                 dispatch_haccs_fn: Callable[..., None],
                  on_retire: Callable[["NeuraCore", MMHMacroOp, float], None]) -> None:
         self.core_id = core_id
         self.position = position
@@ -67,10 +61,12 @@ class NeuraCore:
         self.params = params
         self.cpi_histogram = cpi_histogram
         self.multipliers = max(1, multipliers)
-        capacity = max(1, pipeline_registers // params.registers_per_mmh)
-        self.pipelines = [_Pipeline(capacity=capacity) for _ in range(max(1, n_pipelines))]
+        self.slots_per_pipeline = max(1, pipeline_registers // params.registers_per_mmh)
+        self.pipelines = [0] * max(1, n_pipelines)
+        self.capacity = self.slots_per_pipeline * len(self.pipelines)
+        self.in_flight = 0
         self._read = read_fn
-        self._dispatch_hacc = dispatch_hacc_fn
+        self._send = dispatch_haccs_fn
         self._on_retire = on_retire
         self._next_pipeline = 0
         self.busy_cycles = 0.0
@@ -79,20 +75,16 @@ class NeuraCore:
         self.haccs_dispatched = 0
 
     # ------------------------------------------------------------------
-    @property
-    def in_flight(self) -> int:
-        """Total MMH instructions currently occupying register slots."""
-        return sum(p.in_flight for p in self.pipelines)
-
     def can_accept(self) -> bool:
         """True when at least one pipeline has a free register slot."""
-        return any(p.has_slot for p in self.pipelines)
+        return self.in_flight < self.capacity
 
     # ------------------------------------------------------------------
     def issue(self, op: MMHMacroOp) -> None:
         """Accept an MMH instruction from the Dispatcher (Step 1, Figure 6)."""
         pipeline_index = self._select_pipeline()
-        self.pipelines[pipeline_index].in_flight += 1
+        self.pipelines[pipeline_index] += 1
+        self.in_flight += 1
         state = _InFlightMMH(op=op, pipeline=pipeline_index, issue_time=self.sim.now)
         frontend = (self.params.decode_cycles + self.params.register_alloc_cycles
                     + self.params.address_gen_cycles)
@@ -103,7 +95,7 @@ class NeuraCore:
         n = len(self.pipelines)
         for offset in range(n):
             candidate = (self._next_pipeline + offset) % n
-            if self.pipelines[candidate].has_slot:
+            if self.pipelines[candidate] < self.slots_per_pipeline:
                 self._next_pipeline = (candidate + 1) % n
                 return candidate
         raise RuntimeError("issue() called with no free pipeline slot")
@@ -115,15 +107,14 @@ class NeuraCore:
         requests = state.op.operand_addresses()
         state.outstanding_reads = len(requests)
         for addr, nbytes in requests.values():
-            self._read(addr, nbytes, lambda s=state: self._on_read_response(s))
+            self._read(addr, nbytes, self._on_read_response, state)
 
     def _on_read_response(self, state: _InFlightMMH) -> None:
         """Step 6-7: a memory response arrived; execute once all are present."""
         state.outstanding_reads -= 1
         if state.outstanding_reads > 0:
             return
-        state.responses_done = self.sim.now
-        self.stall_cycles += max(0.0, state.responses_done - state.frontend_done)
+        self.stall_cycles += max(0.0, self.sim.now - state.frontend_done)
         n_products = state.op.n_partial_products
         batches = -(-n_products // self.multipliers)
         compute_latency = max(1, batches * self.params.multiply_cycles)
@@ -132,23 +123,23 @@ class NeuraCore:
 
     # ------------------------------------------------------------------
     def _dispatch_haccs(self, state: _InFlightMMH) -> None:
-        """Step 8: relay HACC instructions to NeuraMem units via the NoC."""
-        haccs = list(range(state.op.n_partial_products))
-        state.outstanding_haccs = len(haccs)
-        if not haccs:
+        """Step 8: relay HACC instructions to NeuraMem units via the NoC,
+        ``hacc_sends_per_cycle`` of them per cycle in index order: one
+        burst event per cycle."""
+        n_haccs = state.op.n_partial_products
+        state.outstanding_haccs = n_haccs
+        if not n_haccs:
             self._retire(state)
             return
         sends_per_cycle = max(1, self.params.hacc_sends_per_cycle)
-        dispatch_cycles = len(haccs) / sends_per_cycle
-        self.busy_cycles += dispatch_cycles
-        for index in haccs:
-            delay = index // sends_per_cycle
-            self.sim.schedule(delay, self._send_one_hacc, state, index)
+        self.busy_cycles += n_haccs / sends_per_cycle
+        for first in range(0, n_haccs, sends_per_cycle):
+            self.sim.schedule(first // sends_per_cycle, self._send_haccs, state,
+                              first, min(first + sends_per_cycle, n_haccs))
 
-    def _send_one_hacc(self, state: _InFlightMMH, index: int) -> None:
-        self.haccs_dispatched += 1
-        self._dispatch_hacc(self, state.op, index,
-                            lambda s=state: self._on_hacc_arrival(s))
+    def _send_haccs(self, state: _InFlightMMH, first: int, stop: int) -> None:
+        self.haccs_dispatched += stop - first
+        self._send(self, state.op, first, stop, self._on_hacc_arrival, state)
 
     def _on_hacc_arrival(self, state: _InFlightMMH) -> None:
         """A HACC reached its NeuraMem; retire once the last one lands."""
@@ -161,6 +152,7 @@ class NeuraCore:
     def _retire(self, state: _InFlightMMH) -> None:
         latency = self.sim.now - state.issue_time
         self.cpi_histogram.add(latency)
-        self.pipelines[state.pipeline].in_flight -= 1
+        self.pipelines[state.pipeline] -= 1
+        self.in_flight -= 1
         self.instructions_retired += 1
         self._on_retire(self, state.op, latency)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.compiler.program import HACCMacroOp
 from repro.sim.engine import Simulator
 from repro.sim.hashpad import HashLine, HashPad
 from repro.sim.params import SimulationParams
@@ -49,27 +48,30 @@ class NeuraMem:
         self.haccs_received = 0
 
     # ------------------------------------------------------------------
-    def receive_hacc(self, hacc: HACCMacroOp, dispatch_time: float) -> None:
-        """Accept a HACC instruction arriving from the NoC.
+    def receive_hacc(self, tag: int, value: float, counter: int, out_row: int,
+                     out_col: int, writeback_addr: int,
+                     dispatch_time: float) -> None:
+        """Accept a HACC instruction (its fields) arriving from the NoC.
 
         The instruction queues for the least-busy hash engine; Algorithm 2 is
         applied when the engine becomes available.
         """
         self.haccs_received += 1
-        engine = min(range(len(self._engine_next_free)),
-                     key=self._engine_next_free.__getitem__)
-        start = max(self.sim.now, self._engine_next_free[engine])
+        engine_free = self._engine_next_free
+        engine = engine_free.index(min(engine_free))
+        start = max(self.sim.now, engine_free[engine])
         latency = self.params.hash_lookup_cycles + self.params.hash_accumulate_cycles
-        self._engine_next_free[engine] = start + latency
+        engine_free[engine] = start + latency
         self.busy_cycles += latency
-        self.sim.schedule_at(start + latency, self._apply, hacc, dispatch_time)
+        self.sim.schedule_at(start + latency, self._apply, tag, value, counter,
+                             out_row, out_col, writeback_addr, dispatch_time)
 
     # ------------------------------------------------------------------
-    def _apply(self, hacc: HACCMacroOp, dispatch_time: float) -> None:
+    def _apply(self, tag: int, value: float, counter: int, out_row: int,
+               out_col: int, writeback_addr: int, dispatch_time: float) -> None:
         """Run the HACC through the pad and charge for the lines it moved."""
-        victim, evicted = self.pad.apply(hacc.tag, hacc.value, hacc.counter,
-                                         hacc.out_row, hacc.out_col,
-                                         hacc.writeback_addr, dispatch_time)
+        victim, evicted = self.pad.apply(tag, value, counter, out_row, out_col,
+                                         writeback_addr, dispatch_time)
         if victim is not None and not victim.complete:
             # Spill: the collision routine writes the partial to HBM.
             penalty = self.params.hash_collision_penalty_cycles

@@ -47,10 +47,15 @@ class TorusNetwork:
         return hops * self.params.router_hop_cycles + serialization
 
     def send(self, src: tuple[int, int], dst: tuple[int, int], nbytes: int,
-             callback: Callable[[], None] | None = None) -> float:
-        """Send a message; returns (and schedules the callback at) arrival time."""
+             callback: Callable[..., None] | None = None, *args) -> float:
+        """Send a message; returns the arrival time, at which
+        ``callback(*args)`` runs."""
+        return self.deliver(dst, self.hops(src, dst), nbytes, callback, *args)
+
+    def deliver(self, dst: tuple[int, int], hops: int, nbytes: int,
+                callback: Callable[..., None] | None = None, *args) -> float:
+        """:meth:`send` for a caller that already knows the hop count."""
         params = self.params
-        hops = self.hops(src, dst)
         flits = max(1, -(-nbytes // params.router_flit_bytes))
         serialization = flits * params.router_flit_bytes / params.router_link_bytes_per_cycle
         zero_load_arrival = self.sim.now + hops * params.router_hop_cycles + serialization
@@ -60,7 +65,7 @@ class TorusNetwork:
         self.flits_sent += flits
         self.total_hops += hops * flits
         if callback is not None:
-            self.sim.schedule_at(arrival, callback)
+            self.sim.schedule_at(arrival, callback, *args)
         return arrival
 
     @property

@@ -102,22 +102,23 @@ class TestCompileSpGEMM:
         stream = tiny_program.hacc_stream()
         arrays = tiny_program.arrays
         layout = tiny_program.address_map
-        haccs = stream.macro_ops()
+        haccs = list(zip(stream.tag.tolist(), stream.counter.tolist(),
+                         stream.out_row.tolist(), stream.out_col.tolist(),
+                         stream.writeback_addr.tolist()))
         assert len(haccs) == tiny_program.total_partial_products
         for sequence in (0, tiny_program.n_instructions - 1):
             op = tiny_program.mmh_ops[sequence]
             op_haccs = haccs[stream.op_start[sequence]:
                              stream.op_start[sequence + 1]]
-            assert [(h.out_row, h.out_col) for h in op_haccs] == [
+            assert [(row, col) for _, _, row, col, _ in op_haccs] == [
                 (i, j) for i in op.a_rows for j in op.b_cols]
-            for hacc in op_haccs:
-                row, col = hacc.out_row, hacc.out_col
+            for tag, counter, row, col, writeback_addr in op_haccs:
                 lo, hi = arrays.out_indptr[row], arrays.out_indptr[row + 1]
                 slot = lo + int(np.searchsorted(arrays.out_indices[lo:hi], col))
-                assert hacc.counter == arrays.out_counts[slot]
-                assert hacc.writeback_addr == (layout.output_base
-                                               + slot * ELEMENT_BYTES)
-                assert hacc.tag == row * tiny_program.shape[1] + col
+                assert counter == arrays.out_counts[slot]
+                assert writeback_addr == (layout.output_base
+                                          + slot * ELEMENT_BYTES)
+                assert tag == row * tiny_program.shape[1] + col
 
     def test_bloat_property(self, tiny_program):
         expected = (tiny_program.total_partial_products - tiny_program.output_nnz) \

@@ -1,5 +1,7 @@
 """Unit tests for NeuraCore pipelines and the Dispatcher."""
 
+import random
+
 import pytest
 
 from repro.arch.isa import MMHInstruction, Opcode
@@ -32,15 +34,18 @@ class _Harness:
         self.hacc_latency = hacc_latency
         self.reads = []
         self.haccs = []
+        self.bursts = []
         self.retired = []
 
-    def read(self, addr, nbytes, callback):
+    def read(self, addr, nbytes, callback, *args):
         self.reads.append((addr, nbytes))
-        self.sim.schedule(self.read_latency, callback)
+        self.sim.schedule(self.read_latency, callback, *args)
 
-    def dispatch_hacc(self, core, op, index, arrival_callback):
-        self.haccs.append((core.core_id, op.sequence, index))
-        self.sim.schedule(self.hacc_latency, arrival_callback)
+    def dispatch_haccs(self, core, op, first, stop, on_arrival, *args):
+        self.bursts.append((self.sim.now, first, stop))
+        for index in range(first, stop):
+            self.haccs.append((core.core_id, op.sequence, index))
+            self.sim.schedule(self.hacc_latency, on_arrival, *args)
 
     def on_retire(self, core, op, latency):
         self.retired.append((op.sequence, latency))
@@ -50,7 +55,7 @@ class _Harness:
                          params=self.params, cpi_histogram=self.mmh_cpi,
                          n_pipelines=pipelines, pipeline_registers=registers,
                          multipliers=multipliers, read_fn=self.read,
-                         dispatch_hacc_fn=self.dispatch_hacc,
+                         dispatch_haccs_fn=self.dispatch_haccs,
                          on_retire=self.on_retire)
 
 
@@ -119,6 +124,44 @@ class TestNeuraCore:
         core.issue(make_mmh())
         env.sim.run()
         assert env.mmh_cpi.total_observations == 1
+
+    def test_haccs_go_out_in_one_burst_event_per_cycle(self):
+        env = _Harness()
+        env.params = env.params.scaled(hacc_sends_per_cycle=4)
+        core = env.make_core()
+        core.issue(make_mmh(n_a=2, n_b=5))
+        env.sim.run()
+        start = env.bursts[0][0]
+        sent = [(now - start, index) for now, first, stop in env.bursts
+                for index in range(first, stop)]
+        assert sent == [(0, 0), (0, 1), (0, 2), (0, 3), (1, 4), (1, 5),
+                        (1, 6), (1, 7), (2, 8), (2, 9)]
+        assert len(env.bursts) == 3
+        # frontend, 4 operand reads, compute, 3 bursts, 10 arrivals
+        assert env.sim.events_processed == 1 + 4 + 1 + 3 + 10
+        assert [index for _, _, index in env.haccs] == list(range(10))
+        assert core.haccs_dispatched == 10
+        assert core.busy_cycles > 10 / 4
+
+    def test_maintained_counts_match_the_pipelines(self):
+        rng = random.Random(7)
+        env = _Harness(read_latency=5.0)
+        core = env.make_core(pipelines=3, registers=6)  # 3 slots per pipeline
+        assert core.capacity == 3 * core.slots_per_pipeline == 9
+        issued = 0
+        for _ in range(300):
+            if core.can_accept() and rng.random() < 0.6:
+                core.issue(make_mmh(sequence=issued, n_a=rng.randint(0, 3),
+                                    n_b=rng.randint(0, 3)))
+                issued += 1
+            else:
+                env.sim.run(max_events=rng.randint(1, 6))
+            assert core.in_flight == sum(core.pipelines)
+            assert core.can_accept() == any(load < core.slots_per_pipeline
+                                            for load in core.pipelines)
+        env.sim.run()
+        assert core.in_flight == 0 and core.instructions_retired == issued
+        assert not any(core.pipelines)
 
 
 class TestDispatcher:

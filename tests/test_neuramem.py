@@ -2,6 +2,8 @@
 through the cycle simulator's clock: engine timing, write-backs, the
 Figure 15 latency histogram, and the pad state they leave."""
 
+import dataclasses
+
 import pytest
 
 from repro.compiler.program import HACCMacroOp
@@ -17,8 +19,10 @@ def hacc_histogram():
 
 
 def make_hacc(tag, value, counter, row=0, col=0, addr=0):
-    return HACCMacroOp(tag=tag, value=value, counter=counter, out_row=row,
-                       out_col=col, writeback_addr=addr)
+    """A HACC's fields in ``NeuraMem.receive_hacc`` order."""
+    return dataclasses.astuple(HACCMacroOp(tag=tag, value=value,
+                                           counter=counter, out_row=row,
+                                           out_col=col, writeback_addr=addr))
 
 
 def make_mem(sim, hashlines=64, hash_engines=2, eviction_mode="rolling",
@@ -52,7 +56,7 @@ class TestAccumulation:
     def test_single_contribution_evicts_immediately(self, mem_env):
         sim, build, store, events = mem_env
         mem = build()
-        mem.receive_hacc(make_hacc(tag=7, value=2.5, counter=1, row=1, col=2,
+        mem.receive_hacc(*make_hacc(tag=7, value=2.5, counter=1, row=1, col=2,
                                    addr=0x40), 0.0)
         sim.run()
         assert store.output == {(1, 2): 2.5}
@@ -67,7 +71,7 @@ class TestAccumulation:
         sim, build, store, events = mem_env
         mem = build()
         for value in (1.0, 2.0, 3.0):
-            mem.receive_hacc(make_hacc(tag=9, value=value, counter=3), 0.0)
+            mem.receive_hacc(*make_hacc(tag=9, value=value, counter=3), 0.0)
         sim.run()
         assert mem.pad.evictions == 1
         assert store.output == {(0, 0): pytest.approx(6.0)}
@@ -77,8 +81,8 @@ class TestAccumulation:
     def test_distinct_tags_use_distinct_lines(self, mem_env):
         sim, build, store, events = mem_env
         mem = build()
-        mem.receive_hacc(make_hacc(tag=1, value=1.0, counter=2), 0.0)
-        mem.receive_hacc(make_hacc(tag=2, value=1.0, counter=2), 0.0)
+        mem.receive_hacc(*make_hacc(tag=1, value=1.0, counter=2), 0.0)
+        mem.receive_hacc(*make_hacc(tag=2, value=1.0, counter=2), 0.0)
         sim.run()
         assert mem.pad.occupancy == 2
         assert mem.pad.peak_occupancy == 2
@@ -89,15 +93,15 @@ class TestAccumulation:
         sim, build, store, events = mem_env
         mem = build()
         for i in range(5):
-            mem.receive_hacc(make_hacc(tag=i, value=1.0, counter=2), 0.0)
+            mem.receive_hacc(*make_hacc(tag=i, value=1.0, counter=2), 0.0)
         sim.run()
         assert events["applied"] == 5
 
     def test_hacc_latency_recorded_against_eviction(self, mem_env):
         sim, build, store, events = mem_env
         mem = build()
-        mem.receive_hacc(make_hacc(tag=3, value=1.0, counter=2), 0.0)
-        mem.receive_hacc(make_hacc(tag=3, value=1.0, counter=2), 0.0)
+        mem.receive_hacc(*make_hacc(tag=3, value=1.0, counter=2), 0.0)
+        mem.receive_hacc(*make_hacc(tag=3, value=1.0, counter=2), 0.0)
         sim.run()
         assert mem.cpi_histogram.total_observations == 2
 
@@ -111,7 +115,7 @@ class TestBarrierEviction:
     def test_completed_lines_stay_until_flush(self, mem_env):
         sim, build, store, events = mem_env
         mem = build(eviction_mode="barrier")
-        mem.receive_hacc(make_hacc(tag=5, value=4.0, counter=1), 0.0)
+        mem.receive_hacc(*make_hacc(tag=5, value=4.0, counter=1), 0.0)
         sim.run()
         assert store.output == {}
         assert events["writes"] == []
@@ -125,7 +129,7 @@ class TestBarrierEviction:
     def test_finalize_also_flushes_incomplete_lines(self, mem_env):
         sim, build, store, events = mem_env
         mem = build(eviction_mode="barrier")
-        mem.receive_hacc(make_hacc(tag=6, value=1.0, counter=3), 0.0)
+        mem.receive_hacc(*make_hacc(tag=6, value=1.0, counter=3), 0.0)
         sim.run()
         flushed = mem.finalize()
         assert flushed == 1
@@ -138,7 +142,7 @@ class TestCapacityAndSpills:
         sim, build, store, events = mem_env
         mem = build(hashlines=2)
         for tag in range(3):
-            mem.receive_hacc(make_hacc(tag=tag, value=1.0, counter=2), 0.0)
+            mem.receive_hacc(*make_hacc(tag=tag, value=1.0, counter=2), 0.0)
         sim.run()
         assert mem.pad.spills == 1
         assert store.spilled_value == {0: 1.0}
@@ -153,7 +157,7 @@ class TestCapacityAndSpills:
         store.spilled_value[42] = 5.0
         store.spilled_applied[42] = 2
         mem = build()
-        mem.receive_hacc(make_hacc(tag=42, value=1.0, counter=3), 0.0)
+        mem.receive_hacc(*make_hacc(tag=42, value=1.0, counter=3), 0.0)
         sim.run()
         # remaining = counter - 1 - already_applied = 0 -> immediate eviction,
         # with the spilled partial merged back.
@@ -164,9 +168,9 @@ class TestCapacityAndSpills:
     def test_completed_lines_are_preferred_spill_victims(self, mem_env):
         sim, build, store, events = mem_env
         mem = build(hashlines=2, eviction_mode="barrier")
-        mem.receive_hacc(make_hacc(tag=1, value=1.0, counter=1, row=1), 0.0)  # completes
-        mem.receive_hacc(make_hacc(tag=2, value=1.0, counter=2, row=2), 0.0)
-        mem.receive_hacc(make_hacc(tag=3, value=1.0, counter=2, row=3), 0.0)  # overflow
+        mem.receive_hacc(*make_hacc(tag=1, value=1.0, counter=1, row=1), 0.0)  # completes
+        mem.receive_hacc(*make_hacc(tag=2, value=1.0, counter=2, row=2), 0.0)
+        mem.receive_hacc(*make_hacc(tag=3, value=1.0, counter=2, row=3), 0.0)  # overflow
         sim.run()
         # The completed line (tag 1) is evicted instead of spilling live data.
         assert store.output == {(1, 0): 1.0}
@@ -179,13 +183,13 @@ class TestEngineTiming:
         sim = Simulator()
         single = make_mem(sim, hash_engines=1)
         for i in range(8):
-            single.receive_hacc(make_hacc(tag=i, value=1.0, counter=2), 0.0)
+            single.receive_hacc(*make_hacc(tag=i, value=1.0, counter=2), 0.0)
         sim.run()
         single_time = sim.now
 
         sim2 = Simulator()
         quad = make_mem(sim2, hash_engines=4)
         for i in range(8):
-            quad.receive_hacc(make_hacc(tag=i, value=1.0, counter=2), 0.0)
+            quad.receive_hacc(*make_hacc(tag=i, value=1.0, counter=2), 0.0)
         sim2.run()
         assert sim2.now < single_time
