@@ -1,8 +1,8 @@
 """Pass 1 — the IR verifier: prove a compiled program well-formed.
 
 Every check here is a vectorized numpy reduction over the columnar
-:class:`~repro.compiler.program.ProgramArrays` payload — no macro-op is
-ever materialized and nothing executes.  The invariants:
+:class:`~repro.compiler.program.ProgramArrays` payload — the op columns
+are the program, and nothing executes.  The invariants:
 
 * **column alignment / dtypes** — every per-op column has length
   ``n_ops`` with the persisted narrow dtype; operand payloads agree.

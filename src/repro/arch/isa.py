@@ -18,7 +18,7 @@ bits wide:
     Reg0 = TAG, Reg1 = DATA (raw float32 bits), Reg2 = write-back address,
     Reg3 = rolling-eviction COUNTER.
 
-The simulator carries richer "macro-op" objects (see ``repro.compiler``); the
+The simulator reads a program's columns (see ``repro.compiler``); the
 bit-exact encoders here exist so the ISA itself is testable and so binary
 program dumps can be produced.
 """

@@ -88,11 +88,11 @@ class ExecutionBackend(ABC):
         """Execute ``program`` and return an :class:`ExecutionResult`.
 
         Args:
-            program: compiled MMH macro-op stream.
+            program: compiled MMH program.
             ctx: chip configuration and timing parameters.
             a_csr / b_csr: the operands the program was compiled from, when
                 the caller still holds them; backends that only need the
-                macro-op stream may ignore them.
+                program may ignore them.
             verify: ask the backend to check its output against a reference
                 (only meaningful for the cycle backend).
         """

@@ -2,16 +2,16 @@
 
 The compiler mirrors the paper's NeuraCompiler module: it takes the adjacency
 matrix (CSC) and the feature matrix (CSR), emits a stream of MMH
-macro-operations, each of which expands to up to ``tile_size**2`` HACC
+instructions, each of which expands to up to ``tile_size**2`` HACC
 operations at execution time, counts the rolling-eviction counters from that
 stream, and lays the operands out in a virtual HBM address space.
 
-The production pipeline is columnar end to end: the lowering computes every
-tile expansion with vectorized index arithmetic, one expansion of the op
+The pipeline is columnar end to end: the lowering computes every tile
+expansion with vectorized index arithmetic, one expansion of the op
 stream's partial products yields the CSR-shaped counter arrays and output
 slots, the operand addresses follow, and the resulting
-:class:`~repro.compiler.program.ProgramArrays` payload materializes
-:class:`~repro.compiler.program.MMHMacroOp` objects lazily.  The original
+:class:`~repro.compiler.program.ProgramArrays` columns are the program —
+the simulators and the encoder read them directly.  The original
 loop lowering survives as :func:`~repro.compiler.lowering.compile_spgemm_loop`,
 the executable specification the columnar path is tested byte-for-byte
 against.
@@ -19,9 +19,7 @@ against.
 
 from repro.compiler.program import (
     AddressMap,
-    HACCMacroOp,
     HACCStream,
-    MMHMacroOp,
     Program,
     ProgramArrays,
     ProgramDigest,
@@ -34,8 +32,6 @@ from repro.compiler.lowering import (
 
 __all__ = [
     "AddressMap",
-    "MMHMacroOp",
-    "HACCMacroOp",
     "HACCStream",
     "Program",
     "ProgramArrays",

@@ -1,4 +1,4 @@
-"""Lowering: SpGEMM / GCN aggregation -> MMH macro-op stream.
+"""Lowering: SpGEMM / GCN aggregation -> columnar MMH program.
 
 The lowering follows Section 3.1 of the paper: the adjacency matrix is taken
 in CSC, the feature matrix in CSR, and the output is produced one group of
@@ -22,13 +22,13 @@ Two compilers share this lowering contract:
   and operand offsets use ``np.repeat`` / ``cumsum`` over the CSR/CSC index
   arrays (no per-nonzero Python loop), and one expansion of the op stream
   yields the output structure, rolling counters and op slots, emitting a
-  columnar :class:`~repro.compiler.program.ProgramArrays` payload whose
-  macro-ops materialize lazily.
+  columnar :class:`~repro.compiler.program.ProgramArrays` payload, the
+  one form of the program every consumer reads.
 * :func:`compile_spgemm_loop` — the original per-row-group Python loops
   over the symbolic pass (:func:`~repro.sparse.symbolic.symbolic_spgemm_from_csc`),
   kept as the executable specification: it packs the op list it builds
   into the same payload, and the columnar compiler must produce
-  byte-identical instruction encodings and identical macro-op streams
+  byte-identical instruction encodings and identical op columns
   (asserted by the equivalence test suite and the compiler benchmark).
 """
 
@@ -230,8 +230,7 @@ def compile_spgemm(a_csc: CSCMatrix, b_csr: CSRMatrix, tile_size: int = 4,
 
     Returns:
         A :class:`~repro.compiler.program.Program` backed by a
-        :class:`~repro.compiler.program.ProgramArrays` payload; macro-ops
-        materialize lazily when a simulator iterates them.
+        :class:`~repro.compiler.program.ProgramArrays` payload.
 
     Raises:
         ValueError: on dimension mismatch, unsupported tile size, or
@@ -263,7 +262,7 @@ def compile_spgemm_loop(a_csc: CSCMatrix, b_csr: CSRMatrix, tile_size: int = 4,
     Walks the row groups op by op, takes the output structure and rolling
     counters from the symbolic pass, and packs the op list it builds into
     the same :class:`~repro.compiler.program.ProgramArrays` form
-    :func:`compile_spgemm` emits, which must match it macro-op for macro-op
+    :func:`compile_spgemm` emits, which must match it column for column
     and byte for byte; kept as the executable specification of the
     lowering and as the baseline of ``benchmarks/bench_compiler.py``.
     """

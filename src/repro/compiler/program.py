@@ -1,19 +1,15 @@
-"""Program representation: MMH / HACC macro-operations and the address map.
+"""Program representation: the columnar MMH program and its address map.
 
-The cycle simulator consumes *macro-ops*: decoded instructions that carry both
-the architectural fields (operand addresses, as encoded by
-:mod:`repro.arch.isa`) and the semantic payload (the actual operand values)
-so that the simulation can verify numerical correctness of the accelerator
-output against the program's replay.
-
-Programs are stored *columnar*: both compilers emit a
-:class:`ProgramArrays` structure-of-arrays payload (per-op operand slices,
-addresses and output-slot indices, plus the CSR-shaped symbolic output
-structure), and the familiar :class:`MMHMacroOp` objects are materialized
-lazily — only when the cycle simulator actually issues them.  Count-only
-consumers (the analytic backend, report rows, cache fingerprints) read the
-arrays directly and never pay for materialization; pickling a program
-(disk cache spill, cross-process shipping) serialises only the arrays.
+Both compilers emit a :class:`ProgramArrays` structure-of-arrays payload:
+per-op operand slices, architectural addresses (the register fields of an
+MMH instruction, :mod:`repro.arch.isa`) and output-slot indices, plus the
+CSR-shaped symbolic output structure.  Those columns are the only form an
+MMH op takes: the cycle simulator issues op indices and reads each op's
+operand fetches (:meth:`ProgramArrays.operand_reads`) and HACCs
+(:class:`HACCStream`) from them; count-only consumers (the analytic
+backend, report rows, cache fingerprints) take one reduction each; and
+pickling a program (disk cache spill, cross-process shipping) serialises
+only the arrays.
 
 The numeric output of a program is a *replay* of its own op stream: a
 structure-only :class:`ReplayIndex` (built once per program and shared by
@@ -32,17 +28,10 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from repro.arch.isa import (
-    HACCInstruction,
-    MMHInstruction,
-    Opcode,
-    encode_hacc,
-    encode_mmh,
-)
+from repro.arch.isa import MMHInstruction, Opcode, encode_mmh
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.symbolic import row_per_slot
 
@@ -113,90 +102,6 @@ class AddressMap:
         ends = [base for _, base in bases[1:]] + [self.total_bytes]
         return {name: (base, end)
                 for (name, base), end in zip(bases, ends)}
-
-
-@dataclass(frozen=True, slots=True)
-class HACCMacroOp:
-    """A hash_accumulate operation with its semantic payload.
-
-    Attributes:
-        tag: 32-bit output-element identifier hashed by NeuraMem.
-        value: partial-product value to accumulate.
-        counter: rolling-eviction counter (total contributions to this tag).
-        out_row / out_col: coordinates of the output element.
-        writeback_addr: HBM address the evicted result is written to.
-    """
-
-    tag: int
-    value: float
-    counter: int
-    out_row: int
-    out_col: int
-    writeback_addr: int
-
-    def encode(self) -> int:
-        """Architectural 128-bit encoding (Figure 9)."""
-        return encode_hacc(HACCInstruction(tag=self.tag, data=self.value,
-                                           writeback_addr=self.writeback_addr,
-                                           counter=min(self.counter, 0xFFFF)))
-
-
-@dataclass(frozen=True)
-class MMHMacroOp:
-    """A matrix_mult_hash operation with its semantic payload.
-
-    One MMH pairs up to ``tile_size`` elements of a column of A with up to
-    ``tile_size`` elements of the matching row of B (Section 3.1), producing
-    up to ``tile_size**2`` partial products.
-
-    Attributes:
-        opcode: MMH variant (MMH1/2/4/8).
-        k: the shared inner index (column of A == row of B).
-        a_rows: output-row indices of the A-tile elements.
-        a_values: values of the A-tile elements.
-        b_cols: output-column indices of the B-tile elements.
-        b_values: values of the B-tile elements.
-        instruction: architectural address-form instruction (Figure 7).
-        reseed_after: True when this is the last MMH of an input column, i.e.
-            the point at which DRHM draws a new seed.
-        sequence: position in program order.
-    """
-
-    opcode: Opcode
-    k: int
-    a_rows: tuple[int, ...]
-    a_values: tuple[float, ...]
-    b_cols: tuple[int, ...]
-    b_values: tuple[float, ...]
-    instruction: MMHInstruction
-    reseed_after: bool = False
-    sequence: int = 0
-
-    @property
-    def tile_size(self) -> int:
-        return self.opcode.mmh_tile_size
-
-    @property
-    def n_partial_products(self) -> int:
-        """Actual number of HACC operations this MMH dispatches."""
-        return len(self.a_rows) * len(self.b_cols)
-
-    def operand_addresses(self) -> dict[str, tuple[int, int]]:
-        """(address, bytes) per operand fetch, for the memory model."""
-        n_a = len(self.a_rows)
-        n_b = len(self.b_cols)
-        instr = self.instruction
-        return {
-            "a_data": (instr.base_addr + instr.a_data_addr, n_a * ELEMENT_BYTES),
-            "b_col_ind": (instr.base_addr + instr.b_col_ind_addr, n_b * ELEMENT_BYTES),
-            "b_data": (instr.base_addr + instr.b_data_addr, n_b * ELEMENT_BYTES),
-            "roll_counter": (instr.base_addr + instr.roll_counter_addr,
-                             n_a * n_b * ELEMENT_BYTES),
-        }
-
-    def encode(self) -> int:
-        """Architectural 128-bit encoding (Figure 7)."""
-        return encode_mmh(self.instruction)
 
 
 @dataclass(frozen=True)
@@ -275,8 +180,12 @@ class HACCStream:
 
     Attributes:
         op_start: HACC offset of every op, plus the total at the end.
-        tag / value / counter / out_row / out_col / writeback_addr: the
-            :class:`HACCMacroOp` fields, one entry per HACC.
+        tag: 32-bit output-element identifier NeuraMem hashes, per HACC.
+        value: partial-product value to accumulate.
+        counter: rolling-eviction counter (total contributions to the
+            HACC's output element).
+        out_row / out_col: coordinates of the output element.
+        writeback_addr: HBM address the evicted result is written to.
     """
 
     op_start: np.ndarray
@@ -347,7 +256,7 @@ class ProgramArrays:
     op_counter_addr: np.ndarray
 
     # ------------------------------------------------------------------
-    # Aggregates (no materialization)
+    # Aggregates
     # ------------------------------------------------------------------
     @property
     def n_ops(self) -> int:
@@ -376,6 +285,19 @@ class ProgramArrays:
     def partial_products_per_op(self) -> np.ndarray:
         """HACCs each op dispatches (``n_a * n_b``), as an array."""
         return (self.op_a_hi - self.op_a_lo) * (self.op_b_hi - self.op_b_lo)
+
+    def operand_reads(self) -> np.ndarray:
+        """The four HBM reads every op issues — A values, B column
+        indices, B values, rolling counters, in that order — as an
+        ``(n_ops, 4, 2)`` int64 array of ``(address, nbytes)``: the
+        operand-fetch rule of the memory model."""
+        n_a = (self.op_a_hi - self.op_a_lo).astype(np.int64)
+        n_b = (self.op_b_hi - self.op_b_lo).astype(np.int64)
+        addresses = np.stack([self.op_a_addr, self.op_b_col_addr,
+                              self.op_b_data_addr, self.op_counter_addr],
+                             axis=1).astype(np.int64)
+        sizes = np.stack([n_a, n_b, n_b, n_a * n_b], axis=1) * ELEMENT_BYTES
+        return np.stack([addresses, sizes], axis=2)
 
     # ------------------------------------------------------------------
     # Structure-derived caches
@@ -704,38 +626,6 @@ class ProgramArrays:
                             * ELEMENT_BYTES))
 
     # ------------------------------------------------------------------
-    # Lazy materialization
-    # ------------------------------------------------------------------
-    def materialize(self, index: int) -> MMHMacroOp:
-        """Build the :class:`MMHMacroOp` object for one program position."""
-        a_lo, a_hi = int(self.op_a_lo[index]), int(self.op_a_hi[index])
-        b_lo, b_hi = int(self.op_b_lo[index]), int(self.op_b_hi[index])
-        instruction = MMHInstruction(
-            opcode=self.opcode,
-            base_addr=0,
-            a_data_addr=int(self.op_a_addr[index]),
-            b_col_ind_addr=int(self.op_b_col_addr[index]),
-            b_data_addr=int(self.op_b_data_addr[index]),
-            roll_counter_addr=int(self.op_counter_addr[index]),
-        )
-        return MMHMacroOp(
-            opcode=self.opcode,
-            k=int(self.op_k[index]),
-            a_rows=tuple(self.a_rows[a_lo:a_hi].tolist()),
-            a_values=tuple(self.a_values[a_lo:a_hi].tolist()),
-            b_cols=tuple(self.b_cols[b_lo:b_hi].tolist()),
-            b_values=tuple(self.b_values[b_lo:b_hi].tolist()),
-            instruction=instruction,
-            reseed_after=bool(self.op_reseed[index]),
-            sequence=index,
-        )
-
-    def iter_ops(self) -> Iterator[MMHMacroOp]:
-        """Generate macro-ops in program order without retaining them."""
-        for index in range(self.n_ops):
-            yield self.materialize(index)
-
-    # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state.pop("_derived_cache", None)
@@ -749,7 +639,7 @@ class ProgramDigest:
     Carries every aggregate a report row needs (instruction counts, partial
     products, bloat) at a fraction of a :class:`Program`'s pickled size, so
     results shipped back from executor worker processes don't pay to
-    serialise the full macro-op stream.
+    serialise the program's columns.
     """
 
     n_instructions: int
@@ -778,8 +668,7 @@ class ProgramDigest:
 
 class Program:
     """A compiled NeuraChip program: a columnar :class:`ProgramArrays`
-    payload plus its address map; macro-ops materialize lazily, and only
-    on demand.
+    payload plus its address map.
 
     Attributes:
         arrays: columnar payload.
@@ -808,26 +697,10 @@ class Program:
         self.total_partial_products = total_partial_products
         self.source = source
         self.metadata = dict(metadata) if metadata else {}
-        self._mmh_ops: list[MMHMacroOp] | None = None
 
     # ------------------------------------------------------------------
-    # Lazy views over the columnar payload
+    # Views over the columnar payload
     # ------------------------------------------------------------------
-    @property
-    def mmh_ops(self) -> list[MMHMacroOp]:
-        """The MMH macro-op stream in program order (materialized on first
-        access, then cached)."""
-        if self._mmh_ops is None:
-            self._mmh_ops = list(self.arrays.iter_ops())
-        return self._mmh_ops
-
-    def iter_mmh_ops(self) -> Iterator[MMHMacroOp]:
-        """Iterate macro-ops in program order without caching the list —
-        the view the cycle simulator consumes."""
-        if self._mmh_ops is not None:
-            return iter(self._mmh_ops)
-        return self.arrays.iter_ops()
-
     def replay(self) -> CSRMatrix:
         """Numeric output C = A @ B, replayed from the op stream — the
         output of every backend."""
@@ -854,14 +727,12 @@ class Program:
     @property
     def bloat_percent(self) -> float:
         """Equation 1 bloat for this program's workload."""
-        if self.output_nnz == 0:
-            return 0.0
-        return (self.total_partial_products - self.output_nnz) / self.output_nnz * 100.0
+        return self.digest().bloat_percent
 
     @property
     def useful_flops(self) -> int:
         """Useful floating-point operations (multiply + add per partial product)."""
-        return 2 * self.total_partial_products
+        return self.digest().useful_flops
 
     def digest(self) -> ProgramDigest:
         """Count-level summary suitable for cross-process result transfer."""
@@ -876,20 +747,18 @@ class Program:
             source=self.source)
 
     def encode_binary(self) -> bytes:
-        """Serialise the MMH stream to the 128-bit binary format."""
-        blob = bytearray()
-        for op in self.iter_mmh_ops():
-            blob.extend(op.encode().to_bytes(16, "little"))
-        return bytes(blob)
-
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        """Pickle as arrays only: the materialized macro-op cache is
-        dropped (it rebuilds lazily), so disk spills and cross-process
-        shipments stay operand-sized."""
-        state = self.__dict__.copy()
-        state["_mmh_ops"] = None
-        return state
+        """Serialise the MMH stream to the 128-bit binary format, one
+        instruction per op from its address columns."""
+        arrays = self.arrays
+        return b"".join(
+            encode_mmh(MMHInstruction(
+                opcode=arrays.opcode, base_addr=0, a_data_addr=a_data,
+                b_col_ind_addr=b_col_ind, b_data_addr=b_data,
+                roll_counter_addr=roll_counter)).to_bytes(16, "little")
+            for a_data, b_col_ind, b_data, roll_counter in zip(
+                arrays.op_a_addr.tolist(), arrays.op_b_col_addr.tolist(),
+                arrays.op_b_data_addr.tolist(),
+                arrays.op_counter_addr.tolist()))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"Program(source={self.source!r}, shape={self.shape}, "

@@ -97,8 +97,8 @@ def _process_spec_worker(state: dict, spec: WorkloadSpec) -> RunResult:
     configured) is shared through the filesystem."""
     session = Session(**state)
     try:
-        # Slim the result so the reply doesn't serialise the full macro-op
-        # stream; count-level digests keep every report column working.
+        # Slim the result so the reply doesn't serialise the full program;
+        # count-level digests keep every report column working.
         return session.run(spec).slim()
     finally:
         session.close()

@@ -355,7 +355,7 @@ class RunResult:
         (in place; returns self).
 
         Used by the process executor so results crossing a process boundary
-        don't serialise full macro-op streams — every report column still
+        don't serialise full programs — every report column still
         works, but ``program`` becomes a
         :class:`~repro.compiler.program.ProgramDigest`.
         """

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.arch.config import NeuraChipConfig
-from repro.compiler.program import MMHMacroOp, Program
+from repro.compiler.program import Program
 from repro.hashing.mappings import make_seeded_mapping
 from repro.sim.dispatcher import Dispatcher
 from repro.sim.engine import Simulator
@@ -159,6 +159,19 @@ class NeuraChipAccelerator:
         self.mapping = make_seeded_mapping(self.mapping_scheme_name,
                                            config.total_mems, self.mapping_seed)
 
+        # Per-run program state: the op columns the simulation reads, and
+        # the HACC stream's columns, in ``NeuraMem.receive_hacc`` order, as
+        # lists; op ``s`` sends HACCs ``op_start[s]:op_start[s + 1]``.
+        arrays, stream = program.arrays, program.hacc_stream()
+        op_reads = arrays.operand_reads().tolist()
+        op_products = arrays.partial_products_per_op.tolist()
+        self._op_reseed = arrays.op_reseed.tolist()
+        self._op_k = arrays.op_k.tolist()
+        self._op_start = stream.op_start.tolist()
+        self._haccs = (stream.tag.tolist(), stream.value.tolist(),
+                       stream.counter.tolist(), stream.out_row.tolist(),
+                       stream.out_col.tolist(), stream.writeback_addr.tolist())
+
         self.store = SpillStore()
         self.mems = [
             NeuraMem(mem_id=i, position=mem_pos[i], sim=self.sim, params=params,
@@ -175,21 +188,13 @@ class NeuraChipAccelerator:
                       cpi_histogram=self.mmh_cpi, n_pipelines=config.core.pipelines,
                       pipeline_registers=config.core.pipeline_registers,
                       multipliers=config.core.multipliers,
+                      op_reads=op_reads, op_products=op_products,
                       read_fn=self._memory_read,
                       dispatch_haccs_fn=self._dispatch_haccs,
                       on_retire=self._on_mmh_retire)
             for i in range(config.total_cores)
         ]
         self.dispatcher = Dispatcher(self.sim, params, self.cores)
-
-        # Per-run program state: the HACC stream's columns as lists, in
-        # ``NeuraMem.receive_hacc`` order; op ``s`` sends HACCs
-        # ``op_start[s]:op_start[s + 1]``.
-        stream = program.hacc_stream()
-        self._op_start = stream.op_start.tolist()
-        self._haccs = (stream.tag.tolist(), stream.value.tolist(),
-                       stream.counter.tolist(), stream.out_row.tolist(),
-                       stream.out_col.tolist(), stream.writeback_addr.tolist())
         self._haccs_applied = 0
         self._haccs_expected = program.total_partial_products
         self._columns_completed = 0
@@ -205,12 +210,12 @@ class NeuraChipAccelerator:
         self.sim.schedule(half, self.memory.read, addr, nbytes,
                           self.sim.schedule, half, callback, *args)
 
-    def _dispatch_haccs(self, core: NeuraCore, op: MMHMacroOp, first: int,
+    def _dispatch_haccs(self, core: NeuraCore, op: int, first: int,
                         stop: int, on_arrival, *args) -> None:
-        """Send HACCs ``first:stop`` of an MMH over the torus, in order."""
+        """Send HACCs ``first:stop`` of op ``op`` over the torus, in order."""
         tag, _value, _counter, out_row, _out_col, _addr = self._haccs
         hops, now = self._hops[core.core_id], self.sim.now
-        offset = self._op_start[op.sequence]
+        offset = self._op_start[op]
         for hacc in range(offset + first, offset + stop):
             mem_index = self.mapping.map(tag[hacc], group=out_row[hacc])
             mem = self.mems[mem_index]
@@ -225,11 +230,11 @@ class NeuraChipAccelerator:
         mem.receive_hacc(tag[hacc], value[hacc], counter[hacc], out_row[hacc],
                          out_col[hacc], writeback_addr[hacc], dispatch_time)
 
-    def _on_mmh_retire(self, core: NeuraCore, op: MMHMacroOp, latency: float) -> None:
+    def _on_mmh_retire(self, core: NeuraCore, op: int, latency: float) -> None:
         self.dispatcher.notify_slot_free()
-        if op.reseed_after:
+        if self._op_reseed[op]:
             self._columns_completed += 1
-            self.mapping.reseed(op.k)
+            self.mapping.reseed(self._op_k[op])
             if (self.eviction_mode == "barrier"
                     and self._columns_completed % self.params.barrier_interval_columns == 0):
                 for mem in self.mems:
@@ -265,7 +270,7 @@ class NeuraChipAccelerator:
         """
         start_wall = _time.perf_counter()
         self._build(program)
-        self.dispatcher.load(program.iter_mmh_ops())
+        self.dispatcher.load(program.n_instructions)
         self.dispatcher.start()
         self.sim.run(max_events=max_events)
         if not self._finalized:
@@ -279,6 +284,7 @@ class NeuraChipAccelerator:
         # accelerator, a cycle only the cyclic collector would free.
         self.cores, self.mems, self.dispatcher = [], [], None
         self._haccs, self._op_start = (), []
+        self._op_reseed, self._op_k = [], []
         return report
 
     # ------------------------------------------------------------------

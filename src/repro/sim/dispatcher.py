@@ -1,17 +1,17 @@
 """Dispatcher: issues MMH instructions to NeuraCores (Step 1 of Figure 5).
 
 The Dispatcher walks the compiled program in order and pushes MMH
-instructions onto whichever NeuraCore has the most free capacity, issuing up
-to ``dispatch_width`` instructions per cycle.  When every core's instruction
-buffer is full it sleeps until a core retires an instruction.
+instructions — op indices into the program's columns — onto whichever
+NeuraCore has the most free capacity, issuing up to ``dispatch_width``
+instructions per cycle.  When every core's instruction buffer is full it
+sleeps until a core retires an instruction.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.compiler.program import MMHMacroOp
 from repro.sim.engine import Simulator
 from repro.sim.neuracore import NeuraCore
 from repro.sim.params import SimulationParams
@@ -25,31 +25,28 @@ class Dispatcher:
         self.sim = sim
         self.params = params
         self.cores = list(cores)
-        self._ops: list[MMHMacroOp] = []
+        self._n_ops = 0
         self._next_index = 0
         self._issue_scheduled = False
         self._waiting_for_slot = False
         self.instructions_issued = 0
 
     # ------------------------------------------------------------------
-    def load(self, ops: Iterable[MMHMacroOp]) -> None:
-        """Load a program's MMH stream for issue.
-
-        Accepts any iterable (including a columnar program's lazy macro-op
-        view); the stream is materialized here because the cycle simulator
-        re-indexes in-flight instructions by position."""
-        self._ops = list(ops)
+    def load(self, n_ops: int) -> None:
+        """Load a program of ``n_ops`` MMH instructions for issue, in
+        program order."""
+        self._n_ops = n_ops
         self._next_index = 0
         self.instructions_issued = 0
 
     @property
     def done(self) -> bool:
         """True when every instruction has been issued."""
-        return self._next_index >= len(self._ops)
+        return self._next_index >= self._n_ops
 
     @property
     def remaining(self) -> int:
-        return len(self._ops) - self._next_index
+        return self._n_ops - self._next_index
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -71,9 +68,8 @@ class Dispatcher:
             if core is None:
                 self._waiting_for_slot = True
                 return
-            op = self._ops[self._next_index]
+            core.issue(self._next_index)
             self._next_index += 1
-            core.issue(op)
             issued += 1
             self.instructions_issued += 1
         self._schedule_issue(1.0)

@@ -14,9 +14,8 @@ chip records it into the one histogram the accelerator hands it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
-from repro.compiler.program import MMHMacroOp
 from repro.sim.engine import Simulator
 from repro.sim.params import SimulationParams
 from repro.sim.stats import Histogram
@@ -30,7 +29,7 @@ MMH_HIST_BINS = 20
 class _InFlightMMH:
     """Book-keeping for one MMH instruction travelling through a pipeline."""
 
-    op: MMHMacroOp
+    op: int
     pipeline: int
     issue_time: float
     frontend_done: float = 0.0
@@ -40,6 +39,11 @@ class _InFlightMMH:
 
 class NeuraCore:
     """In-order multiplication core with a small number of pipelines.
+
+    An MMH instruction is an op index into the program's columns: op
+    ``s`` fetches the ``(address, nbytes)`` pairs ``op_reads[s]`` (rows of
+    :meth:`~repro.compiler.program.ProgramArrays.operand_reads`) and
+    computes ``op_products[s]`` partial products.
 
     ``pipelines`` holds each pipeline's in-flight MMH count, against
     ``slots_per_pipeline`` register slots; ``in_flight`` and ``capacity``
@@ -52,9 +56,11 @@ class NeuraCore:
     def __init__(self, core_id: int, position: tuple[int, int], sim: Simulator,
                  params: SimulationParams, cpi_histogram: Histogram,
                  n_pipelines: int, pipeline_registers: int, multipliers: int,
+                 op_reads: Sequence[Sequence[Sequence[int]]],
+                 op_products: Sequence[int],
                  read_fn: Callable[..., None],
                  dispatch_haccs_fn: Callable[..., None],
-                 on_retire: Callable[["NeuraCore", MMHMacroOp, float], None]) -> None:
+                 on_retire: Callable[["NeuraCore", int, float], None]) -> None:
         self.core_id = core_id
         self.position = position
         self.sim = sim
@@ -65,6 +71,8 @@ class NeuraCore:
         self.pipelines = [0] * max(1, n_pipelines)
         self.capacity = self.slots_per_pipeline * len(self.pipelines)
         self.in_flight = 0
+        self._op_reads = op_reads
+        self._op_products = op_products
         self._read = read_fn
         self._send = dispatch_haccs_fn
         self._on_retire = on_retire
@@ -80,7 +88,7 @@ class NeuraCore:
         return self.in_flight < self.capacity
 
     # ------------------------------------------------------------------
-    def issue(self, op: MMHMacroOp) -> None:
+    def issue(self, op: int) -> None:
         """Accept an MMH instruction from the Dispatcher (Step 1, Figure 6)."""
         pipeline_index = self._select_pipeline()
         self.pipelines[pipeline_index] += 1
@@ -104,9 +112,9 @@ class NeuraCore:
     def _issue_memory_requests(self, state: _InFlightMMH) -> None:
         """Steps 4-5: generate operand fetches and send them to memory."""
         state.frontend_done = self.sim.now
-        requests = state.op.operand_addresses()
-        state.outstanding_reads = len(requests)
-        for addr, nbytes in requests.values():
+        reads = self._op_reads[state.op]
+        state.outstanding_reads = len(reads)
+        for addr, nbytes in reads:
             self._read(addr, nbytes, self._on_read_response, state)
 
     def _on_read_response(self, state: _InFlightMMH) -> None:
@@ -115,7 +123,7 @@ class NeuraCore:
         if state.outstanding_reads > 0:
             return
         self.stall_cycles += max(0.0, self.sim.now - state.frontend_done)
-        n_products = state.op.n_partial_products
+        n_products = self._op_products[state.op]
         batches = -(-n_products // self.multipliers)
         compute_latency = max(1, batches * self.params.multiply_cycles)
         self.busy_cycles += compute_latency
@@ -126,7 +134,7 @@ class NeuraCore:
         """Step 8: relay HACC instructions to NeuraMem units via the NoC,
         ``hacc_sends_per_cycle`` of them per cycle in index order: one
         burst event per cycle."""
-        n_haccs = state.op.n_partial_products
+        n_haccs = self._op_products[state.op]
         state.outstanding_haccs = n_haccs
         if not n_haccs:
             self._retire(state)

@@ -85,14 +85,12 @@ class LevelTracker:
         self._level = 0
         self._last_time = 0.0
         self._area = 0.0
-        self.peak = 0
 
     def change(self, time: float, delta: int) -> None:
         """Apply a level change at the given time."""
         self._area += self._level * max(0.0, time - self._last_time)
         self._last_time = max(self._last_time, time)
         self._level += delta
-        self.peak = max(self.peak, self._level)
 
     def average(self, end_time: float) -> float:
         """Time-weighted average level over [0, end_time]."""

@@ -1,5 +1,7 @@
 """Unit tests for the NeuraCompiler (program lowering)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from repro.compiler import (
     compile_spgemm_loop,
 )
 from repro.compiler.program import AddressMap, ELEMENT_BYTES
+from repro.core import Session, SpGEMMSpec
+from repro.datasets import load_dataset
 from repro.datasets.features import feature_matrix
 from repro.sparse.convert import coo_to_csc, csr_to_csc
 from repro.sparse.csr import CSRMatrix
@@ -56,10 +60,11 @@ class TestCompileSpGEMM:
         a_csc = tiny_dataset.adjacency_csc()
         a_csr = tiny_dataset.adjacency_csr()
         program = compile_spgemm(a_csc, a_csr, tile_size=2)
+        arrays = program.arrays
         assert program.tile_size == 2
-        assert all(op.opcode is Opcode.MMH2 for op in program.mmh_ops)
-        assert all(len(op.a_rows) <= 2 and len(op.b_cols) <= 2
-                   for op in program.mmh_ops)
+        assert arrays.opcode is Opcode.MMH2
+        assert np.all(arrays.op_a_hi - arrays.op_a_lo <= 2)
+        assert np.all(arrays.op_b_hi - arrays.op_b_lo <= 2)
 
     def test_invalid_tile_size(self, tiny_dataset):
         with pytest.raises(ValueError):
@@ -72,31 +77,55 @@ class TestCompileSpGEMM:
         with pytest.raises(ValueError):
             compile_spgemm(a, b)
 
+    @staticmethod
+    def op_groups(program):
+        """Row group of every op, from its A tile's rows."""
+        arrays = program.arrays
+        return [min(arrays.a_rows[lo:hi].tolist()) // program.tile_size
+                for lo, hi in zip(arrays.op_a_lo.tolist(),
+                                  arrays.op_a_hi.tolist())]
+
     def test_row_groups_are_processed_in_order(self, tiny_program):
         """All MMH ops touching a row group appear before the next group starts."""
-        tile = tiny_program.tile_size
-        last_group = -1
-        for op in tiny_program.mmh_ops:
-            group = min(op.a_rows) // tile
-            assert group >= last_group
-            last_group = group
+        groups = self.op_groups(tiny_program)
+        assert groups == sorted(groups)
 
     def test_reseed_marks_one_boundary_per_row_group(self, tiny_program):
-        n_boundaries = sum(1 for op in tiny_program.mmh_ops if op.reseed_after)
-        assert n_boundaries == tiny_program.metadata["n_row_groups"]
+        groups = self.op_groups(tiny_program)
+        reseed = tiny_program.arrays.op_reseed.tolist()
+        assert reseed == [a != b for a, b in zip(groups, groups[1:] + [None])]
+        assert sum(reseed) == tiny_program.metadata["n_row_groups"]
 
     def test_instruction_encoding_is_decodable(self, tiny_program):
-        for op in tiny_program.mmh_ops[:50]:
-            decoded = decode_mmh(op.encode())
-            assert decoded.opcode is op.opcode
+        arrays = tiny_program.arrays
+        blob = tiny_program.encode_binary()
+        for index in range(50):
+            decoded = decode_mmh(int.from_bytes(
+                blob[16 * index:16 * (index + 1)], "little"))
+            assert decoded.opcode is arrays.opcode
+            assert (decoded.a_data_addr, decoded.b_col_ind_addr,
+                    decoded.b_data_addr, decoded.roll_counter_addr) == (
+                arrays.op_a_addr[index], arrays.op_b_col_addr[index],
+                arrays.op_b_data_addr[index], arrays.op_counter_addr[index])
 
     def test_operand_addresses_within_layout(self, tiny_program):
-        layout = tiny_program.address_map
-        for op in tiny_program.mmh_ops[:100]:
-            addresses = op.operand_addresses()
-            assert addresses["a_data"][0] >= layout.a_data_base
-            assert addresses["b_data"][0] >= layout.b_data_base
-            assert addresses["roll_counter"][0] >= layout.roll_counter_base
+        """Every op's four reads lie inside their operand's region, both
+        bounds, and fetch exactly its tiles and its counters."""
+        arrays = tiny_program.arrays
+        regions = tiny_program.address_map.regions()
+        reads = arrays.operand_reads()
+        assert reads.shape == (tiny_program.n_instructions, 4, 2)
+        for column, name in enumerate(("a_data", "b_col_ind", "b_data",
+                                       "roll_counter")):
+            start, end = regions[name]
+            address, nbytes = reads[:, column, 0], reads[:, column, 1]
+            assert np.all(address >= start), name
+            assert np.all(address + nbytes <= end), name
+        n_a = arrays.op_a_hi - arrays.op_a_lo
+        n_b = arrays.op_b_hi - arrays.op_b_lo
+        np.testing.assert_array_equal(
+            reads[:, :, 1],
+            np.stack([n_a, n_b, n_b, n_a * n_b], axis=1) * ELEMENT_BYTES)
 
     def test_expand_haccs_counters_match_program(self, tiny_program):
         stream = tiny_program.hacc_stream()
@@ -107,11 +136,14 @@ class TestCompileSpGEMM:
                          stream.writeback_addr.tolist()))
         assert len(haccs) == tiny_program.total_partial_products
         for sequence in (0, tiny_program.n_instructions - 1):
-            op = tiny_program.mmh_ops[sequence]
+            a_rows = arrays.a_rows[arrays.op_a_lo[sequence]:
+                                   arrays.op_a_hi[sequence]].tolist()
+            b_cols = arrays.b_cols[arrays.op_b_lo[sequence]:
+                                   arrays.op_b_hi[sequence]].tolist()
             op_haccs = haccs[stream.op_start[sequence]:
                              stream.op_start[sequence + 1]]
             assert [(row, col) for _, _, row, col, _ in op_haccs] == [
-                (i, j) for i in op.a_rows for j in op.b_cols]
+                (i, j) for i in a_rows for j in b_cols]
             for tag, counter, row, col, writeback_addr in op_haccs:
                 lo, hi = arrays.out_indptr[row], arrays.out_indptr[row + 1]
                 slot = lo + int(np.searchsorted(arrays.out_indices[lo:hi], col))
@@ -157,6 +189,33 @@ class TestCompileSpGEMM:
         assert program.n_instructions == 0
         assert program.total_partial_products == 0
         assert program.bloat_percent == 0.0
+
+
+#: sha256 of ``Program.encode_binary()``: wiki-Vote@32 (dataset seed 3)
+#: A @ A compiled for Tile-4, and an empty program.  The columnar and loop
+#: compilers share the encoder, so these pins are its independent check.
+ENCODING_SHA256 = {
+    "wiki-Vote@32":
+        "a925cc41098cec07a7f51b9cf037d2347c9ddb54b1bcfb39a46b4551fbbce3ca",
+    "empty":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+}
+
+
+class TestBinaryEncoding:
+    def test_wiki_vote_encoding_pinned(self):
+        a = load_dataset("wiki-Vote", max_nodes=32, seed=3).adjacency_csr()
+        with Session("Tile-4", backend="analytic") as session:
+            program = session.run(SpGEMMSpec(a=a)).program
+        blob = program.encode_binary()
+        assert len(blob) == 16 * program.n_instructions > 0
+        assert (hashlib.sha256(blob).hexdigest()
+                == ENCODING_SHA256["wiki-Vote@32"])
+
+    def test_empty_encoding_pinned(self):
+        a = CSRMatrix.empty((8, 8))
+        blob = compile_spgemm(csr_to_csc(a), a).encode_binary()
+        assert hashlib.sha256(blob).hexdigest() == ENCODING_SHA256["empty"]
 
 
 class TestCompileGCN:

@@ -1,5 +1,5 @@
 """Columnar compiler pipeline: equivalence with the loop reference,
-lazy materialization, offset-overflow detection, and array serialization."""
+offset-overflow detection, and array serialization."""
 
 import dataclasses
 import pickle
@@ -19,7 +19,7 @@ from repro.compiler.lowering import (
     compile_spgemm,
     compile_spgemm_loop,
 )
-from repro.compiler.program import ELEMENT_BYTES, ProgramArrays
+from repro.compiler.program import ProgramArrays
 from repro.sim.functional import FunctionalAccelerator
 from repro.sim.params import SimulationParams
 from repro.sparse.convert import coo_to_csr, csr_to_csc
@@ -75,10 +75,10 @@ class TestColumnarEquivalence:
     @pytest.mark.parametrize("tile_size", [1, 2, 4, 8])
     @pytest.mark.parametrize("case", CASES, ids=[str(i) for i in range(len(CASES))])
     def test_macro_op_streams_identical(self, case, tile_size):
+        """Every column of the op stream — operand slices and values,
+        addresses, inner index, reseed flags — matches field by field."""
         _a, _b, loop, columnar = compiled_pair(case, tile_size)
-        assert len(columnar.mmh_ops) == len(loop.mmh_ops)
-        for materialized, reference in zip(columnar.mmh_ops, loop.mmh_ops):
-            assert materialized == reference
+        assert_programs_identical(columnar, loop)
 
     @pytest.mark.parametrize("tile_size", [1, 2, 4, 8])
     def test_counter_and_address_views_identical(self, tile_size):
@@ -144,7 +144,7 @@ class TestColumnarEquivalence:
         assert program.n_instructions == 0
         assert program.total_partial_products == 0
         assert program.metadata["n_row_groups"] == 0
-        assert list(program.iter_mmh_ops()) == []
+        assert program.arrays.operand_reads().shape == (0, 4, 2)
         assert program.encode_binary() == b""
 
 
@@ -283,19 +283,7 @@ class TestRollingCountersFromOpStream:
         assert program.total_partial_products > 0
 
 
-class TestLazyMaterialization:
-    def test_analytic_backend_never_materializes_macro_ops(self):
-        a = random_csr(40, 40, 0.1, seed=7)
-        program = compile_spgemm(csr_to_csc(a), a, tile_size=4)
-        backend = get_backend("analytic")
-        ctx = ExecutionContext(config=TILE4, params=SimulationParams(),
-                               mapping_scheme=TILE4.mapping_scheme)
-        result = backend.execute(program, ctx, a_csr=a, b_csr=a, verify=False)
-        assert result.report.cycles > 0
-        assert program._mmh_ops is None, \
-            "analytic backend materialized the macro-op stream"
-        assert result.report.counters["analytic.counter_max"] >= 1
-
+class TestProgramPayload:
     def test_program_rejects_partial_legacy_payload(self):
         from repro.compiler.program import Program
 
@@ -304,38 +292,21 @@ class TestLazyMaterialization:
         with pytest.raises(TypeError, match="arrays"):
             Program()
 
-    def test_iter_does_not_cache(self):
-        a = random_csr(12, 12, 0.2, seed=8)
-        program = compile_spgemm(csr_to_csc(a), a)
-        ops = list(program.iter_mmh_ops())
-        assert ops
-        assert program._mmh_ops is None
-        # The cached accessor materializes once and yields the same stream.
-        assert program.mmh_ops == ops
-        assert program._mmh_ops is not None
-
-    def test_pickle_roundtrip_drops_caches_and_shrinks(self, reference_result):
+    def test_pickle_roundtrip_is_the_arrays(self, reference_result):
         a = random_csr(200, 200, 0.05, seed=11)
         a_csc = csr_to_csc(a)
         columnar = compile_spgemm(a_csc, a)
         loop = compile_spgemm_loop(a_csc, a)
-        _ = columnar.mmh_ops  # populate the cache; pickling must drop it
+        columnar.replay()  # build the derived caches; pickling drops them
         payload = pickle.dumps(columnar, protocol=pickle.HIGHEST_PROTOCOL)
-        # The materialized form: macro-ops plus per-output counter and
-        # write-back address dicts.
         arrays = columnar.arrays
-        keys = list(zip(np.repeat(np.arange(arrays.shape[0]),
-                                  np.diff(arrays.out_indptr)).tolist(),
-                        arrays.out_indices.tolist()))
-        addrs = (columnar.address_map.output_base
-                 + np.arange(len(keys)) * ELEMENT_BYTES).tolist()
-        materialized = pickle.dumps(
-            (columnar.mmh_ops, dict(zip(keys, arrays.out_counts.tolist())),
-             dict(zip(keys, addrs))), protocol=pickle.HIGHEST_PROTOCOL)
-        assert len(payload) < len(materialized) / 2, \
-            "columnar pickle should be several times smaller than macro-ops"
+        array_bytes = sum(getattr(arrays, spec.name).nbytes
+                          for spec in dataclasses.fields(ProgramArrays)
+                          if isinstance(getattr(arrays, spec.name), np.ndarray))
+        assert len(payload) < array_bytes + 4096, \
+            "a pickled program should be its columns and little else"
         restored = pickle.loads(payload)
-        assert restored._mmh_ops is None
+        assert "_derived_cache" not in restored.arrays.__dict__
         assert restored.n_instructions == columnar.n_instructions
         assert restored.encode_binary() == loop.encode_binary()
         np.testing.assert_array_equal(reference_result(restored),

@@ -4,8 +4,6 @@ import random
 
 import pytest
 
-from repro.arch.isa import MMHInstruction, Opcode
-from repro.compiler.program import MMHMacroOp
 from repro.sim.dispatcher import Dispatcher
 from repro.sim.engine import Simulator
 from repro.sim.neuracore import MMH_HIST_BIN_WIDTH, MMH_HIST_BINS, NeuraCore
@@ -13,18 +11,10 @@ from repro.sim.params import SimulationParams
 from repro.sim.stats import Histogram
 
 
-def make_mmh(sequence=0, k=0, n_a=2, n_b=2, reseed=False):
-    instr = MMHInstruction(Opcode.MMH4, 0, 0, 0, 0, 0)
-    return MMHMacroOp(opcode=Opcode.MMH4, k=k,
-                      a_rows=tuple(range(n_a)),
-                      a_values=tuple(1.0 for _ in range(n_a)),
-                      b_cols=tuple(range(n_b)),
-                      b_values=tuple(2.0 for _ in range(n_b)),
-                      instruction=instr, reseed_after=reseed, sequence=sequence)
-
-
 class _Harness:
-    """Minimal environment standing in for memory, NoC and NeuraMems."""
+    """Minimal environment standing in for memory, NoC and NeuraMems, and
+    the program's op table: op ``s`` reads ``op_reads[s]`` and computes
+    ``op_products[s]`` partial products."""
 
     def __init__(self, read_latency=10.0, hacc_latency=3.0):
         self.sim = Simulator()
@@ -36,6 +26,16 @@ class _Harness:
         self.haccs = []
         self.bursts = []
         self.retired = []
+        self.op_reads = []
+        self.op_products = []
+
+    def add_op(self, n_a=2, n_b=2):
+        """Append an op with ``n_a`` A and ``n_b`` B tile elements; its
+        index."""
+        self.op_reads.append([[0, 4 * n_a], [0, 4 * n_b], [0, 4 * n_b],
+                              [0, 4 * n_a * n_b]])
+        self.op_products.append(n_a * n_b)
+        return len(self.op_products) - 1
 
     def read(self, addr, nbytes, callback, *args):
         self.reads.append((addr, nbytes))
@@ -44,17 +44,18 @@ class _Harness:
     def dispatch_haccs(self, core, op, first, stop, on_arrival, *args):
         self.bursts.append((self.sim.now, first, stop))
         for index in range(first, stop):
-            self.haccs.append((core.core_id, op.sequence, index))
+            self.haccs.append((core.core_id, op, index))
             self.sim.schedule(self.hacc_latency, on_arrival, *args)
 
     def on_retire(self, core, op, latency):
-        self.retired.append((op.sequence, latency))
+        self.retired.append((op, latency))
 
     def make_core(self, core_id=0, pipelines=2, registers=4, multipliers=2):
         return NeuraCore(core_id=core_id, position=(0, 0), sim=self.sim,
                          params=self.params, cpi_histogram=self.mmh_cpi,
                          n_pipelines=pipelines, pipeline_registers=registers,
-                         multipliers=multipliers, read_fn=self.read,
+                         multipliers=multipliers, op_reads=self.op_reads,
+                         op_products=self.op_products, read_fn=self.read,
                          dispatch_haccs_fn=self.dispatch_haccs,
                          on_retire=self.on_retire)
 
@@ -63,14 +64,14 @@ class TestNeuraCore:
     def test_mmh_issues_four_memory_requests(self):
         env = _Harness()
         core = env.make_core()
-        core.issue(make_mmh())
+        core.issue(env.add_op(n_a=3, n_b=4))
         env.sim.run()
-        assert len(env.reads) == 4
+        assert env.reads == [(0, 12), (0, 16), (0, 16), (0, 48)]
 
     def test_mmh_dispatches_one_hacc_per_partial_product(self):
         env = _Harness()
         core = env.make_core()
-        core.issue(make_mmh(n_a=3, n_b=4))
+        core.issue(env.add_op(n_a=3, n_b=4))
         env.sim.run()
         assert len(env.haccs) == 12
         assert core.haccs_dispatched == 12
@@ -78,7 +79,7 @@ class TestNeuraCore:
     def test_retire_happens_after_all_haccs_arrive(self):
         env = _Harness(hacc_latency=50.0)
         core = env.make_core()
-        core.issue(make_mmh())
+        core.issue(env.add_op())
         env.sim.run()
         assert len(env.retired) == 1
         assert env.retired[0][1] >= 50.0
@@ -88,12 +89,12 @@ class TestNeuraCore:
     def test_latency_includes_memory_wait(self):
         fast = _Harness(read_latency=1.0)
         fast_core = fast.make_core()
-        fast_core.issue(make_mmh())
+        fast_core.issue(fast.add_op())
         fast.sim.run()
 
         slow = _Harness(read_latency=200.0)
         slow_core = slow.make_core()
-        slow_core.issue(make_mmh())
+        slow_core.issue(slow.add_op())
         slow.sim.run()
         assert slow.retired[0][1] > fast.retired[0][1] + 150
         assert slow_core.stall_cycles > fast_core.stall_cycles
@@ -101,19 +102,19 @@ class TestNeuraCore:
     def test_capacity_is_pipelines_times_register_slots(self):
         env = _Harness()
         core = env.make_core(pipelines=2, registers=4)  # 2 slots per pipeline
-        for i in range(4):
+        for _ in range(4):
             assert core.can_accept()
-            core.issue(make_mmh(sequence=i))
+            core.issue(env.add_op())
         assert not core.can_accept()
         with pytest.raises(RuntimeError):
-            core.issue(make_mmh(sequence=99))
+            core.issue(env.add_op())
         env.sim.run()
         assert core.can_accept()
 
     def test_empty_mmh_retires_without_haccs(self):
         env = _Harness()
         core = env.make_core()
-        core.issue(make_mmh(n_a=0, n_b=0))
+        core.issue(env.add_op(n_a=0, n_b=0))
         env.sim.run()
         assert env.haccs == []
         assert len(env.retired) == 1
@@ -121,7 +122,7 @@ class TestNeuraCore:
     def test_cpi_histogram_populated(self):
         env = _Harness()
         core = env.make_core()
-        core.issue(make_mmh())
+        core.issue(env.add_op())
         env.sim.run()
         assert env.mmh_cpi.total_observations == 1
 
@@ -129,7 +130,7 @@ class TestNeuraCore:
         env = _Harness()
         env.params = env.params.scaled(hacc_sends_per_cycle=4)
         core = env.make_core()
-        core.issue(make_mmh(n_a=2, n_b=5))
+        core.issue(env.add_op(n_a=2, n_b=5))
         env.sim.run()
         start = env.bursts[0][0]
         sent = [(now - start, index) for now, first, stop in env.bursts
@@ -151,8 +152,8 @@ class TestNeuraCore:
         issued = 0
         for _ in range(300):
             if core.can_accept() and rng.random() < 0.6:
-                core.issue(make_mmh(sequence=issued, n_a=rng.randint(0, 3),
-                                    n_b=rng.randint(0, 3)))
+                core.issue(env.add_op(n_a=rng.randint(0, 3),
+                                      n_b=rng.randint(0, 3)))
                 issued += 1
             else:
                 env.sim.run(max_events=rng.randint(1, 6))
@@ -173,7 +174,9 @@ class TestDispatcher:
         for core in cores:
             core._on_retire = lambda c, op, lat, d=dispatcher: (
                 env.on_retire(c, op, lat), d.notify_slot_free())
-        dispatcher.load([make_mmh(sequence=i) for i in range(n_ops)])
+        for _ in range(n_ops):
+            env.add_op()
+        dispatcher.load(n_ops)
         dispatcher.start()
         env.sim.run()
         return env, cores, dispatcher
@@ -184,6 +187,7 @@ class TestDispatcher:
         assert dispatcher.done
         assert sum(c.instructions_retired for c in cores) == 12
         assert len(env.retired) == 12
+        assert sorted(op for op, _latency in env.retired) == list(range(12))
 
     def test_work_is_spread_across_cores(self):
         _env, cores, _dispatcher = self._run(n_ops=16, n_cores=4)
@@ -200,7 +204,7 @@ class TestDispatcher:
         env = _Harness()
         core = env.make_core()
         dispatcher = Dispatcher(env.sim, env.params, [core])
-        dispatcher.load([])
+        dispatcher.load(0)
         dispatcher.start()
         env.sim.run()
         assert dispatcher.done

@@ -2,11 +2,8 @@
 through the cycle simulator's clock: engine timing, write-backs, the
 Figure 15 latency histogram, and the pad state they leave."""
 
-import dataclasses
-
 import pytest
 
-from repro.compiler.program import HACCMacroOp
 from repro.sim.engine import Simulator
 from repro.sim.hashpad import HashPad, SpillStore
 from repro.sim.neuramem import HACC_HIST_BIN_WIDTH, HACC_HIST_BINS, NeuraMem
@@ -20,9 +17,7 @@ def hacc_histogram():
 
 def make_hacc(tag, value, counter, row=0, col=0, addr=0):
     """A HACC's fields in ``NeuraMem.receive_hacc`` order."""
-    return dataclasses.astuple(HACCMacroOp(tag=tag, value=value,
-                                           counter=counter, out_row=row,
-                                           out_col=col, writeback_addr=addr))
+    return tag, value, counter, row, col, addr
 
 
 def make_mem(sim, hashlines=64, hash_engines=2, eviction_mode="rolling",

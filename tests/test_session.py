@@ -286,7 +286,7 @@ class TestMapAndSubmit:
             assert want.metrics["cycles"] == got.metrics["cycles"]
             assert want.metrics["output_nnz"] == got.metrics["output_nnz"]
             assert np.allclose(want.output.to_dense(), got.output.to_dense())
-        # Cross-process results carry count digests, not macro-op streams.
+        # Cross-process results carry count digests, not full programs.
         assert observed[0].program.n_instructions == \
             expected[0].program.n_instructions
 

@@ -143,12 +143,11 @@ class TestLevelTracker:
         tracker.change(5.0, 2)   # level 4 for the second half
         assert tracker.average(10.0) == pytest.approx(3.0)
 
-    def test_peak(self):
+    def test_current_level(self):
         tracker = LevelTracker()
         tracker.change(0.0, 3)
         tracker.change(1.0, 5)
         tracker.change(2.0, -6)
-        assert tracker.peak == 8
         assert tracker.current == 2
 
     def test_zero_duration(self):

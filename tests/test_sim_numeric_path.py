@@ -4,11 +4,11 @@ across the cycle, functional and analytic backends."""
 
 import dataclasses
 import hashlib
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from repro.compiler.program import HACCMacroOp
 from repro.core import Session, SpGEMMSpec
 from repro.datasets import load_dataset
 from repro.sim.accelerator import NeuraChipAccelerator
@@ -184,6 +184,17 @@ def simulate(program):
     return NeuraChipAccelerator(config).run(program, verify=True)
 
 
+class HACC(NamedTuple):
+    """A HACC's fields in ``NeuraMem._apply`` order."""
+
+    tag: int
+    value: float
+    counter: int
+    out_row: int
+    out_col: int
+    writeback_addr: int
+
+
 def fault_on_first_tag(monkeypatch, program, rewrite):
     """Rewrite the first HACC the NeuraMems apply for the program's first
     tag through ``rewrite``; the rest of the run is left alone."""
@@ -192,11 +203,11 @@ def fault_on_first_tag(monkeypatch, program, rewrite):
     pending = [True]
 
     def faulty(self, *fields):
-        hacc, dispatch_time = HACCMacroOp(*fields[:-1]), fields[-1]
+        hacc, dispatch_time = HACC(*fields[:-1]), fields[-1]
         if pending and hacc.tag == target:
             pending.clear()
             hacc = rewrite(hacc)
-        original(self, *dataclasses.astuple(hacc), dispatch_time)
+        original(self, *hacc, dispatch_time)
 
     monkeypatch.setattr(NeuraMem, "_apply", faulty)
 
@@ -212,8 +223,7 @@ class TestVerifyCatchesFaults:
                                              factor):
         value = float(program.hacc_stream().value[0])
         fault_on_first_tag(monkeypatch, program, lambda hacc:
-                           dataclasses.replace(hacc,
-                                               value=hacc.value * factor))
+                           hacc._replace(value=hacc.value * factor))
         report = simulate(program)
         assert report.correct is False
         assert report.max_abs_error == pytest.approx(abs(value))
@@ -226,7 +236,7 @@ class TestVerifyCatchesFaults:
                                        arrays.out_indptr[row + 1]].tolist())
         stray = min(set(range(program.shape[1])) - taken)
         fault_on_first_tag(monkeypatch, program, lambda hacc:
-                           dataclasses.replace(hacc, out_col=stray))
+                           hacc._replace(out_col=stray))
         report = simulate(program)
         assert report.correct is False
         assert report.max_abs_error > 0.0
