@@ -47,6 +47,7 @@ from repro.core.specs import (
     SweepSpec,
 )
 from repro.datasets.suite import GNN_SUITE, TABLE1_SUITE, load_dataset
+from repro.hashing import MAPPING_SCHEMES
 from repro.sparse.bloat import bloat_report
 from repro.viz.export import format_table, save_csv
 
@@ -486,8 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--tile-size", type=int, default=None)
     p_run.add_argument("--eviction", choices=("rolling", "barrier"),
                        default="rolling")
-    p_run.add_argument("--mapping", choices=("ring", "modular", "random", "drhm"),
-                       default=None)
+    p_run.add_argument("--mapping", choices=MAPPING_SCHEMES, default=None)
     p_run.add_argument("--no-verify", action="store_true")
     p_run.add_argument("--shards", type=int, default=1,
                        help="split the SpGEMM into this many row-group "

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.hashing.mappings import MappingScheme, make_mapping
+from repro.hashing.mappings import drhm_gamma, map_tags
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.csr import CSRMatrix
 
@@ -69,100 +69,51 @@ def summarize_counts(scheme_name: str, counts: np.ndarray) -> LoadBalanceReport:
                              coefficient_of_variation=cv, gini=_gini(counts))
 
 
-def accumulation_tags(a_csc: CSCMatrix, b_csr: CSRMatrix,
-                      reseed_per_column: bool = True):
-    """Yield (column index, TAG) pairs for every partial product of A @ B.
-
-    The TAG identifies the output element (row * n_cols + col), exactly the
-    identifier NeuraMem hashes.  ``reseed_per_column`` marks the points where
-    DRHM would reseed (after each input row/column of computation).
-    """
-    n_out_cols = b_csr.shape[1]
-    for k in range(a_csc.shape[1]):
-        a_rows, _ = a_csc.col(k)
-        if a_rows.size == 0:
-            continue
-        b_cols, _ = b_csr.row(k)
-        if b_cols.size == 0:
-            continue
-        for i in a_rows.tolist():
-            for j in b_cols.tolist():
-                yield k, (i * n_out_cols + j) & 0xFFFFFFFF
-        if reseed_per_column:
-            yield k, None  # sentinel: reseed point
-
-
-def load_balance_report(scheme: MappingScheme | str, a_csc: CSCMatrix,
-                        b_csr: CSRMatrix, n_resources: int | None = None,
-                        **scheme_kwargs) -> LoadBalanceReport:
-    """Distribute the accumulation tasks of A @ B and measure the balance.
-
-    Args:
-        scheme: a mapping scheme instance or a scheme name.
-        a_csc: left operand in CSC.
-        b_csr: right operand in CSR.
-        n_resources: number of NeuraMem units (required when ``scheme`` is a
-            name).
-        **scheme_kwargs: forwarded to :func:`make_mapping` when constructing
-            a scheme by name.
-
-    Returns:
-        A :class:`LoadBalanceReport` over the accumulation units.
-    """
-    if isinstance(scheme, str):
-        if n_resources is None:
-            raise ValueError("n_resources is required when scheme is a name")
-        scheme = make_mapping(scheme, n_resources, **scheme_kwargs)
-    counts = np.zeros(scheme.n_resources, dtype=np.int64)
-    for k, tag in accumulation_tags(a_csc, b_csr):
-        if tag is None:
-            scheme.reseed(k)
-            continue
-        counts[scheme.map(tag)] += 1
-    return summarize_counts(scheme.name, counts)
-
-
-def mapping_heatmap(scheme: MappingScheme | str, a_csc: CSCMatrix,
-                    b_csr: CSRMatrix, n_cores: int, n_mems: int | None = None,
-                    **scheme_kwargs) -> np.ndarray:
+def mapping_heatmap(scheme: str, a_csc: CSCMatrix, b_csr: CSRMatrix,
+                    n_cores: int, n_mems: int | None = None) -> np.ndarray:
     """Compute the (NeuraCore x NeuraMem) heat map of Figures 12 / 13.
 
-    Multiplications are assigned to NeuraCores by the column index of A being
-    processed (the dispatcher's task distribution); accumulations are assigned
-    to NeuraMems by the mapping scheme applied to the output TAG.  The entry
-    ``heatmap[core, mem]`` counts partial products generated on ``core`` and
-    accumulated on ``mem``.
+    Every partial product ``A[i, k] * B[k, j]`` of A @ B is one
+    accumulation task with TAG ``i * n_cols + j``, in Gustavson order (A
+    column ``k``, then A's rows, then B's columns).  Multiplications are
+    assigned to NeuraCore ``k mod n_cores`` (the dispatcher's task
+    distribution); accumulations to a NeuraMem by :func:`map_tags` on the
+    TAG column, with seed 0.  DRHM reseeds after each A column: the first
+    non-empty column uses ``drhm_gamma(0)``, and each later one
+    ``drhm_gamma((k_prev + 1) * 2_246_822_519 mod 2^32)`` of the non-empty
+    column ``k_prev`` before it.  ``heatmap[core, mem]`` counts partial
+    products generated on ``core`` and accumulated on ``mem``.
 
     Args:
-        scheme: accumulation mapping scheme (instance or name).
+        scheme: accumulation mapping scheme name.
         a_csc: left operand in CSC.
         b_csr: right operand in CSR.
         n_cores: number of NeuraCore units (heat map rows).
         n_mems: number of NeuraMem units (heat map columns; defaults to
             ``n_cores``).
-        **scheme_kwargs: forwarded to :func:`make_mapping`.
 
     Returns:
         int64 array of shape (n_cores, n_mems).
     """
     n_mems = n_mems or n_cores
-    if isinstance(scheme, str):
-        scheme = make_mapping(scheme, n_mems, **scheme_kwargs)
-    elif scheme.n_resources != n_mems:
-        raise ValueError("scheme resource count must equal n_mems")
-    heatmap = np.zeros((n_cores, n_mems), dtype=np.int64)
-    for k, tag in accumulation_tags(a_csc, b_csr):
-        if tag is None:
-            scheme.reseed(k)
-            continue
-        core = k % n_cores
-        heatmap[core, scheme.map(tag)] += 1
-    return heatmap
-
-
-def compare_schemes(a_csc: CSCMatrix, b_csr: CSRMatrix, n_resources: int,
-                    schemes: tuple[str, ...] = ("ring", "modular", "random", "drhm"),
-                    ) -> dict[str, LoadBalanceReport]:
-    """Run every mapping scheme on the same workload (Figure 13 comparison)."""
-    return {name: load_balance_report(name, a_csc, b_csr, n_resources)
-            for name in schemes}
+    a_counts = np.diff(a_csc.indptr)
+    b_counts = np.diff(b_csr.indptr)
+    products = a_counts * b_counts
+    column = np.repeat(np.arange(products.size), products)
+    # Offset of each partial product within its column's a x b block.
+    offset = np.arange(column.size) - (np.cumsum(products) - products)[column]
+    width = b_counts[column]
+    rows = a_csc.indices[a_csc.indptr[column] + offset // width]
+    cols = b_csr.indices[b_csr.indptr[column] + offset % width]
+    tags = rows * b_csr.shape[1] + cols
+    gamma: np.ndarray | None = None
+    if scheme == "drhm":
+        busy = np.flatnonzero(products)
+        column_gamma = np.zeros(products.size, dtype=np.uint64)
+        seeds = [0] + [(k + 1) * 2_246_822_519 % (1 << 32)
+                       for k in busy.tolist()]
+        column_gamma[busy] = [drhm_gamma(s) for s in seeds[:busy.size]]
+        gamma = column_gamma[column]
+    mems = map_tags(scheme, tags, n_mems, gamma=gamma)
+    return np.bincount((column % n_cores) * n_mems + mems,
+                       minlength=n_cores * n_mems).reshape(n_cores, n_mems)

@@ -1,228 +1,122 @@
-"""Compute-mapping schemes: ring, prime-modular, random lookup, and DRHM.
+"""Compute mapping: ring, prime-modular, random lookup, and DRHM.
 
-A mapping scheme assigns a 32-bit TAG (the identifier of an output element or
-an input row) to one of ``n_resources`` compute/memory units.  Section 2.4 of
-the paper lists the three requirements — consistency, low overhead, and
-sparsity agnosticism — and Section 3.5 introduces the Dynamically Reseeding
-Hash-based Mapping (DRHM) whose lower-bit variant (Equation 3) NeuraChip uses.
+A mapping scheme assigns a 32-bit TAG (the identifier of an output element)
+to one of ``n_mems`` NeuraMem units.  Section 2.4 of the paper lists the
+three requirements — consistency, low overhead, and sparsity agnosticism —
+and Section 3.5 introduces the Dynamically Reseeding Hash-based Mapping
+(DRHM) whose lower-bit variant (Equation 3) NeuraChip uses.
+
+:func:`map_tags` maps a whole TAG column in one numpy pass;
+:func:`map_haccs` is the column both simulators run, with DRHM's gamma
+drawn once per output row.
 """
 
 from __future__ import annotations
 
-import abc
-
 import numpy as np
 
-TAG_BITS = 32
-TAG_MASK = (1 << TAG_BITS) - 1
+#: Every mapping scheme name, in the order the paper compares them.
+MAPPING_SCHEMES = ("ring", "modular", "random", "drhm")
 
-# A fixed prime used by the modular scheme, as in prime-modular hashing
-# literature referenced by the paper.
-_DEFAULT_PRIME = 2_654_435_761  # Knuth's multiplicative hashing constant.
+TAG_MASK = (1 << 32) - 1
+
+# Knuth's multiplicative hashing constant: the prime-modular scheme's
+# multiplier, and the row factor of DRHM's per-row seed.
+_PRIME = 2_654_435_761
+
+#: DRHM keeps the lower ``32 - _DRHM_K`` TAG bits (Equation 3).
+_DRHM_K = 16
 
 
-class MappingScheme(abc.ABC):
-    """Base class for TAG -> resource mapping schemes.
+def drhm_gamma(seed: int) -> int:
+    """The first DRHM seed gamma drawn from ``default_rng(seed)``.  Gamma
+    is odd, so that even products do not collapse onto a few buckets when
+    the NeuraMem count is a power of two."""
+    return int(np.random.default_rng(seed).integers(1, 1 << 30)) | 1
 
-    A scheme is *consistent* when, between reseed events, the same TAG always
-    maps to the same resource.  Schemes are cheap objects; one is instantiated
-    per simulation run.
+
+def row_gammas(rows: np.ndarray, seed: int = 0) -> np.ndarray:
+    """DRHM's per-output-row gamma for each entry of ``rows``.
+
+    Every output row gets its own gamma, one entry of the compact seed
+    table, so every task of that row stays on one NeuraMem — the
+    accumulate-by-TAG dataflow needs that — however the rows interleave.
     """
-
-    name = "abstract"
-
-    def __init__(self, n_resources: int) -> None:
-        if n_resources <= 0:
-            raise ValueError("n_resources must be positive")
-        self.n_resources = int(n_resources)
-
-    @abc.abstractmethod
-    def map(self, tag: int, group: int | None = None) -> int:
-        """Map a TAG to a resource index in ``[0, n_resources)``.
-
-        Args:
-            tag: 32-bit identifier of the task (output element or row).
-            group: optional consistency group (the output row the tag belongs
-                to).  Schemes that reseed over time (DRHM) use the group to
-                keep every task of the same output row on the same resource,
-                which the accumulate-by-TAG dataflow requires.  Static schemes
-                ignore it.
-        """
-
-    def reseed(self, row_index: int | None = None) -> None:
-        """Notify the scheme that a row of computation finished.
-
-        Only DRHM reacts to this; the other schemes are static.  The optional
-        ``row_index`` lets deterministic tests reproduce the reseed sequence.
-        """
-
-    def lookup_table_bytes(self) -> int:
-        """Memory footprint of any lookup state the scheme must keep."""
-        return 0
+    distinct, inverse = np.unique(np.asarray(rows, dtype=np.int64),
+                                  return_inverse=True)
+    seed_mix = seed * 40_503 + 1
+    gammas = np.array([drhm_gamma((row * _PRIME + seed_mix) & TAG_MASK)
+                       for row in distinct.tolist()], dtype=np.uint64)
+    return gammas[inverse]
 
 
-class RingHashMapping(MappingScheme):
-    """Round-robin / ring mapping: ``resource = TAG mod N``.
+def map_tags(scheme: str, tags: np.ndarray, n_mems: int, seed: int = 0,
+             gamma: np.ndarray | int | None = None) -> np.ndarray:
+    """Map a TAG column to NeuraMem indices in ``[0, n_mems)``, in one pass.
 
-    Cheap and consistent, but strided TAG sequences (common in banded mesh
-    matrices) repeatedly hit the same subset of resources, producing the hot
-    spots of Figure 12(a).
+    * ``ring``: ``TAG mod N``.  Cheap and consistent, but strided TAGs
+      (banded meshes, dense rows) keep hitting the same NeuraMems — the
+      hot spots of Figure 12(a).
+    * ``modular``: ``(TAG * p mod 2^61) mod N`` with Knuth's prime ``p``.
+    * ``random``: an ideal lookup table, ``default_rng(seed)`` drawing one
+      entry per distinct TAG in first-sight order.  Sparsity agnostic, but
+      its table costs 8 B per distinct TAG (:func:`lookup_table_bytes`).
+    * ``drhm``: Equation 3 of the paper,
+      ``H_l(TAG, gamma) = ((TAG << k) >> k) * gamma mod N`` with k = 16
+      and 32-bit shifts.  The "mod N" applies to the xor-folded 32-bit
+      product (``p = masked * gamma mod 2^32; p ^= p >> 16``): a plain
+      modulo keeps any common factor of the TAG stride and a power-of-two
+      N, so no gamma could break strided hot spots.  ``gamma`` is one
+      value or one per TAG.  NeuraSim and the functional model reseed per
+      output row (:func:`row_gammas`, via :func:`map_haccs`); the Figure
+      12/13 heat maps reseed after each A column
+      (:func:`repro.hashing.balance.mapping_heatmap`).  Without ``gamma``
+      the scheme uses ``drhm_gamma(seed)``.
+
+    Raises:
+        ValueError: for an unknown scheme or a non-positive ``n_mems``.
     """
-
-    name = "ring"
-
-    def map(self, tag: int, group: int | None = None) -> int:
-        return (tag & TAG_MASK) % self.n_resources
-
-
-class ModularHashMapping(MappingScheme):
-    """Prime-number modular hashing: ``resource = (TAG * p) mod N``."""
-
-    name = "modular"
-
-    def __init__(self, n_resources: int, prime: int = _DEFAULT_PRIME) -> None:
-        super().__init__(n_resources)
-        if prime <= 1:
-            raise ValueError("prime must be > 1")
-        self.prime = int(prime)
-
-    def map(self, tag: int, group: int | None = None) -> int:
-        return ((tag & TAG_MASK) * self.prime % (1 << 61)) % self.n_resources
-
-
-class RandomLookupMapping(MappingScheme):
-    """Ideal random mapping backed by an explicit lookup table.
-
-    Sparsity agnostic by construction but requires one table entry per
-    distinct TAG, which is the memory cost the paper deems impractical in
-    hardware.  The table grows lazily as TAGs are first seen.
-    """
-
-    name = "random"
-
-    def __init__(self, n_resources: int, seed: int = 0) -> None:
-        super().__init__(n_resources)
-        self._rng = np.random.default_rng(seed)
-        self._table: dict[int, int] = {}
-
-    def map(self, tag: int, group: int | None = None) -> int:
-        tag &= TAG_MASK
-        if tag not in self._table:
-            self._table[tag] = int(self._rng.integers(0, self.n_resources))
-        return self._table[tag]
-
-    def lookup_table_bytes(self) -> int:
-        # One 32-bit TAG key plus one resource index per entry.
-        return len(self._table) * 8
-
-
-class DynamicReseedHashMapping(MappingScheme):
-    """Dynamically Reseeding Hash-based Mapping (DRHM, Section 3.5).
-
-    Implements Equations 3 and 4 of the paper::
-
-        H_l(TAG, gamma) = ((TAG << k) >> k) * gamma  mod N     (lower k bits)
-        H_h(TAG, gamma) = ((TAG >> k) << k) * gamma  mod N     (upper k bits)
-
-    with 32-bit shift semantics (bits shifted out are discarded).  After each
-    row of the input matrix is processed, :meth:`reseed` draws a fresh random
-    seed gamma, which is recorded in a compact per-row seed table so the
-    mapping stays consistent (replayable) for that row.
-
-    Implementation note: the final "mod N" of Equations 3/4 is applied to an
-    xor-folded 32-bit product (``p = masked * gamma mod 2^32; p ^= p >> 16``)
-    rather than to the raw product.  A direct modulo of the raw product
-    preserves any common factor between the TAG stride and N (all the
-    power-of-two resource counts of Table 3), so no choice of gamma could
-    break strided hot spots; folding the high half into the low half makes the
-    bucket gamma-sensitive while still spreading consecutive TAGs, which is
-    the sparsity-agnostic behaviour the paper attributes to DRHM.
-    """
-
-    name = "drhm"
-
-    def __init__(self, n_resources: int, k: int = 16, seed: int = 0,
-                 use_lower_bits: bool = True) -> None:
-        super().__init__(n_resources)
-        if not 0 <= k < TAG_BITS:
-            raise ValueError("k must be in [0, 32)")
-        self.k = int(k)
-        self.use_lower_bits = bool(use_lower_bits)
-        self._rng = np.random.default_rng(seed)
-        self._seed_table: list[int] = []
-        self._group_gammas: dict[int, int] = {}
-        self._base_seed = int(seed)
-        self.gamma = self._draw_gamma()
-
-    def _draw_gamma(self) -> int:
-        # Odd gamma avoids degenerate all-even products collapsing onto a few
-        # buckets when N is a power of two.
-        gamma = int(self._rng.integers(1, 1 << 30)) | 1
-        self._seed_table.append(gamma)
-        return gamma
-
-    def _gamma_for_group(self, group: int) -> int:
-        """Per-group seed: each output row gets its own gamma, stored in the
-        compact seed lookup table, so the mapping stays consistent for every
-        task of that row (the reseed-after-each-row behaviour of the paper)."""
-        gamma = self._group_gammas.get(group)
+    if scheme not in MAPPING_SCHEMES:
+        raise ValueError(f"unknown mapping scheme {scheme!r}; "
+                         f"choose from {sorted(MAPPING_SCHEMES)}")
+    if n_mems <= 0:
+        raise ValueError("n_mems must be positive")
+    tags = np.asarray(tags, dtype=np.int64).astype(np.uint64) & TAG_MASK
+    n = np.uint64(n_mems)
+    if scheme == "ring":
+        index = tags % n
+    elif scheme == "modular":
+        # The product wraps mod 2^64, which 2^61 divides: the low 61 bits
+        # are exact.
+        index = tags * np.uint64(_PRIME) % np.uint64(1 << 61) % n
+    elif scheme == "random":
+        distinct, first, inverse = np.unique(tags, return_index=True,
+                                             return_inverse=True)
+        order = np.argsort(first, kind="stable")
+        table = np.empty(distinct.size, dtype=np.int64)
+        table[order] = np.random.default_rng(seed).integers(
+            0, n_mems, size=distinct.size)
+        return table[inverse]
+    else:
         if gamma is None:
-            mix = (group * 2_654_435_761 + self._base_seed * 40_503 + 1) & 0xFFFFFFFF
-            gamma = int(np.random.default_rng(mix).integers(1, 1 << 30)) | 1
-            self._group_gammas[group] = gamma
-            self._seed_table.append(gamma)
-        return gamma
-
-    def map(self, tag: int, group: int | None = None) -> int:
-        tag &= TAG_MASK
-        if self.use_lower_bits:
-            masked = ((tag << self.k) & TAG_MASK) >> self.k
-        else:
-            masked = ((tag >> self.k) << self.k) & TAG_MASK
-        gamma = self.gamma if group is None else self._gamma_for_group(group)
-        product = (masked * gamma) & TAG_MASK
-        product ^= product >> 16
-        return product % self.n_resources
-
-    def reseed(self, row_index: int | None = None) -> None:
-        """Draw a new gamma; called after each input row completes."""
-        if row_index is not None:
-            # Deterministic per-row seeding keeps replays consistent.
-            self._rng = np.random.default_rng((row_index + 1) * 2_246_822_519 % (1 << 32))
-        self.gamma = self._draw_gamma()
-
-    def seed_history(self) -> list[int]:
-        """All gamma values drawn so far (the compact seed lookup table)."""
-        return list(self._seed_table)
-
-    def lookup_table_bytes(self) -> int:
-        # Only the seed values are stored (4 bytes each).
-        return len(self._seed_table) * 4
+            gamma = drhm_gamma(seed)
+        masked = tags & np.uint64((1 << (32 - _DRHM_K)) - 1)
+        product = masked * np.asarray(gamma, dtype=np.uint64) & np.uint64(TAG_MASK)
+        index = (product ^ (product >> np.uint64(16))) % n
+    return index.astype(np.int64)
 
 
-_SCHEMES = {
-    "ring": RingHashMapping,
-    "modular": ModularHashMapping,
-    "random": RandomLookupMapping,
-    "drhm": DynamicReseedHashMapping,
-}
+def map_haccs(scheme: str, tags: np.ndarray, rows: np.ndarray, n_mems: int,
+              seed: int = 0) -> np.ndarray:
+    """The NeuraMem of each HACC of a program's stream: :func:`map_tags`
+    with DRHM's gamma drawn per output row (``rows``)."""
+    gamma = row_gammas(rows, seed) if scheme == "drhm" else None
+    return map_tags(scheme, tags, n_mems, seed, gamma)
 
 
-def make_mapping(name: str, n_resources: int, **kwargs) -> MappingScheme:
-    """Factory for mapping schemes by name ('ring', 'modular', 'random', 'drhm')."""
-    if name not in _SCHEMES:
-        raise ValueError(f"unknown mapping scheme {name!r}; "
-                         f"choose from {sorted(_SCHEMES)}")
-    return _SCHEMES[name](n_resources, **kwargs)
-
-
-#: Schemes that draw random numbers and so take a ``seed``.
-_SEEDED_SCHEMES = frozenset({"random", "drhm"})
-
-
-def make_seeded_mapping(name: str, n_resources: int, seed: int) -> MappingScheme:
-    """:func:`make_mapping` for a simulator: ``seed`` goes to the schemes
-    that draw random numbers and is ignored by the deterministic ones."""
-    if name in _SEEDED_SCHEMES:
-        return make_mapping(name, n_resources, seed=seed)
-    return make_mapping(name, n_resources)
+def lookup_table_bytes(scheme: str, n_tags: int, n_rows: int) -> int:
+    """Lookup state a scheme keeps for ``n_tags`` distinct TAGs over
+    ``n_rows`` distinct output rows (the Section 3.5 cost argument): the
+    random table holds a 32-bit TAG and a 32-bit index per TAG, DRHM one
+    32-bit gamma per row, and ring and modular nothing."""
+    return {"random": 8 * n_tags, "drhm": 4 * n_rows}.get(scheme, 0)

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.arch.config import NeuraChipConfig
 from repro.compiler.program import Program
-from repro.hashing.mappings import make_seeded_mapping
+from repro.hashing.mappings import map_haccs
 from repro.sim.dispatcher import Dispatcher
 from repro.sim.engine import Simulator
 from repro.sim.memory import MemorySystem
@@ -156,18 +156,19 @@ class NeuraChipAccelerator:
         self.noc = TorusNetwork(self.sim, params, width, height)
         self._hops = [[self.noc.hops(core, mem) for mem in mem_pos.values()]
                       for core in core_pos.values()]
-        self.mapping = make_seeded_mapping(self.mapping_scheme_name,
-                                           config.total_mems, self.mapping_seed)
 
         # Per-run program state: the op columns the simulation reads, and
         # the HACC stream's columns, in ``NeuraMem.receive_hacc`` order, as
-        # lists; op ``s`` sends HACCs ``op_start[s]:op_start[s + 1]``.
+        # lists; op ``s`` sends HACCs ``op_start[s]:op_start[s + 1]``, HACC
+        # ``h`` to NeuraMem ``hacc_mem[h]``.
         arrays, stream = program.arrays, program.hacc_stream()
         op_reads = arrays.operand_reads().tolist()
         op_products = arrays.partial_products_per_op.tolist()
         self._op_reseed = arrays.op_reseed.tolist()
-        self._op_k = arrays.op_k.tolist()
         self._op_start = stream.op_start.tolist()
+        self._hacc_mem = map_haccs(self.mapping_scheme_name, stream.tag,
+                                   stream.out_row, config.total_mems,
+                                   self.mapping_seed).tolist()
         self._haccs = (stream.tag.tolist(), stream.value.tolist(),
                        stream.counter.tolist(), stream.out_row.tolist(),
                        stream.out_col.tolist(), stream.writeback_addr.tolist())
@@ -213,11 +214,10 @@ class NeuraChipAccelerator:
     def _dispatch_haccs(self, core: NeuraCore, op: int, first: int,
                         stop: int, on_arrival, *args) -> None:
         """Send HACCs ``first:stop`` of op ``op`` over the torus, in order."""
-        tag, _value, _counter, out_row, _out_col, _addr = self._haccs
         hops, now = self._hops[core.core_id], self.sim.now
         offset = self._op_start[op]
         for hacc in range(offset + first, offset + stop):
-            mem_index = self.mapping.map(tag[hacc], group=out_row[hacc])
+            mem_index = self._hacc_mem[hacc]
             mem = self.mems[mem_index]
             self.noc.deliver(mem.position, hops[mem_index], _HACC_BYTES,
                              self._hacc_arrived, mem, hacc, now, on_arrival, args)
@@ -234,7 +234,6 @@ class NeuraChipAccelerator:
         self.dispatcher.notify_slot_free()
         if self._op_reseed[op]:
             self._columns_completed += 1
-            self.mapping.reseed(self._op_k[op])
             if (self.eviction_mode == "barrier"
                     and self._columns_completed % self.params.barrier_interval_columns == 0):
                 for mem in self.mems:
@@ -283,8 +282,8 @@ class NeuraChipAccelerator:
         # Drop the run's state: the components call back into this
         # accelerator, a cycle only the cyclic collector would free.
         self.cores, self.mems, self.dispatcher = [], [], None
-        self._haccs, self._op_start = (), []
-        self._op_reseed, self._op_k = [], []
+        self._haccs, self._op_start, self._hacc_mem = (), [], []
+        self._op_reseed = []
         return report
 
     # ------------------------------------------------------------------

@@ -44,10 +44,6 @@ class Dispatcher:
         """True when every instruction has been issued."""
         return self._next_index >= self._n_ops
 
-    @property
-    def remaining(self) -> int:
-        return self._n_ops - self._next_index
-
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Begin issuing at cycle 0."""

@@ -1,12 +1,15 @@
 """Functional (untimed) model of the NeuraChip dataflow.
 
 The functional accelerator walks a compiled program's HACC stream (the
-one the cycle simulator dispatches) through one
+one the cycle simulator dispatches), in program order, through one
 :class:`~repro.sim.hashpad.HashPad` per NeuraMem — the same pads, rolling
 counters and capacity-induced spills the cycle simulator runs — but
 without any timing, for its per-NeuraMem HACC, eviction and spill
-statistics.  The test suite and the design-space ablations use it to
-check the dataflow quickly; no execution backend runs it.
+statistics.  Each HACC goes to the NeuraMem of the same
+:func:`~repro.hashing.mappings.map_haccs` column NeuraSim indexes, so the
+two models place every HACC alike under every mapping scheme.  The test
+suite and the design-space ablations use it to check the dataflow
+quickly; no execution backend runs it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from repro.arch.config import NeuraChipConfig
 from repro.compiler.program import Program
-from repro.hashing.mappings import make_seeded_mapping
+from repro.hashing.mappings import map_haccs
 from repro.sim.hashpad import HashPad, SpillStore
 
 
@@ -62,35 +65,22 @@ class FunctionalAccelerator:
         config = self.config
         n_mems = config.total_mems
         n_cores = config.total_cores
-        mapping = make_seeded_mapping(self.mapping_scheme_name, n_mems,
-                                      self.mapping_seed)
-
         store = SpillStore()
         pads = [HashPad(config.mem.hashlines, store) for _ in range(n_mems)]
         arrays = program.arrays
         per_core_mmhs = np.bincount(np.arange(arrays.n_ops) % max(1, n_cores),
                                     minlength=max(1, n_cores))
 
-        # Walk the program's HACC stream one reseed segment (a row group)
-        # at a time: the mapping only changes between segments, and each
-        # segment's columns convert to Python scalars just before use.
+        # Walk the program's HACC stream in order, each HACC to the
+        # NeuraMem NeuraSim sends it to.
         stream = program.hacc_stream()
-        cuts = np.flatnonzero(arrays.op_reseed).tolist()
-        if arrays.n_ops and (not cuts or cuts[-1] != arrays.n_ops - 1):
-            cuts.append(arrays.n_ops - 1)  # trailing ops with no reseed
-        lo = 0
-        for cut in cuts:
-            hi = int(stream.op_start[cut + 1])
-            for tag, value, counter, row, col in zip(
-                    stream.tag[lo:hi].tolist(), stream.value[lo:hi].tolist(),
-                    stream.counter[lo:hi].tolist(),
-                    stream.out_row[lo:hi].tolist(),
-                    stream.out_col[lo:hi].tolist()):
-                pads[mapping.map(tag, group=row)].apply(tag, value, counter,
-                                                        row, col)
-            if arrays.op_reseed[cut]:
-                mapping.reseed(int(arrays.op_k[cut]))
-            lo = hi
+        hacc_mem = map_haccs(self.mapping_scheme_name, stream.tag,
+                             stream.out_row, n_mems, self.mapping_seed)
+        for mem, tag, value, counter, row, col in zip(
+                hacc_mem.tolist(), stream.tag.tolist(), stream.value.tolist(),
+                stream.counter.tolist(), stream.out_row.tolist(),
+                stream.out_col.tolist()):
+            pads[mem].apply(tag, value, counter, row, col)
         for pad in pads:
             pad.finalize()
 

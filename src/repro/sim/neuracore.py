@@ -83,11 +83,6 @@ class NeuraCore:
         self.haccs_dispatched = 0
 
     # ------------------------------------------------------------------
-    def can_accept(self) -> bool:
-        """True when at least one pipeline has a free register slot."""
-        return self.in_flight < self.capacity
-
-    # ------------------------------------------------------------------
     def issue(self, op: int) -> None:
         """Accept an MMH instruction from the Dispatcher (Step 1, Figure 6)."""
         pipeline_index = self._select_pipeline()

@@ -87,9 +87,10 @@ class LevelTracker:
         self._area = 0.0
 
     def change(self, time: float, delta: int) -> None:
-        """Apply a level change at the given time."""
-        self._area += self._level * max(0.0, time - self._last_time)
-        self._last_time = max(self._last_time, time)
+        """Apply a level change at the given time, which is never earlier
+        than the last change's (the engine clock only moves forward)."""
+        self._area += self._level * (time - self._last_time)
+        self._last_time = time
         self._level += delta
 
     def average(self, end_time: float) -> float:

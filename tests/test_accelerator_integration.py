@@ -10,8 +10,10 @@ from repro.arch.config import TILE16, TILE4
 from repro.compiler import compile_spgemm
 from repro.datasets import load_dataset
 from repro.datasets.features import feature_matrix
+from repro.hashing import MAPPING_SCHEMES
 from repro.sim.accelerator import NeuraChipAccelerator
 from repro.sim.functional import FunctionalAccelerator
+from repro.sim.neuramem import NeuraMem
 from repro.sim.params import SimulationParams
 
 
@@ -178,6 +180,31 @@ class TestFunctionalModel:
         cycle = NeuraChipAccelerator(TILE4).run(small_program)
         assert cycle.correct is True
         assert np.allclose(functional.output, reference_result(small_program))
+
+    @pytest.mark.parametrize("scheme", MAPPING_SCHEMES)
+    def test_both_models_send_each_hacc_to_one_neuramem(self, monkeypatch,
+                                                        small_program, scheme):
+        """NeuraSim's per-NeuraMem HACC arrivals equal the functional
+        model's per-NeuraMem loads under every scheme."""
+        arrivals = np.zeros(TILE4.total_mems, dtype=np.int64)
+        receive = NeuraMem.receive_hacc
+
+        def counting_receive(mem, *args):
+            arrivals[mem.mem_id] += 1
+            return receive(mem, *args)
+
+        monkeypatch.setattr(NeuraMem, "receive_hacc", counting_receive)
+        cycle = NeuraChipAccelerator(TILE4, mapping_scheme=scheme).run(
+            small_program)
+        functional = FunctionalAccelerator(TILE4, mapping_scheme=scheme).run(
+            small_program)
+        assert cycle.correct is True
+        assert arrivals.tolist() == functional.per_mem_haccs.tolist()
+
+    def test_unknown_mapping_scheme_raises(self, small_program):
+        for model in (NeuraChipAccelerator, FunctionalAccelerator):
+            with pytest.raises(ValueError, match="unknown mapping scheme"):
+                model(TILE4, mapping_scheme="quantum").run(small_program)
 
 
 # ----------------------------------------------------------------------

@@ -103,13 +103,13 @@ class TestNeuraCore:
         env = _Harness()
         core = env.make_core(pipelines=2, registers=4)  # 2 slots per pipeline
         for _ in range(4):
-            assert core.can_accept()
+            assert core.in_flight < core.capacity
             core.issue(env.add_op())
-        assert not core.can_accept()
+        assert core.in_flight == core.capacity
         with pytest.raises(RuntimeError):
             core.issue(env.add_op())
         env.sim.run()
-        assert core.can_accept()
+        assert core.in_flight < core.capacity
 
     def test_empty_mmh_retires_without_haccs(self):
         env = _Harness()
@@ -151,15 +151,15 @@ class TestNeuraCore:
         assert core.capacity == 3 * core.slots_per_pipeline == 9
         issued = 0
         for _ in range(300):
-            if core.can_accept() and rng.random() < 0.6:
+            if core.in_flight < core.capacity and rng.random() < 0.6:
                 core.issue(env.add_op(n_a=rng.randint(0, 3),
                                       n_b=rng.randint(0, 3)))
                 issued += 1
             else:
                 env.sim.run(max_events=rng.randint(1, 6))
             assert core.in_flight == sum(core.pipelines)
-            assert core.can_accept() == any(load < core.slots_per_pipeline
-                                            for load in core.pipelines)
+            assert (core.in_flight < core.capacity) == any(
+                load < core.slots_per_pipeline for load in core.pipelines)
         env.sim.run()
         assert core.in_flight == 0 and core.instructions_retired == issued
         assert not any(core.pipelines)
@@ -208,4 +208,4 @@ class TestDispatcher:
         dispatcher.start()
         env.sim.run()
         assert dispatcher.done
-        assert dispatcher.remaining == 0
+        assert dispatcher.instructions_issued == 0

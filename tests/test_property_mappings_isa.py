@@ -1,5 +1,6 @@
 """Property-based tests for mapping schemes and the MMH/HACC ISA."""
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.arch.isa import (
@@ -13,34 +14,43 @@ from repro.arch.isa import (
     encode_mmh,
     encode_to_bytes,
 )
-from repro.hashing.mappings import make_mapping
+from repro.hashing import MAPPING_SCHEMES, map_haccs, map_tags
 
-_SCHEME_NAMES = st.sampled_from(["ring", "modular", "random", "drhm"])
+_SCHEME_NAMES = st.sampled_from(MAPPING_SCHEMES)
 _TAGS = st.integers(min_value=0, max_value=2**32 - 1)
 _RESOURCES = st.integers(min_value=1, max_value=257)
+_ROWS = st.integers(min_value=0, max_value=2**20)
 
 
 class TestMappingProperties:
     @given(_SCHEME_NAMES, _RESOURCES, st.lists(_TAGS, min_size=1, max_size=40))
     @settings(max_examples=80, deadline=None)
     def test_mapping_always_in_range(self, name, n_resources, tags):
-        scheme = make_mapping(name, n_resources)
-        for tag in tags:
-            assert 0 <= scheme.map(tag) < n_resources
+        index = map_tags(name, np.array(tags), n_resources)
+        assert index.shape == (len(tags),)
+        assert ((0 <= index) & (index < n_resources)).all()
 
-    @given(_SCHEME_NAMES, _RESOURCES, _TAGS)
+    @given(_SCHEME_NAMES, _RESOURCES, _TAGS, st.lists(_TAGS, max_size=20))
     @settings(max_examples=80, deadline=None)
-    def test_mapping_is_deterministic_between_reseeds(self, name, n_resources, tag):
-        scheme = make_mapping(name, n_resources)
-        assert scheme.map(tag) == scheme.map(tag)
+    def test_mapping_is_deterministic_between_reseeds(self, name, n_resources,
+                                                      tag, others):
+        """A TAG maps alike wherever it recurs in a column, and in a
+        second pass over the same column."""
+        tags = np.array([tag, *others, tag])
+        index = map_tags(name, tags, n_resources)
+        assert index[0] == index[-1]
+        assert index.tolist() == map_tags(name, tags, n_resources).tolist()
 
-    @given(_RESOURCES, _TAGS, st.integers(min_value=0, max_value=2**20))
+    @given(_RESOURCES, _TAGS, _ROWS, st.lists(_ROWS, max_size=20))
     @settings(max_examples=80, deadline=None)
-    def test_drhm_group_mapping_survives_reseeds(self, n_resources, tag, group):
-        scheme = make_mapping("drhm", n_resources)
-        first = scheme.map(tag, group=group)
-        scheme.reseed()
-        assert scheme.map(tag, group=group) == first
+    def test_drhm_group_mapping_survives_reseeds(self, n_resources, tag, row,
+                                                 other_rows):
+        """The rows between two HACCs of one output row (DRHM reseeds per
+        row) do not move the row's TAG."""
+        rows = np.array([row, *other_rows, row])
+        column = map_haccs("drhm", np.full(rows.size, tag), rows, n_resources)
+        assert column[0] == column[-1] == map_haccs(
+            "drhm", np.array([tag]), np.array([row]), n_resources)[0]
 
 
 _MMH_OPCODES = st.sampled_from([Opcode.MMH1, Opcode.MMH2, Opcode.MMH4, Opcode.MMH8])
