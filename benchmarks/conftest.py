@@ -5,8 +5,9 @@ printed as text tables and also written to ``benchmarks/results/`` as CSV/JSON
 so they can be inspected after the run (the NeuraViz replacement).
 
 The dataset scale is deliberately small (hundreds of nodes) so the pure-Python
-cycle simulator finishes each figure in seconds; EXPERIMENTS.md records how
-the scaled results compare to the paper's.
+cycle simulator finishes each figure in seconds, so each benchmark checks
+the shape of the paper's result (orderings, trends, calibrated averages)
+rather than its full-scale numbers.
 """
 
 from __future__ import annotations

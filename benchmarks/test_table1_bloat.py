@@ -63,8 +63,8 @@ def test_table1_memory_bloat(benchmark, bloat_rows, table1_datasets):
 
     # At paper scale the closed-form density/skew estimate singles out
     # facebook as by far the most bloat-prone workload, matching the paper's
-    # outlier; full structural rank agreement is not expected at reduced scale
-    # (see EXPERIMENTS.md).
+    # outlier; full structural rank agreement is not expected at reduced
+    # scale, so only the outlier is checked.
     estimates = {row["dataset"]: row["paper_scale_estimate_pct"]
                  for row in bloat_rows}
     assert estimates["facebook"] == max(estimates.values())

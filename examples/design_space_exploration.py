@@ -10,7 +10,7 @@ Reproduces the Section 4 exploration of the paper on a small workload:
 Run with:  python examples/design_space_exploration.py
 """
 
-from repro import NeuraChip, Session, SweepSpec, load_dataset
+from repro import TILE16, Session, SweepSpec, load_dataset
 from repro.compiler import compile_spgemm
 from repro.sim.accelerator import NeuraChipAccelerator
 from repro.viz.export import format_table
@@ -35,8 +35,7 @@ def mmh_variant_sweep(dataset) -> None:
     rows = []
     for tile_size in (1, 2, 4, 8):
         program = compile_spgemm(a_csc, features, tile_size=tile_size)
-        report = NeuraChipAccelerator(NeuraChip("Tile-16").config).run(
-            program, verify=False)
+        report = NeuraChipAccelerator(TILE16).run(program, verify=False)
         rows.append({"variant": f"MMH{tile_size}",
                      "instructions": report.mmh_instructions,
                      "avg_cpi": round(report.mmh_cpi_mean, 1),
@@ -52,8 +51,8 @@ def eviction_policy_sweep(dataset) -> None:
     program = compile_spgemm(a_csc, features, tile_size=4)
     rows = []
     for mode, label in (("rolling", "HACC-RE"), ("barrier", "HACC-BE")):
-        report = NeuraChipAccelerator(NeuraChip("Tile-16").config,
-                                      eviction_mode=mode).run(program, verify=False)
+        report = NeuraChipAccelerator(TILE16, eviction_mode=mode).run(
+            program, verify=False)
         rows.append({"policy": label,
                      "avg_hacc_cpi": round(report.hacc_cpi_mean, 1),
                      "peak_hashpad_lines": report.peak_hashpad_occupancy,

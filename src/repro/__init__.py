@@ -5,8 +5,9 @@ spatial GNN accelerator (Shivdikar et al., ISCA 2024) together with every
 substrate its evaluation depends on: sparse formats and a SpGEMM oracle,
 synthetic dataset generators, mapping algorithms, the NeuraCompiler, the
 NeuraSim cycle-level simulator, analytic baseline models, and the power/area
-model.  See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured comparison of every table and figure.
+model.  The README's Layout table maps each subpackage to its role;
+``benchmarks/`` regenerates every table and figure of the paper and checks
+it against the paper's reported shape.
 """
 
 from repro.arch import (
@@ -22,13 +23,11 @@ from repro.backends import (
     available_backends,
     get_backend,
     predict_scaleout,
-    register_backend,
 )
 from repro.core import (
     BatchSpec,
     GCNLayerSpec,
     GNNModelSpec,
-    NeuraChip,
     Provenance,
     RunResult,
     Session,
@@ -36,7 +35,6 @@ from repro.core import (
     SweepSpec,
     available_executors,
     get_executor,
-    register_executor,
 )
 from repro.compiler import Program, compile_gcn_aggregation, compile_spgemm
 from repro.datasets import GraphDataset, available_datasets, load_dataset
@@ -60,11 +58,8 @@ __all__ = [
     "BatchSpec",
     "RunResult",
     "Provenance",
-    "register_executor",
     "get_executor",
     "available_executors",
-    "NeuraChip",
-    "register_backend",
     "get_backend",
     "available_backends",
     "ChipTopology",

@@ -1,8 +1,8 @@
-"""Pluggable execution backends for the NeuraChip reproduction.
+"""Execution backends for the NeuraChip reproduction.
 
 Every entry point (the :class:`~repro.core.session.Session` API, the CLI
-and the serving layer) executes compiled programs through a backend looked
-up by name in this package's registry:
+and the serving layer) executes compiled programs through a backend named
+in :data:`~repro.backends.registry.CHIP_BACKENDS` or through the fleet:
 
 * ``functional`` — the program's replay, untimed (no report);
 * ``cycle``      — event-driven cycle-level NeuraSim model;
@@ -11,11 +11,11 @@ up by name in this package's registry:
 * ``multichip``  — N chip instances, one row shard each, reduced on the
   host into the single-chip product (see :class:`ChipTopology`); a
   session's ``SpGEMMSpec(shards=N)`` host sharding runs through it too.
+  :class:`MultiChipBackend` is built with its fleet configuration, so
+  :func:`get_backend` resolves only the three single-chip backends.
 
 All of them return the compiled program's replay as the numeric output.
 The functional and cycle backends live in :mod:`repro.backends.simulators`.
-
-Third-party backends register with :func:`register_backend`.
 """
 
 from repro.backends.base import (
@@ -26,10 +26,7 @@ from repro.backends.base import (
 from repro.backends.registry import (
     available_backends,
     get_backend,
-    register_backend,
 )
-
-# Importing the implementation modules populates the registry.
 from repro.backends.simulators import CycleBackend, FunctionalBackend
 from repro.backends.analytic import (
     CALIBRATED_TOLERANCE,
@@ -47,7 +44,6 @@ __all__ = [
     "ExecutionBackend",
     "ExecutionContext",
     "ExecutionResult",
-    "register_backend",
     "get_backend",
     "available_backends",
     "FunctionalBackend",

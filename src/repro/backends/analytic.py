@@ -47,7 +47,6 @@ from __future__ import annotations
 import time as _time
 
 from repro.backends.base import ExecutionBackend, ExecutionContext, ExecutionResult
-from repro.backends.registry import register_backend
 from repro.compiler.program import Program
 from repro.sim.accelerator import SimulationReport
 from repro.sim.neuracore import MMH_HIST_BINS, MMH_HIST_BIN_WIDTH
@@ -68,9 +67,10 @@ REQUESTS_PER_CHANNEL_CYCLE = 0.42
 CALIBRATED_TOLERANCE = 0.25
 
 
-@register_backend("analytic")
 class AnalyticBackend(ExecutionBackend):
     """Roofline-style cycle prediction; output by replaying the program."""
+
+    name = "analytic"
 
     def execute(self, program: Program, ctx: ExecutionContext,
                 a_csr: CSRMatrix | None = None,

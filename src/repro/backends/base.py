@@ -77,7 +77,7 @@ class ExecutionResult:
 class ExecutionBackend(ABC):
     """One way of executing a compiled program on a configured chip."""
 
-    #: Registry name; set by the @register_backend decorator.
+    #: The backend's name in :data:`~repro.backends.registry.CHIP_BACKENDS`.
     name: str = ""
 
     @abstractmethod

@@ -19,7 +19,7 @@ The ``multichip`` backend models exactly that:
 * every chip executes in isolation — its own compiled shard program(s)
   and its own simulator (memory / NeuraMem) state and stats, built fresh
   per chip by the inner backend — and the per-chip work fans out over any
-  registered host executor (serial / thread / process);
+  host executor (serial / thread / process);
 * the aggregate timing report takes ``cycles = max over chips + host
   reduce term (+ one-time B broadcast on cold runs)``, sums
   activity-style totals (busy / stall cycles, traffic, NoC flits,
@@ -58,9 +58,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.analysis.verifier import assert_program_valid
-from repro.backends.base import ExecutionBackend, ExecutionContext, ExecutionResult
-from repro.backends.registry import get_backend, register_backend
-from repro.compiler.program import Program
+from repro.backends.base import ExecutionContext, ExecutionResult
+from repro.backends.registry import CHIP_BACKENDS, get_backend
 from repro.sim.accelerator import SimulationReport
 from repro.sim.stats import Histogram
 from repro.sparse.csr import CSRMatrix
@@ -88,7 +87,7 @@ class ChipTopology:
 
     Attributes:
         n_chips: number of chip instances row shards are assigned to.
-        chip_backend: registered backend each chip executes its shard
+        chip_backend: single-chip backend each chip executes its shard
             program through ('analytic', 'cycle', or 'functional').
         partition: shard planning strategy — 'contiguous' row ranges,
             'degree' index sets (LPT over exact per-row weights, with
@@ -111,9 +110,10 @@ class ChipTopology:
     def __post_init__(self) -> None:
         if self.n_chips < 1:
             raise ValueError(f"n_chips must be >= 1, got {self.n_chips}")
-        if self.chip_backend == "multichip":
-            raise ValueError("chip_backend cannot be 'multichip' "
-                             "(chips do not nest)")
+        if self.chip_backend not in CHIP_BACKENDS:
+            raise ValueError(f"chip_backend {self.chip_backend!r} is not a "
+                             "single-chip backend (chips do not nest); "
+                             f"registered backends: {sorted(CHIP_BACKENDS)}")
         if self.partition not in PARTITION_STRATEGIES:
             raise ValueError(f"unknown partition strategy "
                              f"{self.partition!r}; expected one of "
@@ -169,16 +169,6 @@ class ChipRun:
     def n_rows(self) -> int:
         """Whole rows this chip owns (split rows count via fragments)."""
         return int(self.assignment.rows.size)
-
-    @property
-    def row_range(self) -> tuple[int, int] | None:
-        """The contiguous ``(lo, hi)`` row range, when the assignment is
-        one — the historical shape of contiguous-plan chip runs."""
-        rows = self.assignment.rows
-        if rows.size == 0:
-            return (0, 0) if not self.assignment.fragments else None
-        lo, hi = int(rows[0]), int(rows[-1]) + 1
-        return (lo, hi) if hi - lo == rows.size else None
 
 
 @dataclass
@@ -364,43 +354,31 @@ def _chip_worker(payload: dict) -> ChipRun:
     return _run_chip(**payload["chip"], cache=cache, check=check)
 
 
-@register_backend("multichip")
-class MultiChipBackend(ExecutionBackend):
+class MultiChipBackend:
     """Scale one SpGEMM across N chips, one row shard per chip.
 
-    The backend is configured through attributes after construction (the
-    registry instantiates backends without arguments): ``topology`` selects
-    the fleet, ``cache`` an optional program cache for the per-shard
-    compiles, ``check`` an optional ``check(key, program) -> program``
-    every fetched or compiled shard program passes (the session's memoized
-    IR verification), ``verify_level`` the IR-verification level process
-    workers apply in its place (``check`` stays in this process), and
-    ``executor`` an optional :class:`~repro.core.executors.Executor` the
-    per-chip work fans out on (chips run serially inline when unset).
+    Args:
+        topology: the fleet (a default :class:`ChipTopology` when unset).
+        cache: optional program cache for the per-shard compiles.
+        check: optional ``check(key, program) -> program`` every fetched or
+            compiled shard program passes (the session's memoized IR
+            verification).
+        verify_level: the IR-verification level process workers apply in
+            place of ``check`` (which stays in this process).
+        executor: optional :class:`~repro.core.executors.Executor` the
+            per-chip work fans out on (chips run serially inline when unset).
     """
 
-    def __init__(self) -> None:
-        self.topology = ChipTopology()
-        self.cache = None
-        self.check = None
-        self.verify_level: str | None = None
-        self.executor = None
+    def __init__(self, topology: ChipTopology | None = None, cache=None,
+                 check=None, verify_level: str | None = None,
+                 executor=None) -> None:
+        self.topology = topology if topology is not None else ChipTopology()
+        self.cache = cache
+        self.check = check
+        self.verify_level = verify_level
+        self.executor = executor
 
     # ------------------------------------------------------------------
-    def execute(self, program: Program, ctx: ExecutionContext,
-                a_csr: CSRMatrix | None = None,
-                b_csr: CSRMatrix | None = None,
-                verify: bool = True) -> ExecutionResult:
-        """Protocol entry point: re-plan from the operands of an already
-        compiled program (each chip compiles its own shard program; the
-        whole-matrix ``program`` only contributes tile size and label)."""
-        if a_csr is None:
-            raise ValueError("the multichip backend shards the CSR operands; "
-                             "pass a_csr (and b_csr) alongside the program")
-        return self.execute_operands(a_csr, b_csr, ctx,
-                                     tile_size=program.tile_size,
-                                     source=program.source, verify=verify)
-
     def execute_operands(self, a_csr: CSRMatrix, b_csr: CSRMatrix | None,
                          ctx: ExecutionContext, tile_size: int,
                          source: str = "spgemm",
@@ -488,7 +466,7 @@ class MultiChipBackend(ExecutionBackend):
                                        broadcast_cycles, b_csr.nnz, ctx,
                                        resident.source)
         return MultiChipExecutionResult(
-            backend=self.name, output=output, report=report,
+            backend="multichip", output=output, report=report,
             chip_runs=runs, topology=topology, plan=plan,
             reduce_cycles=reduce_cycles, broadcast_cycles=broadcast_cycles,
             fresh_compiles=sum(run.fresh_compiles for run in runs))

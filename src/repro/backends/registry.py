@@ -1,41 +1,39 @@
-"""Backend registry: name -> ExecutionBackend class.
+"""Backend table: name -> ExecutionBackend class.
 
-Backends register themselves with :func:`register_backend`; user-facing
-entry points resolve names through :func:`get_backend`, which reports the
-registered alternatives when a name is unknown.
+User-facing entry points resolve names through :func:`get_backend`, which
+reports every backend name when a name is unknown.  The ``multichip``
+backend is not in the table: a fleet is built with its configuration
+(:class:`~repro.backends.multichip.MultiChipBackend`), so only a session
+with ``backend="multichip"`` runs it.
 """
 
 from __future__ import annotations
 
+from repro.backends.analytic import AnalyticBackend
 from repro.backends.base import ExecutionBackend
+from repro.backends.simulators import CycleBackend, FunctionalBackend
 
-_BACKENDS: dict[str, type[ExecutionBackend]] = {}
-
-
-def register_backend(name: str):
-    """Class decorator installing an :class:`ExecutionBackend` under ``name``."""
-
-    def decorator(cls: type[ExecutionBackend]) -> type[ExecutionBackend]:
-        cls.name = name
-        _BACKENDS[name] = cls
-        return cls
-
-    return decorator
+#: The single-chip backends, each executing one compiled program on a chip.
+CHIP_BACKENDS: dict[str, type[ExecutionBackend]] = {
+    "functional": FunctionalBackend,
+    "cycle": CycleBackend,
+    "analytic": AnalyticBackend,
+}
 
 
 def available_backends() -> list[str]:
-    """Registered backend names, sorted."""
-    return sorted(_BACKENDS)
+    """Every backend name a session accepts, sorted."""
+    return sorted([*CHIP_BACKENDS, "multichip"])
 
 
 def get_backend(name: str) -> ExecutionBackend:
-    """Instantiate the backend registered under ``name``.
+    """Instantiate the single-chip backend named ``name``.
 
     Raises:
-        ValueError: when no backend has that name; the message lists every
-            registered backend.
+        ValueError: when no single-chip backend has that name; the message
+            lists every backend name.
     """
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; "
+    if name not in CHIP_BACKENDS:
+        raise ValueError(f"{name!r} is not a single-chip backend; "
                          f"registered backends: {available_backends()}")
-    return _BACKENDS[name]()
+    return CHIP_BACKENDS[name]()

@@ -19,15 +19,15 @@ the hash-accumulated output against the same replay.
 from __future__ import annotations
 
 from repro.backends.base import ExecutionBackend, ExecutionContext, ExecutionResult
-from repro.backends.registry import register_backend
 from repro.compiler.program import Program
 from repro.sim.accelerator import NeuraChipAccelerator
 from repro.sparse.csr import CSRMatrix
 
 
-@register_backend("functional")
 class FunctionalBackend(ExecutionBackend):
     """The program's replay, untimed: no report."""
+
+    name = "functional"
 
     def execute(self, program: Program, ctx: ExecutionContext,
                 a_csr: CSRMatrix | None = None,
@@ -36,9 +36,10 @@ class FunctionalBackend(ExecutionBackend):
         return ExecutionResult(backend=self.name, output=program.replay())
 
 
-@register_backend("cycle")
 class CycleBackend(ExecutionBackend):
     """Event-driven cycle-level NeuraSim model (highest fidelity)."""
+
+    name = "cycle"
 
     def execute(self, program: Program, ctx: ExecutionContext,
                 a_csr: CSRMatrix | None = None,

@@ -13,7 +13,7 @@ that the *suite-average* sustained throughput of each platform matches the
 paper's Table 5 (SpGEMM) or the paper's reported average speedups
 (Section 5.4, GNN accelerators); the per-dataset variation then emerges from
 each dataflow's sensitivity to the workload's structure (memory bloat, row
-lengths, degree skew).  See DESIGN.md for the substitution rationale.
+lengths, degree skew).
 """
 
 from repro.baselines.workload import SpGEMMWorkloadStats, GCNWorkloadStats

@@ -17,7 +17,7 @@ with traffic terms reflecting their published dataflow:
   accumulation and rolling eviction; operands streamed once, outputs written
   once.  The analytic model is used for the *cross-platform* figures
   (Figure 16, Table 5); the cycle simulator cross-validates its trends on
-  small instances (see EXPERIMENTS.md).
+  small instances (``benchmarks/test_fig16_spgemm_speedup.py``).
 """
 
 from __future__ import annotations

@@ -189,7 +189,7 @@ def calibrate_platforms(platforms: list[BaselinePlatform],
 
     This keeps the *average* platform throughput pinned to the paper while the
     per-workload spread is produced by the dataflow traffic model, which is
-    exactly the calibration described in DESIGN.md.
+    exactly the calibration the :mod:`repro.baselines` docstring describes.
     """
     if not workloads:
         return list(platforms)

@@ -3,27 +3,25 @@
 ``repro.core`` is the entry point a downstream user works with: declarative
 workload specs (:class:`SpGEMMSpec`, :class:`GCNLayerSpec`,
 :class:`GNNModelSpec`, :class:`SweepSpec`, :class:`BatchSpec`) submitted to
-a :class:`Session` — which owns backend resolution, a pluggable executor
-layer (serial / thread / process), and a persistent LRU program cache —
-and returning unified :class:`RunResult` envelopes.  :class:`NeuraChip` is
-the chip primitive a session binds to (configuration, compile, execution
-context, power).
+a :class:`Session` — which holds one chip (``session.ctx``, the frozen
+:class:`~repro.backends.base.ExecutionContext` every run executes on) and
+owns backend resolution, an executor layer (serial / thread / process),
+and a persistent LRU program cache — and returning unified
+:class:`RunResult` envelopes.
 """
 
-from repro.core.api import NeuraChip
 from repro.core.executors import (
     Executor,
     available_executors,
     get_executor,
-    register_executor,
 )
 from repro.core.runner import (
     ProgramCache,
     default_cache_dir,
     matrix_fingerprint,
 )
-from repro.core.session import (
-    Session,
+from repro.core.session import Session
+from repro.sparse.partition import (
     ShardPlan,
     estimate_row_partial_products,
     plan_row_shards,
@@ -57,10 +55,8 @@ __all__ = [
     "ShardPlan",
     "estimate_row_partial_products",
     "Executor",
-    "register_executor",
     "get_executor",
     "available_executors",
-    "NeuraChip",
     "ProgramCache",
     "matrix_fingerprint",
     "default_cache_dir",

@@ -1,10 +1,9 @@
-"""Pluggable executor layer: how a session fans work out on the host.
+"""Executor layer: how a session fans work out on the host.
 
-Executors are registered by name exactly like execution backends
-(:mod:`repro.backends.registry`): :func:`register_executor` installs a
-class, :func:`get_executor` resolves a name (listing the alternatives on a
-miss), and :func:`available_executors` reports what is installed.  Three
-executors ship built in:
+Executors are named exactly like execution backends
+(:mod:`repro.backends.registry`): :func:`get_executor` resolves a name in
+one fixed table (listing the alternatives on a miss), and
+:func:`available_executors` reports its names.  Three executors exist:
 
 ========= ============================================== ==================
 name      what runs                                      use when
@@ -34,27 +33,14 @@ from concurrent.futures import (
 )
 from typing import Any, Callable, Iterable
 
-_EXECUTORS: dict[str, type["Executor"]] = {}
-
-
-def register_executor(name: str):
-    """Class decorator installing an :class:`Executor` under ``name``."""
-
-    def decorator(cls: type["Executor"]) -> type["Executor"]:
-        cls.name = name
-        _EXECUTORS[name] = cls
-        return cls
-
-    return decorator
-
 
 def available_executors() -> list[str]:
-    """Registered executor names, sorted."""
+    """Executor names, sorted."""
     return sorted(_EXECUTORS)
 
 
 def get_executor(name: str, workers: int | None = None) -> "Executor":
-    """Instantiate the executor registered under ``name``.
+    """Instantiate the executor named ``name``.
 
     Raises:
         ValueError: when no executor has that name; the message lists every
@@ -74,7 +60,7 @@ def default_workers() -> int:
 class Executor(ABC):
     """One strategy for running many independent job callables."""
 
-    #: Registry name; set by the @register_executor decorator.
+    #: The executor's name in ``_EXECUTORS``.
     name: str = ""
 
     def __init__(self, workers: int | None = None) -> None:
@@ -101,9 +87,10 @@ class Executor(ABC):
         self.shutdown()
 
 
-@register_executor("serial")
 class SerialExecutor(Executor):
     """Run every job inline in the calling thread (the default)."""
+
+    name = "serial"
 
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list:
         return [fn(item) for item in items]
@@ -167,14 +154,13 @@ class _PooledExecutor(Executor):
             pool.shutdown(wait=True)
 
 
-@register_executor("thread")
 class ThreadExecutor(_PooledExecutor):
     """Fan jobs out over a thread pool (shares the in-process cache)."""
 
+    name = "thread"
     _pool_cls = ThreadPoolExecutor
 
 
-@register_executor("process")
 class ProcessExecutor(_PooledExecutor):
     """Fan jobs out over worker processes (true CPU parallelism).
 
@@ -183,4 +169,12 @@ class ProcessExecutor(_PooledExecutor):
     the filesystem.
     """
 
+    name = "process"
     _pool_cls = ProcessPoolExecutor
+
+
+_EXECUTORS: dict[str, type[Executor]] = {
+    "serial": SerialExecutor,
+    "thread": ThreadExecutor,
+    "process": ProcessExecutor,
+}

@@ -1,8 +1,9 @@
 """The unified Session API: declarative specs in, RunResult envelopes out.
 
-A :class:`Session` owns backend resolution, a pluggable executor
-(``serial`` / ``thread`` / ``process``, registered like backends), and a
-persistent LRU
+A :class:`Session` owns one chip — a frozen
+:class:`~repro.backends.base.ExecutionContext` every run executes on —
+backend resolution, an executor (``serial`` / ``thread`` / ``process``,
+named like backends), and a persistent LRU
 :class:`~repro.core.runner.ProgramCache`.  Workloads are described
 declaratively (:mod:`repro.core.specs`) and submitted through three verbs::
 
@@ -54,8 +55,8 @@ from repro.analysis.findings import VerificationError
 from repro.analysis.verifier import VERIFY_LEVELS, verify_program
 from repro.arch.config import NeuraChipConfig, get_config
 from repro.backends import ChipTopology, get_backend
-from repro.backends.base import ExecutionResult
-from repro.backends.multichip import ResidentGraph
+from repro.backends.base import ExecutionContext, ExecutionResult
+from repro.backends.multichip import MultiChipBackend, ResidentGraph
 from repro.compiler.program import ProgramDigest
 from repro.core.executors import Executor, get_executor
 from repro.core.runner import (
@@ -74,18 +75,11 @@ from repro.core.specs import (
     SweepSpec,
     WorkloadSpec,
 )
+from repro.power.model import activity_from_report, estimate_power
 from repro.sim.params import SimulationParams
+from repro.sparse.convert import as_csr
 from repro.sparse.csr import CSRMatrix
-
-# The planner lives in the sparse layer now (it is shared with the
-# multichip backend); these re-exports keep the historical import path.
-from repro.sparse.partition import (  # noqa: F401  (re-exported API)
-    PARTITION_STRATEGIES,
-    ShardPlan,
-    estimate_row_partial_products,
-    plan_row_shards,
-    plan_shards,
-)
+from repro.sparse.partition import PARTITION_STRATEGIES
 
 
 # ----------------------------------------------------------------------
@@ -117,7 +111,7 @@ def _sweep_config_worker(payload: dict) -> tuple[str, dict[str, float]]:
     if report is None:
         raise ValueError(f"backend {payload['backend']!r} produces no timing "
                          "report; use 'cycle' or 'analytic'")
-    return session.chip.config.name, {
+    return session.ctx.config.name, {
         "stall_cycles": report.stall_cycles,
         "cpi": report.cpi,
         "ipc": report.ipc,
@@ -133,13 +127,13 @@ def _sweep_config_worker(payload: dict) -> tuple[str, dict[str, float]]:
 # Session
 # ----------------------------------------------------------------------
 class Session:
-    """One configured execution context: chip + backend + executor + cache.
+    """One configured chip (``ctx``) + backend + executor + cache.
 
     Args:
-        chip_config: configuration name, :class:`NeuraChipConfig`, or an
-            existing :class:`~repro.core.api.NeuraChip` to bind to.
-        backend: registered execution backend name for every run.
-        executor: registered executor name ('serial', 'thread', 'process').
+        chip_config: configuration name or :class:`NeuraChipConfig`.
+        backend: execution backend name for every run (see
+            :func:`~repro.backends.registry.available_backends`).
+        executor: executor name ('serial', 'thread', 'process').
         workers: worker count for the pooled executors.
         cache: an existing :class:`ProgramCache` to share; overrides
             ``cache_dir`` / ``cache_capacity``.
@@ -158,14 +152,17 @@ class Session:
             multichip backend; 'auto' (default) keeps contiguous ranges
             unless a cheap skew probe shows the degree-aware index-set
             plan is measurably more balanced.
-        mapping_scheme / eviction_mode / params / mapping_seed: forwarded
-            to the chip when one is constructed here.
+        mapping_scheme / eviction_mode / params / mapping_seed: the chip's
+            run settings; ``mapping_scheme=None`` takes the configuration's
+            scheme, ``params=None`` the default :class:`SimulationParams`.
 
-    All names (backend, executor) are resolved eagerly so a typo
-    fails at construction, not mid-batch.
+    The configuration and these settings resolve once into ``self.ctx``,
+    the :class:`~repro.backends.base.ExecutionContext` every run executes
+    on.  All names (configuration, backend, executor) are resolved eagerly
+    so a typo fails at construction, not mid-batch.
     """
 
-    def __init__(self, chip_config="Tile-16", *,
+    def __init__(self, chip_config: str | NeuraChipConfig = "Tile-16", *,
                  backend: str = "cycle",
                  executor: str = "serial", workers: int | None = None,
                  cache: ProgramCache | None = None,
@@ -180,15 +177,14 @@ class Session:
                  params: SimulationParams | None = None,
                  mapping_seed: int = 0,
                  verify: str | None = None) -> None:
-        from repro.core.api import NeuraChip
-
-        if isinstance(chip_config, NeuraChip):
-            self.chip = chip_config
-        else:
-            self.chip = NeuraChip(chip_config, mapping_scheme=mapping_scheme,
-                                  eviction_mode=eviction_mode, params=params,
-                                  mapping_seed=mapping_seed)
-        get_backend(backend)  # fail fast on unknown names
+        config = get_config(chip_config) if isinstance(chip_config, str) \
+            else chip_config
+        self.ctx = ExecutionContext(
+            config=config, params=params or SimulationParams(),
+            mapping_scheme=mapping_scheme or config.mapping_scheme,
+            mapping_seed=mapping_seed, eviction_mode=eviction_mode)
+        if backend != "multichip":
+            get_backend(backend)  # fail fast on unknown names
         if chips is not None and topology is not None \
                 and topology.n_chips != chips:
             raise ValueError(f"chips={chips} contradicts "
@@ -210,8 +206,6 @@ class Session:
         if topology is not None and backend != "multichip":
             raise ValueError("chips/topology require backend='multichip'; "
                              f"got backend={backend!r}")
-        if topology is not None:
-            get_backend(topology.chip_backend)  # fail fast here too
         self.backend = backend
         self.topology = topology
         self.partition = partition
@@ -359,9 +353,9 @@ class Session:
     def _subprocess_state(self) -> dict:
         """Constructor kwargs rebuilding this session inside a worker
         process (executor forced serial; disk cache shared, memory not)."""
-        chip = self.chip
+        ctx = self.ctx
         return {
-            "chip_config": chip.config,
+            "chip_config": ctx.config,
             "backend": self.backend,
             "topology": self.topology,
             "partition": self.partition,
@@ -369,10 +363,10 @@ class Session:
             "cache_dir": self.cache.cache_dir,
             "cache_capacity": self.cache.capacity,
             "cache_max_disk_bytes": self.cache.max_disk_bytes,
-            "mapping_scheme": chip.mapping_scheme,
-            "eviction_mode": chip.eviction_mode,
-            "params": chip.params,
-            "mapping_seed": chip.mapping_seed,
+            "mapping_scheme": ctx.mapping_scheme,
+            "eviction_mode": ctx.eviction_mode,
+            "params": ctx.params,
+            "mapping_seed": ctx.mapping_seed,
             "verify": self.verify_mode,
         }
 
@@ -380,17 +374,15 @@ class Session:
     # SpGEMM
     # ------------------------------------------------------------------
     def _run_spgemm(self, spec: SpGEMMSpec) -> RunResult:
-        from repro.core.api import _as_csr
-
         start = time.perf_counter()
         if self.backend == "multichip" and spec.shards > 1:
             raise ValueError(
                 "the multichip backend assigns row shards to chips itself; "
                 "set Session(chips=N) instead of SpGEMMSpec(shards=N)")
-        a_csr = _as_csr(spec.a)
-        b_csr = _as_csr(spec.b) if spec.b is not None else None
+        a_csr = as_csr(spec.a)
+        b_csr = as_csr(spec.b) if spec.b is not None else None
         result, _ = self._execute(
-            a_csr, b_csr, self.chip.config.mmh_tile_size
+            a_csr, b_csr, self.ctx.config.mmh_tile_size
             if spec.tile_size is None else spec.tile_size,
             spec.source, spec.verify, shards=spec.shards)
         result.label = spec.label
@@ -419,7 +411,7 @@ class Session:
         ``charge_broadcast``; without it, the run is one-shot.  Every path
         yields an output byte-identical to the unsharded product.
         """
-        ctx = self.chip._context()
+        ctx = self.ctx
         if self.backend != "multichip" and shards == 1:
             program, cache_hit, _ = fetch_or_compile(
                 self.cache, a_csr, b_csr, tile, source,
@@ -429,7 +421,7 @@ class Session:
                 b_csr=b_csr if b_csr is not None else a_csr, verify=verify)
             report = execution.report
             reports = [report]
-            power_w, energy_j = self.chip._estimate_power(report)
+            power_w, energy_j = estimate_power(ctx.config, report)
             provenance = self._provenance(cache_hit=cache_hit)
         else:
             backend = self._multichip_backend(shards)
@@ -465,7 +457,7 @@ class Session:
                 power_w, energy_j = self._fleet_power(execution)
                 provenance.chips = execution.n_chips
         cycles = float(sum(r.cycles for r in reports if r is not None))
-        seconds = cycles / (self.chip.config.frequency_ghz * 1e9)
+        seconds = cycles / (ctx.config.frequency_ghz * 1e9)
         verdicts = [r.correct if r is not None else None for r in reports]
         metrics = {
             "cycles": cycles,
@@ -487,14 +479,13 @@ class Session:
                 "split_rows": len(execution.plan.split_rows),
             })
         metrics["verified"] = None if None in verdicts else all(verdicts)
-        activity = (self.chip._activity_from_report(report)
-                    if report is not None else {})
+        activity = activity_from_report(report) if report is not None else {}
         return RunResult(
             kind="spgemm", metrics=metrics, activity=activity,
             provenance=provenance, output=execution.output, report=report,
             program=program, power_w=power_w, energy_j=energy_j), execution
 
-    def _multichip_backend(self, shards: int = 1):
+    def _multichip_backend(self, shards: int = 1) -> MultiChipBackend:
         """A configured :class:`~repro.backends.multichip.MultiChipBackend`.
 
         Its fleet is the session topology, or for ``shards > 1`` that many
@@ -503,22 +494,20 @@ class Session:
         verification, and fans per-chip work out over the session executor
         (inline when already inside a pool worker, so a sharded or
         multichip spec inside a batch cannot deadlock the pool)."""
-        backend = get_backend("multichip")
-        backend.topology = self.topology if shards == 1 else ChipTopology(
-            n_chips=shards, chip_backend=self.backend,
-            partition=self.partition)
-        backend.cache = self.cache
-        backend.check = self._maybe_verify
-        backend.verify_level = self.verify_mode
-        if not getattr(self._local, "in_worker", False):
-            backend.executor = self.executor
-        return backend
+        return MultiChipBackend(
+            topology=self.topology if shards == 1 else ChipTopology(
+                n_chips=shards, chip_backend=self.backend,
+                partition=self.partition),
+            cache=self.cache, check=self._maybe_verify,
+            verify_level=self.verify_mode,
+            executor=None if getattr(self._local, "in_worker", False)
+            else self.executor)
 
     def _fleet_power(self, execution, combine=sum) -> tuple[float, float]:
         """Power and energy of a multichip execution: ``combine`` of the
         per-chip powers (summed for chips running side by side, the peak
         for host shards running one after another) and summed energy."""
-        powers, energies = zip(*(self.chip._estimate_power(run.report)
+        powers, energies = zip(*(estimate_power(self.ctx.config, run.report)
                                  for run in execution.chip_runs))
         return combine(powers), sum(energies)
 
@@ -532,7 +521,7 @@ class Session:
                              "use 'cycle' or 'analytic'")
         payloads = [{"config": config, "a": spec.a, "b": spec.b,
                      "eviction_mode": spec.eviction_mode,
-                     "params": self.chip.params, "backend": self.backend,
+                     "params": self.ctx.params, "backend": self.backend,
                      "topology": self.topology}
                     for config in spec.configs]
         raw = dict(self.executor.map(_sweep_config_worker, payloads))
@@ -598,5 +587,5 @@ class Session:
     def _provenance(self, cache_hit: bool, wall: float = 0.0) -> Provenance:
         return Provenance(backend=self.backend,
                           executor=self.executor.name,
-                          config=self.chip.config.name,
+                          config=self.ctx.config.name,
                           cache_hit=cache_hit, wall_time_s=wall)

@@ -17,6 +17,7 @@ eventually run on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -51,6 +52,12 @@ def _check_dims(**dims: int) -> None:
     for name, dim in dims.items():
         if dim < 1:
             raise ValueError(f"{name} must be >= 1, got {dim}")
+
+
+def _check_density(density: float) -> None:
+    # json.loads accepts NaN and Infinity; feature_matrix clips finite values.
+    if not math.isfinite(density):
+        raise ValueError(f"feature_density must be finite, got {density}")
 
 
 def _check_activations(*names) -> None:
@@ -169,6 +176,7 @@ class GCNLayerSpec(WorkloadSpec):
         if self.dataset is None:
             raise ValueError("GCNLayerSpec requires a dataset")
         _check_dims(feature_dim=self.feature_dim, hidden_dim=self.hidden_dim)
+        _check_density(self.feature_density)
         _check_activations(self.activation)
 
 
@@ -216,6 +224,7 @@ class GNNModelSpec(WorkloadSpec):
         if self.dataset is None:
             raise ValueError("GNNModelSpec requires a dataset")
         _check_dims(feature_dim=self.feature_dim)
+        _check_density(self.feature_density)
         self.layer_dims = tuple(int(dim) for dim in self.layer_dims)
         if not self.layer_dims:
             raise ValueError("GNNModelSpec requires at least one layer")

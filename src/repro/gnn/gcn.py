@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.arch.config import NeuraChipConfig
 from repro.datasets.features import feature_matrix, gcn_weight_matrix
 from repro.datasets.suite import GraphDataset
 from repro.sparse.convert import coo_to_csr, csr_to_csc
@@ -182,6 +183,18 @@ class GCNLayer:
     def combination(self, aggregated: np.ndarray) -> np.ndarray:
         """Combination phase: dense GEMM with W plus the non-linearity."""
         return self._activate(aggregated @ self.weight)
+
+
+def combination_cycles(config: NeuraChipConfig, n_nodes: int,
+                       layer: GCNLayer) -> float:
+    """Dense combination phase (``n_nodes`` rows times ``layer``'s
+    weights) modelled at ``config``'s peak throughput, bounded by HBM
+    streaming of the aggregated features."""
+    flops = 2 * n_nodes * layer.in_dim * layer.out_dim
+    compute_cycles = flops / max(config.peak_gflops, 1e-9)
+    traffic = 4.0 * (n_nodes * (layer.in_dim + layer.out_dim))
+    memory_cycles = traffic / max(config.peak_bandwidth_bytes_per_cycle, 1e-9)
+    return max(compute_cycles, memory_cycles)
 
 
 @dataclass

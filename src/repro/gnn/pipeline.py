@@ -53,7 +53,11 @@ import numpy as np
 from repro.core.specs import GCNLayerSpec, GNNModelSpec, RunResult
 from repro.datasets.features import feature_matrix
 from repro.datasets.suite import DatasetSpec, GraphDataset
-from repro.gnn.gcn import GCNLayer, normalize_adjacency_cached
+from repro.gnn.gcn import (
+    GCNLayer,
+    combination_cycles,
+    normalize_adjacency_cached,
+)
 from repro.sparse.csr import CSRMatrix, full_structure_csr
 
 
@@ -116,7 +120,8 @@ def run_gnn_model(session, spec: GNNModelSpec | GCNLayerSpec) -> RunResult:
             activation=spec.activation)]
         label = f"gcn-aggregation:{dataset.name}"
     a_csr = normalize_adjacency_cached(dataset.adjacency)  # shared: read only
-    tile = session.chip.config.mmh_tile_size
+    config = session.ctx.config
+    tile = config.mmh_tile_size
     multichip = session.backend == "multichip"
 
     resident = None
@@ -145,8 +150,7 @@ def run_gnn_model(session, spec: GNNModelSpec | GCNLayerSpec) -> RunResult:
         power_w = max(power_w, result.power_w)
         energy_j += result.energy_j
         aggregation.append(result.metrics["cycles"])
-        combination.append(
-            session.chip._combination_cycles(dataset.n_nodes, layer))
+        combination.append(combination_cycles(config, dataset.n_nodes, layer))
         verdicts.append(result.metrics["verified"])
         x = layer.combination(execution.to_dense())
 

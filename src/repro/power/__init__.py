@@ -4,9 +4,11 @@ from repro.power.model import (
     AreaPowerBreakdown,
     PowerModel,
     TABLE4_REFERENCE,
+    activity_from_report,
     area_breakdown,
     energy_efficiency_gops_per_watt,
     area_efficiency_gops_per_mm2,
+    estimate_power,
     power_breakdown,
 )
 
@@ -16,6 +18,8 @@ __all__ = [
     "TABLE4_REFERENCE",
     "area_breakdown",
     "power_breakdown",
+    "activity_from_report",
+    "estimate_power",
     "energy_efficiency_gops_per_watt",
     "area_efficiency_gops_per_mm2",
 ]

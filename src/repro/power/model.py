@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.arch.config import NeuraChipConfig, TILE16, TILE4, TILE64
+from repro.sim.accelerator import SimulationReport
 
 #: Paper-reported Table 4 values: unit -> {config name -> (area mm^2, power W)}.
 TABLE4_REFERENCE: dict[str, dict[str, tuple[float, float]]] = {
@@ -154,6 +155,27 @@ def power_breakdown(config: NeuraChipConfig,
                     activity: dict[str, float] | None = None) -> AreaPowerBreakdown:
     """Table 4 power breakdown for a configuration."""
     return PowerModel().power(config, activity)
+
+
+def activity_from_report(report: SimulationReport) -> dict[str, float]:
+    """Per-component activity factors derived from a simulation report."""
+    return {
+        "NeuraCore": min(1.0, report.core_utilization * 4.0),
+        "NeuraMem": min(1.0, report.mem_utilization * 2.0),
+        "Router": min(1.0, report.noc_flits / max(report.cycles, 1.0)),
+        "Memory Controller": min(1.0, report.avg_inflight_mem / 16.0),
+    }
+
+
+def estimate_power(config: NeuraChipConfig,
+                   report: SimulationReport | None) -> tuple[float, float]:
+    """Average power and energy of a run on ``config``, from the
+    simulator's activity; ``(0.0, 0.0)`` without a timing report."""
+    if report is None:
+        return 0.0, 0.0
+    power = power_breakdown(config, activity_from_report(report)).total_power_w
+    seconds = report.cycles / (config.frequency_ghz * 1e9)
+    return power, power * seconds
 
 
 def energy_efficiency_gops_per_watt(sustained_gops: float, power_w: float) -> float:

@@ -401,7 +401,7 @@ class ReproServer:
         await self.start()
         print(f"repro serve listening on http://{self.host}:{self.port} "
               f"(backend={self.session.backend}, "
-              f"config={self.session.chip.config.name}, "
+              f"config={self.session.ctx.config.name}, "
               f"max_batch={self.batcher.max_batch}, "
               f"max_delay_ms={self.batcher.max_delay_s * 1e3:g})",
               flush=True)
@@ -615,7 +615,7 @@ class ReproServer:
             return 200, {
                 "status": "ok",
                 "backend": self.session.backend,
-                "config": self.session.chip.config.name,
+                "config": self.session.ctx.config.name,
                 "chips": (self.session.topology.n_chips
                           if self.session.topology is not None else 1),
                 "partition": (self.session.topology.partition

@@ -79,6 +79,19 @@ def csc_to_csr(csc: CSCMatrix) -> CSRMatrix:
     return coo_to_csr(csc_to_coo(csc))
 
 
+def as_csr(matrix) -> CSRMatrix:
+    """Accept CSR/CSC/COO/dense and return CSR."""
+    if isinstance(matrix, CSRMatrix):
+        return matrix
+    if isinstance(matrix, CSCMatrix):
+        return coo_to_csr(matrix.to_coo())
+    if isinstance(matrix, COOMatrix):
+        return coo_to_csr(matrix)
+    if isinstance(matrix, np.ndarray):
+        return coo_to_csr(dense_to_coo(matrix))
+    raise TypeError(f"unsupported matrix type {type(matrix)!r}")
+
+
 def csr_vstack(blocks: list[CSRMatrix]) -> CSRMatrix:
     """Stack CSR matrices vertically (shared column dimension).
 

@@ -34,8 +34,8 @@ concatenation: no fragment ever contributes to the same output entry as
 another.
 
 The planner lives in the sparse layer (below both the session and the
-backends) because it only ever touches operand structure; the historical
-import path ``repro.core.session.plan_row_shards`` re-exports it.
+backends) because it only ever touches operand structure; ``repro.core``
+re-exports it.
 """
 
 from __future__ import annotations

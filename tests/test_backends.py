@@ -1,4 +1,4 @@
-"""Backend registry and execution backend tests."""
+"""Backend table and execution backend tests."""
 
 import pickle
 
@@ -7,17 +7,14 @@ import pytest
 
 from repro.backends import (
     CALIBRATED_TOLERANCE,
-    ExecutionBackend,
     ExecutionContext,
     available_backends,
     get_backend,
-    register_backend,
 )
-from repro.backends.registry import _BACKENDS
 from repro.compiler import program as program_module
 from repro.compiler.lowering import compile_spgemm
 from repro.compiler.program import ProgramArrays, rebind_b_values
-from repro.core import GCNLayerSpec, NeuraChip, Session, SpGEMMSpec
+from repro.core import GCNLayerSpec, Session, SpGEMMSpec
 from repro.datasets import load_dataset
 from repro.gnn.gcn import GCNWorkload
 from repro.gnn.pipeline import full_structure_csr
@@ -29,7 +26,8 @@ from repro.sparse.csr import CSRMatrix
 
 @pytest.fixture(scope="module")
 def chip():
-    return NeuraChip("Tile-4")
+    """The Tile-4 chip: the execution context a default session runs on."""
+    return Session("Tile-4").ctx
 
 
 @pytest.fixture(scope="module")
@@ -48,25 +46,9 @@ class TestRegistry:
         for name in available_backends():
             assert name in message
 
-    def test_get_backend_returns_fresh_instances(self):
-        assert get_backend("cycle") is not get_backend("cycle")
-
-    def test_custom_backend_registration(self):
-        @register_backend("null-test")
-        class NullBackend(ExecutionBackend):
-            def execute(self, program, ctx, a_csc=None, b_csr=None,
-                        verify=True):
-                raise NotImplementedError
-
-        try:
-            assert isinstance(get_backend("null-test"), NullBackend)
-            assert "null-test" in available_backends()
-        finally:
-            _BACKENDS.pop("null-test", None)
-
 
 def run_spgemm(chip, a, backend, **spec_kwargs):
-    with Session(chip, backend=backend) as session:
+    with Session(chip.config, backend=backend) as session:
         return session.run(SpGEMMSpec(a=a, **spec_kwargs))
 
 
@@ -81,10 +63,10 @@ class TestBackendSelection:
 
     def test_unknown_backend_raises_before_compile(self, chip):
         with pytest.raises(ValueError, match="registered backends"):
-            Session(chip, backend="quantum")
+            Session(chip.config, backend="quantum")
 
     def test_gcn_layer_on_analytic_backend(self, chip, wiki):
-        with Session(chip, backend="analytic") as session:
+        with Session(chip.config, backend="analytic") as session:
             result = session.run(GCNLayerSpec(dataset=wiki, feature_dim=8,
                                               hidden_dim=4))
         reference = GCNWorkload.build(wiki, feature_dim=8,
@@ -107,11 +89,11 @@ class TestBackendSelection:
         monkeypatch.setattr(FunctionalAccelerator, "run", broken)
         a = wiki.adjacency_csr()
         dense = a.to_dense() @ a.to_dense()
-        with Session(chip, backend="functional") as session:
+        with Session(chip.config, backend="functional") as session:
             spgemm = session.run(SpGEMMSpec(a=a))
             layer = session.run(GCNLayerSpec(dataset=wiki, feature_dim=8,
                                              hidden_dim=4))
-        with Session(chip, backend="multichip", topology=ChipTopology(
+        with Session(chip.config, backend="multichip", topology=ChipTopology(
                 n_chips=2, chip_backend="functional")) as session:
             fleet = session.run(SpGEMMSpec(a=a))
         assert spgemm.report is None
@@ -141,9 +123,9 @@ class TestAnalyticBackend:
 
     def test_exact_counts_and_kernel_output(self, chip, wiki):
         a = wiki.adjacency_csr()
-        program = chip.compile(a)
+        program = compile_spgemm(csr_to_csc(a), a, tile_size=4)
         result = get_backend("analytic").execute(
-            program, chip._context(), a_csr=a, b_csr=a)
+            program, chip, a_csr=a, b_csr=a)
         report = result.report
         # Instruction and op counts are exact, not estimated.
         assert report.mmh_instructions == program.n_instructions
@@ -287,14 +269,14 @@ class TestProgramReplay:
         if not dense_keys:
             monkeypatch.setattr(program_module, "DENSE_KEY_SPACE", 0)
         with pytest.raises(ValueError, match="corrupted.*no slot"):
-            get_backend("analytic").execute(program, chip._context())
+            get_backend("analytic").execute(program, chip)
 
     def test_out_of_bounds_slice_raises(self, chip):
         a, b = replay_cases()["rectangular"]
         program = compile_spgemm(csr_to_csc(a), b, tile_size=2, source="oob")
         program.arrays.op_b_lo[0] = -1
         with pytest.raises(ValueError, match="oob.*B-tile slice"):
-            get_backend("analytic").execute(program, chip._context())
+            get_backend("analytic").execute(program, chip)
 
     def test_out_of_bounds_slice_raises_on_a_full_structure_b(self, chip):
         a, _ = replay_cases()["rectangular"]
@@ -303,11 +285,11 @@ class TestProgramReplay:
         program = compile_spgemm(csr_to_csc(a), b, tile_size=2, source="oob")
         program.arrays.op_b_lo[0] = -1
         with pytest.raises(ValueError, match="oob.*B-tile slice"):
-            get_backend("analytic").execute(program, chip._context())
+            get_backend("analytic").execute(program, chip)
 
     def test_output_never_aliases_the_cached_program(self, chip, wiki):
         a = wiki.adjacency_csr()
-        with Session(chip, backend="analytic") as session:
+        with Session(chip.config, backend="analytic") as session:
             first = session.run(SpGEMMSpec(a=a)).output
             expected = first.copy()
             first.indptr[:] = 0
@@ -389,7 +371,7 @@ class TestColdPathExpansions:
         monkeypatch.setattr(ProgramArrays, "replay_index",
                             recording_replay_index)
         a = wiki.adjacency_csr()
-        with Session(chip, backend="analytic", verify="full") as session:
+        with Session(chip.config, backend="analytic", verify="full") as session:
             cold = session.run(SpGEMMSpec(a=a))
             assert not cold.provenance.cache_hit
             assert len(expansions) == 2  # compile + verify

@@ -3,15 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.core import BatchSpec, NeuraChip, Session, SpGEMMSpec
+from repro.arch.config import TILE4
+from repro.compiler import compile_spgemm
+from repro.core import BatchSpec, Session, SpGEMMSpec
 from repro.core.runner import ProgramCache, matrix_fingerprint
 from repro.datasets import load_dataset
+from repro.sparse.convert import csr_to_csc
 from repro.sparse.csr import CSRMatrix
 
 
 @pytest.fixture(scope="module")
 def chip():
-    return NeuraChip("Tile-4")
+    return TILE4
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +79,7 @@ class TestProgramCache:
         a = graphs["wiki-Vote"]
         cache = ProgramCache(capacity=4, cache_dir=tmp_path)
         key = cache.key(a, None, 4)
-        cache.put(key, chip.compile(a, tile_size=4))
+        cache.put(key, compile_spgemm(csr_to_csc(a), a, tile_size=4))
         assert list(tmp_path.glob("*.pkl"))
         fresh = ProgramCache(capacity=4, cache_dir=tmp_path)
         assert fresh.get(key) is not None

@@ -1,14 +1,17 @@
-"""The NeuraChip chip object and single-workload runs through Session."""
+"""The session's chip (``Session.ctx``) and single-workload runs."""
 
 import numpy as np
 import pytest
 
 from repro.analysis.verifier import verify_program
 from repro.arch.config import TILE4
-from repro.core import GCNLayerSpec, NeuraChip, Session, SpGEMMSpec, SweepSpec
+from repro.compiler import compile_spgemm
+from repro.core import GCNLayerSpec, Session, SpGEMMSpec, SweepSpec
 from repro.datasets import load_dataset
 from repro.gnn.gcn import GCNWorkload
+from repro.power import PowerModel, activity_from_report
 from repro.sim.params import SimulationParams
+from repro.sparse.convert import csr_to_csc
 
 
 @pytest.fixture(scope="module")
@@ -18,22 +21,35 @@ def tiny_graph():
 
 @pytest.fixture(scope="module")
 def chip():
-    return NeuraChip("Tile-4")
+    return TILE4
 
 
 class TestConstruction:
     def test_config_by_name_or_object(self):
-        assert NeuraChip("Tile-4").config is TILE4
-        assert NeuraChip(TILE4).config is TILE4
+        assert Session("Tile-4").ctx.config is TILE4
+        assert Session(TILE4).ctx.config is TILE4
 
     def test_unknown_config_name(self):
         with pytest.raises(KeyError):
-            NeuraChip("Tile-1024")
+            Session("Tile-1024")
 
     def test_defaults(self, chip):
-        assert chip.mapping_scheme == "drhm"
-        assert chip.eviction_mode == "rolling"
-        assert isinstance(chip.params, SimulationParams)
+        ctx = Session(chip).ctx
+        assert ctx.mapping_scheme == "drhm"
+        assert ctx.eviction_mode == "rolling"
+        assert ctx.mapping_seed == 0
+        assert isinstance(ctx.params, SimulationParams)
+
+    def test_run_settings_reach_the_context_and_the_report(
+            self, tiny_graph):
+        with Session(TILE4, backend="cycle", mapping_scheme="ring",
+                     eviction_mode="barrier") as session:
+            assert session.ctx.mapping_scheme == "ring"
+            assert session.ctx.eviction_mode == "barrier"
+            report = session.run(SpGEMMSpec(a=tiny_graph.adjacency_csr(),
+                                            verify=False)).report
+        assert report.mapping_scheme == "ring"
+        assert report.eviction_mode == "barrier"
 
 
 def run_spgemm(chip, a, b=None, backend="cycle", **spec_kwargs):
@@ -93,8 +109,9 @@ class TestRunSpGEMM:
         assert np.allclose(result.output.to_dense(),
                            a.to_dense() @ features.to_dense())
 
-    def test_compile_only(self, chip, tiny_graph):
-        program = chip.compile(tiny_graph.adjacency_csr(), tile_size=2)
+    def test_compile_only(self, tiny_graph):
+        a = tiny_graph.adjacency_csr()
+        program = compile_spgemm(csr_to_csc(a), a, tile_size=2)
         assert program.tile_size == 2
         assert verify_program(program) == []
 
@@ -124,13 +141,14 @@ class TestRunGCNLayer:
 
 class TestPowerIntegration:
     def test_power_breakdown_without_report(self, chip):
-        breakdown = chip.power_breakdown()
+        breakdown = PowerModel().combined(chip)
         assert breakdown.total_area_mm2 == pytest.approx(2.37, abs=0.01)
 
     def test_power_breakdown_with_report_activity(self, chip, tiny_graph):
         result = run_spgemm(chip, tiny_graph.adjacency_csr(), verify=False)
-        breakdown = chip.power_breakdown(result.report)
-        full = chip.power_breakdown()
+        breakdown = PowerModel().combined(
+            chip, activity_from_report(result.report))
+        full = PowerModel().combined(chip)
         assert breakdown.total_power_w <= full.total_power_w + 1e-9
 
 

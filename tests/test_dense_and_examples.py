@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 from repro.arch.config import TILE4
-from repro.core import NeuraChip, Session, SpGEMMSpec
+from repro.compiler import compile_spgemm
+from repro.core import Session, SpGEMMSpec
 from repro.sim.accelerator import NeuraChipAccelerator
+from repro.sparse.convert import as_csr, csr_to_csc
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
@@ -43,8 +45,10 @@ class TestDenseWorkloads:
     def test_simulation_kcps_reported(self):
         rng = np.random.default_rng(2)
         a = (rng.random((32, 32)) < 0.2) * rng.random((32, 32))
-        chip = NeuraChip(TILE4)
-        report = NeuraChipAccelerator(TILE4).run(chip.compile(a), verify=False)
+        a_csr = as_csr(a)
+        program = compile_spgemm(csr_to_csc(a_csr), a_csr,
+                                 tile_size=TILE4.mmh_tile_size)
+        report = NeuraChipAccelerator(TILE4).run(program, verify=False)
         assert report.simulation_kcps > 0
         assert report.wall_clock_seconds > 0
 

@@ -15,7 +15,8 @@ from repro.compiler.program import (
     ProgramArrays,
     rebind_b_values,
 )
-from repro.core import NeuraChip, Session, SpGEMMSpec
+from repro.arch.config import get_config
+from repro.core import Session, SpGEMMSpec
 from repro.datasets import load_dataset
 from repro.gnn.gcn import normalize_adjacency_cached
 from repro.gnn.pipeline import full_structure_csr
@@ -123,7 +124,7 @@ class TestDifferential:
            st.sampled_from(["analytic", "functional", "cycle"]))
     def test_backends_match(self, operands, backend):
         a, b, tile = operands
-        context = NeuraChip("Tile-4")._context()
+        context = Session("Tile-4").ctx
 
         def execute():
             program = compile_spgemm(csr_to_csc(a), b, tile_size=tile)
@@ -160,7 +161,7 @@ class TestIndex:
         graph = load_dataset("cora", max_nodes=2000, seed=0)
         a = normalize_adjacency_cached(graph.adjacency)
         x = np.random.default_rng(0).standard_normal((graph.n_nodes, 32))
-        tile = NeuraChip("Tile-16").config.mmh_tile_size
+        tile = get_config("Tile-16").mmh_tile_size
         program = compile_spgemm(csr_to_csc(a), full_structure_csr(x),
                                  tile_size=tile)
 

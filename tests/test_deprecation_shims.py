@@ -13,14 +13,17 @@ import pytest
 import repro
 import repro.core
 from repro.backends import get_backend
-from repro.core import BatchSpec, NeuraChip, Session, SpGEMMSpec
+from repro.compiler import compile_spgemm
+from repro.core import BatchSpec, Session, SpGEMMSpec
 from repro.datasets import load_dataset
+from repro.sparse.convert import csr_to_csc
 
 REMOVED_CHIP_METHODS = ("run_program", "run_spgemm", "run_gcn_layer",
                         "run_batch", "session")
 REMOVED_PUBLIC_NAMES = ("SpGEMMRunResult", "GCNRunResult", "BatchReport",
                         "WorkloadQueue", "WorkloadJob", "JobOutcome",
-                        "design_space_sweep")
+                        "design_space_sweep", "NeuraChip",
+                        "register_backend", "register_executor")
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +33,8 @@ def wiki():
 
 @pytest.fixture(scope="module")
 def chip():
-    return NeuraChip("Tile-4")
+    """The Tile-4 chip: the execution context a default session runs on."""
+    return Session("Tile-4").ctx
 
 
 class TestRunSpgemmShim:
@@ -41,14 +45,15 @@ class TestRunSpgemmShim:
             assert not hasattr(repro, name), name
             assert not hasattr(repro.core, name), name
         # The replacement runs without any DeprecationWarning and equals
-        # compiling on the chip and executing on the backend by hand.
+        # compiling for the chip and executing on the backend by hand.
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            with Session(chip, backend="analytic") as session:
+            with Session(chip.config, backend="analytic") as session:
                 modern = session.run(SpGEMMSpec(a=wiki))
-        program = chip.compile(wiki)
+        program = compile_spgemm(csr_to_csc(wiki), wiki,
+                                 tile_size=chip.config.mmh_tile_size)
         direct = get_backend("analytic").execute(
-            program, chip._context(), a_csr=wiki, b_csr=wiki)
+            program, chip, a_csr=wiki, b_csr=wiki)
         assert modern.metrics["cycles"] == direct.report.cycles
         assert modern.metrics["partial_products"] == \
             program.total_partial_products
@@ -58,7 +63,7 @@ class TestRunSpgemmShim:
         with pytest.raises(AttributeError):
             chip.run_spgemm(wiki, mode="magic")
         with pytest.raises(ValueError, match="registered backends"):
-            Session(chip, backend="magic")
+            Session(chip.config, backend="magic")
 
 
 class TestRunBatchShim:
@@ -66,7 +71,7 @@ class TestRunBatchShim:
         with pytest.raises(ImportError):
             from repro.core.runner import WorkloadQueue  # noqa: F401
         specs = [SpGEMMSpec(a=wiki), SpGEMMSpec(a=wiki)]
-        with Session(chip, backend="analytic", executor="thread",
+        with Session(chip.config, backend="analytic", executor="thread",
                      workers=2) as session:
             result = session.run(BatchSpec(specs=specs))
         assert result.metrics["executor"] == "thread"

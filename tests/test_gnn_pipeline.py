@@ -278,6 +278,21 @@ class TestSpecValidation:
             GNNModelSpec(dataset=cora, layer_dims=(8, 4),
                          activations=("relu",))
 
+    @pytest.mark.parametrize("spec_type", [GCNLayerSpec, GNNModelSpec])
+    @pytest.mark.parametrize("density", [float("nan"), float("inf"),
+                                         float("-inf")])
+    def test_rejects_non_finite_feature_density(self, cora, spec_type,
+                                                density):
+        with pytest.raises(ValueError, match="feature_density"):
+            spec_type(dataset=cora, feature_density=density)
+
+    @pytest.mark.parametrize("spec_type", [GCNLayerSpec, GNNModelSpec])
+    @pytest.mark.parametrize("density", [-0.5, 0.0, 7.0])
+    def test_finite_out_of_range_density_is_clipped(self, cora, spec_type,
+                                                    density):
+        spec = spec_type(dataset=cora, feature_dim=8, feature_density=density)
+        assert spec.feature_density == density
+
 
 class TestServingCoalescing:
     def test_identical_stacks_share_a_key(self, cora):

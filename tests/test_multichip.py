@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from repro.backends import ChipTopology, get_backend, predict_scaleout
-from repro.backends.multichip import MultiChipExecutionResult
-from repro.core import NeuraChip, Session, SpGEMMSpec
+from repro.backends.multichip import MultiChipBackend, MultiChipExecutionResult
+from repro.core import Session, SpGEMMSpec
 from repro.datasets import load_dataset
+
+
+@pytest.fixture(scope="module")
+def ctx():
+    """The Tile-4 chip every fleet test runs its chips on."""
+    return Session("Tile-4").ctx
 
 
 @pytest.fixture(scope="module")
@@ -270,13 +276,6 @@ class TestValidation:
             with pytest.raises(ValueError, match="chips=N"):
                 session.run(SpGEMMSpec(a=wiki, shards=2))
 
-    def test_execute_requires_operands(self, wiki):
-        chip = NeuraChip("Tile-4")
-        program = chip.compile(wiki)
-        backend = get_backend("multichip")
-        with pytest.raises(ValueError, match="a_csr"):
-            backend.execute(program, chip._context())
-
     def test_degenerate_chip_count_clamps(self, wiki):
         # More chips than rows of work: the contiguous plan (and the
         # counters) shrink instead of emitting empty shards.
@@ -302,11 +301,12 @@ class TestValidation:
 
 
 class TestFacadeAndSubmit:
-    def test_run_program_route(self, wiki, single_chip):
-        chip = NeuraChip("Tile-4")
-        program = chip.compile(wiki)
-        result = get_backend("multichip").execute(
-            program, chip._context(), a_csr=wiki, verify=False)
+    def test_run_program_route(self, wiki, single_chip, ctx):
+        # A fleet is built with its configuration, never by name.
+        with pytest.raises(ValueError, match="single-chip"):
+            get_backend("multichip")
+        result = MultiChipBackend().execute_operands(
+            wiki, None, ctx, tile_size=4, verify=False)
         assert result.backend == "multichip"
         assert np.array_equal(result.output.to_dense(),
                               single_chip.output.to_dense())
@@ -380,17 +380,17 @@ class TestPredictScaleout:
         assert degree["split_rows"] >= 1
         assert degree["strategy"] == "degree"
 
-    def test_execution_result_type(self, wiki):
-        chip = NeuraChip("Tile-4")
-        backend = get_backend("multichip")
-        backend.topology = ChipTopology(n_chips=2, partition="contiguous")
-        execution = backend.execute_operands(wiki, None,
-                                             chip._context(),
+    def test_execution_result_type(self, wiki, ctx):
+        backend = MultiChipBackend(
+            topology=ChipTopology(n_chips=2, partition="contiguous"))
+        execution = backend.execute_operands(wiki, None, ctx,
                                              tile_size=4, verify=False)
         assert isinstance(execution, MultiChipExecutionResult)
         assert execution.n_chips == 2
         assert [run.chip for run in execution.chip_runs] == [0, 1]
         assert execution.plan.strategy == "contiguous"
-        # Contiguous assignments expose their historical (lo, hi) ranges.
-        assert execution.chip_runs[0].row_range[1] == \
-            execution.chip_runs[1].row_range[0]
+        # Contiguous assignments are consecutive row ranges.
+        first, second = (run.assignment.rows for run in execution.chip_runs)
+        assert np.array_equal(first, np.arange(first[0], first[-1] + 1))
+        assert np.array_equal(second, np.arange(second[0], second[-1] + 1))
+        assert first[-1] + 1 == second[0]

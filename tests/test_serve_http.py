@@ -226,6 +226,22 @@ class TestInvalidWorkloads:
         assert status == 400, payload
         assert payload["error"]
 
+    @pytest.mark.parametrize("path", ["/v1/gcn", "/v1/gnn"])
+    @pytest.mark.parametrize("density", [float("nan"), INF])
+    def test_non_finite_feature_density_400(self, server, path, density):
+        # json.loads parses NaN and Infinity; neither can size a feature
+        # matrix, so the spec refuses them and the server keeps serving.
+        status, payload = request(server, "POST", path,
+                                  {"dataset": "cora", "max_nodes": 64,
+                                   "feature_dim": 8,
+                                   "feature_density": density})
+        assert status == 400, payload
+        assert "feature_density" in payload["error"]
+        status, row = request(server, "POST", path,
+                              {"dataset": "cora", "max_nodes": 64,
+                               "feature_dim": 8, "feature_density": 0.5})
+        assert status == 200, row
+
     def test_dataset_operand_above_node_limit_400(self, server):
         status, payload = request(server, "PUT", "/v1/operands",
                                   {"dataset": "cora", "max_nodes": 100000})

@@ -11,7 +11,6 @@ import pytest
 from repro.core import (
     BatchSpec,
     GCNLayerSpec,
-    NeuraChip,
     ProgramCache,
     RunResult,
     Session,
@@ -23,11 +22,14 @@ from repro.core import (
     matrix_fingerprint,
     plan_row_shards,
 )
+from repro.arch.config import TILE4
 from repro.backends import get_backend
+from repro.compiler import compile_spgemm
 from repro.core.session import _process_spec_worker
 from repro.datasets import load_dataset
 from repro.gnn.gcn import GCNWorkload
-from repro.sparse.convert import csr_vstack
+from repro.power import estimate_power
+from repro.sparse.convert import csr_to_csc, csr_vstack
 
 
 @pytest.fixture(scope="module")
@@ -49,10 +51,8 @@ def analytic_session():
 
 class TestConstruction:
     def test_accepts_name_config_or_chip(self):
-        chip = NeuraChip("Tile-4")
-        assert Session(chip).chip is chip
-        assert Session("Tile-4").chip.config.name == "Tile-4"
-        assert Session(chip.config).chip.config is chip.config
+        assert Session("Tile-4").ctx.config.name == "Tile-4"
+        assert Session(TILE4).ctx.config is TILE4
 
     def test_unknown_backend_fails_fast(self):
         with pytest.raises(ValueError, match="registered backends"):
@@ -118,19 +118,18 @@ class TestCloseLifecycle:
 
 class TestRunSpGEMM:
     def test_matches_legacy_single_call(self, analytic_session, wiki):
-        # The session's result equals compiling on the chip and executing
+        # The session's result equals compiling for the chip and executing
         # the program on the backend by hand.
         result = analytic_session.run(SpGEMMSpec(a=wiki, label="w"))
-        chip = NeuraChip("Tile-4")
-        program = chip.compile(wiki)
+        program = compile_spgemm(csr_to_csc(wiki), wiki, tile_size=4)
         direct = get_backend("analytic").execute(
-            program, chip._context(), a_csr=wiki, b_csr=wiki)
+            program, analytic_session.ctx, a_csr=wiki, b_csr=wiki)
         assert result.metrics["cycles"] == direct.report.cycles
         assert result.metrics["partial_products"] == \
             program.total_partial_products
         assert result.metrics["output_nnz"] == direct.output.nnz
         assert np.array_equal(result.output.data, direct.output.data)
-        assert result.power_w == chip._estimate_power(direct.report)[0]
+        assert result.power_w == estimate_power(TILE4, direct.report)[0]
 
     def test_provenance_recorded(self, analytic_session, wiki):
         result = analytic_session.run(SpGEMMSpec(a=wiki))
@@ -226,7 +225,7 @@ class TestSharding:
         # Shards run one after another: GOP/s is total partial products
         # over total modelled seconds, not a sum of per-shard rates.
         seconds = sharded.metrics["cycles"] / (
-            analytic_session.chip.config.frequency_ghz * 1e9)
+            analytic_session.ctx.config.frequency_ghz * 1e9)
         assert sharded.metrics["gops"] == round(
             sharded.metrics["partial_products"] / seconds / 1e9, 3)
         assert sharded.metrics["gops"] == pytest.approx(
@@ -505,9 +504,8 @@ class TestPersistentCache:
 
     def test_disk_entries_survive_pickle_round_trip(self, tmp_path, wiki):
         cache = ProgramCache(capacity=4, cache_dir=tmp_path)
-        chip = NeuraChip("Tile-4")
         key = cache.key(wiki, None, 4)
-        program = chip.compile(wiki, tile_size=4)
+        program = compile_spgemm(csr_to_csc(wiki), wiki, tile_size=4)
         cache.put(key, program)
         fresh = ProgramCache(capacity=4, cache_dir=tmp_path)
         loaded = fresh.get(key)

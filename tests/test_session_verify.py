@@ -105,7 +105,7 @@ class TestVerifyMode:
         with Session("Tile-4", backend="analytic",
                      verify="full") as session:
             key = session.cache.key(a_csr, None, 4)
-            program = session.chip.compile(a_csr, None, tile_size=4)
+            program = compile_spgemm(csr_to_csc(a_csr), a_csr, tile_size=4)
             session.cache.put(key, _broken(program))
             with pytest.raises(VerificationError):
                 session.run(SpGEMMSpec(a=a_csr, tile_size=4))
@@ -201,7 +201,7 @@ class TestGNNStackVerification:
         a_hat = csc_to_csr(csr_to_csc(
             normalize_adjacency_cached(dataset.adjacency)))
         b_full = full_structure_csr(np.zeros((dataset.n_nodes, 8)))
-        tile = session.chip.config.mmh_tile_size
+        tile = session.ctx.config.mmh_tile_size
         if chips == 1:
             return [(session.cache.key(a_hat, b_full, tile), a_hat, b_full)]
         plan = plan_shards(a_hat, chips, b_full, strategy="contiguous")

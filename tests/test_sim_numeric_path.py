@@ -159,7 +159,7 @@ TINY_PAD_DIGESTS = {
 def test_tiny_pad_report_digest(tiny_program, job):
     hashlines, mode, mapping = job
     with Session("Tile-4", backend="analytic") as session:
-        config = session.chip.config
+        config = session.ctx.config
     config = dataclasses.replace(
         config, mem=dataclasses.replace(config.mem, hashlines=hashlines))
     report = NeuraChipAccelerator(config, eviction_mode=mode,
@@ -180,7 +180,7 @@ def program():
 
 def simulate(program):
     with Session("Tile-4", backend="analytic") as session:
-        config = session.chip.config
+        config = session.ctx.config
     return NeuraChipAccelerator(config).run(program, verify=True)
 
 
