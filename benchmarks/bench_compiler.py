@@ -68,7 +68,7 @@ def run(nodes: int, dataset: str = "wiki-Vote", tile_size: int = 4,
         columnar.n_instructions == loop.n_instructions
         and columnar.total_partial_products == loop.total_partial_products
         and columnar.output_nnz == loop.output_nnz
-        and columnar.metadata["n_row_groups"] == loop.metadata["n_row_groups"])
+        and columnar.n_row_groups == loop.n_row_groups)
 
     # Encoding / functional equivalence at a size where replaying every
     # HACC through the functional model stays cheap.

@@ -19,7 +19,7 @@ from repro.analysis.lockcheck import lint_file, lint_paths
 from repro.analysis.structure import check_csr, require_valid_csr
 from repro.analysis.verifier import (OFFSET_LIMIT, assert_program_valid,
                                      check_offset_arrays, require_offset,
-                                     verify_arrays, verify_program)
+                                     verify_program)
 
 __all__ = [
     "AnalysisError",
@@ -34,6 +34,5 @@ __all__ = [
     "lint_paths",
     "require_offset",
     "require_valid_csr",
-    "verify_arrays",
     "verify_program",
 ]

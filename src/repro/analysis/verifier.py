@@ -1,11 +1,13 @@
 """Pass 1 — the IR verifier: prove a compiled program well-formed.
 
-Every check here is a vectorized numpy reduction over the columnar
-:class:`~repro.compiler.program.ProgramArrays` payload — the op columns
-are the program, and nothing executes.  The invariants:
+Every check here is a vectorized numpy reduction over the columns of a
+:class:`~repro.compiler.program.Program` — the op columns are the
+program, and nothing executes.  :func:`verify_program` is the one entry
+point.  The invariants:
 
 * **column alignment / dtypes** — every per-op column has length
-  ``n_ops`` with the persisted narrow dtype; operand payloads agree.
+  ``n_instructions`` with the persisted narrow dtype; operand payloads
+  agree.
 * **operand slices** — every op's A/B tile slice is in-bounds, non-empty
   and no wider than the tile size.
 * **operand offsets** — the architectural address columns land inside
@@ -18,9 +20,10 @@ are the program, and nothing executes.  The invariants:
   reseed flags sit exactly on the group boundaries.
 * **output structure** — the symbolic CSR pair is canonical
   (:func:`~repro.sparse.csr.csr_problems`); rolling counters are positive.
-* **counter histogram** — the rolling counters account for exactly the
-  partial products the ops dispatch (total at ``level="quick"``,
-  per-slot exact at ``level="full"``).
+* **counter histogram** — the rolling counters and the program header's
+  ``total_partial_products`` account for exactly the partial products the
+  ops dispatch (total at ``level="quick"``, per-slot exact at
+  ``level="full"``).
 * **address exclusivity** — each HACC accumulation address is written
   only by ops sharing its ``(row, col)`` key: slot keys are unique,
   every op's counter address derives from its first pair's slot, and
@@ -43,13 +46,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from repro.analysis.findings import Finding, VerificationError
-from repro.compiler.program import (
-    ELEMENT_BYTES,
-    AddressMap,
-    Program,
-    ProgramArrays,
-    ReplayIndex,
-)
+from repro.compiler.program import ELEMENT_BYTES, Program, ReplayIndex
 from repro.sparse.csr import csr_problems
 
 #: 22-bit register fields of the MMH instruction limit the per-instruction
@@ -57,8 +54,8 @@ from repro.sparse.csr import csr_problems
 #: verifier so the two checks can never disagree.
 OFFSET_LIMIT = (1 << 22) - 1
 
-#: The two verification depths: ``"quick"`` is O(n_ops + nnz) and skips
-#: the partial-product expansion; ``"full"`` additionally builds the
+#: The two verification depths: ``"quick"`` is O(n_instructions + nnz) and
+#: skips the partial-product expansion; ``"full"`` additionally builds the
 #: program's replay index (every partial product's output slot) and proves
 #: the per-slot counters exact.
 VERIFY_LEVELS = ("quick", "full")
@@ -94,9 +91,9 @@ def check_offset_arrays(**named_arrays: np.ndarray) -> None:
 # ----------------------------------------------------------------------
 # Finding helpers
 # ----------------------------------------------------------------------
-def _finding(check: str, source: str, message: str) -> Finding:
-    return Finding(pass_name="ir", check=check, location=source or "program",
-                   message=message)
+def _finding(check: str, program: Program, message: str) -> Finding:
+    return Finding(pass_name="ir", check=check,
+                   location=program.source or "program", message=message)
 
 
 def _first_bad(mask: np.ndarray) -> int:
@@ -112,65 +109,65 @@ _OP_COLUMNS = ("op_k", "op_group", "op_a_lo", "op_a_hi", "op_b_lo",
                "op_b_data_addr", "op_counter_addr")
 
 
-def _check_layout(arrays: ProgramArrays, source: str) -> list[Finding]:
+def _check_layout(program: Program) -> list[Finding]:
     findings: list[Finding] = []
-    n_ops = int(arrays.op_k.size)
+    n_ops = int(program.op_k.size)
     for name in _OP_COLUMNS:
-        column = getattr(arrays, name)
+        column = getattr(program, name)
         if column.size != n_ops:
             findings.append(_finding(
-                "column-alignment", source,
+                "column-alignment", program,
                 f"per-op column {name} has {column.size} entries; "
                 f"program order has {n_ops} ops"))
         elif column.dtype != np.int32:
             findings.append(_finding(
-                "column-dtype", source,
+                "column-dtype", program,
                 f"per-op column {name} is {column.dtype}; the persisted "
                 "payload must be int32"))
-    if arrays.op_reseed.size != n_ops:
+    if program.op_reseed.size != n_ops:
         findings.append(_finding(
-            "column-alignment", source,
-            f"op_reseed has {arrays.op_reseed.size} entries for {n_ops} ops"))
-    elif arrays.op_reseed.dtype != np.bool_:
+            "column-alignment", program,
+            f"op_reseed has {program.op_reseed.size} entries for {n_ops} ops"))
+    elif program.op_reseed.dtype != np.bool_:
         findings.append(_finding(
-            "column-dtype", source,
-            f"op_reseed is {arrays.op_reseed.dtype}; expected bool"))
-    if arrays.out_indices.size != arrays.out_counts.size:
+            "column-dtype", program,
+            f"op_reseed is {program.op_reseed.dtype}; expected bool"))
+    if program.out_indices.size != program.out_counts.size:
         findings.append(_finding(
-            "column-alignment", source,
-            f"out_indices ({arrays.out_indices.size}) and out_counts "
-            f"({arrays.out_counts.size}) disagree on output nnz"))
-    if arrays.out_indptr.size != arrays.shape[0] + 1:
+            "column-alignment", program,
+            f"out_indices ({program.out_indices.size}) and out_counts "
+            f"({program.out_counts.size}) disagree on output nnz"))
+    if program.out_indptr.size != program.shape[0] + 1:
         findings.append(_finding(
-            "column-alignment", source,
-            f"out_indptr has {arrays.out_indptr.size} entries for "
-            f"{arrays.shape[0]} output rows"))
-    if arrays.a_rows.size != arrays.a_values.size:
+            "column-alignment", program,
+            f"out_indptr has {program.out_indptr.size} entries for "
+            f"{program.shape[0]} output rows"))
+    if program.a_rows.size != program.a_values.size:
         findings.append(_finding(
-            "column-alignment", source,
-            f"a_rows ({arrays.a_rows.size}) and a_values "
-            f"({arrays.a_values.size}) disagree on A nnz"))
-    if arrays.b_cols.size != arrays.b_values.size:
+            "column-alignment", program,
+            f"a_rows ({program.a_rows.size}) and a_values "
+            f"({program.a_values.size}) disagree on A nnz"))
+    if program.b_cols.size != program.b_values.size:
         findings.append(_finding(
-            "column-alignment", source,
-            f"b_cols ({arrays.b_cols.size}) and b_values "
-            f"({arrays.b_values.size}) disagree on B nnz"))
+            "column-alignment", program,
+            f"b_cols ({program.b_cols.size}) and b_values "
+            f"({program.b_values.size}) disagree on B nnz"))
     return findings
 
 
-def _check_slices(arrays: ProgramArrays, source: str) -> list[Finding]:
+def _check_slices(program: Program) -> list[Finding]:
     findings: list[Finding] = []
-    tile = int(arrays.tile_size)
+    tile = int(program.tile_size)
     for name, lo, hi, size in (
-            ("A", arrays.op_a_lo, arrays.op_a_hi, arrays.a_rows.size),
-            ("B", arrays.op_b_lo, arrays.op_b_hi, arrays.b_cols.size)):
+            ("A", program.op_a_lo, program.op_a_hi, program.a_rows.size),
+            ("B", program.op_b_lo, program.op_b_hi, program.b_cols.size)):
         # int32 throughout: hi - lo can only wrap when lo < 0 or
         # hi > size, and either already sets `bad` through the or-chain.
         bad = (lo < 0) | (hi > size) | (hi <= lo) | (hi - lo > tile)
         if np.any(bad):
             index = _first_bad(bad)
             findings.append(_finding(
-                "operand-slices", source,
+                "operand-slices", program,
                 f"op {index}: {name}-tile slice [{int(lo[index])}, "
                 f"{int(hi[index])}) violates 0 <= lo < hi <= {size} with "
                 f"width <= tile_size={tile}"))
@@ -180,25 +177,25 @@ def _check_slices(arrays: ProgramArrays, source: str) -> list[Finding]:
 # ----------------------------------------------------------------------
 # Stage B: addresses, ordering, output structure, counters, exclusivity
 # ----------------------------------------------------------------------
-def _check_offsets(arrays: ProgramArrays, address_map: AddressMap,
-                   source: str) -> list[Finding]:
+def _check_offsets(program: Program) -> list[Finding]:
     findings: list[Finding] = []
+    address_map = program.address_map
     regions = address_map.regions()
     # Address arithmetic stays in the columns' native int32 when the whole
     # address map plus one tile provably fits (stage A bounded lo within
     # [0, operand size], so start + lo * 4 cannot wrap under this gate);
     # oversized maps fall back to int64.
-    max_nnz = max(arrays.a_rows.size, arrays.b_cols.size)
+    max_nnz = max(program.a_rows.size, program.b_cols.size)
     narrow = (int(address_map.total_bytes) + (max_nnz + 8) * ELEMENT_BYTES
               < np.iinfo(np.int32).max)
     work = np.int32 if narrow else np.int64
     columns = (
-        ("op_a_addr", arrays.op_a_addr, arrays.op_a_lo, arrays.op_a_hi,
+        ("op_a_addr", program.op_a_addr, program.op_a_lo, program.op_a_hi,
          "a_data"),
-        ("op_b_col_addr", arrays.op_b_col_addr, arrays.op_b_lo,
-         arrays.op_b_hi, "b_col_ind"),
-        ("op_b_data_addr", arrays.op_b_data_addr, arrays.op_b_lo,
-         arrays.op_b_hi, "b_data"),
+        ("op_b_col_addr", program.op_b_col_addr, program.op_b_lo,
+         program.op_b_hi, "b_col_ind"),
+        ("op_b_data_addr", program.op_b_data_addr, program.op_b_lo,
+         program.op_b_hi, "b_data"),
     )
     # Fast path: one stacked comparison across all three operand columns;
     # the per-column loop below only runs to name the failing column.
@@ -219,7 +216,7 @@ def _check_offsets(arrays: ProgramArrays, address_map: AddressMap,
         if np.any(over):
             index = _first_bad(over)
             findings.append(_finding(
-                "offset-field-width", source,
+                "offset-field-width", program,
                 f"op {index}: {name}={int(addr[index])} does not fit "
                 f"the 22-bit MMH register field (max {OFFSET_LIMIT})"))
             continue
@@ -232,17 +229,17 @@ def _check_offsets(arrays: ProgramArrays, address_map: AddressMap,
         if np.any(bad):
             index = _first_bad(bad)
             findings.append(_finding(
-                "operand-offsets", source,
+                "operand-offsets", program,
                 f"op {index}: {name}={int(addr[index])} does not match "
                 f"the {region} region [{start}, {end}) of the address map "
                 f"(expected {int(expected[index])}, tile ends at "
                 f"{int(tile_end[index])})"))
-    counter = arrays.op_counter_addr.astype(work, copy=False)
+    counter = program.op_counter_addr.astype(work, copy=False)
     over = (counter < 0) | (counter > OFFSET_LIMIT)
     if np.any(over):
         index = _first_bad(over)
         findings.append(_finding(
-            "offset-field-width", source,
+            "offset-field-width", program,
             f"op {index}: op_counter_addr={int(counter[index])} does not "
             f"fit the 22-bit MMH register field (max {OFFSET_LIMIT})"))
     else:
@@ -251,121 +248,118 @@ def _check_offsets(arrays: ProgramArrays, address_map: AddressMap,
         if np.any(bad):
             index = _first_bad(bad)
             findings.append(_finding(
-                "operand-offsets", source,
+                "operand-offsets", program,
                 f"op {index}: op_counter_addr={int(counter[index])} lies "
                 f"outside the roll_counter region [{start}, {end})"))
     return findings
 
 
-def _check_row_groups(arrays: ProgramArrays, source: str) -> list[Finding]:
+def _check_row_groups(program: Program) -> list[Finding]:
     findings: list[Finding] = []
-    if arrays.n_ops < 1:
+    if program.n_instructions < 1:
         return findings
-    group = arrays.op_group.astype(np.int64)
-    k = arrays.op_k.astype(np.int64)
+    group = program.op_group.astype(np.int64)
+    k = program.op_k.astype(np.int64)
     group_step = np.diff(group)
     bad = (group_step < 0) | ((group_step == 0) & (np.diff(k) < 0))
     if np.any(bad):
         index = _first_bad(bad)
         findings.append(_finding(
-            "row-group-order", source,
+            "row-group-order", program,
             f"ops {index}->{index + 1}: row-group keys "
             f"({int(group[index])}, {int(k[index])}) -> "
             f"({int(group[index + 1])}, {int(k[index + 1])}) are not "
             "lexicographically non-decreasing"))
-    expected_reseed = np.empty(arrays.n_ops, dtype=bool)
+    expected_reseed = np.empty(program.n_instructions, dtype=bool)
     expected_reseed[-1] = True
     np.not_equal(group[1:], group[:-1], out=expected_reseed[:-1])
-    mismatch = arrays.op_reseed != expected_reseed
+    mismatch = program.op_reseed != expected_reseed
     if np.any(mismatch):
         index = _first_bad(mismatch)
         findings.append(_finding(
-            "reseed-boundaries", source,
-            f"op {index}: op_reseed={bool(arrays.op_reseed[index])} but the "
+            "reseed-boundaries", program,
+            f"op {index}: op_reseed={bool(program.op_reseed[index])} but the "
             f"row-group boundary mask says {bool(expected_reseed[index])}"))
     return findings
 
 
-def _check_output_structure(arrays: ProgramArrays, source: str
+def _check_output_structure(program: Program
                             ) -> tuple[list[Finding], np.ndarray | None]:
     """Findings plus the flat output keys, which later stages reuse
     (``None`` when the structure is not canonical).  The structure check
     is :func:`~repro.sparse.csr.csr_problems`, the one the replay runs."""
-    nnz = arrays.out_indices.size
+    nnz = program.out_indices.size
     structure = SimpleNamespace(  # placeholder values: structure only
-        indptr=arrays.out_indptr, indices=arrays.out_indices.astype(np.int64),
-        data=np.empty(nnz), shape=arrays.shape)
-    findings = [_finding("output-structure", source, message)
+        indptr=program.out_indptr, indices=program.out_indices.astype(np.int64),
+        data=np.empty(nnz), shape=program.shape)
+    findings = [_finding("output-structure", program, message)
                 for _, message in csr_problems(structure)]
-    if nnz and int(arrays.out_counts.min()) < 1:
-        index = _first_bad(arrays.out_counts < 1)
+    if nnz and int(program.out_counts.min()) < 1:
+        index = _first_bad(program.out_counts < 1)
         findings.append(_finding(
-            "counter-histogram", source,
+            "counter-histogram", program,
             f"slot {index}: rolling counter "
-            f"{int(arrays.out_counts[index])} < 1 (every stored output "
+            f"{int(program.out_counts[index])} < 1 (every stored output "
             "element accumulates at least one partial product)"))
-    return findings, None if findings else arrays.flat_keys()
+    return findings, None if findings else program.flat_keys()
 
 
-def _check_counters_and_exclusivity(arrays: ProgramArrays,
-                                    address_map: AddressMap, source: str,
-                                    total_partial_products: int | None,
-                                    level: str, flat: np.ndarray
+def _check_counters_and_exclusivity(program: Program, level: str,
+                                    flat: np.ndarray
                                     ) -> tuple[list[Finding],
                                                ReplayIndex | None]:
     """Findings plus, at ``level="full"`` on a clean program, the replay
     index the per-slot proof built (``None`` otherwise)."""
     findings: list[Finding] = []
-    nnz = arrays.output_nnz
+    nnz = program.output_nnz
     # Stage A bounded tile widths to (0, tile_size], so the per-op product
     # fits int32; the sums still reduce in int64.
-    dispatched = int(arrays.partial_products_per_op.sum(dtype=np.int64))
-    counted = int(arrays.out_counts.sum(dtype=np.int64))
+    dispatched = int(program.partial_products_per_op.sum(dtype=np.int64))
+    counted = int(program.out_counts.sum(dtype=np.int64))
     if dispatched != counted:
         findings.append(_finding(
-            "counter-histogram", source,
+            "counter-histogram", program,
             f"ops dispatch {dispatched} partial products but the rolling "
             f"counters account for {counted}"))
-    if total_partial_products is not None \
-            and dispatched != total_partial_products:
+    if dispatched != program.total_partial_products:
         findings.append(_finding(
-            "counter-histogram", source,
+            "counter-histogram", program,
             f"ops dispatch {dispatched} partial products; the program "
-            f"header claims {total_partial_products}"))
+            f"header claims {program.total_partial_products}"))
 
     # First-pair slot derivation: every op's counter address must point at
     # the slot of its first (row, col) pair.
-    slot = arrays.op_slot
+    slot = program.op_slot
     bad_slot = (slot < 0) | (slot >= max(nnz, 1))
-    if arrays.n_ops and np.any(bad_slot):
+    if program.n_instructions and np.any(bad_slot):
         index = _first_bad(bad_slot)
         findings.append(_finding(
-            "address-exclusivity", source,
+            "address-exclusivity", program,
             f"op {index}: op_slot={int(slot[index])} outside the "
             f"{nnz}-slot output structure"))
         return findings, None
-    if arrays.n_ops:
+    if program.n_instructions:
         # Each op's first pair: its A-tile's first element once, against
         # its B-tile's first element.
-        first_key = arrays.pair_keys(arrays.op_a_lo, 1, arrays.op_b_lo)
+        first_key = program.pair_keys(program.op_a_lo, 1, program.op_b_lo)
         mismatch = flat[slot] != first_key
         if np.any(mismatch):
             index = _first_bad(mismatch)
             findings.append(_finding(
-                "address-exclusivity", source,
+                "address-exclusivity", program,
                 f"op {index}: op_slot={int(slot[index])} holds output key "
                 f"{int(flat[slot[index]])} but the op's first (row, col) "
                 f"pair is key {int(first_key[index])} — the counter "
                 "address would be shared across distinct output elements"))
-        expected_addr = (address_map.roll_counter_base
+        expected_addr = (program.address_map.roll_counter_base
                          + slot.astype(np.int64) * ELEMENT_BYTES)
-        bad_addr = arrays.op_counter_addr != expected_addr
+        bad_addr = program.op_counter_addr != expected_addr
         if np.any(bad_addr):
             index = _first_bad(bad_addr)
             findings.append(_finding(
-                "address-exclusivity", source,
+                "address-exclusivity", program,
                 f"op {index}: op_counter_addr="
-                f"{int(arrays.op_counter_addr[index])} does not derive "
+                f"{int(program.op_counter_addr[index])} does not derive "
                 f"from its slot (expected {int(expected_addr[index])}) — "
                 "two ops could accumulate at one address without sharing "
                 "an output key"))
@@ -375,19 +369,19 @@ def _check_counters_and_exclusivity(arrays: ProgramArrays,
     # Full level: build the replay index afresh from the op columns (never
     # a cached one), so every partial product resolves to its slot, then
     # prove the per-slot counters exact.
-    replay, problem = arrays.build_replay_index()
+    replay, problem = program.build_replay_index()
     if replay is None:
-        findings.append(_finding("address-exclusivity", source, problem))
+        findings.append(_finding("address-exclusivity", program, problem))
         return findings, None
     accumulated = np.bincount(replay.pp_slot, minlength=nnz)
-    mismatch = accumulated != arrays.out_counts
+    mismatch = accumulated != program.out_counts
     if np.any(mismatch):
         index = _first_bad(mismatch)
         findings.append(_finding(
-            "counter-histogram", source,
+            "counter-histogram", program,
             f"slot {index} (key {int(flat[index])}): ops dispatch "
             f"{int(accumulated[index])} partial products but the rolling "
-            f"counter says {int(arrays.out_counts[index])} — the eviction "
+            f"counter says {int(program.out_counts[index])} — the eviction "
             "countdown would fire early or never"))
         return findings, None
     return findings, replay
@@ -396,45 +390,35 @@ def _check_counters_and_exclusivity(arrays: ProgramArrays,
 # ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
-def verify_arrays(arrays: ProgramArrays, address_map: AddressMap,
-                  source: str = "program",
-                  total_partial_products: int | None = None,
-                  level: str = "full") -> list[Finding]:
-    """Verify one columnar payload; returns findings (empty == proven).
+def verify_program(program: Program, level: str = "full") -> list[Finding]:
+    """Verify a compiled :class:`Program` without executing it; returns
+    findings (empty == proven).
 
     A clean pass publishes the output structure's verdict (and, at full
-    level, the replay index it built) into the payload's derived cache, so
-    the program's first replay neither re-checks nor expands again.
+    level, the replay index it built) into the program's derived cache,
+    so its first replay neither re-checks nor expands again.
     """
     if level not in VERIFY_LEVELS:
         raise ValueError(f"unknown verify level {level!r}; expected one of "
                          f"{VERIFY_LEVELS}")
-    findings = _check_layout(arrays, source)
+    findings = _check_layout(program)
     if findings:
         return findings  # later stages index through the columns
-    findings = _check_slices(arrays, source)
-    structure_findings, flat = _check_output_structure(arrays, source)
+    findings = _check_slices(program)
+    structure_findings, flat = _check_output_structure(program)
     findings += structure_findings
     if findings:
         return findings  # slot lookups below need sane slices/structure
-    findings += _check_offsets(arrays, address_map, source)
-    findings += _check_row_groups(arrays, source)
+    findings += _check_offsets(program)
+    findings += _check_row_groups(program)
     counter_findings, replay = _check_counters_and_exclusivity(
-        arrays, address_map, source, total_partial_products, level, flat)
+        program, level, flat)
     findings += counter_findings
     if not findings:
-        arrays._derived()["out_canonical"] = True
+        program._derived()["out_canonical"] = True
         if replay is not None:
-            arrays._derived().setdefault("replay", replay)
+            program._derived().setdefault("replay", replay)
     return findings
-
-
-def verify_program(program: Program, level: str = "full") -> list[Finding]:
-    """Verify a compiled :class:`Program` without executing it."""
-    return verify_arrays(program.arrays, program.address_map,
-                         source=program.source or "program",
-                         total_partial_products=program.total_partial_products,
-                         level=level)
 
 
 def assert_program_valid(program: Program, level: str = "full") -> Program:

@@ -6,7 +6,7 @@ instead *predicts* the cycle count from the compiled program's op counts and
 the chip's throughput ceilings, and computes the numeric output by replaying
 the compiled program itself: one vectorized gather-multiply-scatter over the
 program's structure-only partial-product index
-(:meth:`~repro.compiler.program.ProgramArrays.replay`).  Large graphs that
+(:meth:`~repro.compiler.program.Program.replay`).  Large graphs that
 would take hours under NeuraSim finish in milliseconds.
 
 Model
@@ -52,7 +52,6 @@ from repro.sim.accelerator import SimulationReport
 from repro.sim.neuracore import MMH_HIST_BINS, MMH_HIST_BIN_WIDTH
 from repro.sim.neuramem import HACC_HIST_BINS, HACC_HIST_BIN_WIDTH
 from repro.sim.stats import Histogram
-from repro.sparse.csr import CSRMatrix
 
 #: Sustained fraction of aggregate hash-engine throughput (load imbalance
 #: across NeuraMems and engines keeps the cycle model near this level).
@@ -73,8 +72,6 @@ class AnalyticBackend(ExecutionBackend):
     name = "analytic"
 
     def execute(self, program: Program, ctx: ExecutionContext,
-                a_csr: CSRMatrix | None = None,
-                b_csr: CSRMatrix | None = None,
                 verify: bool = True) -> ExecutionResult:
         start = _time.perf_counter()
         output = program.replay()
@@ -94,12 +91,11 @@ class AnalyticBackend(ExecutionBackend):
         ppn = pp / n_mmh if n_mmh else 0.0
 
         # Operand-size totals and the rolling-counter (tag) histogram come
-        # straight from the columnar program arrays — one vectorized
-        # reduction each.
-        arrays = program.arrays
-        sum_na = arrays.sum_na
-        sum_nb = arrays.sum_nb
-        counts = arrays.out_counts
+        # straight from the program's columns — one vectorized reduction
+        # each.
+        sum_na = program.sum_na
+        sum_nb = program.sum_nb
+        counts = program.out_counts
         counter_mean = float(counts.mean()) if counts.size else 0.0
         counter_max = int(counts.max()) if counts.size else 0
 

@@ -12,10 +12,10 @@ cycle      event-driven NeuraSim timing model     O(events) — slowest
 analytic   roofline cycle prediction, no events   O(MMH instructions)
 ========== ====================================== =========================
 
-Backends receive the compiled program plus (optionally) the CSR/CSC
-operands.  All three share one numeric path: the output is the program's
-replay, one vectorized gather-multiply-scatter over its columnar arrays;
-what sets them apart is the report each adds.
+A backend takes a program and the context of the chip it runs on; the
+program carries its operands.  All three share one numeric path: the
+output is the program's replay, one vectorized gather-multiply-scatter
+over its columns; what sets them apart is the report each adds.
 """
 
 from __future__ import annotations
@@ -82,17 +82,12 @@ class ExecutionBackend(ABC):
 
     @abstractmethod
     def execute(self, program: Program, ctx: ExecutionContext,
-                a_csr: CSRMatrix | None = None,
-                b_csr: CSRMatrix | None = None,
                 verify: bool = True) -> ExecutionResult:
         """Execute ``program`` and return an :class:`ExecutionResult`.
 
         Args:
-            program: compiled MMH program.
+            program: compiled MMH program; it carries its operands.
             ctx: chip configuration and timing parameters.
-            a_csr / b_csr: the operands the program was compiled from, when
-                the caller still holds them; backends that only need the
-                program may ignore them.
             verify: ask the backend to check its output against a reference
                 (only meaningful for the cycle backend).
         """

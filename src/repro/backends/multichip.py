@@ -314,8 +314,7 @@ def _run_chip(chip: int, assignment: ShardAssignment,
         b_resident = b_resident and cache_hit and not rebound
         # The context is immutable chip *configuration*; per-chip isolation
         # comes from the backend building fresh simulator state per execute.
-        execution = backend.execute(program, ctx, a_csr=unit.a, b_csr=unit_b,
-                                    verify=verify)
+        execution = backend.execute(program, ctx, verify=verify)
         if fragment is None:
             rows_output = execution.output
         else:

@@ -21,7 +21,6 @@ from __future__ import annotations
 from repro.backends.base import ExecutionBackend, ExecutionContext, ExecutionResult
 from repro.compiler.program import Program
 from repro.sim.accelerator import NeuraChipAccelerator
-from repro.sparse.csr import CSRMatrix
 
 
 class FunctionalBackend(ExecutionBackend):
@@ -30,8 +29,6 @@ class FunctionalBackend(ExecutionBackend):
     name = "functional"
 
     def execute(self, program: Program, ctx: ExecutionContext,
-                a_csr: CSRMatrix | None = None,
-                b_csr: CSRMatrix | None = None,
                 verify: bool = True) -> ExecutionResult:
         return ExecutionResult(backend=self.name, output=program.replay())
 
@@ -42,8 +39,6 @@ class CycleBackend(ExecutionBackend):
     name = "cycle"
 
     def execute(self, program: Program, ctx: ExecutionContext,
-                a_csr: CSRMatrix | None = None,
-                b_csr: CSRMatrix | None = None,
                 verify: bool = True) -> ExecutionResult:
         accelerator = NeuraChipAccelerator(ctx.config, ctx.params,
                                            eviction_mode=ctx.eviction_mode,

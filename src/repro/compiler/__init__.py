@@ -9,9 +9,10 @@ stream, and lays the operands out in a virtual HBM address space.
 The pipeline is columnar end to end: the lowering computes every tile
 expansion with vectorized index arithmetic, one expansion of the op
 stream's partial products yields the CSR-shaped counter arrays and output
-slots, the operand addresses follow, and the resulting
-:class:`~repro.compiler.program.ProgramArrays` columns are the program —
-the simulators and the encoder read them directly.  The original
+slots, the operand addresses follow, and one
+:class:`~repro.compiler.program.Program` holds the resulting columns with
+the address map they index — the simulators, the verifier and the
+encoder read them directly.  The original
 loop lowering survives as :func:`~repro.compiler.lowering.compile_spgemm_loop`,
 the executable specification the columnar path is tested byte-for-byte
 against.
@@ -21,7 +22,6 @@ from repro.compiler.program import (
     AddressMap,
     HACCStream,
     Program,
-    ProgramArrays,
     ProgramDigest,
 )
 from repro.compiler.lowering import (
@@ -34,7 +34,6 @@ __all__ = [
     "AddressMap",
     "HACCStream",
     "Program",
-    "ProgramArrays",
     "ProgramDigest",
     "compile_spgemm",
     "compile_spgemm_loop",

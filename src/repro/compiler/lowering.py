@@ -21,13 +21,13 @@ Two compilers share this lowering contract:
 * :func:`compile_spgemm` — the production path.  Row-group/tile expansion
   and operand offsets use ``np.repeat`` / ``cumsum`` over the CSR/CSC index
   arrays (no per-nonzero Python loop), and one expansion of the op stream
-  yields the output structure, rolling counters and op slots, emitting a
-  columnar :class:`~repro.compiler.program.ProgramArrays` payload, the
-  one form of the program every consumer reads.
+  yields the output structure, rolling counters and op slots, emitting
+  the columnar :class:`~repro.compiler.program.Program`, the one form of
+  the program every consumer reads.
 * :func:`compile_spgemm_loop` — the original per-row-group Python loops
   over the symbolic pass (:func:`~repro.sparse.symbolic.symbolic_spgemm_from_csc`),
   kept as the executable specification: it packs the op list it builds
-  into the same payload, and the columnar compiler must produce
+  into the same columns, and the columnar compiler must produce
   byte-identical instruction encodings and identical op columns
   (asserted by the equivalence test suite and the compiler benchmark).
 """
@@ -38,18 +38,13 @@ import dataclasses
 
 import numpy as np
 
-from repro.analysis.verifier import (
-    OFFSET_LIMIT as _OFFSET_LIMIT,  # noqa: F401  (historical import surface)
-    check_offset_arrays as _check_offset_arrays,
-    require_offset as _require_offset,
-)
+from repro.analysis.verifier import check_offset_arrays, require_offset
 from repro.arch.isa import Opcode
 from repro.compiler.program import (
     AddressMap,
     DENSE_KEY_SPACE,
     ELEMENT_BYTES,
     Program,
-    ProgramArrays,
 )
 from repro.sparse.convert import csc_to_csr
 from repro.sparse.csc import CSCMatrix
@@ -62,11 +57,10 @@ from repro.sparse.symbolic import (
 
 # The 22-bit MMH offset limit and its compile-time checks live in
 # repro.analysis.verifier so the compiler and the static IR verifier can
-# never drift apart; the private aliases keep this module's call sites
-# and its historical import surface stable.
+# never drift apart.
 
 
-def _rolling_counters(ops: ProgramArrays
+def _rolling_counters(ops: Program
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                  np.ndarray, int]:
     """Count the rolling counters from the op stream of ``ops``: expand
@@ -74,7 +68,7 @@ def _rolling_counters(ops: ProgramArrays
     keys; each op's slot is that of its first partial product's key.
     Returns ``(out_indptr, out_indices, out_counts, op_slot,
     total_partial_products)``."""
-    if ops.n_ops == 0:  # every op dispatches at least one partial product
+    if ops.n_instructions == 0:  # every op dispatches at least one partial product
         return (np.zeros(ops.shape[0] + 1, dtype=np.int64),
                 np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
                 np.zeros(0, dtype=np.int64), 0)
@@ -104,11 +98,18 @@ def _rolling_counters(ops: ProgramArrays
     return indptr, indices, counts, op_slot, int(ends[-1])
 
 
-def _lower_columnar(a_csc: CSCMatrix, b_csr: CSRMatrix, tile_size: int,
-                    opcode: Opcode) -> tuple[ProgramArrays, AddressMap, int]:
-    """Vectorized row-group/tile expansion onto the columnar program IR.
+def compile_spgemm(a_csc: CSCMatrix, b_csr: CSRMatrix, tile_size: int = 4,
+                   source: str = "spgemm") -> Program:
+    """Compile C = A @ B into a NeuraChip program (columnar IR).
 
-    Works entirely on the operand index arrays:
+    Args:
+        a_csc: left operand (adjacency matrix) in CSC.
+        b_csr: right operand (feature matrix) in CSR.
+        tile_size: MMH tile size; must be 1, 2, 4 or 8.
+        source: workload label stored in the program.
+
+    The row-group/tile expansion works entirely on the operand index
+    arrays:
 
     1. Every A entry (CSC order) is keyed by ``(row_group, k)``; a stable
        sort groups the entries into *segments* — the contiguous run of
@@ -122,8 +123,14 @@ def _lower_columnar(a_csc: CSCMatrix, b_csr: CSRMatrix, tile_size: int,
     4. The address map follows from the output size, and the operand
        addresses are checked against the 22-bit MMH fields.
 
-    Returns the payload, its address map and the total partial products.
+    Raises:
+        ValueError: on dimension mismatch, unsupported tile size, or
+            operand offsets overflowing the 22-bit MMH register fields.
     """
+    if a_csc.shape[1] != b_csr.shape[0]:
+        raise ValueError(f"dimension mismatch: A is {a_csc.shape}, B is {b_csr.shape}")
+    opcode = Opcode.mmh_for_tile(tile_size)
+
     n_inner = a_csc.shape[1]
     a_nnz = a_csc.nnz
     int_like = np.int64
@@ -179,9 +186,10 @@ def _lower_columnar(a_csc: CSCMatrix, b_csr: CSRMatrix, tile_size: int,
     # so the persisted payload is downcast to halve spill/ship size.
     narrow = np.int32
     # The op columns alone drive the partial-product expansion, so the
-    # payload starts without its output structure, slots and addresses.
+    # program starts without its output structure, slots, addresses and
+    # layout.
     unset = np.zeros(0, dtype=narrow)
-    ops = ProgramArrays(
+    ops = Program(
         opcode=opcode, tile_size=tile_size,
         shape=(a_csc.shape[0], b_csr.shape[1]),
         out_indptr=unset, out_indices=unset, out_counts=unset,
@@ -191,7 +199,9 @@ def _lower_columnar(a_csc: CSCMatrix, b_csr: CSRMatrix, tile_size: int,
         op_a_lo=op_a_lo.astype(narrow), op_a_hi=op_a_hi.astype(narrow),
         op_b_lo=op_b_lo.astype(narrow), op_b_hi=op_b_hi.astype(narrow),
         op_slot=unset, op_reseed=op_reseed, op_a_addr=unset,
-        op_b_col_addr=unset, op_b_data_addr=unset, op_counter_addr=unset)
+        op_b_col_addr=unset, op_b_data_addr=unset, op_counter_addr=unset,
+        address_map=AddressMap.layout(0, 0, 0), total_partial_products=0,
+        source=source)
 
     # --- 3. rolling counters from the op stream -----------------------
     out_indptr, out_indices, out_counts, op_slot, total = \
@@ -204,9 +214,9 @@ def _lower_columnar(a_csc: CSCMatrix, b_csr: CSRMatrix, tile_size: int,
     op_b_data_addr = address_map.b_data_base + op_b_lo * ELEMENT_BYTES
     op_counter_addr = (address_map.roll_counter_base
                        + op_slot.astype(int_like) * ELEMENT_BYTES)
-    _check_offset_arrays(a_data=op_a_addr, b_col_ind=op_b_col_addr,
-                         b_data=op_b_data_addr, roll_counter=op_counter_addr)
-    arrays = dataclasses.replace(
+    check_offset_arrays(a_data=op_a_addr, b_col_ind=op_b_col_addr,
+                        b_data=op_b_data_addr, roll_counter=op_counter_addr)
+    return dataclasses.replace(
         ops, out_indptr=out_indptr,
         out_indices=out_indices.astype(narrow),
         out_counts=out_counts.astype(narrow),
@@ -214,45 +224,8 @@ def _lower_columnar(a_csc: CSCMatrix, b_csr: CSRMatrix, tile_size: int,
         op_a_addr=op_a_addr.astype(narrow),
         op_b_col_addr=op_b_col_addr.astype(narrow),
         op_b_data_addr=op_b_data_addr.astype(narrow),
-        op_counter_addr=op_counter_addr.astype(narrow))
-    return arrays, address_map, total
-
-
-def compile_spgemm(a_csc: CSCMatrix, b_csr: CSRMatrix, tile_size: int = 4,
-                   source: str = "spgemm") -> Program:
-    """Compile C = A @ B into a NeuraChip program (columnar IR).
-
-    Args:
-        a_csc: left operand (adjacency matrix) in CSC.
-        b_csr: right operand (feature matrix) in CSR.
-        tile_size: MMH tile size; must be 1, 2, 4 or 8.
-        source: workload label stored in the program metadata.
-
-    Returns:
-        A :class:`~repro.compiler.program.Program` backed by a
-        :class:`~repro.compiler.program.ProgramArrays` payload.
-
-    Raises:
-        ValueError: on dimension mismatch, unsupported tile size, or
-            operand offsets overflowing the 22-bit MMH register fields.
-    """
-    if a_csc.shape[1] != b_csr.shape[0]:
-        raise ValueError(f"dimension mismatch: A is {a_csc.shape}, B is {b_csr.shape}")
-    opcode = Opcode.mmh_for_tile(tile_size)
-
-    arrays, address_map, total = _lower_columnar(a_csc, b_csr, tile_size,
-                                                 opcode)
-    return Program(
-        arrays=arrays,
-        address_map=address_map,
-        shape=arrays.shape,
-        tile_size=tile_size,
-        a_nnz=a_csc.nnz,
-        b_nnz=b_csr.nnz,
-        total_partial_products=total,
-        source=source,
-        metadata={"n_row_groups": arrays.n_row_groups},
-    )
+        op_counter_addr=op_counter_addr.astype(narrow),
+        address_map=address_map, total_partial_products=total)
 
 
 def compile_spgemm_loop(a_csc: CSCMatrix, b_csr: CSRMatrix, tile_size: int = 4,
@@ -261,7 +234,7 @@ def compile_spgemm_loop(a_csc: CSCMatrix, b_csr: CSRMatrix, tile_size: int = 4,
 
     Walks the row groups op by op, takes the output structure and rolling
     counters from the symbolic pass, and packs the op list it builds into
-    the same :class:`~repro.compiler.program.ProgramArrays` form
+    the same :class:`~repro.compiler.program.Program` columns
     :func:`compile_spgemm` emits, which must match it column for column
     and byte for byte; kept as the executable specification of the
     lowering and as the baseline of ``benchmarks/bench_compiler.py``.
@@ -305,14 +278,14 @@ def compile_spgemm_loop(a_csc: CSCMatrix, b_csr: CSRMatrix, tile_size: int = 4,
                 op_rows.append((
                     k, group_start // tile_size,
                     a_lo, a_lo + len(a_tile_rows), b_lo, b_hi, slot,
-                    _require_offset(address_map.a_data_base
-                                    + a_lo * ELEMENT_BYTES, "a_data"),
-                    _require_offset(address_map.b_col_ind_base
-                                    + b_lo * ELEMENT_BYTES, "b_col_ind"),
-                    _require_offset(address_map.b_data_base
-                                    + b_lo * ELEMENT_BYTES, "b_data"),
-                    _require_offset(address_map.roll_counter_base
-                                    + slot * ELEMENT_BYTES, "roll_counter")))
+                    require_offset(address_map.a_data_base
+                                   + a_lo * ELEMENT_BYTES, "a_data"),
+                    require_offset(address_map.b_col_ind_base
+                                   + b_lo * ELEMENT_BYTES, "b_col_ind"),
+                    require_offset(address_map.b_data_base
+                                   + b_lo * ELEMENT_BYTES, "b_data"),
+                    require_offset(address_map.roll_counter_base
+                                   + slot * ELEMENT_BYTES, "roll_counter")))
                 op_reseed.append(False)
                 n_group_ops += 1
         if n_group_ops:
@@ -323,7 +296,7 @@ def compile_spgemm_loop(a_csc: CSCMatrix, b_csr: CSRMatrix, tile_size: int = 4,
     (op_k, op_group, op_a_lo, op_a_hi, op_b_lo, op_b_hi, op_slot, op_a_addr,
      op_b_col_addr, op_b_data_addr, op_counter_addr) = np.array(
         op_rows, dtype=np.int64).reshape(-1, 11).T.astype(narrow)
-    arrays = ProgramArrays(
+    return Program(
         opcode=opcode, tile_size=tile_size, shape=symbolic.shape,
         out_indptr=symbolic.indptr.astype(np.int64),
         out_indices=symbolic.indices.astype(narrow),
@@ -334,18 +307,9 @@ def compile_spgemm_loop(a_csc: CSCMatrix, b_csr: CSRMatrix, tile_size: int = 4,
         op_b_lo=op_b_lo, op_b_hi=op_b_hi, op_slot=op_slot,
         op_reseed=np.array(op_reseed, dtype=bool), op_a_addr=op_a_addr,
         op_b_col_addr=op_b_col_addr, op_b_data_addr=op_b_data_addr,
-        op_counter_addr=op_counter_addr)
-    return Program(
-        arrays=arrays,
-        address_map=address_map,
-        shape=symbolic.shape,
-        tile_size=tile_size,
-        a_nnz=a_csc.nnz,
-        b_nnz=b_csr.nnz,
+        op_counter_addr=op_counter_addr, address_map=address_map,
         total_partial_products=symbolic.total_partial_products,
-        source=source,
-        metadata={"n_row_groups": arrays.n_row_groups},
-    )
+        source=source)
 
 
 def compile_gcn_aggregation(adjacency_csc: CSCMatrix, features_csr: CSRMatrix,

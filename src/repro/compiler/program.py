@@ -1,15 +1,16 @@
 """Program representation: the columnar MMH program and its address map.
 
-Both compilers emit a :class:`ProgramArrays` structure-of-arrays payload:
-per-op operand slices, architectural addresses (the register fields of an
-MMH instruction, :mod:`repro.arch.isa`) and output-slot indices, plus the
-CSR-shaped symbolic output structure.  Those columns are the only form an
-MMH op takes: the cycle simulator issues op indices and reads each op's
-operand fetches (:meth:`ProgramArrays.operand_reads`) and HACCs
-(:class:`HACCStream`) from them; count-only consumers (the analytic
-backend, report rows, cache fingerprints) take one reduction each; and
-pickling a program (disk cache spill, cross-process shipping) serialises
-only the arrays.
+Both compilers emit one :class:`Program`: the MMH instruction stream as a
+structure of arrays — per-op operand slices, architectural addresses (the
+register fields of an MMH instruction, :mod:`repro.arch.isa`) and
+output-slot indices, plus the CSR-shaped symbolic output structure — and
+the :class:`AddressMap` HBM layout those register fields address.  Those
+columns are the only form an MMH op takes: the cycle simulator issues op
+indices and reads each op's operand fetches (:meth:`Program.operand_reads`)
+and HACCs (:class:`HACCStream`) from them; count-only consumers (the
+analytic backend, report rows, cache fingerprints) take one reduction
+each; and pickling a program (disk cache spill, cross-process shipping)
+serialises only the arrays.
 
 The numeric output of a program is a *replay* of its own op stream: a
 structure-only :class:`ReplayIndex` (built once per program and shared by
@@ -138,7 +139,7 @@ class DenseReplayIndex:
     Every A element of such a program meets one whole W-wide row of B, so
     output row ``i`` is ``sum_k A[i, k] * B[k, :]`` over its A elements in
     program order (ascending ``k``) — one entry per A element instead of
-    W per partial product.  :meth:`ProgramArrays.build_dense_replay_index`
+    W per partial product.  :meth:`Program.build_dense_replay_index`
     derives it from the op stream and checks it against that stream.
 
     The work buffer holds one row per touched output row, ordered by
@@ -197,15 +198,16 @@ class HACCStream:
     writeback_addr: np.ndarray
 
 
-@dataclass
-class ProgramArrays:
-    """Columnar (structure-of-arrays) payload of a compiled program.
+@dataclass(eq=False)
+class Program:
+    """A compiled NeuraChip program: the MMH instruction stream as columns
+    (structure of arrays) plus the HBM layout its register fields address.
 
-    All per-op columns have length ``n_ops`` and are aligned with program
-    order; operand payloads are stored once as flat arrays that the ops
-    slice into, so the whole program costs O(a_nnz + b_nnz + output_nnz +
-    n_ops) memory, pickles as a handful of numpy buffers, and every
-    aggregate a consumer needs (op counts, operand sizes, tag/counter
+    All per-op columns have length ``n_instructions`` and are aligned with
+    program order; operand payloads are stored once as flat arrays that the
+    ops slice into, so the whole program costs O(a_nnz + b_nnz + output_nnz
+    + n_instructions) memory, pickles as a handful of numpy buffers, and
+    every aggregate a consumer needs (op counts, operand sizes, tag/counter
     histograms) is one vectorized reduction away.
 
     Attributes:
@@ -230,6 +232,11 @@ class ProgramArrays:
         op_a_addr / op_b_col_addr / op_b_data_addr / op_counter_addr:
             architectural operand addresses per op (Figure 7 register
             fields, already validated against the 22-bit limit).
+        address_map: operand layout in HBM.
+        total_partial_products: the compiler's count of the HACCs the
+            program dispatches (the IR verifier checks it against the op
+            columns).
+        source: human-readable description of the workload.
     """
 
     opcode: Opcode
@@ -254,16 +261,21 @@ class ProgramArrays:
     op_b_col_addr: np.ndarray
     op_b_data_addr: np.ndarray
     op_counter_addr: np.ndarray
+    address_map: AddressMap
+    total_partial_products: int
+    source: str = ""
 
     # ------------------------------------------------------------------
     # Aggregates
     # ------------------------------------------------------------------
     @property
-    def n_ops(self) -> int:
+    def n_instructions(self) -> int:
+        """Number of MMH instructions."""
         return int(self.op_k.size)
 
     @property
     def output_nnz(self) -> int:
+        """Number of non-zeros in the output matrix."""
         return int(self.out_indices.size)
 
     @property
@@ -289,7 +301,7 @@ class ProgramArrays:
     def operand_reads(self) -> np.ndarray:
         """The four HBM reads every op issues — A values, B column
         indices, B values, rolling counters, in that order — as an
-        ``(n_ops, 4, 2)`` int64 array of ``(address, nbytes)``: the
+        ``(n_instructions, 4, 2)`` int64 array of ``(address, nbytes)``: the
         operand-fetch rule of the memory model."""
         n_a = (self.op_a_hi - self.op_a_lo).astype(np.int64)
         n_b = (self.op_b_hi - self.op_b_lo).astype(np.int64)
@@ -303,7 +315,7 @@ class ProgramArrays:
     # Structure-derived caches
     # ------------------------------------------------------------------
     def _derived(self) -> dict:
-        """Cache of structure-only arrays derived from this payload,
+        """Cache of structure-only arrays derived from this program,
         shared by reference with every :func:`rebind_b_values` copy and
         dropped on pickling."""
         derived = self.__dict__.get("_derived_cache")
@@ -387,21 +399,22 @@ class ProgramArrays:
                 return f"{name} holds an index outside [0, {bound})"
         return None
 
-    def replay_index(self, source: str = "program") -> ReplayIndex:
+    def replay_index(self) -> ReplayIndex:
         """The program's :class:`ReplayIndex`, built on first use (or
         published by a clean full-level IR verification) and cached
         (shared with rebound copies, never pickled).
 
         Raises:
-            ValueError: naming ``source`` when an op slice is out of
-                bounds or a partial product has no output slot.
+            ValueError: naming the program's ``source`` when an op slice
+                is out of bounds or a partial product has no output slot.
         """
         derived = self._derived()
         index = derived.get("replay")
         if index is None:
             index, problem = self.build_replay_index()
             if index is None:
-                raise ValueError(f"program {source!r}: {problem}")
+                raise ValueError(
+                    f"program {self.source or 'program'!r}: {problem}")
             index = derived.setdefault("replay", index)
         return index
 
@@ -479,7 +492,7 @@ class ProgramArrays:
             return None
         # Every A-tile element, grouped per A element in program order.
         e_pos, n_a = self.expand_a_tiles(dtype=np.int64)
-        e_op = np.repeat(np.arange(self.n_ops), n_a)
+        e_op = np.repeat(np.arange(self.n_instructions), n_a)
         order = np.argsort(e_pos, kind="stable")
         e_pos, e_op = e_pos[order], e_op[order]
         lo, hi = self.op_b_lo[e_op], self.op_b_hi[e_op]
@@ -574,8 +587,9 @@ class ProgramArrays:
         products *= self.b_values[index.pp_b]
         return products
 
-    def replay(self, source: str = "program") -> CSRMatrix:
-        """Numeric output C = A @ B from this payload's operand values.
+    def replay(self) -> CSRMatrix:
+        """Numeric output C = A @ B, replayed from the op stream with this
+        program's operand values — the output of every backend.
 
         A full-structure B replays over the A-level
         :class:`DenseReplayIndex`; any other program is one
@@ -590,7 +604,7 @@ class ProgramArrays:
         if dense is not None:
             data = self._replay_dense(dense)
         else:
-            index = self.replay_index(source)
+            index = self.replay_index()
             data = (np.bincount(index.pp_slot,
                                 weights=self._products(index),
                                 minlength=self.output_nnz)
@@ -604,17 +618,16 @@ class ProgramArrays:
         self._derived()["out_canonical"] = True
         return output
 
-    def hacc_stream(self, output_base: int,
-                    source: str = "program") -> HACCStream:
-        """Every HACC this payload dispatches (Algorithm 1's dispatch loop),
+    def hacc_stream(self) -> HACCStream:
+        """Every HACC this program dispatches (Algorithm 1's dispatch loop),
         built from the :class:`ReplayIndex` in one vectorized pass: the
         value is the partial product, the tag the 32-bit flattened output
         coordinate, the counter and write-back address those of the
         partial product's output slot."""
-        index = self.replay_index(source)
+        index = self.replay_index()
         rows = np.repeat(self.a_rows[index.a_index], index.a_rep)
         cols = self.b_cols[index.pp_b]
-        op_start = np.zeros(self.n_ops + 1, dtype=np.int64)
+        op_start = np.zeros(self.n_instructions + 1, dtype=np.int64)
         np.cumsum(self.partial_products_per_op, out=op_start[1:])
         return HACCStream(
             op_start=op_start,
@@ -622,10 +635,53 @@ class ProgramArrays:
             value=self._products(index),
             counter=self.out_counts[index.pp_slot],
             out_row=rows, out_col=cols,
-            writeback_addr=(output_base + index.pp_slot.astype(np.int64)
+            writeback_addr=(self.address_map.output_base
+                            + index.pp_slot.astype(np.int64)
                             * ELEMENT_BYTES))
 
     # ------------------------------------------------------------------
+    # Count-level summaries and encoding
+    # ------------------------------------------------------------------
+    @property
+    def bloat_percent(self) -> float:
+        """Equation 1 bloat for this program's workload."""
+        return self.digest().bloat_percent
+
+    @property
+    def useful_flops(self) -> int:
+        """Useful floating-point operations (multiply + add per partial product)."""
+        return self.digest().useful_flops
+
+    def digest(self) -> ProgramDigest:
+        """Count-level summary suitable for cross-process result transfer."""
+        return ProgramDigest(
+            n_instructions=self.n_instructions,
+            total_partial_products=self.total_partial_products,
+            output_nnz=self.output_nnz,
+            shape=self.shape,
+            tile_size=self.tile_size,
+            a_nnz=self.a_rows.size,
+            b_nnz=self.b_cols.size,
+            source=self.source)
+
+    def encode_binary(self) -> bytes:
+        """Serialise the MMH stream to the 128-bit binary format, one
+        instruction per op from its address columns."""
+        return b"".join(
+            encode_mmh(MMHInstruction(
+                opcode=self.opcode, base_addr=0, a_data_addr=a_data,
+                b_col_ind_addr=b_col_ind, b_data_addr=b_data,
+                roll_counter_addr=roll_counter)).to_bytes(16, "little")
+            for a_data, b_col_ind, b_data, roll_counter in zip(
+                self.op_a_addr.tolist(), self.op_b_col_addr.tolist(),
+                self.op_b_data_addr.tolist(), self.op_counter_addr.tolist()))
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (f"Program(source={self.source!r}, shape={self.shape}, "
+                f"tile_size={self.tile_size}, "
+                f"n_instructions={self.n_instructions}, "
+                f"partial_products={self.total_partial_products})")
+
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state.pop("_derived_cache", None)
@@ -666,107 +722,6 @@ class ProgramDigest:
         return self
 
 
-class Program:
-    """A compiled NeuraChip program: a columnar :class:`ProgramArrays`
-    payload plus its address map.
-
-    Attributes:
-        arrays: columnar payload.
-        address_map: operand layout in HBM.
-        shape: shape of the output matrix C.
-        tile_size: MMH tile size the program was compiled for.
-        a_nnz / b_nnz: operand non-zero counts (for traffic accounting).
-        total_partial_products: total HACC operations the program dispatches.
-        source: human-readable description of the workload.
-    """
-
-    def __init__(self, arrays: ProgramArrays, address_map: AddressMap,
-                 shape: tuple[int, int] = (0, 0),
-                 tile_size: int = 4,
-                 a_nnz: int = 0,
-                 b_nnz: int = 0,
-                 total_partial_products: int = 0,
-                 source: str = "",
-                 metadata: dict | None = None) -> None:
-        self.arrays = arrays
-        self.address_map = address_map
-        self.shape = (int(shape[0]), int(shape[1]))
-        self.tile_size = tile_size
-        self.a_nnz = a_nnz
-        self.b_nnz = b_nnz
-        self.total_partial_products = total_partial_products
-        self.source = source
-        self.metadata = dict(metadata) if metadata else {}
-
-    # ------------------------------------------------------------------
-    # Views over the columnar payload
-    # ------------------------------------------------------------------
-    def replay(self) -> CSRMatrix:
-        """Numeric output C = A @ B, replayed from the op stream — the
-        output of every backend."""
-        return self.arrays.replay(self.source or "program")
-
-    def hacc_stream(self) -> HACCStream:
-        """Every HACC this program dispatches, in program order."""
-        return self.arrays.hacc_stream(self.address_map.output_base,
-                                       self.source or "program")
-
-    # ------------------------------------------------------------------
-    # Aggregates
-    # ------------------------------------------------------------------
-    @property
-    def n_instructions(self) -> int:
-        """Number of MMH instructions."""
-        return self.arrays.n_ops
-
-    @property
-    def output_nnz(self) -> int:
-        """Number of non-zeros in the output matrix."""
-        return self.arrays.output_nnz
-
-    @property
-    def bloat_percent(self) -> float:
-        """Equation 1 bloat for this program's workload."""
-        return self.digest().bloat_percent
-
-    @property
-    def useful_flops(self) -> int:
-        """Useful floating-point operations (multiply + add per partial product)."""
-        return self.digest().useful_flops
-
-    def digest(self) -> ProgramDigest:
-        """Count-level summary suitable for cross-process result transfer."""
-        return ProgramDigest(
-            n_instructions=self.n_instructions,
-            total_partial_products=self.total_partial_products,
-            output_nnz=self.output_nnz,
-            shape=self.shape,
-            tile_size=self.tile_size,
-            a_nnz=self.a_nnz,
-            b_nnz=self.b_nnz,
-            source=self.source)
-
-    def encode_binary(self) -> bytes:
-        """Serialise the MMH stream to the 128-bit binary format, one
-        instruction per op from its address columns."""
-        arrays = self.arrays
-        return b"".join(
-            encode_mmh(MMHInstruction(
-                opcode=arrays.opcode, base_addr=0, a_data_addr=a_data,
-                b_col_ind_addr=b_col_ind, b_data_addr=b_data,
-                roll_counter_addr=roll_counter)).to_bytes(16, "little")
-            for a_data, b_col_ind, b_data, roll_counter in zip(
-                arrays.op_a_addr.tolist(), arrays.op_b_col_addr.tolist(),
-                arrays.op_b_data_addr.tolist(),
-                arrays.op_counter_addr.tolist()))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"Program(source={self.source!r}, shape={self.shape}, "
-                f"tile_size={self.tile_size}, "
-                f"n_instructions={self.n_instructions}, "
-                f"partial_products={self.total_partial_products})")
-
-
 def rebind_b_values(program: Program, b_csr) -> Program:
     """A copy of ``program`` with the B operand's *values*
     swapped for ``b_csr.data`` — structure, instruction stream and
@@ -776,31 +731,21 @@ def rebind_b_values(program: Program, b_csr) -> Program:
     lowering depend only on operand sparsity, so one compiled aggregation
     program serves every layer of a GNN stack as long as the feature
     matrices share a structure.  The cached program is never mutated — the
-    caller gets a fresh :class:`Program` wrapping a shallow
-    :class:`ProgramArrays` copy whose ``b_values`` (the only value-bearing
+    caller gets a shallow copy whose ``b_values`` (the only value-bearing
     B array) are a float64 copy of the new data, owned by the program as
-    a fresh compile's are.
+    a fresh compile's are, and whose structure-only derived cache (the
+    replay indexes) is the original's, shared by reference so whichever
+    copy replays first builds it for all.
 
     Raises:
         ValueError: when ``b_csr``'s nnz does not match the structure the
             program was compiled for.
     """
-    arrays = program.arrays
     values = np.array(b_csr.data, dtype=np.float64)
-    if values.size != arrays.b_values.size:
+    if values.size != program.b_values.size:
         raise ValueError(
             f"operand structure mismatch: program was compiled for "
-            f"{arrays.b_values.size} B non-zeros, got {values.size}")
-    new_arrays = dataclasses.replace(arrays, b_values=values)
-    # The structure-only replay index is shared by reference, so whichever
-    # copy replays first builds it for all.
-    new_arrays.__dict__["_derived_cache"] = arrays._derived()
-    return Program(arrays=new_arrays,
-                   address_map=program.address_map,
-                   shape=program.shape,
-                   tile_size=program.tile_size,
-                   a_nnz=program.a_nnz,
-                   b_nnz=program.b_nnz,
-                   total_partial_products=program.total_partial_products,
-                   source=program.source,
-                   metadata=program.metadata)
+            f"{program.b_values.size} B non-zeros, got {values.size}")
+    rebound = dataclasses.replace(program, b_values=values)
+    rebound.__dict__["_derived_cache"] = program._derived()
+    return rebound

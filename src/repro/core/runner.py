@@ -43,13 +43,16 @@ DEFAULT_DISK_CAPACITY_BYTES = 256 * 1024 * 1024
 #: bump it whenever the fingerprint inputs, the Program layout, or the
 #: pickle payload change shape, so stale entries from an older release can
 #: never silently collide with (or be served as) current ones.
-#: v3: programs pickle as the columnar ``ProgramArrays`` payload (numpy
-#: buffers) instead of a materialized macro-op list — far smaller spills,
-#: and incompatible with the v2 object graph.
+#: v3: programs pickle as their columnar payload (numpy buffers) instead
+#: of a materialized macro-op list — far smaller spills, and incompatible
+#: with the v2 object graph.
 #: v4: keys drop the program-family ``kind`` element; a program depends
 #: only on A's content, B's structure and the tile size.
 #: v5: a full-structure B's structure fingerprint digests its shape alone.
-CACHE_SCHEMA_VERSION = 5
+#: v6: a program pickles as one ``Program`` dataclass (its columns,
+#: address map, partial-product total and source) instead of a wrapper
+#: around a separate column object.
+CACHE_SCHEMA_VERSION = 6
 
 
 def matrix_fingerprint(matrix) -> str:
@@ -120,7 +123,9 @@ class ProgramCache:
     to ``max_disk_bytes`` by eviction of the oldest-mtime entries (disk
     hits touch the file's mtime, so the sweep is an LRU over entries any
     process sharing the directory actually uses).  The cache is
-    thread-safe, so a thread executor can share it.
+    thread-safe, so a thread executor can share it, and a miss claims its
+    key (:meth:`claim`): concurrent misses on one key wait for the one
+    compile instead of repeating it.
     """
 
     def __init__(self, capacity: int = DEFAULT_CACHE_CAPACITY,
@@ -130,6 +135,7 @@ class ProgramCache:
         self.capacity = max(0, capacity)
         self.max_disk_bytes = max_disk_bytes
         self._entries: OrderedDict[tuple, Program] = OrderedDict()  # guarded-by: _lock
+        self._claims: dict[tuple, threading.Event] = {}  # guarded-by: _lock
         self._lock = threading.Lock()
         self.hits = 0  # guarded-by: _lock
         self.misses = 0  # guarded-by: _lock
@@ -171,18 +177,38 @@ class ProgramCache:
 
     # ------------------------------------------------------------------
     def get(self, key: tuple) -> Program | None:
-        with self._lock:
-            program = self._entries.get(key)
-            if program is not None:
-                self._entries.move_to_end(key)  # LRU touch
-                self.hits += 1
-                return program
+        """The program stored at ``key`` — from memory, else from disk —
+        or ``None`` on a miss."""
+        program = self.claim(key)
+        if program is None:
+            self.release(key)
+        return program
+
+    def claim(self, key: tuple) -> Program | None:
+        """:meth:`get`, except that a miss claims ``key``: the caller
+        compiles the program and must :meth:`put` it, or :meth:`release`
+        the key if the compile fails.  A miss on a key another caller has
+        claimed waits for that caller: its :meth:`put` makes the wait a
+        hit, its :meth:`release` lets one waiter claim the key in turn."""
+        while True:
+            with self._lock:
+                program = self._entries.get(key)
+                if program is not None:
+                    self._entries.move_to_end(key)  # LRU touch
+                    self.hits += 1
+                    return program
+                pending = self._claims.get(key)
+                if pending is None:
+                    self._claims[key] = threading.Event()
+                    break
+            pending.wait()
         program = self._load_from_disk(key)
         with self._lock:
             if program is not None:
                 self.hits += 1
                 self.disk_hits += 1
                 self._store(key, program)
+                self._unclaim(key)
             else:
                 self.misses += 1
         return program
@@ -190,7 +216,18 @@ class ProgramCache:
     def put(self, key: tuple, program: Program) -> None:
         with self._lock:
             self._store(key, program)
+            self._unclaim(key)
         self._spill_to_disk(key, program)
+
+    def release(self, key: tuple) -> None:
+        """Give up the claim on ``key`` without storing a program."""
+        with self._lock:
+            self._unclaim(key)
+
+    def _unclaim(self, key: tuple) -> None:  # lockcheck: holds _lock
+        pending = self._claims.pop(key, None)
+        if pending is not None:
+            pending.set()
 
     def rebound(self, key: tuple, program: Program) -> None:
         """Swap the in-memory entry at ``key`` for ``program``, its copy
@@ -367,6 +404,8 @@ def fetch_or_compile(cache: ProgramCache | None, a_csr: CSRMatrix,
     thus holds the B values last served) and ``rebound`` is true.  A hit
     already holding these values, bit for bit, is returned as cached.
     ``cache=None`` always compiles.
+    A miss on a key another thread is compiling waits for that compile
+    and counts as a hit (:meth:`ProgramCache.claim`).
     ``check(key, program)`` sees every fetched or compiled program and
     returns it; the session passes its memoized IR verification, which
     raises on an ill-formed program.
@@ -375,17 +414,22 @@ def fetch_or_compile(cache: ProgramCache | None, a_csr: CSRMatrix,
     program = None
     if cache is not None:
         key = cache.key(a_csr, b_csr, tile_size)
-        program = cache.get(key)
+        program = cache.claim(key)
     cache_hit = program is not None
     rebound = (cache_hit and b_csr is not None
-               and not _same_bits(program.arrays.b_values, b_csr.data))
+               and not _same_bits(program.b_values, b_csr.data))
     if rebound:
         program = rebind_b_values(program, b_csr)
         cache.rebound(key, program)
     elif program is None:
-        program = compile_spgemm(csr_to_csc(a_csr),
-                                 b_csr if b_csr is not None else a_csr,
-                                 tile_size=tile_size, source=source)
+        try:
+            program = compile_spgemm(csr_to_csc(a_csr),
+                                     b_csr if b_csr is not None else a_csr,
+                                     tile_size=tile_size, source=source)
+        except BaseException:
+            if cache is not None:
+                cache.release(key)
+            raise
         if cache is not None:
             cache.put(key, program)
     if check is not None:

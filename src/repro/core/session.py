@@ -99,17 +99,15 @@ def _process_spec_worker(state: dict, spec: WorkloadSpec) -> RunResult:
 
 
 def _sweep_config_worker(payload: dict) -> tuple[str, dict[str, float]]:
-    """Run one configuration of a design-space sweep through its own
-    session and return its raw Figure-11 metrics row."""
-    with Session(payload["config"], backend=payload["backend"],
-                 topology=payload["topology"],
-                 eviction_mode=payload["eviction_mode"],
-                 params=payload["params"]) as session:
+    """Run one configuration of a design-space sweep through a session
+    rebuilt from ``payload["state"]`` and return its raw Figure-11 metrics
+    row."""
+    with Session(**payload["state"]) as session:
         result = session.run(SpGEMMSpec(a=payload["a"], b=payload["b"],
                                         verify=False))
     report = result.report
     if report is None:
-        raise ValueError(f"backend {payload['backend']!r} produces no timing "
+        raise ValueError(f"backend {session.backend!r} produces no timing "
                          "report; use 'cycle' or 'analytic'")
     return session.ctx.config.name, {
         "stall_cycles": report.stall_cycles,
@@ -179,6 +177,9 @@ class Session:
                  verify: str | None = None) -> None:
         config = get_config(chip_config) if isinstance(chip_config, str) \
             else chip_config
+        # Kept unresolved: a sweep's configurations each take their own
+        # default scheme unless one was given here.
+        self._mapping_scheme = mapping_scheme
         self.ctx = ExecutionContext(
             config=config, params=params or SimulationParams(),
             mapping_scheme=mapping_scheme or config.mapping_scheme,
@@ -352,7 +353,8 @@ class Session:
 
     def _subprocess_state(self) -> dict:
         """Constructor kwargs rebuilding this session inside a worker
-        process (executor forced serial; disk cache shared, memory not)."""
+        process, or each configuration's session of a sweep (executor
+        forced serial; disk cache shared, memory not)."""
         ctx = self.ctx
         return {
             "chip_config": ctx.config,
@@ -363,7 +365,7 @@ class Session:
             "cache_dir": self.cache.cache_dir,
             "cache_capacity": self.cache.capacity,
             "cache_max_disk_bytes": self.cache.max_disk_bytes,
-            "mapping_scheme": ctx.mapping_scheme,
+            "mapping_scheme": self._mapping_scheme,
             "eviction_mode": ctx.eviction_mode,
             "params": ctx.params,
             "mapping_seed": ctx.mapping_seed,
@@ -416,9 +418,8 @@ class Session:
             program, cache_hit, _ = fetch_or_compile(
                 self.cache, a_csr, b_csr, tile, source,
                 check=self._maybe_verify)
-            execution = get_backend(self.backend).execute(
-                program, ctx, a_csr=a_csr,
-                b_csr=b_csr if b_csr is not None else a_csr, verify=verify)
+            execution = get_backend(self.backend).execute(program, ctx,
+                                                          verify=verify)
             report = execution.report
             reports = [report]
             power_w, energy_j = estimate_power(ctx.config, report)
@@ -519,11 +520,9 @@ class Session:
         if self.backend == "functional":
             raise ValueError("backend 'functional' produces no timing report; "
                              "use 'cycle' or 'analytic'")
-        payloads = [{"config": config, "a": spec.a, "b": spec.b,
-                     "eviction_mode": spec.eviction_mode,
-                     "params": self.ctx.params, "backend": self.backend,
-                     "topology": self.topology}
-                    for config in spec.configs]
+        state = self._subprocess_state()
+        payloads = [{"state": {**state, "chip_config": config},
+                     "a": spec.a, "b": spec.b} for config in spec.configs]
         raw = dict(self.executor.map(_sweep_config_worker, payloads))
         table = raw if spec.normalize_to is None else \
             self._normalize_sweep(raw, spec)

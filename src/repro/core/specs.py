@@ -248,12 +248,15 @@ class GNNModelSpec(WorkloadSpec):
 class SweepSpec(WorkloadSpec):
     """A design-space sweep: the same workload across tile configurations.
 
+    Every configuration runs with the session's own settings; a mapping
+    scheme given to the session reaches every configuration, and without
+    one each configuration keeps its own.
+
     Attributes:
         a / b: SpGEMM operands (B defaults to A).
         configs: configuration names or objects to sweep over.
         normalize_to: configuration the metrics are normalised to;
             ``None`` reports raw values.
-        eviction_mode: eviction mode for every configuration.
         on_missing_base: ``"skip"`` omits metrics whose baseline is
             missing/zero from the normalised output; ``"raise"`` errors.
     """
@@ -262,7 +265,6 @@ class SweepSpec(WorkloadSpec):
     b: Any = None
     configs: Sequence[Any] = ("Tile-4", "Tile-16", "Tile-64")
     normalize_to: str | None = "Tile-4"
-    eviction_mode: str = "rolling"
     on_missing_base: str = "skip"
     label: str = "sweep"
 

@@ -161,10 +161,10 @@ class NeuraChipAccelerator:
         # the HACC stream's columns, in ``NeuraMem.receive_hacc`` order, as
         # lists; op ``s`` sends HACCs ``op_start[s]:op_start[s + 1]``, HACC
         # ``h`` to NeuraMem ``hacc_mem[h]``.
-        arrays, stream = program.arrays, program.hacc_stream()
-        op_reads = arrays.operand_reads().tolist()
-        op_products = arrays.partial_products_per_op.tolist()
-        self._op_reseed = arrays.op_reseed.tolist()
+        stream = program.hacc_stream()
+        op_reads = program.operand_reads().tolist()
+        op_products = program.partial_products_per_op.tolist()
+        self._op_reseed = program.op_reseed.tolist()
         self._op_start = stream.op_start.tolist()
         self._hacc_mem = map_haccs(self.mapping_scheme_name, stream.tag,
                                    stream.out_row, config.total_mems,
@@ -293,8 +293,7 @@ class NeuraChipAccelerator:
         symbolic output keys and every value within 1e-9; the error is
         the largest deviation over all produced and expected elements (a
         produced key outside the structure counts its whole value)."""
-        arrays = program.arrays
-        expected = arrays.flat_keys()
+        expected = program.flat_keys()
         reference = program.replay().data
         n_cols = program.shape[1]
         output = self.store.output

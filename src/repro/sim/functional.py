@@ -67,9 +67,9 @@ class FunctionalAccelerator:
         n_cores = config.total_cores
         store = SpillStore()
         pads = [HashPad(config.mem.hashlines, store) for _ in range(n_mems)]
-        arrays = program.arrays
-        per_core_mmhs = np.bincount(np.arange(arrays.n_ops) % max(1, n_cores),
-                                    minlength=max(1, n_cores))
+        per_core_mmhs = np.bincount(
+            np.arange(program.n_instructions) % max(1, n_cores),
+            minlength=max(1, n_cores))
 
         # Walk the program's HACC stream in order, each HACC to the
         # NeuraMem NeuraSim sends it to.

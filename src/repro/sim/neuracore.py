@@ -42,7 +42,7 @@ class NeuraCore:
 
     An MMH instruction is an op index into the program's columns: op
     ``s`` fetches the ``(address, nbytes)`` pairs ``op_reads[s]`` (rows of
-    :meth:`~repro.compiler.program.ProgramArrays.operand_reads`) and
+    :meth:`~repro.compiler.program.Program.operand_reads`) and
     computes ``op_products[s]`` partial products.
 
     ``pipelines`` holds each pipeline's in-flight MMH count, against

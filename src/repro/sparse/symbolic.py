@@ -40,7 +40,7 @@ def row_per_slot(indptr: np.ndarray, n_rows: int) -> np.ndarray:
     This is *the* slot-order convention of the compile pipeline: counters,
     rolling-counter addresses and output write-back addresses are all laid
     out in the ascending ``row * n_cols + col`` order this expansion
-    induces.  Every consumer (symbolic views, ``ProgramArrays`` flat keys,
+    induces.  Every consumer (symbolic views, ``Program`` flat keys,
     lazy dict views) must derive it from this one helper.
     """
     return np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(indptr))

@@ -28,13 +28,12 @@ def program_reference(program) -> np.ndarray:
     """Dense output of a program's op columns, one partial product at a
     time in program order: the executable spec the vectorized replay and
     the simulators' outputs are checked against."""
-    arrays = program.arrays
-    a_rows, a_values = arrays.a_rows.tolist(), arrays.a_values.tolist()
-    b_cols, b_values = arrays.b_cols.tolist(), arrays.b_values.tolist()
+    a_rows, a_values = program.a_rows.tolist(), program.a_values.tolist()
+    b_cols, b_values = program.b_cols.tolist(), program.b_values.tolist()
     dense = np.zeros(program.shape, dtype=np.float64)
     for a_lo, a_hi, b_lo, b_hi in zip(
-            arrays.op_a_lo.tolist(), arrays.op_a_hi.tolist(),
-            arrays.op_b_lo.tolist(), arrays.op_b_hi.tolist()):
+            program.op_a_lo.tolist(), program.op_a_hi.tolist(),
+            program.op_b_lo.tolist(), program.op_b_hi.tolist()):
         for i, av in zip(a_rows[a_lo:a_hi], a_values[a_lo:a_hi]):
             for j, bv in zip(b_cols[b_lo:b_hi], b_values[b_lo:b_hi]):
                 dense[i, j] += av * bv

@@ -1,6 +1,6 @@
 """Fault-injection tests for the static IR verifier (pass 1).
 
-Each test mutates one :class:`ProgramArrays` field class — operand
+Each test mutates one :class:`Program` column class — operand
 offsets, ordering keys, rolling counters, slot/counter addresses — and
 asserts the verifier reports the *precise* invariant that broke, not
 just "something is wrong".
@@ -19,7 +19,7 @@ from repro.analysis.verifier import (
     verify_program,
 )
 from repro.compiler.lowering import compile_spgemm, compile_spgemm_loop
-from repro.compiler.program import ELEMENT_BYTES, Program
+from repro.compiler.program import ELEMENT_BYTES
 from repro.datasets.suite import load_dataset
 from repro.sparse.convert import csr_to_csc
 from repro.sparse.csr import CSRMatrix
@@ -34,12 +34,7 @@ def program():
 
 
 def mutate(program, **overrides):
-    arrays = dataclasses.replace(program.arrays, **overrides)
-    return Program(arrays=arrays, address_map=program.address_map,
-                   shape=program.shape, tile_size=program.tile_size,
-                   a_nnz=program.a_nnz, b_nnz=program.b_nnz,
-                   total_partial_products=program.total_partial_products,
-                   source=program.source)
+    return dataclasses.replace(program, **overrides)
 
 
 def fired(program, level="full"):
@@ -67,12 +62,12 @@ class TestCleanPrograms:
 
 class TestOffsetFaults:
     def test_shifted_operand_address(self, program):
-        bad = program.arrays.op_a_addr.copy()
+        bad = program.op_a_addr.copy()
         bad[3] += 4
         assert fired(mutate(program, op_a_addr=bad)) == {"operand-offsets"}
 
     def test_22bit_overflow(self, program):
-        bad = program.arrays.op_b_data_addr.copy()
+        bad = program.op_b_data_addr.copy()
         bad[0] = OFFSET_LIMIT + 1
         assert fired(mutate(program, op_b_data_addr=bad)) \
             == {"offset-field-width"}
@@ -85,12 +80,12 @@ class TestOffsetFaults:
 
 class TestOrderingFaults:
     def test_row_group_order_violation(self, program):
-        groups = program.arrays.op_group.copy()
+        groups = program.op_group.copy()
         groups[0], groups[-1] = groups[-1], groups[0]
         assert "row-group-order" in fired(mutate(program, op_group=groups))
 
     def test_reseed_flag_off_boundary(self, program):
-        reseed = program.arrays.op_reseed.copy()
+        reseed = program.op_reseed.copy()
         reseed[0] = not reseed[0]
         assert fired(mutate(program, op_reseed=reseed)) \
             == {"reseed-boundaries"}
@@ -98,7 +93,7 @@ class TestOrderingFaults:
 
 class TestCounterFaults:
     def test_tampered_rolling_counter_quick(self, program):
-        counts = program.arrays.out_counts.copy()
+        counts = program.out_counts.copy()
         counts[0] += 1
         assert fired(mutate(program, out_counts=counts), level="quick") \
             == {"counter-histogram"}
@@ -106,7 +101,7 @@ class TestCounterFaults:
     def test_swapped_counters_need_full_level(self, program):
         # Moving a contribution between slots keeps the total invariant;
         # only the full partial-product scatter catches it.
-        counts = program.arrays.out_counts.copy()
+        counts = program.out_counts.copy()
         assert counts.size >= 2
         counts[0] += 1
         counts[1] -= 1
@@ -116,16 +111,23 @@ class TestCounterFaults:
         assert fired(bad, level="quick") == set()
         assert fired(bad, level="full") == {"counter-histogram"}
 
+    def test_header_total_disagrees_with_the_ops(self, program):
+        bad = mutate(program, total_partial_products=(
+            program.total_partial_products + 1))
+        findings = verify_program(bad, level="quick")
+        assert {f.check for f in findings} == {"counter-histogram"}
+        assert "header claims" in findings[0].message
+
 
 class TestAddressExclusivityFaults:
     def test_rotated_slot(self, program):
-        slots = program.arrays.op_slot.copy()
-        slots[0] = (slots[0] + 1) % program.arrays.output_nnz
+        slots = program.op_slot.copy()
+        slots[0] = (slots[0] + 1) % program.output_nnz
         assert fired(mutate(program, op_slot=slots)) \
             == {"address-exclusivity"}
 
     def test_shifted_counter_address(self, program):
-        addrs = program.arrays.op_counter_addr.copy()
+        addrs = program.op_counter_addr.copy()
         addrs[0] += 4
         assert fired(mutate(program, op_counter_addr=addrs)) \
             == {"address-exclusivity"}
@@ -133,29 +135,29 @@ class TestAddressExclusivityFaults:
 
 class TestStructuralFaults:
     def test_truncated_column(self, program):
-        assert fired(mutate(program, op_k=program.arrays.op_k[:-1])) \
+        assert fired(mutate(program, op_k=program.op_k[:-1])) \
             == {"column-alignment"}
 
     def test_wrong_dtype_column(self, program):
-        wide = program.arrays.op_slot.astype(np.int64)
+        wide = program.op_slot.astype(np.int64)
         assert fired(mutate(program, op_slot=wide)) == {"column-dtype"}
 
     def test_empty_slice(self, program):
-        his = program.arrays.op_a_hi.copy()
-        his[0] = program.arrays.op_a_lo[0]
+        his = program.op_a_hi.copy()
+        his[0] = program.op_a_lo[0]
         assert fired(mutate(program, op_a_hi=his)) == {"operand-slices"}
 
     def test_operand_index_outside_output_shape(self, program):
-        rows = program.arrays.a_rows.copy()
+        rows = program.a_rows.copy()
         rows[0] = program.shape[0]
         bad = mutate(program, a_rows=rows)
         assert fired(bad) == {"address-exclusivity"}
-        index, problem = bad.arrays.build_replay_index()
+        index, problem = bad.build_replay_index()
         assert index is None
         assert "a_rows holds an index outside" in problem
 
     def test_unsorted_output_keys(self, program):
-        indices = program.arrays.out_indices.copy()
+        indices = program.out_indices.copy()
         indices[0], indices[1] = indices[1], indices[0]
         assert fired(mutate(program, out_indices=indices)) \
             == {"output-structure"}
@@ -163,7 +165,7 @@ class TestStructuralFaults:
 
 class TestErrorSurface:
     def test_assert_program_valid_raises_with_findings(self, program):
-        counts = program.arrays.out_counts.copy()
+        counts = program.out_counts.copy()
         counts[0] += 1
         with pytest.raises(VerificationError) as excinfo:
             assert_program_valid(mutate(program, out_counts=counts))
@@ -185,10 +187,10 @@ def retarget_op0_to_b_row1(program):
     """Point op 0 at B row 1's two entries, in place, with consistent
     addresses: its first pair (0, 1) and every total stay the same, but
     its second pair (0, 3) has no slot — only the full level sees it."""
-    arrays, layout = program.arrays, program.address_map
-    arrays.op_b_lo[0], arrays.op_b_hi[0] = 2, 4
-    arrays.op_b_col_addr[0] = layout.b_col_ind_base + 2 * ELEMENT_BYTES
-    arrays.op_b_data_addr[0] = layout.b_data_base + 2 * ELEMENT_BYTES
+    layout = program.address_map
+    program.op_b_lo[0], program.op_b_hi[0] = 2, 4
+    program.op_b_col_addr[0] = layout.b_col_ind_base + 2 * ELEMENT_BYTES
+    program.op_b_data_addr[0] = layout.b_data_base + 2 * ELEMENT_BYTES
 
 
 class TestReplayIndexSharing:
@@ -197,7 +199,7 @@ class TestReplayIndexSharing:
 
     def test_verifier_ignores_a_cached_index(self):
         program = two_op_program()
-        program.arrays.replay()  # caches the pre-corruption index
+        program.replay()  # caches the pre-corruption index
         retarget_op0_to_b_row1(program)
         assert fired(program, level="quick") == set()
         findings = verify_program(program, level="full")
@@ -207,18 +209,18 @@ class TestReplayIndexSharing:
     def test_clean_full_verify_publishes_its_index(self):
         program = two_op_program()
         assert verify_program(program, level="quick") == []
-        assert "replay" not in program.arrays._derived()
+        assert "replay" not in program._derived()
         assert verify_program(program, level="full") == []
-        published = program.arrays._derived()["replay"]
-        assert program.arrays.replay_index() is published
+        published = program._derived()["replay"]
+        assert program.replay_index() is published
         # A later clean pass keeps the published index.
         assert verify_program(program, level="full") == []
-        assert program.arrays._derived()["replay"] is published
+        assert program._derived()["replay"] is published
 
     def test_failing_verify_publishes_nothing(self):
         program = two_op_program()
         retarget_op0_to_b_row1(program)
         assert fired(program, level="full") == {"address-exclusivity"}
-        assert "replay" not in program.arrays._derived()
+        assert "replay" not in program._derived()
         with pytest.raises(ValueError, match="stale.*no slot"):
-            program.arrays.replay("stale")
+            program.replay()

@@ -13,7 +13,7 @@ from repro.backends import (
 )
 from repro.compiler import program as program_module
 from repro.compiler.lowering import compile_spgemm
-from repro.compiler.program import ProgramArrays, rebind_b_values
+from repro.compiler.program import Program, rebind_b_values
 from repro.core import GCNLayerSpec, Session, SpGEMMSpec
 from repro.datasets import load_dataset
 from repro.gnn.gcn import GCNWorkload
@@ -124,8 +124,7 @@ class TestAnalyticBackend:
     def test_exact_counts_and_kernel_output(self, chip, wiki):
         a = wiki.adjacency_csr()
         program = compile_spgemm(csr_to_csc(a), a, tile_size=4)
-        result = get_backend("analytic").execute(
-            program, chip, a_csr=a, b_csr=a)
+        result = get_backend("analytic").execute(program, chip)
         report = result.report
         # Instruction and op counts are exact, not estimated.
         assert report.mmh_instructions == program.n_instructions
@@ -217,44 +216,44 @@ class TestProgramReplay:
         a, b = replay_cases()[case]
         program = compile_spgemm(csr_to_csc(a), b, tile_size=tile)
         expected = kernels.spgemm(a, b).matrix
-        assert_same_csr(program.arrays.replay(), expected)
+        assert_same_csr(program.replay(), expected)
 
     def test_rebind_replays_new_values_on_the_same_index(self):
         a, b = replay_cases()["monster-row"]
         program = compile_spgemm(csr_to_csc(a), b, tile_size=4)
-        index = program.arrays.replay_index()
+        index = program.replay_index()
         b_new = CSRMatrix(b.indptr, b.indices, b.data * -3.5 + 1.0, b.shape)
         rebound = rebind_b_values(program, b_new)
-        assert_same_csr(rebound.arrays.replay(),
+        assert_same_csr(rebound.replay(),
                         kernels.spgemm(a, b_new).matrix)
-        assert rebound.arrays.replay_index() is index
+        assert rebound.replay_index() is index
         # The cached program still replays its own values.
-        assert_same_csr(program.arrays.replay(),
+        assert_same_csr(program.replay(),
                         kernels.spgemm(a, b).matrix)
 
     def test_pickle_drops_and_rebuilds_the_index(self):
         a, b = replay_cases()["rectangular"]
         program = compile_spgemm(csr_to_csc(a), b, tile_size=2)
-        index = program.arrays.replay_index()
+        index = program.replay_index()
         restored = pickle.loads(pickle.dumps(program))
-        assert "_derived_cache" not in restored.arrays.__dict__
-        rebuilt = restored.arrays.replay_index()
+        assert "_derived_cache" not in restored.__dict__
+        rebuilt = restored.replay_index()
         assert rebuilt is not index
         for name in ("a_index", "a_rep", "pp_b", "pp_slot"):
             assert np.array_equal(getattr(rebuilt, name), getattr(index, name))
             assert getattr(rebuilt, name).dtype == np.int32
-        assert_same_csr(restored.arrays.replay(), program.arrays.replay())
+        assert_same_csr(restored.replay(), program.replay())
 
     def test_large_key_space_binary_search_path(self, monkeypatch):
         a, b = replay_cases()["monster-row"]
         program = compile_spgemm(csr_to_csc(a), b, tile_size=4)
-        dense = program.arrays.replay_index()
+        dense = program.replay_index()
         fresh = compile_spgemm(csr_to_csc(a), b, tile_size=4)
         monkeypatch.setattr(program_module, "DENSE_KEY_SPACE", 0)
-        searched = fresh.arrays.replay_index()
+        searched = fresh.replay_index()
         assert np.array_equal(searched.pp_slot, dense.pp_slot)
         assert searched.pp_slot.dtype == np.int32
-        assert_same_csr(fresh.arrays.replay(), program.arrays.replay())
+        assert_same_csr(fresh.replay(), program.replay())
 
     @pytest.mark.parametrize("dense_keys", [True, False])
     def test_partial_product_without_slot_raises(self, chip, monkeypatch,
@@ -264,8 +263,8 @@ class TestProgramReplay:
         program = compile_spgemm(csr_to_csc(a), b, tile_size=1,
                                  source="corrupted")
         # Point op 0 (A[0, 0]) at B's row-1 entry: output (0, 1) has no slot.
-        program.arrays.op_b_lo[0] = 1
-        program.arrays.op_b_hi[0] = 2
+        program.op_b_lo[0] = 1
+        program.op_b_hi[0] = 2
         if not dense_keys:
             monkeypatch.setattr(program_module, "DENSE_KEY_SPACE", 0)
         with pytest.raises(ValueError, match="corrupted.*no slot"):
@@ -274,7 +273,7 @@ class TestProgramReplay:
     def test_out_of_bounds_slice_raises(self, chip):
         a, b = replay_cases()["rectangular"]
         program = compile_spgemm(csr_to_csc(a), b, tile_size=2, source="oob")
-        program.arrays.op_b_lo[0] = -1
+        program.op_b_lo[0] = -1
         with pytest.raises(ValueError, match="oob.*B-tile slice"):
             get_backend("analytic").execute(program, chip)
 
@@ -283,7 +282,7 @@ class TestProgramReplay:
         b = full_structure_csr(np.arange(5 * 3, dtype=np.float64)
                                .reshape(5, 3))
         program = compile_spgemm(csr_to_csc(a), b, tile_size=2, source="oob")
-        program.arrays.op_b_lo[0] = -1
+        program.op_b_lo[0] = -1
         with pytest.raises(ValueError, match="oob.*B-tile slice"):
             get_backend("analytic").execute(program, chip)
 
@@ -314,12 +313,12 @@ class TestProgramReplay:
             return check(matrix)
 
         monkeypatch.setattr(csr_module, "csr_problems", counting_check)
-        first = program.arrays.replay()
+        first = program.replay()
         assert len(calls) == 1
         rebound = rebind_b_values(program, CSRMatrix(
             b.indptr, b.indices, b.data * 2.0, b.shape))
         calls.clear()
-        again, other = program.arrays.replay(), rebound.arrays.replay()
+        again, other = program.replay(), rebound.replay()
         assert calls == []
         assert_same_csr(again, first)
         assert_same_csr(other, kernels.spgemm(a, CSRMatrix(
@@ -330,13 +329,12 @@ class TestProgramReplay:
     def test_bad_output_structure_is_refused_on_every_replay(self):
         a, b = replay_cases()["rectangular"]
         program = compile_spgemm(csr_to_csc(a), b, tile_size=2)
-        arrays = program.arrays
-        row = int(np.flatnonzero(np.diff(arrays.out_indptr) >= 2)[0])
-        lo = int(arrays.out_indptr[row])
-        arrays.out_indices[[lo, lo + 1]] = arrays.out_indices[[lo + 1, lo]]
+        row = int(np.flatnonzero(np.diff(program.out_indptr) >= 2)[0])
+        lo = int(program.out_indptr[row])
+        program.out_indices[[lo, lo + 1]] = program.out_indices[[lo + 1, lo]]
         for _ in range(2):
             with pytest.raises(ValueError, match="unsorted"):
-                arrays.replay()
+                program.replay()
 
 
 class TestColdPathExpansions:
@@ -346,9 +344,9 @@ class TestColdPathExpansions:
     def test_cold_run_expands_twice_and_warm_run_never(self, chip, wiki,
                                                        monkeypatch):
         expansions, built, replayed = [], [], []
-        expand = ProgramArrays.expand_partial_products
-        build = ProgramArrays.build_replay_index
-        replay_index = ProgramArrays.replay_index
+        expand = Program.expand_partial_products
+        build = Program.build_replay_index
+        replay_index = Program.replay_index
 
         def counting_expand(self, *args, **kwargs):
             expansions.append(args)
@@ -364,11 +362,11 @@ class TestColdPathExpansions:
             replayed.append(index)
             return index
 
-        monkeypatch.setattr(ProgramArrays, "expand_partial_products",
+        monkeypatch.setattr(Program, "expand_partial_products",
                             counting_expand)
-        monkeypatch.setattr(ProgramArrays, "build_replay_index",
+        monkeypatch.setattr(Program, "build_replay_index",
                             recording_build)
-        monkeypatch.setattr(ProgramArrays, "replay_index",
+        monkeypatch.setattr(Program, "replay_index",
                             recording_replay_index)
         a = wiki.adjacency_csr()
         with Session(chip.config, backend="analytic", verify="full") as session:

@@ -40,10 +40,12 @@ class TestCompileSpGEMM:
         symbolic = symbolic_spgemm(a, a)
         assert tiny_program.total_partial_products == symbolic.total_partial_products
         assert tiny_program.output_nnz == symbolic.nnz
-        arrays = tiny_program.arrays
-        np.testing.assert_array_equal(arrays.out_indptr, symbolic.indptr)
-        np.testing.assert_array_equal(arrays.out_indices, symbolic.indices)
-        np.testing.assert_array_equal(arrays.out_counts, symbolic.counts)
+        np.testing.assert_array_equal(tiny_program.out_indptr,
+                                      symbolic.indptr)
+        np.testing.assert_array_equal(tiny_program.out_indices,
+                                      symbolic.indices)
+        np.testing.assert_array_equal(tiny_program.out_counts,
+                                      symbolic.counts)
 
     def test_program_validate_passes(self, tiny_program):
         assert verify_program(tiny_program) == []
@@ -53,18 +55,17 @@ class TestCompileSpGEMM:
         dense = tiny_dataset.adjacency_csr().to_dense()
         assert np.allclose(reference_result(tiny_program), dense @ dense)
         np.testing.assert_array_equal(
-            tiny_program.arrays.replay().to_dense(),
+            tiny_program.replay().to_dense(),
             reference_result(tiny_program))
 
     def test_tile_size_respected(self, tiny_dataset):
         a_csc = tiny_dataset.adjacency_csc()
         a_csr = tiny_dataset.adjacency_csr()
         program = compile_spgemm(a_csc, a_csr, tile_size=2)
-        arrays = program.arrays
         assert program.tile_size == 2
-        assert arrays.opcode is Opcode.MMH2
-        assert np.all(arrays.op_a_hi - arrays.op_a_lo <= 2)
-        assert np.all(arrays.op_b_hi - arrays.op_b_lo <= 2)
+        assert program.opcode is Opcode.MMH2
+        assert np.all(program.op_a_hi - program.op_a_lo <= 2)
+        assert np.all(program.op_b_hi - program.op_b_lo <= 2)
 
     def test_invalid_tile_size(self, tiny_dataset):
         with pytest.raises(ValueError):
@@ -80,10 +81,9 @@ class TestCompileSpGEMM:
     @staticmethod
     def op_groups(program):
         """Row group of every op, from its A tile's rows."""
-        arrays = program.arrays
-        return [min(arrays.a_rows[lo:hi].tolist()) // program.tile_size
-                for lo, hi in zip(arrays.op_a_lo.tolist(),
-                                  arrays.op_a_hi.tolist())]
+        return [min(program.a_rows[lo:hi].tolist()) // program.tile_size
+                for lo, hi in zip(program.op_a_lo.tolist(),
+                                  program.op_a_hi.tolist())]
 
     def test_row_groups_are_processed_in_order(self, tiny_program):
         """All MMH ops touching a row group appear before the next group starts."""
@@ -92,28 +92,28 @@ class TestCompileSpGEMM:
 
     def test_reseed_marks_one_boundary_per_row_group(self, tiny_program):
         groups = self.op_groups(tiny_program)
-        reseed = tiny_program.arrays.op_reseed.tolist()
+        reseed = tiny_program.op_reseed.tolist()
         assert reseed == [a != b for a, b in zip(groups, groups[1:] + [None])]
-        assert sum(reseed) == tiny_program.metadata["n_row_groups"]
+        assert sum(reseed) == tiny_program.n_row_groups
 
     def test_instruction_encoding_is_decodable(self, tiny_program):
-        arrays = tiny_program.arrays
         blob = tiny_program.encode_binary()
         for index in range(50):
             decoded = decode_mmh(int.from_bytes(
                 blob[16 * index:16 * (index + 1)], "little"))
-            assert decoded.opcode is arrays.opcode
+            assert decoded.opcode is tiny_program.opcode
             assert (decoded.a_data_addr, decoded.b_col_ind_addr,
                     decoded.b_data_addr, decoded.roll_counter_addr) == (
-                arrays.op_a_addr[index], arrays.op_b_col_addr[index],
-                arrays.op_b_data_addr[index], arrays.op_counter_addr[index])
+                tiny_program.op_a_addr[index],
+                tiny_program.op_b_col_addr[index],
+                tiny_program.op_b_data_addr[index],
+                tiny_program.op_counter_addr[index])
 
     def test_operand_addresses_within_layout(self, tiny_program):
         """Every op's four reads lie inside their operand's region, both
         bounds, and fetch exactly its tiles and its counters."""
-        arrays = tiny_program.arrays
         regions = tiny_program.address_map.regions()
-        reads = arrays.operand_reads()
+        reads = tiny_program.operand_reads()
         assert reads.shape == (tiny_program.n_instructions, 4, 2)
         for column, name in enumerate(("a_data", "b_col_ind", "b_data",
                                        "roll_counter")):
@@ -121,36 +121,36 @@ class TestCompileSpGEMM:
             address, nbytes = reads[:, column, 0], reads[:, column, 1]
             assert np.all(address >= start), name
             assert np.all(address + nbytes <= end), name
-        n_a = arrays.op_a_hi - arrays.op_a_lo
-        n_b = arrays.op_b_hi - arrays.op_b_lo
+        n_a = tiny_program.op_a_hi - tiny_program.op_a_lo
+        n_b = tiny_program.op_b_hi - tiny_program.op_b_lo
         np.testing.assert_array_equal(
             reads[:, :, 1],
             np.stack([n_a, n_b, n_b, n_a * n_b], axis=1) * ELEMENT_BYTES)
 
     def test_expand_haccs_counters_match_program(self, tiny_program):
-        stream = tiny_program.hacc_stream()
-        arrays = tiny_program.arrays
-        layout = tiny_program.address_map
+        program = tiny_program
+        stream = program.hacc_stream()
+        layout = program.address_map
         haccs = list(zip(stream.tag.tolist(), stream.counter.tolist(),
                          stream.out_row.tolist(), stream.out_col.tolist(),
                          stream.writeback_addr.tolist()))
-        assert len(haccs) == tiny_program.total_partial_products
-        for sequence in (0, tiny_program.n_instructions - 1):
-            a_rows = arrays.a_rows[arrays.op_a_lo[sequence]:
-                                   arrays.op_a_hi[sequence]].tolist()
-            b_cols = arrays.b_cols[arrays.op_b_lo[sequence]:
-                                   arrays.op_b_hi[sequence]].tolist()
+        assert len(haccs) == program.total_partial_products
+        for sequence in (0, program.n_instructions - 1):
+            a_rows = program.a_rows[program.op_a_lo[sequence]:
+                                    program.op_a_hi[sequence]].tolist()
+            b_cols = program.b_cols[program.op_b_lo[sequence]:
+                                    program.op_b_hi[sequence]].tolist()
             op_haccs = haccs[stream.op_start[sequence]:
                              stream.op_start[sequence + 1]]
             assert [(row, col) for _, _, row, col, _ in op_haccs] == [
                 (i, j) for i in a_rows for j in b_cols]
             for tag, counter, row, col, writeback_addr in op_haccs:
-                lo, hi = arrays.out_indptr[row], arrays.out_indptr[row + 1]
-                slot = lo + int(np.searchsorted(arrays.out_indices[lo:hi], col))
-                assert counter == arrays.out_counts[slot]
+                lo, hi = program.out_indptr[row], program.out_indptr[row + 1]
+                slot = lo + int(np.searchsorted(program.out_indices[lo:hi], col))
+                assert counter == program.out_counts[slot]
                 assert writeback_addr == (layout.output_base
                                           + slot * ELEMENT_BYTES)
-                assert tag == row * tiny_program.shape[1] + col
+                assert tag == row * program.shape[1] + col
 
     def test_bloat_property(self, tiny_program):
         expected = (tiny_program.total_partial_products - tiny_program.output_nnz) \

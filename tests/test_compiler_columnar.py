@@ -8,18 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.verifier import verify_program
+from repro.analysis.verifier import OFFSET_LIMIT, require_offset, verify_program
 from repro.arch.config import TILE4
 from repro.backends import get_backend
 from repro.backends.base import ExecutionContext
 from repro.compiler import lowering as lowering_module
-from repro.compiler.lowering import (
-    _OFFSET_LIMIT,
-    _require_offset,
-    compile_spgemm,
-    compile_spgemm_loop,
-)
-from repro.compiler.program import ProgramArrays
+from repro.compiler.lowering import compile_spgemm, compile_spgemm_loop
+from repro.compiler.program import Program
 from repro.sim.functional import FunctionalAccelerator
 from repro.sim.params import SimulationParams
 from repro.sparse.convert import coo_to_csr, csr_to_csc
@@ -69,7 +64,7 @@ class TestColumnarEquivalence:
         assert columnar.n_instructions == loop.n_instructions
         assert columnar.total_partial_products == loop.total_partial_products
         assert columnar.output_nnz == loop.output_nnz
-        assert columnar.metadata["n_row_groups"] == loop.metadata["n_row_groups"]
+        assert columnar.n_row_groups == loop.n_row_groups
         assert columnar.encode_binary() == loop.encode_binary()
 
     @pytest.mark.parametrize("tile_size", [1, 2, 4, 8])
@@ -84,8 +79,8 @@ class TestColumnarEquivalence:
     def test_counter_and_address_views_identical(self, tile_size):
         _a, _b, loop, columnar = compiled_pair(CASES[0], tile_size)
         for name in ("out_indptr", "out_indices", "out_counts", "op_slot"):
-            np.testing.assert_array_equal(getattr(columnar.arrays, name),
-                                          getattr(loop.arrays, name))
+            np.testing.assert_array_equal(getattr(columnar, name),
+                                          getattr(loop, name))
         assert columnar.address_map == loop.address_map
 
     @pytest.mark.parametrize("tile_size", [1, 2, 4, 8])
@@ -106,7 +101,7 @@ class TestColumnarEquivalence:
         a, b, loop, columnar = compiled_pair(CASES[2], 4)
         np.testing.assert_array_equal(reference_result(columnar),
                                       reference_result(loop))
-        np.testing.assert_array_equal(columnar.arrays.replay().to_dense(),
+        np.testing.assert_array_equal(columnar.replay().to_dense(),
                                       reference_result(loop))
         assert np.allclose(reference_result(columnar),
                            a.to_dense() @ b.to_dense())
@@ -130,9 +125,8 @@ class TestColumnarEquivalence:
         backend = get_backend("cycle")
         ctx = ExecutionContext(config=TILE4, params=SimulationParams(),
                                mapping_scheme=TILE4.mapping_scheme)
-        result_loop = backend.execute(loop, ctx, a_csr=a, b_csr=a, verify=True)
-        result_columnar = backend.execute(columnar, ctx, a_csr=a, b_csr=a,
-                                          verify=True)
+        result_loop = backend.execute(loop, ctx, verify=True)
+        result_columnar = backend.execute(columnar, ctx, verify=True)
         assert result_columnar.report.cycles == result_loop.report.cycles
         assert result_columnar.report.correct and result_loop.report.correct
         np.testing.assert_array_equal(result_columnar.output.to_dense(),
@@ -143,8 +137,8 @@ class TestColumnarEquivalence:
         program = compile_spgemm(csr_to_csc(a), a)
         assert program.n_instructions == 0
         assert program.total_partial_products == 0
-        assert program.metadata["n_row_groups"] == 0
-        assert program.arrays.operand_reads().shape == (0, 4, 2)
+        assert program.n_row_groups == 0
+        assert program.operand_reads().shape == (0, 4, 2)
         assert program.encode_binary() == b""
 
 
@@ -211,16 +205,16 @@ def operand_pairs(draw):
 
 
 def assert_programs_identical(got, expected):
-    for spec in dataclasses.fields(ProgramArrays):
-        got_value = getattr(got.arrays, spec.name)
-        expected_value = getattr(expected.arrays, spec.name)
+    for spec in dataclasses.fields(Program):
+        got_value = getattr(got, spec.name)
+        expected_value = getattr(expected, spec.name)
         if isinstance(expected_value, np.ndarray):
             assert got_value.dtype == expected_value.dtype, spec.name
             assert np.array_equal(got_value, expected_value), spec.name
         else:
             assert got_value == expected_value, spec.name
     assert got.total_partial_products == expected.total_partial_products
-    assert got.metadata == expected.metadata
+    assert got.n_row_groups == expected.n_row_groups
     assert got.address_map == expected.address_map
 
 
@@ -233,18 +227,18 @@ class TestRollingCountersFromOpStream:
     def test_structure_and_counters_match_symbolic_pass(self, pair):
         a, b, tile = pair
         a_csc = csr_to_csc(a)
-        arrays = compile_spgemm(a_csc, b, tile_size=tile).arrays
+        program = compile_spgemm(a_csc, b, tile_size=tile)
         symbolic = symbolic_spgemm_from_csc(a_csc, b)
-        assert arrays.out_indptr.dtype == np.int64
-        assert np.array_equal(arrays.out_indptr, symbolic.indptr)
-        assert arrays.out_indices.dtype == arrays.out_counts.dtype == np.int32
-        assert np.array_equal(arrays.out_indices, symbolic.indices)
-        assert np.array_equal(arrays.out_counts, symbolic.counts)
-        assert int(arrays.partial_products_per_op.sum()) \
+        assert program.out_indptr.dtype == np.int64
+        assert np.array_equal(program.out_indptr, symbolic.indptr)
+        assert program.out_indices.dtype == program.out_counts.dtype == np.int32
+        assert np.array_equal(program.out_indices, symbolic.indices)
+        assert np.array_equal(program.out_counts, symbolic.counts)
+        assert int(program.partial_products_per_op.sum()) \
             == symbolic.total_partial_products
-        first_pair = (arrays.a_rows[arrays.op_a_lo].astype(np.int64)
-                      * arrays.shape[1] + arrays.b_cols[arrays.op_b_lo])
-        assert np.array_equal(symbolic.flat_keys()[arrays.op_slot],
+        first_pair = (program.a_rows[program.op_a_lo].astype(np.int64)
+                      * program.shape[1] + program.b_cols[program.op_b_lo])
+        assert np.array_equal(symbolic.flat_keys()[program.op_slot],
                               first_pair)
 
     @pytest.mark.parametrize("dense_keys", [True, False])
@@ -256,13 +250,13 @@ class TestRollingCountersFromOpStream:
         a_csc = csr_to_csc(a)
         whole = compile_spgemm(a_csc, b, tile_size=4)
         expansions = []
-        expand = ProgramArrays.expand_partial_products
+        expand = Program.expand_partial_products
 
         def counting(self, *args, **kwargs):
             expansions.append(args)
             return expand(self, *args, **kwargs)
 
-        monkeypatch.setattr(ProgramArrays, "expand_partial_products",
+        monkeypatch.setattr(Program, "expand_partial_products",
                             counting)
         monkeypatch.setattr(symbolic_module,
                             "SYMBOLIC_CHUNK_PARTIAL_PRODUCTS", chunk)
@@ -285,11 +279,9 @@ class TestRollingCountersFromOpStream:
 
 class TestProgramPayload:
     def test_program_rejects_partial_legacy_payload(self):
-        from repro.compiler.program import Program
-
         with pytest.raises(TypeError, match="mmh_ops"):
             Program(mmh_ops=[], counters={}, output_addrs={})
-        with pytest.raises(TypeError, match="arrays"):
+        with pytest.raises(TypeError, match="opcode"):
             Program()
 
     def test_pickle_roundtrip_is_the_arrays(self, reference_result):
@@ -299,14 +291,13 @@ class TestProgramPayload:
         loop = compile_spgemm_loop(a_csc, a)
         columnar.replay()  # build the derived caches; pickling drops them
         payload = pickle.dumps(columnar, protocol=pickle.HIGHEST_PROTOCOL)
-        arrays = columnar.arrays
-        array_bytes = sum(getattr(arrays, spec.name).nbytes
-                          for spec in dataclasses.fields(ProgramArrays)
-                          if isinstance(getattr(arrays, spec.name), np.ndarray))
+        array_bytes = sum(getattr(columnar, spec.name).nbytes
+                          for spec in dataclasses.fields(Program)
+                          if isinstance(getattr(columnar, spec.name), np.ndarray))
         assert len(payload) < array_bytes + 4096, \
             "a pickled program should be its columns and little else"
         restored = pickle.loads(payload)
-        assert "_derived_cache" not in restored.arrays.__dict__
+        assert "_derived_cache" not in restored.__dict__
         assert restored.n_instructions == columnar.n_instructions
         assert restored.encode_binary() == loop.encode_binary()
         np.testing.assert_array_equal(reference_result(restored),
@@ -315,12 +306,12 @@ class TestProgramPayload:
 
 class TestOffsetOverflow:
     def test_require_offset_accepts_the_limit(self):
-        assert _require_offset(_OFFSET_LIMIT) == _OFFSET_LIMIT
-        assert _require_offset(0) == 0
+        assert require_offset(OFFSET_LIMIT) == OFFSET_LIMIT
+        assert require_offset(0) == 0
 
     def test_require_offset_rejects_overflow(self):
         with pytest.raises(ValueError, match="22-bit"):
-            _require_offset(_OFFSET_LIMIT + 1, "b_data")
+            require_offset(OFFSET_LIMIT + 1, "b_data")
 
     def test_compile_raises_instead_of_aliasing_on_huge_operands(self):
         # A diagonal operand big enough that the B data region starts past

@@ -12,7 +12,7 @@ from repro.backends import get_backend
 from repro.compiler.lowering import compile_spgemm
 from repro.compiler.program import (
     ELEMENT_BYTES,
-    ProgramArrays,
+    Program,
     rebind_b_values,
 )
 from repro.arch.config import get_config
@@ -71,7 +71,7 @@ def full_structure_operands(draw):
 def per_partial_product(run):
     """``run()`` with the A-level replay switched off."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ProgramArrays, "build_dense_replay_index",
+        patch.setattr(Program, "build_dense_replay_index",
                       lambda self: None)
         return run()
 
@@ -112,11 +112,11 @@ class TestDifferential:
 
         def replay():
             program = compile_spgemm(csr_to_csc(a), b, tile_size=tile)
-            return program.arrays.replay(), program.arrays
+            return program.replay(), program
 
         expected, _ = per_partial_product(replay)
-        got, arrays = replay()
-        assert arrays.dense_replay_index() is not None
+        got, program = replay()
+        assert program.dense_replay_index() is not None
         assert_same_bytes(got, expected)
 
     @settings(max_examples=30, deadline=None)
@@ -129,7 +129,7 @@ class TestDifferential:
         def execute():
             program = compile_spgemm(csr_to_csc(a), b, tile_size=tile)
             return get_backend(backend).execute(
-                program, context, a_csr=a, b_csr=b, verify=False).output
+                program, context, verify=False).output
 
         assert_same_bytes(execute(), per_partial_product(execute))
 
@@ -171,9 +171,9 @@ class TestIndex:
                         for field in dataclasses.fields(index))
                        if isinstance(value, np.ndarray))
 
-        dense = program.arrays.dense_replay_index()
-        assert "replay" not in program.arrays._derived()
-        assert nbytes(dense) * 10 <= nbytes(program.arrays.replay_index())
+        dense = program.dense_replay_index()
+        assert "replay" not in program._derived()
+        assert nbytes(dense) * 10 <= nbytes(program.replay_index())
 
     def test_non_full_b_has_no_a_level_index(self):
         rng = np.random.default_rng(3)
@@ -182,21 +182,21 @@ class TestIndex:
         sparse_b = b.col_range(1, 4)  # a monster-row fragment's operand
         for b_operand in (a, sparse_b):
             program = compile_spgemm(csr_to_csc(a), b_operand, tile_size=2)
-            assert program.arrays.dense_replay_index() is None
-            assert program.arrays.replay().shape == (12, b_operand.shape[1])
+            assert program.dense_replay_index() is None
+            assert program.replay().shape == (12, b_operand.shape[1])
 
     def test_rebound_copy_shares_the_index(self):
         rng = np.random.default_rng(4)
         a = explicit_csr(rng.random((10, 10)) < 0.4, rng.standard_normal(100))
         b = full_structure_csr(rng.standard_normal((10, 6)))
         program = compile_spgemm(csr_to_csc(a), b, tile_size=4)
-        index = program.arrays.dense_replay_index()
+        index = program.dense_replay_index()
         b_new = full_structure_csr(rng.standard_normal((10, 6)))
         rebound = rebind_b_values(program, b_new)
-        assert rebound.arrays.dense_replay_index() is index
+        assert rebound.dense_replay_index() is index
         expected = per_partial_product(lambda: compile_spgemm(
-            csr_to_csc(a), b_new, tile_size=4).arrays.replay())
-        assert_same_bytes(rebound.arrays.replay(), expected)
+            csr_to_csc(a), b_new, tile_size=4).replay())
+        assert_same_bytes(rebound.replay(), expected)
 
 
 class TestCorruptedProgram:
@@ -213,19 +213,19 @@ class TestCorruptedProgram:
 
     def test_retargeted_b_tile_falls_back_to_the_op_stream(self):
         clean, program = self.program(), self.program()
-        arrays, width = program.arrays, program.shape[1]
+        width = program.shape[1]
         # Op 0 reads the same columns of the next B row: every partial
         # product still has a slot, so only the op stream tells.
-        arrays.op_b_lo[0] += width
-        arrays.op_b_hi[0] += width
-        arrays.op_b_col_addr[0] += width * ELEMENT_BYTES
-        arrays.op_b_data_addr[0] += width * ELEMENT_BYTES
-        assert arrays.dense_replay_index() is None
-        assert not np.array_equal(arrays.replay().data,
-                                  clean.arrays.replay().data)
+        program.op_b_lo[0] += width
+        program.op_b_hi[0] += width
+        program.op_b_col_addr[0] += width * ELEMENT_BYTES
+        program.op_b_data_addr[0] += width * ELEMENT_BYTES
+        assert program.dense_replay_index() is None
+        assert not np.array_equal(program.replay().data,
+                                  clean.replay().data)
 
     @pytest.mark.parametrize("field", ["op_a_hi", "op_b_hi"])
     def test_shortened_tile_falls_back(self, field):
         program = self.program(tile=1)
-        getattr(program.arrays, field)[0] -= 1
-        assert program.arrays.dense_replay_index() is None
+        getattr(program, field)[0] -= 1
+        assert program.dense_replay_index() is None

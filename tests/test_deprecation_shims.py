@@ -5,16 +5,21 @@ The class and test names are those of the former deprecation-shim tests;
 each now pins the replacement its shim forwarded to.
 """
 
+import dataclasses
+import inspect
 import warnings
 
 import numpy as np
 import pytest
 
 import repro
+import repro.analysis
+import repro.compiler
 import repro.core
 from repro.backends import get_backend
+from repro.backends.base import ExecutionBackend
 from repro.compiler import compile_spgemm
-from repro.core import BatchSpec, Session, SpGEMMSpec
+from repro.core import BatchSpec, Session, SpGEMMSpec, SweepSpec
 from repro.datasets import load_dataset
 from repro.sparse.convert import csr_to_csc
 
@@ -24,6 +29,9 @@ REMOVED_PUBLIC_NAMES = ("SpGEMMRunResult", "GCNRunResult", "BatchReport",
                         "WorkloadQueue", "WorkloadJob", "JobOutcome",
                         "design_space_sweep", "NeuraChip",
                         "register_backend", "register_executor")
+#: The program is one object: its columns, address map, total and source.
+REMOVED_PROGRAM_ATTRIBUTES = ("arrays", "metadata", "n_ops", "a_nnz",
+                              "b_nnz")
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +43,23 @@ def wiki():
 def chip():
     """The Tile-4 chip: the execution context a default session runs on."""
     return Session("Tile-4").ctx
+
+
+class TestOneProgramObject:
+    def test_program_wrapper_names_are_gone(self, wiki):
+        assert not hasattr(repro.compiler, "ProgramArrays")
+        assert not hasattr(repro.analysis, "verify_arrays")
+        program = compile_spgemm(csr_to_csc(wiki), wiki, tile_size=4)
+        for name in REMOVED_PROGRAM_ATTRIBUTES:
+            assert not hasattr(program, name), name
+        for method in (program.replay, program.hacc_stream):
+            assert not inspect.signature(method).parameters, method
+
+    def test_sweep_and_backend_options_are_gone(self):
+        assert "eviction_mode" not in {
+            field.name for field in dataclasses.fields(SweepSpec)}
+        parameters = inspect.signature(ExecutionBackend.execute).parameters
+        assert list(parameters) == ["self", "program", "ctx", "verify"]
 
 
 class TestRunSpgemmShim:
@@ -52,8 +77,7 @@ class TestRunSpgemmShim:
                 modern = session.run(SpGEMMSpec(a=wiki))
         program = compile_spgemm(csr_to_csc(wiki), wiki,
                                  tile_size=chip.config.mmh_tile_size)
-        direct = get_backend("analytic").execute(
-            program, chip, a_csr=wiki, b_csr=wiki)
+        direct = get_backend("analytic").execute(program, chip)
         assert modern.metrics["cycles"] == direct.report.cycles
         assert modern.metrics["partial_products"] == \
             program.total_partial_products

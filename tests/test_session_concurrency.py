@@ -2,11 +2,13 @@
 result ordering, exception propagation through futures, cancellation, and
 close() behaviour with requests in flight."""
 
+import sys
 import time
 
 import pytest
 
-from repro.core import Session, SpGEMMSpec, WorkloadSpec
+from repro.core import BatchSpec, Session, SpGEMMSpec, WorkloadSpec
+from repro.core import runner
 from repro.datasets import load_dataset
 
 
@@ -46,6 +48,71 @@ class TestOrdering:
                        for index, matrix in enumerate([wiki, facebook] * 3)]
             results = [future.result(timeout=60) for future in futures]
         assert [r.label for r in results] == [str(i) for i in range(6)]
+
+
+class TestInFlightCompile:
+    """Identical specs racing in a thread pool compile their program once:
+    a miss on a key another thread is compiling waits and counts as a
+    hit."""
+
+    @staticmethod
+    def slow_compiles(monkeypatch):
+        compiles = []
+        compile_spgemm = runner.compile_spgemm
+
+        def slow(*args, **kwargs):
+            compiles.append(args)
+            time.sleep(0.2)
+            return compile_spgemm(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "compile_spgemm", slow)
+        return compiles
+
+    @pytest.mark.parametrize("attempt", range(3))
+    def test_identical_specs_compile_once(self, wiki, monkeypatch, attempt):
+        compiles = self.slow_compiles(monkeypatch)
+        specs = [SpGEMMSpec(a=wiki, verify=False, label=str(index))
+                 for index in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the workers finely
+        try:
+            with Session("Tile-4", backend="analytic", executor="thread",
+                         workers=4) as session:
+                result = session.run(BatchSpec(specs=specs))
+                stats = session.cache_stats()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(compiles) == 1
+        assert sum(part.cache_hit for part in result.parts) == 7
+        assert (stats["hits"], stats["misses"]) == (7, 1)
+
+    def test_failed_compile_releases_the_waiters(self, wiki, monkeypatch):
+        compiles = []
+        compile_spgemm = runner.compile_spgemm
+
+        def first_fails(*args, **kwargs):
+            compiles.append(args)
+            time.sleep(0.2)
+            if len(compiles) == 1:
+                raise RuntimeError("compile failed")
+            return compile_spgemm(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "compile_spgemm", first_fails)
+        with Session("Tile-4", backend="analytic", executor="thread",
+                     workers=4) as session:
+            futures = [session.submit(SpGEMMSpec(a=wiki, verify=False))
+                       for _ in range(4)]
+            outcomes = []
+            for future in futures:
+                try:
+                    outcomes.append(future.result(timeout=60).cache_hit)
+                except RuntimeError:
+                    outcomes.append("failed")
+        # One caller sees the failure; a waiter compiles in its place and
+        # the rest hit its program.
+        assert len(compiles) == 2
+        assert (outcomes.count("failed"), outcomes.count(False),
+                outcomes.count(True)) == (1, 1, 2)
 
 
 class TestExceptionPropagation:

@@ -29,15 +29,9 @@ def dataset():
 
 def _broken(program: Program) -> Program:
     """``program`` with one output-row count off by one: ill-formed IR."""
-    counts = program.arrays.out_counts.copy()
+    counts = program.out_counts.copy()
     counts[0] += 1
-    return Program(
-        arrays=dataclasses.replace(program.arrays, out_counts=counts),
-        address_map=program.address_map, shape=program.shape,
-        tile_size=program.tile_size, a_nnz=program.a_nnz,
-        b_nnz=program.b_nnz,
-        total_partial_products=program.total_partial_products,
-        source=program.source)
+    return dataclasses.replace(program, out_counts=counts)
 
 
 class TestVerifyMode:

@@ -229,11 +229,10 @@ class TestVerifyCatchesFaults:
         assert report.max_abs_error == pytest.approx(abs(value))
 
     def test_key_outside_the_output_structure(self, monkeypatch, program):
-        arrays = program.arrays
         stream = program.hacc_stream()
         row = int(stream.out_row[0])
-        taken = set(arrays.out_indices[arrays.out_indptr[row]:
-                                       arrays.out_indptr[row + 1]].tolist())
+        taken = set(program.out_indices[program.out_indptr[row]:
+                                        program.out_indptr[row + 1]].tolist())
         stray = min(set(range(program.shape[1])) - taken)
         fault_on_first_tag(monkeypatch, program, lambda hacc:
                            hacc._replace(out_col=stray))
@@ -242,9 +241,8 @@ class TestVerifyCatchesFaults:
         assert report.max_abs_error > 0.0
 
     def test_extra_zero_key_fails_the_key_check(self, monkeypatch, program):
-        arrays = program.arrays
-        taken = set(arrays.out_indices[arrays.out_indptr[0]:
-                                       arrays.out_indptr[1]].tolist())
+        taken = set(program.out_indices[program.out_indptr[0]:
+                                        program.out_indptr[1]].tolist())
         stray = (0, min(set(range(program.shape[1])) - taken))
         original = SpillStore.evict
 
