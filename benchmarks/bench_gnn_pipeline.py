@@ -19,11 +19,18 @@ byte-checked against the chained layer-at-a-time ``GCNLayerSpec``
 reference — divergence is a hard failure, amortizing must not change a
 single bit.
 
+It then runs the depth-4 stack twice on a 4-chip ``multichip`` session:
+the second run finds the fleet's plan, shard units and unit programs
+resident, so it must plan nothing (no ``prepare_resident`` call), compile
+nothing (no program-cache miss) and equal the first run byte for byte.
+These guards count, so they are deterministic.
+
 ``--smoke`` runs the same configuration for CI and *asserts* the
 regression guards: depth-8 per-layer wall time must be at least
 ``SMOKE_AMORTIZATION_FLOOR``x (2x) better than depth-1, every depth must
-compile exactly once, and the stacked outputs must equal the chained
-reference, else exit nonzero.
+compile exactly once, the stacked outputs must equal the chained
+reference, and the warm fleet rerun must re-plan and compile nothing,
+else exit nonzero.
 
 Run with:  PYTHONPATH=src python benchmarks/bench_gnn_pipeline.py
            PYTHONPATH=src python benchmarks/bench_gnn_pipeline.py --smoke
@@ -38,6 +45,7 @@ import time
 import numpy as np
 
 from _harness import emit
+from repro.backends.multichip import MultiChipBackend
 from repro.core import Session
 from repro.core.specs import GCNLayerSpec, GNNModelSpec
 from repro.datasets import barabasi_albert_graph
@@ -50,6 +58,9 @@ WIDTH = 32
 DEPTHS = (1, 2, 4, 8)
 CONFIG = "Tile-16"
 SEED = 7
+#: Fleet size and stack depth of the warm-rerun guard.
+CHIPS = 4
+RERUN_DEPTH = 4
 
 #: CI regression guard: depth-8 per-layer wall time must beat depth-1 by
 #: at least this factor (the ISSUE acceptance threshold).
@@ -108,6 +119,41 @@ def run() -> tuple[list[dict], list[str]]:
     return rows, failures
 
 
+def resident_rerun(adjacency) -> tuple[dict, list[str]]:
+    """Run the depth-4 stack twice on a 4-chip fleet, counting the second
+    run's plans and compiles."""
+    spec = GNNModelSpec(dataset=adjacency, layer_dims=(WIDTH,) * RERUN_DEPTH,
+                        feature_dim=WIDTH, seed=SEED, verify=False,
+                        label=f"ba{NODES}-fleet")
+    prepare = MultiChipBackend.prepare_resident
+    plans = []
+
+    def counted(self, *args, **kwargs):
+        plans.append(args)
+        return prepare(self, *args, **kwargs)
+
+    with Session(CONFIG, backend="multichip", chips=CHIPS) as session:
+        first = session.run(spec)
+        misses = session.cache_stats()["misses"]
+        MultiChipBackend.prepare_resident = counted
+        try:
+            second = session.run(spec)
+        finally:
+            MultiChipBackend.prepare_resident = prepare
+        misses = session.cache_stats()["misses"] - misses
+    guard = {"replans": len(plans), "cache_misses": misses,
+             "compiles": second.metrics["compiles"],
+             "identical": second.output.tobytes() == first.output.tobytes()}
+    failures = []
+    if guard["replans"] or guard["cache_misses"] or guard["compiles"]:
+        failures.append(f"warm {CHIPS}-chip rerun re-planned or compiled: "
+                        f"{guard}")
+    if not guard["identical"]:
+        failures.append(f"warm {CHIPS}-chip rerun diverges from the first "
+                        "run")
+    return guard, failures
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
@@ -116,6 +162,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     rows, failures = run()
+    guard, rerun_failures = resident_rerun(
+        barabasi_albert_graph(NODES, ATTACH, seed=GRAPH_SEED))
+    failures += rerun_failures
+    print(f"warm {CHIPS}-chip depth-{RERUN_DEPTH} rerun: {guard}")
     emit("bench_gnn_pipeline", rows, extra_json={
         "nodes": NODES, "attach": ATTACH, "width": WIDTH,
         "config": CONFIG, "depths": list(DEPTHS), "rows": rows,

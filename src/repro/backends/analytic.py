@@ -44,6 +44,7 @@ queueing delay rather than any throughput ceiling sets the runtime.
 
 from __future__ import annotations
 
+import dataclasses
 import time as _time
 
 from repro.backends.base import ExecutionBackend, ExecutionContext, ExecutionResult
@@ -67,7 +68,9 @@ CALIBRATED_TOLERANCE = 0.25
 
 
 class AnalyticBackend(ExecutionBackend):
-    """Roofline-style cycle prediction; output by replaying the program."""
+    """Roofline-style cycle prediction, cached per program structure and
+    context (every re-bound copy shares it; each run gets its own copy of
+    the report); output by replaying the program."""
 
     name = "analytic"
 
@@ -75,14 +78,21 @@ class AnalyticBackend(ExecutionBackend):
                 verify: bool = True) -> ExecutionResult:
         start = _time.perf_counter()
         output = program.replay()
-        report = self.predict(program, ctx,
-                              wall=_time.perf_counter() - start)
+        wall = _time.perf_counter() - start
+        predictions = program._derived().setdefault("predictions", {})
+        cached = predictions.get(ctx)
+        if cached is None:
+            cached = predictions.setdefault(ctx, self.predict(program, ctx))
+        report = dataclasses.replace(
+            cached, wall_clock_seconds=wall, counters=dict(cached.counters),
+            mmh_cpi_histogram=Histogram.merged([cached.mmh_cpi_histogram]),
+            hacc_cpi_histogram=Histogram.merged([cached.hacc_cpi_histogram]))
         return ExecutionResult(backend=self.name, output=output,
                                report=report)
 
     # ------------------------------------------------------------------
-    def predict(self, program: Program, ctx: ExecutionContext,
-                wall: float = 0.0) -> SimulationReport:
+    def predict(self, program: Program,
+                ctx: ExecutionContext) -> SimulationReport:
         """Predict a :class:`SimulationReport` for ``program`` on ``ctx``."""
         config, params = ctx.config, ctx.params
         n_mmh = program.n_instructions
@@ -188,7 +198,7 @@ class AnalyticBackend(ExecutionBackend):
             output_nnz=nnz,
             correct=None,
             max_abs_error=0.0,
-            wall_clock_seconds=wall,
+            wall_clock_seconds=0.0,
             events=0,
             eviction_mode=ctx.eviction_mode,
             mapping_scheme=ctx.mapping_scheme,

@@ -30,13 +30,13 @@ The ``multichip`` backend models exactly that:
 
 Every unit program comes from :func:`~repro.core.runner.fetch_or_compile`
 through the session's :class:`~repro.core.runner.ProgramCache` (A's shard
-slice keyed by content, B's slice by structure), so repeated multi-chip
-runs of the same graph — and every layer of a resident GNN stack — skip
-every per-chip compile; under ``Session(verify=...)`` each distinct unit
-program is IR-verified once.  A one-shot run (:meth:`MultiChipBackend.
-execute_operands`) is a resident graph used once.  A session's host
-sharding (``SpGEMMSpec(shards=N)``) runs through this backend too, on a
-fleet of N chips of the session backend.
+slice keyed by its :class:`ShardUnit`'s ``a_key``, B's by structure), so
+repeated multi-chip runs of the same graph — and every layer of a resident
+GNN stack — skip every per-chip compile; under ``Session(verify=...)``
+each distinct unit program is IR-verified once.  A one-shot run
+(:meth:`MultiChipBackend.execute_operands`) is a resident graph used
+once.  A session's host sharding (``SpGEMMSpec(shards=N)``) runs through
+this backend too, on a fleet of N chips of the session backend.
 
 B is replicated on every chip (rows of A shard; all of B is potentially
 touched by any shard), so a multi-chip run whose B is not yet on the
@@ -204,7 +204,8 @@ class ResidentGraph:
     pre-sliced per-chip units of A stay in host memory, and the program
     cache keys each unit's B slice by structure, so every subsequent layer
     only re-binds feature values into the cached unit programs instead of
-    re-planning, re-slicing and re-compiling.
+    re-planning, re-slicing and re-compiling.  A session keeps the last
+    one across runs (``Session._resident_graph``).
     """
 
     plan: ShardPlan
@@ -212,7 +213,6 @@ class ResidentGraph:
     tile_size: int
     source: str
     b_rows: int
-    width: int
 
 
 def _merge_reports(reports: list[SimulationReport], config, source: str,
@@ -286,7 +286,8 @@ def _merge_reports(reports: list[SimulationReport], config, source: str,
 def _run_chip(chip: int, assignment: ShardAssignment,
               units: list[ShardUnit], b_csr: CSRMatrix, source: str,
               chip_backend: str, ctx: ExecutionContext, verify: bool,
-              tile_size: int, cache=None, check=None) -> ChipRun:
+              tile_size: int, fresh_b: bool, cache=None, check=None
+              ) -> ChipRun:
     """Execute one chip's units back to back on a fresh per-chip context.
 
     Each unit's program comes from
@@ -310,7 +311,8 @@ def _run_chip(chip: int, assignment: ShardAssignment,
             f"c{fragment.col_lo}-{fragment.col_hi}]")
         unit_b = unit.slice_b(b_csr)
         program, cache_hit, rebound = fetch_or_compile(
-            cache, unit.a, unit_b, tile_size, unit_source, check=check)
+            cache, unit.a, unit_b, tile_size, unit_source, check=check,
+            a_key=unit.a_key, fresh_b=fresh_b)
         b_resident = b_resident and cache_hit and not rebound
         # The context is immutable chip *configuration*; per-chip isolation
         # comes from the backend building fresh simulator state per execute.
@@ -404,8 +406,7 @@ class MultiChipBackend:
                            strategy=self.topology.partition)
         units = build_shard_units(a_csr, plan)
         return ResidentGraph(plan=plan, units=units, tile_size=tile_size,
-                             source=source, b_rows=b_csr.shape[0],
-                             width=b_csr.shape[1])
+                             source=source, b_rows=b_csr.shape[0])
 
     def execute_resident(self, resident: ResidentGraph, b_csr: CSRMatrix,
                          ctx: ExecutionContext, verify: bool = True,
@@ -423,7 +424,8 @@ class MultiChipBackend:
         i.e. no unit program compiles fresh).  Residency lives in this
         process, so chips never ship to a process pool: that would re-pay
         per layer exactly the operand movement the resident graph exists
-        to avoid."""
+        to avoid.  ``b_csr`` is a layer input no caller holds, so the unit
+        programs take it without a compare or a copy (``fresh_b``)."""
         if b_csr.shape[0] != resident.b_rows:
             raise ValueError(
                 f"resident graph expects {resident.b_rows} feature rows, "
@@ -476,7 +478,8 @@ class MultiChipBackend:
         jobs = [dict(chip=index, assignment=assignment, units=units,
                      b_csr=b_csr, source=resident.source,
                      chip_backend=self.topology.chip_backend, ctx=ctx,
-                     verify=verify, tile_size=resident.tile_size)
+                     verify=verify, tile_size=resident.tile_size,
+                     fresh_b=not one_shot)
                 for index, (assignment, units)
                 in enumerate(zip(resident.plan.shards, resident.units))]
         executor = self.executor

@@ -159,6 +159,7 @@ class DenseReplayIndex:
             then the light steps.
         b_row: the W-wide ``b_values`` row every entry multiplies.
         heavy_ptr: entry offsets of the heavy rows.
+        heavy_keys: the heavy ``bincount``'s bins, ``h * W + column``.
         step_ptr: entry offsets of the light steps.
         rank: work-buffer row of every touched output row, in output
             order.
@@ -168,6 +169,7 @@ class DenseReplayIndex:
     a_index: np.ndarray
     b_row: np.ndarray
     heavy_ptr: np.ndarray
+    heavy_keys: np.ndarray
     step_ptr: np.ndarray
     rank: np.ndarray
 
@@ -550,11 +552,14 @@ class Program:
         step_ptr = np.full(n_steps + 1, heavy_ptr[-1], dtype=np.int64)
         step_ptr[1:] += np.cumsum(np.bincount(within[light],
                                               minlength=n_steps))
+        heavy_keys = (np.repeat(np.arange(n_heavy) * width,
+                                sorted_degree[:n_heavy])[:, None]
+                      + columns).reshape(-1)
         narrow = np.int32
         return DenseReplayIndex(
             width=width, a_index=layout.astype(narrow),
             b_row=(row_lo // width)[layout].astype(narrow),
-            heavy_ptr=heavy_ptr, step_ptr=step_ptr,
+            heavy_ptr=heavy_ptr, heavy_keys=heavy_keys, step_ptr=step_ptr,
             rank=rank.astype(narrow))
 
     def _replay_dense(self, index: DenseReplayIndex) -> np.ndarray:
@@ -567,13 +572,10 @@ class Program:
         n_heavy = index.heavy_ptr.size - 1
         if n_heavy:
             end = int(index.heavy_ptr[-1])
-            keys = (np.repeat(np.arange(n_heavy) * width,
-                              np.diff(index.heavy_ptr))[:, None]
-                    + np.arange(width)).reshape(-1)
             products = (a[index.a_index[:end]][:, None]
                         * b[index.b_row[:end]]).reshape(-1)
             out[:n_heavy] = np.bincount(
-                keys, weights=products,
+                index.heavy_keys, weights=products,
                 minlength=n_heavy * width).reshape(n_heavy, width)
         step_ptr = index.step_ptr.tolist()
         for lo, hi in zip(step_ptr, step_ptr[1:]):
@@ -722,7 +724,7 @@ class ProgramDigest:
         return self
 
 
-def rebind_b_values(program: Program, b_csr) -> Program:
+def rebind_b_values(program: Program, b_csr, copy: bool = True) -> Program:
     """A copy of ``program`` with the B operand's *values*
     swapped for ``b_csr.data`` — structure, instruction stream and
     addressing untouched.
@@ -734,14 +736,15 @@ def rebind_b_values(program: Program, b_csr) -> Program:
     caller gets a shallow copy whose ``b_values`` (the only value-bearing
     B array) are a float64 copy of the new data, owned by the program as
     a fresh compile's are, and whose structure-only derived cache (the
-    replay indexes) is the original's, shared by reference so whichever
-    copy replays first builds it for all.
+    replay indexes, the analytic predictions) is the original's, shared by
+    reference so whichever copy replays first builds it for all.
+    ``copy=False`` holds a B no caller holds (float64) as it is.
 
     Raises:
         ValueError: when ``b_csr``'s nnz does not match the structure the
             program was compiled for.
     """
-    values = np.array(b_csr.data, dtype=np.float64)
+    values = (np.array if copy else np.asarray)(b_csr.data, dtype=np.float64)
     if values.size != program.b_values.size:
         raise ValueError(
             f"operand structure mismatch: program was compiled for "

@@ -28,7 +28,7 @@ from repro.analysis.verifier import verify_program
 from repro.compiler.lowering import compile_spgemm
 from repro.compiler.program import Program, rebind_b_values
 from repro.sparse.convert import csr_to_csc
-from repro.sparse.csr import CSRMatrix
+from repro.sparse.csr import CSRMatrix, matrix_fingerprint
 
 #: Default bound on cached compiled programs (LRU eviction).
 DEFAULT_CACHE_CAPACITY = 128
@@ -39,7 +39,7 @@ DEFAULT_CACHE_CAPACITY = 128
 #: this size.  ``max_disk_bytes=None`` disables the sweep.
 DEFAULT_DISK_CAPACITY_BYTES = 256 * 1024 * 1024
 
-#: On-disk cache schema version.  Part of every fingerprint and cache key:
+#: On-disk cache schema version.  The first element of every cache key:
 #: bump it whenever the fingerprint inputs, the Program layout, or the
 #: pickle payload change shape, so stale entries from an older release can
 #: never silently collide with (or be served as) current ones.
@@ -53,24 +53,6 @@ DEFAULT_DISK_CAPACITY_BYTES = 256 * 1024 * 1024
 #: address map, partial-product total and source) instead of a wrapper
 #: around a separate column object.
 CACHE_SCHEMA_VERSION = 6
-
-
-def matrix_fingerprint(matrix) -> str:
-    """Stable content hash of a sparse matrix (structure + values + dtype).
-
-    Accepts any CSR/CSC-shaped object exposing ``indptr`` / ``indices`` /
-    ``data`` / ``shape``.  The digest covers the array dtypes and the cache
-    schema version in addition to the raw bytes, so two matrices whose
-    buffers happen to share a byte representation under different dtypes —
-    or fingerprints minted by an older release — can never collide.
-    """
-    digest = hashlib.sha1()
-    digest.update(f"schema={CACHE_SCHEMA_VERSION}".encode())
-    digest.update(str(matrix.shape).encode())
-    for array in (matrix.indptr, matrix.indices, matrix.data):
-        digest.update(str(array.dtype).encode())
-        digest.update(array.tobytes())
-    return digest.hexdigest()
 
 
 def matrix_structure_fingerprint(matrix) -> str:
@@ -152,20 +134,21 @@ class ProgramCache:
             self.cache_dir = path
 
     # ------------------------------------------------------------------
-    def key(self, a, b, tile_size: int) -> tuple:
+    def key(self, a, b, tile_size: int, a_key: str | None = None) -> tuple:
         """Cache key for operands ``(a, b)`` at ``tile_size``: A by
         content, a given ``b`` by structure only, since the compiled
         program never depends on B's values (:func:`fetch_or_compile`
         re-binds them on a hit).  A full-structure ``b`` is keyed by its
         shape, with no hashing of its index arrays
-        (:func:`matrix_structure_fingerprint`).
+        (:func:`matrix_structure_fingerprint`); a given ``a_key`` is A's.
 
         ``b=None`` means the A @ A workload, whose one operand is keyed by
         content.  Nothing else enters the key: a plain SpGEMM, a GCN
         layer's aggregation, a GNN stack layer and a multichip unit with
-        the same operands share one program.
+        the same operands share one program.  Only the key's leading
+        :data:`CACHE_SCHEMA_VERSION` versions it.
         """
-        fingerprint_a = matrix_fingerprint(a)
+        fingerprint_a = a_key if a_key is not None else matrix_fingerprint(a)
         fingerprint_b = (matrix_structure_fingerprint(b) if b is not None
                          else fingerprint_a)
         return (CACHE_SCHEMA_VERSION, fingerprint_a, fingerprint_b,
@@ -393,7 +376,8 @@ def _same_bits(held: np.ndarray, values: np.ndarray) -> bool:
 def fetch_or_compile(cache: ProgramCache | None, a_csr: CSRMatrix,
                      b_csr: CSRMatrix | None, tile_size: int, source: str,
                      check: Callable[[tuple | None, Program], Program]
-                     | None = None) -> tuple[Program, bool, bool]:
+                     | None = None, a_key: str | None = None,
+                     fresh_b: bool = False) -> tuple[Program, bool, bool]:
     """The program for C = A @ B (``b_csr=None`` means A @ A), from
     ``cache`` or freshly compiled and stored; returns
     ``(program, cache_hit, rebound)``.
@@ -403,7 +387,9 @@ def fetch_or_compile(cache: ProgramCache | None, a_csr: CSRMatrix,
     byte-identical to a fresh compile, replaces the cached entry (which
     thus holds the B values last served) and ``rebound`` is true.  A hit
     already holding these values, bit for bit, is returned as cached.
-    ``cache=None`` always compiles.
+    A ``fresh_b`` (no caller holds it) is re-bound with no compare and no
+    copy; ``a_key`` goes to :meth:`ProgramCache.key`.  ``cache=None``
+    always compiles.
     A miss on a key another thread is compiling waits for that compile
     and counts as a hit (:meth:`ProgramCache.claim`).
     ``check(key, program)`` sees every fetched or compiled program and
@@ -413,13 +399,13 @@ def fetch_or_compile(cache: ProgramCache | None, a_csr: CSRMatrix,
     key = None
     program = None
     if cache is not None:
-        key = cache.key(a_csr, b_csr, tile_size)
+        key = cache.key(a_csr, b_csr, tile_size, a_key=a_key)
         program = cache.claim(key)
     cache_hit = program is not None
     rebound = (cache_hit and b_csr is not None
-               and not _same_bits(program.b_values, b_csr.data))
+               and (fresh_b or not _same_bits(program.b_values, b_csr.data)))
     if rebound:
-        program = rebind_b_values(program, b_csr)
+        program = rebind_b_values(program, b_csr, copy=not fresh_b)
         cache.rebound(key, program)
     elif program is None:
         try:

@@ -225,6 +225,8 @@ class Session:
         self._verified_digests: set = set()  # guarded-by: _verify_lock
         self.verify_runs = 0  # guarded-by: _verify_lock
         self.verify_skips = 0  # guarded-by: _verify_lock
+        self._resident_lock = threading.Lock()
+        self._resident_memo: tuple | None = None  # guarded-by: _resident_lock
         self._local = threading.local()
         self._closed = False
 
@@ -394,7 +396,7 @@ class Session:
     def _execute(self, a_csr: CSRMatrix, b_csr: CSRMatrix | None,
                  tile: int, source: str, verify: bool, shards: int = 1,
                  resident: ResidentGraph | None = None,
-                 charge_broadcast: bool = True
+                 charge_broadcast: bool = True, fresh_b: bool = False
                  ) -> tuple[RunResult, ExecutionResult]:
         """Run C = A @ B (``b_csr=None`` means A @ A) on the session
         backend; returns the ``spgemm`` result and the backend's raw
@@ -410,14 +412,15 @@ class Session:
         power is the peak chip's.  Given ``resident`` shard state (a GNN
         stack layer on the fleet), the fleet runs over it without
         re-planning and charges the B broadcast only when
-        ``charge_broadcast``; without it, the run is one-shot.  Every path
-        yields an output byte-identical to the unsharded product.
+        ``charge_broadcast``; without it, the run is one-shot.  ``fresh_b``
+        marks B as a stack's own layer input (:func:`fetch_or_compile`).
+        Every path yields an output byte-identical to the unsharded product.
         """
         ctx = self.ctx
         if self.backend != "multichip" and shards == 1:
             program, cache_hit, _ = fetch_or_compile(
                 self.cache, a_csr, b_csr, tile, source,
-                check=self._maybe_verify)
+                check=self._maybe_verify, fresh_b=fresh_b)
             execution = get_backend(self.backend).execute(program, ctx,
                                                           verify=verify)
             report = execution.report
@@ -503,6 +506,19 @@ class Session:
             verify_level=self.verify_mode,
             executor=None if getattr(self._local, "in_worker", False)
             else self.executor)
+
+    def _resident_graph(self, a_csr: CSRMatrix, b_csr: CSRMatrix, tile: int,
+                        source: str) -> ResidentGraph:
+        """The last stack's fleet state if planned for this ``a_csr`` (held
+        here, so identity is sound), width, tile, label and topology."""
+        key = (b_csr.shape[1], tile, source, self.topology)
+        memo = self._resident_memo
+        if memo is None or memo[0] is not a_csr or memo[1] != key:
+            memo = (a_csr, key, self._multichip_backend().prepare_resident(
+                a_csr, b_csr, tile, source=source))
+            with self._resident_lock:
+                self._resident_memo = memo
+        return memo[2]
 
     def _fleet_power(self, execution, combine=sum) -> tuple[float, float]:
         """Power and energy of a multichip execution: ``combine`` of the

@@ -28,11 +28,14 @@ A stack amortises the work around its layers:
   copies its (rows, W) block, and the next layer's full-structure CSR is
   a view of the combination output, built for the program key;
 * on the multichip backend the shard plan and the per-chip slices of A
-  stay **resident** across layers
+  stay **resident** across layers and, while the graph, width, tile,
+  label and fleet match, across runs
   (:meth:`~repro.backends.multichip.MultiChipBackend.prepare_resident`),
   and the B broadcast is charged on the first layer only.  A GCN layer's
   features come from the host, so it runs one-shot and pays their
   broadcast unless the fleet already holds them;
+* a stack makes every B itself, so a hit re-binds it without a compare
+  or a copy; a GCN layer's B may alias caller memory and keeps both;
 * ``batches > 1`` models cross-chip layer pipelining: once the stack is
   resident, layer i of batch j runs while layer i+1 processes batch j-1,
   so the makespan is ``sum(layer_cycles) + (batches-1) * max(layer_cycles)``
@@ -124,7 +127,6 @@ def run_gnn_model(session, spec: GNNModelSpec | GCNLayerSpec) -> RunResult:
     tile = config.mmh_tile_size
     multichip = session.backend == "multichip"
 
-    resident = None
     compiles = 0
     all_hits = True
     chips = 1
@@ -135,13 +137,12 @@ def run_gnn_model(session, spec: GNNModelSpec | GCNLayerSpec) -> RunResult:
     for index, layer in enumerate(layers):
         if index:
             b = full_structure_csr(x)
-        if stacked and multichip and (resident is None
-                                      or resident.width != b.shape[1]):
-            resident = session._multichip_backend().prepare_resident(
-                a_csr, b, tile, source=label)
+        resident = (session._resident_graph(a_csr, b, tile, label)
+                    if stacked and multichip else None)
         result, execution = session._execute(
             a_csr, b, tile, f"{label}[layer{index}]" if stacked else label,
-            spec.verify, resident=resident, charge_broadcast=index == 0)
+            spec.verify, resident=resident, charge_broadcast=index == 0,
+            fresh_b=stacked)
         fresh = (execution.fresh_compiles if multichip
                  else int(not result.cache_hit))
         compiles += fresh

@@ -24,18 +24,23 @@ class Histogram:
 
     bin_width: int
     n_bins: int
-    counts: np.ndarray = field(default=None)
+    bin_counts: list[int] = field(default=None)
     total_observations: int = 0
     sum_values: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.counts is None:
-            self.counts = np.zeros(self.n_bins, dtype=np.int64)
+        if self.bin_counts is None:
+            self.bin_counts = [0] * self.n_bins
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Observations per bin (``bin_counts``, plain ints) as int64."""
+        return np.array(self.bin_counts, dtype=np.int64)
 
     def add(self, value: float) -> None:
         """Record one observation."""
         index = min(int(value // self.bin_width), self.n_bins - 1)
-        self.counts[max(index, 0)] += 1
+        self.bin_counts[max(index, 0)] += 1
         self.total_observations += 1
         self.sum_values += value
 
@@ -43,12 +48,11 @@ class Histogram:
     def merged(cls, histograms: list["Histogram"]) -> "Histogram":
         """One histogram holding every observation of ``histograms``, which
         share one binning."""
-        merged = cls(histograms[0].bin_width, histograms[0].n_bins)
-        for histogram in histograms:
-            merged.counts += histogram.counts
-            merged.total_observations += histogram.total_observations
-            merged.sum_values += histogram.sum_values
-        return merged
+        return cls(histograms[0].bin_width, histograms[0].n_bins,
+                   [sum(column) for column
+                    in zip(*(h.bin_counts for h in histograms))],
+                   sum(h.total_observations for h in histograms),
+                   sum(h.sum_values for h in histograms))
 
     @property
     def mean(self) -> float:
@@ -59,13 +63,9 @@ class Histogram:
 
     def labels(self) -> list[str]:
         """Human-readable bin labels ('0-25', '25-50', ..., '475-500+')."""
-        labels = []
-        for i in range(self.n_bins):
-            lo = i * self.bin_width
-            hi = (i + 1) * self.bin_width
-            suffix = "+" if i == self.n_bins - 1 else ""
-            labels.append(f"{lo}-{hi}{suffix}")
-        return labels
+        return [f"{i * self.bin_width}-{(i + 1) * self.bin_width}"
+                + ("+" if i == self.n_bins - 1 else "")
+                for i in range(self.n_bins)]
 
     def percentages(self) -> np.ndarray:
         """Percentage of observations falling into each bin."""

@@ -7,6 +7,7 @@ A[i, k], streams the entire row k of B.  CSR gives O(1) access to that row.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Any
 
@@ -274,6 +275,21 @@ def full_structure_csr(x: np.ndarray) -> CSRMatrix:
     indices = np.tile(np.arange(width, dtype=np.int64), n)
     return CSRMatrix.from_canonical(indptr, indices, dense.reshape(-1),
                                     (n, width))
+
+
+def matrix_fingerprint(matrix) -> str:
+    """Stable content hash of a sparse matrix (structure + values + dtype).
+
+    Accepts any CSR/CSC-shaped object exposing ``indptr`` / ``indices`` /
+    ``data`` / ``shape``.  The digest covers the array dtypes too, and no
+    cache schema version, so an operand's name survives a schema bump.
+    """
+    digest = hashlib.sha1()
+    digest.update(str(matrix.shape).encode())
+    for array in (matrix.indptr, matrix.indices, matrix.data):
+        digest.update(str(array.dtype).encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
 
 
 def csr_problems(matrix: Any) -> list[tuple[str, str]]:

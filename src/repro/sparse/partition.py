@@ -41,11 +41,11 @@ re-exports it.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.sparse.csr import CSRMatrix, full_structure_csr
+from repro.sparse.csr import CSRMatrix, full_structure_csr, matrix_fingerprint
 
 #: Partition strategies accepted by :func:`plan_shards` (and the
 #: ``partition=`` knob on sessions / chip topologies).
@@ -514,11 +514,16 @@ class ShardUnit:
     shard's whole-row index set (``fragment is None``; ``rows`` holds the
     global row ids, ``a`` their rows of A) or one monster-row fragment
     (``a`` is the 1-row slice).  The B operand is not stored: a unit runs
-    against :meth:`slice_b` of whichever B a call brings."""
+    against :meth:`slice_b` of whichever B a call brings.  ``a_key``, the
+    program-cache key of ``a``, is its fingerprint taken once here."""
 
     a: CSRMatrix
     rows: np.ndarray | None = None
     fragment: RowFragment | None = None
+    a_key: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "a_key", matrix_fingerprint(self.a))
 
     def slice_b(self, b_csr: CSRMatrix) -> CSRMatrix:
         """This unit's B operand: all of ``b_csr`` for a rows unit (B is
