@@ -204,8 +204,8 @@ class ResidentGraph:
     pre-sliced per-chip units of A stay in host memory, and the program
     cache keys each unit's B slice by structure, so every subsequent layer
     only re-binds feature values into the cached unit programs instead of
-    re-planning, re-slicing and re-compiling.  A session keeps the last
-    one across runs (``Session._resident_graph``).
+    re-planning, re-slicing and re-compiling.  A session keeps one per
+    width across runs (``Session._resident_graph``).
     """
 
     plan: ShardPlan

@@ -16,7 +16,7 @@ The subcommands cover the workflows the paper's WebGUI exposes::
     python -m repro cache clear
     python -m repro analyze                       # static analysis (3 passes)
     python -m repro analyze --pass locks src/     # concurrency lint only
-    python -m repro serve --backend analytic --max-batch 8 --max-delay-ms 5
+    python -m repro serve --backend analytic --max-batch 8
     python -m repro upload --dataset cora --port 8077   # register an operand
 
 Every workload subcommand routes through one
@@ -48,6 +48,7 @@ from repro.core.specs import (
 )
 from repro.datasets.suite import GNN_SUITE, TABLE1_SUITE, load_dataset
 from repro.hashing import MAPPING_SCHEMES
+from repro.serve.batcher import DEFAULT_MAX_BATCH, DEFAULT_MAX_DELAY_MS
 from repro.sparse.bloat import bloat_report
 from repro.viz.export import format_table, save_csv
 
@@ -579,12 +580,16 @@ def build_parser() -> argparse.ArgumentParser:
                          help="listen port; 0 picks an ephemeral port "
                               "(printed on startup)")
     p_serve.add_argument("--config", default="Tile-16")
-    p_serve.add_argument("--max-batch", type=int, default=8,
-                         help="dispatch a micro-batch once this many "
-                              "requests are waiting (default: %(default)s)")
-    p_serve.add_argument("--max-delay-ms", type=float, default=5.0,
-                         help="... or once the oldest waiting request has "
-                              "aged this long (default: %(default)s)")
+    p_serve.add_argument("--max-batch", type=int, default=DEFAULT_MAX_BATCH,
+                         help="at most this many requests per micro-batch "
+                              "(default: %(default)s)")
+    p_serve.add_argument("--max-delay-ms", type=float,
+                         default=DEFAULT_MAX_DELAY_MS,
+                         help="how long the oldest waiting request may "
+                              "wait for its batch to fill; 0 dispatches "
+                              "what is queued at once, so batches grow "
+                              "only while the previous one executes "
+                              "(default: %(default)s)")
     p_serve.add_argument("--queue-depth", type=int, default=256,
                          help="bounded request queue; beyond it requests "
                               "are load-shed with 503 (default: %(default)s)")

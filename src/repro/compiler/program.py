@@ -379,9 +379,9 @@ class Program:
         n_cols = self.shape[1]
         dtype = (np.int32 if self.shape[0] * n_cols < _INT32_MAX
                  else np.int64)
-        keys = np.repeat(self.a_rows[a_index].astype(dtype, copy=False)
-                         * dtype(n_cols), a_rep)
-        keys += self.b_cols[b_index]
+        rows = np.take(self.a_rows, a_index).astype(dtype, copy=False)
+        keys = np.repeat(rows * dtype(n_cols), a_rep)
+        keys += np.take(self.b_cols, b_index)
         return keys
 
     def _replay_bounds_error(self) -> str | None:
@@ -439,7 +439,7 @@ class Program:
         if key_space <= DENSE_KEY_SPACE:
             slot_of_key = np.full(key_space, -1, dtype=np.int32)
             slot_of_key[flat] = np.arange(nnz, dtype=np.int32)
-            pp_slot = slot_of_key[keys]
+            pp_slot = np.take(slot_of_key, keys)
             missing = pp_slot < 0
         else:
             pp_slot = np.searchsorted(flat, keys)
@@ -585,8 +585,9 @@ class Program:
 
     def _products(self, index: ReplayIndex) -> np.ndarray:
         """Value of every partial product of ``index``, in program order."""
-        products = np.repeat(self.a_values[index.a_index], index.a_rep)
-        products *= self.b_values[index.pp_b]
+        products = np.repeat(np.take(self.a_values, index.a_index),
+                             index.a_rep)
+        products *= np.take(self.b_values, index.pp_b)
         return products
 
     def replay(self) -> CSRMatrix:
@@ -627,15 +628,15 @@ class Program:
         coordinate, the counter and write-back address those of the
         partial product's output slot."""
         index = self.replay_index()
-        rows = np.repeat(self.a_rows[index.a_index], index.a_rep)
-        cols = self.b_cols[index.pp_b]
+        rows = np.repeat(np.take(self.a_rows, index.a_index), index.a_rep)
+        cols = np.take(self.b_cols, index.pp_b)
         op_start = np.zeros(self.n_instructions + 1, dtype=np.int64)
         np.cumsum(self.partial_products_per_op, out=op_start[1:])
         return HACCStream(
             op_start=op_start,
             tag=(rows.astype(np.int64) * self.shape[1] + cols) & 0xFFFFFFFF,
             value=self._products(index),
-            counter=self.out_counts[index.pp_slot],
+            counter=np.take(self.out_counts, index.pp_slot),
             out_row=rows, out_col=cols,
             writeback_addr=(self.address_map.output_base
                             + index.pp_slot.astype(np.int64)

@@ -81,6 +81,10 @@ from repro.sparse.convert import as_csr
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.partition import PARTITION_STRATEGIES
 
+#: Feature widths whose resident fleet state a session keeps for one
+#: graph: every width of a stack of up to this many layers.
+_RESIDENT_WIDTHS = 16
+
 
 # ----------------------------------------------------------------------
 # Process-executor workers (module level so they pickle)
@@ -509,16 +513,25 @@ class Session:
 
     def _resident_graph(self, a_csr: CSRMatrix, b_csr: CSRMatrix, tile: int,
                         source: str) -> ResidentGraph:
-        """The last stack's fleet state if planned for this ``a_csr`` (held
-        here, so identity is sound), width, tile, label and topology."""
-        key = (b_csr.shape[1], tile, source, self.topology)
-        memo = self._resident_memo
-        if memo is None or memo[0] is not a_csr or memo[1] != key:
-            memo = (a_csr, key, self._multichip_backend().prepare_resident(
-                a_csr, b_csr, tile, source=source))
+        """The fleet state planned for this ``a_csr`` (held here, so
+        identity is sound) at this width, tile, label and topology: one
+        per width, all dropped when the graph or anything else changes."""
+        key = (tile, source, self.topology)
+        width = b_csr.shape[1]
+        with self._resident_lock:
+            memo = self._resident_memo
+            if memo is None or memo[0] is not a_csr or memo[1] != key:
+                memo = self._resident_memo = (a_csr, key, {})
+            resident = memo[2].get(width)
+        if resident is None:
+            resident = self._multichip_backend().prepare_resident(
+                a_csr, b_csr, tile, source=source)
             with self._resident_lock:
-                self._resident_memo = memo
-        return memo[2]
+                plans = memo[2]
+                if len(plans) >= _RESIDENT_WIDTHS:
+                    del plans[next(iter(plans))]  # the oldest width
+                plans[width] = resident
+        return resident
 
     def _fleet_power(self, execution, combine=sum) -> tuple[float, float]:
         """Power and energy of a multichip execution: ``combine`` of the

@@ -1,15 +1,20 @@
 """Micro-batching dispatcher: coalesce queued requests into Session.map.
 
 The :class:`MicroBatcher` owns a background thread that repeatedly pulls a
-size/deadline-bounded batch from the :class:`~repro.serve.queue.RequestQueue`
-and dispatches it through the serving session:
+batch of at most ``max_batch`` requests from the
+:class:`~repro.serve.queue.RequestQueue` and dispatches it through the
+serving session.  By default it is work-conserving: a batch is whatever
+is queued when the thread frees up, so a lone request never waits, and
+requests that arrive while a batch executes form the next one.  A
+positive ``max_delay_ms`` instead holds a timed window for the batch to
+fill.
 
 * **Coalescing**: requests whose specs are operand-identical (same A / B
   fingerprints, tile size, verify flag, shard count) execute **once**; the
   duplicates receive the same result re-labelled per request.  Combined
-  with the session's persistent program cache this is where micro-batching
-  pays: a burst of requests against the same graph costs one compile and
-  one execution.
+  with the session's persistent program cache, a burst against one graph
+  costs one compile: its first request runs alone, the rest coalesce
+  into one cache-hit execution (one execution in all, under a window).
 * **One execution path**: every batch runs through the serving session's
   own ``Session.map`` (on a multi-chip session, the ``multichip``
   backend), so a served result — output and metrics row alike — is
@@ -71,10 +76,9 @@ from repro.serve.queue import (
 from repro.serve.sched.edf import deadline_key
 from repro.sparse.coo import COOMatrix
 
-#: Default micro-batch bounds: dispatch as soon as 8 requests are waiting,
-#: or after 5 ms, whichever comes first.
+#: Default micro-batch bounds: at most 8 requests, and no batch window.
 DEFAULT_MAX_BATCH = 8
-DEFAULT_MAX_DELAY_MS = 5.0
+DEFAULT_MAX_DELAY_MS = 0.0
 
 #: Reservoir size for the latency / batch-size distributions.
 _RESERVOIR = 2048
@@ -386,10 +390,10 @@ class MicroBatcher:
     Args:
         session: the serving :class:`~repro.core.session.Session`.
         queue: the bounded :class:`RequestQueue` requests arrive on.
-        max_batch: dispatch as soon as this many requests are buffered.
-        max_delay_ms: ... or once the oldest buffered request has waited
-            this long (the latency the first request in a batch donates to
-            fill the batch).
+        max_batch: at most this many requests per batch.
+        max_delay_ms: how long the oldest buffered request may wait for
+            the batch to fill; 0 (the default) dispatches what is queued
+            at once, so batches grow only while the previous one runs.
     """
 
     def __init__(self, session: Session, queue: RequestQueue, *,

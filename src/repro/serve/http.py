@@ -311,7 +311,7 @@ class ReproServer:
         session: configured :class:`Session` every request executes on.
         host / port: bind address; ``port=0`` picks an ephemeral port
             (read :attr:`port` after :meth:`start` for the real one).
-        max_batch / max_delay_ms: micro-batch coalescing window.
+        max_batch / max_delay_ms: micro-batch bounds (no window by default).
         queue_depth: bounded-queue size; beyond it requests are shed (503).
         request_timeout_s: per-request deadline (queue wait + execution),
             a finite number of seconds above 0.

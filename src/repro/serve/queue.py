@@ -265,12 +265,11 @@ class RequestQueue:
         """Collect the next micro-batch in scheduling order.
 
         Blocks until at least one request is waiting, then keeps
-        collecting until the batch is full or a delay bound expires —
-        then selects up to ``max_batch`` requests in WFQ x EDF order
-        (arrival order under ``fifo`` scheduling).  One
-        ``time.monotonic()`` is hoisted per collection sweep; selection
-        itself never re-reads the clock.  Returns an empty list only
-        when the queue is closed and drained.
+        collecting until the batch is full or ``max_delay_s`` has passed
+        (with 0, it takes what is queued without waiting) — then selects
+        up to ``max_batch`` requests in WFQ x EDF order (arrival order
+        under ``fifo`` scheduling).  Returns an empty list only when the
+        queue is closed and drained.
         """
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
@@ -279,10 +278,7 @@ class RequestQueue:
                 self._condition.wait()
             if not self._depth_locked():
                 return []  # closed and drained
-            # One clock read per sweep: the collection window, deadline
-            # ordering and expiry checks downstream all key off `now`.
-            now = time.monotonic()
-            window_ends = now + max(0.0, max_delay_s)
+            window_ends = time.monotonic() + max(0.0, max_delay_s)
             while self._depth_locked() < max_batch and not self._closed:
                 remaining = window_ends - time.monotonic()
                 if remaining <= 0:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.serve import DEFAULT_MAX_BATCH, DEFAULT_MAX_DELAY_MS
 
 
 class TestParser:
@@ -289,8 +290,8 @@ class TestServeCommand:
         assert args.host == "127.0.0.1"
         assert args.port == 8077
         assert args.backend == "analytic"
-        assert args.max_batch == 8
-        assert args.max_delay_ms == 5.0
+        assert args.max_batch == DEFAULT_MAX_BATCH
+        assert args.max_delay_ms == DEFAULT_MAX_DELAY_MS
         assert args.queue_depth == 256
         assert args.request_timeout == 60.0
 

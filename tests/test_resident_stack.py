@@ -149,6 +149,34 @@ class TestReplan:
         assert row(rerun) == row(expected[1])
 
 
+class TestMixedWidths:
+    def test_warm_mixed_width_stack_plans_nothing(self, cora, monkeypatch):
+        spec = GNNModelSpec(dataset=cora, layer_dims=(16, 8, 16),
+                            feature_dim=16, seed=5, verify=False)
+        with fleet() as session:
+            first = session.run(spec)
+            plans = count_calls(monkeypatch, "repro.sparse.partition",
+                                "plan_shards")
+            second = session.run(spec)
+        assert plans == []
+        assert second.output.tobytes() == first.output.tobytes()
+
+    def test_held_widths_are_bounded(self, cora, monkeypatch):
+        a = cora.adjacency_csr()
+        features = {width: full_structure_csr(np.ones((a.shape[0], width)))
+                    for width in range(1, 19)}
+        with fleet() as session:
+            for b in features.values():
+                session._resident_graph(a, b, 16, "widths")
+            plans = count_calls(monkeypatch, "repro.sparse.partition",
+                                "plan_shards")
+            session._resident_graph(a, features[18], 16, "widths")
+            assert plans == []
+            session._resident_graph(a, features[1], 16, "widths")
+            assert len(plans) == 1  # the oldest widths were let go
+            assert len(session._resident_memo[2]) == 16
+
+
 class TestCachedPrediction:
     def test_warm_run_reuses_the_prediction_but_owns_its_report(
             self, monkeypatch):

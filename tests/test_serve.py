@@ -9,9 +9,12 @@ import pytest
 from repro.core import GNNModelSpec, Session, SpGEMMSpec, WorkloadSpec
 from repro.datasets import load_dataset
 from repro.serve import (
+    DEFAULT_MAX_BATCH,
+    DEFAULT_MAX_DELAY_MS,
     MicroBatcher,
     QueueClosed,
     QueueOverflow,
+    ReproServer,
     RequestQueue,
     ServeTimeout,
 )
@@ -96,6 +99,22 @@ class TestRequestQueue:
         thread.join()
         assert [request.spec.label for request in batch] == \
             ["first", "second"]
+
+    def test_default_window_takes_a_lone_request_without_waiting(
+            self, wiki, monkeypatch):
+        queue = RequestQueue()
+        queue.put(SpGEMMSpec(a=wiki, label="lone"))
+
+        def no_wait(*args, **kwargs):
+            raise AssertionError("get_batch waited for the batch to fill")
+
+        monkeypatch.setattr(queue._condition, "wait", no_wait)
+        batch = queue.get_batch(DEFAULT_MAX_BATCH, DEFAULT_MAX_DELAY_MS / 1e3)
+        assert [request.spec.label for request in batch] == ["lone"]
+
+    def test_server_batches_without_a_window_by_default(self):
+        with Session("Tile-4", backend="analytic") as session:
+            assert ReproServer(session, port=0).batcher.max_delay_s == 0
 
     def test_validation(self, wiki):
         with pytest.raises(ValueError, match="max_depth"):
