@@ -4,9 +4,9 @@ Three demonstrations of the scale-out substrate:
 
 1. **Sharding** — one large SpGEMM is split by the planner into balanced
    row shards (rows of A partition the partial products of A @ B
-   exactly), run through the multichip machinery with its per-shard work
-   fanned out over the executor, and reduced into one result identical to
-   the unsharded product.
+   exactly), run through the multichip machinery in the session's
+   process, and reduced into one result identical to the unsharded
+   product.
 2. **Executor fan-out** — the same 12-job batch served serially and over a
    thread pool, with identical per-job results.
 3. **Persistent program cache** — a second session pointed at the same

@@ -10,7 +10,8 @@ The ``multichip`` backend models exactly that:
 
 * :class:`ChipTopology` describes the fleet — chip count, the per-chip
   execution backend (``analytic`` by default, ``cycle`` / ``functional``
-  for fidelity), the partition strategy, and the host-reduce cost model;
+  for fidelity) and the partition strategy — and prices its host terms
+  at the interconnect constants below;
 * shards come from :func:`~repro.sparse.partition.plan_shards`:
   contiguous row ranges on balanced inputs, degree-aware row index sets
   (with merge-path column-range splitting of monster rows) on skewed
@@ -18,8 +19,9 @@ The ``multichip`` backend models exactly that:
   ``auto`` skew probe;
 * every chip executes in isolation — its own compiled shard program(s)
   and its own simulator (memory / NeuraMem) state and stats, built fresh
-  per chip by the inner backend — and the per-chip work fans out over any
-  host executor (serial / thread / process);
+  per chip by the inner backend — in this process, inline or on a thread
+  executor, against the session's program cache, so the modelled result
+  never depends on the host executor;
 * the aggregate timing report takes ``cycles = max over chips + host
   reduce term (+ one-time B broadcast on cold runs)``, sums
   activity-style totals (busy / stall cycles, traffic, NoC flits,
@@ -41,7 +43,7 @@ this backend too, on a fleet of N chips of the session backend.
 B is replicated on every chip (rows of A shard; all of B is potentially
 touched by any shard), so a multi-chip run whose B is not yet on the
 fleet additionally charges a one-time B-broadcast term — ``b_nnz`` bytes
-pushed over the host interconnect at ``reduce_bytes_per_cycle`` — that
+pushed over the host interconnect at :data:`REDUCE_BYTES_PER_CYCLE` — that
 makes the small-graph break-even point visible.  The broadcast amortizes
 across a batch through the program cache: a one-shot run skips it when
 every chip's unit programs are cache hits that already hold these B
@@ -57,7 +59,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analysis.verifier import assert_program_valid
 from repro.backends.base import ExecutionContext, ExecutionResult
 from repro.backends.registry import CHIP_BACKENDS, get_backend
 from repro.sim.accelerator import SimulationReport
@@ -80,10 +81,17 @@ from repro.sparse.partition import (
 #: per-chip CSR blocks into one logical matrix.
 REDUCE_BYTES_PER_ROW = 8
 
+#: Host-interconnect gather bandwidth of the reduce and B-broadcast terms
+#: (bytes per chip cycle; the output values stay in chip-local HBM).
+REDUCE_BYTES_PER_CYCLE = 64.0
+
+#: Fixed fleet synchronisation latency added once to the reduce term.
+REDUCE_LATENCY_CYCLES = 200.0
+
 
 @dataclass(frozen=True)
 class ChipTopology:
-    """Description of a multi-chip fleet and its host interconnect.
+    """Description of a multi-chip fleet.
 
     Attributes:
         n_chips: number of chip instances row shards are assigned to.
@@ -94,18 +102,11 @@ class ChipTopology:
             merge-path monster-row splitting), or 'auto' (default): a
             cheap skew probe keeps contiguity unless the degree plan is
             measurably more balanced.
-        reduce_bytes_per_cycle: host-interconnect gather bandwidth used by
-            the reduce-cost term (row-pointer bytes per chip cycle; the
-            output values stay sharded in chip-local HBM).
-        reduce_latency_cycles: fixed fleet synchronisation latency added
-            once to the reduce term.
     """
 
     n_chips: int = 1
     chip_backend: str = "analytic"
     partition: str = "auto"
-    reduce_bytes_per_cycle: float = 64.0
-    reduce_latency_cycles: float = 200.0
 
     def __post_init__(self) -> None:
         if self.n_chips < 1:
@@ -118,8 +119,6 @@ class ChipTopology:
             raise ValueError(f"unknown partition strategy "
                              f"{self.partition!r}; expected one of "
                              f"{PARTITION_STRATEGIES}")
-        if self.reduce_bytes_per_cycle <= 0:
-            raise ValueError("reduce_bytes_per_cycle must be > 0")
 
     def reduce_cycles(self, output_rows: int) -> float:
         """Host reduce term: gather and rebase the per-chip row pointers
@@ -128,7 +127,7 @@ class ChipTopology:
         if self.n_chips == 1:
             return 0.0
         traffic = output_rows * REDUCE_BYTES_PER_ROW
-        return traffic / self.reduce_bytes_per_cycle + self.reduce_latency_cycles
+        return traffic / REDUCE_BYTES_PER_CYCLE + REDUCE_LATENCY_CYCLES
 
     def broadcast_cycles(self, b_nnz: int) -> float:
         """One-time B-broadcast term: push ``b_nnz`` bytes of the
@@ -140,7 +139,7 @@ class ChipTopology:
         amortizes across a batch of requests touching the same operands."""
         if self.n_chips == 1:
             return 0.0
-        return b_nnz / self.reduce_bytes_per_cycle
+        return b_nnz / REDUCE_BYTES_PER_CYCLE
 
 
 @dataclass
@@ -338,23 +337,6 @@ def _run_chip(chip: int, assignment: ShardAssignment,
                    fresh_compiles=hits.count(False))
 
 
-def _chip_worker(payload: dict) -> ChipRun:
-    """Process-executor entry point: one chip's :func:`_run_chip`
-    arguments, its cache rebuilt from the session's disk tier when one is
-    configured (shared through the filesystem; in-memory caches stay
-    per-worker) and its programs checked at ``verify_level``."""
-    from repro.core.runner import ProgramCache
-
-    disk = payload["disk_cache"]
-    cache = None if disk is None else ProgramCache(
-        disk["capacity"], cache_dir=disk["cache_dir"],
-        max_disk_bytes=disk["max_disk_bytes"])
-    level = payload["verify_level"]
-    check = None if level is None else \
-        (lambda key, program: assert_program_valid(program, level))
-    return _run_chip(**payload["chip"], cache=cache, check=check)
-
-
 class MultiChipBackend:
     """Scale one SpGEMM across N chips, one row shard per chip.
 
@@ -364,19 +346,17 @@ class MultiChipBackend:
         check: optional ``check(key, program) -> program`` every fetched or
             compiled shard program passes (the session's memoized IR
             verification).
-        verify_level: the IR-verification level process workers apply in
-            place of ``check`` (which stays in this process).
-        executor: optional :class:`~repro.core.executors.Executor` the
-            per-chip work fans out on (chips run serially inline when unset).
+        executor: optional thread :class:`~repro.core.executors.Executor`
+            the per-chip work fans out on.  Chips never leave this
+            process: without an executor, or given a process pool, they
+            run inline.
     """
 
     def __init__(self, topology: ChipTopology | None = None, cache=None,
-                 check=None, verify_level: str | None = None,
-                 executor=None) -> None:
+                 check=None, executor=None) -> None:
         self.topology = topology if topology is not None else ChipTopology()
         self.cache = cache
         self.check = check
-        self.verify_level = verify_level
         self.executor = executor
 
     # ------------------------------------------------------------------
@@ -385,12 +365,11 @@ class MultiChipBackend:
                          source: str = "spgemm",
                          verify: bool = True) -> MultiChipExecutionResult:
         """Plan, compile per chip, execute per chip, reduce: a one-shot
-        run is a resident graph used once, whose chips a process executor
-        ships to its workers."""
+        run is a resident graph used once, whose B came from the host."""
         b_csr = b_csr if b_csr is not None else a_csr
         resident = self.prepare_resident(a_csr, b_csr, tile_size, source)
         return self._execute(resident, b_csr, ctx, verify,
-                             charge_broadcast=True, one_shot=True)
+                             charge_broadcast=True, fresh_b=False)
 
     # ------------------------------------------------------------------
     def prepare_resident(self, a_csr: CSRMatrix, b_csr: CSRMatrix,
@@ -421,42 +400,40 @@ class MultiChipBackend:
         layer 0 only:
         resident-operand reuse means B ships to the fleet once per *stack*,
         not once per layer (and not at all when the fleet is already warm,
-        i.e. no unit program compiles fresh).  Residency lives in this
-        process, so chips never ship to a process pool: that would re-pay
-        per layer exactly the operand movement the resident graph exists
-        to avoid.  ``b_csr`` is a layer input no caller holds, so the unit
-        programs take it without a compare or a copy (``fresh_b``)."""
+        i.e. no unit program compiles fresh).  ``b_csr`` is a layer input
+        no caller holds, so the unit programs take it without a compare or
+        a copy (``fresh_b``)."""
         if b_csr.shape[0] != resident.b_rows:
             raise ValueError(
                 f"resident graph expects {resident.b_rows} feature rows, "
                 f"got {b_csr.shape[0]}")
         return self._execute(resident, b_csr, ctx, verify,
                              charge_broadcast=charge_broadcast,
-                             one_shot=False)
+                             fresh_b=True)
 
     # ------------------------------------------------------------------
     def _execute(self, resident: ResidentGraph, b_csr: CSRMatrix,
                  ctx: ExecutionContext, verify: bool, charge_broadcast: bool,
-                 one_shot: bool) -> MultiChipExecutionResult:
+                 fresh_b: bool) -> MultiChipExecutionResult:
         """Run every chip's units against ``b_csr``, stitch, reduce.
 
-        A one-shot run may ship its chips to a process pool; a resident
-        stack layer runs them in this process.  Both fetch their unit
-        programs through the same cache keys."""
+        ``fresh_b`` marks B as a stack's own layer input rather than an
+        operand from the host; either way the unit programs come through
+        the same cache keys."""
         topology = self.topology
         plan = resident.plan
-        runs = self._run_chips(resident, b_csr, ctx, verify, one_shot)
+        runs = self._run_chips(resident, b_csr, ctx, verify, fresh_b)
         output = stitch_shard_outputs(
             plan, [(run.output, run.fragment_outputs) for run in runs],
             b_csr.shape[1])
         reduce_cycles = (topology.reduce_cycles(output.shape[0])
                          if len(runs) > 1 else 0.0)
         # B is replicated on every chip: the run pays for broadcasting it
-        # once unless the fleet already holds it.  A one-shot B comes from
-        # the host, so the fleet holds it only if every unit program was
-        # cached with these values (the ones last sent); a stack's layer-0
-        # features count as held on a warm fleet (no fresh compile).
-        warm = all(run.b_resident if one_shot else run.cache_hit
+        # once unless the fleet already holds it.  A B from the host is
+        # held only if every unit program was cached with these values
+        # (the ones last sent); a stack's layer-0 features count as held
+        # on a warm fleet (no fresh compile).
+        warm = all(run.cache_hit if fresh_b else run.b_resident
                    for run in runs)
         broadcast_cycles = 0.0
         if charge_broadcast and len(runs) > 1 and not warm:
@@ -474,33 +451,17 @@ class MultiChipBackend:
 
     def _run_chips(self, resident: ResidentGraph, b_csr: CSRMatrix,
                    ctx: ExecutionContext, verify: bool,
-                   one_shot: bool) -> list[ChipRun]:
-        jobs = [dict(chip=index, assignment=assignment, units=units,
-                     b_csr=b_csr, source=resident.source,
-                     chip_backend=self.topology.chip_backend, ctx=ctx,
-                     verify=verify, tile_size=resident.tile_size,
-                     fresh_b=not one_shot)
-                for index, (assignment, units)
-                in enumerate(zip(resident.plan.shards, resident.units))]
+                   fresh_b: bool) -> list[ChipRun]:
+        def chip_job(job: tuple) -> ChipRun:
+            index, (assignment, units) = job
+            return _run_chip(index, assignment, units, b_csr,
+                             resident.source, self.topology.chip_backend,
+                             ctx, verify, resident.tile_size, fresh_b,
+                             cache=self.cache, check=self.check)
+
+        jobs = list(enumerate(zip(resident.plan.shards, resident.units)))
         executor = self.executor
-        process_pool = executor is not None and executor.name == "process"
-        if process_pool and one_shot:
-            # Each payload ships its chip's units and a full copy of B (the
-            # executor abstraction has no pool-initializer hook to
-            # broadcast B once per worker); chip counts are small, so the
-            # duplicated serialization is bounded at n_chips * nnz(B).
-            cache_dir = getattr(self.cache, "cache_dir", None)
-            disk = None if cache_dir is None else {
-                "capacity": self.cache.capacity, "cache_dir": cache_dir,
-                "max_disk_bytes": self.cache.max_disk_bytes}
-            return executor.map(_chip_worker, [
-                {"chip": job, "disk_cache": disk,
-                 "verify_level": self.verify_level} for job in jobs])
-
-        def chip_job(job: dict) -> ChipRun:
-            return _run_chip(**job, cache=self.cache, check=self.check)
-
-        if executor is None or process_pool:  # resident chips stay here
+        if executor is None or executor.name == "process":
             return [chip_job(job) for job in jobs]
         return executor.map(chip_job, jobs)
 

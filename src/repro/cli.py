@@ -64,23 +64,16 @@ def _session(args: argparse.Namespace, default_backend: str = "cycle") -> Sessio
     backend = getattr(args, "backend", default_backend)
     chips = getattr(args, "chips", None)
     chip_backend = getattr(args, "chip_backend", None)
-    partition = getattr(args, "partition", None) or "auto"
-    topology = None
-    if backend == "multichip":
-        from repro.core.specs import ChipTopology
-
-        # chips=0 must reach ChipTopology's validation, not coerce to 1.
-        topology = ChipTopology(n_chips=1 if chips is None else chips,
-                                chip_backend=chip_backend or "analytic",
-                                partition=partition)
-    elif chips is not None:
-        raise ValueError("--chips requires --backend multichip")
-    elif chip_backend is not None:
-        raise ValueError("--chip-backend requires --backend multichip")
+    if backend != "multichip":
+        if chips is not None:
+            raise ValueError("--chips requires --backend multichip")
+        if chip_backend is not None:
+            raise ValueError("--chip-backend requires --backend multichip")
     return Session(args.config,
                    backend=backend,
-                   topology=topology,
-                   partition=partition,
+                   chips=chips,
+                   chip_backend=chip_backend,
+                   partition=getattr(args, "partition", None) or "auto",
                    executor=getattr(args, "executor", "serial"),
                    workers=getattr(args, "workers", None),
                    cache_dir=getattr(args, "cache_dir", None),
@@ -492,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--no-verify", action="store_true")
     p_run.add_argument("--shards", type=int, default=1,
                        help="split the SpGEMM into this many row-group "
-                            "shards fanned out over the executor")
+                            "shards, run one after another on this chip")
     add_session(p_run)
     add_common(p_run)
     p_run.set_defaults(func=cmd_run)

@@ -26,27 +26,29 @@ run and the aggregation of every GCN layer — goes through one helper,
 :func:`repro.gnn.pipeline.run_gnn_model`: a GCN layer is a one-layer
 stack fed its own input.
 
-Scale-out: ``Session(backend="multichip", chips=N)`` (or a full
-:class:`~repro.backends.multichip.ChipTopology`) assigns balanced row
-shards to N distinct chip instances — one
-:class:`~repro.backends.base.ExecutionContext` per chip, each with its own
-compiled shard program and stats — and reduces per-chip products into an
-output byte-identical to the single-chip product, with cycles modelled as
-the slowest chip plus a host reduce term and power summed across the fleet.
+Scale-out: ``Session(backend="multichip", chips=N, chip_backend=...,
+partition=...)`` assigns balanced row shards to N distinct chip instances
+— one :class:`~repro.backends.base.ExecutionContext` per chip, each with
+its own compiled shard program and stats — and reduces per-chip products
+into an output byte-identical to the single-chip product, with cycles
+modelled as the slowest chip plus a host reduce term and power summed
+across the fleet.
 
 Sharding: an :class:`~repro.core.specs.SpGEMMSpec` with ``shards > 1`` runs
 through the same multichip machinery on a fleet of ``shards`` chips of the
-session backend, whose per-chip work fans out over the session executor.
-The shards stand for pieces run one after another on this chip, so cycles
-and energy sum over them (a sequential estimate) and power is the peak
-shard's.
+session backend.  The shards stand for pieces run one after another on
+this chip, so cycles and energy sum over them (a sequential estimate) and
+power is the peak shard's.
+
+A fleet's chips always run in the session's process (inline, or on the
+thread executor), against its program cache, so every executor models
+the same cycles; a process executor ships whole specs, never chips.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import replace as _replace_spec
 from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -144,11 +146,11 @@ class Session:
         cache_capacity: in-memory LRU bound.
         cache_max_disk_bytes: size cap of the on-disk cache tier (swept
             oldest-mtime-first on spill); ``None`` disables the sweep.
-        chips: chip count for the ``multichip`` backend (shorthand for
-            ``topology=ChipTopology(n_chips=chips)``).
-        topology: full :class:`~repro.backends.multichip.ChipTopology`
-            (chip count, per-chip backend, host-reduce cost model); only
-            meaningful with ``backend="multichip"``.
+        chips: chip count of the ``multichip`` backend's fleet (1 when
+            unset); requires ``backend="multichip"``.
+        chip_backend: single-chip backend every chip of that fleet runs
+            ('analytic' when unset, 'cycle' or 'functional'); requires
+            ``backend="multichip"``.
         partition: shard planning strategy ('auto', 'contiguous' or
             'degree') for both host-side sharding (``shards > 1``) and the
             multichip backend; 'auto' (default) keeps contiguous ranges
@@ -160,8 +162,11 @@ class Session:
 
     The configuration and these settings resolve once into ``self.ctx``,
     the :class:`~repro.backends.base.ExecutionContext` every run executes
-    on.  All names (configuration, backend, executor) are resolved eagerly
-    so a typo fails at construction, not mid-batch.
+    on, and the fleet settings into ``self.topology`` (a
+    :class:`~repro.backends.multichip.ChipTopology`; ``None`` off the
+    multichip backend).  All names (configuration, backend, executor,
+    chip backend) are resolved eagerly so a typo fails at construction,
+    not mid-batch.
     """
 
     def __init__(self, chip_config: str | NeuraChipConfig = "Tile-16", *,
@@ -172,7 +177,7 @@ class Session:
                  cache_capacity: int = DEFAULT_CACHE_CAPACITY,
                  cache_max_disk_bytes: int | None = DEFAULT_DISK_CAPACITY_BYTES,
                  chips: int | None = None,
-                 topology: ChipTopology | None = None,
+                 chip_backend: str | None = None,
                  partition: str = "auto",
                  mapping_scheme: str | None = None,
                  eviction_mode: str = "rolling",
@@ -188,31 +193,20 @@ class Session:
             config=config, params=params or SimulationParams(),
             mapping_scheme=mapping_scheme or config.mapping_scheme,
             mapping_seed=mapping_seed, eviction_mode=eviction_mode)
-        if backend != "multichip":
-            get_backend(backend)  # fail fast on unknown names
-        if chips is not None and topology is not None \
-                and topology.n_chips != chips:
-            raise ValueError(f"chips={chips} contradicts "
-                             f"topology.n_chips={topology.n_chips}")
         if partition not in PARTITION_STRATEGIES:
             raise ValueError(f"unknown partition strategy {partition!r}; "
                              f"expected one of {PARTITION_STRATEGIES}")
-        if topology is None and chips is not None:
-            topology = ChipTopology(n_chips=chips, partition=partition)
-        if backend == "multichip" and topology is None:
-            topology = ChipTopology(partition=partition)
-        if topology is not None and partition != "auto":
-            if topology.partition == "auto":
-                topology = _replace_spec(topology, partition=partition)
-            elif topology.partition != partition:
-                raise ValueError(
-                    f"partition={partition!r} contradicts "
-                    f"topology.partition={topology.partition!r}")
-        if topology is not None and backend != "multichip":
-            raise ValueError("chips/topology require backend='multichip'; "
-                             f"got backend={backend!r}")
+        self.topology: ChipTopology | None = None
+        if backend == "multichip":
+            self.topology = ChipTopology(
+                n_chips=1 if chips is None else chips,
+                chip_backend=chip_backend or "analytic", partition=partition)
+        elif chips is not None or chip_backend is not None:
+            raise ValueError("chips/chip_backend require "
+                             f"backend='multichip'; got backend={backend!r}")
+        else:
+            get_backend(backend)  # fail fast on unknown names
         self.backend = backend
-        self.topology = topology
         self.partition = partition
         self.executor: Executor = get_executor(executor, workers=workers)
         self.cache = cache if cache is not None else \
@@ -361,11 +355,13 @@ class Session:
         """Constructor kwargs rebuilding this session inside a worker
         process, or each configuration's session of a sweep (executor
         forced serial; disk cache shared, memory not)."""
-        ctx = self.ctx
+        ctx, topology = self.ctx, self.topology
         return {
             "chip_config": ctx.config,
             "backend": self.backend,
-            "topology": self.topology,
+            "chips": None if topology is None else topology.n_chips,
+            "chip_backend": None if topology is None
+            else topology.chip_backend,
             "partition": self.partition,
             "executor": "serial",
             "cache_dir": self.cache.cache_dir,
@@ -499,15 +495,15 @@ class Session:
         Its fleet is the session topology, or for ``shards > 1`` that many
         chips of the session backend under the session's partition
         strategy.  It shares the session's program cache and IR
-        verification, and fans per-chip work out over the session executor
-        (inline when already inside a pool worker, so a sharded or
-        multichip spec inside a batch cannot deadlock the pool)."""
+        verification, and fans per-chip work out over a thread executor
+        (inline otherwise, and when already inside a pool worker, so a
+        sharded or multichip spec inside a batch cannot deadlock the
+        pool)."""
         return MultiChipBackend(
             topology=self.topology if shards == 1 else ChipTopology(
                 n_chips=shards, chip_backend=self.backend,
                 partition=self.partition),
             cache=self.cache, check=self._maybe_verify,
-            verify_level=self.verify_mode,
             executor=None if getattr(self._local, "in_worker", False)
             else self.executor)
 

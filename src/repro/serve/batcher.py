@@ -398,8 +398,7 @@ class MicroBatcher:
 
     def __init__(self, session: Session, queue: RequestQueue, *,
                  max_batch: int = DEFAULT_MAX_BATCH,
-                 max_delay_ms: float = DEFAULT_MAX_DELAY_MS,
-                 stats: ServingStats | None = None) -> None:
+                 max_delay_ms: float = DEFAULT_MAX_DELAY_MS) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_delay_ms < 0:
@@ -408,7 +407,7 @@ class MicroBatcher:
         self.queue = queue
         self.max_batch = max_batch
         self.max_delay_s = max_delay_ms / 1e3
-        self.stats = stats if stats is not None else ServingStats()
+        self.stats = ServingStats()
         self._thread: threading.Thread | None = None
         # EWMA of measured batch makespans; written only by the dispatch
         # thread, read racily (a float hint) by admission control.

@@ -104,7 +104,6 @@ from repro.serve.batcher import (
     DEFAULT_MAX_BATCH,
     DEFAULT_MAX_DELAY_MS,
     MicroBatcher,
-    ServingStats,
 )
 from repro.serve.queue import (
     DEFAULT_QUEUE_DEPTH,
@@ -338,7 +337,6 @@ class ReproServer:
         self.session = session
         self.host = host
         self.port = port
-        self.stats = ServingStats()
         self.registry = OperandRegistry(registry_max_bytes)
         self.tenants = tenants if tenants is not None else TenantTable()
         self.admission = AdmissionController(
@@ -350,8 +348,8 @@ class ReproServer:
             retry_after_fn=lambda: self.batcher.predicted_makespan_s())
         self.batcher = MicroBatcher(session, self.queue,
                                     max_batch=max_batch,
-                                    max_delay_ms=max_delay_ms,
-                                    stats=self.stats)
+                                    max_delay_ms=max_delay_ms)
+        self.stats = self.batcher.stats
         self._server: asyncio.base_events.Server | None = None
         # Live connection handlers and the ones waiting for a request
         # line; touched on the event-loop thread only.
@@ -618,9 +616,7 @@ class ReproServer:
                 "config": self.session.ctx.config.name,
                 "chips": (self.session.topology.n_chips
                           if self.session.topology is not None else 1),
-                "partition": (self.session.topology.partition
-                              if self.session.topology is not None
-                              else self.session.partition),
+                "partition": self.session.partition,
             }
         if path == "/stats":
             if method != "GET":

@@ -91,23 +91,19 @@ def estimate_row_partial_products(a_csr: CSRMatrix,
 
 
 def resolve_shard_weights(a_csr: CSRMatrix,
-                          b_csr: CSRMatrix | None = None,
-                          weights: np.ndarray | None = None) -> np.ndarray:
+                          b_csr: CSRMatrix | None = None) -> np.ndarray:
     """Per-row planning weights with the shared degenerate-input fallback.
 
     With ``b_csr`` given the weight is the exact partial-product count
     (:func:`estimate_row_partial_products`); when that sum is zero — a
     structurally empty product — the planner falls back to nnz-of-A so
     rows with entries still spread across shards.  Without ``b_csr`` the
-    nnz-of-A proxy is used directly.  ``weights`` short-circuits both
-    (a caller that already computed the array shares it unchanged).
+    nnz-of-A proxy is used directly.
 
     Both :func:`plan_row_shards` / :func:`plan_shards` and the analytic
     fast path :func:`~repro.backends.multichip.predict_scaleout` resolve
     their weights here, so predicted plans always match executed plans.
     """
-    if weights is not None:
-        return np.asarray(weights)
     if b_csr is not None:
         weights = estimate_row_partial_products(a_csr, b_csr)
         if int(weights.sum()) == 0:  # structurally empty product
@@ -117,8 +113,7 @@ def resolve_shard_weights(a_csr: CSRMatrix,
 
 
 def plan_row_shards(a_csr: CSRMatrix, n_shards: int,
-                    b_csr: CSRMatrix | None = None,
-                    weights: np.ndarray | None = None
+                    b_csr: CSRMatrix | None = None
                     ) -> list[tuple[int, int]]:
     """Split the rows of A into up to ``n_shards`` contiguous groups
     balanced by per-shard work.
@@ -145,17 +140,16 @@ def plan_row_shards(a_csr: CSRMatrix, n_shards: int,
       rows;
     * a zero-row A — the single degenerate range ``[(0, 0)]``, which
       callers reduce exactly like an unsharded run.
-
-    ``weights`` lets a caller that already computed the per-row weight
-    array (e.g. :func:`estimate_row_partial_products`) share it instead of
-    paying the gather again.
     """
     if n_shards < 1:
         raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    n_rows = a_csr.shape[0]
-    if n_rows == 0:
-        return [(0, 0)]
-    weights = resolve_shard_weights(a_csr, b_csr, weights)
+    return _balanced_ranges(resolve_shard_weights(a_csr, b_csr), n_shards)
+
+
+def _balanced_ranges(weights: np.ndarray,
+                     n_shards: int) -> list[tuple[int, int]]:
+    """:func:`plan_row_shards` over a resolved per-row weight array."""
+    n_rows = int(weights.size)
     # Plan over the rows that actually carry work: shard boundaries land
     # on positive-weight rows only, so no shard can be all-empty (the old
     # planner emitted zero-work slices that flowed into compile and
@@ -260,8 +254,8 @@ class ShardPlan:
 
 def _contiguous_plan(a_csr: CSRMatrix, n_shards: int,
                      weights: np.ndarray) -> ShardPlan:
-    ranges = plan_row_shards(a_csr, n_shards, weights=weights)
-    loads = shard_partial_products(a_csr, ranges, weights=weights)
+    ranges = _balanced_ranges(weights, n_shards)
+    loads = _range_loads(weights, ranges)
     shards = tuple(ShardAssignment(rows=np.arange(lo, hi, dtype=np.int64))
                    for lo, hi in ranges)
     return ShardPlan(n_rows=a_csr.shape[0], strategy="contiguous",
@@ -440,7 +434,6 @@ def modeled_makespan(plan: ShardPlan,
 def plan_shards(a_csr: CSRMatrix, n_shards: int,
                 b_csr: CSRMatrix | None = None, *,
                 strategy: str = "auto",
-                weights: np.ndarray | None = None,
                 unit_overhead_pp: float = UNIT_OVERHEAD_PP) -> ShardPlan:
     """Plan one SpGEMM across ``n_shards`` under the chosen strategy.
 
@@ -464,9 +457,7 @@ def plan_shards(a_csr: CSRMatrix, n_shards: int,
     if unit_overhead_pp < 0:
         raise ValueError(f"unit_overhead_pp must be >= 0, "
                          f"got {unit_overhead_pp}")
-    if a_csr.shape[0] == 0:
-        return _contiguous_plan(a_csr, 1, np.zeros(0, dtype=np.int64))
-    weights = resolve_shard_weights(a_csr, b_csr, weights)
+    weights = resolve_shard_weights(a_csr, b_csr)
     contiguous = _contiguous_plan(a_csr, n_shards, weights)
     if strategy == "contiguous":
         return contiguous
@@ -484,21 +475,23 @@ def plan_shards(a_csr: CSRMatrix, n_shards: int,
 
 def shard_partial_products(a_csr: CSRMatrix,
                            ranges: "list[tuple[int, int]] | ShardPlan",
-                           b_csr: CSRMatrix | None = None,
-                           weights: np.ndarray | None = None) -> np.ndarray:
+                           b_csr: CSRMatrix | None = None) -> np.ndarray:
     """Per-shard partial-product totals for a planned partition — the
     histogram the multi-chip analytic fast path predicts efficiency from.
 
     Accepts either the contiguous range list of :func:`plan_row_shards`
     (summed with one prefix-sum gather, no Python loop) or a
     :class:`ShardPlan` (whose balanced loads are returned directly).
-    Pass ``weights`` to reuse an already-computed per-row weight array.
     """
     if isinstance(ranges, ShardPlan):
         return ranges.loads.copy()
-    if weights is None:
-        weights = estimate_row_partial_products(
-            a_csr, b_csr if b_csr is not None else a_csr)
+    return _range_loads(estimate_row_partial_products(
+        a_csr, b_csr if b_csr is not None else a_csr), ranges)
+
+
+def _range_loads(weights: np.ndarray,
+                 ranges: "list[tuple[int, int]]") -> np.ndarray:
+    """Per-range sums of a per-row weight array."""
     prefix = np.zeros(weights.size + 1, dtype=np.int64)
     np.cumsum(weights, out=prefix[1:])
     bounds = np.asarray(list(ranges), dtype=np.int64).reshape(-1, 2)

@@ -80,7 +80,6 @@ class TestBackendSelection:
         """The functional backend is the replay alone: with the functional
         model broken, SpGEMM, a GCN layer and a functional fleet still run
         and match dense numpy."""
-        from repro.backends.multichip import ChipTopology
         from repro.sim.functional import FunctionalAccelerator
 
         def broken(self, program):
@@ -93,8 +92,8 @@ class TestBackendSelection:
             spgemm = session.run(SpGEMMSpec(a=a))
             layer = session.run(GCNLayerSpec(dataset=wiki, feature_dim=8,
                                              hidden_dim=4))
-        with Session(chip.config, backend="multichip", topology=ChipTopology(
-                n_chips=2, chip_backend="functional")) as session:
+        with Session(chip.config, backend="multichip", chips=2,
+                     chip_backend="functional") as session:
             fleet = session.run(SpGEMMSpec(a=a))
         assert spgemm.report is None
         assert np.allclose(spgemm.output.to_dense(), dense)

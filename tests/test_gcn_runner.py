@@ -43,7 +43,8 @@ def session_for(fleet: str) -> Session:
     topology = FLEETS[fleet]
     if topology is None:
         return Session("Tile-4", backend=fleet)
-    return Session("Tile-4", backend="multichip", topology=topology)
+    return Session("Tile-4", backend="multichip", chips=topology.n_chips,
+                   chip_backend=topology.chip_backend)
 
 
 #: Output checksums (the relu output is non-negative, so this is also its

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import Session
-from repro.core.specs import ChipTopology, GCNLayerSpec, GNNModelSpec
+from repro.core.specs import GCNLayerSpec, GNNModelSpec
 from repro.datasets import load_dataset
 from repro.gnn import (
     adjacency_cache_stats,
@@ -25,8 +25,8 @@ DIMS = {1: (8,), 2: (8, 4), 4: (8, 8, 4, 4), 10: (8,) * 10}
 
 def make_session(backend, executor="serial", **kwargs):
     if backend == "multichip":
-        kwargs.setdefault("topology",
-                          ChipTopology(n_chips=2, chip_backend="analytic"))
+        kwargs.setdefault("chips", 2)
+        kwargs.setdefault("chip_backend", "analytic")
     return Session("Tile-16", backend=backend, executor=executor, **kwargs)
 
 
@@ -94,9 +94,8 @@ class TestByteIdentity:
                            full_structure_csr(np.zeros((n, 6))),
                            strategy="degree")
         assert plan.split_rows
-        topology = ChipTopology(n_chips=3, chip_backend="analytic",
-                                partition="degree")
-        with make_session("multichip", topology=topology) as session:
+        with make_session("multichip", chips=3,
+                          partition="degree") as session:
             stacked = session.run(GNNModelSpec(
                 dataset=adjacency, layer_dims=dims, feature_dim=6)).output
             chained = chained_reference(session, adjacency, dims, 6)

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.backends import ChipTopology, get_backend, predict_scaleout
-from repro.backends.multichip import MultiChipBackend, MultiChipExecutionResult
+from repro.backends.multichip import (
+    REDUCE_BYTES_PER_CYCLE,
+    MultiChipBackend,
+    MultiChipExecutionResult,
+)
 from repro.core import Session, SpGEMMSpec
 from repro.datasets import load_dataset
 
@@ -73,9 +77,8 @@ class TestCrossBackendEquivalence:
             if fleet == "shards":
                 split = session.run(SpGEMMSpec(a=wiki, shards=2, verify=True))
         if fleet == "multichip":
-            topology = ChipTopology(n_chips=2, chip_backend="cycle")
-            with Session("Tile-4", backend="multichip",
-                         topology=topology) as session:
+            with Session("Tile-4", backend="multichip", chips=2,
+                         chip_backend="cycle") as session:
                 split = session.run(SpGEMMSpec(a=wiki, verify=True))
         assert whole.metrics["verified"] is True
         assert split.metrics["verified"] is True
@@ -83,18 +86,16 @@ class TestCrossBackendEquivalence:
         assert_byte_identical(split, whole)
 
     def test_cycle_chip_backend_verifies(self, wiki):
-        topology = ChipTopology(n_chips=2, chip_backend="cycle")
-        with Session("Tile-4", backend="multichip",
-                     topology=topology) as session:
+        with Session("Tile-4", backend="multichip", chips=2,
+                     chip_backend="cycle") as session:
             result = session.run(SpGEMMSpec(a=wiki, verify=True))
         assert result.metrics["verified"] is True
         dense = wiki.to_dense()
         assert np.allclose(result.output.to_dense(), dense @ dense)
 
     def test_functional_chip_backend_has_no_report(self, wiki, single_chip):
-        topology = ChipTopology(n_chips=2, chip_backend="functional")
-        with Session("Tile-4", backend="multichip",
-                     topology=topology) as session:
+        with Session("Tile-4", backend="multichip", chips=2,
+                     chip_backend="functional") as session:
             result = session.run(SpGEMMSpec(a=wiki, verify=False))
         assert result.report is None
         assert result.metrics["output_nnz"] == \
@@ -103,13 +104,38 @@ class TestCrossBackendEquivalence:
                            single_chip.output.to_dense())
 
 
+class TestExecutorIndependence:
+    """A fleet's chips run in the session's process on every executor, so
+    a repeated run hits the session's cache (and finds B already on the
+    fleet) whichever executor the session holds."""
+
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_repeated_runs_read_the_same_on_every_executor(self, executor):
+        a = load_dataset("wiki-Vote", max_nodes=96, seed=5).adjacency_csr()
+        workers = None if executor == "serial" else 2
+        with Session("Tile-4", backend="multichip", chips=2,
+                     executor=executor, workers=workers) as session:
+            fleet = [session.run(SpGEMMSpec(a=a, verify=False))
+                     for _ in range(2)]
+        with Session("Tile-4", backend="analytic", executor=executor,
+                     workers=workers) as session:
+            shards = [session.run(SpGEMMSpec(a=a, shards=2, verify=False))
+                      for _ in range(2)]
+        assert [(run.metrics["cycles"], run.cache_hit,
+                 run.report.counters["multichip.broadcast_cycles"])
+                for run in fleet] == [(2228.5625, False, 15.6),
+                                      (2213.0, True, 0.0)]
+        # Host shards have no fleet report (they run back to back).
+        assert [(run.metrics["cycles"], run.cache_hit)
+                for run in shards] == [(3786.0, False), (3786.0, True)]
+
+
 class TestAggregateMetrics:
     def test_cycle_fleet_keeps_every_cpi_observation(self, wiki):
         """A merged report's Figure 14/15 histograms hold one observation
         per instruction of every chip, as a single chip's do."""
-        topology = ChipTopology(n_chips=2, chip_backend="cycle")
-        with Session("Tile-4", backend="multichip",
-                     topology=topology) as session:
+        with Session("Tile-4", backend="multichip", chips=2,
+                     chip_backend="cycle") as session:
             report = session.run(SpGEMMSpec(a=wiki, verify=False)).report
         assert report.mmh_instructions > 0
         assert (report.mmh_cpi_histogram.total_observations
@@ -166,14 +192,12 @@ class TestAggregateMetrics:
         assert result.report.counters["multichip.broadcast_cycles"] == 0.0
 
     def test_broadcast_charges_b_nnz_bytes(self, wiki):
-        topology = ChipTopology(n_chips=2, reduce_bytes_per_cycle=32.0)
-        with Session("Tile-4", backend="multichip",
-                     topology=topology) as session:
+        with Session("Tile-4", backend="multichip", chips=2) as session:
             result = session.run(SpGEMMSpec(a=wiki, verify=False))
         counters = result.report.counters
         assert counters["multichip.broadcast_bytes"] == wiki.nnz
         assert counters["multichip.broadcast_cycles"] == \
-            pytest.approx(wiki.nnz / 32.0, abs=0.06)
+            pytest.approx(wiki.nnz / REDUCE_BYTES_PER_CYCLE, abs=0.06)
 
 
 class TestProgramCaching:
@@ -254,22 +278,18 @@ class TestValidation:
             ChipTopology(n_chips=0)
         with pytest.raises(ValueError, match="nest"):
             ChipTopology(chip_backend="multichip")
-        with pytest.raises(ValueError, match="reduce_bytes_per_cycle"):
-            ChipTopology(reduce_bytes_per_cycle=0.0)
+        with pytest.raises(ValueError, match="n_chips"):
+            Session("Tile-4", backend="multichip", chips=0)
 
     def test_chips_require_multichip_backend(self):
         with pytest.raises(ValueError, match="multichip"):
             Session("Tile-4", backend="analytic", chips=4)
-
-    def test_chips_and_topology_must_agree(self):
-        with pytest.raises(ValueError, match="contradicts"):
-            Session("Tile-4", backend="multichip", chips=4,
-                    topology=ChipTopology(n_chips=2))
+        with pytest.raises(ValueError, match="multichip"):
+            Session("Tile-4", backend="analytic", chip_backend="cycle")
 
     def test_unknown_chip_backend_fails_fast(self):
         with pytest.raises(ValueError, match="registered backends"):
-            Session("Tile-4", backend="multichip",
-                    topology=ChipTopology(chip_backend="quantum"))
+            Session("Tile-4", backend="multichip", chip_backend="quantum")
 
     def test_shards_and_chips_are_mutually_exclusive(self, wiki):
         with Session("Tile-4", backend="multichip", chips=2) as session:

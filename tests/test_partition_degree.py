@@ -353,7 +353,7 @@ class TestUnitOverheadProbe:
     def test_large_overhead_flips_auto_back_to_contiguous(self):
         a = _monster()
         assert plan_shards(a, 4, a, strategy="auto").strategy == "degree"
-        total = int(resolve_shard_weights(a, a, None).sum())
+        total = int(resolve_shard_weights(a, a).sum())
         # With a per-unit charge dwarfing the whole workload, no amount of
         # balance is worth a single extra compile.
         flipped = plan_shards(a, 4, a, strategy="auto",
@@ -362,7 +362,7 @@ class TestUnitOverheadProbe:
 
     def test_explicit_degree_ignores_overhead(self):
         a = _monster()
-        total = int(resolve_shard_weights(a, a, None).sum())
+        total = int(resolve_shard_weights(a, a).sum())
         plan = plan_shards(a, 4, a, strategy="degree",
                            unit_overhead_pp=float(total))
         assert plan.strategy == "degree"

@@ -141,7 +141,10 @@ class TestReplan:
             assert len(plans) == 1
             ctx, topology = session.ctx, session.topology
         monkeypatch.undo()
-        with Session(ctx.config, backend="multichip", topology=topology,
+        with Session(ctx.config, backend="multichip",
+                     chips=topology.n_chips,
+                     chip_backend=topology.chip_backend,
+                     partition=topology.partition,
                      mapping_scheme=ctx.mapping_scheme) as fresh:
             expected = [fresh.run(spec), fresh.run(spec)]
         for result, reference in zip((changed, rerun), expected):

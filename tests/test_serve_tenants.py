@@ -21,7 +21,6 @@ from repro.serve import (
     MicroBatcher,
     ReproServer,
     RequestQueue,
-    ServingStats,
     TenantConfig,
     TenantTable,
 )
@@ -180,9 +179,9 @@ class TestCoalescedBilling:
         table = TenantTable([TenantConfig(name="a", weight=1.0),
                              TenantConfig(name="b", weight=1.0)])
         queue = RequestQueue(max_depth=16, tenants=table)
-        stats = ServingStats()
         batcher = MicroBatcher(session, queue, max_batch=8,
-                               max_delay_ms=0.0, stats=stats)
+                               max_delay_ms=0.0)
+        stats = batcher.stats
         from repro.datasets import load_dataset
         from repro.core import SpGEMMSpec
 
