@@ -10,10 +10,12 @@ band (it exits nonzero only if a cycle run fails its output check).
 
 ``--nodes`` gives one node count for both graphs; ``--nodes 96 80`` gives
 one per graph (the calibration size, where every job should read inside
-the band).
+the band).  ``--output`` sets where the record is written (default: the
+committed 400-node record, ``benchmarks/results/bench_calibration.json``).
 
 Run with:  PYTHONPATH=src python benchmarks/bench_calibration.py
-           PYTHONPATH=src python benchmarks/bench_calibration.py --nodes 96 80
+           PYTHONPATH=src python benchmarks/bench_calibration.py --nodes 96 80 \
+               --output /tmp/bench_calibration.json
 """
 
 from __future__ import annotations
@@ -59,6 +61,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--nodes", type=int, nargs="+", default=[400],
                         help="node count, one for both graphs or one per "
                              "graph (default: 400)")
+    parser.add_argument("--output", default=str(RESULTS_PATH),
+                        help="where to write the JSON record (default: "
+                             "the committed record)")
     args = parser.parse_args(argv)
     if len(args.nodes) not in (1, len(GRAPHS)) or min(args.nodes) < 1:
         parser.error(f"--nodes takes 1 or {len(GRAPHS)} positive counts")
@@ -75,8 +80,9 @@ def main(argv: list[str] | None = None) -> int:
               f"  error {row['error_pct']:+7.2f}%"
               f"  {'inside' if row['within_tolerance'] else 'OUTSIDE'}"
               f"  ({row['cycle_seconds']:.1f} s)")
-    RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS_PATH.write_text(json.dumps(
+    output = Path(args.output)
+    output.parent.mkdir(parents=True, exist_ok=True)
+    output.write_text(json.dumps(
         {"tolerance": CALIBRATED_TOLERANCE, "python": platform.python_version(),
          "rows": rows}, indent=2) + "\n")
     return 0 if all(row["verified"] for row in rows) else 1

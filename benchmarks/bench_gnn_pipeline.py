@@ -30,7 +30,8 @@ regression guards: depth-8 per-layer wall time must be at least
 ``SMOKE_AMORTIZATION_FLOOR``x (2x) better than depth-1, every depth must
 compile exactly once, the stacked outputs must equal the chained
 reference, and the warm fleet rerun must re-plan and compile nothing,
-else exit nonzero.
+else exit nonzero.  It saves no results: the committed records under
+``benchmarks/results/`` come from full runs only.
 
 Run with:  PYTHONPATH=src python benchmarks/bench_gnn_pipeline.py
            PYTHONPATH=src python benchmarks/bench_gnn_pipeline.py --smoke
@@ -44,7 +45,7 @@ import time
 
 import numpy as np
 
-from _harness import emit
+from _harness import emit, format_table
 from repro.backends.multichip import MultiChipBackend
 from repro.core import Session
 from repro.core.specs import GCNLayerSpec, GNNModelSpec
@@ -166,11 +167,15 @@ def main(argv: list[str] | None = None) -> int:
         barabasi_albert_graph(NODES, ATTACH, seed=GRAPH_SEED))
     failures += rerun_failures
     print(f"warm {CHIPS}-chip depth-{RERUN_DEPTH} rerun: {guard}")
-    emit("bench_gnn_pipeline", rows, extra_json={
-        "nodes": NODES, "attach": ATTACH, "width": WIDTH,
-        "config": CONFIG, "depths": list(DEPTHS), "rows": rows,
-        "amortization_floor": SMOKE_AMORTIZATION_FLOOR,
-    })
+    if args.smoke:
+        print(format_table(rows))
+        print("[smoke mode: results not saved]")
+    else:
+        emit("bench_gnn_pipeline", rows, extra_json={
+            "nodes": NODES, "attach": ATTACH, "width": WIDTH,
+            "config": CONFIG, "depths": list(DEPTHS), "rows": rows,
+            "amortization_floor": SMOKE_AMORTIZATION_FLOOR,
+        })
 
     deepest = rows[-1]
     if deepest["amortization_x"] < SMOKE_AMORTIZATION_FLOOR:

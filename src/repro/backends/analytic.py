@@ -45,9 +45,8 @@ queueing delay rather than any throughput ceiling sets the runtime.
 from __future__ import annotations
 
 import dataclasses
-import time as _time
 
-from repro.backends.base import ExecutionBackend, ExecutionContext, ExecutionResult
+from repro.backends.base import ExecutionBackend, ExecutionContext
 from repro.compiler.program import Program
 from repro.sim.accelerator import SimulationReport
 from repro.sim.neuracore import MMH_HIST_BINS, MMH_HIST_BIN_WIDTH
@@ -74,21 +73,16 @@ class AnalyticBackend(ExecutionBackend):
 
     name = "analytic"
 
-    def execute(self, program: Program, ctx: ExecutionContext,
-                verify: bool = True) -> ExecutionResult:
-        start = _time.perf_counter()
-        output = program.replay()
-        wall = _time.perf_counter() - start
+    def report(self, program: Program, ctx: ExecutionContext,
+               verify: bool = True) -> SimulationReport:
         predictions = program._derived().setdefault("predictions", {})
         cached = predictions.get(ctx)
         if cached is None:
             cached = predictions.setdefault(ctx, self.predict(program, ctx))
-        report = dataclasses.replace(
-            cached, wall_clock_seconds=wall, counters=dict(cached.counters),
+        return dataclasses.replace(
+            cached, counters=dict(cached.counters),
             mmh_cpi_histogram=Histogram.merged([cached.mmh_cpi_histogram]),
             hacc_cpi_histogram=Histogram.merged([cached.hacc_cpi_histogram]))
-        return ExecutionResult(backend=self.name, output=output,
-                               report=report)
 
     # ------------------------------------------------------------------
     def predict(self, program: Program,

@@ -20,7 +20,6 @@ over its columns; what sets them apart is the report each adds.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,27 +59,28 @@ class ExecutionResult:
         backend: name of the backend that produced this result.
         output: the product matrix C in CSR — the program's replay, with
             the compiled output structure (a slot whose partial products
-            cancel stays an explicit zero).
+            cancel stays an explicit zero) — a dense array for a stack layer.
         report: timing report; populated by the cycle backend (measured) and
             the analytic backend (predicted), ``None`` for functional.
     """
 
     backend: str
-    output: CSRMatrix
+    output: CSRMatrix | np.ndarray
     report: SimulationReport | None = None
 
     def to_dense(self) -> np.ndarray:
-        """Dense form of the output (a dense replay's block, unscattered)."""
+        """The output as a dense array: itself if dense, else a copy."""
+        if isinstance(self.output, np.ndarray):
+            return self.output
         return self.output.to_dense()
 
 
-class ExecutionBackend(ABC):
+class ExecutionBackend:
     """One way of executing a compiled program on a configured chip."""
 
     #: The backend's name in :data:`~repro.backends.registry.CHIP_BACKENDS`.
     name: str = ""
 
-    @abstractmethod
     def execute(self, program: Program, ctx: ExecutionContext,
                 verify: bool = True) -> ExecutionResult:
         """Execute ``program`` and return an :class:`ExecutionResult`.
@@ -91,3 +91,11 @@ class ExecutionBackend(ABC):
             verify: ask the backend to check its output against a reference
                 (only meaningful for the cycle backend).
         """
+        return ExecutionResult(backend=self.name, output=program.replay(),
+                               report=self.report(program, ctx, verify))
+
+    def report(self, program: Program, ctx: ExecutionContext,
+               verify: bool = True) -> SimulationReport | None:
+        """This backend's timing report of ``program`` on ``ctx``, which
+        :meth:`execute` pairs with the replay (none: untimed)."""
+        return None

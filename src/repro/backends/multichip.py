@@ -22,10 +22,11 @@ The ``multichip`` backend models exactly that:
   per chip by the inner backend — in this process, inline or on a thread
   executor, against the session's program cache, so the modelled result
   never depends on the host executor;
-* the aggregate timing report takes ``cycles = max over chips + host
-  reduce term (+ one-time B broadcast on cold runs)``, sums
-  activity-style totals (busy / stall cycles, traffic, NoC flits,
-  evictions), and records per-chip cycles plus shard-skew counters;
+* the fleet takes ``cycles = max over chips + host reduce term (+
+  one-time B broadcast on cold runs)``; a one-shot run's timing report
+  also sums activity-style totals (busy / stall cycles, traffic, NoC
+  flits, evictions) and records per-chip and shard-skew counters (a GNN
+  stack layer, whose features are one dense array, skips it);
 * :func:`predict_scaleout` is the analytic fast path: it predicts
   scale-out efficiency from the per-shard partial-product histogram alone,
   without compiling or simulating anything.
@@ -56,6 +57,7 @@ chip).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -63,7 +65,7 @@ from repro.backends.base import ExecutionContext, ExecutionResult
 from repro.backends.registry import CHIP_BACKENDS, get_backend
 from repro.sim.accelerator import SimulationReport
 from repro.sim.stats import Histogram
-from repro.sparse.csr import CSRMatrix
+from repro.sparse.csr import CSRMatrix, full_structure_csr
 from repro.sparse.partition import (
     PARTITION_STRATEGIES,
     ShardAssignment,
@@ -148,12 +150,12 @@ class ChipRun:
 
     chip: int
     assignment: ShardAssignment
-    output: CSRMatrix | None
+    #: The rows unit's product: a CSR, or a dense B's dense replay block.
+    output: CSRMatrix | np.ndarray | None
     fragment_outputs: list[CSRMatrix]
     report: SimulationReport | None
     mmh: int
     partial_products: int
-    cache_hit: bool = False
     #: True when every unit program was cached holding this call's B
     #: values (no compile, no re-bind): the chip already holds this B.
     b_resident: bool = False
@@ -163,11 +165,6 @@ class ChipRun:
     @property
     def cycles(self) -> float:
         return self.report.cycles if self.report is not None else 0.0
-
-    @property
-    def n_rows(self) -> int:
-        """Whole rows this chip owns (split rows count via fragments)."""
-        return int(self.assignment.rows.size)
 
 
 @dataclass
@@ -179,6 +176,8 @@ class MultiChipExecutionResult(ExecutionResult):
     plan: ShardPlan | None = None
     reduce_cycles: float = 0.0
     broadcast_cycles: float = 0.0
+    #: Slowest chip + reduce + broadcast (0.0 unless every chip is timed).
+    cycles: float = 0.0
     #: Shard-unit programs compiled fresh during this execution (0 when the
     #: whole fleet ran from cached / resident programs).
     fresh_compiles: int = 0
@@ -190,8 +189,7 @@ class MultiChipExecutionResult(ExecutionResult):
     @property
     def cache_hit(self) -> bool:
         """True when every chip's shard program came from the cache."""
-        return bool(self.chip_runs) and all(run.cache_hit
-                                            for run in self.chip_runs)
+        return bool(self.chip_runs) and self.fresh_compiles == 0
 
 
 @dataclass
@@ -211,7 +209,17 @@ class ResidentGraph:
     units: list[list[ShardUnit]]
     tile_size: int
     source: str
-    b_rows: int
+
+
+#: Report fields :func:`_merge_reports` sums, takes the peak of, averages.
+_SUMMED = ("mmh_instructions", "hacc_instructions", "useful_flops",
+           "stall_cycles", "busy_cycles", "memory_traffic_bytes",
+           "evictions", "spills", "noc_flits", "output_nnz",
+           "wall_clock_seconds", "events")
+_PEAKED = ("peak_hashpad_occupancy", "hashpad_occupancy_fraction",
+           "max_abs_error")
+_AVERAGED = ("mmh_cpi_mean", "hacc_cpi_mean", "noc_avg_hops",
+             "avg_inflight_mem")
 
 
 def _merge_reports(reports: list[SimulationReport], config, source: str,
@@ -225,42 +233,24 @@ def _merge_reports(reports: list[SimulationReport], config, source: str,
     in-flight memory requests add up), a chip's units back to back (one
     report at a time; in-flight requests average).  ``overrides`` replace
     fields before the rates are derived from the instruction counts."""
-    fields = dict(
-        config_name=config.name,
-        workload=source,
-        cycles=cycles,
-        mmh_instructions=sum(r.mmh_instructions for r in reports),
-        hacc_instructions=sum(r.hacc_instructions for r in reports),
-        useful_flops=sum(r.useful_flops for r in reports),
-        mmh_cpi_mean=float(np.mean([r.mmh_cpi_mean for r in reports])),
-        hacc_cpi_mean=float(np.mean([r.hacc_cpi_mean for r in reports])),
+    fields = {name: sum(getattr(r, name) for r in reports)
+              for name in _SUMMED}
+    fields.update({name: max(getattr(r, name) for r in reports)
+                   for name in _PEAKED})
+    fields.update({name: float(np.mean([getattr(r, name) for r in reports]))
+                   for name in _AVERAGED})
+    fields.update(
+        config_name=config.name, workload=source, cycles=cycles,
         mmh_cpi_histogram=Histogram.merged([r.mmh_cpi_histogram
                                             for r in reports]),
         hacc_cpi_histogram=Histogram.merged([r.hacc_cpi_histogram
                                              for r in reports]),
-        stall_cycles=sum(r.stall_cycles for r in reports),
-        busy_cycles=sum(r.busy_cycles for r in reports),
-        avg_inflight_mem=sum(r.avg_inflight_mem for r in reports)
-        if side_by_side > 1
-        else float(np.mean([r.avg_inflight_mem for r in reports])),
-        memory_traffic_bytes=sum(r.memory_traffic_bytes for r in reports),
-        evictions=sum(r.evictions for r in reports),
-        spills=sum(r.spills for r in reports),
-        peak_hashpad_occupancy=max(r.peak_hashpad_occupancy
-                                   for r in reports),
-        hashpad_occupancy_fraction=max(r.hashpad_occupancy_fraction
-                                       for r in reports),
-        noc_flits=sum(r.noc_flits for r in reports),
-        noc_avg_hops=float(np.mean([r.noc_avg_hops for r in reports])),
-        output_nnz=sum(r.output_nnz for r in reports),
         correct=None if any(r.correct is None for r in reports)
         else all(r.correct for r in reports),
-        max_abs_error=max(r.max_abs_error for r in reports),
-        wall_clock_seconds=sum(r.wall_clock_seconds for r in reports),
-        events=sum(r.events for r in reports),
         eviction_mode=reports[0].eviction_mode,
-        mapping_scheme=reports[0].mapping_scheme,
-    )
+        mapping_scheme=reports[0].mapping_scheme)
+    if side_by_side > 1:
+        fields["avg_inflight_mem"] = sum(r.avg_inflight_mem for r in reports)
     fields.update(overrides)
     n_mmh = fields["mmh_instructions"]
     seconds = cycles / (config.frequency_ghz * 1e9)
@@ -280,61 +270,6 @@ def _merge_reports(reports: list[SimulationReport], config, source: str,
                             / (cycles * side_by_side)) if cycles else 0.0,
     )
     return SimulationReport(**fields)
-
-
-def _run_chip(chip: int, assignment: ShardAssignment,
-              units: list[ShardUnit], b_csr: CSRMatrix, source: str,
-              chip_backend: str, ctx: ExecutionContext, verify: bool,
-              tile_size: int, fresh_b: bool, cache=None, check=None
-              ) -> ChipRun:
-    """Execute one chip's units back to back on a fresh per-chip context.
-
-    Each unit's program comes from
-    :func:`~repro.core.runner.fetch_or_compile` against its slice of
-    ``b_csr`` (:meth:`ShardUnit.slice_b`), so a unit
-    compiled for an earlier call's B is re-bound to this one's values, and
-    every program passes ``check``."""
-    from repro.core.runner import fetch_or_compile
-
-    backend = get_backend(chip_backend)
-    rows_output: CSRMatrix | None = None
-    fragment_outputs: list[CSRMatrix] = []
-    reports: list[SimulationReport | None] = []
-    hits: list[bool] = []
-    b_resident = True
-    mmh = partial_products = 0
-    for unit in units:
-        fragment = unit.fragment
-        unit_source = f"{source}@chip{chip}" if fragment is None else (
-            f"{source}@chip{chip}[r{fragment.row}:"
-            f"c{fragment.col_lo}-{fragment.col_hi}]")
-        unit_b = unit.slice_b(b_csr)
-        program, cache_hit, rebound = fetch_or_compile(
-            cache, unit.a, unit_b, tile_size, unit_source, check=check,
-            a_key=unit.a_key, fresh_b=fresh_b)
-        b_resident = b_resident and cache_hit and not rebound
-        # The context is immutable chip *configuration*; per-chip isolation
-        # comes from the backend building fresh simulator state per execute.
-        execution = backend.execute(program, ctx, verify=verify)
-        if fragment is None:
-            rows_output = execution.output
-        else:
-            fragment_outputs.append(execution.output)
-        reports.append(execution.report)
-        hits.append(cache_hit)
-        mmh += program.n_instructions
-        partial_products += program.total_partial_products
-    report = None
-    if reports and all(r is not None for r in reports):
-        report = reports[0] if len(reports) == 1 else _merge_reports(
-            reports, ctx.config, source,
-            cycles=float(sum(r.cycles for r in reports)), side_by_side=1)
-    return ChipRun(chip=chip, assignment=assignment, output=rows_output,
-                   fragment_outputs=fragment_outputs, report=report,
-                   mmh=mmh, partial_products=partial_products,
-                   cache_hit=bool(hits) and all(hits),
-                   b_resident=bool(hits) and b_resident,
-                   fresh_compiles=hits.count(False))
 
 
 class MultiChipBackend:
@@ -372,8 +307,8 @@ class MultiChipBackend:
                              charge_broadcast=True, fresh_b=False)
 
     # ------------------------------------------------------------------
-    def prepare_resident(self, a_csr: CSRMatrix, b_csr: CSRMatrix,
-                         tile_size: int,
+    def prepare_resident(self, a_csr: CSRMatrix,
+                         b_csr: CSRMatrix | np.ndarray, tile_size: int,
                          source: str = "gnn-stack") -> ResidentGraph:
         """Plan and slice the fleet's shard state once for a layer stack.
 
@@ -381,13 +316,15 @@ class MultiChipBackend:
         stack's first feature matrix and stay resident; every layer then
         executes through :meth:`execute_resident`, which only swaps feature
         values into the unit programs."""
+        if isinstance(b_csr, np.ndarray):
+            b_csr = full_structure_csr(b_csr)
         plan = plan_shards(a_csr, self.topology.n_chips, b_csr,
                            strategy=self.topology.partition)
         units = build_shard_units(a_csr, plan)
         return ResidentGraph(plan=plan, units=units, tile_size=tile_size,
-                             source=source, b_rows=b_csr.shape[0])
+                             source=source)
 
-    def execute_resident(self, resident: ResidentGraph, b_csr: CSRMatrix,
+    def execute_resident(self, resident: ResidentGraph, b_csr: np.ndarray,
                          ctx: ExecutionContext, verify: bool = True,
                          charge_broadcast: bool = False
                          ) -> MultiChipExecutionResult:
@@ -397,83 +334,127 @@ class MultiChipBackend:
         and unit programs are cache hits re-bound to this layer's values
         after the first layer (the same programs a one-shot run of these
         operands fetches).  ``charge_broadcast`` is set by the pipeline on
-        layer 0 only:
-        resident-operand reuse means B ships to the fleet once per *stack*,
-        not once per layer (and not at all when the fleet is already warm,
-        i.e. no unit program compiles fresh).  ``b_csr`` is a layer input
-        no caller holds, so the unit programs take it without a compare or
-        a copy (``fresh_b``)."""
-        if b_csr.shape[0] != resident.b_rows:
-            raise ValueError(
-                f"resident graph expects {resident.b_rows} feature rows, "
-                f"got {b_csr.shape[0]}")
+        layer 0 only: resident-operand reuse means B ships to the fleet once
+        per *stack*, not once per layer (and not at all when the fleet is
+        already warm, i.e. no unit program compiles fresh).  ``b_csr``, a
+        dense ``(n, W)`` array, is a layer input no caller holds, so the unit
+        programs take it without a compare or a copy (``fresh_b``); the
+        output is the dense product, and no fleet report is built."""
         return self._execute(resident, b_csr, ctx, verify,
                              charge_broadcast=charge_broadcast,
                              fresh_b=True)
 
     # ------------------------------------------------------------------
-    def _execute(self, resident: ResidentGraph, b_csr: CSRMatrix,
-                 ctx: ExecutionContext, verify: bool, charge_broadcast: bool,
+    def _execute(self, resident: ResidentGraph,
+                 b_csr: CSRMatrix | np.ndarray, ctx: ExecutionContext,
+                 verify: bool, charge_broadcast: bool,
                  fresh_b: bool) -> MultiChipExecutionResult:
         """Run every chip's units against ``b_csr``, stitch, reduce.
 
         ``fresh_b`` marks B as a stack's own layer input rather than an
         operand from the host; either way the unit programs come through
-        the same cache keys."""
+        the same cache keys.  Only a host operand's run builds the fleet
+        report."""
         topology = self.topology
         plan = resident.plan
-        runs = self._run_chips(resident, b_csr, ctx, verify, fresh_b)
+        b_nnz = b_csr.size if isinstance(b_csr, np.ndarray) else b_csr.nnz
+        chips = range(len(plan.shards))
+        run_chip = partial(self._run_chip, resident=resident, b_csr=b_csr,
+                           ctx=ctx, verify=verify, fresh_b=fresh_b)
+        executor = self.executor
+        runs = ([run_chip(chip) for chip in chips]
+                if executor is None or executor.name == "process"
+                else executor.map(run_chip, chips))
         output = stitch_shard_outputs(
             plan, [(run.output, run.fragment_outputs) for run in runs],
             b_csr.shape[1])
-        reduce_cycles = (topology.reduce_cycles(output.shape[0])
-                         if len(runs) > 1 else 0.0)
         # B is replicated on every chip: the run pays for broadcasting it
         # once unless the fleet already holds it.  A B from the host is
         # held only if every unit program was cached with these values
         # (the ones last sent); a stack's layer-0 features count as held
         # on a warm fleet (no fresh compile).
-        warm = all(run.cache_hit if fresh_b else run.b_resident
+        warm = all(run.fresh_compiles == 0 if fresh_b else run.b_resident
                    for run in runs)
-        broadcast_cycles = 0.0
-        if charge_broadcast and len(runs) > 1 and not warm:
-            broadcast_cycles = topology.broadcast_cycles(b_csr.nnz)
-        report = None
-        if all(run.report is not None for run in runs):
-            report = _aggregate_report(runs, plan, output, reduce_cycles,
-                                       broadcast_cycles, b_csr.nnz, ctx,
-                                       resident.source)
-        return MultiChipExecutionResult(
-            backend="multichip", output=output, report=report,
-            chip_runs=runs, topology=topology, plan=plan,
-            reduce_cycles=reduce_cycles, broadcast_cycles=broadcast_cycles,
+        reduce = topology.reduce_cycles(plan.n_rows) if len(runs) > 1 else 0.0
+        broadcast = (topology.broadcast_cycles(b_nnz)
+                     if charge_broadcast and len(runs) > 1 and not warm
+                     else 0.0)
+        timed = all(run.report is not None for run in runs)
+        execution = MultiChipExecutionResult(
+            backend="multichip", output=output, chip_runs=runs,
+            topology=topology, plan=plan, reduce_cycles=reduce,
+            broadcast_cycles=broadcast, cycles=float(
+                max(run.cycles for run in runs) + reduce + broadcast)
+            if timed else 0.0,
             fresh_compiles=sum(run.fresh_compiles for run in runs))
+        if timed and not fresh_b:
+            execution.report = _aggregate_report(execution, b_nnz, ctx,
+                                                 resident.source)
+        return execution
 
-    def _run_chips(self, resident: ResidentGraph, b_csr: CSRMatrix,
-                   ctx: ExecutionContext, verify: bool,
-                   fresh_b: bool) -> list[ChipRun]:
-        def chip_job(job: tuple) -> ChipRun:
-            index, (assignment, units) = job
-            return _run_chip(index, assignment, units, b_csr,
-                             resident.source, self.topology.chip_backend,
-                             ctx, verify, resident.tile_size, fresh_b,
-                             cache=self.cache, check=self.check)
+    def _run_chip(self, chip: int, resident: ResidentGraph,
+                  b_csr: CSRMatrix | np.ndarray, ctx: ExecutionContext,
+                  verify: bool, fresh_b: bool) -> ChipRun:
+        """Execute chip ``chip``'s units back to back on a fresh per-chip
+        context.
 
-        jobs = list(enumerate(zip(resident.plan.shards, resident.units)))
-        executor = self.executor
-        if executor is None or executor.name == "process":
-            return [chip_job(job) for job in jobs]
-        return executor.map(chip_job, jobs)
+        Each unit's program comes from
+        :func:`~repro.core.runner.fetch_or_compile` against its slice of
+        ``b_csr`` (:meth:`ShardUnit.slice_b`), so a unit compiled for an
+        earlier call's B is re-bound to this one's values, and every
+        program passes ``check``.  A dense ``(n, W)`` B makes the rows
+        unit's output its dense replay block."""
+        from repro.core.runner import fetch_or_compile
 
+        backend = get_backend(self.topology.chip_backend)
+        source = resident.source
+        rows_output: CSRMatrix | np.ndarray | None = None
+        fragment_outputs: list[CSRMatrix] = []
+        reports: list[SimulationReport | None] = []
+        hits: list[bool] = []
+        b_resident = True
+        mmh = partial_products = 0
+        for unit in resident.units[chip]:
+            fragment = unit.fragment
+            unit_source = f"{source}@chip{chip}" if fragment is None else (
+                f"{source}@chip{chip}[r{fragment.row}:"
+                f"c{fragment.col_lo}-{fragment.col_hi}]")
+            program, cache_hit, rebound = fetch_or_compile(
+                self.cache, unit.a, unit.slice_b(b_csr), resident.tile_size,
+                unit_source, check=self.check, a_key=unit.a_key,
+                fresh_b=fresh_b)
+            b_resident = b_resident and cache_hit and not rebound
+            # The context is immutable chip *configuration*; per-chip
+            # isolation comes from the backend building fresh simulator
+            # state per report.
+            reports.append(backend.report(program, ctx, verify=verify))
+            if fragment is not None:
+                fragment_outputs.append(program.replay())
+            else:
+                rows_output = (program.replay_dense() if fresh_b
+                               else program.replay())
+            hits.append(cache_hit)
+            mmh += program.n_instructions
+            partial_products += program.total_partial_products
+        report = None
+        if reports and all(r is not None for r in reports):
+            report = reports[0] if len(reports) == 1 else _merge_reports(
+                reports, ctx.config, source,
+                cycles=float(sum(r.cycles for r in reports)), side_by_side=1)
+        return ChipRun(chip=chip, assignment=resident.plan.shards[chip],
+                       output=rows_output, fragment_outputs=fragment_outputs,
+                       report=report, mmh=mmh,
+                       partial_products=partial_products,
+                       b_resident=bool(hits) and b_resident,
+                       fresh_compiles=hits.count(False))
 
-def _aggregate_report(runs: list[ChipRun], plan: ShardPlan,
-                      output: CSRMatrix, reduce_cycles: float,
-                      broadcast_cycles: float, b_nnz: int,
+def _aggregate_report(execution: MultiChipExecutionResult, b_nnz: int,
                       ctx: ExecutionContext, source: str) -> SimulationReport:
-    """Fleet-level report: cycles = max over chips + host reduce +
-    cold-run B broadcast, activity totals summed over chips running side by
-    side, shard-skew counters recorded."""
+    """Fleet-level report: the execution's cycles (max over chips + host
+    reduce + cold-run B broadcast), activity totals summed over chips
+    running side by side, shard-skew counters recorded."""
     config = ctx.config
+    runs = execution.chip_runs
     reports = [run.report for run in runs]
     pp = sum(run.partial_products for run in runs)
     pp_per_chip = [run.partial_products for run in runs]
@@ -481,29 +462,28 @@ def _aggregate_report(runs: list[ChipRun], plan: ShardPlan,
     skew = max(pp_per_chip) / mean_pp if mean_pp else 1.0
     counters = {
         "multichip.n_chips": len(runs),
-        "multichip.reduce_cycles": round(reduce_cycles, 1),
-        "multichip.broadcast_cycles": round(broadcast_cycles, 1),
-        "multichip.broadcast_bytes": 0 if broadcast_cycles == 0.0
+        "multichip.reduce_cycles": round(execution.reduce_cycles, 1),
+        "multichip.broadcast_cycles": round(execution.broadcast_cycles, 1),
+        "multichip.broadcast_bytes": 0 if execution.broadcast_cycles == 0.0
         else b_nnz,
         "multichip.shard_skew": round(skew, 4),
         "multichip.efficiency": round(
             pp / (len(runs) * max(pp_per_chip)), 4) if pp else 1.0,
-        "multichip.split_rows": len(plan.split_rows),
+        "multichip.split_rows": len(execution.plan.split_rows),
     }
     for run in runs:
         counters[f"multichip.chip{run.chip}.cycles"] = run.cycles
-        counters[f"multichip.chip{run.chip}.rows"] = run.n_rows
+        counters[f"multichip.chip{run.chip}.rows"] = \
+            int(run.assignment.rows.size)
         counters[f"multichip.chip{run.chip}.fragments"] = \
             len(run.assignment.fragments)
         counters[f"multichip.chip{run.chip}.partial_products"] = \
             run.partial_products
-    cycles = float(max(report.cycles for report in reports)
-                   + reduce_cycles + broadcast_cycles)
     return _merge_reports(
-        reports, config, source, cycles, side_by_side=len(runs),
+        reports, config, source, execution.cycles, side_by_side=len(runs),
         config_name=f"{config.name}x{len(runs)}",
         mmh_instructions=sum(run.mmh for run in runs), hacc_instructions=pp,
-        output_nnz=output.nnz, eviction_mode=ctx.eviction_mode,
+        output_nnz=execution.output.nnz, eviction_mode=ctx.eviction_mode,
         mapping_scheme=ctx.mapping_scheme, counters=counters)
 
 #: Trust band for :func:`predict_scaleout`: on the recorded scaling curve

@@ -18,9 +18,9 @@ the hash-accumulated output against the same replay.
 
 from __future__ import annotations
 
-from repro.backends.base import ExecutionBackend, ExecutionContext, ExecutionResult
+from repro.backends.base import ExecutionBackend, ExecutionContext
 from repro.compiler.program import Program
-from repro.sim.accelerator import NeuraChipAccelerator
+from repro.sim.accelerator import NeuraChipAccelerator, SimulationReport
 
 
 class FunctionalBackend(ExecutionBackend):
@@ -28,22 +28,16 @@ class FunctionalBackend(ExecutionBackend):
 
     name = "functional"
 
-    def execute(self, program: Program, ctx: ExecutionContext,
-                verify: bool = True) -> ExecutionResult:
-        return ExecutionResult(backend=self.name, output=program.replay())
-
 
 class CycleBackend(ExecutionBackend):
     """Event-driven cycle-level NeuraSim model (highest fidelity)."""
 
     name = "cycle"
 
-    def execute(self, program: Program, ctx: ExecutionContext,
-                verify: bool = True) -> ExecutionResult:
+    def report(self, program: Program, ctx: ExecutionContext,
+               verify: bool = True) -> SimulationReport:
         accelerator = NeuraChipAccelerator(ctx.config, ctx.params,
                                            eviction_mode=ctx.eviction_mode,
                                            mapping_scheme=ctx.mapping_scheme,
                                            mapping_seed=ctx.mapping_seed)
-        report = accelerator.run(program, verify=verify)
-        return ExecutionResult(backend=self.name, output=program.replay(),
-                               report=report)
+        return accelerator.run(program, verify=verify)

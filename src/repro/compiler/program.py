@@ -27,7 +27,6 @@ the same order, without expanding the partial products.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -563,8 +562,8 @@ class Program:
             rank=rank.astype(narrow))
 
     def _replay_dense(self, index: DenseReplayIndex) -> np.ndarray:
-        """Output values of a :class:`DenseReplayIndex` replay, slot by
-        slot."""
+        """Output values of a :class:`DenseReplayIndex` replay, one
+        W-wide row per touched output row, in output order."""
         width = index.width
         a = self.a_values
         b = self.b_values.reshape(-1, width)
@@ -581,7 +580,7 @@ class Program:
         for lo, hi in zip(step_ptr, step_ptr[1:]):
             out[n_heavy:n_heavy + hi - lo] += (
                 a[index.a_index[lo:hi]][:, None] * b[index.b_row[lo:hi]])
-        return out[index.rank].reshape(-1)
+        return out[index.rank]
 
     def _products(self, index: ReplayIndex) -> np.ndarray:
         """Value of every partial product of ``index``, in program order."""
@@ -605,7 +604,7 @@ class Program:
         """
         dense = self.dense_replay_index()
         if dense is not None:
-            data = self._replay_dense(dense)
+            data = self._replay_dense(dense).reshape(-1)
         else:
             index = self.replay_index()
             data = (np.bincount(index.pp_slot,
@@ -620,6 +619,14 @@ class Program:
                        data, self.shape)  # CSRMatrix checks, or raises
         self._derived()["out_canonical"] = True
         return output
+
+    def replay_dense(self) -> np.ndarray:
+        """:meth:`replay` as a dense ``(rows, cols)`` array; a dense replay
+        that touches every row builds no output index arrays."""
+        index = self.dense_replay_index()
+        if index is None or index.rank.size < self.shape[0]:
+            return self.replay().to_dense()
+        return self._replay_dense(index)
 
     def hacc_stream(self) -> HACCStream:
         """Every HACC this program dispatches (Algorithm 1's dispatch loop),
@@ -739,17 +746,20 @@ def rebind_b_values(program: Program, b_csr, copy: bool = True) -> Program:
     a fresh compile's are, and whose structure-only derived cache (the
     replay indexes, the analytic predictions) is the original's, shared by
     reference so whichever copy replays first builds it for all.
-    ``copy=False`` holds a B no caller holds (float64) as it is.
+    ``copy=False`` holds a B no caller holds (float64) as it is; a dense
+    ``(n, W)`` ``b_csr`` binds its row-major values.
 
     Raises:
         ValueError: when ``b_csr``'s nnz does not match the structure the
             program was compiled for.
     """
-    values = (np.array if copy else np.asarray)(b_csr.data, dtype=np.float64)
+    values = b_csr.reshape(-1) if isinstance(b_csr, np.ndarray) else b_csr.data
+    values = (np.array if copy else np.asarray)(values, dtype=np.float64)
     if values.size != program.b_values.size:
         raise ValueError(
             f"operand structure mismatch: program was compiled for "
             f"{program.b_values.size} B non-zeros, got {values.size}")
-    rebound = dataclasses.replace(program, b_values=values)
-    rebound.__dict__["_derived_cache"] = program._derived()
+    rebound = object.__new__(Program)
+    rebound.__dict__.update(program.__dict__, b_values=values,
+                            _derived_cache=program._derived())
     return rebound

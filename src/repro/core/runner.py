@@ -28,7 +28,7 @@ from repro.analysis.verifier import verify_program
 from repro.compiler.lowering import compile_spgemm
 from repro.compiler.program import Program, rebind_b_values
 from repro.sparse.convert import csr_to_csc
-from repro.sparse.csr import CSRMatrix, matrix_fingerprint
+from repro.sparse.csr import CSRMatrix, full_structure_csr, matrix_fingerprint
 
 #: Default bound on cached compiled programs (LRU eviction).
 DEFAULT_CACHE_CAPACITY = 128
@@ -67,14 +67,14 @@ def matrix_structure_fingerprint(matrix) -> str:
 
     A :class:`~repro.sparse.csr.CSRMatrix` is canonical (it validates on
     construction), so one whose nnz is ``rows * cols`` can only hold every
-    slot: its structure is its shape, and only the shape is digested —
-    the dense feature operand of every GNN layer skips hashing its index
-    arrays.
+    slot: its structure is its shape, and only the shape is digested, as
+    for a dense ``(n, W)`` array (a GNN stack layer's features).
     """
     digest = hashlib.sha1()
     digest.update(f"schema={CACHE_SCHEMA_VERSION}:structure".encode())
     digest.update(str(matrix.shape).encode())
-    if (isinstance(matrix, CSRMatrix)
+    if isinstance(matrix, np.ndarray) or (
+            isinstance(matrix, CSRMatrix)
             and matrix.nnz == matrix.shape[0] * matrix.shape[1]):
         digest.update(b"full")
         return digest.hexdigest()
@@ -374,7 +374,8 @@ def _same_bits(held: np.ndarray, values: np.ndarray) -> bool:
 
 
 def fetch_or_compile(cache: ProgramCache | None, a_csr: CSRMatrix,
-                     b_csr: CSRMatrix | None, tile_size: int, source: str,
+                     b_csr: CSRMatrix | np.ndarray | None, tile_size: int,
+                     source: str,
                      check: Callable[[tuple | None, Program], Program]
                      | None = None, a_key: str | None = None,
                      fresh_b: bool = False) -> tuple[Program, bool, bool]:
@@ -388,8 +389,8 @@ def fetch_or_compile(cache: ProgramCache | None, a_csr: CSRMatrix,
     thus holds the B values last served) and ``rebound`` is true.  A hit
     already holding these values, bit for bit, is returned as cached.
     A ``fresh_b`` (no caller holds it) is re-bound with no compare and no
-    copy; ``a_key`` goes to :meth:`ProgramCache.key`.  ``cache=None``
-    always compiles.
+    copy; ``a_key`` goes to :meth:`ProgramCache.key`; a dense ``(n, W)``
+    ``b_csr`` is encoded only to compile it.  ``cache=None`` always compiles.
     A miss on a key another thread is compiling waits for that compile
     and counts as a hit (:meth:`ProgramCache.claim`).
     ``check(key, program)`` sees every fetched or compiled program and
@@ -402,16 +403,18 @@ def fetch_or_compile(cache: ProgramCache | None, a_csr: CSRMatrix,
         key = cache.key(a_csr, b_csr, tile_size, a_key=a_key)
         program = cache.claim(key)
     cache_hit = program is not None
-    rebound = (cache_hit and b_csr is not None
-               and (fresh_b or not _same_bits(program.b_values, b_csr.data)))
+    dense = isinstance(b_csr, np.ndarray)
+    rebound = cache_hit and b_csr is not None and (fresh_b or not _same_bits(
+        program.b_values, b_csr.reshape(-1) if dense else b_csr.data))
     if rebound:
         program = rebind_b_values(program, b_csr, copy=not fresh_b)
         cache.rebound(key, program)
     elif program is None:
         try:
-            program = compile_spgemm(csr_to_csc(a_csr),
-                                     b_csr if b_csr is not None else a_csr,
-                                     tile_size=tile_size, source=source)
+            program = compile_spgemm(
+                csr_to_csc(a_csr), full_structure_csr(b_csr) if dense
+                else b_csr if b_csr is not None else a_csr,
+                tile_size=tile_size, source=source)
         except BaseException:
             if cache is not None:
                 cache.release(key)

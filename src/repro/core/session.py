@@ -53,6 +53,8 @@ from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.analysis.findings import VerificationError
 from repro.analysis.verifier import VERIFY_LEVELS, verify_program
 from repro.arch.config import NeuraChipConfig, get_config
@@ -393,7 +395,7 @@ class Session:
         result.provenance.wall_time_s = time.perf_counter() - start
         return result
 
-    def _execute(self, a_csr: CSRMatrix, b_csr: CSRMatrix | None,
+    def _execute(self, a_csr: CSRMatrix, b_csr: CSRMatrix | np.ndarray | None,
                  tile: int, source: str, verify: bool, shards: int = 1,
                  resident: ResidentGraph | None = None,
                  charge_broadcast: bool = True, fresh_b: bool = False
@@ -413,7 +415,9 @@ class Session:
         stack layer on the fleet), the fleet runs over it without
         re-planning and charges the B broadcast only when
         ``charge_broadcast``; without it, the run is one-shot.  ``fresh_b``
-        marks B as a stack's own layer input (:func:`fetch_or_compile`).
+        marks B as a stack's own layer input, a dense ``(n, W)`` array
+        (:func:`fetch_or_compile`): the output is dense and the result holds
+        only ``cycles``, ``verified``, power, energy and provenance.
         Every path yields an output byte-identical to the unsharded product.
         """
         ctx = self.ctx
@@ -421,8 +425,10 @@ class Session:
             program, cache_hit, _ = fetch_or_compile(
                 self.cache, a_csr, b_csr, tile, source,
                 check=self._maybe_verify, fresh_b=fresh_b)
-            execution = get_backend(self.backend).execute(program, ctx,
-                                                          verify=verify)
+            execution = ExecutionResult(
+                self.backend, program.replay_dense() if fresh_b
+                else program.replay(), get_backend(self.backend).report(
+                    program, ctx, verify=verify))
             report = execution.report
             reports = [report]
             power_w, energy_j = estimate_power(ctx.config, report)
@@ -438,31 +444,41 @@ class Session:
                     resident, b_csr, ctx, verify=verify,
                     charge_broadcast=charge_broadcast)
             runs = execution.chip_runs
-            program = ProgramDigest(
-                n_instructions=sum(run.mmh for run in runs),
-                total_partial_products=sum(run.partial_products
-                                           for run in runs),
-                output_nnz=execution.output.nnz,
-                shape=execution.output.shape, tile_size=tile,
-                a_nnz=a_csr.nnz,
-                b_nnz=(b_csr if b_csr is not None else a_csr).nnz,
-                source=source)
+            reports = [run.report for run in runs]
+            powers, energies = zip(*(estimate_power(ctx.config, r)
+                                     for r in reports))
+            energy_j = sum(energies)
             provenance = self._provenance(cache_hit=execution.cache_hit)
             if shards > 1:
                 # The chips stand for shards run back to back: time them
                 # all; no single report backs more than one shard.
-                reports = [run.report for run in runs]
                 report = reports[0] if len(runs) == 1 else None
-                power_w, energy_j = self._fleet_power(execution, combine=max)
+                power_w = max(powers)  # the peak shard's
                 provenance.shards = len(runs)
-            else:
+            else:  # chips side by side: their power adds up
                 report = execution.report
-                reports = [report]
-                power_w, energy_j = self._fleet_power(execution)
+                power_w = sum(powers)
                 provenance.chips = execution.n_chips
-        cycles = float(sum(r.cycles for r in reports if r is not None))
-        seconds = cycles / (ctx.config.frequency_ghz * 1e9)
+            if not fresh_b:  # a stack layer's output is a dense array
+                program = ProgramDigest(
+                    n_instructions=sum(run.mmh for run in runs),
+                    total_partial_products=sum(run.partial_products
+                                               for run in runs),
+                    output_nnz=execution.output.nnz,
+                    shape=execution.output.shape, tile_size=tile,
+                    a_nnz=a_csr.nnz,
+                    b_nnz=(b_csr if b_csr is not None else a_csr).nnz,
+                    source=source)
+        cycles = execution.cycles if self.backend == "multichip" else float(
+            sum(r.cycles for r in reports if r is not None))
         verdicts = [r.correct if r is not None else None for r in reports]
+        verified = None if None in verdicts else all(verdicts)
+        if fresh_b:  # a stack layer reads nothing else
+            return RunResult(kind="spgemm", provenance=provenance,
+                             metrics={"cycles": cycles, "verified": verified},
+                             output=execution.output, power_w=power_w,
+                             energy_j=energy_j), execution
+        seconds = cycles / (ctx.config.frequency_ghz * 1e9)
         metrics = {
             "cycles": cycles,
             # Partial products per modelled second: a timing report's own
@@ -482,7 +498,7 @@ class Session:
                 "partition": execution.plan.strategy,
                 "split_rows": len(execution.plan.split_rows),
             })
-        metrics["verified"] = None if None in verdicts else all(verdicts)
+        metrics["verified"] = verified
         activity = activity_from_report(report) if report is not None else {}
         return RunResult(
             kind="spgemm", metrics=metrics, activity=activity,
@@ -507,7 +523,8 @@ class Session:
             executor=None if getattr(self._local, "in_worker", False)
             else self.executor)
 
-    def _resident_graph(self, a_csr: CSRMatrix, b_csr: CSRMatrix, tile: int,
+    def _resident_graph(self, a_csr: CSRMatrix,
+                        b_csr: CSRMatrix | np.ndarray, tile: int,
                         source: str) -> ResidentGraph:
         """The fleet state planned for this ``a_csr`` (held here, so
         identity is sound) at this width, tile, label and topology: one
@@ -528,14 +545,6 @@ class Session:
                     del plans[next(iter(plans))]  # the oldest width
                 plans[width] = resident
         return resident
-
-    def _fleet_power(self, execution, combine=sum) -> tuple[float, float]:
-        """Power and energy of a multichip execution: ``combine`` of the
-        per-chip powers (summed for chips running side by side, the peak
-        for host shards running one after another) and summed energy."""
-        powers, energies = zip(*(estimate_power(self.ctx.config, run.report)
-                                 for run in execution.chip_runs))
-        return combine(powers), sum(energies)
 
     # ------------------------------------------------------------------
     # Design-space sweep

@@ -15,18 +15,16 @@ A stack amortises the work around its layers:
   :func:`~repro.gnn.gcn.normalize_adjacency_cached` memo, so repeated
   stacks over a resident graph skip even that);
 * the aggregation program is compiled **once** per graph and feature
-  width: the program cache keys B by structure and re-binds a hit to the
-  layer's feature values (byte-identical to a fresh compile), and under
-  ``Session(verify=...)`` the program is verified once;
-* dense features flow through the **full-structure operand encoding**
-  (:func:`full_structure_csr`), whose structure is its shape: the program
-  cache keys it by shape without hashing it, every layer of a
-  fixed-width stack shares one program, and the program replays over its
-  A elements (:class:`~repro.compiler.program.DenseReplayIndex`) instead
-  of over every partial product;
-* layers hand each other **dense blocks**: such a replay's ``to_dense()``
-  copies its (rows, W) block, and the next layer's full-structure CSR is
-  a view of the combination output, built for the program key;
+  width, and under ``Session(verify=...)`` verified once;
+* the features stay **one dense** ``(n, W)`` **array** from layer to
+  layer, never a CSR: the program cache keys it by shape, like its
+  full-structure CSR (:func:`full_structure_csr`), a hit re-binds the
+  layer's values, byte-identical to a fresh compile, the program replays
+  over its A elements (:class:`~repro.compiler.program.DenseReplayIndex`)
+  straight into a dense block, and a fleet writes its chips' blocks into
+  the layer's output by row block;
+* a layer's result holds its cycles, verdict, power and energy, and no
+  fleet report;
 * on the multichip backend the shard plan and the per-chip slices of A
   stay **resident** across layers and, while the graph, width, tile,
   label and fleet match, across runs
@@ -43,8 +41,8 @@ A stack amortises the work around its layers:
 
 Byte-identity contract: a stacked run equals the layer-by-layer
 ``Session.run(GCNLayerSpec)`` chain (layer i+1 fed layer i's output via
-``GCNLayerSpec.features``) bit for bit on every backend: both run through
-this function on the same full-structure operands.
+``GCNLayerSpec.features``, as its full-structure CSR) bit for bit on every
+backend: both run through this function on the same programs and values.
 """
 
 from __future__ import annotations
@@ -76,8 +74,8 @@ def _as_dataset(dataset, feature_dim: int) -> GraphDataset:
 
 def _layer_operand(spec: GCNLayerSpec, n_nodes: int) -> CSRMatrix:
     """A GCN layer's input: the synthetic sparse feature matrix (Figure
-    11's operand), or its explicit ``features`` in the full-structure
-    encoding every stack layer uses."""
+    11's operand), or its explicit ``features`` as their full-structure
+    CSR, which the program cache keys like a stack layer's dense array."""
     if spec.features is None:
         return feature_matrix(n_nodes, spec.feature_dim,
                               density=spec.feature_density, seed=spec.seed)
@@ -110,14 +108,14 @@ def run_gnn_model(session, spec: GNNModelSpec | GCNLayerSpec) -> RunResult:
     stacked = isinstance(spec, GNNModelSpec)
     if stacked:
         layers = _stack_layers(spec)
-        b = full_structure_csr(feature_matrix(
-            dataset.n_nodes, spec.feature_dim,
-            density=spec.feature_density, seed=spec.seed).to_dense())
+        x = feature_matrix(dataset.n_nodes, spec.feature_dim,
+                           density=spec.feature_density,
+                           seed=spec.seed).to_dense()
         label = f"gnn-stack:{dataset.name}"
     else:
-        b = _layer_operand(spec, dataset.n_nodes)
+        x = _layer_operand(spec, dataset.n_nodes)
         layers = [GCNLayer.create(
-            b.shape[1], spec.hidden_dim,
+            x.shape[1], spec.hidden_dim,
             seed=spec.seed + 1 if spec.weight_seed is None
             else spec.weight_seed,
             activation=spec.activation)]
@@ -128,26 +126,19 @@ def run_gnn_model(session, spec: GNNModelSpec | GCNLayerSpec) -> RunResult:
     multichip = session.backend == "multichip"
 
     compiles = 0
-    all_hits = True
-    chips = 1
     power_w = energy_j = 0.0
     aggregation: list[float] = []
     combination: list[float] = []
     verdicts = []
     for index, layer in enumerate(layers):
-        if index:
-            b = full_structure_csr(x)
-        resident = (session._resident_graph(a_csr, b, tile, label)
+        resident = (session._resident_graph(a_csr, x, tile, label)
                     if stacked and multichip else None)
         result, execution = session._execute(
-            a_csr, b, tile, f"{label}[layer{index}]" if stacked else label,
+            a_csr, x, tile, f"{label}[layer{index}]" if stacked else label,
             spec.verify, resident=resident, charge_broadcast=index == 0,
             fresh_b=stacked)
-        fresh = (execution.fresh_compiles if multichip
-                 else int(not result.cache_hit))
-        compiles += fresh
-        all_hits = all_hits and fresh == 0
-        chips = max(chips, result.provenance.chips)
+        compiles += (execution.fresh_compiles if multichip
+                     else int(not result.cache_hit))
         power_w = max(power_w, result.power_w)
         energy_j += result.energy_j
         aggregation.append(result.metrics["cycles"])
@@ -191,9 +182,9 @@ def run_gnn_model(session, spec: GNNModelSpec | GCNLayerSpec) -> RunResult:
         "output_shape": str(x.shape),
         "verified": None if None in verdicts else all(verdicts),
     }
-    provenance = session._provenance(cache_hit=all_hits,
+    provenance = session._provenance(cache_hit=compiles == 0,
                                      wall=time.perf_counter() - start)
-    provenance.chips = chips
+    provenance.chips = result.provenance.chips
     return RunResult(kind="gnn_model", label=spec.label, metrics=metrics,
                      provenance=provenance, output=x,
                      power_w=power_w, energy_j=energy_j)

@@ -7,6 +7,7 @@ A[i, k], streams the entire row k of B.  CSR gives O(1) access to that row.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Any
@@ -261,20 +262,27 @@ class CSRMatrix:
                 f"sparsity={self.sparsity:.4f})")
 
 
+@functools.lru_cache(maxsize=16)
+def _full_structure_index(n_rows: int, width: int):
+    """A full-structure CSR's read-only index arrays, one pair per shape."""
+    indptr = np.arange(n_rows + 1, dtype=np.int64) * width
+    indices = np.tile(np.arange(width, dtype=np.int64), n_rows)
+    indptr.flags.writeable = indices.flags.writeable = False
+    return indptr, indices
+
+
 def full_structure_csr(x: np.ndarray) -> CSRMatrix:
     """Encode a dense matrix as a CSR with *every* slot explicit, zeros
     included: its structure is its shape, so the program cache keys it by
     shape alone and one compiled aggregation program serves every matrix
-    of that shape after a value re-bind."""
+    of that shape after a value re-bind.  Its index arrays depend on the
+    shape alone: they are built once per shape and shared, read-only."""
     dense = np.ascontiguousarray(x, dtype=np.float64)
     if dense.ndim != 2:
         raise ValueError(f"expected a 2-D feature matrix, got shape "
                          f"{dense.shape}")
-    n, width = dense.shape
-    indptr = np.arange(n + 1, dtype=np.int64) * width
-    indices = np.tile(np.arange(width, dtype=np.int64), n)
-    return CSRMatrix.from_canonical(indptr, indices, dense.reshape(-1),
-                                    (n, width))
+    return CSRMatrix.from_canonical(*_full_structure_index(*dense.shape),
+                                    dense.reshape(-1), dense.shape)
 
 
 def matrix_fingerprint(matrix) -> str:

@@ -518,11 +518,14 @@ class ShardUnit:
     def __post_init__(self) -> None:
         object.__setattr__(self, "a_key", matrix_fingerprint(self.a))
 
-    def slice_b(self, b_csr: CSRMatrix) -> CSRMatrix:
+    def slice_b(self, b_csr: CSRMatrix | np.ndarray
+                ) -> CSRMatrix | np.ndarray:
         """This unit's B operand: all of ``b_csr`` for a rows unit (B is
         replicated), the fragment's column range for a fragment."""
         if self.fragment is None:
             return b_csr
+        if isinstance(b_csr, np.ndarray):
+            b_csr = full_structure_csr(b_csr)
         return b_csr.col_range(self.fragment.col_lo, self.fragment.col_hi)
 
 
@@ -553,52 +556,51 @@ def build_shard_units(a_csr: CSRMatrix,
     return units
 
 
-def stitch_shard_outputs(plan: ShardPlan,
-                         shard_outputs: "list[tuple[CSRMatrix | None, list[CSRMatrix]]]",
-                         n_cols: int) -> CSRMatrix:
-    """Reassemble per-shard products into the exact unsharded CSR.
+def stitch_shard_outputs(plan: ShardPlan, shard_outputs: list[tuple],
+                         n_cols: int) -> CSRMatrix | np.ndarray:
+    """Reassemble per-shard products into the exact unsharded product.
 
     ``shard_outputs`` aligns with ``plan.shards``: per shard, the rows
     unit's product (``None`` for fragment-only shards) and the fragment
-    products in ``assignment.fragments`` order.  Whole rows scatter by a
-    vectorized gather; a split row concatenates its fragments in
-    ascending column-range order — no additions anywhere, so the output
-    is byte-identical to the unsharded product.  Full shard products (a
-    dense replay's) with no split row are placed as dense row blocks.
+    products in ``assignment.fragments`` order.  Every product lands on
+    its own output entries, whole rows by a vectorized gather and a split
+    row's fragments in ascending column-range order, so nothing is added
+    and the result is byte-identical to the unsharded product.  CSR
+    products stitch into a CSR.  Dense row blocks (a GNN stack layer's
+    dense replays) make the result one ``(n_rows, n_cols)`` array: each
+    block is written into it as it is, a contiguous plan's as a slice.
     """
-    if not plan.split_rows and all(
-            out.nnz == out.shape[0] * n_cols for out, _ in shard_outputs):
-        dense = np.empty((plan.n_rows, n_cols))
-        for assignment, (rows_out, _) in zip(plan.shards, shard_outputs):
-            dense[assignment.rows] = rows_out.data.reshape(rows_out.shape)
-        return full_structure_csr(dense)
+    pieces = [(assignment.rows if plan.ranges is None
+               else slice(*plan.ranges[index]), rows_out)
+              for index, (assignment, (rows_out, _))
+              in enumerate(zip(plan.shards, shard_outputs))
+              if rows_out is not None]
+    fragments = sorted(
+        ((fragment.col_lo, fragment.row, out)
+         for assignment, (_, frag_outs) in zip(plan.shards, shard_outputs)
+         for fragment, out in zip(assignment.fragments, frag_outs)),
+        key=lambda piece: piece[:2])
+    if any(isinstance(out, np.ndarray) for _, out in pieces):
+        output = (np.zeros if fragments else np.empty)((plan.n_rows, n_cols))
+        for rows, block in pieces:
+            output[rows] = block
+        for _, row, out in fragments:
+            output[row, out.indices] = out.data
+        return output
+    pieces += [(np.array([row]), out) for _, row, out in fragments]
     counts = np.zeros(plan.n_rows, dtype=np.int64)
-    fragment_pieces: dict[int, list[tuple[int, CSRMatrix]]] = {}
-    for assignment, (rows_out, frag_outs) in zip(plan.shards, shard_outputs):
-        if assignment.rows.size:
-            counts[assignment.rows] = rows_out.row_nnz_counts()
-        for fragment, out in zip(assignment.fragments, frag_outs):
-            counts[fragment.row] += out.nnz
-            fragment_pieces.setdefault(fragment.row, []).append(
-                (fragment.col_lo, out))
+    for rows, out in pieces:
+        counts[rows] += out.row_nnz_counts()
     indptr = np.zeros(plan.n_rows + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    total = int(indptr[-1])
-    indices = np.empty(total, dtype=np.int64)
-    data = np.empty(total, dtype=np.float64)
-    for assignment, (rows_out, _) in zip(plan.shards, shard_outputs):
-        if not assignment.rows.size or not rows_out.nnz:
-            continue
-        destination = np.arange(rows_out.nnz, dtype=np.int64) + np.repeat(
-            indptr[assignment.rows] - rows_out.indptr[:-1],
-            rows_out.row_nnz_counts())
-        indices[destination] = rows_out.indices
-        data[destination] = rows_out.data
-    for row, pieces in fragment_pieces.items():
-        pieces.sort(key=lambda piece: piece[0])
-        cursor = int(indptr[row])
-        for _, out in pieces:
-            indices[cursor:cursor + out.nnz] = out.indices
-            data[cursor:cursor + out.nnz] = out.data
-            cursor += out.nnz
+    cursor = indptr[:-1].copy()
+    indices = np.empty(int(indptr[-1]), dtype=np.int64)
+    data = np.empty(int(indptr[-1]), dtype=np.float64)
+    for rows, out in pieces:
+        row_nnz = out.row_nnz_counts()
+        destination = np.arange(out.nnz, dtype=np.int64) + np.repeat(
+            cursor[rows] - out.indptr[:-1], row_nnz)
+        indices[destination] = out.indices
+        data[destination] = out.data
+        cursor[rows] += row_nnz
     return CSRMatrix(indptr, indices, data, (plan.n_rows, n_cols))

@@ -12,7 +12,7 @@ import pytest
 from repro.backends.analytic import AnalyticBackend
 from repro.compiler.program import rebind_b_values
 from repro.core import ProgramCache, Session, matrix_fingerprint
-from repro.core.specs import GNNModelSpec, SpGEMMSpec
+from repro.core.specs import GCNLayerSpec, GNNModelSpec, SpGEMMSpec
 from repro.datasets import load_dataset
 from repro.serve.registry import OperandRegistry
 from repro.sparse.csr import full_structure_csr
@@ -22,6 +22,13 @@ COUNTED = (("repro.sparse.partition", "plan_shards"),
            ("repro.sparse.partition", "build_shard_units"),
            ("repro.core.runner", "matrix_fingerprint"),
            ("repro.core.runner", "_same_bits"))
+
+
+#: Per-layer work a warm dense stack must not do: encode its features as
+#: a CSR, or build (and merge) a fleet report its row discards.
+DENSE_STACK_COUNTED = (("repro.sparse.csr", "full_structure_csr"),
+                       ("repro.backends.multichip", "_aggregate_report"),
+                       ("repro.backends.multichip", "_merge_reports"))
 
 
 def count_calls(monkeypatch, module_name: str, name: str) -> list:
@@ -91,6 +98,46 @@ class TestWarmStack:
         assert second.output.tobytes() == first.output.tobytes()
         assert row(second) == row(first)
         assert other_seed.output.tobytes() != first.output.tobytes()
+
+
+class TestDenseStack:
+    """A stack carries its features as one dense array: a warm layer
+    encodes no full-structure CSR and builds no fleet report, while a
+    caller's own features are still compared and copied, never aliased."""
+
+    def test_warm_stack_encodes_no_csr_and_merges_no_report(
+            self, cora, monkeypatch):
+        with fleet() as session:
+            cold = session.run(stack(cora, width=32))
+            first = session.run(stack(cora, width=32))
+            counts = {name: count_calls(monkeypatch, module, name)
+                      for module, name in DENSE_STACK_COUNTED}
+            second = session.run(stack(cora, width=32))
+        assert {name: len(calls) for name, calls in counts.items()} == \
+            dict.fromkeys(counts, 0)
+        assert second.output.tobytes() == first.output.tobytes() == \
+            cold.output.tobytes()
+        assert row(second) == row(first)
+
+    def test_caller_features_are_never_read_in_place(self, cora):
+        x = np.random.default_rng(3).standard_normal((cora.n_nodes, 6))
+
+        def layer():
+            return GCNLayerSpec(dataset=cora, features=x, hidden_dim=5,
+                                verify=False)
+
+        with fleet() as session:
+            for scale in (-2.0, 3.0):  # the second edit finds the first's
+                session.run(layer())   # values re-bound into the programs
+                x *= scale
+            edited = session.run(layer())
+        with fleet() as fresh:
+            expected = fresh.run(layer())
+        assert edited.output.tobytes() == expected.output.tobytes()
+        assert edited.metrics == expected.metrics
+        counters = edited.report.counters
+        assert counters["multichip.broadcast_cycles"] > 0
+        assert counters == expected.report.counters
 
 
 class TestReplan:
