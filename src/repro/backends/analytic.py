@@ -44,6 +44,7 @@ queueing delay rather than any throughput ceiling sets the runtime.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 
 from repro.backends.base import ExecutionBackend, ExecutionContext
@@ -79,10 +80,12 @@ class AnalyticBackend(ExecutionBackend):
         cached = predictions.get(ctx)
         if cached is None:
             cached = predictions.setdefault(ctx, self.predict(program, ctx))
-        return dataclasses.replace(
-            cached, counters=dict(cached.counters),
-            mmh_cpi_histogram=Histogram.merged([cached.mmh_cpi_histogram]),
-            hacc_cpi_histogram=Histogram.merged([cached.hacc_cpi_histogram]))
+        report = copy.copy(cached)
+        report.counters = dict(cached.counters)
+        report.mmh_cpi_histogram, report.hacc_cpi_histogram = (
+            dataclasses.replace(h, bin_counts=list(h.bin_counts))
+            for h in (cached.mmh_cpi_histogram, cached.hacc_cpi_histogram))
+        return report
 
     # ------------------------------------------------------------------
     def predict(self, program: Program,

@@ -9,7 +9,8 @@ the paper's Table 1 suite:
   banded, near-regular degree.
 * ``barabasi_albert_graph`` / ``kronecker_power_law_graph`` — social and web
   graphs (facebook, wiki-Vote, email-Enron, web-Google, amazon0312,
-  ca-CondMat); heavy-tailed degree distributions.
+  ca-CondMat); heavy-tailed degree distributions.  Preferential attachment
+  runs in O(n * attach): ``rng.integers`` draws into one edge-endpoint array.
 * ``road_network_graph`` — roadNet-CA; planar, low and nearly uniform degree.
 * ``small_world_graph`` — p2p-Gnutella31; random with local clustering.
 * ``circuit_graph`` — scircuit, patents_main; strong diagonal plus sparse
@@ -64,25 +65,30 @@ def barabasi_albert_graph(n: int, attach: int, seed: int = 0,
     """Preferential-attachment graph (heavy-tailed degree distribution).
 
     Each new node attaches to ``attach`` existing nodes chosen with
-    probability proportional to their current degree.
+    probability proportional to their current degree: it draws
+    ``rng.integers(0, filled, size=attach)`` indices into one array of edge
+    endpoints (Batagelj and Brandes, Phys. Rev. E 71, 036113), the draw
+    ``rng.choice(pool, size=attach)`` makes, so it runs in O(n * attach).
     """
     if n <= 1:
         return COOMatrix.empty((max(n, 1), max(n, 1)))
     attach = max(1, min(attach, n - 1))
     rng = np.random.default_rng(seed)
-    targets = list(range(attach))
-    repeated: list[int] = list(range(attach))
-    edges: list[tuple[int, int]] = []
+    pool = np.empty(attach + 2 * attach * (n - attach), dtype=np.int64)
+    pool[:attach] = np.arange(attach)
+    src = np.empty(attach * (n - attach), dtype=np.int64)
+    dst = np.empty_like(src)
+    filled, m = attach, 0
     for v in range(attach, n):
-        chosen = rng.choice(repeated, size=attach, replace=True)
-        chosen = np.unique(chosen)
-        for t in chosen.tolist():
-            edges.append((v, t))
-            repeated.append(t)
-            repeated.append(v)
-    edge_arr = _dedupe_edges(np.array([e[0] for e in edges], dtype=np.int64),
-                             np.array([e[1] for e in edges], dtype=np.int64), n)
-    del targets
+        chosen = np.unique(pool[rng.integers(0, filled, size=attach)])
+        k = chosen.size
+        src[m:m + k] = v
+        dst[m:m + k] = chosen
+        pool[filled:filled + 2 * k:2] = chosen
+        pool[filled + 1:filled + 2 * k:2] = v
+        filled += 2 * k
+        m += k
+    edge_arr = _dedupe_edges(src[:m], dst[:m], n)
     return _edges_to_coo(edge_arr, n, symmetric, rng)
 
 
@@ -94,7 +100,6 @@ def kronecker_power_law_graph(n: int, m: int, seed: int = 0,
         return COOMatrix.empty((max(n, 1), max(n, 1)))
     rng = np.random.default_rng(seed)
     levels = int(np.ceil(np.log2(n)))
-    size = 1 << levels
     d = 1.0 - a - b - c
     probs = np.array([a, b, c, d])
     n_samples = int(m * 1.4) + 8
@@ -107,7 +112,6 @@ def kronecker_power_law_graph(n: int, m: int, seed: int = 0,
         dst += np.where((quadrant == 1) | (quadrant == 3), bit, 0)
     keep = (src < n) & (dst < n)
     edges = _dedupe_edges(src[keep], dst[keep], n)[:m]
-    del size
     return _edges_to_coo(edges, n, symmetric, rng)
 
 

@@ -86,6 +86,7 @@ class PowerModel:
             "Router": lambda cfg: cfg.total_routers,
             "Memory Controller": lambda cfg: cfg.memory_controllers,
         }
+        self._totals_memo: dict[tuple[NeuraChipConfig, int], dict[str, float]] = {}
 
     # ------------------------------------------------------------------
     def _nearest_reference(self, config: NeuraChipConfig) -> str:
@@ -94,24 +95,24 @@ class PowerModel:
                    key=lambda name: abs(self._REFERENCE_CONFIGS[name].total_cores
                                         - config.total_cores))
 
-    def _per_unit(self, unit: str, reference_name: str,
-                  kind: int) -> float:
-        """Per-instance area (kind=0) or power (kind=1) from the reference."""
-        reference_config = self._REFERENCE_CONFIGS[reference_name]
-        count = self._unit_counts[unit](reference_config)
-        value = TABLE4_REFERENCE[unit][reference_name][kind]
-        return value / max(count, 1)
+    def _totals(self, config: NeuraChipConfig, kind: int) -> dict[str, float]:
+        """Per unit, the reference's per-instance area (kind=0) or power
+        (kind=1) times the unit's count on ``config``; memoised."""
+        totals = self._totals_memo.get((config, kind))
+        if totals is None:
+            name = config.name if config.name in self._REFERENCE_CONFIGS \
+                else self._nearest_reference(config)
+            reference = self._REFERENCE_CONFIGS[name]
+            totals = self._totals_memo[(config, kind)] = {
+                unit: TABLE4_REFERENCE[unit][name][kind]
+                / max(count_fn(reference), 1) * count_fn(config)
+                for unit, count_fn in self._unit_counts.items()}
+        return totals
 
     # ------------------------------------------------------------------
     def area(self, config: NeuraChipConfig) -> AreaPowerBreakdown:
         """Area breakdown for an arbitrary configuration."""
-        reference = config.name if config.name in self._REFERENCE_CONFIGS \
-            else self._nearest_reference(config)
-        breakdown = AreaPowerBreakdown(config_name=config.name)
-        for unit, count_fn in self._unit_counts.items():
-            per_instance = self._per_unit(unit, reference, kind=0)
-            breakdown.area_mm2[unit] = per_instance * count_fn(config)
-        return breakdown
+        return AreaPowerBreakdown(config.name, dict(self._totals(config, 0)))
 
     def power(self, config: NeuraChipConfig,
               activity: dict[str, float] | None = None) -> AreaPowerBreakdown:
@@ -124,15 +125,12 @@ class PowerModel:
                 units default to 1.0 (the Table 4 measurement conditions).
         """
         activity = activity or {}
-        reference = config.name if config.name in self._REFERENCE_CONFIGS \
-            else self._nearest_reference(config)
         breakdown = AreaPowerBreakdown(config_name=config.name)
-        for unit, count_fn in self._unit_counts.items():
-            per_instance = self._per_unit(unit, reference, kind=1)
+        for unit, total in self._totals(config, 1).items():
             factor = float(activity.get(unit, 1.0))
             factor = min(max(factor, 0.0), 1.0)
             scale = self.STATIC_FRACTION + (1.0 - self.STATIC_FRACTION) * factor
-            breakdown.power_w[unit] = per_instance * count_fn(config) * scale
+            breakdown.power_w[unit] = total * scale
         return breakdown
 
     def combined(self, config: NeuraChipConfig,
@@ -146,15 +144,19 @@ class PowerModel:
 # ----------------------------------------------------------------------
 # Convenience functions used by the benchmark harness.
 # ----------------------------------------------------------------------
+#: The model behind the functions below, so its per-config memo persists.
+_MODEL = PowerModel()
+
+
 def area_breakdown(config: NeuraChipConfig) -> AreaPowerBreakdown:
     """Table 4 area breakdown for a configuration."""
-    return PowerModel().area(config)
+    return _MODEL.area(config)
 
 
 def power_breakdown(config: NeuraChipConfig,
                     activity: dict[str, float] | None = None) -> AreaPowerBreakdown:
     """Table 4 power breakdown for a configuration."""
-    return PowerModel().power(config, activity)
+    return _MODEL.power(config, activity)
 
 
 def activity_from_report(report: SimulationReport) -> dict[str, float]:
