@@ -205,27 +205,29 @@ class NeuraChipAccelerator:
     # Component callbacks
     # ------------------------------------------------------------------
     def _memory_read(self, addr: int, nbytes: int, callback, *args) -> None:
-        """Route a NeuraCore operand fetch through the NoC to memory; the
-        response crosses the NoC back before ``callback(*args)`` runs."""
-        half = _MEMORY_NOC_OVERHEAD / 2
-        self.sim.schedule(half, self.memory.read, addr, nbytes,
-                          self.sim.schedule, half, callback, *args)
+        """Route a NeuraCore operand fetch through the NoC to its controller
+        (the route is fixed at issue); the response crosses the NoC back
+        before ``callback(*args)`` runs."""
+        sim, half = self.sim, _MEMORY_NOC_OVERHEAD / 2
+        sim.schedule(half, self.memory.controller_for(addr).read, addr, nbytes,
+                     sim.schedule, half, callback, *args)
 
     def _dispatch_haccs(self, core: NeuraCore, op: int, first: int,
-                        stop: int, on_arrival, *args) -> None:
+                        stop: int, on_arrival, state) -> None:
         """Send HACCs ``first:stop`` of op ``op`` over the torus, in order."""
         hops, now = self._hops[core.core_id], self.sim.now
-        offset = self._op_start[op]
+        offset, hacc_mem, mems = self._op_start[op], self._hacc_mem, self.mems
+        deliver, arrived = self.noc.deliver, self._hacc_arrived
         for hacc in range(offset + first, offset + stop):
-            mem_index = self._hacc_mem[hacc]
-            mem = self.mems[mem_index]
-            self.noc.deliver(mem.position, hops[mem_index], _HACC_BYTES,
-                             self._hacc_arrived, mem, hacc, now, on_arrival, args)
+            mem_index = hacc_mem[hacc]
+            mem = mems[mem_index]
+            deliver(mem.position, hops[mem_index], _HACC_BYTES, arrived, mem,
+                    hacc, now, on_arrival, state)
 
     def _hacc_arrived(self, mem: NeuraMem, hacc: int, dispatch_time: float,
-                      on_arrival, args: tuple) -> None:
+                      on_arrival, state) -> None:
         """A HACC reached its NeuraMem: tell its core, then hand it over."""
-        on_arrival(*args)
+        on_arrival(state)
         tag, value, counter, out_row, out_col, writeback_addr = self._haccs
         mem.receive_hacc(tag[hacc], value[hacc], counter[hacc], out_row[hacc],
                          out_col[hacc], writeback_addr[hacc], dispatch_time)

@@ -9,7 +9,7 @@ sleeps until a core retires an instruction.
 
 from __future__ import annotations
 
-from operator import attrgetter
+from math import inf
 from typing import Sequence
 
 from repro.sim.engine import Simulator
@@ -25,6 +25,7 @@ class Dispatcher:
         self.sim = sim
         self.params = params
         self.cores = list(cores)
+        self._width = params.dispatch_width
         self._n_ops = 0
         self._next_index = 0
         self._issue_scheduled = False
@@ -58,22 +59,25 @@ class Dispatcher:
     def _issue_cycle(self) -> None:
         """Issue up to ``dispatch_width`` instructions this cycle."""
         self._issue_scheduled = False
-        issued = 0
-        while issued < self.params.dispatch_width and not self.done:
+        stop = min(self._next_index + self._width, self._n_ops)
+        while self._next_index < stop:
             core = self._least_loaded_core()
             if core is None:
                 self._waiting_for_slot = True
                 return
             core.issue(self._next_index)
             self._next_index += 1
-            issued += 1
             self.instructions_issued += 1
         self._schedule_issue(1.0)
 
     def _least_loaded_core(self) -> NeuraCore | None:
         """The first least-loaded core among those that can accept, or None."""
-        return min((core for core in self.cores if core.in_flight < core.capacity),
-                   key=attrgetter("in_flight"), default=None)
+        best, least = None, inf
+        for core in self.cores:
+            load = core.in_flight
+            if load < least and load < core.capacity:
+                best, least = core, load
+        return best
 
     # ------------------------------------------------------------------
     def notify_slot_free(self) -> None:

@@ -3,11 +3,20 @@
 A minimal, fast event queue: ``callback(*args)`` runs at an absolute or
 relative cycle time, in time order (FIFO among equal timestamps).  NeuraSim's
 components share one :class:`Simulator` and pass bound methods, not closures.
+
+Hot-path rules, which keep every report bit-identical: every push takes its
+sequence number from the one counter ``seq`` (a component may push ``(time,
+next(sim.seq), callback, args)`` itself where ``time >= now`` by
+construction); handlers read parameters cached at construction; no event is
+added, dropped or reordered for speed.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
+from itertools import count
+from math import inf
+from sys import maxsize
 from typing import Callable
 
 
@@ -20,54 +29,56 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._queue: list[tuple[float, int, Callable, tuple]] = []
-        self._seq = 0
+        self.queue: list[tuple[float, int, Callable, tuple]] = []
+        self.seq = count(1)
         self.now: float = 0.0
         self.events_processed = 0
 
     def schedule(self, delay: float, callback: Callable, *args) -> None:
         """Schedule ``callback(*args)`` to run ``delay`` cycles from now."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        self._seq += 1
-        heapq.heappush(self._queue, (self.now + delay, self._seq, callback, args))
+        if not delay >= 0:
+            raise ValueError(f"delay must be >= 0, got {delay}")
+        heappush(self.queue, (self.now + delay, next(self.seq), callback, args))
 
     def schedule_at(self, time: float, callback: Callable, *args) -> None:
         """Schedule ``callback(*args)`` at an absolute time (>= now)."""
-        if time < self.now:
-            raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
-        self._seq += 1
-        heapq.heappush(self._queue, (time, self._seq, callback, args))
+        if not time >= self.now:
+            raise ValueError(f"cannot schedule at {time} (now is {self.now})")
+        heappush(self.queue, (time, next(self.seq), callback, args))
 
     def run(self, max_events: int | None = None, until: float | None = None) -> None:
         """Drain the event queue.
 
         Args:
             max_events: optional safety cap on the number of events processed.
-            until: optional simulation-time horizon.
+            until: optional simulation-time horizon; events after it stay
+                queued.
         """
+        queue = self.queue
+        horizon = inf if until is None else until
+        budget = maxsize if max_events is None else max_events
         processed = 0
-        while self._queue:
-            if max_events is not None and processed >= max_events:
+        for processed in range(budget):
+            if not queue:
                 break
-            time, _seq, callback, args = heapq.heappop(self._queue)
-            if until is not None and time > until:
-                # Put the event back and stop.
-                heapq.heappush(self._queue, (time, _seq, callback, args))
+            time, seq, callback, args = heappop(queue)
+            if time > horizon:
+                heappush(queue, (time, seq, callback, args))
                 break
             self.now = time
             callback(*args)
-            processed += 1
+        else:
+            processed = budget
         self.events_processed += processed
 
     @property
     def pending_events(self) -> int:
         """Number of events still queued."""
-        return len(self._queue)
+        return len(self.queue)
 
     def reset(self) -> None:
-        """Clear the queue and rewind the clock to zero."""
-        self._queue.clear()
-        self._seq = 0
+        """Clear the queue and rewind the clock and the counter."""
+        self.queue.clear()
+        self.seq = count(1)
         self.now = 0.0
         self.events_processed = 0

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-@dataclass
+@dataclass(slots=True)
 class HashLine:
     """One TAG/DATA/COUNTER entry of the HashPad."""
 
@@ -113,8 +113,8 @@ class HashPad:
                             counter - 1 - self.store.spilled_applied.get(tag, 0),
                             out_row, out_col, writeback_addr, [dispatch_time])
             self.lines[tag] = line
-            self.insertions += 1
-        self.peak_occupancy = max(self.peak_occupancy, self.occupancy)
+            self.insertions += 1  # only an insert can raise the peak
+            self.peak_occupancy = max(self.peak_occupancy, self.occupancy)
         if line.remaining > 0:
             return victim, None
         del self.lines[tag]

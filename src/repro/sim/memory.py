@@ -10,7 +10,6 @@ data rate.  Aggregate bandwidth across the eight channels matches the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.sim.engine import Simulator
@@ -29,6 +28,9 @@ class HBMChannel:
         self._bank_next_free = [0.0] * params.hbm_banks_per_channel
         self._bank_open_row = [-1] * params.hbm_banks_per_channel
         self._data_bus_next_free = 0.0
+        self._row_bytes, self._banks = params.hbm_row_bytes, params.hbm_banks_per_channel
+        self._hit_cycles, self._miss_cycles = params.hbm_row_hit_cycles, params.hbm_row_miss_cycles
+        self._bytes_per_cycle = params.hbm_bytes_per_cycle_per_channel
         self.bytes_read = 0
         self.bytes_written = 0
         self.row_hits = 0
@@ -44,8 +46,7 @@ class HBMChannel:
         row-buffer hit or miss latency, then streams ``nbytes`` at the
         channel's peak data rate.
         """
-        params = self.params
-        transfer = nbytes / params.hbm_bytes_per_cycle_per_channel
+        transfer = nbytes / self._bytes_per_cycle
         if is_write:
             # Writes are posted: the controller's write buffer absorbs them and
             # drains over the data bus without disturbing the read row buffers.
@@ -57,13 +58,13 @@ class HBMChannel:
             if callback is not None:
                 self.sim.schedule_at(finish, callback, *args)
             return finish
-        row = addr // params.hbm_row_bytes
-        bank = row % params.hbm_banks_per_channel
+        row = addr // self._row_bytes
+        bank = row % self._banks
         if self._bank_open_row[bank] == row:
-            access_latency = params.hbm_row_hit_cycles
+            access_latency = self._hit_cycles
             self.row_hits += 1
         else:
-            access_latency = params.hbm_row_miss_cycles
+            access_latency = self._miss_cycles
             self._bank_open_row[bank] = row
             self.row_misses += 1
         # Banks overlap their access latencies; the shared data bus is only
@@ -80,13 +81,9 @@ class HBMChannel:
         return finish
 
 
-@dataclass(slots=True)
-class _Read:
-    """A read waiting for ``remaining`` lines, then ``callback(*args)``."""
-
-    remaining: int
-    callback: Callable[..., None]
-    args: tuple
+#: A read waiting for its lines, then ``callback(*args)``: a list (built
+#: without a Python call) ``[lines still missing, callback, args]``.
+_Read = list
 
 
 class MemoryController:
@@ -108,6 +105,7 @@ class MemoryController:
         self.tile_id = tile_id
         self.channel = channel
         self.in_flight = in_flight
+        self._line_bytes, self._cycles = params.coalesce_line_bytes, params.memory_controller_cycles
         # line address -> reads waiting for that line.
         self._pending_lines: dict[int, list[_Read]] = {}
         # LRU of recently fetched lines (insertion ordered dict).
@@ -120,37 +118,35 @@ class MemoryController:
     def read(self, addr: int, nbytes: int, callback: Callable[..., None],
              *args) -> None:
         """Issue a read; ``callback(*args)`` runs when the data is available."""
+        sim, buffer, pending = self.sim, self._line_buffer, self._pending_lines
         self.reads_received += 1
-        self.in_flight.change(self.sim.now, +1)
-        line_bytes = self.params.coalesce_line_bytes
+        self.in_flight.change(sim.now, +1)
+        line_bytes = self._line_bytes
         first_line = addr // line_bytes
-        last_line = (addr + max(nbytes, 1) - 1) // line_bytes
-        request = _Read(last_line - first_line + 1, callback, args)
+        last_line = (addr + (nbytes if nbytes > 1 else 1) - 1) // line_bytes
+        request: _Read = [last_line - first_line + 1, callback, args]
         for line in range(first_line, last_line + 1):
-            if line in self._line_buffer:
+            if line in buffer:
                 # Read-buffer hit: serviced at controller latency, no DRAM trip.
-                self._line_buffer.pop(line)
-                self._line_buffer[line] = True  # refresh LRU position
+                del buffer[line]
+                buffer[line] = True  # refresh LRU position
                 self.reads_buffered += 1
-                self.sim.schedule(self.params.memory_controller_cycles,
-                                  self._line_ready, request)
-                continue
-            if line in self._pending_lines:
+                sim.schedule(self._cycles, self._line_ready, request)
+            elif line in pending:
                 # Coalesced with an outstanding request for the same line.
-                self._pending_lines[line].append(request)
+                pending[line].append(request)
                 self.reads_coalesced += 1
-                continue
-            self._pending_lines[line] = [request]
-            self.sim.schedule(self.params.memory_controller_cycles,
-                              self.channel.access, line * line_bytes,
-                              line_bytes, False, self._line_filled, line)
+            else:
+                pending[line] = [request]
+                sim.schedule(self._cycles, self.channel.access, line * line_bytes,
+                             line_bytes, False, self._line_filled, line)
 
     def _line_ready(self, request: _Read) -> None:
         """One line of ``request`` arrived; complete it after the last."""
-        request.remaining -= 1
-        if request.remaining == 0:
+        request[0] -= 1
+        if request[0] == 0:
             self.in_flight.change(self.sim.now, -1)
-            request.callback(*request.args)
+            request[1](*request[2])
 
     def _insert_buffer_line(self, line: int) -> None:
         capacity = self.params.controller_buffer_lines
@@ -169,8 +165,8 @@ class MemoryController:
     def write(self, addr: int, nbytes: int) -> None:
         """Issue a posted write."""
         self.writes_received += 1
-        self.sim.schedule(self.params.memory_controller_cycles,
-                          self.channel.access, addr, nbytes, True, None)
+        self.sim.schedule(self._cycles, self.channel.access, addr, nbytes, True,
+                          None)
 
 
 class MemorySystem:
@@ -187,6 +183,7 @@ class MemorySystem:
         self.sim = sim
         self.params = params
         self.in_flight = LevelTracker()
+        self._line_bytes = params.coalesce_line_bytes
         self.channels = [HBMChannel(sim, params, i) for i in range(n_channels)]
         self.controllers = [MemoryController(sim, params, i, self.channels[i],
                                              self.in_flight)
@@ -194,8 +191,7 @@ class MemorySystem:
 
     def controller_for(self, addr: int) -> MemoryController:
         """The controller owning an address under the interleaving scheme."""
-        line = addr // self.params.coalesce_line_bytes
-        return self.controllers[line % len(self.controllers)]
+        return self.controllers[addr // self._line_bytes % len(self.controllers)]
 
     def read(self, addr: int, nbytes: int, callback: Callable[..., None],
              *args) -> None:
@@ -204,7 +200,7 @@ class MemorySystem:
 
     def write(self, addr: int, nbytes: int) -> None:
         """Route a write request to the owning controller."""
-        self.controller_for(addr).write(addr, nbytes)
+        self.controllers[addr // self._line_bytes % len(self.controllers)].write(addr, nbytes)
 
     @property
     def total_bytes_read(self) -> int:

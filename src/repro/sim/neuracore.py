@@ -25,7 +25,7 @@ MMH_HIST_BIN_WIDTH = 25
 MMH_HIST_BINS = 20
 
 
-@dataclass
+@dataclass(slots=True)
 class _InFlightMMH:
     """Book-keeping for one MMH instruction travelling through a pipeline."""
 
@@ -49,8 +49,8 @@ class NeuraCore:
     ``slots_per_pipeline`` register slots; ``in_flight`` and ``capacity``
     are their totals.  ``read_fn(addr, nbytes, callback, *args)`` runs
     ``callback(*args)`` when the operand arrives; ``dispatch_haccs_fn(core,
-    op, first, stop, on_arrival, *args)`` sends HACCs ``first:stop`` of
-    ``op`` and runs ``on_arrival(*args)`` as each one lands.
+    op, first, stop, on_arrival, state)`` sends HACCs ``first:stop`` of
+    ``op`` and runs ``on_arrival(state)`` as each one lands.
     """
 
     def __init__(self, core_id: int, position: tuple[int, int], sim: Simulator,
@@ -77,6 +77,10 @@ class NeuraCore:
         self._send = dispatch_haccs_fn
         self._on_retire = on_retire
         self._next_pipeline = 0
+        self._frontend_cycles = (params.decode_cycles + params.register_alloc_cycles
+                                 + params.address_gen_cycles)
+        self._multiply_cycles = params.multiply_cycles
+        self._sends_per_cycle = max(1, params.hacc_sends_per_cycle)
         self.busy_cycles = 0.0
         self.stall_cycles = 0.0
         self.instructions_retired = 0
@@ -88,10 +92,8 @@ class NeuraCore:
         pipeline_index = self._select_pipeline()
         self.pipelines[pipeline_index] += 1
         self.in_flight += 1
-        state = _InFlightMMH(op=op, pipeline=pipeline_index, issue_time=self.sim.now)
-        frontend = (self.params.decode_cycles + self.params.register_alloc_cycles
-                    + self.params.address_gen_cycles)
-        self.sim.schedule(frontend, self._issue_memory_requests, state)
+        state = _InFlightMMH(op, pipeline_index, self.sim.now)
+        self.sim.schedule(self._frontend_cycles, self._issue_memory_requests, state)
 
     def _select_pipeline(self) -> int:
         """Round-robin over pipelines with a free slot (Figure 6, Step 1)."""
@@ -109,18 +111,20 @@ class NeuraCore:
         state.frontend_done = self.sim.now
         reads = self._op_reads[state.op]
         state.outstanding_reads = len(reads)
+        read, respond = self._read, self._on_read_response
         for addr, nbytes in reads:
-            self._read(addr, nbytes, self._on_read_response, state)
+            read(addr, nbytes, respond, state)
 
     def _on_read_response(self, state: _InFlightMMH) -> None:
         """Step 6-7: a memory response arrived; execute once all are present."""
         state.outstanding_reads -= 1
         if state.outstanding_reads > 0:
             return
-        self.stall_cycles += max(0.0, self.sim.now - state.frontend_done)
-        n_products = self._op_products[state.op]
-        batches = -(-n_products // self.multipliers)
-        compute_latency = max(1, batches * self.params.multiply_cycles)
+        self.stall_cycles += self.sim.now - state.frontend_done  # the clock only advances
+        batches = -(-self._op_products[state.op] // self.multipliers)
+        compute_latency = batches * self._multiply_cycles
+        if compute_latency < 1:
+            compute_latency = 1
         self.busy_cycles += compute_latency
         self.sim.schedule(compute_latency, self._dispatch_haccs, state)
 
@@ -134,7 +138,7 @@ class NeuraCore:
         if not n_haccs:
             self._retire(state)
             return
-        sends_per_cycle = max(1, self.params.hacc_sends_per_cycle)
+        sends_per_cycle = self._sends_per_cycle
         self.busy_cycles += n_haccs / sends_per_cycle
         for first in range(0, n_haccs, sends_per_cycle):
             self.sim.schedule(first // sends_per_cycle, self._send_haccs, state,

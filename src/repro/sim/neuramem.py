@@ -15,6 +15,7 @@ it into the one histogram the accelerator hands it.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Callable
 
 from repro.sim.engine import Simulator
@@ -44,6 +45,9 @@ class NeuraMem:
         self._writeback = writeback
         self._on_applied = on_applied
         self._engine_next_free = [0.0] * max(1, hash_engines)
+        self._engine_cycles = params.hash_lookup_cycles + params.hash_accumulate_cycles
+        self._eviction_cycles, self._writeback_bytes = (params.hash_eviction_cycles,
+                                                        params.writeback_bytes)
         self.busy_cycles = 0.0
         self.haccs_received = 0
 
@@ -57,14 +61,13 @@ class NeuraMem:
         applied when the engine becomes available.
         """
         self.haccs_received += 1
-        engine_free = self._engine_next_free
-        engine = engine_free.index(min(engine_free))
-        start = max(self.sim.now, engine_free[engine])
-        latency = self.params.hash_lookup_cycles + self.params.hash_accumulate_cycles
-        engine_free[engine] = start + latency
-        self.busy_cycles += latency
-        self.sim.schedule_at(start + latency, self._apply, tag, value, counter,
-                             out_row, out_col, writeback_addr, dispatch_time)
+        sim, engine_free = self.sim, self._engine_next_free
+        free = min(engine_free)
+        end = (free if free > sim.now else sim.now) + self._engine_cycles
+        engine_free[engine_free.index(free)] = end
+        self.busy_cycles += self._engine_cycles
+        heappush(sim.queue, (end, next(sim.seq), self._apply, (
+            tag, value, counter, out_row, out_col, writeback_addr, dispatch_time)))
 
     # ------------------------------------------------------------------
     def _apply(self, tag: int, value: float, counter: int, out_row: int,
@@ -84,14 +87,14 @@ class NeuraMem:
             self._evicted(evicted)
 
     def _evicted(self, line: HashLine) -> None:
-        cycles = self.params.hash_eviction_cycles
-        self._charge(line, cycles, self.sim.now + cycles)
+        self._charge(line, self._eviction_cycles,
+                     self.sim.now + self._eviction_cycles)
 
     def _charge(self, line: HashLine, cycles: int, end_time: float) -> None:
         """Engine cycles, the HBM write-back and the line's HACC latencies."""
         self.busy_cycles += cycles
         if self._writeback is not None:
-            self._writeback(line.writeback_addr, self.params.writeback_bytes)
+            self._writeback(line.writeback_addr, self._writeback_bytes)
         for dispatch_time in line.dispatch_times:
             self.cpi_histogram.add(end_time - dispatch_time)
 

@@ -10,6 +10,11 @@ sensitivity studies.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import inf
+
+#: Fields the timing model divides by: they must be > 0, the others >= 0.
+_DIVISORS = {"router_flit_bytes", "router_link_bytes_per_cycle", "coalesce_line_bytes",
+             "hbm_row_bytes", "hbm_banks_per_channel", "hbm_bytes_per_cycle_per_channel"}
 
 
 @dataclass(frozen=True)
@@ -82,6 +87,12 @@ class SimulationParams:
     barrier_interval_columns: int = 8
     writeback_bytes: int = 8
     sample_interval_cycles: int = 64
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not (0 < value < inf if name in _DIVISORS else 0 <= value < inf):
+                bound = "> 0" if name in _DIVISORS else ">= 0"
+                raise ValueError(f"{name} must be finite and {bound}, got {value}")
 
     def scaled(self, **overrides) -> "SimulationParams":
         """Return a copy with the given fields overridden."""

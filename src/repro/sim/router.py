@@ -9,6 +9,7 @@ cycles.  Dimension-order hop counts with wraparound are used for distance.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Callable
 
 from repro.sim.engine import Simulator
@@ -26,6 +27,8 @@ class TorusNetwork:
         self.params = params
         self.width = width
         self.height = height
+        self._flit_bytes, self._link_bytes, self._hop_cycles = (
+            params.router_flit_bytes, params.router_link_bytes_per_cycle, params.router_hop_cycles)
         # Per-destination ingress port availability (contention approximation).
         self._ingress_next_free: dict[tuple[int, int], float] = {}
         self.flits_sent = 0
@@ -55,17 +58,19 @@ class TorusNetwork:
     def deliver(self, dst: tuple[int, int], hops: int, nbytes: int,
                 callback: Callable[..., None] | None = None, *args) -> float:
         """:meth:`send` for a caller that already knows the hop count."""
-        params = self.params
-        flits = max(1, -(-nbytes // params.router_flit_bytes))
-        serialization = flits * params.router_flit_bytes / params.router_link_bytes_per_cycle
-        zero_load_arrival = self.sim.now + hops * params.router_hop_cycles + serialization
-        port_free = self._ingress_next_free.get(dst, 0.0)
-        arrival = max(zero_load_arrival, port_free + serialization)
+        flits = -(-nbytes // self._flit_bytes) or 1
+        serialization = flits * self._flit_bytes / self._link_bytes
+        sim = self.sim
+        arrival = self._ingress_next_free.get(dst, 0.0) + serialization
+        zero_load_arrival = sim.now + hops * self._hop_cycles + serialization
+        if arrival < zero_load_arrival:
+            arrival = zero_load_arrival
         self._ingress_next_free[dst] = arrival
         self.flits_sent += flits
         self.total_hops += hops * flits
         if callback is not None:
-            self.sim.schedule_at(arrival, callback, *args)
+            # arrival >= now: the parameters are non-negative.
+            heappush(sim.queue, (arrival, next(sim.seq), callback, args))
         return arrival
 
     @property

@@ -39,8 +39,8 @@ class Histogram:
 
     def add(self, value: float) -> None:
         """Record one observation."""
-        index = min(int(value // self.bin_width), self.n_bins - 1)
-        self.bin_counts[max(index, 0)] += 1
+        index, last = int(value // self.bin_width), self.n_bins - 1
+        self.bin_counts[last if index > last else index if index > 0 else 0] += 1
         self.total_observations += 1
         self.sum_values += value
 

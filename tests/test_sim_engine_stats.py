@@ -1,8 +1,17 @@
-"""Unit tests for the simulation kernel and statistics collection."""
+"""Unit tests for the simulation kernel, its parameters and statistics
+collection."""
+
+import dataclasses
+import math
 
 import pytest
 
 from repro.sim.engine import Simulator
+from repro.sim.hashpad import HashPad, SpillStore
+from repro.sim.memory import HBMChannel
+from repro.sim.neuramem import NeuraMem
+from repro.sim.params import SimulationParams
+from repro.sim.router import TorusNetwork
 from repro.sim.stats import Histogram, LevelTracker
 
 
@@ -81,6 +90,99 @@ class TestSimulator:
         sim.reset()
         assert sim.now == 0.0
         assert sim.pending_events == 0
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, -0.5])
+    def test_nan_or_negative_delay_rejected(self, bad):
+        sim = Simulator()
+        with pytest.raises(ValueError):
+            sim.schedule(bad, lambda: None)
+        assert sim.pending_events == 0
+
+    def test_nan_time_rejected(self):
+        sim = Simulator()
+        sim.schedule(1, lambda: None)
+        with pytest.raises(ValueError):
+            sim.schedule_at(math.nan, lambda: None)
+        assert sim.pending_events == 1
+
+    def test_max_events_and_until_stop_one_drain_loop(self):
+        sim = Simulator()
+        hits = []
+        for time in (1, 2, 3, 4, 5, 6):
+            sim.schedule(time, hits.append, time)
+        sim.run(max_events=0)
+        assert hits == [] and sim.events_processed == 0
+        sim.run(max_events=2)
+        assert hits == [1, 2] and sim.now == 2
+        sim.run(until=4)  # an event at the horizon runs
+        assert hits == [1, 2, 3, 4] and sim.now == 4
+        sim.run(max_events=5, until=4.5)
+        assert hits == [1, 2, 3, 4] and sim.pending_events == 2
+        sim.run(max_events=1, until=10)
+        assert hits == [1, 2, 3, 4, 5]
+        sim.run()
+        assert hits == [1, 2, 3, 4, 5, 6]
+        assert sim.events_processed == 6 and sim.pending_events == 0
+
+
+class TestEventOrdering:
+    """Events due at one time run in the order they were scheduled, whichever
+    entry point pushed them: ``schedule``, ``schedule_at`` and the
+    components that push their own events (the torus, the hash engines)."""
+
+    def test_same_time_runs_in_scheduling_order_across_entry_points(self):
+        sim = Simulator()
+        params = SimulationParams()
+        torus = TorusNetwork(sim, params, 4, 4)
+        channel = HBMChannel(sim, params, 0)
+        order = []
+        # A one-flit message over zero hops lands after its serialization;
+        # a posted write finishes after its transfer; both at cycle 1.
+        serialization = params.router_flit_bytes / params.router_link_bytes_per_cycle
+        write_bytes = int(serialization * params.hbm_bytes_per_cycle_per_channel)
+        sim.schedule(serialization, order.append, "schedule")
+        assert torus.deliver((1, 1), 0, params.router_flit_bytes,
+                             order.append, "deliver") == serialization
+        sim.schedule_at(serialization, order.append, "schedule_at")
+        assert channel.access(0, write_bytes, True, order.append,
+                              "access") == serialization
+        sim.schedule(serialization, order.append, "schedule again")
+        assert torus.send((0, 0), (2, 1), params.router_flit_bytes,
+                          order.append, "send") > serialization
+        sim.run()
+        assert order == ["schedule", "deliver", "schedule_at", "access",
+                         "schedule again", "send"]
+
+    def test_hash_engine_push_keeps_scheduling_order(self):
+        sim = Simulator()
+        params = SimulationParams()
+        order = []
+        mem = NeuraMem(0, (0, 0), sim, params, Histogram(50, 20),
+                       HashPad(8, SpillStore()), hash_engines=1,
+                       on_applied=lambda: order.append("receive_hacc"))
+        latency = params.hash_lookup_cycles + params.hash_accumulate_cycles
+        sim.schedule(latency, order.append, "schedule")
+        mem.receive_hacc(1, 1.0, 2, 0, 0, 0, 0.0)  # applied at ``latency``
+        sim.schedule_at(latency, order.append, "schedule_at")
+        sim.run()
+        assert order == ["schedule", "receive_hacc", "schedule_at"]
+
+
+class TestSimulationParams:
+    @pytest.mark.parametrize("name", [field.name for field
+                                      in dataclasses.fields(SimulationParams)])
+    @pytest.mark.parametrize("bad", [-1, math.nan, math.inf])
+    def test_negative_or_non_finite_field_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=name):
+            SimulationParams().scaled(**{name: bad})
+
+    @pytest.mark.parametrize("name", [
+        "router_flit_bytes", "router_link_bytes_per_cycle",
+        "coalesce_line_bytes", "hbm_row_bytes", "hbm_banks_per_channel",
+        "hbm_bytes_per_cycle_per_channel"])
+    def test_zero_divisor_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            SimulationParams(**{name: 0})
 
 
 class TestHistogram:

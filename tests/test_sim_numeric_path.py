@@ -9,6 +9,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from repro.arch.config import get_config
 from repro.core import Session, SpGEMMSpec
 from repro.datasets import load_dataset
 from repro.sim.accelerator import NeuraChipAccelerator
@@ -166,6 +167,32 @@ def test_tiny_pad_report_digest(tiny_program, job):
                                   mapping_scheme=mapping).run(tiny_program)
     assert report.correct is True
     assert (report.spills, report_digest(report)) == TINY_PAD_DIGESTS[job]
+
+
+#: (config, hashlines, eviction mode, mapping) -> (spills, events,
+#: report_digest) of the run of ``tiny_program``: the mapping schemes the
+#: Tile-4 table leaves out, and Tile-16 and Tile-64 with two-line and
+#: full-size pads.  ``events`` pins the kernel's event stream as well.
+TINY_CHIP_DIGESTS = {
+    ("Tile-16", 2, "barrier", "drhm"): (
+        654, 12489, "8bb2de8bf25a0df64806af9037122a7d926cc99e2e853fa79ac92c087a5b51ba"),
+    ("Tile-16", 2, "rolling", "drhm"): (
+        654, 12489, "1b23cd18b16558f7c306d7c6368a7de72b7ba68e366fc309fcf8a14fc441ac96"),
+}
+
+
+@pytest.mark.parametrize("job", sorted(TINY_CHIP_DIGESTS),
+                         ids=lambda job: "-".join(map(str, job)))
+def test_tiny_chip_report_digest(tiny_program, job):
+    name, hashlines, mode, mapping = job
+    config = get_config(name)
+    config = dataclasses.replace(
+        config, mem=dataclasses.replace(config.mem, hashlines=hashlines))
+    report = NeuraChipAccelerator(config, eviction_mode=mode,
+                                  mapping_scheme=mapping).run(tiny_program)
+    assert report.correct is True
+    assert ((report.spills, report.events, report_digest(report))
+            == TINY_CHIP_DIGESTS[job])
 
 
 # ----------------------------------------------------------------------
