@@ -7,10 +7,10 @@ Runs one SpGEMM (A @ A) on a synthetic power-law graph through the
   cold-run B-broadcast term) and the speedup over the single-chip
   unsharded analytic run;
 * scale-out efficiency (speedup / chips) and shard skew;
-* the analytic fast path's *predicted* speedup / efficiency (from the
-  per-shard partial-product histogram alone, no compile / no simulation)
-  next to the measured value, so the fast path's trust region is tracked
-  across PRs;
+* the executed plan's *predicted* speedup / efficiency
+  (``ShardPlan.speedup`` / ``efficiency``: the per-shard partial-product
+  histogram alone, no compile / no simulation) next to the measured
+  value, so the fast path's trust region is tracked across changes;
 * a byte-identity check of the reduced output against the single-chip
   product.
 
@@ -33,9 +33,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.backends import predict_scaleout
 from repro.core import Session, SpGEMMSpec
 from repro.datasets import load_dataset
+from repro.sparse.partition import plan_shards
 
 RESULTS_PATH = Path(__file__).parent / "results" / "bench_multichip.json"
 
@@ -65,7 +65,7 @@ def run(nodes: int, chip_counts: list[int], dataset: str = "wiki-Vote",
         "scaling": [],
     }
     for chips in chip_counts:
-        prediction = predict_scaleout(a, chips)
+        plan = plan_shards(a, chips)  # the plan the A @ A run executes
         with Session(config, backend="multichip", chips=chips) as session:
             start = time.perf_counter()
             result = session.run(SpGEMMSpec(a=a, verify=False,
@@ -86,8 +86,8 @@ def run(nodes: int, chip_counts: list[int], dataset: str = "wiki-Vote",
             "shard_skew": counters["multichip.shard_skew"],
             "reduce_cycles": counters["multichip.reduce_cycles"],
             "broadcast_cycles": counters["multichip.broadcast_cycles"],
-            "predicted_speedup": prediction["predicted_speedup"],
-            "predicted_efficiency": prediction["efficiency"],
+            "predicted_speedup": round(plan.speedup, 4),
+            "predicted_efficiency": round(plan.efficiency, 4),
             "power_w": round(result.power_w, 2),
             "wall_s": round(wall, 4),
             "byte_identical": bool(identical),

@@ -7,8 +7,9 @@ records, per (graph, chips, strategy) point:
 
 * planner-level shard skew (max/mean partial-product load) and scale-out
   efficiency (total / (chips * max));
-* the analytic fast path's predicted speedup next to the measured
-  cycle-model speedup through the ``multichip`` backend;
+* the plan's predicted speedup (``ShardPlan.speedup``) next to the
+  measured cycle-model speedup through the ``multichip`` backend, which
+  executes that same plan;
 * how many monster rows the degree planner merge-path-split into
   column-range fragments;
 * a byte-identity check of the stitched output against the single-chip
@@ -38,7 +39,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.backends import predict_scaleout
 from repro.core import Session, SpGEMMSpec
 from repro.datasets import barabasi_albert_graph, kronecker_power_law_graph
 from repro.sparse import coo_to_csr
@@ -92,9 +92,8 @@ def run(nodes: int, chip_counts: list[int], config: str = "Tile-16",
         }
         for chips in chip_counts:
             for strategy in STRATEGIES:
-                plan = plan_shards(a_csr, chips, a_csr, strategy=strategy)
-                prediction = predict_scaleout(a_csr, chips,
-                                              partition=strategy)
+                # The plan the A @ A run below executes.
+                plan = plan_shards(a_csr, chips, strategy=strategy)
                 with Session(config, backend="multichip", chips=chips,
                              partition=strategy) as session:
                     start = time.perf_counter()
@@ -112,7 +111,7 @@ def run(nodes: int, chip_counts: list[int], config: str = "Tile-16",
                     "split_rows": len(plan.split_rows),
                     "speedup": round(speedup, 3),
                     "efficiency": round(speedup / chips, 4),
-                    "predicted_speedup": prediction["predicted_speedup"],
+                    "predicted_speedup": round(plan.speedup, 4),
                     "wall_s": round(wall, 4),
                     "byte_identical": _identical(result.output,
                                                  baseline.output),

@@ -7,8 +7,9 @@ Three demonstrations of the ``multichip`` execution backend:
    context, and stats); aggregate cycles are the slowest chip plus a host
    reduce term, and the reduced product is byte-identical to the
    single-chip run.
-2. **Analytic fast path** — ``predict_scaleout`` estimates the scale-out
-   efficiency from the per-shard partial-product histogram alone, before
+2. **Analytic fast path** — ``plan_shards`` returns the shard plan an
+   N-chip run executes; its ``speedup`` and ``efficiency`` estimate the
+   scale-out from the per-shard partial-product histogram alone, before
    compiling or simulating anything.
 3. **Per-chip detail** — the aggregate report carries per-chip cycles and
    shard-skew counters for fleet-level debugging.
@@ -18,7 +19,8 @@ Run with:  python examples/multichip_scaleout.py
 
 import numpy as np
 
-from repro import Session, SpGEMMSpec, load_dataset, predict_scaleout
+from repro import Session, SpGEMMSpec, load_dataset
+from repro.core import plan_shards
 from repro.viz.export import format_table
 
 
@@ -57,13 +59,13 @@ def main() -> None:
 
     # --- 2. Analytic fast path: no compile, no simulation ---------------
     print("--- predicted scale-out (partial-product histogram only) ---")
-    predictions = [{"chips": chips,
-                    **{key: value
-                       for key, value in predict_scaleout(adjacency,
-                                                          chips).items()
-                       if key in ("predicted_speedup", "efficiency",
-                                  "skew")}}
-                   for chips in (2, 4, 8)]
+    predictions = []
+    for chips in (2, 4, 8):
+        plan = plan_shards(adjacency, chips)
+        predictions.append({"chips": chips,
+                            "predicted_speedup": round(plan.speedup, 4),
+                            "efficiency": round(plan.efficiency, 4),
+                            "skew": round(plan.skew, 4)})
     print(format_table(predictions))
     print()
 

@@ -22,7 +22,6 @@ from repro.backends import (
     ChipTopology,
     available_backends,
     get_backend,
-    predict_scaleout,
 )
 from repro.core import (
     BatchSpec,
@@ -63,7 +62,6 @@ __all__ = [
     "get_backend",
     "available_backends",
     "ChipTopology",
-    "predict_scaleout",
     "NeuraChipConfig",
     "TILE4",
     "TILE16",

@@ -37,7 +37,6 @@ from repro.backends.multichip import (
     ChipTopology,
     MultiChipBackend,
     MultiChipExecutionResult,
-    predict_scaleout,
 )
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "MultiChipBackend",
     "MultiChipExecutionResult",
     "ChipTopology",
-    "predict_scaleout",
     "CALIBRATED_TOLERANCE",
     "SCALEOUT_CALIBRATION_BAND",
 ]

@@ -27,9 +27,11 @@ The ``multichip`` backend models exactly that:
   also sums activity-style totals (busy / stall cycles, traffic, NoC
   flits, evictions) and records per-chip and shard-skew counters (a GNN
   stack layer, whose features are one dense array, skips it);
-* :func:`predict_scaleout` is the analytic fast path: it predicts
-  scale-out efficiency from the per-shard partial-product histogram alone,
-  without compiling or simulating anything.
+* the analytic fast path is the plan itself: ``plan_shards(a, n)``
+  predicts scale-out (:attr:`~repro.sparse.partition.ShardPlan.speedup`,
+  ``efficiency``, ``skew``) from the per-shard partial-product histogram
+  alone, without compiling or simulating anything, and it is the plan an
+  A @ A run on ``n`` chips executes.
 
 Every unit program comes from :func:`~repro.core.runner.fetch_or_compile`
 through the session's :class:`~repro.core.runner.ProgramCache` (A's shard
@@ -486,56 +488,12 @@ def _aggregate_report(execution: MultiChipExecutionResult, b_nnz: int,
         output_nnz=execution.output.nnz, eviction_mode=ctx.eviction_mode,
         mapping_scheme=ctx.mapping_scheme, counters=counters)
 
-#: Trust band for :func:`predict_scaleout`: on the recorded scaling curve
-#: (``benchmarks/results/bench_multichip.json``) the predicted speedup must
-#: stay within this multiplicative factor of the measured cycle-model
-#: speedup.  The prediction is an upper bound (it ignores the per-chip
-#: latency floor, the host reduce term, and the cold-run B broadcast), so
-#: the gap is one-sided; ``tests/test_scaleout_calibration.py`` pins it —
-#: the same contract as the analytic backend's ±25% ``CALIBRATED_TOLERANCE``.
+#: Trust band for :attr:`~repro.sparse.partition.ShardPlan.speedup`: on
+#: the recorded scaling curve (``benchmarks/results/bench_multichip.json``)
+#: the predicted speedup must stay within this multiplicative factor of the
+#: measured cycle-model speedup.  The prediction is an upper bound (it
+#: ignores the per-chip latency floor, the host reduce term, and the
+#: cold-run B broadcast), so the gap is one-sided;
+#: ``tests/test_scaleout_calibration.py`` pins it — the same contract as
+#: the analytic backend's ±25% ``CALIBRATED_TOLERANCE``.
 SCALEOUT_CALIBRATION_BAND = 1.25
-
-
-def predict_scaleout(a_csr: CSRMatrix, n_chips: int,
-                     b_csr: CSRMatrix | None = None,
-                     partition: str = "auto") -> dict:
-    """Analytic fast path: predict scale-out efficiency without simulating.
-
-    Uses only the per-shard partial-product histogram the planner would
-    produce: the fleet finishes when its most loaded chip does, so the
-    throughput-bound speedup is ``total_pp / max_shard_pp`` and the
-    efficiency is that speedup over the chip count.  The prediction is an
-    *upper bound* — it ignores the per-chip latency floor and the host
-    reduce term — and is trustworthy when per-chip work dominates both
-    (large graphs on throughput-bound configurations); distrust it on tiny
-    or extremely sparse shards where the latency floor sets the runtime.
-
-    ``partition`` selects the planning strategy exactly like
-    :class:`ChipTopology.partition`, so the predicted plan (including the
-    planner's structurally-empty-product fallback, shared through
-    :func:`~repro.sparse.partition.resolve_shard_weights`) is the plan
-    ``execute_operands`` actually runs.
-
-    Returns a dict with ``n_chips`` (effective, after degenerate-input
-    clamping), ``strategy`` (the plan the probe chose), ``split_rows``,
-    ``shard_partial_products``, ``shard_rows``, ``shard_fragments``,
-    ``skew`` (max/mean shard load), ``efficiency`` and
-    ``predicted_speedup``.
-    """
-    plan = plan_shards(a_csr, n_chips, b_csr, strategy=partition)
-    loads = plan.loads
-    total = int(loads.sum())
-    peak = int(loads.max()) if loads.size else 0
-    speedup = total / peak if peak else 1.0
-    return {
-        "n_chips": plan.n_shards,
-        "strategy": plan.strategy,
-        "split_rows": len(plan.split_rows),
-        "shard_rows": [int(shard.rows.size) for shard in plan.shards],
-        "shard_fragments": [len(shard.fragments) for shard in plan.shards],
-        "shard_partial_products": loads.tolist(),
-        "skew": round(plan.skew, 4),
-        "efficiency": round(speedup / plan.n_shards, 4)
-        if plan.n_shards else 1.0,
-        "predicted_speedup": round(speedup, 4),
-    }

@@ -24,7 +24,6 @@ from repro.core.session import Session
 from repro.sparse.partition import (
     ShardPlan,
     estimate_row_partial_products,
-    plan_row_shards,
     plan_shards,
 )
 from repro.core.specs import (
@@ -50,7 +49,6 @@ __all__ = [
     "BatchSpec",
     "RunResult",
     "Provenance",
-    "plan_row_shards",
     "plan_shards",
     "ShardPlan",
     "estimate_row_partial_products",

@@ -107,8 +107,9 @@ class SpGEMMSpec(WorkloadSpec):
             default.
         verify: verify the output against a reference (cycle backend only).
         source: workload label recorded in the compiled program.
-        shards: split the workload into this many row-group shards that fan
-            out over the session's executor and reduce into one result.
+        shards: split the workload into this many row-group shards that run
+            as chips of the session backend, in this process, one after
+            another, and reduce into one result.
         a_digest / b_digest: known content digests of the operands
             (stamped by the operand registry on ref resolution) so the
             serving coalescer keys on them directly instead of

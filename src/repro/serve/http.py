@@ -166,6 +166,11 @@ MAX_DATASET_NODES = DEFAULT_MAX_NODES
 MAX_FEATURE_DIM = max(spec.feature_dim for spec in GNN_SUITE.values())
 MAX_GNN_LAYERS = 16
 
+#: Cap on a ``/v1/spgemm`` body's ``shards``, past which the answer is 400:
+#: each shard plans, compiles and runs as its own chip on the batcher
+#: thread, so the count sets how long one request holds it.
+MAX_SPGEMM_SHARDS = 64
+
 #: Request content types the front-end accepts; anything else is 415.
 _ACCEPTED_CONTENT_TYPES = ("", "application/json", WIRE_CONTENT_TYPE)
 
@@ -777,6 +782,11 @@ class ReproServer:
         binary = _accepts_wire(headers)
         try:
             payload = self._json(body)
+            shards = _capped("shards", payload.get("shards", 1),
+                             MAX_SPGEMM_SHARDS)
+            if shards > 1 and self.session.backend == "multichip":
+                raise ValueError("shards: a multichip server assigns row "
+                                 "shards to its chips itself")
             if "a" in payload:
                 a = _parse_operand(payload["a"], "a")
                 b = (_parse_operand(payload["b"], "b")
@@ -793,7 +803,7 @@ class ReproServer:
                 a=a, b=b,
                 tile_size=payload.get("tile_size"),
                 verify=bool(payload.get("verify", False)),
-                shards=int(payload.get("shards", 1)),
+                shards=shards,
                 source=source,
                 label=str(payload.get("label", source)))
             timeout = _seconds(payload.get("timeout_s", self.request_timeout_s))

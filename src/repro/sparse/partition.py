@@ -7,14 +7,16 @@ the unit of both host-side sharded execution
 scale-out (:mod:`repro.backends.multichip`): per-group products reduce into
 a result identical to the unsharded product.
 
-Two planners share that contract:
+One call plans both: :func:`plan_shards` returns the :class:`ShardPlan`
+that execution, scale-out prediction (:attr:`ShardPlan.speedup`) and the
+benchmarks all read.  Its ``strategy`` picks between two planners:
 
-* **contiguous** (:func:`plan_row_shards`) — balanced contiguous row
-  *ranges*, reduced with :func:`~repro.sparse.convert.csr_vstack`.  Cheap
-  and cache-friendly, but a single hub row on a power-law graph puts a
-  hard floor under shard skew: the shard owning the hub cannot shed work
-  without breaking contiguity.
-* **degree-aware** (:func:`plan_shards` with ``strategy="degree"``) —
+* **contiguous** (``strategy="contiguous"``) — balanced contiguous row
+  *ranges* (:attr:`ShardPlan.ranges`), executed with ``row_slice`` and
+  stitched as row slices.  Cheap and cache-friendly, but a single hub row
+  on a power-law graph puts a hard floor under shard skew: the shard
+  owning the hub cannot shed work without breaking contiguity.
+* **degree-aware** (``strategy="degree"``) —
   drops the contiguity constraint.  Rows are bucketed by partial-product
   weight into log2 degree classes; the heavy head is placed by exact LPT
   (least-loaded shard first), the light tail class by class with a
@@ -35,7 +37,7 @@ another.
 
 The planner lives in the sparse layer (below both the session and the
 backends) because it only ever touches operand structure; ``repro.core``
-re-exports it.
+re-exports :func:`plan_shards` and :class:`ShardPlan`.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ DEGREE_AUTO_SKEW_THRESHOLD = 1.1
 #: compile/dispatch latency is real — a plan that shaves a few partial
 #: products of load by splitting a row into many fragments can lose on
 #: wall clock.  The auto probe charges this overhead to both candidate
-#: plans before comparing them (:func:`modeled_makespan`).
+#: plans before comparing them (:func:`_modeled_makespan`).
 UNIT_OVERHEAD_PP = 32
 
 #: Heaviest items per shard that get exact heapq LPT placement; the
@@ -90,65 +92,15 @@ def estimate_row_partial_products(a_csr: CSRMatrix,
     return prefix[a_csr.indptr[1:]] - prefix[a_csr.indptr[:-1]]
 
 
-def resolve_shard_weights(a_csr: CSRMatrix,
-                          b_csr: CSRMatrix | None = None) -> np.ndarray:
-    """Per-row planning weights with the shared degenerate-input fallback.
-
-    With ``b_csr`` given the weight is the exact partial-product count
-    (:func:`estimate_row_partial_products`); when that sum is zero — a
-    structurally empty product — the planner falls back to nnz-of-A so
-    rows with entries still spread across shards.  Without ``b_csr`` the
-    nnz-of-A proxy is used directly.
-
-    Both :func:`plan_row_shards` / :func:`plan_shards` and the analytic
-    fast path :func:`~repro.backends.multichip.predict_scaleout` resolve
-    their weights here, so predicted plans always match executed plans.
-    """
-    if b_csr is not None:
-        weights = estimate_row_partial_products(a_csr, b_csr)
-        if int(weights.sum()) == 0:  # structurally empty product
-            weights = a_csr.row_nnz_counts()
-        return weights
-    return a_csr.row_nnz_counts()
-
-
-def plan_row_shards(a_csr: CSRMatrix, n_shards: int,
-                    b_csr: CSRMatrix | None = None
-                    ) -> list[tuple[int, int]]:
-    """Split the rows of A into up to ``n_shards`` contiguous groups
-    balanced by per-shard work.
-
-    With ``b_csr`` given, rows are weighted by their *exact* partial-product
-    count (nnz of each A row weighted by the matching B-row sizes — see
-    :func:`estimate_row_partial_products`), which is the quantity that
-    actually determines per-shard compile and execute cost; power-law graphs
-    shard far more evenly this way than under the older nnz-of-A proxy,
-    which remains the fallback when ``b_csr`` is omitted.  Row slices
-    partition the partial products of A @ B exactly, so the reduced result
-    is identical either way.
-
-    Returns half-open ``(start, stop)`` row ranges that cover every row
-    exactly once.  Degenerate requests return *fewer* shards instead of
-    producing empty-work shards that would flow into compile /
-    ``csr_vstack``:
-
-    * more shards than rows — clamped to the row count;
-    * leading/trailing/interior runs of all-zero-weight rows — every
-      planned shard carries at least one unit of work (zero-weight rows
-      are absorbed into a neighbouring shard);
-    * a structurally empty A (or empty product) — one shard spanning all
-      rows;
-    * a zero-row A — the single degenerate range ``[(0, 0)]``, which
-      callers reduce exactly like an unsharded run.
-    """
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    return _balanced_ranges(resolve_shard_weights(a_csr, b_csr), n_shards)
-
-
 def _balanced_ranges(weights: np.ndarray,
                      n_shards: int) -> list[tuple[int, int]]:
-    """:func:`plan_row_shards` over a resolved per-row weight array."""
+    """Split the rows into up to ``n_shards`` contiguous half-open ranges
+    balanced by per-row weight, covering every row exactly once.
+
+    Degenerate requests return *fewer* ranges instead of zero-work ones:
+    more shards than rows clamp to the row count; runs of zero-weight rows
+    ride along with a neighbouring range; all-zero weights (or no rows at
+    all) give the one range ``(0, n_rows)``."""
     n_rows = int(weights.size)
     # Plan over the rows that actually carry work: shard boundaries land
     # on positive-weight rows only, so no shard can be all-empty (the old
@@ -213,11 +165,12 @@ class ShardAssignment:
 class ShardPlan:
     """A full partitioning of one SpGEMM across shards.
 
-    ``ranges`` is set for contiguous plans (the historical range list,
-    enabling the ``row_slice`` / ``csr_vstack`` fast path); degree-aware
+    ``ranges`` is set for contiguous plans (half-open row ranges,
+    enabling the ``row_slice`` / row-slice stitch fast path); degree-aware
     plans leave it ``None`` and carry index sets + fragments instead.
     ``loads`` is the per-shard partial-product histogram the plan was
-    balanced over — the quantity skew and efficiency are defined on.
+    balanced over — the quantity skew, speedup and efficiency are
+    defined on.
     """
 
     n_rows: int
@@ -232,10 +185,6 @@ class ShardPlan:
         return len(self.shards)
 
     @property
-    def contiguous(self) -> bool:
-        return self.ranges is not None
-
-    @property
     def skew(self) -> float:
         """Max/mean shard load; 1.0 for empty or single-shard plans."""
         if self.loads.size == 0:
@@ -244,12 +193,21 @@ class ShardPlan:
         return float(self.loads.max()) / mean if mean else 1.0
 
     @property
-    def efficiency(self) -> float:
-        """Predicted scale-out efficiency: total / (n_shards * max load)."""
+    def speedup(self) -> float:
+        """Predicted scale-out speedup: total / max shard load.
+
+        The fleet finishes when its most loaded shard does, so this is
+        the throughput bound.  It is an *upper* bound on the measured
+        speedup: it ignores the per-chip latency floor, the host reduce
+        term and the cold-run B broadcast (see
+        :data:`~repro.backends.multichip.SCALEOUT_CALIBRATION_BAND`)."""
         peak = int(self.loads.max()) if self.loads.size else 0
-        if not peak:
-            return 1.0
-        return float(self.loads.sum()) / (self.loads.size * peak)
+        return float(self.loads.sum()) / peak if peak else 1.0
+
+    @property
+    def efficiency(self) -> float:
+        """Predicted scale-out efficiency: :attr:`speedup` per shard."""
+        return self.speedup / self.n_shards if self.n_shards else 1.0
 
 
 def _contiguous_plan(a_csr: CSRMatrix, n_shards: int,
@@ -338,8 +296,7 @@ def _fill_bucket(loads: np.ndarray, item_weights: np.ndarray,
     np.add.at(loads, shards, w)
 
 
-def _degree_plan(a_csr: CSRMatrix, n_shards: int,
-                 b_csr: CSRMatrix | None,
+def _degree_plan(a_csr: CSRMatrix, n_shards: int, b_csr: CSRMatrix,
                  weights: np.ndarray) -> ShardPlan | None:
     """Degree-bucketed LPT plan with monster-row splitting; ``None`` when
     the input is too degenerate for more than one shard."""
@@ -353,12 +310,11 @@ def _degree_plan(a_csr: CSRMatrix, n_shards: int,
     # (c) merge-path split: any single row heavier than the per-shard
     # budget becomes column-range fragments no shard has to swallow whole.
     fragments_of: dict[int, tuple[RowFragment, ...]] = {}
-    if b_csr is not None:
-        for row in positive[weights[positive] > budget].tolist():
-            fragments = _split_monster_row(a_csr, b_csr, int(row), budget,
-                                           n_shards)
-            if fragments is not None:
-                fragments_of[int(row)] = fragments
+    for row in positive[weights[positive] > budget].tolist():
+        fragments = _split_monster_row(a_csr, b_csr, int(row), budget,
+                                       n_shards)
+        if fragments is not None:
+            fragments_of[int(row)] = fragments
     split_rows = tuple(sorted(fragments_of))
     is_split = np.isin(positive, np.asarray(split_rows, dtype=np.int64))
     whole_rows = positive[~is_split]
@@ -412,52 +368,59 @@ def _degree_plan(a_csr: CSRMatrix, n_shards: int,
                      loads=loads, split_rows=split_rows)
 
 
-def modeled_makespan(plan: ShardPlan,
-                     unit_overhead_pp: float = UNIT_OVERHEAD_PP) -> float:
+def _modeled_makespan(plan: ShardPlan) -> float:
     """Modeled parallel completion time of a plan, in partial products.
 
-    Each shard finishes after its balanced load plus a fixed
-    ``unit_overhead_pp`` charge per independent product it compiles and
+    Each shard finishes after its balanced load plus
+    :data:`UNIT_OVERHEAD_PP` per independent product it compiles and
     executes (:attr:`ShardAssignment.n_units`: one for the whole-row
     index set, plus one per monster-row fragment); the plan completes
-    when its slowest shard does.  With zero overhead this reduces to the
-    max shard load — the pure skew comparison the auto probe used before
-    fragment counts existed.
+    when its slowest shard does.
     """
     if plan.loads.size == 0:
         return 0.0
     units = np.array([shard.n_units for shard in plan.shards],
                      dtype=np.float64)
-    return float(np.max(plan.loads + unit_overhead_pp * units))
+    return float(np.max(plan.loads + UNIT_OVERHEAD_PP * units))
 
 
 def plan_shards(a_csr: CSRMatrix, n_shards: int,
                 b_csr: CSRMatrix | None = None, *,
-                strategy: str = "auto",
-                unit_overhead_pp: float = UNIT_OVERHEAD_PP) -> ShardPlan:
-    """Plan one SpGEMM across ``n_shards`` under the chosen strategy.
+                strategy: str = "auto") -> ShardPlan:
+    """Plan C = A @ B (``b_csr=None`` means A @ A) across ``n_shards``.
 
-    ``strategy="contiguous"`` wraps :func:`plan_row_shards`;
+    Rows are weighted by their exact partial-product count
+    (:func:`estimate_row_partial_products`), the quantity that sets
+    per-shard compile and execute cost; a structurally empty product
+    falls back to nnz of A, so rows with entries still spread across
+    shards.  The returned plan is the one the multichip
+    backend executes for the same operands and strategy.
+
+    ``strategy="contiguous"`` returns balanced contiguous row ranges;
     ``"degree"`` forces the degree-aware index-set planner (falling back
     to contiguous only on inputs with fewer than two work items); and
     ``"auto"`` — the default — runs a cheap skew probe: it keeps the
     contiguous plan when its skew is at most
     :data:`DEGREE_AUTO_SKEW_THRESHOLD` and otherwise takes the degree
-    plan if (and only if) it wins on :func:`modeled_makespan` — max
-    shard load *plus* ``unit_overhead_pp`` per compiled unit, so a
-    degree plan that buys marginal balance with many monster-row
-    fragments (each a separate compile + dispatch) no longer wins on a
-    load comparison its fragment overhead would lose on wall clock.
+    plan if (and only if) it wins on modeled makespan — max shard load
+    *plus* :data:`UNIT_OVERHEAD_PP` per compiled unit, so a degree plan
+    that buys marginal balance with many monster-row fragments (each a
+    separate compile + dispatch) does not win on a load comparison its
+    fragment overhead would lose on wall clock.
+
+    Degenerate requests plan *fewer* shards rather than zero-work ones
+    (more shards than rows, runs of empty rows, an empty product); a
+    zero-row A plans the single range ``(0, 0)``.
     """
     if strategy not in PARTITION_STRATEGIES:
         raise ValueError(f"unknown partition strategy {strategy!r}; "
                          f"expected one of {PARTITION_STRATEGIES}")
     if n_shards < 1:
         raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    if unit_overhead_pp < 0:
-        raise ValueError(f"unit_overhead_pp must be >= 0, "
-                         f"got {unit_overhead_pp}")
-    weights = resolve_shard_weights(a_csr, b_csr)
+    b_csr = a_csr if b_csr is None else b_csr
+    weights = estimate_row_partial_products(a_csr, b_csr)
+    if int(weights.sum()) == 0:  # structurally empty product
+        weights = a_csr.row_nnz_counts()
     contiguous = _contiguous_plan(a_csr, n_shards, weights)
     if strategy == "contiguous":
         return contiguous
@@ -467,26 +430,9 @@ def plan_shards(a_csr: CSRMatrix, n_shards: int,
     if degree is None:
         return contiguous
     if strategy == "auto" \
-            and modeled_makespan(degree, unit_overhead_pp) \
-            >= modeled_makespan(contiguous, unit_overhead_pp):
+            and _modeled_makespan(degree) >= _modeled_makespan(contiguous):
         return contiguous
     return degree
-
-
-def shard_partial_products(a_csr: CSRMatrix,
-                           ranges: "list[tuple[int, int]] | ShardPlan",
-                           b_csr: CSRMatrix | None = None) -> np.ndarray:
-    """Per-shard partial-product totals for a planned partition — the
-    histogram the multi-chip analytic fast path predicts efficiency from.
-
-    Accepts either the contiguous range list of :func:`plan_row_shards`
-    (summed with one prefix-sum gather, no Python loop) or a
-    :class:`ShardPlan` (whose balanced loads are returned directly).
-    """
-    if isinstance(ranges, ShardPlan):
-        return ranges.loads.copy()
-    return _range_loads(estimate_row_partial_products(
-        a_csr, b_csr if b_csr is not None else a_csr), ranges)
 
 
 def _range_loads(weights: np.ndarray,

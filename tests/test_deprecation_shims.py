@@ -14,8 +14,10 @@ import pytest
 
 import repro
 import repro.analysis
+import repro.backends
 import repro.compiler
 import repro.core
+import repro.sparse.partition
 from repro.backends import get_backend
 from repro.backends.base import ExecutionBackend
 from repro.compiler import compile_spgemm
@@ -28,7 +30,10 @@ REMOVED_CHIP_METHODS = ("run_program", "run_spgemm", "run_gcn_layer",
 REMOVED_PUBLIC_NAMES = ("SpGEMMRunResult", "GCNRunResult", "BatchReport",
                         "WorkloadQueue", "WorkloadJob", "JobOutcome",
                         "design_space_sweep", "NeuraChip",
-                        "register_backend", "register_executor")
+                        "register_backend", "register_executor",
+                        "predict_scaleout", "plan_row_shards",
+                        "shard_partial_products", "resolve_shard_weights",
+                        "modeled_makespan")
 #: The program is one object: its columns, address map, total and source.
 REMOVED_PROGRAM_ATTRIBUTES = ("arrays", "metadata", "n_ops", "a_nnz",
                               "b_nnz")
@@ -55,6 +60,14 @@ class TestOneProgramObject:
         for method in (program.replay, program.hacc_stream):
             assert not inspect.signature(method).parameters, method
 
+    def test_one_shard_planning_call(self):
+        # plan_shards takes no overhead option; the plan is the prediction.
+        parameters = inspect.signature(
+            repro.sparse.partition.plan_shards).parameters
+        assert list(parameters) == ["a_csr", "n_shards", "b_csr",
+                                    "strategy"]
+        assert not hasattr(repro.sparse.partition.ShardPlan, "contiguous")
+
     def test_sweep_and_backend_options_are_gone(self):
         assert "eviction_mode" not in {
             field.name for field in dataclasses.fields(SweepSpec)}
@@ -67,8 +80,9 @@ class TestRunSpgemmShim:
         for name in REMOVED_CHIP_METHODS:
             assert not hasattr(chip, name), name
         for name in REMOVED_PUBLIC_NAMES:
-            assert not hasattr(repro, name), name
-            assert not hasattr(repro.core, name), name
+            for module in (repro, repro.core, repro.backends,
+                           repro.sparse.partition):
+                assert not hasattr(module, name), (module.__name__, name)
         # The replacement runs without any DeprecationWarning and equals
         # compiling for the chip and executing on the backend by hand.
         with warnings.catch_warnings():

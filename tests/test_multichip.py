@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.backends import ChipTopology, get_backend, predict_scaleout
+from repro.backends import ChipTopology, get_backend
 from repro.backends.multichip import (
     REDUCE_BYTES_PER_CYCLE,
     MultiChipBackend,
@@ -11,6 +11,7 @@ from repro.backends.multichip import (
 )
 from repro.core import Session, SpGEMMSpec
 from repro.datasets import load_dataset
+from repro.sparse.partition import plan_shards
 
 
 @pytest.fixture(scope="module")
@@ -372,33 +373,43 @@ class TestFacadeAndSubmit:
             single.output["Tile-4"]["cycles"]
 
 
-class TestPredictScaleout:
+class TestScaleoutPrediction:
     def test_matches_shard_histogram(self, wiki):
-        prediction = predict_scaleout(wiki, 4)
-        loads = prediction["shard_partial_products"]
-        assert len(loads) == prediction["n_chips"] == 4
-        assert prediction["predicted_speedup"] == \
-            pytest.approx(sum(loads) / max(loads), rel=1e-3)
-        assert 0.0 < prediction["efficiency"] <= 1.0
-        assert prediction["skew"] >= 1.0
+        plan = plan_shards(wiki, 4)
+        loads = plan.loads.tolist()
+        assert len(loads) == plan.n_shards == 4
+        assert plan.speedup == pytest.approx(sum(loads) / max(loads))
+        assert plan.efficiency == pytest.approx(plan.speedup / 4)
+        assert 0.0 < plan.efficiency <= 1.0
+        assert plan.skew >= 1.0
 
     def test_clamps_degenerate_requests(self, wiki):
         tiny = wiki.row_slice(0, 2)
-        prediction = predict_scaleout(tiny, 16, wiki,
-                                      partition="contiguous")
-        assert prediction["n_chips"] <= 2
+        plan = plan_shards(tiny, 16, wiki, strategy="contiguous")
+        assert plan.n_shards <= 2
 
     def test_degree_splitting_beats_the_contiguous_clamp(self, wiki):
         # Two rows on 16 chips: the contiguous planner clamps to 2 shards,
         # the degree planner merge-path-splits the rows into column-range
         # fragments and keeps more of the fleet busy.
         tiny = wiki.row_slice(0, 2)
-        contiguous = predict_scaleout(tiny, 16, wiki,
-                                      partition="contiguous")
-        degree = predict_scaleout(tiny, 16, wiki, partition="degree")
-        assert degree["n_chips"] > contiguous["n_chips"]
-        assert degree["split_rows"] >= 1
-        assert degree["strategy"] == "degree"
+        contiguous = plan_shards(tiny, 16, wiki, strategy="contiguous")
+        degree = plan_shards(tiny, 16, wiki, strategy="degree")
+        assert degree.n_shards > contiguous.n_shards
+        assert len(degree.split_rows) >= 1
+        assert degree.strategy == "degree"
+
+    def test_predicted_plan_is_the_executed_plan(self):
+        # A @ A planned without B is the plan a 4-chip A @ A run executes:
+        # the same rows per chip and the same shard skew.
+        a = load_dataset("wiki-Vote", max_nodes=512, seed=0).adjacency_csr()
+        plan = plan_shards(a, 4)
+        with Session("Tile-16", backend="multichip", chips=4) as session:
+            result = session.run(SpGEMMSpec(a=a, verify=False))
+        counters = result.report.counters
+        assert [counters[f"multichip.chip{i}.rows"] for i in range(4)] == \
+            [int(shard.rows.size) for shard in plan.shards]
+        assert result.metrics["shard_skew"] == round(plan.skew, 4)
 
     def test_execution_result_type(self, wiki, ctx):
         backend = MultiChipBackend(

@@ -6,11 +6,7 @@ import pytest
 from repro.core import Session, SpGEMMSpec
 from repro.sparse.convert import csr_vstack
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.partition import (
-    estimate_row_partial_products,
-    plan_row_shards,
-    shard_partial_products,
-)
+from repro.sparse.partition import estimate_row_partial_products, plan_shards
 
 
 def csr_from_dense(dense):
@@ -25,30 +21,35 @@ def empty_csr(n_rows, n_cols):
                      np.zeros(0, dtype=np.float64), (n_rows, n_cols))
 
 
+def row_ranges(a, n_shards, b=None):
+    """The contiguous plan's half-open row ranges, as a list."""
+    return list(plan_shards(a, n_shards, b, strategy="contiguous").ranges)
+
+
 class TestDegenerateShapes:
     """The three shapes from the issue: more shards than rows, all-empty
     rows, and an empty A must never produce zero-work shards."""
 
     def test_more_shards_than_rows_returns_fewer(self):
         matrix = csr_from_dense(np.eye(3))
-        ranges = plan_row_shards(matrix, 16)
+        ranges = row_ranges(matrix, 16)
         assert len(ranges) == 3
         assert ranges[0][0] == 0 and ranges[-1][1] == 3
 
     def test_all_empty_rows_collapse_to_one_shard(self):
         matrix = empty_csr(5, 5)
-        assert plan_row_shards(matrix, 4) == [(0, 5)]
-        assert plan_row_shards(matrix, 4, matrix) == [(0, 5)]
+        assert row_ranges(matrix, 4) == [(0, 5)]
+        assert row_ranges(matrix, 4, matrix) == [(0, 5)]
 
     def test_zero_row_matrix_yields_degenerate_range(self):
-        matrix = empty_csr(0, 5)
-        assert plan_row_shards(matrix, 4) == [(0, 0)]
+        # A 0x5 A times a 5x5 B (A @ A would not multiply).
+        assert row_ranges(empty_csr(0, 5), 4, empty_csr(5, 5)) == [(0, 0)]
 
     def test_empty_product_falls_back_to_nnz_weights(self):
         # A has entries but A @ B is structurally empty: shard by nnz of A.
         a = csr_from_dense([[1.0, 0.0], [0.0, 1.0]])
         b = empty_csr(2, 3)
-        ranges = plan_row_shards(a, 2, b)
+        ranges = row_ranges(a, 2, b)
         assert ranges == [(0, 1), (1, 2)]
 
     def test_no_zero_work_shards_with_empty_row_runs(self):
@@ -57,7 +58,7 @@ class TestDegenerateShapes:
         dense = np.zeros((6, 6))
         dense[2, 0] = dense[3, 1] = 1.0
         matrix = csr_from_dense(dense)
-        ranges = plan_row_shards(matrix, 4)
+        ranges = row_ranges(matrix, 4)
         assert len(ranges) <= 2
         nnz = matrix.row_nnz_counts()
         for lo, hi in ranges:
@@ -69,13 +70,13 @@ class TestDegenerateShapes:
 
     def test_invalid_shard_count_rejected(self):
         with pytest.raises(ValueError, match="n_shards"):
-            plan_row_shards(csr_from_dense(np.eye(2)), 0)
+            plan_shards(csr_from_dense(np.eye(2)), 0)
 
     def test_degenerate_plans_reassemble(self):
         dense = np.zeros((8, 8))
         dense[0, 1] = dense[7, 2] = 1.0
         matrix = csr_from_dense(dense)
-        ranges = plan_row_shards(matrix, 5)
+        ranges = row_ranges(matrix, 5)
         stacked = csr_vstack([matrix.row_slice(lo, hi) for lo, hi in ranges])
         assert np.array_equal(stacked.to_dense(), matrix.to_dense())
 
@@ -116,13 +117,14 @@ class TestSessionDegenerateSharding:
             whole.metrics["partial_products"]
 
 
-class TestShardPartialProducts:
+class TestPlanLoads:
     def test_totals_match_estimate(self):
         rng = np.random.default_rng(3)
         dense = (rng.random((12, 12)) < 0.3) * rng.random((12, 12))
         matrix = csr_from_dense(dense)
-        ranges = plan_row_shards(matrix, 3, matrix)
-        loads = shard_partial_products(matrix, ranges, matrix)
+        plan = plan_shards(matrix, 3, strategy="contiguous")
         weights = estimate_row_partial_products(matrix, matrix)
-        assert int(loads.sum()) == int(weights.sum())
-        assert len(loads) == len(ranges)
+        assert int(plan.loads.sum()) == int(weights.sum())
+        assert len(plan.loads) == len(plan.ranges)
+        assert plan.loads.tolist() == [int(weights[lo:hi].sum())
+                                       for lo, hi in plan.ranges]

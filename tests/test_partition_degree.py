@@ -22,14 +22,12 @@ from repro.datasets import (
 )
 from repro.sparse import coo_to_csr, kernels
 from repro.sparse.csr import CSRMatrix
+from repro.sparse import partition
 from repro.sparse.partition import (
     DEGREE_AUTO_SKEW_THRESHOLD,
-    UNIT_OVERHEAD_PP,
     build_shard_units,
-    modeled_makespan,
+    estimate_row_partial_products,
     plan_shards,
-    resolve_shard_weights,
-    shard_partial_products,
     stitch_shard_outputs,
 )
 
@@ -121,7 +119,7 @@ class TestDegreePlanProperties:
     def test_loads_sum_to_total_weight(self, strategy):
         a = _kron()
         plan = plan_shards(a, 4, a, strategy=strategy)
-        total = resolve_shard_weights(a, a).sum()
+        total = estimate_row_partial_products(a, a).sum()
         assert plan.loads.sum() == pytest.approx(total)
 
     def test_degree_skew_never_worse_than_contiguous_on_power_law(self):
@@ -155,18 +153,25 @@ class TestDegreePlanProperties:
         with pytest.raises(ValueError):
             plan_shards(a, 0, a)
 
-    def test_shard_partial_products_accepts_plan_and_ranges(self):
+    def test_contiguous_loads_are_range_sums(self):
         a = _ba()
-        weights = resolve_shard_weights(a, a)
+        weights = estimate_row_partial_products(a, a)
         plan = plan_shards(a, 4, a, strategy="contiguous")
-        from_plan = shard_partial_products(a, plan, a)
-        from_ranges = shard_partial_products(a, plan.ranges, a)
-        np.testing.assert_allclose(from_plan, plan.loads)
-        np.testing.assert_allclose(from_ranges, plan.loads)
         expected = [weights[lo:hi].sum() for lo, hi in plan.ranges]
-        np.testing.assert_allclose(from_ranges, expected)
+        np.testing.assert_allclose(plan.loads, expected)
 
-    def test_resolve_weights_falls_back_to_nnz(self):
+    def test_no_b_plans_a_at_a(self):
+        # b=None is A @ A, the product the multichip backend executes.
+        a = _kron(seed=5)
+        for strategy in ("auto", "contiguous", "degree"):
+            implicit = plan_shards(a, 4, strategy=strategy)
+            explicit = plan_shards(a, 4, a, strategy=strategy)
+            assert implicit.strategy == explicit.strategy
+            np.testing.assert_array_equal(implicit.loads, explicit.loads)
+            for left, right in zip(implicit.shards, explicit.shards):
+                np.testing.assert_array_equal(left.rows, right.rows)
+
+    def test_empty_product_falls_back_to_nnz(self):
         # A = I4, B structurally empty: every partial-product estimate is
         # zero, so the planner balances on A's nnz instead.
         a = CSRMatrix(np.arange(5, dtype=np.int64),
@@ -174,8 +179,9 @@ class TestDegreePlanProperties:
                       np.ones(4), (4, 4))
         b = CSRMatrix(np.zeros(5, dtype=np.int64),
                       np.empty(0, dtype=np.int64), np.empty(0), (4, 3))
-        weights = resolve_shard_weights(a, b)
-        np.testing.assert_allclose(weights, [1.0, 1.0, 1.0, 1.0])
+        plan = plan_shards(a, 4, b, strategy="contiguous")
+        assert plan.ranges == ((0, 1), (1, 2), (2, 3), (3, 4))
+        np.testing.assert_allclose(plan.loads, [1, 1, 1, 1])
 
     def test_stitch_roundtrip_without_backend(self):
         a = _monster()
@@ -331,46 +337,44 @@ class TestShardedResultsPinned:
 
 
 class TestUnitOverheadProbe:
-    """The auto probe compares modeled makespans — max shard load plus a
-    per-compiled-unit charge — so fragment-heavy degree plans only win
-    when their balance gain actually survives the extra compiles."""
+    """The auto probe compares modeled makespans — max shard load plus
+    ``UNIT_OVERHEAD_PP`` per compiled unit — so fragment-heavy degree plans
+    only win when their balance gain actually survives the extra compiles."""
 
-    def test_modeled_makespan_reduces_to_max_load_at_zero_overhead(self):
+    def test_zero_overhead_compares_max_loads(self, monkeypatch):
         a = _monster()
-        plan = plan_shards(a, 4, a, strategy="contiguous")
-        assert modeled_makespan(plan, 0.0) == float(plan.loads.max())
-
-    def test_makespan_charges_fragments(self):
-        a = _monster()
+        contiguous = plan_shards(a, 4, a, strategy="contiguous")
         degree = plan_shards(a, 4, a, strategy="degree")
-        n_units = sum(shard.n_units for shard in degree.shards)
-        assert n_units > degree.n_shards  # monster row split into fragments
-        base = modeled_makespan(degree, 0.0)
-        charged = modeled_makespan(degree, UNIT_OVERHEAD_PP)
-        # At least one overhead charge lands on the slowest shard.
-        assert charged >= base + UNIT_OVERHEAD_PP
+        assert contiguous.skew > DEGREE_AUTO_SKEW_THRESHOLD
+        monkeypatch.setattr(partition, "UNIT_OVERHEAD_PP", 0)
+        for plan in (contiguous, degree):
+            assert partition._modeled_makespan(plan) == \
+                float(plan.loads.max())
+        assert degree.loads.max() < contiguous.loads.max()
+        assert plan_shards(a, 4, a, strategy="auto").strategy == "degree"
 
-    def test_large_overhead_flips_auto_back_to_contiguous(self):
+    def test_large_overhead_charges_fragments(self, monkeypatch):
         a = _monster()
         assert plan_shards(a, 4, a, strategy="auto").strategy == "degree"
-        total = int(resolve_shard_weights(a, a).sum())
+        degree = plan_shards(a, 4, a, strategy="degree")
+        contiguous = plan_shards(a, 4, a, strategy="contiguous")
+        n_units = sum(shard.n_units for shard in degree.shards)
+        assert n_units > degree.n_shards  # monster row split into fragments
+        # The degree plan still wins on load alone: only the per-fragment
+        # charge, a unit on top of each shard's one, can flip the probe.
+        assert degree.loads.max() < contiguous.loads.max()
+        total = int(estimate_row_partial_products(a, a).sum())
         # With a per-unit charge dwarfing the whole workload, no amount of
         # balance is worth a single extra compile.
-        flipped = plan_shards(a, 4, a, strategy="auto",
-                              unit_overhead_pp=float(total))
-        assert flipped.strategy == "contiguous"
+        monkeypatch.setattr(partition, "UNIT_OVERHEAD_PP", total)
+        assert plan_shards(a, 4, a, strategy="auto").strategy == "contiguous"
 
-    def test_explicit_degree_ignores_overhead(self):
+    def test_explicit_degree_ignores_overhead(self, monkeypatch):
         a = _monster()
-        total = int(resolve_shard_weights(a, a).sum())
-        plan = plan_shards(a, 4, a, strategy="degree",
-                           unit_overhead_pp=float(total))
+        total = int(estimate_row_partial_products(a, a).sum())
+        monkeypatch.setattr(partition, "UNIT_OVERHEAD_PP", total)
+        plan = plan_shards(a, 4, a, strategy="degree")
         assert plan.strategy == "degree"
-
-    def test_negative_overhead_rejected(self):
-        a = _monster()
-        with pytest.raises(ValueError, match="unit_overhead_pp"):
-            plan_shards(a, 4, a, unit_overhead_pp=-1.0)
 
 
 class TestAcceptance:

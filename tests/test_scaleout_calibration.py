@@ -1,6 +1,6 @@
-"""Calibration regression: `predict_scaleout` vs the measured scaling curve.
+"""Calibration regression: `ShardPlan.speedup` vs the measured scaling curve.
 
-`benchmarks/bench_multichip.py` records the analytic fast path's predicted
+`benchmarks/bench_multichip.py` records the executed plan's predicted
 speedup next to the measured cycle-model speedup in
 `benchmarks/results/bench_multichip.json`.  These tests bound the gap —
 the same contract as the analytic backend's ±25% CALIBRATED_TOLERANCE
@@ -18,7 +18,7 @@ from repro.backends import SCALEOUT_CALIBRATION_BAND
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / \
     "results" / "bench_multichip.json"
 
-#: predict_scaleout is an upper bound; measured speedup may exceed it only
+#: ShardPlan.speedup is an upper bound; measured speedup may exceed it only
 #: by rounding noise.
 UPPER_BOUND_SLACK = 1.02
 

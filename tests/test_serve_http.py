@@ -308,6 +308,40 @@ class TestGraphBodyCaps:
         assert request(server, "GET", "/healthz", timeout=5)[0] == 200
 
 
+class TestSpGEMMShards:
+    """``shards`` on a /v1/spgemm body is capped, and a multichip server,
+    whose chips are its shards, refuses it: a prompt 400 either way."""
+
+    def test_shards_above_cap_400(self, server):
+        for shards in (65, GIANT):
+            status, payload = request(
+                server, "POST", "/v1/spgemm",
+                {"dataset": "wiki-Vote", "max_nodes": 64, "shards": shards},
+                timeout=5)
+            assert status == 400, payload
+            assert "limit" in payload["error"]
+        status, row = request(server, "POST", "/v1/spgemm",
+                              {"dataset": "wiki-Vote", "max_nodes": 64,
+                               "shards": 2})
+        assert status == 200, row
+        assert row["shards"] == 2
+        assert serve_http.MAX_SPGEMM_SHARDS == 64
+
+    def test_multichip_server_refuses_shards(self):
+        with Session("Tile-4", backend="multichip", chips=2) as session, \
+                BackgroundServer(ReproServer(session, port=0)) as background:
+            status, payload = request(
+                background.server, "POST", "/v1/spgemm",
+                {"dataset": "wiki-Vote", "max_nodes": 64, "shards": 2},
+                timeout=5)
+            assert status == 400, payload
+            assert "shards" in payload["error"]
+            status, row = request(background.server, "POST", "/v1/spgemm",
+                                  {"dataset": "wiki-Vote", "max_nodes": 64})
+            assert status == 200, row
+            assert row["chips"] == 2
+
+
 class TestRequestTimeoutField:
     """``timeout_s`` must be a finite number of seconds above 0."""
 

