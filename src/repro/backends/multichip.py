@@ -459,19 +459,16 @@ def _aggregate_report(execution: MultiChipExecutionResult, b_nnz: int,
     runs = execution.chip_runs
     reports = [run.report for run in runs]
     pp = sum(run.partial_products for run in runs)
-    pp_per_chip = [run.partial_products for run in runs]
-    mean_pp = pp / len(runs) if runs else 0.0
-    skew = max(pp_per_chip) / mean_pp if mean_pp else 1.0
+    plan = execution.plan
     counters = {
         "multichip.n_chips": len(runs),
         "multichip.reduce_cycles": round(execution.reduce_cycles, 1),
         "multichip.broadcast_cycles": round(execution.broadcast_cycles, 1),
         "multichip.broadcast_bytes": 0 if execution.broadcast_cycles == 0.0
         else b_nnz,
-        "multichip.shard_skew": round(skew, 4),
-        "multichip.efficiency": round(
-            pp / (len(runs) * max(pp_per_chip)), 4) if pp else 1.0,
-        "multichip.split_rows": len(execution.plan.split_rows),
+        "multichip.shard_skew": round(plan.skew, 4),
+        "multichip.efficiency": round(plan.efficiency, 4),
+        "multichip.split_rows": len(plan.split_rows),
     }
     for run in runs:
         counters[f"multichip.chip{run.chip}.cycles"] = run.cycles

@@ -379,12 +379,17 @@ class Session:
     # ------------------------------------------------------------------
     # SpGEMM
     # ------------------------------------------------------------------
+    def check_shards(self, shards: int) -> None:
+        """Refuse host ``shards`` above 1 on a multichip session, whose
+        chips are its shards."""
+        if self.backend == "multichip" and shards > 1:
+            raise ValueError(
+                "shards: the multichip backend assigns row shards to chips "
+                "itself; set Session(chips=N) instead of SpGEMMSpec(shards=N)")
+
     def _run_spgemm(self, spec: SpGEMMSpec) -> RunResult:
         start = time.perf_counter()
-        if self.backend == "multichip" and spec.shards > 1:
-            raise ValueError(
-                "the multichip backend assigns row shards to chips itself; "
-                "set Session(chips=N) instead of SpGEMMSpec(shards=N)")
+        self.check_shards(spec.shards)
         a_csr = as_csr(spec.a)
         b_csr = as_csr(spec.b) if spec.b is not None else None
         result, _ = self._execute(

@@ -784,9 +784,7 @@ class ReproServer:
             payload = self._json(body)
             shards = _capped("shards", payload.get("shards", 1),
                              MAX_SPGEMM_SHARDS)
-            if shards > 1 and self.session.backend == "multichip":
-                raise ValueError("shards: a multichip server assigns row "
-                                 "shards to its chips itself")
+            self.session.check_shards(shards)
             if "a" in payload:
                 a = _parse_operand(payload["a"], "a")
                 b = (_parse_operand(payload["b"], "b")

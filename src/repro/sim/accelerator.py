@@ -233,7 +233,7 @@ class NeuraChipAccelerator:
                          out_col[hacc], writeback_addr[hacc], dispatch_time)
 
     def _on_mmh_retire(self, core: NeuraCore, op: int, latency: float) -> None:
-        self.dispatcher.notify_slot_free()
+        self.dispatcher.notify_slot_free(core)
         if self._op_reseed[op]:
             self._columns_completed += 1
             if (self.eviction_mode == "barrier"

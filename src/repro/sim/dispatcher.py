@@ -25,6 +25,8 @@ class Dispatcher:
         self.sim = sim
         self.params = params
         self.cores = list(cores)
+        # Cores with a free slot: "all full" is one compare, not a scan.
+        self._free_cores = sum(c.in_flight < c.capacity for c in self.cores)
         self._width = params.dispatch_width
         self._n_ops = 0
         self._next_index = 0
@@ -66,12 +68,16 @@ class Dispatcher:
                 self._waiting_for_slot = True
                 return
             core.issue(self._next_index)
+            if core.in_flight == core.capacity:
+                self._free_cores -= 1
             self._next_index += 1
             self.instructions_issued += 1
         self._schedule_issue(1.0)
 
     def _least_loaded_core(self) -> NeuraCore | None:
         """The first least-loaded core among those that can accept, or None."""
+        if not self._free_cores:
+            return None
         best, least = None, inf
         for core in self.cores:
             load = core.in_flight
@@ -80,8 +86,11 @@ class Dispatcher:
         return best
 
     # ------------------------------------------------------------------
-    def notify_slot_free(self) -> None:
-        """A core retired an instruction; resume issuing if we were blocked."""
+    def notify_slot_free(self, core: NeuraCore) -> None:
+        """``core`` retired an instruction; resume issuing if we were
+        blocked."""
+        if core.in_flight == core.capacity - 1:
+            self._free_cores += 1
         if self._waiting_for_slot and not self.done:
             self._waiting_for_slot = False
             self._schedule_issue(0.0)

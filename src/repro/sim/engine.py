@@ -3,21 +3,37 @@
 A minimal, fast event queue: ``callback(*args)`` runs at an absolute or
 relative cycle time, in time order (FIFO among equal timestamps).  NeuraSim's
 components share one :class:`Simulator` and pass bound methods, not closures.
+The queue is a calendar (Brown, CACM 31(10), 1988): one FIFO bucket of
+``(callback, args)`` per distinct time and a heap of the distinct times, so
+same-time events run in push order with no sequence number or tuple compare.
 
-Hot-path rules, which keep every report bit-identical: every push takes its
-sequence number from the one counter ``seq`` (a component may push ``(time,
-next(sim.seq), callback, args)`` itself where ``time >= now`` by
-construction); handlers read parameters cached at construction; no event is
-added, dropped or reordered for speed.
+Hot-path rules, which keep every report bit-identical: events enter through
+``schedule``, ``schedule_at`` or, where ``time >= now`` by construction,
+:meth:`Simulator.push`; handlers read parameters cached at construction; no
+event is added, dropped or reordered for speed.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from itertools import count
+from itertools import islice
 from math import inf
-from sys import maxsize
+from operator import length_hint
 from typing import Callable
+
+
+class _Calendar(dict[float, list[tuple[Callable, tuple]]]):
+    """Time -> its events in push order; a new time joins the ``times`` heap."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.times: list[float] = []
+
+    def __missing__(self, time: float) -> list[tuple[Callable, tuple]]:
+        heappush(self.times, time)
+        bucket: list[tuple[Callable, tuple]] = []
+        self[time] = bucket
+        return bucket
 
 
 class Simulator:
@@ -29,56 +45,70 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self.queue: list[tuple[float, int, Callable, tuple]] = []
-        self.seq = count(1)
+        self._calendar = _Calendar()
         self.now: float = 0.0
         self.events_processed = 0
+
+    def push(self, time: float, callback: Callable, args: tuple) -> None:
+        """Queue ``callback(*args)`` at ``time``, unchecked: the caller
+        guarantees ``time >= now``."""
+        self._calendar[time].append((callback, args))
 
     def schedule(self, delay: float, callback: Callable, *args) -> None:
         """Schedule ``callback(*args)`` to run ``delay`` cycles from now."""
         if not delay >= 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
-        heappush(self.queue, (self.now + delay, next(self.seq), callback, args))
+        self._calendar[self.now + delay].append((callback, args))
 
     def schedule_at(self, time: float, callback: Callable, *args) -> None:
         """Schedule ``callback(*args)`` at an absolute time (>= now)."""
         if not time >= self.now:
             raise ValueError(f"cannot schedule at {time} (now is {self.now})")
-        heappush(self.queue, (time, next(self.seq), callback, args))
+        self._calendar[time].append((callback, args))
 
     def run(self, max_events: int | None = None, until: float | None = None) -> None:
-        """Drain the event queue.
+        """Drain the event queue.  An event that raises is consumed, with
+        the events before it; the later ones stay queued in order.
 
         Args:
             max_events: optional safety cap on the number of events processed.
             until: optional simulation-time horizon; events after it stay
                 queued.
         """
-        queue = self.queue
+        calendar = self._calendar
+        times = calendar.times
         horizon = inf if until is None else until
-        budget = maxsize if max_events is None else max_events
         processed = 0
-        for processed in range(budget):
-            if not queue:
-                break
-            time, seq, callback, args = heappop(queue)
+        while times and (max_events is None or processed < max_events):
+            time = times[0]
             if time > horizon:
-                heappush(queue, (time, seq, callback, args))
                 break
             self.now = time
-            callback(*args)
-        else:
-            processed = budget
-        self.events_processed += processed
+            bucket = calendar[time]
+            events = iter(bucket)  # also yields what handlers append at now
+            try:
+                for callback, args in (events if max_events is None else
+                                       islice(events, max_events - processed)):
+                    callback(*args)
+            finally:
+                left = length_hint(events)
+                done = len(bucket) - left
+                processed += done
+                self.events_processed += done
+                if left:
+                    del bucket[:done]
+                else:
+                    del calendar[time]
+                    heappop(times)
 
     @property
     def pending_events(self) -> int:
         """Number of events still queued."""
-        return len(self.queue)
+        return sum(map(len, self._calendar.values()))
 
     def reset(self) -> None:
         """Clear the queue and rewind the clock and the counter."""
-        self.queue.clear()
-        self.seq = count(1)
+        self._calendar.clear()
+        self._calendar.times.clear()
         self.now = 0.0
         self.events_processed = 0

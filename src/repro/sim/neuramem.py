@@ -15,7 +15,6 @@ it into the one histogram the accelerator hands it.
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import Callable
 
 from repro.sim.engine import Simulator
@@ -66,8 +65,8 @@ class NeuraMem:
         end = (free if free > sim.now else sim.now) + self._engine_cycles
         engine_free[engine_free.index(free)] = end
         self.busy_cycles += self._engine_cycles
-        heappush(sim.queue, (end, next(sim.seq), self._apply, (
-            tag, value, counter, out_row, out_col, writeback_addr, dispatch_time)))
+        sim.push(end, self._apply, (tag, value, counter, out_row, out_col,
+                                    writeback_addr, dispatch_time))
 
     # ------------------------------------------------------------------
     def _apply(self, tag: int, value: float, counter: int, out_row: int,

@@ -9,7 +9,6 @@ cycles.  Dimension-order hop counts with wraparound are used for distance.
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import Callable
 
 from repro.sim.engine import Simulator
@@ -70,7 +69,7 @@ class TorusNetwork:
         self.total_hops += hops * flits
         if callback is not None:
             # arrival >= now: the parameters are non-negative.
-            heappush(sim.queue, (arrival, next(sim.seq), callback, args))
+            sim.push(arrival, callback, args)
         return arrival
 
     @property

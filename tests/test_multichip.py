@@ -411,6 +411,17 @@ class TestScaleoutPrediction:
             [int(shard.rows.size) for shard in plan.shards]
         assert result.metrics["shard_skew"] == round(plan.skew, 4)
 
+    def test_fleet_report_reads_the_plans_skew(self):
+        # An empty product plans by nnz of A: rows [0, 1] and [2] on two
+        # chips, neither of which computes a partial product.
+        with Session("Tile-4", backend="multichip", chips=2) as session:
+            result = session.run(SpGEMMSpec(a=np.eye(3), b=np.zeros((3, 3)),
+                                            verify=False))
+        counters = result.report.counters
+        assert counters["multichip.shard_skew"] == 1.3333
+        assert counters["multichip.efficiency"] == 0.75
+        assert result.output.nnz == 0
+
     def test_execution_result_type(self, wiki, ctx):
         backend = MultiChipBackend(
             topology=ChipTopology(n_chips=2, partition="contiguous"))

@@ -173,7 +173,7 @@ class TestDispatcher:
         dispatcher = Dispatcher(env.sim, params, cores)
         for core in cores:
             core._on_retire = lambda c, op, lat, d=dispatcher: (
-                env.on_retire(c, op, lat), d.notify_slot_free())
+                env.on_retire(c, op, lat), d.notify_slot_free(c))
         for _ in range(n_ops):
             env.add_op()
         dispatcher.load(n_ops)
@@ -199,6 +199,33 @@ class TestDispatcher:
         env, cores, dispatcher = self._run(n_ops=20, n_cores=1, dispatch_width=8)
         assert dispatcher.done
         assert cores[0].instructions_retired == 20
+
+    def test_issue_order_when_every_core_fills(self):
+        # Unequal cores and op sizes: the dispatcher fills all 8 slots,
+        # waits, and refills whichever core retires first.
+        env = _Harness(read_latency=7.0)
+        cores = [env.make_core(core_id=i, pipelines=pipelines)
+                 for i, pipelines in enumerate((1, 2, 1))]
+        dispatcher = Dispatcher(env.sim, env.params.scaled(dispatch_width=3),
+                                cores)
+        order, occupancy = [], []
+        for core in cores:
+            def issue(op, core=core, issue=core.issue):
+                issue(op)
+                order.append(core.core_id)
+                occupancy.append(sum(c.in_flight for c in cores))
+            core.issue = issue
+            core._on_retire = lambda c, op, lat: dispatcher.notify_slot_free(c)
+        for op in range(24):
+            env.add_op(n_a=1 + op % 3, n_b=1 + op % 2)
+        dispatcher.load(24)
+        dispatcher.start()
+        env.sim.run()
+        assert max(occupancy) == sum(c.capacity for c in cores) == 8
+        assert order == [0, 1, 2, 0, 1, 2, 1, 1, 0, 0, 1, 2, 1, 1, 1, 2,
+                         0, 1, 0, 1, 1, 2, 1, 2]
+        assert (env.sim.now, env.sim.events_processed) == (57.0, 258)
+        assert dispatcher._free_cores == len(cores)
 
     def test_empty_program(self):
         env = _Harness()

@@ -341,6 +341,18 @@ class TestSpGEMMShards:
             assert status == 200, row
             assert row["chips"] == 2
 
+    def test_session_and_server_refuse_shards_alike(self):
+        with Session("Tile-4", backend="multichip", chips=2) as session, \
+                BackgroundServer(ReproServer(session, port=0)) as background:
+            with pytest.raises(ValueError) as refused:
+                session.run(SpGEMMSpec(a=np.eye(4), shards=2))
+            status, payload = request(
+                background.server, "POST", "/v1/spgemm",
+                {"dataset": "wiki-Vote", "max_nodes": 64, "shards": 2},
+                timeout=5)
+        assert status == 400
+        assert payload["error"] == str(refused.value)
+
 
 class TestRequestTimeoutField:
     """``timeout_s`` must be a finite number of seconds above 0."""

@@ -3,8 +3,11 @@ collection."""
 
 import dataclasses
 import math
+from heapq import heappop, heappush
+from itertools import count
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.sim.engine import Simulator
 from repro.sim.hashpad import HashPad, SpillStore
@@ -166,6 +169,140 @@ class TestEventOrdering:
         sim.schedule_at(latency, order.append, "schedule_at")
         sim.run()
         assert order == ["schedule", "receive_hacc", "schedule_at"]
+
+
+class _TupleHeap:
+    """Reference kernel: one heap of ``(time, seq, callback, args)``."""
+
+    def __init__(self):
+        self.queue, self.seq, self.now = [], count(), 0.0
+
+    def push(self, time, callback, args):
+        heappush(self.queue, (time, next(self.seq), callback, args))
+
+    def schedule(self, delay, callback, *args):
+        self.push(self.now + delay, callback, args)
+
+    def schedule_at(self, time, callback, *args):
+        self.push(time, callback, args)
+
+    def run(self):
+        while self.queue:
+            self.now, _, callback, args = heappop(self.queue)
+            callback(*args)
+
+
+#: An event: how it is pushed, its delay, and the events its handler
+#: pushes in turn (delay 0 lands in the bucket being drained).
+_HOW = st.sampled_from(["schedule", "schedule_at", "push"])
+_DELAY = st.sampled_from([0, 0, 0.5, 1, 2.5])
+_EVENT = st.recursive(
+    st.tuples(_HOW, _DELAY, st.just(())),
+    lambda events: st.tuples(_HOW, _DELAY,
+                             st.lists(events, max_size=3).map(tuple)),
+    max_leaves=24)
+
+
+def _play(sim, script, budgets=()):
+    """Run ``script`` on ``sim`` in ``max_events`` slices of ``budgets``,
+    then to the end; the ``(label, now)`` of every event, in run order."""
+    ran = []
+
+    def fire(label, children):
+        ran.append((label, sim.now))
+        for index, child in enumerate(children):
+            enqueue(f"{label}.{index}", child)
+
+    def enqueue(label, event):
+        how, delay, children = event
+        if how == "schedule":
+            sim.schedule(delay, fire, label, children)
+        elif how == "schedule_at":
+            sim.schedule_at(sim.now + delay, fire, label, children)
+        else:
+            sim.push(sim.now + delay, fire, (label, children))
+
+    for index, event in enumerate(script):
+        enqueue(str(index), event)
+    for budget in budgets:
+        sim.run(max_events=budget)
+    sim.run()
+    return ran
+
+
+class TestCalendarQueue:
+    """One FIFO bucket per distinct time runs the events of the tuple heap
+    it replaced, in the same order, at the same times."""
+
+    @seed(0)
+    @settings(max_examples=100, deadline=None)
+    @given(script=st.lists(_EVENT, max_size=8),
+           budgets=st.lists(st.integers(0, 5), max_size=4))
+    def test_runs_in_tuple_heap_order(self, script, budgets):
+        sim = Simulator()
+        ran = _play(sim, script, budgets)
+        assert ran == _play(_TupleHeap(), script)
+        assert sim.events_processed == len(ran)
+        assert sim.pending_events == 0
+
+    def test_max_events_stops_inside_a_bucket(self):
+        sim = Simulator()
+        order = []
+        for label in "abcde":
+            sim.schedule(1, order.append, label)
+        sim.schedule(2, order.append, "f")
+        sim.run(max_events=3)
+        assert order == ["a", "b", "c"] and sim.now == 1
+        assert sim.pending_events == 3
+        sim.schedule(0, order.append, "g")  # behind the rest of time 1
+        sim.run()
+        assert order == ["a", "b", "c", "d", "e", "g", "f"]
+        assert sim.events_processed == 7
+
+    def test_raising_event_leaves_the_later_ones_queued(self):
+        sim = Simulator()
+        order = []
+
+        def boom():
+            order.append("boom")
+            raise RuntimeError("boom")
+
+        sim.schedule(1, order.append, "a")
+        sim.schedule(1, boom)
+        sim.schedule(1, order.append, "b")
+        sim.schedule(2, order.append, "c")
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert order == ["a", "boom"]
+        assert sim.events_processed == 2 and sim.pending_events == 2
+        sim.run()
+        assert order == ["a", "boom", "b", "c"]
+        assert sim.events_processed == 4 and sim.pending_events == 0
+
+    def test_signed_zeros_share_one_bucket(self):
+        sim = Simulator()
+        order = []
+        sim.schedule_at(0.0, order.append, "a")
+        sim.push(-0.0, order.append, ("b",))
+        sim.schedule(0.0, order.append, "c")
+        sim.schedule_at(-0.0, order.append, "d")
+        assert sim.pending_events == 4
+        sim.run()
+        assert order == ["a", "b", "c", "d"]
+
+    def test_pending_events_and_reset_mid_bucket(self):
+        sim = Simulator()
+        for time in (3, 1, 3, 2, 3):
+            sim.schedule(time, lambda: None)
+        sim.run(max_events=3)  # times 1, 2 and the first event at 3
+        assert sim.pending_events == 2 and sim.now == 3
+        sim.reset()
+        assert sim.pending_events == 0 and sim.now == 0.0
+        assert sim.events_processed == 0
+        order = []
+        sim.schedule(1, order.append, "after reset")
+        sim.run()
+        assert order == ["after reset"] and sim.events_processed == 1
 
 
 class TestSimulationParams:
