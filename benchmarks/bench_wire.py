@@ -18,10 +18,10 @@ request and learns nothing new from it.  The headline number is
 acceptance bar is **>= 5x**: ``--smoke`` exits non-zero below it, which
 is the CI guard.
 
-Product *download* sizes (JSON ``include_output`` vs a chunked binary
-frame) are recorded alongside but not guarded — JSON of small float
-values can undercut 16-byte binary entries, so the honest claim there is
-"comparable size, no double buffering", not a ratio.  A byte-identity
+Product *download* sizes (JSON ``include_output`` vs a binary frame) are
+recorded alongside but not guarded — JSON of small float values can
+undercut 16-byte binary entries, so the honest claim there is "comparable
+size, no double buffering", not a ratio.  A byte-identity
 probe asserts the binary product decodes bit-equal to the JSON one.
 
 Results land in ``benchmarks/results/bench_wire.json`` — the same

@@ -49,8 +49,8 @@ counts, provenance, cache_hit, wall time); ``include_output`` adds the
 raw CSR arrays of the product.  An SpGEMM request with ``Accept:
 application/x-repro-csr`` receives the product as a **binary frame**
 instead (the metrics row rides in the frame's metadata blob), streamed
-with chunked transfer once it crosses :data:`CHUNKED_MIN_BYTES` so large
-products are never buffered twice.
+segment by segment under its ``Content-Length`` so large products are
+never buffered twice.
 
 Workload requests identify their tenant with the ``X-Repro-Tenant``
 header (absent -> the ``default`` tenant); scheduling, admission control
@@ -130,6 +130,7 @@ from repro.serve.registry import (
 from repro.serve.wire import (
     WIRE_CONTENT_TYPE,
     WireFormatError,
+    csr_json,
     decode_csr,
     encode_csr_frames,
     frames_nbytes,
@@ -142,11 +143,6 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 
 #: Default per-request deadline, queue wait + execution.
 DEFAULT_REQUEST_TIMEOUT_S = 60.0
-
-#: Binary responses at or above this size stream as chunked transfer
-#: (one chunk per frame segment); smaller ones go out with
-#: ``Content-Length`` to spare tiny products the chunk framing.
-CHUNKED_MIN_BYTES = 64 * 1024
 
 #: Bound on the server-side dataset cache; the key (name, max_nodes,
 #: seed) is client-controlled, so the cache is LRU-swept — like every
@@ -250,14 +246,8 @@ def _jsonable(value: Any) -> Any:
         return {key: _jsonable(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(item) for item in value]
-    if isinstance(value, np.ndarray):
+    if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
     return value
 
 
@@ -297,16 +287,6 @@ def _accepts_wire(headers: dict[str, str]) -> bool:
     accept = headers.get("accept", "")
     return any(part.split(";")[0].strip().lower() == WIRE_CONTENT_TYPE
                for part in accept.split(","))
-
-
-class _BinaryPayload:
-    """A binary response: wire segments streamed instead of a JSON dict."""
-
-    __slots__ = ("frames", "nbytes")
-
-    def __init__(self, frames: list) -> None:
-        self.frames = frames
-        self.nbytes = frames_nbytes(frames)
 
 
 class ReproServer:
@@ -547,69 +527,44 @@ class ReproServer:
             pass
 
     async def _respond(self, writer: asyncio.StreamWriter, status: int,
-                       payload: "dict | _BinaryPayload",
-                       keep_alive: bool) -> None:
-        connection = "keep-alive" if keep_alive else "close"
-        status_line = \
-            f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
-        if isinstance(payload, _BinaryPayload):
-            await self._respond_binary(writer, status_line, payload,
-                                       connection)
-            return
-        retry_after = payload.pop("_retry_after", None)
+                       payload: "dict | list", keep_alive: bool) -> None:
+        """Send one response under its ``Content-Length``: a JSON dict, or
+        the wire segments of a binary frame, written one at a time and
+        drained after each so a large product is never buffered twice."""
         extra = ""
-        if retry_after is not None:
-            # The body keeps the precise float; the header is the
-            # integer-seconds form proxies and clients understand.
-            extra = f"Retry-After: {max(1, math.ceil(retry_after))}\r\n"
-        body = json.dumps(_jsonable(payload)).encode()
-        head = (f"{status_line}"
-                f"Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                f"{extra}"
-                f"Connection: {connection}\r\n\r\n")
-        writer.write(head.encode("latin-1") + body)
-        self.stats.add("bytes_out", len(body))
-        await writer.drain()
-
-    async def _respond_binary(self, writer: asyncio.StreamWriter,
-                              status_line: str, payload: _BinaryPayload,
-                              connection: str) -> None:
-        """Stream a binary frame: chunked (one chunk per wire segment,
-        draining between chunks so a large product is never buffered a
-        second time) above :data:`CHUNKED_MIN_BYTES`, plain
-        ``Content-Length`` below it."""
-        if payload.nbytes >= CHUNKED_MIN_BYTES:
-            head = (f"{status_line}"
-                    f"Content-Type: {WIRE_CONTENT_TYPE}\r\n"
-                    f"Transfer-Encoding: chunked\r\n"
-                    f"Connection: {connection}\r\n\r\n")
-            writer.write(head.encode("latin-1"))
-            for segment in payload.frames:
-                if not len(segment):
-                    continue
-                writer.write(f"{len(segment):x}\r\n".encode("latin-1"))
-                writer.write(segment)
-                writer.write(b"\r\n")
-                await writer.drain()
-            writer.write(b"0\r\n\r\n")
+        if isinstance(payload, list):
+            ctype, segments = WIRE_CONTENT_TYPE, payload
         else:
-            head = (f"{status_line}"
-                    f"Content-Type: {WIRE_CONTENT_TYPE}\r\n"
-                    f"Content-Length: {payload.nbytes}\r\n"
-                    f"Connection: {connection}\r\n\r\n")
-            writer.write(head.encode("latin-1"))
-            for segment in payload.frames:
-                writer.write(segment)
-        self.stats.add("bytes_out", payload.nbytes)
+            retry_after = payload.pop("_retry_after", None)
+            if retry_after is not None:
+                # The body keeps the precise float; the header is the
+                # integer-seconds form proxies and clients understand.
+                extra = f"Retry-After: {max(1, math.ceil(retry_after))}\r\n"
+            output = payload.pop("_output_json", None)
+            body = json.dumps(_jsonable(payload))
+            if output is not None:  # csr_json text, spliced in as the last key
+                body = f'{body[:-1]}, "output": {output}}}'
+            ctype, segments = "application/json", [body.encode()]
+        nbytes = frames_nbytes(segments)
+        head = (f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
+                f"Content-Type: {ctype}\r\n"
+                f"Content-Length: {nbytes}\r\n"
+                f"{extra}"
+                f"Connection: {'keep-alive' if keep_alive else 'close'}"
+                "\r\n\r\n")
+        writer.write(head.encode("latin-1") + segments[0])
         await writer.drain()
+        for segment in segments[1:]:
+            writer.write(segment)
+            await writer.drain()
+        self.stats.add("bytes_out", nbytes)
 
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
     async def _route(self, method: str, target: str, body: bytes,
                      headers: dict[str, str]
-                     ) -> "tuple[int, dict | _BinaryPayload]":
+                     ) -> "tuple[int, dict | list]":
         if body:
             self.stats.add("bytes_in", len(body))
         path = target.split("?", 1)[0]
@@ -716,7 +671,7 @@ class ReproServer:
 
     def _operand_item(self, method: str, digest: str,
                       headers: dict[str, str]
-                      ) -> "tuple[int, dict | _BinaryPayload]":
+                      ) -> "tuple[int, dict | list]":
         """Metadata / binary download / delete of one registered operand."""
         if method == "GET":
             try:
@@ -724,8 +679,8 @@ class ReproServer:
             except UnknownOperand as err:
                 return 404, {"error": str(err)}
             if _accepts_wire(headers):
-                return 200, _BinaryPayload(
-                    encode_csr_frames(entry.csr, meta=entry.describe()))
+                return 200, encode_csr_frames(entry.csr,
+                                              meta=entry.describe())
             return 200, entry.describe()
         if method == "DELETE":
             try:
@@ -778,7 +733,7 @@ class ReproServer:
 
     async def _serve_spgemm(self, body: bytes, headers: dict[str, str],
                             tenant: str = DEFAULT_TENANT
-                            ) -> "tuple[int, dict | _BinaryPayload]":
+                            ) -> "tuple[int, dict | list]":
         binary = _accepts_wire(headers)
         try:
             payload = self._json(body)
@@ -824,16 +779,11 @@ class ReproServer:
             if not hasattr(result.output, "indptr"):
                 return 406, {"error": "result output is not CSR; "
                                       "cannot encode x-repro-csr"}
-            return 200, _BinaryPayload(
-                encode_csr_frames(result.output, meta=_jsonable(row)))
+            return 200, encode_csr_frames(result.output,
+                                          meta=_jsonable(row))
+        result = row.pop("_result", None)
         if payload.get("include_output"):
-            result = row.pop("_result")
-            row["output"] = {"indptr": result.output.indptr,
-                             "indices": result.output.indices,
-                             "data": result.output.data,
-                             "shape": list(result.output.shape)}
-        else:
-            row.pop("_result", None)
+            row["_output_json"] = csr_json(result.output)
         return status, row
 
     async def _serve_graph(self, body: bytes, headers: dict[str, str],

@@ -35,7 +35,7 @@ Encoding is zero-copy where the platform allows it:
 :func:`encode_csr_frames` returns the header plus *views* of the CSR's
 own array buffers (numpy int64/float64 arrays on little-endian hosts are
 already wire-shaped), so the HTTP layer can stream each segment straight
-into the socket — chunked — without ever materialising the whole body.
+into the socket without ever materialising the whole body.
 """
 
 from __future__ import annotations
@@ -88,9 +88,9 @@ def encode_csr_frames(csr: CSRMatrix,
     """Encode ``csr`` as a list of wire segments (header first).
 
     The segments concatenate into one valid frame; keeping them separate
-    lets the HTTP layer stream each as its own chunk so large products
-    are never buffered twice.  ``meta`` (optional) rides along as a JSON
-    blob — response frames put the flat metrics row here.
+    lets the HTTP layer write each straight from the CSR's buffers so
+    large products are never buffered twice.  ``meta`` (optional) rides
+    along as a JSON blob — response frames put the flat metrics row here.
     """
     meta_blob = b"" if meta is None else json.dumps(meta).encode()
     flags = _FLAG_META if meta is not None else 0
@@ -106,6 +106,46 @@ def encode_csr_frames(csr: CSRMatrix,
 def encode_csr(csr: CSRMatrix, meta: dict[str, Any] | None = None) -> bytes:
     """Encode ``csr`` (and optional metadata) as one contiguous frame."""
     return b"".join(encode_csr_frames(csr, meta))
+
+
+#: Values :func:`json_array` samples to judge whether floats repeat.
+_REPEAT_SAMPLE = 1024
+
+
+def json_array(values: np.ndarray) -> str:
+    """``json.dumps(values.tolist())``, rendering each distinct value once.
+
+    Integers in ``[0, size)`` with ``2 * size <= len(values)`` (CSR column
+    ids) index a table of ``str(i)``.  float64 values whose strided sample
+    repeats index a table of ``json.dumps`` tokens, one per bit pattern, so
+    ``-0.0`` and every NaN keep their own.  Anything else is dumped whole.
+    """
+    n = len(values)
+    if values.dtype.kind in "iu" and n and values.min() >= 0 \
+            and 2 * (size := int(values.max()) + 1) <= n:
+        tokens, codes = list(map(str, range(size))), values
+    elif values.dtype == np.float64:
+        bits = values.view(np.int64)
+        sample = bits[::max(1, n // _REPEAT_SAMPLE)]
+        if 2 * len(np.unique(sample)) > len(sample):
+            return json.dumps(values.tolist())
+        distinct, codes = np.unique(bits, return_inverse=True)
+        tokens = json.dumps(distinct.view(np.float64).tolist())[1:-1] \
+            .split(", ")
+    else:
+        return json.dumps(values.tolist())
+    return "[" + ", ".join(np.array(tokens, dtype=object)[codes].tolist()) \
+        + "]"
+
+
+def csr_json(csr: CSRMatrix) -> str:
+    """The JSON object text of ``csr``'s arrays and shape, byte-identical
+    to ``json.dumps`` of ``{"indptr": ..., "indices": ..., "data": ...,
+    "shape": ...}`` built from ``tolist()``."""
+    return (f'{{"indptr": {json_array(csr.indptr)}, '
+            f'"indices": {json_array(csr.indices)}, '
+            f'"data": {json_array(csr.data)}, '
+            f'"shape": {json.dumps([int(dim) for dim in csr.shape])}}}')
 
 
 def frames_nbytes(frames: list) -> int:

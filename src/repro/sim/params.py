@@ -31,7 +31,6 @@ class SimulationParams:
             the NoC per cycle (bounded by its ports).
         hash_lookup_cycles: HashPad TAG comparison latency.
         hash_accumulate_cycles: accumulation (adder) latency.
-        hash_insert_cycles: new hash-line allocation latency.
         hash_eviction_cycles: hash-line eviction routine latency.
         hash_collision_penalty_cycles: extra latency when the HashPad is full
             and a line must be spilled to HBM.
@@ -54,7 +53,6 @@ class SimulationParams:
         barrier_interval_columns: for barrier-based eviction, the number of
             completed input columns between HashPad flushes.
         writeback_bytes: bytes written to HBM per evicted hash line.
-        sample_interval_cycles: statistics sampling period.
     """
 
     decode_cycles: int = 1
@@ -66,7 +64,6 @@ class SimulationParams:
 
     hash_lookup_cycles: int = 1
     hash_accumulate_cycles: int = 1
-    hash_insert_cycles: int = 1
     hash_eviction_cycles: int = 2
     hash_collision_penalty_cycles: int = 4
 
@@ -86,7 +83,6 @@ class SimulationParams:
     dispatch_width: int = 8
     barrier_interval_columns: int = 8
     writeback_bytes: int = 8
-    sample_interval_cycles: int = 64
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():

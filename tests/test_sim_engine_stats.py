@@ -321,6 +321,12 @@ class TestSimulationParams:
         with pytest.raises(ValueError, match=name):
             SimulationParams(**{name: 0})
 
+    @pytest.mark.parametrize("name", ["hash_insert_cycles",
+                                      "sample_interval_cycles"])
+    def test_fields_the_model_never_read_are_gone(self, name):
+        with pytest.raises(TypeError, match=name):
+            SimulationParams(**{name: 2})
+
 
 class TestHistogram:
     def test_binning(self):

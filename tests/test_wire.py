@@ -17,12 +17,15 @@ Three layers under test:
 
 import http.client
 import json
+import math
+import os
 import socket
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.core import Session, SpGEMMSpec
 from repro.core.runner import matrix_fingerprint
@@ -39,10 +42,12 @@ from repro.serve.wire import (
     HEADER_BYTES,
     WIRE_CONTENT_TYPE,
     WireFormatError,
+    csr_json,
     decode_csr,
     encode_csr,
     encode_csr_frames,
     frames_nbytes,
+    json_array,
 )
 from repro.sparse.csr import CSRMatrix
 
@@ -151,6 +156,71 @@ class TestWireCodec:
         body[offset:offset + 8] = (2 ** 40).to_bytes(8, "little")
         with pytest.raises(WireFormatError, match="valid CSR"):
             decode_csr(bytes(body))
+
+
+_INT64 = np.iinfo(np.int64)
+_FLOATS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5]
+
+
+def _assert_same_text(got: str, want: str) -> None:
+    """``got == want``, reported as the first differing span: pytest's own
+    diff of two long one-line strings can run for minutes."""
+    if got != want:
+        at = len(os.path.commonprefix([got, want]))
+        pytest.fail(f"texts differ at {at}: {got[max(0, at - 30):at + 30]!r}"
+                    f" != {want[max(0, at - 30):at + 30]!r}")
+
+
+@st.composite
+def _value_arrays(draw, values, dtype):
+    """A pool of values, either as drawn (mostly distinct) or picked from
+    by a seeded generator into a longer, heavily repeated array."""
+    pool = np.array(draw(st.lists(values, max_size=40)), dtype=dtype)
+    if not len(pool) or draw(st.booleans()):
+        return pool
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return pool[rng.integers(len(pool), size=draw(st.integers(0, 5000)))]
+
+
+class TestJsonText:
+    """``json_array``/``csr_json`` give exactly ``json.dumps``'s bytes."""
+
+    @seed(38)
+    @settings(max_examples=80, deadline=None)
+    @given(_value_arrays(st.integers(_INT64.min, _INT64.max)
+                         | st.integers(-3, 60)
+                         | st.sampled_from([_INT64.min, _INT64.max]),
+                         np.int64))
+    def test_int64_matches_json_dumps(self, values):
+        _assert_same_text(json_array(values), json.dumps(values.tolist()))
+
+    @seed(38)
+    @settings(max_examples=80, deadline=None)
+    @given(_value_arrays(st.floats() | st.sampled_from(_FLOATS), np.float64))
+    def test_float64_matches_json_dumps(self, values):
+        _assert_same_text(json_array(values), json.dumps(values.tolist()))
+
+    @pytest.mark.parametrize("values", [
+        np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64),
+        np.arange(3000, dtype=np.int64) % 7,
+        np.random.default_rng(1).permutation(3000),
+        np.tile(np.array(_FLOATS), 500),
+        np.random.default_rng(2).random(3000),
+        # Three NaN bit patterns, each its own table entry.
+        np.tile(np.array([0x7FF8000000000001, 0x7FF8000000000000,
+                          0xFFF8000000000000], dtype=np.uint64), 9)
+        .view(np.float64),
+        np.arange(12, dtype=np.uint64).repeat(4),
+        np.ones(9, dtype=np.float32)])
+    def test_fixed_arrays_match_json_dumps(self, values):
+        _assert_same_text(json_array(values), json.dumps(values.tolist()))
+
+    def test_csr_json_matches_json_dumps(self, session):
+        csr = _csr(seed=5, n=64)
+        product = session.run(SpGEMMSpec(a=csr, verify=False)).output
+        for matrix in (csr, product):
+            _assert_same_text(csr_json(matrix),
+                              json.dumps(_operand_json(matrix)))
 
 
 # ----------------------------------------------------------------------
@@ -520,6 +590,66 @@ class TestRefServingByteIdentity:
              "hidden_dim": 2})
         assert status == 200
         assert row["label"].startswith("ref:")
+
+
+def _product_replies(server, csr):
+    """One ``include_output`` JSON reply and one binary-``Accept`` reply for
+    ``csr @ csr``: (JSON text, binary response, binary frame)."""
+    body = json.dumps({"a": _operand_json(csr),
+                       "include_output": True}).encode()
+    status, ctype, text = raw_request(server, "POST", "/v1/spgemm", body,
+                                      {"Content-Type": "application/json"})
+    assert (status, ctype) == (200, "application/json")
+    connection = http.client.HTTPConnection("127.0.0.1", server.port,
+                                            timeout=60)
+    try:
+        connection.request("POST", "/v1/spgemm", body=body, headers={
+            "Content-Type": "application/json", "Accept": WIRE_CONTENT_TYPE})
+        response = connection.getresponse()
+        frame = response.read()
+    finally:
+        connection.close()
+    assert response.status == 200
+    return text.decode(), response, frame
+
+
+class TestProductReplies:
+    """A product reply in either encoding carries the same product; JSON
+    replies are ``json.dumps``'s own text, binary ones are sized up front."""
+
+    @pytest.mark.parametrize("random_data", [False, True],
+                             ids=["repeated-values", "random-floats"])
+    def test_json_product_is_canonical_and_equals_binary(self, server,
+                                                         random_data):
+        csr = _csr(seed=43, n=96)
+        if random_data:
+            rng = np.random.default_rng(43)
+            csr = CSRMatrix(csr.indptr, csr.indices,
+                            rng.standard_normal(csr.nnz), csr.shape)
+        text, _response, frame = _product_replies(server, csr)
+        row = json.loads(text)
+        _assert_same_text(json.dumps(row), text)
+        assert list(row)[-1] == "output"
+        product, _meta = decode_csr(frame)
+        output = row["output"]
+        assert output["shape"] == list(product.shape)
+        assert np.array_equal(output["indptr"], product.indptr)
+        assert np.array_equal(output["indices"], product.indices)
+        assert np.array_equal(np.asarray(output["data"]).view(np.int64),
+                              product.data.view(np.int64))
+        # The two cases take the two sides of json_array's float choice.
+        distinct = len(np.unique(product.data))
+        assert (distinct == product.nnz) == random_data
+
+    def test_large_binary_reply_has_content_length(self, server):
+        text, response, frame = _product_replies(server, _csr(seed=47,
+                                                              n=160))
+        assert len(frame) >= 64 * 1024
+        assert response.getheader("Content-Length") == str(len(frame))
+        assert response.getheader("Transfer-Encoding") is None
+        product, _meta = decode_csr(frame)
+        _assert_same_text(csr_json(product),
+                          json.dumps(json.loads(text)["output"]))
 
 
 class TestCoalescingAcrossInlineAndRef:
