@@ -54,6 +54,13 @@ def _check_dims(**dims: int) -> None:
             raise ValueError(f"{name} must be >= 1, got {dim}")
 
 
+def _check_seeds(**seeds: int | None) -> None:
+    # numpy's generators refuse a negative seed, on whatever thread runs it.
+    for name, seed in seeds.items():
+        if seed is not None and seed < 0:
+            raise ValueError(f"{name} must be >= 0, got {seed}")
+
+
 def _check_density(density: float) -> None:
     # json.loads accepts NaN and Infinity; feature_matrix clips finite values.
     if not math.isfinite(density):
@@ -178,6 +185,7 @@ class GCNLayerSpec(WorkloadSpec):
             raise ValueError("GCNLayerSpec requires a dataset")
         _check_dims(feature_dim=self.feature_dim, hidden_dim=self.hidden_dim)
         _check_density(self.feature_density)
+        _check_seeds(seed=self.seed, weight_seed=self.weight_seed)
         _check_activations(self.activation)
 
 
@@ -226,6 +234,7 @@ class GNNModelSpec(WorkloadSpec):
             raise ValueError("GNNModelSpec requires a dataset")
         _check_dims(feature_dim=self.feature_dim)
         _check_density(self.feature_density)
+        _check_seeds(seed=self.seed)
         self.layer_dims = tuple(int(dim) for dim in self.layer_dims)
         if not self.layer_dims:
             raise ValueError("GNNModelSpec requires at least one layer")

@@ -36,11 +36,12 @@ fill.
   :meth:`MicroBatcher.stop` drains the queue, serves what is left, and
   fails anything unservable.
 
-:class:`ServingStats` aggregates the counters the ``/stats`` endpoint
-reports: queue depth, batch-size distribution, coalescing and shed
-counts, cache hit rate, p50/p95 latency, and the per-tenant accounting
-rows (admitted / rejected / deadline misses / p50/p95) that
-``GET /v1/tenants`` serves.
+:class:`ServingStats` is the one table behind ``/stats`` and
+``GET /v1/tenants``: fleet counters (requests, coalescing, batches,
+bytes), the per-tenant accounting rows (admitted / rejected / deadline
+misses / responses / failures / p50/p95) whose sums are the fleet's
+response, failure, timeout and shed counts, the batch-size and latency
+distributions, and a few last-seen values.
 
 The batcher also keeps an EWMA of measured batch makespans (on the
 analytic backend these are the model's predicted batch costs, since the
@@ -54,7 +55,7 @@ from __future__ import annotations
 import math
 import threading
 import time
-from collections import deque
+from collections import Counter, defaultdict, deque
 from dataclasses import replace as _replace_result
 
 from repro.core.runner import matrix_fingerprint
@@ -101,194 +102,139 @@ def _percentile(sample: list[float], fraction: float) -> float:
     return ordered[rank]
 
 
-class _TenantCounters:
-    """One tenant's accounting row (guarded by the owning
-    :class:`ServingStats` lock)."""
+def _latency_ms(sample: list[float]) -> dict:
+    """``latency_p50_ms`` / ``latency_p95_ms`` of a sample in seconds."""
+    return {"latency_p50_ms": round(_percentile(sample, 0.50) * 1e3, 3),
+            "latency_p95_ms": round(_percentile(sample, 0.95) * 1e3, 3)}
 
-    __slots__ = ("admitted", "rejected_rate", "rejected_quota",
-                 "rejected_queue", "deadline_misses", "responses",
-                 "failures", "latencies")
 
-    def __init__(self) -> None:
-        self.admitted = 0          # accepted into the queue
-        self.rejected_rate = 0     # 429: token bucket empty
-        self.rejected_quota = 0    # 429: in-flight quota
-        self.rejected_queue = 0    # 503: bounded queue full
-        self.deadline_misses = 0   # 504: expired before dispatch
-        self.responses = 0
-        self.failures = 0
-        self.latencies: deque[float] = deque(maxlen=_TENANT_RESERVOIR)
+#: Fleet counters (:meth:`ServingStats.add` without a tenant).
+#: ``requests`` counts every request the server tried to queue, refused
+#: ones included.
+_FLEET_COUNTERS = ("requests", "cancelled", "coalesced", "batches",
+                   "bytes_in", "bytes_out", "degree_partition_runs",
+                   "gnn_stacks", "gnn_layers")
 
-    def snapshot(self) -> dict:
-        latencies = list(self.latencies)
-        return {
-            "admitted": self.admitted,
-            "rejected": (self.rejected_rate + self.rejected_quota
-                         + self.rejected_queue),
-            "rejected_rate": self.rejected_rate,
-            "rejected_quota": self.rejected_quota,
-            "rejected_queue": self.rejected_queue,
-            "deadline_misses": self.deadline_misses,
-            "responses": self.responses,
-            "failures": self.failures,
-            "latency_p50_ms": round(_percentile(latencies, 0.50) * 1e3, 3),
-            "latency_p95_ms": round(_percentile(latencies, 0.95) * 1e3, 3),
-        }
+#: Tenant counters (:meth:`ServingStats.add` with a tenant): requests
+#: accepted into the queue; refused by the token bucket (429), the
+#: in-flight quota (429) or the full queue (503); expired before dispatch
+#: (504); and resolved with a result or with an exception.
+_TENANT_COUNTERS = ("admitted", "rejected_rate", "rejected_quota",
+                    "rejected_queue", "deadline_misses", "responses",
+                    "failures")
+
+#: ``/stats`` totals that are sums of one counter over the tenant rows.
+_TENANT_TOTALS = (("responses", "responses"), ("failures", "failures"),
+                  ("timeouts", "deadline_misses"), ("shed", "rejected_queue"))
+
+#: Last-seen values in ``/stats``, None until first seen: the last GNN
+#: stack's depth and per-layer cost, and the last multichip run's shard
+#: skew, scale-out efficiency and partition strategy.
+_LAST_VALUES = ("gnn_last_depth", "gnn_cycles_per_layer",
+                "multichip_shard_skew", "multichip_efficiency",
+                "multichip_partition")
 
 
 class ServingStats:
-    """Thread-safe counters and distributions for the serving layer."""
+    """Thread-safe counters and distributions for the serving layer:
+    every event is counted once, in one table keyed by ``(tenant, name)``
+    (``tenant`` None for a fleet counter)."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self.started_at = time.monotonic()
-        self.requests = 0          # guarded-by: _lock — accepted into the queue
-        self.responses = 0         # guarded-by: _lock — futures resolved with a result
-        self.failures = 0          # guarded-by: _lock — futures resolved with an exception
-        self.timeouts = 0          # guarded-by: _lock — deadline expired before dispatch
-        self.cancelled = 0         # guarded-by: _lock — cancelled while queued
-        self.coalesced = 0         # guarded-by: _lock — duplicates served by a batch-mate's run
-        self.batches = 0           # guarded-by: _lock — micro-batches dispatched
-        self.bytes_in = 0          # guarded-by: _lock — request body bytes accepted
-        self.bytes_out = 0         # guarded-by: _lock — response body bytes served
-        self.degree_partition_runs = 0  # guarded-by: _lock — multichip runs on a degree plan
-        self.gnn_stacks = 0        # guarded-by: _lock — GNNModelSpec stacks served
-        self.gnn_layers = 0        # guarded-by: _lock — layers executed inside those stacks
-        # Last served stack's shape and amortized per-layer cost — the
-        # /stats signal that resident-graph reuse is working.
-        self._gnn_last_depth: int | None = None  # guarded-by: _lock
-        self._gnn_cycles_per_layer: float | None = None  # guarded-by: _lock
+        self._counts: Counter[tuple[str | None, str]] = Counter()  # guarded-by: _lock
+        self._last: dict[str, float | int | str | None] = {}  # guarded-by: _lock
         self._batch_sizes: deque[int] = deque(maxlen=_RESERVOIR)  # guarded-by: _lock
         self._latencies: deque[float] = deque(maxlen=_RESERVOIR)  # guarded-by: _lock
-        self._tenants: dict[str, _TenantCounters] = {}  # guarded-by: _lock
-        # Last observed multichip load-balance telemetry (the autoscaler's
-        # per-batch imbalance signal): shard skew, scale-out efficiency,
-        # and the partition strategy the planner chose.
-        self._multichip_shard_skew: float | None = None  # guarded-by: _lock
-        self._multichip_efficiency: float | None = None  # guarded-by: _lock
-        self._multichip_partition: str | None = None  # guarded-by: _lock
+        self._tenant_latencies: defaultdict[str, deque[float]] = (  # guarded-by: _lock
+            defaultdict(lambda: deque(maxlen=_TENANT_RESERVOIR)))
 
-    def add(self, counter: str, n: int = 1) -> None:
+    def add(self, name: str, n: int = 1, tenant: str | None = None) -> None:
+        """Count ``n`` events: a fleet counter, or with ``tenant`` one of
+        that tenant's row; ``ValueError`` on a name outside the table."""
+        tenant = tenant or None
+        known = _FLEET_COUNTERS if tenant is None else _TENANT_COUNTERS
+        if name not in known:
+            raise ValueError(f"unknown {'tenant' if tenant else 'fleet'} "
+                             f"counter {name!r}")
         with self._lock:
-            setattr(self, counter, getattr(self, counter) + n)
+            self._counts[tenant, name] += n
 
     def record_batch(self, size: int) -> None:
         with self._lock:
-            self.batches += 1
+            self._counts[None, "batches"] += 1
             self._batch_sizes.append(size)
 
-    # -- per-tenant accounting -----------------------------------------
-    def _tenant(self, name: str) -> _TenantCounters:  # lockcheck: holds _lock
-        counters = self._tenants.get(name)
-        if counters is None:
-            counters = _TenantCounters()
-            self._tenants[name] = counters
-        return counters
-
-    def record_admitted(self, tenant: str) -> None:
-        with self._lock:
-            self._tenant(tenant).admitted += 1
-
-    def record_rejected(self, tenant: str, reason: str) -> None:
-        """One admission rejection: ``reason`` is ``rate`` (429 token
-        bucket), ``quota`` (429 in-flight cap) or ``queue`` (503 bounded
-        queue)."""
-        if reason not in ("rate", "quota", "queue"):
-            raise ValueError(f"unknown rejection reason {reason!r}")
-        with self._lock:
-            counters = self._tenant(tenant)
-            setattr(counters, f"rejected_{reason}",
-                    getattr(counters, f"rejected_{reason}") + 1)
-
-    def record_deadline_miss(self, tenant: str) -> None:
-        with self._lock:
-            self.timeouts += 1
-            self._tenant(tenant).deadline_misses += 1
-
     def record_response(self, tenant: str, seconds: float) -> None:
-        """One resolved request: global + per-tenant response count and
+        """One resolved request: the tenant's response count and a
         latency sample (each coalesced duplicate is billed its *own*
         latency here; only the WFQ work charge is shared)."""
         with self._lock:
-            self.responses += 1
+            self._counts[tenant, "responses"] += 1
             self._latencies.append(seconds)
-            counters = self._tenant(tenant)
-            counters.responses += 1
-            counters.latencies.append(seconds)
-
-    def record_failure(self, tenant: str | None = None) -> None:
-        with self._lock:
-            self.failures += 1
-            if tenant is not None:
-                self._tenant(tenant).failures += 1
-
-    def tenant_snapshot(self) -> dict[str, dict]:
-        """Per-tenant accounting rows (``GET /v1/tenants``)."""
-        with self._lock:
-            return {name: counters.snapshot()
-                    for name, counters in self._tenants.items()}
+            self._tenant_latencies[tenant].append(seconds)
 
     def record_gnn(self, metrics: dict) -> None:
         """Record one served GNN stack's per-stack metrics."""
         layers = int(metrics.get("layers", 0) or 0)
+        total = metrics.get("total_cycles")
         with self._lock:
-            self.gnn_stacks += 1
-            self.gnn_layers += layers
-            self._gnn_last_depth = layers or None
-            total = metrics.get("total_cycles")
+            self._counts[None, "gnn_stacks"] += 1
+            self._counts[None, "gnn_layers"] += layers
+            self._last["gnn_last_depth"] = layers or None
             if layers and total is not None:
-                self._gnn_cycles_per_layer = round(float(total) / layers, 1)
+                self._last["gnn_cycles_per_layer"] = round(
+                    float(total) / layers, 1)
 
     def record_multichip(self, shard_skew, efficiency, partition) -> None:
         """Record one multichip run's load-balance telemetry (None values
         are ignored so non-multichip results never clear the signal)."""
         with self._lock:
             if shard_skew is not None:
-                self._multichip_shard_skew = float(shard_skew)
+                self._last["multichip_shard_skew"] = float(shard_skew)
             if efficiency is not None:
-                self._multichip_efficiency = float(efficiency)
+                self._last["multichip_efficiency"] = float(efficiency)
             if partition is not None:
-                self._multichip_partition = str(partition)
+                self._last["multichip_partition"] = str(partition)
                 if partition == "degree":
-                    self.degree_partition_runs += 1
+                    self._counts[None, "degree_partition_runs"] += 1
 
-    def snapshot(self, queue_depth: int = 0, shed: int = 0,
-                 cache: dict | None = None,
+    def _tenant_rows(self) -> dict[str, dict]:  # lockcheck: holds _lock
+        rows: dict[str, dict] = {}
+        for tenant in dict.fromkeys(key for key, _ in self._counts if key):
+            row = {name: self._counts[tenant, name]
+                   for name in _TENANT_COUNTERS}
+            row["rejected"] = (row["rejected_rate"] + row["rejected_quota"]
+                               + row["rejected_queue"])
+            latencies = list(self._tenant_latencies.get(tenant, ()))
+            rows[tenant] = {**row, **_latency_ms(latencies)}
+        return rows
+
+    def tenant_snapshot(self) -> dict[str, dict]:
+        """Per-tenant accounting rows (``GET /v1/tenants``)."""
+        with self._lock:
+            return self._tenant_rows()
+
+    def snapshot(self, queue_depth: int = 0, cache: dict | None = None,
                  registry: dict | None = None) -> dict:
         """Flat dict for the ``/stats`` endpoint."""
         with self._lock:
+            tenants = self._tenant_rows()
+            row = {"tenants": tenants,
+                   "uptime_s": round(time.monotonic() - self.started_at, 3),
+                   "queue_depth": queue_depth}
+            row.update((name, self._counts[None, name])
+                       for name in _FLEET_COUNTERS)
+            row.update((name, self._last.get(name)) for name in _LAST_VALUES)
             sizes = list(self._batch_sizes)
             latencies = list(self._latencies)
-            tenants = {name: counters.snapshot()
-                       for name, counters in self._tenants.items()}
-            row = {
-                "tenants": tenants,
-                "uptime_s": round(time.monotonic() - self.started_at, 3),
-                "queue_depth": queue_depth,
-                "requests": self.requests,
-                "responses": self.responses,
-                "failures": self.failures,
-                "shed": shed,
-                "timeouts": self.timeouts,
-                "cancelled": self.cancelled,
-                "coalesced": self.coalesced,
-                "batches": self.batches,
-                "bytes_in": self.bytes_in,
-                "bytes_out": self.bytes_out,
-                "degree_partition_runs": self.degree_partition_runs,
-                "gnn_stacks": self.gnn_stacks,
-                "gnn_layers": self.gnn_layers,
-                "gnn_last_depth": self._gnn_last_depth,
-                "gnn_cycles_per_layer": self._gnn_cycles_per_layer,
-                "multichip_shard_skew": self._multichip_shard_skew,
-                "multichip_efficiency": self._multichip_efficiency,
-                "multichip_partition": self._multichip_partition,
-            }
+        row.update((total, sum(tenant[name] for tenant in tenants.values()))
+                   for total, name in _TENANT_TOTALS)
         row["mean_batch_size"] = (round(sum(sizes) / len(sizes), 3)
                                   if sizes else 0.0)
         row["max_batch_size"] = max(sizes) if sizes else 0
-        row["latency_p50_ms"] = round(_percentile(latencies, 0.50) * 1e3, 3)
-        row["latency_p95_ms"] = round(_percentile(latencies, 0.95) * 1e3, 3)
+        row.update(_latency_ms(latencies))
         if cache:
             lookups = cache.get("hits", 0) + cache.get("misses", 0)
             row["cache_hits"] = cache.get("hits", 0)
@@ -478,7 +424,7 @@ class MicroBatcher:
                 future.set_exception(error)
             except Exception:  # noqa: BLE001 - cancelled mid-flight
                 continue
-            self.stats.record_failure(request.tenant)
+            self.stats.add("failures", tenant=request.tenant)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -494,7 +440,7 @@ class MicroBatcher:
                 self.queue.refund(request.tenant)
                 continue
             if request.expired(started):
-                self.stats.record_deadline_miss(request.tenant)
+                self.stats.add("deadline_misses", tenant=request.tenant)
                 self.queue.refund(request.tenant)
                 queued_ms = round(request.queued_ms(started), 3)
                 request.future.set_exception(ServeTimeout(
@@ -575,7 +521,7 @@ class MicroBatcher:
                 self.stats.record_gnn(metrics)
         for request in group:
             if isinstance(result, Exception):
-                self.stats.record_failure(request.tenant)
+                self.stats.add("failures", tenant=request.tenant)
                 request.future.set_exception(result)
                 continue
             value: RunResult = result

@@ -158,9 +158,12 @@ MAX_DATASET_NODES = DEFAULT_MAX_NODES
 
 #: Caps on a ``/v1/gcn`` or ``/v1/gnn`` body, past which the answer is 400:
 #: a width (``feature_dim``, ``hidden_dim``, a ``layer_dims`` entry) up to
-#: the GNN suite's widest feature width (citeseer's), a stack up to 16 deep.
+#: the GNN suite's widest feature width (citeseer's), a stack up to 16 deep,
+#: and up to 1024 pipelined feature ``batches`` (a count the makespan model
+#: multiplies by a float, so an unbounded one overflows).
 MAX_FEATURE_DIM = max(spec.feature_dim for spec in GNN_SUITE.values())
 MAX_GNN_LAYERS = 16
+MAX_GNN_BATCHES = 1024
 
 #: Cap on a ``/v1/spgemm`` body's ``shards``, past which the answer is 400:
 #: each shard plans, compiles and runs as its own chip on the batcher
@@ -583,7 +586,6 @@ class ReproServer:
             if method != "GET":
                 return 405, {"error": "use GET"}
             return 200, self.stats.snapshot(queue_depth=self.queue.depth,
-                                            shed=self.queue.shed,
                                             cache=self.session.cache_stats(),
                                             registry=self.registry.stats())
         if path == "/v1/operands":
@@ -854,17 +856,17 @@ class ReproServer:
                 return 503, {"error": str(err)}
             if isinstance(err, AdmissionError):
                 reason = "quota" if isinstance(err, QuotaExceeded) else "rate"
-                self.stats.record_rejected(err.tenant, reason)
+                self.stats.add(f"rejected_{reason}", tenant=err.tenant)
                 return err.status, {"error": str(err), "tenant": err.tenant,
                                     "retry_after_s": round(err.retry_after_s, 3),
                                     "_retry_after": err.retry_after_s}
-            self.stats.record_rejected(tenant, "queue")
+            self.stats.add("rejected_queue", tenant=tenant)
             body = {"error": str(err), "tenant": tenant}
             if err.retry_after_s is not None:
                 body["retry_after_s"] = round(err.retry_after_s, 3)
                 body["_retry_after"] = err.retry_after_s
             return 503, body
-        self.stats.record_admitted(request.tenant)
+        self.stats.add("admitted", tenant=request.tenant)
         try:
             # Small grace over the queue deadline so batcher-side timeouts
             # (ServeTimeout) win the race and report precisely.
@@ -949,7 +951,8 @@ def _gnn_spec(payload: dict, dataset, label: str) -> GNNModelSpec:
         feature_density=float(payload.get("feature_density", 0.3)),
         activations=activations,
         seed=int(payload.get("feature_seed", 7)),
-        batches=int(payload.get("batches", 1)),
+        batches=_capped("batches", payload.get("batches", 1),
+                        MAX_GNN_BATCHES),
         verify=bool(payload.get("verify", False)),
         label=label)
 

@@ -176,7 +176,6 @@ class RequestQueue:
         self._condition = threading.Condition()
         self._ids = itertools.count()
         self._closed = False  # guarded-by: _condition
-        self.shed = 0  # guarded-by: _condition — requests rejected by backpressure, for /stats
 
     # ------------------------------------------------------------------
     # Producer side
@@ -215,7 +214,6 @@ class RequestQueue:
                 if self._closed:
                     raise QueueClosed("request queue is closed")
                 if self._depth_locked() >= self.max_depth:
-                    self.shed += 1
                     raise QueueOverflow(
                         f"request queue is full ({self.max_depth} "
                         "waiting); retry after the backlog drains",

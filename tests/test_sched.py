@@ -371,7 +371,6 @@ class TestQueueScheduling:
         with pytest.raises(QueueOverflow) as info:
             queue.put(object())
         assert info.value.retry_after_s == 1.25
-        assert queue.shed == 1
 
 
 class TestBacklogMakespan:

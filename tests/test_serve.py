@@ -1,5 +1,6 @@
 """Serving subsystem: queue and micro-batcher."""
 
+import sys
 import threading
 import time
 
@@ -17,6 +18,7 @@ from repro.serve import (
     ReproServer,
     RequestQueue,
     ServeTimeout,
+    ServingStats,
 )
 from repro.sparse.csr import CSRMatrix
 
@@ -68,7 +70,6 @@ class TestRequestQueue:
         queue.put(SpGEMMSpec(a=wiki))
         with pytest.raises(QueueOverflow, match="full"):
             queue.put(SpGEMMSpec(a=wiki))
-        assert queue.shed == 1
         assert queue.depth == 2  # the shed request was never enqueued
 
     def test_closed_queue_rejects_puts(self, wiki):
@@ -123,6 +124,64 @@ class TestRequestQueue:
             RequestQueue().get_batch(max_batch=0, max_delay_s=0.0)
 
 
+class TestServingStats:
+    def test_unknown_counter_raises(self):
+        stats = ServingStats()
+        with pytest.raises(ValueError, match="rejected_bogus"):
+            stats.add("rejected_bogus", tenant="t")
+        with pytest.raises(ValueError, match="responses"):
+            stats.add("responses")  # a tenant counter needs its tenant
+        with pytest.raises(ValueError, match="coalesced"):
+            stats.add("coalesced", tenant="t")
+        assert stats.snapshot()["tenants"] == {}
+
+    def test_fleet_totals_are_sums_of_tenant_rows(self):
+        stats = ServingStats()
+        for tenant in ("a", "b", "b"):
+            stats.add("admitted", tenant=tenant)
+            stats.record_response(tenant, 0.01)
+        stats.add("failures", tenant="a")
+        stats.add("deadline_misses", tenant="b")
+        stats.add("rejected_queue", 2, tenant="a")
+        stats.add("rejected_rate", tenant="b")
+        snapshot = stats.snapshot()
+        assert [snapshot[key] for key in
+                ("responses", "failures", "timeouts", "shed")] == [3, 1, 1, 2]
+        rows = stats.tenant_snapshot()
+        assert rows == snapshot["tenants"]
+        assert rows["a"]["rejected"] == 2
+        assert rows["b"]["rejected"] == 1
+        assert rows["b"]["admitted"] == rows["b"]["responses"] == 2
+
+    def test_concurrent_counts_lose_no_update(self):
+        stats, rounds = ServingStats(), 2000
+        tenants = [f"t{index % 3}" for index in range(8)]
+
+        def hammer(tenant):
+            for _ in range(rounds):
+                stats.add("requests")
+                stats.add("admitted", tenant=tenant)
+                stats.record_response(tenant, 0.001)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(tenant,))
+                       for tenant in tenants]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        snapshot = stats.snapshot()
+        total = rounds * len(tenants)
+        assert snapshot["requests"] == snapshot["responses"] == total
+        assert sum(row["admitted"] for row in
+                   snapshot["tenants"].values()) == total
+
+
 class TestMicroBatcher:
     def test_served_results_byte_identical_to_direct_run(self, wiki,
                                                          facebook):
@@ -145,7 +204,8 @@ class TestMicroBatcher:
             results, stats = serve_specs(session, specs, max_batch=4,
                                          max_delay_ms=200.0)
         assert [r.label for r in results] == [s.label for s in specs]
-        assert stats.coalesced == 3  # one execution served all four
+        # One execution served all four.
+        assert stats.snapshot()["coalesced"] == 3
         assert len({r.metrics["cycles"] for r in results}) == 1
         for result in results[1:]:
             assert np.array_equal(result.output.data, results[0].output.data)
@@ -159,7 +219,7 @@ class TestMicroBatcher:
         with Session("Tile-4", backend="analytic") as session:
             results, stats = serve_specs(session, specs, max_batch=3,
                                          max_delay_ms=200.0)
-        assert stats.coalesced == 2
+        assert stats.snapshot()["coalesced"] == 2
         assert [r.label for r in results] == ["req-0", "req-1", "req-2"]
 
     def test_dispatch_thread_survives_a_poison_batch(self, wiki,
@@ -195,7 +255,7 @@ class TestMicroBatcher:
                     .metrics["cycles"] > 0
             finally:
                 batcher.stop()
-            assert batcher.stats.failures == 1
+            assert batcher.stats.snapshot()["failures"] == 1
 
     def test_coalescing_distinguishes_distinct_operands(self, wiki,
                                                         facebook):
@@ -204,7 +264,7 @@ class TestMicroBatcher:
         with Session("Tile-4", backend="analytic") as session:
             results, stats = serve_specs(session, specs, max_batch=2,
                                          max_delay_ms=200.0)
-        assert stats.coalesced == 0
+        assert stats.snapshot()["coalesced"] == 0
         assert results[0].metrics["output_nnz"] != \
             results[1].metrics["output_nnz"]
 
@@ -225,8 +285,9 @@ class TestMicroBatcher:
                     bad_request.future.result(timeout=60)
             finally:
                 batcher.stop()
-            assert batcher.stats.responses == 1
-            assert batcher.stats.failures == 1
+            snapshot = batcher.stats.snapshot()
+            assert snapshot["responses"] == 1
+            assert snapshot["failures"] == 1
 
     def test_cancelled_request_is_skipped(self, wiki):
         with Session("Tile-4", backend="analytic") as session:
@@ -237,8 +298,9 @@ class TestMicroBatcher:
             batcher.start()
             batcher.stop()
             assert request.future.cancelled()
-            assert batcher.stats.cancelled == 1
-            assert batcher.stats.responses == 0
+            snapshot = batcher.stats.snapshot()
+            assert snapshot["cancelled"] == 1
+            assert snapshot["responses"] == 0
 
     def test_expired_deadline_fails_with_serve_timeout(self, wiki):
         with Session("Tile-4", backend="analytic") as session:
@@ -251,7 +313,7 @@ class TestMicroBatcher:
                     request.future.result(timeout=60)
             finally:
                 batcher.stop()
-            assert batcher.stats.timeouts == 1
+            assert batcher.stats.snapshot()["timeouts"] == 1
 
     def test_stop_fails_requests_enqueued_after_close(self, wiki):
         # stop() closes the queue first; a request that sneaks into the
@@ -315,7 +377,7 @@ class TestServedEqualsRun:
         with Session("Tile-4", **config) as session:
             served, stats = serve_specs(session, specs, max_batch=len(specs),
                                         max_delay_ms=200.0)
-        assert stats.batches == 1
+        assert stats.snapshot()["batches"] == 1
         for spec, result in zip(specs, served):
             with Session("Tile-4", **config) as fresh:
                 direct = fresh.run(spec)

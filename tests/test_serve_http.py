@@ -156,6 +156,13 @@ class TestSpGEMMEndpoint:
             raise QueueOverflow("request queue is full (test)",
                                 retry_after_s=0.25)
 
+        def counts():
+            stats = request(server, "GET", "/stats")[1]
+            row = request(server, "GET", "/v1/tenants")[1]["tenants"] \
+                .get("default", {}).get("serving", {})
+            return stats["shed"], row.get("rejected_queue", 0)
+
+        shed_before, rejected_before = counts()
         monkeypatch.setattr(server.queue, "put", shed)
         status, payload = request(server, "POST", "/v1/spgemm",
                                   {"dataset": "wiki-Vote", "max_nodes": 96})
@@ -163,6 +170,8 @@ class TestSpGEMMEndpoint:
         assert "full" in payload["error"]
         assert payload["tenant"] == "default"
         assert payload["retry_after_s"] == 0.25
+        # One 503, counted once: /stats' shed is the tenant rows' sum.
+        assert counts() == (shed_before + 1, rejected_before + 1)
 
 
 class TestGCNEndpoint:
@@ -220,6 +229,13 @@ class TestInvalidWorkloads:
                      "feature_dim": INF}),
         ("/v1/gnn", {"dataset": "cora", "max_nodes": 64, "layers": INF}),
         ("/v1/gnn", {"dataset": "cora", "max_nodes": 64, "batches": INF}),
+        ("/v1/gnn", {"dataset": "cora", "max_nodes": 64,
+                     "batches": 10**400}),
+        # numpy refuses a negative seed; the spec refuses it first.
+        ("/v1/gcn", {"dataset": "cora", "max_nodes": 64,
+                     "feature_seed": -1}),
+        ("/v1/gnn", {"dataset": "cora", "max_nodes": 64,
+                     "feature_seed": -1}),
     ])
     def test_refused_with_400(self, server, path, body):
         status, payload = request(server, "POST", path, body)
